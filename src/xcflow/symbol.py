@@ -13,6 +13,14 @@ raised Einstein-type tensor.  Adding the standard gauge-fixing vector
 field replaces the three zeros with ones, so the gauged system is
 strictly parabolic exactly when q > 0 and q - 4*rho > 0 in every
 direction.
+
+Every symbol matrix comes from one kernel, `symbol_stacks`: the symbol is
+quadratic in xi and linear in P and rho, so a direction enters only
+through the components of xi xi^T, contracted with a coefficient tensor
+built once per (P, rho).  `parabolicity` sweeps a Fibonacci lattice plus
+the three eigenvectors of P.  Since q is extremal at those eigenvectors,
+the minimum of the swept spectra is the exact minimum over the sphere,
+not a sample of it.
 """
 
 from __future__ import annotations
@@ -21,9 +29,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .curvature import SymTensor3, pack, unpack
+from .curvature import COMPONENT_ORDER, SymTensor3, pack, unpack
 from .errors import DomainError
 
 IMAG_RESIDUE_TOL = 1e-10
@@ -66,90 +73,98 @@ def _covector(xi) -> np.ndarray:
     return v
 
 
-_BASIS = [unpack(row) for row in np.eye(6)]
+def _symbol_data(p: SymTensor3, rho) -> float:
+    """Check the data a symbol is assembled from; returns rho as a float."""
+    if p.variance != "upper":
+        raise DomainError("symbol assembly expects P with upper indices")
+    if not np.all(np.isfinite(p.components)):
+        raise DomainError("P must have finite components")
+    rho = float(rho)
+    if not np.isfinite(rho):
+        raise DomainError(f"rho must be finite, got {rho!r}")
+    return rho
 
 
-def _matrix_of(op) -> np.ndarray:
-    """6x6 matrix of a linear map on symmetric tensors, built column by column."""
-    return np.column_stack([pack(op(e)) for e in _BASIS])
+_ROWS, _COLS = np.array(COMPONENT_ORDER).T
 
 
-def rotation_to_e1(xi_unit: np.ndarray) -> np.ndarray:
-    """A rotation Q (det +1) with Q @ xi_unit = e1."""
-    u = xi_unit
-    # pick the coordinate axis least aligned with u to seed the completion
-    seed = np.eye(3)[np.argmin(np.abs(u))]
-    v = seed - (seed @ u) * u
-    v /= np.linalg.norm(v)
-    w = np.cross(u, v)
-    return np.vstack([u, v, w])
+def _coefficients() -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient tensors of the raw symbol and of the gauge term.
+
+    With B_k the symmetric matrix of canonical component k, P = sum_j p_j B_j
+    and V = xi xi^T = sum_k w_k B_k, the actions of `symbol_stacks` read
+        raw:   tr(P V) m - V P m - m P V + tr(P m) V + 2 rho (tr(m V) - tr V tr m) I
+        gauge: tr(m) V - V m - m V.
+    Evaluating both on m = B_c and packing gives the entries [.., k, r, c];
+    the raw tensor is indexed by (p_1..p_6, rho) first, flattened to
+    (7, 216), the gauge tensor to (6, 36).
+    """
+    b = np.zeros((6, 3, 3))
+    b[np.arange(6), _ROWS, _COLS] = b[np.arange(6), _COLS, _ROWS] = 1.0
+    tr_bb = np.einsum("jab,kba->jk", b, b)
+    tr_b = np.einsum("kaa->k", b)
+    p_part = (np.einsum("jk,cab->jkcab", tr_bb, b)
+              - np.einsum("kab,jbd,cde->jkcae", b, b, b)
+              - np.einsum("cab,jbd,kde->jkcae", b, b, b)
+              + np.einsum("jc,kab->jkcab", tr_bb, b))
+    rho_part = 2.0 * np.einsum("kc,ab->kcab", tr_bb - np.outer(tr_b, tr_b), np.eye(3))
+    gauge = (np.einsum("c,kab->kcab", tr_b, b)
+             - np.einsum("kab,cbd->kcad", b, b)
+             - np.einsum("cab,kbd->kcad", b, b))
+    raw = np.concatenate([p_part, rho_part[None]])[..., _ROWS, _COLS]
+    return (raw.transpose(0, 1, 3, 2).reshape(7, 216),
+            gauge[..., _ROWS, _COLS].transpose(0, 2, 1).reshape(6, 36))
 
 
-def induced_tensor_rotation(q: np.ndarray) -> np.ndarray:
-    """6x6 action S(Q) with S(Q) @ pack(m) = pack(Q @ m @ Q.T)."""
-    return _matrix_of(lambda e: q @ e @ q.T)
+_RAW_COEFF, _GAUGE_COEFF = _coefficients()
+_ZERO_P = SymTensor3(np.zeros(6), "upper")
+
+
+def symbol_stacks(p: SymTensor3, rho: float, xis) -> tuple[np.ndarray, np.ndarray]:
+    """Raw symbols and gauge terms in N directions, as two (N, 6, 6) stacks.
+
+    Row n of `xis` (shape (N, 3)) is used as given, without normalizing,
+    so both stacks are exactly quadratic in it.  The raw action on a
+    variation m at xi is
+        (xi^T P xi) m - xi (m P xi)^T - (m P xi) xi^T + tr(P m) xi xi^T
+        + 2 rho (xi^T m xi - |xi|^2 tr m) I,
+    the gauge term m -> tr(m) xi xi^T - xi (m xi)^T - (m xi) xi^T; the
+    gauge-fixed symbol is their difference.  One matrix product with the
+    components of xi xi^T assembles every matrix of both stacks.
+    """
+    weights = np.append(p.components, _symbol_data(p, rho))
+    v = np.asarray(xis, dtype=float)
+    coeff = np.hstack([(weights @ _RAW_COEFF).reshape(6, 36), _GAUGE_COEFF])
+    stacks = ((v[:, _ROWS] * v[:, _COLS]) @ coeff).reshape(len(v), 2, 6, 6)
+    return stacks[:, 0], stacks[:, 1]
+
+
+def _one_direction(p: SymTensor3, rho, xi, normalize: bool):
+    xi_v = _covector(xi)
+    v = xi_v / np.linalg.norm(xi_v) if normalize else xi_v
+    raw, gauge = symbol_stacks(p, rho, v[None])
+    return xi_v, raw[0], gauge[0]
 
 
 def symbol_raw(p: SymTensor3, rho: float, xi, normalize: bool = True) -> SymbolMatrix:
     """Symbol of the ungauged linearized operator at g = identity.
 
-    The action on a variation m is
-        (xi^T P xi) m - xi (m P xi)^T - (m P xi) xi^T + tr(P m) xi xi^T
-        + 2 rho (xi^T m xi - |xi|^2 tr m) I,
+    The action on a variation m is the raw action of `symbol_stacks`,
     quadratic in xi.  With normalize=True (default) xi is rescaled to unit
     Euclidean length first, matching the reference normalization.
     """
-    xi_v = _covector(xi)
-    if p.variance != "upper":
-        raise DomainError("symbol assembly expects P with upper indices")
-    pm = p.matrix
-    v = xi_v / np.linalg.norm(xi_v) if normalize else xi_v
-    vv = float(v @ v)
-
-    def op(m: np.ndarray) -> np.ndarray:
-        mpv = m @ pm @ v
-        return (
-            float(v @ pm @ v) * m
-            - np.outer(v, mpv)
-            - np.outer(mpv, v)
-            + float(np.trace(pm @ m)) * np.outer(v, v)
-            + 2.0 * rho * (float(v @ m @ v) - vv * np.trace(m)) * np.eye(3)
-        )
-
-    return SymbolMatrix(_matrix_of(op), "raw", xi_v, float(rho), normalize)
-
-
-# Gauge-correction matrix at xi = e1: the action m -> tr(m) E11 - e1 (m e1)^T - (m e1) e1^T.
-def _deturck_e1_matrix() -> np.ndarray:
-    e1 = np.array([1.0, 0.0, 0.0])
-
-    def op(m: np.ndarray) -> np.ndarray:
-        me1 = m @ e1
-        return np.trace(m) * np.outer(e1, e1) - np.outer(e1, me1) - np.outer(me1, e1)
-
-    return _matrix_of(op)
-
-
-_DETURCK_E1 = _deturck_e1_matrix()
+    xi_v, raw, _ = _one_direction(p, rho, xi, normalize)
+    return SymbolMatrix(raw, "raw", xi_v, float(rho), normalize)
 
 
 def symbol_deturck_correction(xi, normalize: bool = True) -> SymbolMatrix:
-    """Symbol of the gauge-fixing term, assembled by rotating xi onto e1.
+    """Symbol of the gauge-fixing term, m -> tr(m) xi xi^T - xi (m xi)^T - (m xi) xi^T.
 
-    The e1-aligned matrix acts by m -> tr(m) E11 - e1 (m e1)^T - (m e1) e1^T;
-    a general direction is handled by conjugating with the rotation's
-    induced action on symmetric tensors.  Subtracting this matrix from the
-    raw symbol replaces the three zero eigenvalues with ones.
+    Subtracting this matrix from the raw symbol replaces the three zero
+    eigenvalues with ones.
     """
-    xi_v = _covector(xi)
-    norm = np.linalg.norm(xi_v)
-    q = rotation_to_e1(xi_v / norm)
-    s = induced_tensor_rotation(q)
-    s_back = induced_tensor_rotation(q.T)
-    entries = s_back @ _DETURCK_E1 @ s
-    if not normalize:
-        entries = norm**2 * entries
-    return SymbolMatrix(entries, "deturck_correction", xi_v, 0.0, normalize)
+    xi_v, _, gauge = _one_direction(_ZERO_P, 0.0, xi, normalize)
+    return SymbolMatrix(gauge, "deturck_correction", xi_v, 0.0, normalize)
 
 
 def symbol_modified(p: SymTensor3, rho: float, xi, case: int = +1) -> SymbolMatrix:
@@ -161,11 +176,9 @@ def symbol_modified(p: SymTensor3, rho: float, xi, case: int = +1) -> SymbolMatr
     untouched.  At xi = e1 the spectrum is {1, 1, 1, s P11, s P11,
     s P11 - 4 rho} with s = case.
     """
-    sign = case_sign(case)
-    p_eff = SymTensor3(sign * p.components, "upper")
-    raw = symbol_raw(p_eff, rho, xi, normalize=True)
-    corr = symbol_deturck_correction(xi, normalize=True)
-    return SymbolMatrix(raw.entries - corr.entries, "deturck", raw.xi, float(rho), True)
+    p_eff = SymTensor3(case_sign(case) * p.components, p.variance)
+    xi_v, raw, gauge = _one_direction(p_eff, rho, xi, True)
+    return SymbolMatrix(raw - gauge, "deturck", xi_v, float(rho), True)
 
 
 def case_sign(case) -> int:
@@ -218,10 +231,9 @@ def to_orthonormal_frame(p: SymTensor3, g: SymTensor3) -> SymTensor3:
     """
     if p.variance != "upper":
         raise DomainError("frame transform expects a tensor with upper indices")
-    gm = g.matrix
     if not g.is_positive_definite():
         raise DomainError("metric is not positive definite")
-    chol = scipy.linalg.cholesky(gm, lower=True)
+    chol = np.linalg.cholesky(g.matrix)
     return SymTensor3.from_matrix(chol.T @ p.matrix @ chol, "upper")
 
 
@@ -230,11 +242,18 @@ class ParabolicityReport:
     """Verdict and threshold bookkeeping for one (P, g, rho, case) query.
 
     `threshold` is the stated sufficient-condition bound on rho for the
-    requested case and mode; `margin` = threshold - rho.  The verdict
-    comes from the sampled symbol spectra themselves: strict requires all
-    gauge-fixed eigenvalues >= the positivity floor in every sampled
-    direction.  `min_modified_eig` / `min_raw_eig` expose the extremes of
-    the sweep so threshold and spectrum can be compared directly.
+    requested case and mode; `margin` = threshold - rho.  `spectral_margin`
+    is min(mu, mu - 4 rho) / 4 with mu the minimum of s lambda over the
+    generalized eigenvalues lambda of P: the verdict is strict exactly when
+    4 * spectral_margin clears the positivity floor.  It equals `margin` in
+    the positive all_directions case with rho >= 0 and differs from it in
+    the negative case, whose stated bound is -lambda_max / 2.
+
+    The verdict comes from the symbol spectra over the Fibonacci lattice
+    plus the three eigenvectors of P, where the gauge-fixed spectrum is
+    extremal, so `min_modified_eig` / `min_raw_eig` are the exact minima
+    over all directions.  `direction_samples` counts the lattice directions
+    only.
     """
 
     case: str
@@ -243,6 +262,7 @@ class ParabolicityReport:
     rho: float
     verdict: str
     margin: float
+    spectral_margin: float
     min_modified_eig: float
     min_raw_eig: float
     direction_samples: int
@@ -264,44 +284,41 @@ def parabolicity(
     as supplied; mode='all_directions' uses the direction-uniform bound
     from the generalized eigenvalues of P relative to g (minimum / 4 for
     the positive case, -maximum / 2 for the negative case).  The verdict
-    itself always comes from eigenvalue sweeps of the assembled symbols
-    over a deterministic set of unit directions.
+    itself always comes from the eigenvalues of the assembled symbols in
+    `direction_samples` Fibonacci lattice directions plus the three
+    eigenvectors of P in the g-orthonormal frame.  The gauge-fixed
+    spectrum {1, 1, 1, s q, s q, s q - 4 rho} is smallest at one of those
+    eigenvectors, so the verdict is exact for any lattice size.
     """
     sign = case_sign(case)
     if mode not in ("frame", "all_directions"):
         raise DomainError(f"mode must be 'frame' or 'all_directions', got {mode!r}")
+    rho = _symbol_data(p, rho)
+    lattice = unit_directions(direction_samples)
 
     p_frame = to_orthonormal_frame(p, g)
-    gen_eigs = scipy.linalg.eigvalsh(p_frame.matrix)
+    gen_eigs, gen_vecs = np.linalg.eigh(p_frame.matrix)
 
     if mode == "frame":
         p11 = float(p.components[0])
         threshold = p11 / 4.0 if sign > 0 else -p11 / 2.0
     else:
         threshold = float(gen_eigs.min()) / 4.0 if sign > 0 else -float(gen_eigs.max()) / 2.0
-    margin = threshold - rho
+    lowest_q = float((sign * gen_eigs).min())
 
-    p_signed = SymTensor3(sign * p_frame.components, "upper")
-    min_modified = np.inf
-    min_raw = np.inf
-    min_abs_raw = np.inf
-    imag_residue = 0.0
-    raw_scale = 1.0
-    for xi in unit_directions(direction_samples):
-        raw = symbol_raw(p_signed, rho, xi)
-        corr = symbol_deturck_correction(xi)
-        raw_eigs = np.linalg.eigvals(raw.entries)
-        mod_eigs = np.linalg.eigvals(raw.entries - corr.entries)
-        # a multiple eigenvalue of the non-normal raw matrix can split with
-        # a small imaginary residue near thresholds; track it instead of
-        # warning per direction, the verdict uses real parts
-        imag_residue = max(imag_residue,
-                           float(np.abs(raw_eigs.imag).max()),
-                           float(np.abs(mod_eigs.imag).max()))
-        raw_scale = max(raw_scale, float(np.abs(raw.entries).max()))
-        min_raw = min(min_raw, float(raw_eigs.real.min()))
-        min_abs_raw = min(min_abs_raw, float(np.abs(raw_eigs.real).min()))
-        min_modified = min(min_modified, float(mod_eigs.real.min()))
+    directions = np.vstack([lattice, gen_vecs.T])
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    raw, gauge = symbol_stacks(SymTensor3(sign * p_frame.components, "upper"), rho, directions)
+    eigs = np.linalg.eigvals(np.concatenate([raw, raw - gauge]))
+    raw_eigs, mod_eigs = eigs[:len(directions)].real, eigs[len(directions):].real
+    # a multiple eigenvalue of the non-normal raw matrix can split with a
+    # small imaginary residue near thresholds; track it instead of warning
+    # per direction, the verdict uses real parts
+    imag_residue = float(np.abs(eigs.imag).max())
+    raw_scale = max(1.0, float(np.abs(raw).max()))
+    min_raw = float(raw_eigs.min())
+    min_abs_raw = float(np.abs(raw_eigs).min())
+    min_modified = float(mod_eigs.min())
 
     # right at the weak boundary the structural zero eigenvalue becomes
     # defective and eigensolvers split it by ~sqrt(machine eps), so the
@@ -318,11 +335,12 @@ def parabolicity(
         case="positive" if sign > 0 else "negative",
         mode=mode,
         threshold=float(threshold),
-        rho=float(rho),
+        rho=rho,
         verdict=verdict,
-        margin=float(margin),
-        min_modified_eig=float(min_modified),
-        min_raw_eig=float(min_raw),
+        margin=float(threshold - rho),
+        spectral_margin=min(lowest_q, lowest_q - 4.0 * rho) / 4.0,
+        min_modified_eig=min_modified,
+        min_raw_eig=min_raw,
         direction_samples=direction_samples,
-        max_imag_residue=float(imag_residue),
+        max_imag_residue=imag_residue,
     )

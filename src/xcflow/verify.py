@@ -145,6 +145,65 @@ def _verdict(max_dev: float, tol: float, label: str = "max dev") -> tuple[bool, 
     return max_dev <= tol, f"{label} {max_dev:.3e} (tol {tol:.1e})"
 
 
+# Independent routes to the symbol matrices.  `symbol.symbol_stacks` builds
+# every matrix from one coefficient tensor; these rebuild them column by
+# column from the operator written as a closure, and the gauge term also by
+# conjugating its e1-aligned form with a rotation taking xi to e1.
+
+def matrix_of(op) -> np.ndarray:
+    """6x6 matrix of a linear map on symmetric tensors, built column by column."""
+    return np.column_stack([cv.pack(op(cv.unpack(row))) for row in np.eye(6)])
+
+
+def reference_raw_symbol(pm: np.ndarray, rho: float, v: np.ndarray) -> np.ndarray:
+    """Raw symbol matrix at covector v (used as given) from the tensor action."""
+    vv = float(v @ v)
+
+    def op(m: np.ndarray) -> np.ndarray:
+        mpv = m @ pm @ v
+        return (
+            float(v @ pm @ v) * m
+            - np.outer(v, mpv)
+            - np.outer(mpv, v)
+            + float(np.trace(pm @ m)) * np.outer(v, v)
+            + 2.0 * rho * (float(v @ m @ v) - vv * np.trace(m)) * np.eye(3)
+        )
+
+    return matrix_of(op)
+
+
+def reference_gauge_term(v: np.ndarray) -> np.ndarray:
+    """Gauge-term matrix m -> tr(m) v v^T - v (m v)^T - (m v) v^T."""
+    def op(m: np.ndarray) -> np.ndarray:
+        mv = m @ v
+        return np.trace(m) * np.outer(v, v) - np.outer(v, mv) - np.outer(mv, v)
+
+    return matrix_of(op)
+
+
+def rotation_to_e1(xi_unit: np.ndarray) -> np.ndarray:
+    """A rotation Q (det +1) with Q @ xi_unit = e1."""
+    u = xi_unit
+    # pick the coordinate axis least aligned with u to seed the completion
+    seed = np.eye(3)[np.argmin(np.abs(u))]
+    v = seed - (seed @ u) * u
+    v /= np.linalg.norm(v)
+    w = np.cross(u, v)
+    return np.vstack([u, v, w])
+
+
+def induced_tensor_rotation(q: np.ndarray) -> np.ndarray:
+    """6x6 action S(Q) with S(Q) @ pack(m) = pack(Q @ m @ Q.T)."""
+    return matrix_of(lambda e: q @ e @ q.T)
+
+
+def conjugated_gauge_term(xi_unit: np.ndarray) -> np.ndarray:
+    """Gauge-term matrix at a unit covector via the rotate-onto-e1 route."""
+    q = rotation_to_e1(xi_unit)
+    at_e1 = reference_gauge_term(np.array([1.0, 0.0, 0.0]))
+    return induced_tensor_rotation(q.T) @ at_e1 @ induced_tensor_rotation(q)
+
+
 # ---------------------------------------------------------------------------
 # tensor_core suite
 
@@ -394,16 +453,10 @@ def _gauge_direct(rng, cases):
     for _ in range(cases):
         xi = rng.normal(size=3)
         xi /= np.linalg.norm(xi)
-
-        def direct(mm):
-            mv = mm @ xi
-            return (np.trace(mm) * np.outer(xi, xi)
-                    - np.outer(xi, mv) - np.outer(mv, xi))
-
-        expected = np.column_stack(
-            [cv.pack(direct(cv.unpack(row))) for row in np.eye(6)])
         got = sb.symbol_deturck_correction(xi).entries
-        worst = max(worst, float(np.abs(got - expected).max()))
+        worst = max(worst,
+                    float(np.abs(got - reference_gauge_term(xi)).max()),
+                    float(np.abs(got - conjugated_gauge_term(xi)).max()))
     return _verdict(worst, 1e-12)
 
 
@@ -440,6 +493,46 @@ def _sphere_threshold(rng, cases):
     ok = (abs(rep.threshold - 0.25) < 1e-12 and abs(rep.margin - 0.25) < 1e-12
           and rep.verdict == "strictly_parabolic_deturck")
     return ok, f"threshold {rep.threshold!r}, margin {rep.margin!r}, {rep.verdict}"
+
+
+@_check("symbol", "sweep_batched_matches_reference", default_cases=10)
+def _sweep_batched(rng, cases):
+    directions = sb.unit_directions(sb.DEFAULT_DIRECTION_SAMPLES)
+    gauge_ref = [reference_gauge_term(v) for v in directions]
+    worst = 0.0
+    for _ in range(cases):
+        m = rng.uniform(-5.0, 5.0, (3, 3))
+        pm = 0.5 * (m + m.T)
+        rho = float(rng.uniform(-2.0, 2.0))
+        raw, gauge = sb.symbol_stacks(cv.SymTensor3.from_matrix(pm, "upper"), rho, directions)
+        for v, raw_v, gauge_v, gauge_ref_v in zip(directions, raw, gauge, gauge_ref):
+            raw_ref_v = reference_raw_symbol(pm, rho, v)
+            worst = max(worst,
+                        float(np.abs(raw_v - raw_ref_v).max()),
+                        float(np.abs(gauge_v - gauge_ref_v).max()),
+                        float(np.abs((raw_v - gauge_v) - (raw_ref_v - gauge_ref_v)).max()))
+    return _verdict(worst, 1e-13, f"max dev over {len(directions)} directions")
+
+
+@_check("symbol", "parabolicity_rotated_anisotropic_threshold", default_cases=50)
+def _rotated_anisotropic(rng, cases):
+    # P = s Q diag(0.2, 5, 5) Q^T puts the critical direction off the
+    # lattice; rho 1e-3 above the threshold 0.05 must not come back strict
+    g = cv.SymTensor3.identity()
+    lam = np.array([0.2, 5.0, 5.0])
+    floor = sb.STRICTNESS_FLOOR
+    wrong = runs = 0
+    for _ in range(cases):
+        q = _random_rotation(rng)
+        for sign in (1, -1):
+            p = cv.SymTensor3.from_matrix(sign * (q * lam) @ q.T, "upper")
+            for rho in (lam.min() / 4.0 - 1e-3, lam.min() / 4.0 + 1e-3):
+                strict = lam.min() >= floor and lam.min() - 4.0 * rho >= floor
+                for samples in (50, 200):
+                    rep = sb.parabolicity(p, g, rho, case=sign, direction_samples=samples)
+                    runs += 1
+                    wrong += (rep.verdict == "strictly_parabolic_deturck") != strict
+    return wrong == 0, f"{wrong} of {runs} verdicts disagree with the closed form (need 0)"
 
 
 # ---------------------------------------------------------------------------

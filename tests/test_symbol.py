@@ -6,17 +6,23 @@ from scipy.stats import special_ortho_group
 from xcflow.curvature import Riemann3, SymTensor3, einstein_raised, pack, unpack
 from xcflow.errors import DomainError
 from xcflow.symbol import (
+    STRICTNESS_FLOOR,
     ParabolicityReport,
     SymbolMatrix,
-    induced_tensor_rotation,
     parabolicity,
-    rotation_to_e1,
     spectrum,
     symbol_deturck_correction,
     symbol_modified,
     symbol_raw,
+    symbol_stacks,
     to_orthonormal_frame,
     unit_directions,
+)
+from xcflow.verify import (
+    induced_tensor_rotation,
+    reference_gauge_term,
+    reference_raw_symbol,
+    rotation_to_e1,
 )
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -27,6 +33,15 @@ P_IDENTITY = SymTensor3.identity("upper")
 def sym_upper(rng, span=5.0):
     m = rng.uniform(-span, span, (3, 3))
     return SymTensor3.from_matrix(0.5 * (m + m.T), "upper")
+
+
+def haar_rotation(rng) -> np.ndarray:
+    """Haar rotation: QR of a Gaussian matrix, signs fixed by diag(R), det +1."""
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0.0:
+        q[:, 0] = -q[:, 0]
+    return q
 
 
 def displayed_raw_matrix(pm: np.ndarray, rho: float) -> np.ndarray:
@@ -108,6 +123,35 @@ class TestRawSymbol:
         rho_part = symbol_raw(zero_p, 1.3, xi).entries
         assert np.abs(full - p_part - rho_part).max() < 1e-13
         assert np.abs(symbol_raw(zero_p, 0.0, xi).entries).max() == 0.0
+
+    def test_non_finite_data_rejected(self):
+        with pytest.raises(DomainError):
+            symbol_raw(P_IDENTITY, float("nan"), E1)
+        with pytest.raises(DomainError):
+            symbol_raw(SymTensor3(np.array([np.inf, 0, 0, 1.0, 1.0, 0]), "upper"), 0.0, E1)
+
+
+class TestStacks:
+    def test_stacks_match_column_reference_over_lattice(self):
+        rng = np.random.default_rng(30)
+        directions = unit_directions(50)
+        for _ in range(3):
+            p = sym_upper(rng)
+            rho = float(rng.uniform(-2, 2))
+            raw, gauge = symbol_stacks(p, rho, directions)
+            assert raw.shape == gauge.shape == (50, 6, 6)
+            for v, raw_v, gauge_v in zip(directions, raw, gauge):
+                assert np.abs(raw_v - reference_raw_symbol(p.matrix, rho, v)).max() < 1e-13
+                assert np.abs(gauge_v - reference_gauge_term(v)).max() < 1e-13
+
+    def test_single_direction_symbols_are_stack_rows(self):
+        rng = np.random.default_rng(32)
+        p = sym_upper(rng)
+        xi = rng.normal(size=3)
+        raw, gauge = symbol_stacks(p, 0.7, xi[None] / np.linalg.norm(xi))
+        assert np.array_equal(symbol_raw(p, 0.7, xi).entries, raw[0])
+        assert np.array_equal(symbol_deturck_correction(xi).entries, gauge[0])
+        assert np.array_equal(symbol_modified(p, 0.7, xi).entries, raw[0] - gauge[0])
 
 
 class TestDeturckCorrection:
@@ -212,6 +256,7 @@ class TestParabolicity:
         assert rep.verdict == "strictly_parabolic_deturck"
         assert rep.threshold == 0.25
         assert rep.margin == 0.25
+        assert rep.spectral_margin == 0.25
 
     def test_sphere_threshold_bracket(self):
         assert parabolicity(P_IDENTITY, IDENTITY, 0.24).verdict == "strictly_parabolic_deturck"
@@ -243,6 +288,8 @@ class TestParabolicity:
         assert rep2.margin > 0.0
         assert rep2.verdict == "not_parabolic"
         assert rep2.min_modified_eig < 0.0
+        # the spectral margin is the one that tracks the verdict
+        assert rep2.spectral_margin == pytest.approx(-0.05, abs=1e-15)
 
     def test_raw_flow_is_weakly_parabolic_below_threshold(self):
         # without gauge fixing the kernel keeps three zero eigenvalues
@@ -267,6 +314,49 @@ class TestParabolicity:
         assert rep.verdict == "strictly_parabolic_deturck"
         p_frame = to_orthonormal_frame(p, g)
         assert np.allclose(p_frame.matrix, 0.25 * np.eye(3), atol=1e-14)
+
+    @pytest.mark.parametrize("samples", [50, 200])
+    @pytest.mark.parametrize("offset", [-1e-3, 1e-3])
+    def test_rotated_anisotropic_threshold_verdict_is_exact(self, samples, offset):
+        # the critical direction of Q diag(0.2, 5, 5) Q^T falls between
+        # lattice points, where a sampled sweep calls rho = 0.05 + 1e-3 strict
+        rng = np.random.default_rng(24)
+        lam = np.array([0.2, 5.0, 5.0])
+        rho = lam.min() / 4.0 + offset
+        strict = lam.min() >= STRICTNESS_FLOOR and lam.min() - 4.0 * rho >= STRICTNESS_FLOOR
+        for _ in range(50):
+            q = haar_rotation(rng)
+            p = SymTensor3.from_matrix((q * lam) @ q.T, "upper")
+            rep = parabolicity(p, IDENTITY, rho, direction_samples=samples)
+            assert (rep.verdict == "strictly_parabolic_deturck") == strict
+            assert rep.direction_samples == samples
+
+    def test_spectral_margin_decides_verdict(self):
+        rng = np.random.default_rng(26)
+        for _ in range(100):
+            p = sym_upper(rng)
+            m = rng.uniform(-1, 1, (3, 3))
+            g = SymTensor3.from_matrix(m @ m.T + 0.5 * np.eye(3))
+            rho = float(rng.uniform(-2, 2))
+            case = int(rng.choice([1, -1]))
+            rep = parabolicity(p, g, rho, case=case, direction_samples=50)
+            strict = rep.verdict == "strictly_parabolic_deturck"
+            assert strict == (4.0 * rep.spectral_margin >= STRICTNESS_FLOOR)
+            assert rep.min_modified_eig == pytest.approx(
+                min(1.0, 4.0 * rep.spectral_margin), abs=1e-9)
+            if case > 0 and rho >= 0.0:
+                assert rep.spectral_margin == rep.margin
+
+    @pytest.mark.parametrize("bad", [
+        {"rho": float("nan")},
+        {"rho": float("inf")},
+        {"p": SymTensor3(np.array([np.nan, 0, 0, 1.0, 1.0, 0]), "upper")},
+        {"direction_samples": 0},
+    ])
+    def test_bad_input_raises_domain_error(self, bad):
+        args = {"p": P_IDENTITY, "g": IDENTITY, "rho": 0.0, **bad}
+        with pytest.raises(DomainError):
+            parabolicity(**args)
 
     def test_report_types(self):
         rep = parabolicity(P_IDENTITY, IDENTITY, 0.0, direction_samples=16)
