@@ -3,8 +3,10 @@
 Subsystems:
 
 - `curvature`: symmetric tensors, metric jets, Riemann/Ricci/Einstein
-  tensors, and the cross curvature tensor via three cross-checking
-  formulas.
+  tensors, the cross curvature tensor via three cross-checking
+  formulas, and the generalized eigenvalues of a tensor relative to a
+  metric (one Cholesky-frame solver on numpy, the only runtime
+  dependency).
 - `symbol`: 6x6 principal-symbol matrices of the linearized flow
   operator (raw and gauge-fixed), their spectra, and parabolicity
   verdicts.
@@ -29,6 +31,7 @@ from .curvature import (
     cross_curvature_forms,
     eigen_frame,
     einstein_raised,
+    generalized_eigh,
     jet_from_function,
     pack,
     ricci,
@@ -96,6 +99,7 @@ __all__ = [
     "einstein_residual",
     "einstein_rhs",
     "engine_rhs",
+    "generalized_eigh",
     "integrate",
     "jet_from_function",
     "pack",

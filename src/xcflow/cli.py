@@ -10,7 +10,12 @@ unknown or missing keys are rejected by name.  All floats are emitted
 with their shortest round-trip representation, so identical inputs
 produce byte-identical outputs.
 
-Exit codes: 0 success, 2 usage error, 3 numeric/domain error,
+Exit codes: 0 success; 2 usage error, for malformed input (an unknown,
+duplicate or missing key, a value that is not a number, or not an
+integer where one is required, or contradictory options); 3
+numeric/domain error, for well-formed values outside the domain of the
+mathematics (a non-finite or nonpositive step, a NaN coupling, an
+indefinite metric), raised by the library before anything is printed;
 4 verification failure.
 """
 
@@ -27,7 +32,6 @@ from . import __version__
 from . import curvature as cv
 from . import flow as fl
 from . import symbol as sb
-from . import verify as vf
 from .errors import XcflowError
 
 
@@ -122,11 +126,6 @@ def apply_config_keys(raw: dict[str, str], command: str) -> dict[str, object]:
     return options
 
 
-def _merge_flag(options: dict, key: str, value) -> None:
-    if value is not None:
-        options[key] = value
-
-
 def _as_floats(value, n: int, key: str) -> tuple[float, ...]:
     if isinstance(value, str):
         value = parse_value(value)
@@ -141,11 +140,19 @@ def _as_floats(value, n: int, key: str) -> tuple[float, ...]:
     return floats
 
 
-def _require_positive(options: dict, keys: tuple[str, ...]) -> None:
-    for key in keys:
-        if key in options and not (isinstance(options[key], (int, float))
-                                   and options[key] > 0):
-            raise UsageError(f"{key} must be a positive number")
+def _as_float(value, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise UsageError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _as_int(value, key: str) -> int:
+    """The integer a config or flag value stands for; 2.0 passes, 2.5 does not."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +213,7 @@ def _curvature_inputs(options: dict) -> tuple[cv.Riemann3, cv.SymTensor3, dict]:
     name = options.get("space_form") or options.get("jet_from_chart")
     if name not in ("sphere", "hyperbolic"):
         raise UsageError("space form name must be 'sphere' or 'hyperbolic'")
-    kappa = float(options.get("kappa", 1.0 if name == "sphere" else -1.0))
+    kappa = _as_float(options.get("kappa", 1.0 if name == "sphere" else -1.0), "kappa")
     if name == "sphere" and kappa <= 0.0:
         raise UsageError("kappa must be positive for the sphere")
     if name == "hyperbolic" and kappa >= 0.0:
@@ -218,9 +225,7 @@ def _curvature_inputs(options: dict) -> tuple[cv.Riemann3, cv.SymTensor3, dict]:
         return cv.Riemann3.space_form(kappa, g), g, meta
 
     point = np.array(_as_floats(options.get("point", (0.0, 0.0, 0.0)), 3, "point"))
-    fd_step = float(options.get("fd_step", 1e-3))
-    if fd_step <= 0.0:
-        raise UsageError("fd_step must be positive")
+    fd_step = _as_float(options.get("fd_step", 1e-3), "fd_step")
     richardson = bool(options.get("richardson", False))
     meta.update({"point": list(point), "fd_step": fd_step, "richardson": richardson})
     jet = cv.jet_from_function(cv.space_form_chart(kappa), point,
@@ -235,7 +240,7 @@ def cmd_curvature(options: dict, stdout: IO[str]) -> int:
     forms = cv.cross_curvature_forms(riem, g)
     frame, vectors = cv.eigen_frame(p, g)
     h = forms.contraction_form
-    h_eigs = np.sort(_generalized_eigs(h, g))
+    h_eigs, _ = cv.generalized_eigh(h, g)
 
     report = {
         "version": __version__,
@@ -282,14 +287,6 @@ def cmd_curvature(options: dict, stdout: IO[str]) -> int:
     return EXIT_OK
 
 
-def _generalized_eigs(t: cv.SymTensor3, g: cv.SymTensor3) -> np.ndarray:
-    import scipy.linalg
-    if t.variance == "lower":
-        return scipy.linalg.eigvalsh(t.matrix, g.matrix)
-    gm = g.matrix
-    return scipy.linalg.eigvalsh(gm @ t.matrix @ gm, gm)
-
-
 # ---------------------------------------------------------------------------
 # symbol command
 
@@ -313,11 +310,9 @@ def _xi_list(options: dict) -> list[np.ndarray]:
 
 def cmd_symbol(options: dict, stdout: IO[str]) -> int:
     p = _symbol_p(options)
-    try:
-        rho = float(options.get("rho", 0.0))
-        samples = int(options.get("direction_samples", sb.DEFAULT_DIRECTION_SAMPLES))
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"rho and direction_samples must be numeric: {exc}") from exc
+    rho = _as_float(options.get("rho", 0.0), "rho")
+    samples = _as_int(options.get("direction_samples", sb.DEFAULT_DIRECTION_SAMPLES),
+                      "direction_samples")
     case = options.get("case", "positive")
     mode = options.get("mode", "all_directions")
     xis = _xi_list(options)
@@ -373,31 +368,21 @@ def cmd_symbol(options: dict, stdout: IO[str]) -> int:
 # flow command
 
 def build_flow_params(options: dict) -> fl.FlowParams:
-    """Assemble FlowParams, naming any missing or invalid key."""
+    """Assemble FlowParams, naming any missing or non-numeric key.
+
+    The values themselves are checked by FlowParams (DomainError, exit 3).
+    """
     for key in ("rho", "epsilon", "lambda", "dt", "t_end"):
         if key not in options:
             raise UsageError(f"missing required key {key!r} for the flow command")
-    _require_positive(options, ("dt", "t_end"))
-    try:
-        rho = float(options["rho"])
-        epsilon = int(options["epsilon"])
-        lam = float(options["lambda"])
-        dt = float(options["dt"])
-        t_end = float(options["t_end"])
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"flow parameters must be numeric: {exc}") from exc
-    unsafe = bool(options.get("unsafe_signs", False))
-    if epsilon not in (1, -1):
-        raise UsageError("epsilon must be +1 or -1")
-    if dt > t_end:
-        raise UsageError("dt must not exceed t_end")
-    if not unsafe and epsilon * lam <= 0.0:
-        raise UsageError(
-            "epsilon must match the sectional-curvature sign of the initial "
-            "metric (epsilon=+1 with lambda>0, epsilon=-1 with lambda<0); "
-            "pass --unsafe-signs to override")
-    return fl.FlowParams(rho=rho, epsilon=epsilon, lam=lam, dt=dt, t_end=t_end,
-                         unsafe_signs=unsafe)
+    return fl.FlowParams(
+        rho=_as_float(options["rho"], "rho"),
+        epsilon=_as_int(options["epsilon"], "epsilon"),
+        lam=_as_float(options["lambda"], "lambda"),
+        dt=_as_float(options["dt"], "dt"),
+        t_end=_as_float(options["t_end"], "t_end"),
+        unsafe_signs=bool(options.get("unsafe_signs", False)),
+    )
 
 
 def write_trace_csv(fh: IO[str], trace: fl.FlowTrace) -> None:
@@ -468,10 +453,11 @@ def write_trace_json(fh: IO[str], trace: fl.FlowTrace,
 
 
 def cmd_flow(options: dict, stdout: IO[str]) -> int:
+    out_format = options.get("format", "csv")
+    if out_format not in ("csv", "json"):
+        raise UsageError(f"format must be 'csv' or 'json', got {out_format!r}")
+    record_every = _as_int(options.get("record_every", 100), "record_every")
     params = build_flow_params(options)
-    record_every = int(options.get("record_every", 100))
-    if record_every < 1:
-        raise UsageError("record_every must be a positive integer")
     trace = fl.integrate(
         params,
         record_every=record_every,
@@ -503,9 +489,6 @@ def cmd_flow(options: dict, stdout: IO[str]) -> int:
               file=stdout)
 
     output = options.get("output")
-    out_format = options.get("format", "csv")
-    if out_format not in ("csv", "json"):
-        raise UsageError(f"format must be 'csv' or 'json', got {out_format!r}")
     if output is None:
         if out_format == "csv":
             write_trace_csv(stdout, trace)
@@ -528,6 +511,8 @@ def cmd_flow(options: dict, stdout: IO[str]) -> int:
 # verify command
 
 def cmd_verify(options: dict, stdout: IO[str]) -> int:
+    from . import verify as vf  # the suites load only when asked for
+
     suites = options.get("suite")
     if isinstance(suites, str):
         suites = [suites]
@@ -539,10 +524,10 @@ def cmd_verify(options: dict, stdout: IO[str]) -> int:
             raise UsageError(f"unknown suite(s): {', '.join(sorted(unknown))}")
     cases = options.get("cases")
     if cases is not None:
-        cases = int(cases)
+        cases = _as_int(cases, "cases")
         if cases < 1:
             raise UsageError("cases must be a positive integer")
-    seed = int(options.get("seed", vf.DEFAULT_SEED))
+    seed = _as_int(options.get("seed", vf.DEFAULT_SEED), "seed")
 
     summary = vf.run_checks(suites=suites, cases=cases, seed=seed)
     for result in summary.results:
@@ -614,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--rho", type=float, help="scalar-curvature coupling")
     p_flow.add_argument("--epsilon", type=int, choices=(1, -1),
                         help="sectional-curvature sign of the initial metric")
-    p_flow.add_argument("--lambda", dest="lambda_", type=float,
+    p_flow.add_argument("--lambda", dest="lambda", type=float,
                         help="Einstein constant of the initial metric")
     p_flow.add_argument("--dt", type=float, help="integration step")
     p_flow.add_argument("--t-end", dest="t_end", type=float, help="final time")
@@ -640,27 +625,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_KEYS = {
-    "curvature": ("frame", "space_form", "kappa", "jet_from_chart", "point",
-                  "fd_step", "richardson"),
-    "symbol": ("frame", "p", "rho", "xi", "case", "mode", "direction_samples"),
-    "flow": ("rho", "epsilon", "dt", "t_end", "record_every",
-             "unsafe_signs", "paper_ode", "halt_on_parabolicity_loss"),
-    "verify": ("suite", "cases"),
-}
-
-
 def _collect_options(args: argparse.Namespace) -> dict[str, object]:
+    """Config file values, overridden by the flags that were given."""
     command = args.command
     options: dict[str, object] = {}
     if args.config:
         options.update(apply_config_keys(read_config_file(args.config), command))
-    for key in _FLAG_KEYS[command]:
-        _merge_flag(options, key, getattr(args, key, None))
-    if command == "flow":
-        _merge_flag(options, "lambda", getattr(args, "lambda_", None))
-    for key in ("output", "format", "seed"):
-        _merge_flag(options, key, getattr(args, key, None))
+    for key in (*COMMAND_KEYS[command], *(COMMON_KEYS - {"command"})):
+        value = getattr(args, key)
+        if value is not None:
+            options[key] = value
     options.pop("command", None)
     return options
 

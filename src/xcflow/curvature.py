@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, InternalConsistencyError
 
@@ -32,6 +31,9 @@ COMPONENT_ORDER: tuple[tuple[int, int], ...] = (
     (0, 0), (0, 1), (0, 2), (1, 1), (2, 2), (1, 2),
 )
 COMPONENT_LABELS = ("11", "12", "13", "22", "33", "23")
+_ROWS, _COLS = np.array(COMPONENT_ORDER).T
+# _UNPACK[i, j] is the canonical slot of entry (i, j)
+_UNPACK = np.array([[0, 1, 2], [1, 3, 5], [2, 5, 4]])
 
 _EPS3 = np.zeros((3, 3, 3))
 _EPS3[0, 1, 2] = _EPS3[1, 2, 0] = _EPS3[2, 0, 1] = 1.0
@@ -44,18 +46,12 @@ FORMULA_AGREEMENT_RTOL = 1e-10
 
 def pack(matrix: np.ndarray) -> np.ndarray:
     """Extract the 6 canonical components (11,12,13,22,33,23) of a symmetric matrix."""
-    m = np.asarray(matrix, dtype=float)
-    return np.array([m[i, j] for i, j in COMPONENT_ORDER])
+    return np.asarray(matrix, dtype=float)[_ROWS, _COLS]
 
 
 def unpack(components: np.ndarray) -> np.ndarray:
     """Rebuild the symmetric 3x3 matrix from canonical components."""
-    c = np.asarray(components, dtype=float)
-    m = np.empty((3, 3))
-    for value, (i, j) in zip(c, COMPONENT_ORDER):
-        m[i, j] = value
-        m[j, i] = value
-    return m
+    return np.asarray(components, dtype=float)[_UNPACK]
 
 
 @dataclass(frozen=True)
@@ -154,24 +150,19 @@ class MetricJet:
     @classmethod
     def from_full(cls, g: np.ndarray, dg_full: np.ndarray, ddg_full: np.ndarray) -> "MetricJet":
         """Build from full arrays dg_full[k,i,j] and ddg_full[k,l,i,j]."""
-        dg = np.stack([pack(dg_full[k]) for k in range(3)])
-        ddg = np.stack([pack(ddg_full[k, l]) for k, l in COMPONENT_ORDER])
+        dg = np.asarray(dg_full, dtype=float)[:, _ROWS, _COLS]
+        ddg = np.asarray(ddg_full, dtype=float)[_ROWS, _COLS][:, _ROWS, _COLS]
         return cls(SymTensor3.from_matrix(g), dg, ddg)
 
     @property
     def dg_full(self) -> np.ndarray:
         """First derivatives as a (3, 3, 3) array indexed [k, i, j]."""
-        return np.stack([unpack(self.dg[k]) for k in range(3)])
+        return self.dg[:, _UNPACK]
 
     @property
     def ddg_full(self) -> np.ndarray:
         """Second derivatives as a (3, 3, 3, 3) array indexed [k, l, i, j]."""
-        full = np.empty((3, 3, 3, 3))
-        for row, (k, l) in enumerate(COMPONENT_ORDER):
-            m = unpack(self.ddg[row])
-            full[k, l] = m
-            full[l, k] = m
-        return full
+        return self.ddg[:, _UNPACK][_UNPACK]
 
 
 def _bracket(dg: np.ndarray) -> np.ndarray:
@@ -413,22 +404,47 @@ class CurvatureFrame:
         return np.array([self.a, self.b, self.c])
 
 
+def cholesky_frame(t: SymTensor3, g: SymTensor3) -> tuple[np.ndarray, np.ndarray]:
+    """Components of t in a g-orthonormal frame, and that frame.
+
+    With g = L L^T (Cholesky), the columns of L^-T are g-orthonormal; in
+    that frame an upper-index t has components L^T t L and a lower-index t
+    has L^-1 t L^-T.  Returns (frame components, L^-T).  Raises DomainError
+    unless g is a positive definite metric.
+    """
+    chol = np.linalg.cholesky(_require_metric(g))
+    inv = np.linalg.inv(chol)
+    tm = t.matrix
+    components = chol.T @ tm @ chol if t.variance == "upper" else inv @ tm @ inv.T
+    return components, inv.T
+
+
+def generalized_eigh(t: SymTensor3, g: SymTensor3) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a symmetric tensor relative to a metric.
+
+    For lower-index t these solve t v = lam g v; for upper-index t they are
+    those of the lowered tensor g t g, i.e. t g v = lam v.  Returns the
+    eigenvalues in ascending order and g-orthonormal eigenvectors as the
+    columns of a 3x3 matrix V, with V^T g V = I.  Diagonalizes t in the
+    Cholesky frame of g and maps the eigenvectors back.
+    """
+    components, frame = cholesky_frame(t, g)
+    vals, vecs = np.linalg.eigh(components)
+    return vals, frame @ vecs
+
+
 def eigen_frame(p: SymTensor3, g: SymTensor3) -> tuple[CurvatureFrame, np.ndarray]:
     """Diagonalize P relative to g.
 
-    Solves the generalized symmetric eigenproblem for the lowered tensor
-    P_ij = g_ik P^kl g_lj against g; returns the eigenvalues as a
+    Returns the generalized eigenvalues of the upper-index P as a
     CurvatureFrame (ascending) and the g-orthonormal eigenvectors as the
     columns of a 3x3 matrix.  The reconstruction P^ij = sum_k lam_k
     v_k v_k^T holds.  Degenerate eigenvalues yield an arbitrary
     orthonormal basis of the eigenspace.
     """
-    gm = _require_metric(g)
     if p.variance != "upper":
         raise DomainError("eigen_frame expects a tensor with upper indices")
-    pm = p.matrix
-    p_low = gm @ pm @ gm
-    vals, vecs = scipy.linalg.eigh(p_low, gm)
+    vals, vecs = generalized_eigh(p, g)
     return CurvatureFrame(*map(float, vals)), vecs
 
 

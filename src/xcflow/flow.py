@@ -50,6 +50,9 @@ class FlowParams:
     def __post_init__(self):
         if self.epsilon not in (+1, -1):
             raise DomainError(f"epsilon must be +1 or -1, got {self.epsilon!r}")
+        for name in ("rho", "lam", "dt", "t_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.dt <= 0.0 or self.t_end <= 0.0:
             raise DomainError("dt and t_end must be positive")
         if self.dt > self.t_end:
@@ -58,7 +61,7 @@ class FlowParams:
             raise DomainError(
                 "epsilon must match the sign of the Einstein constant "
                 "(epsilon=+1 needs lam>0, epsilon=-1 needs lam<0); "
-                "pass unsafe_signs=True to override"
+                "pass unsafe_signs=True (--unsafe-signs) to override"
             )
 
 
@@ -86,8 +89,8 @@ class TraceRecord:
 class FlowTrace:
     """Result of an integration run.
 
-    status is one of 'completed', 'extinct', 'parabolicity_lost',
-    'step_underflow'.  extinction_time is set only for extinct runs.
+    status is one of 'completed', 'extinct', 'parabolicity_lost'.
+    extinction_time is set only for extinct runs.
     """
 
     params: FlowParams
@@ -211,13 +214,12 @@ def _margin(c: float, params: FlowParams) -> float:
     """Parabolicity margin of the instantaneous space form (direction-uniform).
 
     On isotropic data the generalized eigenvalues of P all equal the
-    sectional curvature kappa = lam / (2c), so the all-directions
-    threshold is kappa / 4 (positive case) or -kappa / 2 (negative case);
-    identical to symbol.parabolicity on the same data, at scalar cost.
+    sectional curvature kappa = lam / (2c), so the all-directions stated
+    threshold is that of symbol.parabolicity on the same data, at scalar
+    cost.
     """
     kappa = params.lam / (2.0 * c)
-    threshold = kappa / 4.0 if params.epsilon > 0 else -kappa / 2.0
-    return threshold - params.rho
+    return sb.stated_threshold(kappa, kappa, params.epsilon) - params.rho
 
 
 def parabolicity_report_at(c: float, params: FlowParams) -> sb.ParabolicityReport:
@@ -290,9 +292,6 @@ def integrate(
         c_next = _rk4_step(c, dt, params, 0.0)
 
         if c_next is None or c_next <= c_min:
-            if c_next is not None and not np.isfinite(c_next):
-                status = "step_underflow"
-                break
             extinction_time = _refine_extinction(
                 c, t, dt, params, c_min, time_tol=params.dt * 1e-3)
             pending.add("extinct")

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import COMPONENT_ORDER, SymTensor3, pack, unpack
+from .curvature import COMPONENT_ORDER, SymTensor3, cholesky_frame, pack, unpack
 from .errors import DomainError
 
 IMAG_RESIDUE_TOL = 1e-10
@@ -225,16 +225,23 @@ def unit_directions(n: int) -> np.ndarray:
 def to_orthonormal_frame(p: SymTensor3, g: SymTensor3) -> SymTensor3:
     """Components of an upper-index tensor in a g-orthonormal frame.
 
-    With g = L L^T (Cholesky), the frame components are L^T P L; the
-    metric becomes the identity, which is what the symbol assembly
-    assumes.  Generalized eigenvalues of P relative to g are preserved.
+    With g = L L^T (Cholesky), the frame components are L^T P L
+    (`curvature.cholesky_frame`); the metric becomes the identity, which is
+    what the symbol assembly assumes.  Generalized eigenvalues of P
+    relative to g are preserved.  A metric that is not positive definite
+    raises DomainError.
     """
     if p.variance != "upper":
         raise DomainError("frame transform expects a tensor with upper indices")
-    if not g.is_positive_definite():
-        raise DomainError("metric is not positive definite")
-    chol = np.linalg.cholesky(g.matrix)
-    return SymTensor3.from_matrix(chol.T @ p.matrix @ chol, "upper")
+    components, _ = cholesky_frame(p, g)
+    return SymTensor3.from_matrix(components, "upper")
+
+
+def stated_threshold(lowest: float, highest: float, sign: int) -> float:
+    """Stated sufficient bound on rho from the extreme eigenvalues of P:
+    lowest / 4 in the positive case (sign +1), -highest / 2 in the
+    negative case (sign -1)."""
+    return lowest / 4.0 if sign > 0 else -highest / 2.0
 
 
 @dataclass(frozen=True)
@@ -301,9 +308,9 @@ def parabolicity(
 
     if mode == "frame":
         p11 = float(p.components[0])
-        threshold = p11 / 4.0 if sign > 0 else -p11 / 2.0
+        threshold = stated_threshold(p11, p11, sign)
     else:
-        threshold = float(gen_eigs.min()) / 4.0 if sign > 0 else -float(gen_eigs.max()) / 2.0
+        threshold = stated_threshold(float(gen_eigs[0]), float(gen_eigs[-1]), sign)
     lowest_q = float((sign * gen_eigs).min())
 
     directions = np.vstack([lattice, gen_vecs.T])

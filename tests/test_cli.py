@@ -53,3 +53,80 @@ def test_symbol_json_reports_spectral_margin(tmp_path, capsys):
     assert block["spectral_margin"] == block["margin"] == pytest.approx(0.15)
     assert [line.split(":")[0] for line in out.splitlines()] == [
         "xi", "raw", "deturck", "threshold", "margin", "verdict"]
+
+
+def test_cli_and_verify_import_without_scipy():
+    code = ("import sys, xcflow.cli, xcflow.verify; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+FLOW_ARGS = ["--rho=0", "--epsilon=1", "--lambda=2", "--dt=1e-3", "--t-end=0.1"]
+
+
+@pytest.mark.parametrize("override", [
+    ["--rho=nan"],
+    ["--t-end=inf"],
+    ["--dt=-1"],
+    ["--lambda=-2"],            # sign mismatch without --unsafe-signs
+    ["--record-every=0"],
+])
+def test_flow_bad_values_exit_3_before_printing(override, capsys):
+    assert cli.main(["flow", *FLOW_ARGS, *override]) == cli.EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,lines", [
+    ("symbol", ["symbol.frame = 1,2,3", "symbol.direction_samples = 2.5"]),
+    ("flow", ["flow.rho = 0", "flow.epsilon = 1", "flow.lambda = 2", "flow.dt = 1e-3",
+              "flow.t_end = 0.1", "flow.record_every = 2.7"]),
+    ("flow", ["flow.rho = 0", "flow.epsilon = 1.5", "flow.lambda = 2", "flow.dt = 1e-3",
+              "flow.t_end = 0.1"]),
+    ("flow", ["flow.rho = abc", "flow.epsilon = 1", "flow.lambda = 2", "flow.dt = 1e-3",
+              "flow.t_end = 0.1"]),
+    ("verify", ["verify.cases = 1.5"]),
+    ("verify", ["seed = true"]),
+])
+def test_config_malformed_numbers_are_usage_errors(command, lines, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert cli.main([command, "--config", str(config)]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage error: ") and "Traceback" not in err
+
+
+def test_config_integral_float_counts_as_integer(tmp_path, capsys):
+    config = tmp_path / "sym.cfg"
+    config.write_text("symbol.frame = 1,2,3\nsymbol.direction_samples = 20.0\n",
+                      encoding="utf-8")
+    path = tmp_path / "sym.json"
+    assert cli.main(["symbol", "--config", str(config), "--output", str(path)]) == 0
+    capsys.readouterr()
+    assert json.loads(path.read_text(encoding="utf-8"))["parabolicity"]["direction_samples"] == 20
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMAND_KEYS))
+def test_parser_dests_match_command_keys(command):
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command")
+    dests = {a.dest for a in subparsers.choices[command]._actions}
+    assert dests - {"help", "config"} - cli.COMMON_KEYS == cli.COMMAND_KEYS[command]
+    assert cli.COMMON_KEYS - {"command"} <= dests
+
+
+def test_lambda_flag_overrides_config(tmp_path, capsys):
+    config = tmp_path / "flow.cfg"
+    config.write_text("flow.rho = 0\nflow.epsilon = 1\nflow.lambda = 1\nflow.dt = 1e-3\n"
+                      "flow.t_end = 0.01\n", encoding="utf-8")
+    path = tmp_path / "trace.json"
+    argv = ["flow", "--config", str(config), "--lambda=2", "--output", str(path),
+            "--format", "json"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert json.loads(path.read_text(encoding="utf-8"))["params"]["lambda"] == 2.0

@@ -11,6 +11,7 @@ from xcflow.curvature import (
     cross_curvature_forms,
     eigen_frame,
     einstein_raised,
+    generalized_eigh,
     jet_from_function,
     pack,
     ricci,
@@ -46,6 +47,34 @@ class TestSymTensor3:
     def test_pack_unpack_roundtrip(self):
         m = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
         assert np.array_equal(unpack(pack(m)), m)
+
+    def test_index_arrays_match_loop_reference(self):
+        # pack/unpack and the jet's full arrays index with fixed arrays; the
+        # loops below are the reference and the results must be equal
+        order = ((0, 0), (0, 1), (0, 2), (1, 1), (2, 2), (1, 2))
+
+        def loop_unpack(c):
+            m = np.empty((3, 3))
+            for value, (i, j) in zip(c, order):
+                m[i, j] = m[j, i] = value
+            return m
+
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            m = rng.normal(size=(3, 3))
+            m = m + m.T
+            c = rng.normal(size=6)
+            assert np.array_equal(pack(m), [m[i, j] for i, j in order])
+            assert np.array_equal(unpack(c), loop_unpack(c))
+        jet = space_form_chart_jet(-0.8, rng.uniform(-0.5, 0.5, 3))
+        dg_full = np.stack([loop_unpack(row) for row in jet.dg])
+        ddg_full = np.empty((3, 3, 3, 3))
+        for row, (k, l) in enumerate(order):
+            ddg_full[k, l] = ddg_full[l, k] = loop_unpack(jet.ddg[row])
+        assert np.array_equal(jet.dg_full, dg_full)
+        assert np.array_equal(jet.ddg_full, ddg_full)
+        again = MetricJet.from_full(jet.g.matrix, dg_full, ddg_full)
+        assert np.array_equal(again.dg, jet.dg) and np.array_equal(again.ddg, jet.ddg)
 
     def test_component_order_is_11_12_13_22_33_23(self):
         m = np.array([[11.0, 12.0, 13.0], [12.0, 22.0, 23.0], [13.0, 23.0, 33.0]])
@@ -275,6 +304,41 @@ class TestEigenFrame:
             assert np.abs(rebuilt - p.matrix).max() < 1e-10 * max(1, np.abs(p.matrix).max())
             assert np.abs(vecs.T @ g.matrix @ vecs - np.eye(3)).max() < 1e-12
             assert frame.a <= frame.b <= frame.c
+
+
+class TestGeneralizedEigh:
+    # scipy.linalg.eigvalsh(a, b) is the independent oracle here
+    @pytest.mark.parametrize("variance", ["lower", "upper"])
+    def test_matches_scipy_and_vectors_are_g_orthonormal(self, variance):
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            m = rng.uniform(-3.0, 3.0, (3, 3))
+            t = SymTensor3.from_matrix(m + m.T, variance)
+            g = spd(rng, scale=float(rng.uniform(0.2, 3.0)))
+            vals, vecs = generalized_eigh(t, g)
+            scale = max(1.0, np.abs(vals).max())
+            assert np.abs(vals - gen_eigs(t, g)).max() < 1e-12 * scale
+            assert np.all(np.diff(vals) >= 0.0)
+            gm = g.matrix
+            assert np.abs(vecs.T @ gm @ vecs - np.eye(3)).max() < 1e-12
+            if variance == "lower":
+                # t v = lam g v, and t = g V diag(lam) V^T g
+                assert np.abs(t.matrix @ vecs - gm @ vecs * vals).max() < 1e-11 * scale
+                rebuilt = gm @ (vecs * vals) @ vecs.T @ gm
+            else:
+                # t g v = lam v, and t = V diag(lam) V^T
+                assert np.abs(t.matrix @ gm @ vecs - vecs * vals).max() < 1e-11 * scale
+                rebuilt = (vecs * vals) @ vecs.T
+            assert np.abs(rebuilt - t.matrix).max() < 1e-11 * max(1.0, np.abs(t.matrix).max())
+
+    def test_rejects_indefinite_metric(self):
+        g = SymTensor3(np.array([1.0, 0, 0, -1.0, 1.0, 0]))
+        with pytest.raises(DomainError):
+            generalized_eigh(IDENTITY, g)
+
+    def test_eigen_frame_keeps_upper_index_check(self):
+        with pytest.raises(DomainError):
+            eigen_frame(SymTensor3(np.array([1.0, 0, 0, 2.0, 3.0, 0])), IDENTITY)
 
 
 class TestJetFromFunction:

@@ -47,6 +47,14 @@ class TestFlowParams:
         with pytest.raises(DomainError):
             FlowParams(rho=0.0, epsilon=+1, lam=2.0, dt=-1e-3, t_end=1.0)
 
+    @pytest.mark.parametrize("field", ["rho", "lam", "dt", "t_end"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_rejected(self, field, value):
+        args = {"rho": 0.0, "epsilon": +1, "lam": 2.0, "dt": 1e-3, "t_end": 1.0,
+                "unsafe_signs": True, field: value}
+        with pytest.raises(DomainError, match=field):
+            FlowParams(**args)
+
 
 class TestRhs:
     def test_unit_sphere_values(self):

@@ -11,6 +11,7 @@ from xcflow.symbol import (
     SymbolMatrix,
     parabolicity,
     spectrum,
+    stated_threshold,
     symbol_deturck_correction,
     symbol_modified,
     symbol_raw,
@@ -396,3 +397,26 @@ class TestHelpers:
         assert m.rho == 0.5
         assert np.array_equal(m.xi, [0.0, 2.0, 0.0])
         assert m.normalized
+
+    def test_stated_threshold_cases(self):
+        assert stated_threshold(0.2, 5.0, +1) == 0.05
+        assert stated_threshold(-5.0, -0.2, -1) == 0.1
+
+    def test_stated_threshold_is_the_report_threshold(self):
+        rng = np.random.default_rng(27)
+        for _ in range(20):
+            p = sym_upper(rng)
+            eigs = np.linalg.eigvalsh(p.matrix)
+            for case in (1, -1):
+                rep = parabolicity(p, IDENTITY, 0.0, case=case, direction_samples=8)
+                assert rep.threshold == pytest.approx(
+                    stated_threshold(eigs[0], eigs[-1], case), rel=1e-13, abs=1e-13)
+                p11 = p.components[0]
+                rep = parabolicity(p, IDENTITY, 0.0, case=case, mode="frame",
+                                   direction_samples=8)
+                assert rep.threshold == stated_threshold(p11, p11, case)
+
+    def test_frame_transform_rejects_indefinite_metric(self):
+        g = SymTensor3(np.array([1.0, 0, 0, -1.0, 1.0, 0]))
+        with pytest.raises(DomainError):
+            to_orthonormal_frame(P_IDENTITY, g)
