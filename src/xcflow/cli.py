@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import IO
 
@@ -32,7 +33,7 @@ from . import __version__
 from . import curvature as cv
 from . import flow as fl
 from . import symbol as sb
-from .errors import XcflowError
+from .errors import DomainError, XcflowError
 
 
 class UsageError(Exception):
@@ -146,6 +147,12 @@ def _as_float(value, key: str) -> float:
     return float(value)
 
 
+def _require_finite(values: tuple[float, ...], key: str) -> None:
+    """A domain error (exit 3) unless every value is finite."""
+    if not all(math.isfinite(v) for v in values):
+        raise DomainError(f"{key} must be finite, got {_vec_str(values)}")
+
+
 def _as_int(value, key: str) -> int:
     """The integer a config or flag value stands for; 2.0 passes, 2.5 does not."""
     if isinstance(value, float) and value.is_integer():
@@ -207,6 +214,7 @@ def _curvature_inputs(options: dict) -> tuple[cv.Riemann3, cv.SymTensor3, dict]:
     meta: dict = {"input_mode": mode}
     if mode == "frame":
         a, b, c = _as_floats(options["frame"], 3, "frame")
+        _require_finite((a, b, c), "frame")
         meta["frame"] = [a, b, c]
         return cv.Riemann3.from_frame(a, b, c), cv.SymTensor3.identity(), meta
 
@@ -214,6 +222,7 @@ def _curvature_inputs(options: dict) -> tuple[cv.Riemann3, cv.SymTensor3, dict]:
     if name not in ("sphere", "hyperbolic"):
         raise UsageError("space form name must be 'sphere' or 'hyperbolic'")
     kappa = _as_float(options.get("kappa", 1.0 if name == "sphere" else -1.0), "kappa")
+    _require_finite((kappa,), "kappa")
     if name == "sphere" and kappa <= 0.0:
         raise UsageError("kappa must be positive for the sphere")
     if name == "hyperbolic" and kappa >= 0.0:
@@ -439,6 +448,10 @@ def _trace_dict(trace: fl.FlowTrace, diagnostics: dict | None = None) -> dict:
         },
         "status": trace.status,
         "extinction_time": trace.extinction_time,
+        "counters": {
+            "steps": trace.steps,
+            "bisection_iterations": trace.bisection_iterations,
+        },
         "records": records,
     }
     if diagnostics:

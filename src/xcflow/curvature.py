@@ -18,6 +18,7 @@ eigenvalues are (bc, ac, ab).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -80,7 +81,10 @@ class SymTensor3:
         m = np.asarray(matrix, dtype=float)
         if m.shape != (3, 3):
             raise DomainError(f"expected a 3x3 matrix, got shape {m.shape}")
-        if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(m).max())):
+        scale = np.abs(m).max()
+        if not math.isfinite(scale):
+            raise DomainError("matrix entries must be finite")
+        if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * max(1.0, scale)):
             raise DomainError("matrix is not symmetric")
         return cls(pack(0.5 * (m + m.T)), variance)
 

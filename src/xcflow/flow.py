@@ -10,15 +10,18 @@ collapses to a scalar ODE for the scale factor,
 derived by evaluating the full tensor right-hand side on the space form
 of curvature lambda / (2 c).  The curvature engine provides an
 independent evaluation of the same coefficient (`engine_rhs`), used to
-cross-check the closed form.  Integration is fixed-step classical RK4
-with extinction detection (bisection-refined) and parabolicity-margin
-monitoring along the run.
+cross-check the closed form.  The right-hand side is num / (2c) + a with
+run constants num = -eps * lambda^2, a = 6 * rho * lambda.  Integration
+is fixed-step classical RK4 in one fused scalar loop on those floats
+(checked bit for bit against `verify.reference_rk4_step`), with extinction
+detection (bisection-refined) and parabolicity-margin monitoring.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -90,20 +93,30 @@ class FlowTrace:
     """Result of an integration run.
 
     status is one of 'completed', 'extinct', 'parabolicity_lost'.
-    extinction_time is set only for extinct runs.
+    extinction_time is set only for extinct runs.  Counters: `steps` RK4
+    steps taken (not the one that crossed c_min), `bisection_iterations`
+    halvings refining the extinction time (0 unless extinct).
     """
 
     params: FlowParams
     records: tuple[TraceRecord, ...]
     status: str
     extinction_time: float | None = None
+    steps: int = 0
+    bisection_iterations: int = 0
+
+
+def _rhs_coefficients(params: FlowParams) -> tuple[float, float]:
+    """The run constants (num, a) of dc/dt = num / (2c) + a."""
+    return -params.epsilon * params.lam**2, 6.0 * params.rho * params.lam
 
 
 def einstein_rhs(c: float, params: FlowParams) -> float:
     """dc/dt on the Einstein ansatz: -eps * lam^2 / (2c) + 6 rho lam."""
     if c <= 0.0:
         raise ExtinctStateError(f"scale factor must be positive, got {c!r}")
-    return -params.epsilon * params.lam**2 / (2.0 * c) + 6.0 * params.rho * params.lam
+    num, a = _rhs_coefficients(params)
+    return num / (2.0 * c) + a
 
 
 def engine_rhs(c: float, params: FlowParams) -> float:
@@ -179,47 +192,40 @@ def closed_form_c(t: float, params: FlowParams) -> float:
     )
 
 
-def _rk4_step(c: float, dt: float, params: FlowParams, c_floor: float) -> float | None:
-    """One classical RK4 step; None if any stage leaves the valid region."""
-    stages = []
-    y = c
-    for weight in (None, 0.5, 0.5, 1.0):
-        if weight is not None:
-            y = c + weight * dt * stages[-1]
-            if not np.isfinite(y) or y <= c_floor:
-                return None
-        stages.append(einstein_rhs(y, params))
-    k1, k2, k3, k4 = stages
-    c_next = c + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.isfinite(c_next):
+def _rk4_step(c: float, k1: float, dt: float, num: float, a: float, c_floor: float) -> float | None:
+    """One RK4 step of dc/dt = num / (2c) + a from c, with k1 the rate at c;
+    None if any stage or the result is non-finite or a stage is <= c_floor."""
+    half = 0.5 * dt
+    y = c + half * k1
+    if not isfinite(y) or y <= c_floor:
         return None
-    return c_next
+    k2 = num / (2.0 * y) + a
+    y = c + half * k2
+    if not isfinite(y) or y <= c_floor:
+        return None
+    k3 = num / (2.0 * y) + a
+    y = c + dt * k3
+    if not isfinite(y) or y <= c_floor:
+        return None
+    k4 = num / (2.0 * y) + a
+    c_next = c + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return c_next if isfinite(c_next) else None
 
 
-def _refine_extinction(c: float, t: float, dt: float, params: FlowParams,
-                       c_min: float, time_tol: float) -> float:
-    """Bisection on the step size for the crossing c = c_min inside [t, t+dt]."""
-    lo, hi = 0.0, dt
+def _refine_extinction(c: float, k1: float, t: float, dt: float, num: float, a: float,
+                       c_min: float, time_tol: float) -> tuple[float, int]:
+    """Bisection on the step size for the crossing c = c_min inside [t, t+dt];
+    returns the crossing time and the number of halvings."""
+    lo, hi, halvings = 0.0, dt, 0
     while hi - lo > time_tol:
         mid = 0.5 * (lo + hi)
-        c_mid = _rk4_step(c, mid, params, 0.0)
+        c_mid = _rk4_step(c, k1, mid, num, a, 0.0)
         if c_mid is None or c_mid <= c_min:
             hi = mid
         else:
             lo = mid
-    return t + 0.5 * (lo + hi)
-
-
-def _margin(c: float, params: FlowParams) -> float:
-    """Parabolicity margin of the instantaneous space form (direction-uniform).
-
-    On isotropic data the generalized eigenvalues of P all equal the
-    sectional curvature kappa = lam / (2c), so the all-directions stated
-    threshold is that of symbol.parabolicity on the same data, at scalar
-    cost.
-    """
-    kappa = params.lam / (2.0 * c)
-    return sb.stated_threshold(kappa, kappa, params.epsilon) - params.rho
+        halvings += 1
+    return t + 0.5 * (lo + hi), halvings
 
 
 def parabolicity_report_at(c: float, params: FlowParams) -> sb.ParabolicityReport:
@@ -232,15 +238,11 @@ def parabolicity_report_at(c: float, params: FlowParams) -> sb.ParabolicityRepor
 
 
 def _record(t: float, c: float, params: FlowParams, events: tuple[str, ...]) -> TraceRecord:
+    """Record at scale c.  P's generalized eigenvalues all equal kappa, so the
+    margin is symbol.parabolicity's all-directions stated bound, at scalar cost."""
     kappa = params.lam / (2.0 * c)
-    return TraceRecord(
-        t=t,
-        c=c,
-        scalar_curvature=3.0 * params.lam / c,
-        h_eigenvalue=kappa**2,
-        parabolicity_margin=_margin(c, params),
-        events=events,
-    )
+    margin = sb.stated_threshold(kappa, kappa, params.epsilon) - params.rho
+    return TraceRecord(t, c, 3.0 * params.lam / c, kappa**2, margin, events)
 
 
 def integrate(
@@ -249,81 +251,79 @@ def integrate(
     c_min: float = DEFAULT_C_MIN,
     halt_on_parabolicity_loss: bool = False,
 ) -> FlowTrace:
-    """Integrate the reduced flow with fixed-step RK4.
+    """Integrate the reduced flow with fixed-step RK4 in one fused scalar loop.
 
     Events checked every step: extinction (c <= c_min; the crossing time
     is refined by bisection to dt * 1e-3 and the run truncates with
     status 'extinct'), loss of the parabolicity margin (flagged on the
     next record; halts with status 'parabolicity_lost' if requested), and
-    steady state (|dc/dt| < 1e-14 for 10 consecutive steps).  Records are
-    kept every `record_every` steps, plus the initial and final states.
+    steady state (|dc/dt| < 1e-14 for 10 consecutive steps).  The rate at
+    an accepted c is also the next step's first stage, and a record reuses
+    the step's margin.  Records are kept every `record_every` steps, plus
+    the initial and final states.
     """
     if record_every < 1:
         raise DomainError("record_every must be a positive integer")
 
-    n_steps = round(params.t_end / params.dt)
-    remainder = params.t_end - n_steps * params.dt
-    if remainder > 1e-12 * params.t_end:
-        n_steps += 1  # final partial step handled below
+    dt_full, t_end = params.dt, params.t_end
+    n_steps = round(t_end / dt_full)
+    if t_end - n_steps * dt_full > 1e-12 * t_end:
+        n_steps += 1  # final partial step: the last t_next is capped at t_end
 
-    records: list[TraceRecord] = []
+    num, a = _rhs_coefficients(params)
+    lam, epsilon, rho = params.lam, params.epsilon, params.rho
+    threshold = sb.stated_threshold
     pending: set[str] = set()
-    parab_lost = False
     steady_run = 0
-    status = "completed"
-    extinction_time = None
+    status, extinction_time, bisections = "completed", None, 0
 
-    c = 1.0
-    t = 0.0
-    if _margin(c, params) <= 0.0:
-        pending.add("parabolicity_lost")
-        parab_lost = True
-    records.append(_record(0.0, c, params, tuple(sorted(pending))))
-    pending.clear()
+    c, t = 1.0, 0.0
+    first = _record(t, c, params, ())
+    parab_lost = first.parabolicity_margin <= 0.0
+    if parab_lost:
+        first = _record(t, c, params, ("parabolicity_lost",))
+        if halt_on_parabolicity_loss:
+            return FlowTrace(params, (first,), "parabolicity_lost")
+    records = [first]
 
-    if parab_lost and halt_on_parabolicity_loss:
-        return FlowTrace(params, tuple(records), "parabolicity_lost")
-
+    k = num / (2.0 * c) + a  # rate at c: the next step's first stage
     for step in range(1, n_steps + 1):
-        t_next = min(step * params.dt, params.t_end)
+        t_next = min(step * dt_full, t_end)
         dt = t_next - t
-        if dt <= 0.0:
-            break
-        c_next = _rk4_step(c, dt, params, 0.0)
-
+        c_next = _rk4_step(c, k, dt, num, a, 0.0)
         if c_next is None or c_next <= c_min:
-            extinction_time = _refine_extinction(
-                c, t, dt, params, c_min, time_tol=params.dt * 1e-3)
+            extinction_time, bisections = _refine_extinction(
+                c, k, t, dt, num, a, c_min, time_tol=dt_full * 1e-3)
             pending.add("extinct")
-            status = "extinct"
-            c = c_min
-            t = extinction_time
+            status, c, t = "extinct", c_min, extinction_time
+            step -= 1  # the crossing step is not taken; bisection replaces it
             break
 
         c, t = c_next, t_next
+        k = num / (2.0 * c) + a
+        steady_run = steady_run + 1 if abs(k) < STEADY_STATE_RHS_TOL else 0
+        if steady_run == STEADY_STATE_RUN_LENGTH:
+            pending.add("steady_state")
 
-        if abs(einstein_rhs(c, params)) < STEADY_STATE_RHS_TOL:
-            steady_run += 1
-            if steady_run == STEADY_STATE_RUN_LENGTH:
-                pending.add("steady_state")
-        else:
-            steady_run = 0
-
-        if not parab_lost and _margin(c, params) <= 0.0:
+        kappa = lam / (2.0 * c)
+        margin = threshold(kappa, kappa, epsilon) - rho
+        if margin <= 0.0 and not parab_lost:
             pending.add("parabolicity_lost")
             parab_lost = True
             if halt_on_parabolicity_loss:
-                status = "parabolicity_lost"
                 records.append(_record(t, c, params, tuple(sorted(pending))))
-                return FlowTrace(params, tuple(records), status)
+                return FlowTrace(params, tuple(records), "parabolicity_lost", steps=step)
 
-        if step % record_every == 0 and t < params.t_end:
-            records.append(_record(t, c, params, tuple(sorted(pending))))
+        if step % record_every == 0 and t < t_end:
+            # _record inline, reusing this step's kappa and margin
+            records.append(TraceRecord(t, c, 3.0 * lam / c, kappa**2, margin,
+                                       tuple(sorted(pending)) if pending else ()))
             pending.clear()
 
     # final state (or the event point for truncated runs)
     records.append(_record(t, c, params, tuple(sorted(pending))))
-    return FlowTrace(params, tuple(records), status, extinction_time)
+    return FlowTrace(params, tuple(records), status, extinction_time,
+                     steps=step, bisection_iterations=bisections)
 
 
 def einstein_residual(record: TraceRecord, params: FlowParams) -> float:

@@ -542,6 +542,26 @@ _RHS_GRID_LAM = (0.5, 1.0, 2.0, -0.5, -1.0, -2.0)
 _RHS_GRID_RHO = (-0.2, 0.0, 0.1, 1.0 / 6.0)
 
 
+def reference_rk4_step(c: float, dt: float, params: fl.FlowParams,
+                       c_floor: float) -> float | None:
+    """One classical RK4 step with every stage through `flow.einstein_rhs`;
+    None if any stage leaves the valid region.  The fused step of
+    `flow.integrate` must match it bit for bit."""
+    stages = []
+    y = c
+    for weight in (None, 0.5, 0.5, 1.0):
+        if weight is not None:
+            y = c + weight * dt * stages[-1]
+            if not np.isfinite(y) or y <= c_floor:
+                return None
+        stages.append(fl.einstein_rhs(y, params))
+    k1, k2, k3, k4 = stages
+    c_next = c + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.isfinite(c_next):
+        return None
+    return c_next
+
+
 @_check("flow", "rhs_engine_agreement")
 def _rhs_agreement(rng, cases):
     del rng, cases
@@ -670,6 +690,31 @@ def _rho_comparison(rng, cases):
     pairs = list(zip(fast.records[1:], slow.records[1:]))
     ok = all(s.c > f.c for f, s in pairs) and all(s.c < 1.0 for _, s in pairs)
     return ok, "coupled run shrinks monotonically but slower at every record"
+
+
+@_check("flow", "fused_step_matches_reference")
+def _fused_step(rng, cases):
+    del rng, cases
+    runs = differ = rejected = 0
+    for lam in _RHS_GRID_LAM:
+        for rho in _RHS_GRID_RHO:
+            params = fl.FlowParams(rho=rho, epsilon=1 if lam > 0 else -1,
+                                   lam=lam, dt=1e-4, t_end=1.0)
+            num, a = fl._rhs_coefficients(params)
+            for c in (*_RHS_GRID_C, 1e-3, 1e-7):
+                k1 = fl.einstein_rhs(c, params)
+                # the large steps drive stages below the floor or past overflow
+                for dt in (1e-6, 1e-4, 1e-2, 0.3, 1.0, 10.0, 1e308):
+                    for c_floor in (0.0, 0.5 * c):
+                        fused = fl._rk4_step(c, k1, dt, num, a, c_floor)
+                        ref = reference_rk4_step(c, dt, params, c_floor)
+                        runs += 1
+                        rejected += ref is None
+                        differ += ((fused is None) != (ref is None)
+                                   or (ref is not None and fused.hex() != ref.hex()))
+    ok = differ == 0 and 0 < rejected < runs
+    return ok, (f"{differ} of {runs} steps differ from the reference at tolerance 0 "
+                f"({rejected} rejected by both)")
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,14 @@
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xcflow import cli
 
@@ -130,3 +135,44 @@ def test_lambda_flag_overrides_config(tmp_path, capsys):
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert json.loads(path.read_text(encoding="utf-8"))["params"]["lambda"] == 2.0
+
+
+@pytest.mark.parametrize("argv, overflows", [
+    (["--frame=1,nan,2"], False),
+    (["--frame=-inf,1,2"], False),
+    (["--space-form=sphere", "--kappa=nan"], False),
+    (["--space-form=sphere", "--kappa=inf"], False),
+    (["--space-form=hyperbolic", "--kappa=nan"], False),
+    (["--jet-from-chart=sphere", "--kappa=nan"], False),
+    (["--frame=1e308,1e308,-1e308"], True),
+    (["--space-form=sphere", "--kappa=1e300"], True),
+])
+def test_curvature_non_finite_values_exit_3_naming_finiteness(argv, overflows, capsys):
+    with warnings.catch_warnings():
+        # a non-finite input is rejected before any numpy work; a finite one
+        # that overflows on the way may warn before the tensor check stops it
+        warnings.simplefilter("ignore" if overflows else "error")
+        assert cli.main(["curvature", *argv]) == cli.EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "finite" in err and "not symmetric" not in err
+    assert "Traceback" not in err
+
+
+_EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 1e308, -1e308, 5e-324, float("nan"), float("inf"), float("-inf")])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(*[st.floats() | _EDGE_FLOATS] * 3))
+def test_curvature_frame_any_floats_exit_0_or_3(frame):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = cli.main(["curvature", "--frame=" + ",".join(repr(v) for v in frame)])
+    assert code in (cli.EXIT_OK, cli.EXIT_NUMERIC)
+    assert "Traceback" not in err.getvalue()
+    if code == cli.EXIT_NUMERIC:
+        assert out.getvalue() == ""
+    if not all(math.isfinite(v) for v in frame):
+        assert code == cli.EXIT_NUMERIC

@@ -212,6 +212,50 @@ class TestIntegrate:
         assert trace.records[-1].t == pytest.approx(0.0105, abs=1e-15)
 
 
+class TestFusedStep:
+    def test_step_matches_reference_bit_for_bit(self):
+        from xcflow.flow import _rhs_coefficients, _rk4_step
+        from xcflow.verify import reference_rk4_step
+        rejected = 0
+        for params in (sphere(), sphere(rho=0.1), hyperbolic(), hyperbolic(rho=-0.2)):
+            num, a = _rhs_coefficients(params)
+            for c in (1e-7, 1e-3, 0.1, 1.0, 10.0):
+                for dt in (1e-6, 1e-2, 1.0, 1e308):
+                    for c_floor in (0.0, 0.5 * c):
+                        fused = _rk4_step(c, einstein_rhs(c, params), dt, num, a, c_floor)
+                        ref = reference_rk4_step(c, dt, params, c_floor)
+                        if ref is None:
+                            rejected += 1
+                            assert fused is None
+                        else:
+                            assert fused.hex() == ref.hex()
+        assert rejected > 0
+
+    def test_counters_completed_run(self):
+        trace = integrate(sphere(dt=1e-3, t_end=0.0105))
+        assert trace.status == "completed"
+        assert (trace.steps, trace.bisection_iterations) == (11, 0)
+
+    def test_counters_extinct_run(self):
+        trace = integrate(sphere(t_end=0.3))
+        assert trace.status == "extinct"
+        # the crossing step is a full dt, halved to dt * 1e-3 in 10 bisections
+        assert trace.bisection_iterations == 10
+        dt = trace.params.dt
+        assert trace.steps * dt <= trace.extinction_time < (trace.steps + 1) * dt
+
+    def test_counters_halted_runs(self):
+        at_start = integrate(sphere(rho=0.3, dt=1e-3, t_end=0.05),
+                             halt_on_parabolicity_loss=True)
+        assert (at_start.steps, at_start.bisection_iterations) == (0, 0)
+        params = FlowParams(rho=0.2, epsilon=+1, lam=2.0, dt=1e-3, t_end=2.0)
+        mid_run = integrate(params, halt_on_parabolicity_loss=True)
+        assert mid_run.status == "parabolicity_lost"
+        assert mid_run.bisection_iterations == 0
+        assert mid_run.records[-1].t == pytest.approx(mid_run.steps * 1e-3, abs=1e-12)
+        assert 0 < mid_run.steps < 2000
+
+
 class TestEinsteinResidual:
     def test_residual_vanishes_on_space_form_records(self):
         for params in (sphere(dt=1e-3, t_end=0.1), hyperbolic(dt=1e-3, t_end=0.5)):
