@@ -50,7 +50,6 @@ from .errors import (
 )
 from .flow import (
     FlowParams,
-    FlowState,
     FlowTrace,
     TraceRecord,
     closed_form_c,
@@ -80,7 +79,6 @@ __all__ = [
     "ExtinctStateError",
     "ExtinctionExceededError",
     "FlowParams",
-    "FlowState",
     "FlowTrace",
     "InternalConsistencyError",
     "MetricJet",

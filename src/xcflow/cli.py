@@ -237,19 +237,27 @@ def _curvature_inputs(options: dict) -> tuple[cv.Riemann3, cv.SymTensor3, dict]:
     fd_step = _as_float(options.get("fd_step", 1e-3), "fd_step")
     richardson = bool(options.get("richardson", False))
     meta.update({"point": list(point), "fd_step": fd_step, "richardson": richardson})
-    jet = cv.jet_from_function(cv.space_form_chart(kappa), point,
-                               step=fd_step, richardson=richardson)
+    try:
+        jet = cv.jet_from_function(cv.space_form_chart(kappa), point,
+                                   step=fd_step, richardson=richardson)
+    except OverflowError as exc:  # Python float arithmetic in the chart and stencil
+        raise DomainError("the chart metric or its differences overflow; kappa, "
+                          "point and fd_step must keep them finite") from exc
     return cv.riemann(jet), jet.g, meta
 
 
 def cmd_curvature(options: dict, stdout: IO[str]) -> int:
-    riem, g, meta = _curvature_inputs(options)
-    ric, scalar = cv.ricci(riem, g)
-    p = cv.einstein_raised(riem, g)
-    forms = cv.cross_curvature_forms(riem, g)
-    frame, vectors = cv.eigen_frame(p, g)
-    h = forms.contraction_form
-    h_eigs, _ = cv.generalized_eigh(h, g)
+    # A finite but huge input can overflow on the way to the tensor checks,
+    # which reject the non-finite result (exit 3); numpy's warnings about
+    # the overflow would only put noise on stderr ahead of that error line.
+    with np.errstate(over="ignore", invalid="ignore"):
+        riem, g, meta = _curvature_inputs(options)
+        ric, scalar = cv.ricci(riem, g)
+        p = cv.einstein_raised(riem, g)
+        forms = cv.cross_curvature_forms(riem, g)
+        frame, vectors = cv.eigen_frame(p, g)
+        h = forms.contraction_form
+        h_eigs, _ = cv.generalized_eigh(h, g)
 
     report = {
         "version": __version__,

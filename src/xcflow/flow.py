@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import isfinite
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,17 +69,16 @@ class FlowParams:
             )
 
 
-@dataclass(frozen=True)
-class FlowState:
-    t: float
-    c: float
-
-
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One sampled point of a run: scale factor, derived curvature scalars,
     parabolicity margin, and any event flags raised at or since the
-    previous record."""
+    previous record.
+
+    A NamedTuple, so that the per-step record is cheap to build: it is
+    immutable and hashable, compares equal to a plain tuple of the same
+    values and unpacks like one.  Copy with `_replace`, convert with
+    `_asdict`; the field order (`_fields`) is the CSV column order.
+    """
 
     t: float
     c: float
@@ -245,6 +245,22 @@ def _record(t: float, c: float, params: FlowParams, events: tuple[str, ...]) -> 
     return TraceRecord(t, c, 3.0 * params.lam / c, kappa**2, margin, events)
 
 
+def _check_c_min(c_min: float, params: FlowParams) -> None:
+    """DomainError unless c_min is finite, in (0, 1), and large enough that
+    the record at c_min (the final record of an extinct run) is finite."""
+    if not (isfinite(c_min) and 0.0 < c_min < 1.0):
+        raise DomainError(f"c_min must be finite and in (0, 1), got {c_min!r}")
+    try:
+        _, _, *scalars, _ = _record(0.0, c_min, params, ())  # R, h, margin
+        finite = all(isfinite(v) for v in scalars)
+    except OverflowError:  # kappa**2 in Python floats
+        finite = False
+    if not finite:
+        raise DomainError(
+            f"c_min={c_min!r} is too small for lam={params.lam!r}: "
+            "the curvature scalars at c_min overflow")
+
+
 def integrate(
     params: FlowParams,
     record_every: int = 100,
@@ -260,10 +276,12 @@ def integrate(
     steady state (|dc/dt| < 1e-14 for 10 consecutive steps).  The rate at
     an accepted c is also the next step's first stage, and a record reuses
     the step's margin.  Records are kept every `record_every` steps, plus
-    the initial and final states.
+    the initial and final states.  c_min must lie in (0, 1) and keep the
+    record at c_min finite; otherwise DomainError is raised before the loop.
     """
     if record_every < 1:
         raise DomainError("record_every must be a positive integer")
+    _check_c_min(c_min, params)
 
     dt_full, t_end = params.dt, params.t_end
     n_steps = round(t_end / dt_full)
@@ -272,7 +290,7 @@ def integrate(
 
     num, a = _rhs_coefficients(params)
     lam, epsilon, rho = params.lam, params.epsilon, params.rho
-    threshold = sb.stated_threshold
+    threshold, make_record = sb.stated_threshold, TraceRecord._make
     pending: set[str] = set()
     steady_run = 0
     status, extinction_time, bisections = "completed", None, 0
@@ -315,9 +333,10 @@ def integrate(
                 return FlowTrace(params, tuple(records), "parabolicity_lost", steps=step)
 
         if step % record_every == 0 and t < t_end:
-            # _record inline, reusing this step's kappa and margin
-            records.append(TraceRecord(t, c, 3.0 * lam / c, kappa**2, margin,
-                                       tuple(sorted(pending)) if pending else ()))
+            # _record inline, reusing this step's kappa and margin; _make
+            # skips argument binding, the cheapest way to build the record
+            records.append(make_record((t, c, 3.0 * lam / c, kappa**2, margin,
+                                        tuple(sorted(pending)) if pending else ())))
             pending.clear()
 
     # final state (or the event point for truncated runs)

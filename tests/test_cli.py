@@ -77,6 +77,7 @@ FLOW_ARGS = ["--rho=0", "--epsilon=1", "--lambda=2", "--dt=1e-3", "--t-end=0.1"]
     ["--dt=-1"],
     ["--lambda=-2"],            # sign mismatch without --unsafe-signs
     ["--record-every=0"],
+    ["--lambda=1e200"],         # the record at the default c_min overflows
 ])
 def test_flow_bad_values_exit_3_before_printing(override, capsys):
     assert cli.main(["flow", *FLOW_ARGS, *override]) == cli.EXIT_NUMERIC
@@ -146,17 +147,23 @@ def test_lambda_flag_overrides_config(tmp_path, capsys):
     (["--jet-from-chart=sphere", "--kappa=nan"], False),
     (["--frame=1e308,1e308,-1e308"], True),
     (["--space-form=sphere", "--kappa=1e300"], True),
+    (["--space-form=sphere", "--kappa=1e200"], True),
+    (["--frame=1e200,1e200,-1e200"], True),
+    (["--jet-from-chart=sphere", "--kappa=1e200"], True),
+    (["--jet-from-chart=sphere", "--fd-step=1e300"], True),
 ])
 def test_curvature_non_finite_values_exit_3_naming_finiteness(argv, overflows, capsys):
     with warnings.catch_warnings():
-        # a non-finite input is rejected before any numpy work; a finite one
-        # that overflows on the way may warn before the tensor check stops it
-        warnings.simplefilter("ignore" if overflows else "error")
+        # no numpy warning either way: a non-finite input is rejected before
+        # any numpy work, a finite one that overflows by the tensor checks
+        warnings.simplefilter("error")
         assert cli.main(["curvature", *argv]) == cli.EXIT_NUMERIC
     out, err = capsys.readouterr()
     assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
     assert "finite" in err and "not symmetric" not in err
-    assert "Traceback" not in err
+    if not overflows:
+        assert "must be finite, got" in err  # names the option and its value
 
 
 _EDGE_FLOATS = st.sampled_from(

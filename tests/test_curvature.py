@@ -84,6 +84,36 @@ class TestSymTensor3:
         with pytest.raises(DomainError):
             SymTensor3.from_matrix(np.array([[1.0, 2.0, 0], [0, 1, 0], [0, 0, 1]]))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_symmetry_tolerance_boundary_is_inclusive(self, scale):
+        atol = 1e-12 * max(1.0, scale)
+        m = scale * np.eye(3)
+        m[0, 1] = atol  # m - m.T is exactly atol there
+        assert SymTensor3.from_matrix(m).components[1] == 0.5 * atol
+        m[0, 1] = 2.0 * atol
+        with pytest.raises(DomainError, match="not symmetric"):
+            SymTensor3.from_matrix(m)
+
+    def test_symmetry_test_matches_allclose_reference(self):
+        rng = np.random.default_rng(11)
+        verdicts = set()
+        for _ in range(3000):
+            scale = 10.0 ** rng.uniform(-3, 6)
+            a = rng.standard_normal((3, 3)) * scale
+            m = a + a.T
+            atol = 1e-12 * max(1.0, np.abs(m).max())
+            i, j = rng.choice(3, size=2, replace=False)
+            m[i, j] += rng.choice([0.5, 1.0, 2.0]) * atol
+            symmetric = np.allclose(m, m.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(m).max()))
+            try:
+                SymTensor3.from_matrix(m)
+                accepted = True
+            except DomainError:
+                accepted = False
+            assert accepted == symmetric
+            verdicts.add(accepted)
+        assert verdicts == {True, False}
+
     def test_positive_definite_by_leading_minors(self):
         assert IDENTITY.is_positive_definite()
         assert not SymTensor3(np.array([1.0, 0, 0, -1.0, 1.0, 0])).is_positive_definite()

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -8,8 +9,11 @@ from xcflow.errors import (
     ExtinctStateError,
     ExtinctionExceededError,
 )
+from xcflow.cli import write_trace_csv
 from xcflow.flow import (
+    DEFAULT_C_MIN,
     FlowParams,
+    TraceRecord,
     closed_form_c,
     einstein_residual,
     einstein_rhs,
@@ -254,6 +258,65 @@ class TestFusedStep:
         assert mid_run.bisection_iterations == 0
         assert mid_run.records[-1].t == pytest.approx(mid_run.steps * 1e-3, abs=1e-12)
         assert 0 < mid_run.steps < 2000
+
+
+class TestCMin:
+    @pytest.mark.parametrize("c_min", [0.0, 1e-300, math.nan, -1.0, 2.0, 1.0, math.inf])
+    def test_bad_c_min_rejected_by_name(self, c_min):
+        params = FlowParams(rho=0.0, epsilon=+1, lam=1.0, dt=1e-3, t_end=1.3)
+        with pytest.raises(DomainError, match="c_min"):
+            integrate(params, c_min=c_min)
+
+    def test_c_min_whose_record_overflows_rejected(self):
+        # in (0, 1), but kappa**2 at c_min overflows for this lam
+        params = FlowParams(rho=0.0, epsilon=-1, lam=-1e100, dt=1e-3, t_end=1.0)
+        with pytest.raises(DomainError, match="c_min=1e-100 is too small"):
+            integrate(params, c_min=1e-100)
+
+    def test_valid_c_min_is_the_final_record(self):
+        params = FlowParams(rho=0.0, epsilon=+1, lam=1.0, dt=1e-3, t_end=1.3)
+        for c_min in (DEFAULT_C_MIN, 1e-100, 0.5):
+            trace = integrate(params, c_min=c_min)
+            assert trace.status == "extinct"
+            assert trace.records[-1].c == c_min
+            assert all(math.isfinite(v) for v in trace.records[-1][:5])
+        assert integrate(params).records == integrate(params, c_min=DEFAULT_C_MIN).records
+
+
+class TestTraceRecord:
+    def test_fields_follow_the_csv_columns(self):
+        assert TraceRecord._fields == ("t", "c", "scalar_curvature", "h_eigenvalue",
+                                       "parabolicity_margin", "events")
+        trace = integrate(sphere(t_end=0.3), record_every=500)
+        buf = io.StringIO()
+        write_trace_csv(buf, trace)
+        lines = [ln for ln in buf.getvalue().splitlines() if not ln.startswith("#")]
+        assert lines[0].split(",")[:6] == ["t", "c", "R", "h_eig", "parab_margin", "events"]
+        for line, record in zip(lines[1:], trace.records, strict=True):
+            cells = line.split(",")
+            assert tuple(float(x) for x in cells[:5]) == record[:5]
+            assert cells[5] == ";".join(record.events)
+
+    def test_immutable_value_with_empty_events_default(self):
+        record = TraceRecord(0.5, 1.0, 6.0, 1.0, 0.25)
+        assert record.events == ()
+        assert record == (0.5, 1.0, 6.0, 1.0, 0.25, ())
+        assert hash(record) == hash((0.5, 1.0, 6.0, 1.0, 0.25, ()))
+        with pytest.raises(AttributeError):
+            record.c = 2.0
+        assert record._replace(c=2.0).c == 2.0 and record.c == 1.0
+
+    @pytest.mark.parametrize("halt", [False, True])
+    def test_every_record_of_a_run_is_a_trace_record(self, halt):
+        runs = [integrate(sphere(t_end=0.3), record_every=7, halt_on_parabolicity_loss=halt),
+                integrate(FlowParams(rho=0.2, epsilon=+1, lam=2.0, dt=1e-3, t_end=2.0),
+                          halt_on_parabolicity_loss=halt),
+                integrate(sphere(rho=0.3, dt=1e-3, t_end=0.05), record_every=1,
+                          halt_on_parabolicity_loss=halt),
+                integrate(hyperbolic(dt=1e-3, t_end=0.05), record_every=1)]
+        for trace in runs:
+            assert len(trace.records) >= 1
+            assert all(type(r) is TraceRecord for r in trace.records)
 
 
 class TestEinsteinResidual:
