@@ -19,6 +19,7 @@ eigenvalues are (bc, ac, ab).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -81,14 +82,19 @@ class SymTensor3:
         m = np.asarray(matrix, dtype=float)
         if m.shape != (3, 3):
             raise DomainError(f"expected a 3x3 matrix, got shape {m.shape}")
-        scale = np.abs(m).max()
-        if not math.isfinite(scale):
+        entries = m.ravel().tolist()
+        if not all(map(math.isfinite, entries)):
             raise DomainError("matrix entries must be finite")
-        # entries are finite here, so this is np.allclose(m, m.T, rtol=0,
-        # atol=...) with one compare, at a fifth of its cost
-        if np.abs(m - m.T).max() > 1e-12 * max(1.0, scale):
+        m11, m12, m13, m21, m22, m23, m31, m32, m33 = entries
+        # np.allclose(m, m.T, rtol=0, atol=...) on finite entries, in Python
+        # floats: one compare of the largest off-diagonal gap
+        scale = max(1.0, *map(abs, entries))
+        if max(abs(m12 - m21), abs(m13 - m31), abs(m23 - m32)) > 1e-12 * scale:
             raise DomainError("matrix is not symmetric")
-        return cls(pack(0.5 * (m + m.T)), variance)
+        # pack(0.5 * (m + m.T)), rounded entry by entry as numpy rounds it
+        return cls(np.array([0.5 * (m11 + m11), 0.5 * (m12 + m21), 0.5 * (m13 + m31),
+                             0.5 * (m22 + m22), 0.5 * (m33 + m33), 0.5 * (m23 + m32)]),
+                   variance)
 
     @classmethod
     def identity(cls, variance: str = "lower") -> "SymTensor3":
@@ -99,20 +105,42 @@ class SymTensor3:
         return unpack(self.components)
 
     def is_positive_definite(self) -> bool:
-        """Sylvester criterion: all leading principal minors positive."""
-        m = self.matrix
-        m1 = m[0, 0]
-        m2 = m[0, 0] * m[1, 1] - m[0, 1] ** 2
-        m3 = np.linalg.det(m)
-        return m1 > 0.0 and m2 > 0.0 and m3 > 0.0
+        """Sylvester criterion: finite components, all leading principal minors positive."""
+        return _positive_definite_det(self.components) > 0.0
 
 
-def _require_metric(g: SymTensor3) -> np.ndarray:
+def _sym_adjugate_det(a: float, b: float, c: float,
+                      d: float, e: float, f: float) -> tuple[list[float], float]:
+    """Adjugate (canonical components) and determinant of the symmetric 3x3
+    matrix whose canonical components (11, 12, 13, 22, 33, 23) are a..f."""
+    adj = [d * e - f * f, c * f - b * e, b * f - c * d,
+           a * e - c * c, a * d - b * b, b * c - a * f]
+    return adj, a * adj[0] + b * adj[1] + c * adj[2]
+
+
+def _positive_definite_det(components: np.ndarray) -> float:
+    """Determinant of a symmetric tensor that Sylvester's criterion finds
+    positive definite, else 0.0.
+
+    Python floats on the six components: all must be finite, and the
+    leading minors a, ad - b^2 and det must be positive.  The 2x2 minor is
+    the adjugate's 33 component.
+    """
+    comps = components.tolist()
+    if not all(map(math.isfinite, comps)):
+        return 0.0
+    adj, det = _sym_adjugate_det(*comps)
+    return det if comps[0] > 0.0 and adj[4] > 0.0 and det > 0.0 else 0.0
+
+
+def _require_metric(g: SymTensor3) -> float:
+    """det g, once g is checked to be a metric (lower indices, positive definite)."""
     if g.variance != "lower":
         raise DomainError("a metric must carry lower indices")
-    if not g.is_positive_definite():
+    det = _positive_definite_det(g.components)
+    if det == 0.0:
         raise DomainError("metric is not positive definite")
-    return g.matrix
+    return det
 
 
 def volume_form(g: SymTensor3) -> tuple[np.ndarray, np.ndarray]:
@@ -123,8 +151,7 @@ def volume_form(g: SymTensor3) -> tuple[np.ndarray, np.ndarray]:
     inverse metric reproduces mu_upper.  In an orthonormal frame both
     normalizations give mu_123 = mu^123 = 1.
     """
-    gm = _require_metric(g)
-    root_det = np.sqrt(np.linalg.det(gm))
+    root_det = math.sqrt(_require_metric(g))
     return root_det * _EPS3, _EPS3 / root_det
 
 
@@ -176,25 +203,27 @@ def _bracket(dg: np.ndarray) -> np.ndarray:
     return dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
 
 
+def _christoffel(ginv: np.ndarray, bracket: np.ndarray) -> np.ndarray:
+    return 0.5 * np.einsum("kl,ijl->kij", ginv, bracket)
+
+
 def christoffel(jet: MetricJet) -> np.ndarray:
     """Levi-Civita connection coefficients, shape (3, 3, 3) indexed [k, i, j].
 
     Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij), symmetric in (i, j).
     """
-    ginv = np.linalg.inv(jet.g.matrix)
-    return 0.5 * np.einsum("kl,ijl->kij", ginv, _bracket(jet.dg_full))
+    return _christoffel(np.linalg.inv(jet.g.matrix), _bracket(jet.dg_full))
 
 
-def _christoffel_jacobian(jet: MetricJet) -> np.ndarray:
-    """Coordinate derivatives of the connection, shape (3, 3, 3, 3) indexed [m, k, i, j]."""
-    ginv = np.linalg.inv(jet.g.matrix)
-    dg = jet.dg_full
-    ddg = jet.ddg_full
+def _christoffel_jacobian(ginv: np.ndarray, dg: np.ndarray, bracket: np.ndarray,
+                          ddg: np.ndarray) -> np.ndarray:
+    """Coordinate derivatives of the connection, shape (3, 3, 3, 3) indexed
+    [m, k, i, j], from g^-1, dg_full, its bracket and ddg_full."""
     dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
     # [m, i, j, l] = d_m (d_i g_jl + d_j g_il - d_l g_ij)
     dbracket = ddg + ddg.transpose(0, 2, 1, 3) - ddg.transpose(0, 2, 3, 1)
     return 0.5 * (
-        np.einsum("mkl,ijl->mkij", dginv, _bracket(dg))
+        np.einsum("mkl,ijl->mkij", dginv, bracket)
         + np.einsum("kl,mijl->mkij", ginv, dbracket)
     )
 
@@ -228,13 +257,13 @@ class Riemann3:
             if np.abs(residual).max() > 1e-12 * scale:
                 raise DomainError("input violates the Riemann algebraic symmetries")
         _, mu_up = volume_form(g)
-        biv = 0.25 * np.einsum("irs,jkl,rskl->ij", mu_up, mu_up, r)
-        return cls(r, SymTensor3.from_matrix(biv, "upper"))
+        return cls(r, SymTensor3.from_matrix(_p_bivector(r, mu_up), "upper"))
 
     @classmethod
     def space_form(cls, kappa: float, g: SymTensor3) -> "Riemann3":
         """Constant-curvature tensor R_ijkl = kappa (g_ik g_jl - g_il g_jk)."""
-        gm = _require_metric(g)
+        _require_metric(g)
+        gm = g.matrix
         r = kappa * (np.einsum("ik,jl->ijkl", gm, gm) - np.einsum("il,jk->ijkl", gm, gm))
         return cls.from_lowered(r, g)
 
@@ -257,8 +286,11 @@ def riemann(jet: MetricJet) -> Riemann3:
     """Riemann tensor of the jet's metric, symmetrized onto the algebraic
     curvature symmetries to remove rounding residue."""
     gm = jet.g.matrix
-    gamma = christoffel(jet)
-    dgamma = _christoffel_jacobian(jet)
+    ginv = np.linalg.inv(gm)
+    dg = jet.dg_full
+    bracket = _bracket(dg)
+    gamma = _christoffel(ginv, bracket)
+    dgamma = _christoffel_jacobian(ginv, dg, bracket, jet.ddg_full)
     # R^m_jkl = d_k Gamma^m_lj - d_l Gamma^m_kj + Gamma^m_kp Gamma^p_lj - Gamma^m_lp Gamma^p_kj
     r_up = (
         np.einsum("kmlj->mjkl", dgamma)
@@ -272,40 +304,85 @@ def riemann(jet: MetricJet) -> Riemann3:
     return Riemann3.from_lowered(r, jet.g)
 
 
-def ricci(riem: Riemann3, g: SymTensor3) -> tuple[SymTensor3, float]:
-    """Ricci tensor Ric_ij = g^kl R_kilj and scalar curvature R = g^ij Ric_ij."""
-    ginv = np.linalg.inv(_require_metric(g))
-    ric = np.einsum("kl,kilj->ij", ginv, riem.lowered)
-    scalar = float(np.einsum("ij,ij->", ginv, ric))
-    return SymTensor3.from_matrix(ric, "lower"), scalar
+# The two routes to P and the three to h.  Each formula is its own function,
+# so a test can perturb one route and see the agreement check fire.
+
+def _p_bivector(r: np.ndarray, mu_up: np.ndarray) -> np.ndarray:
+    """P^ij = 1/4 mu^irs mu^jkl R_rskl, as two matrix products."""
+    mu = mu_up.reshape(3, 9)
+    return 0.25 * (mu @ r.reshape(9, 9) @ mu.T)
 
 
-def _adjugate3(m: np.ndarray) -> np.ndarray:
-    """Transposed cofactor matrix of a 3x3 matrix (equals det(m) * inv(m))."""
-    a = np.empty((3, 3))
-    a[0, 0] = m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1]
-    a[1, 0] = -(m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-    a[2, 0] = m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]
-    a[0, 1] = -(m[0, 1] * m[2, 2] - m[0, 2] * m[2, 1])
-    a[1, 1] = m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0]
-    a[2, 1] = -(m[0, 0] * m[2, 1] - m[0, 1] * m[2, 0])
-    a[0, 2] = m[0, 1] * m[1, 2] - m[0, 2] * m[1, 1]
-    a[1, 2] = -(m[0, 0] * m[1, 2] - m[0, 2] * m[1, 0])
-    a[2, 2] = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return a
+def _p_trace(ginv: np.ndarray, ric: np.ndarray, scalar: float) -> np.ndarray:
+    """P^ij = (R/2) g^ij - g^ik Ric_kl g^lj."""
+    return 0.5 * scalar * ginv - ginv @ ric @ ginv
 
 
-def _det3(m: np.ndarray) -> float:
-    return float(
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
+def _h_contraction(p: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """h_ij = 1/2 P^rs R_irjs."""
+    return 0.5 * np.einsum("rs,irjs->ij", p, r)
+
+
+def _h_mu(r: np.ndarray, mu_up: np.ndarray) -> np.ndarray:
+    """h_ij = 1/8 T_ilk T_kjl with T_ilk = R_ilpq mu^pqk: two pairwise
+    contractions in place of one four-operand sum."""
+    t = (r.reshape(9, 9) @ mu_up.reshape(9, 3)).reshape(3, 3, 3)
+    return 0.125 * (t.reshape(3, 9) @ t.transpose(2, 0, 1).reshape(9, 3))
+
+
+def _h_determinant(det_g: float, p_components: list[float]) -> np.ndarray:
+    """h_ij = det(g) adj(P)_ij, defined for every P and free of g^-1."""
+    return det_g * unpack(_sym_adjugate_det(*p_components)[0])
 
 
 def _rel_dev(x: np.ndarray, y: np.ndarray) -> float:
-    scale = max(np.abs(x).max(), np.abs(y).max(), 1e-300)
-    return float(np.abs(x - y).max() / scale)
+    """max |x - y| / max(max |x|, max |y|, 1e-300), in Python floats.
+
+    NaN when any entry is not finite, as numpy's reductions give it, so the
+    finite check of the tensor built from x or y reports that input.
+    """
+    xs, ys = x.ravel().tolist(), y.ravel().tolist()
+    if not all(map(math.isfinite, xs + ys)):
+        return math.nan
+    scale = max(1e-300, *map(abs, xs), *map(abs, ys))
+    return max(map(abs, map(operator.sub, xs, ys))) / scale
+
+
+def _ricci_pass(riem: Riemann3, g: SymTensor3) -> tuple[float, np.ndarray, SymTensor3, float]:
+    """det g, g^-1, Ric_ij = g^kl R_kilj and R = g^ij Ric_ij, each once.
+
+    The metric check gives det g; the one g^-1 serves both contractions.
+    """
+    det_g = _require_metric(g)
+    ginv = np.linalg.inv(g.matrix)
+    ric = np.einsum("kl,kilj->ij", ginv, riem.lowered)
+    scalar = float(np.einsum("ij,ij->", ginv, ric))
+    return det_g, ginv, SymTensor3.from_matrix(ric, "lower"), scalar
+
+
+def _einstein_pass(riem: Riemann3, g: SymTensor3) -> tuple[float, SymTensor3]:
+    """det g and the checked raised Einstein-type tensor P of one (riem, g) pair.
+
+    P is the trace form (R/2) g^ij - Ric^ij on the Ricci pass's g^-1, Ric
+    and R, compared with the volume-form value 1/4 mu^irs mu^jkl R_rskl
+    (`riem.bivector_form`); disagreement beyond tolerance raises
+    InternalConsistencyError, which indicates an inconsistent (riem, g) pair.
+    """
+    det_g, ginv, ric, scalar = _ricci_pass(riem, g)
+    trace_form = _p_trace(ginv, ric.matrix, scalar)
+    dev = _rel_dev(trace_form, riem.bivector_form.matrix)
+    if dev > FORMULA_AGREEMENT_RTOL:
+        raise InternalConsistencyError(
+            f"trace and volume-form evaluations of the raised Einstein tensor "
+            f"disagree (relative deviation {dev:.3e}); riem and g are inconsistent"
+        )
+    return det_g, SymTensor3.from_matrix(trace_form, "upper")
+
+
+def ricci(riem: Riemann3, g: SymTensor3) -> tuple[SymTensor3, float]:
+    """Ricci tensor Ric_ij = g^kl R_kilj and scalar curvature R = g^ij Ric_ij."""
+    _, _, ric, scalar = _ricci_pass(riem, g)
+    return ric, scalar
 
 
 def einstein_raised(riem: Riemann3, g: SymTensor3) -> SymTensor3:
@@ -315,29 +392,18 @@ def einstein_raised(riem: Riemann3, g: SymTensor3) -> SymTensor3:
     volume-form contraction 1/4 mu^irs mu^jkl R_rskl.  The sign of the trace
     form is fixed so both agree; on the unit sphere P is the identity.
     Disagreement beyond tolerance raises InternalConsistencyError, which
-    indicates an inconsistent (riem, g) pair.
+    indicates an inconsistent (riem, g) pair.  Returns the trace form.
     """
-    gm = _require_metric(g)
-    ginv = np.linalg.inv(gm)
-    ric_t, scalar = ricci(riem, g)
-    trace_form = 0.5 * scalar * ginv - ginv @ ric_t.matrix @ ginv
-    mu_form = riem.bivector_form.matrix
-    dev = _rel_dev(trace_form, mu_form)
-    if dev > FORMULA_AGREEMENT_RTOL:
-        raise InternalConsistencyError(
-            f"trace and volume-form evaluations of the raised Einstein tensor "
-            f"disagree (relative deviation {dev:.3e}); riem and g are inconsistent"
-        )
-    return SymTensor3.from_matrix(trace_form, "upper")
+    return _einstein_pass(riem, g)[1]
 
 
 @dataclass(frozen=True)
 class CrossCurvatureForms:
     """All evaluations of the cross curvature tensor, for cross-checking.
 
-    `determinant_form` is None when P is numerically singular (scale-aware
-    cutoff |det P| <= 1e-12 ||P||^3), in which case `determinant_singular`
-    is set and only the other two are compared.
+    `determinant_form` is det(g) adj(P), None when P is numerically
+    singular by the scale-free cutoff |det(P / ||P||_F)| <= 1e-12; then
+    `determinant_singular` is set and only the other two are compared.
     """
 
     contraction_form: SymTensor3
@@ -351,26 +417,27 @@ def cross_curvature_forms(riem: Riemann3, g: SymTensor3) -> CrossCurvatureForms:
     """Evaluate the cross curvature tensor by all three routes.
 
     contraction: h_ij = 1/2 P^rs R_irjs
-    mu form:     h_ij = 1/8 R_ilpq mu^pqk R_kjrs mu^rsl
-    determinant: h_ij = (det P^kl / det g^kl) V_ij, V the inverse of P^kl
+    mu form:     h_ij = 1/8 T_ilk T_kjl with T_ilk = R_ilpq mu^pqk
+    determinant: h_ij = det(g) adj(P)_ij, which is (det P^kl / det g^kl)
+                 times the inverse of P^kl when P is invertible
+
+    P, det g and mu^ijk = eps_ijk / sqrt(det g) come from one pass over
+    (riem, g).  The determinant form is skipped when P is singular to
+    within |det(P / ||P||_F)| <= 1e-12, a test with no overflow at any
+    finite scale of P.
     """
-    gm = _require_metric(g)
+    det_g, p_t = _einstein_pass(riem, g)
     r = riem.lowered
-    p = einstein_raised(riem, g).matrix
+    p = p_t.matrix
 
-    h_con = 0.5 * np.einsum("rs,irjs->ij", p, r)
+    h_con = _h_contraction(p, r)
+    h_mu = _h_mu(r, _EPS3 / math.sqrt(det_g))
 
-    _, mu_up = volume_form(g)
-    h_mu = 0.125 * np.einsum("ilpq,pqk,kjrs,rsl->ij", r, mu_up, r, mu_up)
-
-    det_p = _det3(p)
-    p_norm = np.linalg.norm(p)
-    singular = abs(det_p) <= 1e-12 * p_norm**3
-    h_det = None
-    if not singular:
-        v = _adjugate3(p) / det_p
-        det_ginv = _det3(np.linalg.inv(gm))
-        h_det = (det_p / det_ginv) * v
+    comps = p_t.components.tolist()
+    p_norm = math.hypot(*comps, comps[1], comps[2], comps[5])  # ||P||_F
+    unit_det = _sym_adjugate_det(*(v / p_norm for v in comps))[1] if p_norm else 0.0
+    singular = abs(unit_det) <= 1e-12
+    h_det = None if singular else _h_determinant(det_g, comps)
 
     devs = [_rel_dev(h_con, h_mu)]
     if h_det is not None:
@@ -384,7 +451,7 @@ def cross_curvature_forms(riem: Riemann3, g: SymTensor3) -> CrossCurvatureForms:
     return CrossCurvatureForms(
         contraction_form=SymTensor3.from_matrix(0.5 * (h_con + h_con.T)),
         mu_form=SymTensor3.from_matrix(0.5 * (h_mu + h_mu.T)),
-        determinant_form=None if h_det is None else SymTensor3.from_matrix(0.5 * (h_det + h_det.T)),
+        determinant_form=None if h_det is None else SymTensor3.from_matrix(h_det),
         determinant_singular=singular,
         max_pairwise_dev=max_dev,
     )
@@ -418,7 +485,8 @@ def cholesky_frame(t: SymTensor3, g: SymTensor3) -> tuple[np.ndarray, np.ndarray
     has L^-1 t L^-T.  Returns (frame components, L^-T).  Raises DomainError
     unless g is a positive definite metric.
     """
-    chol = np.linalg.cholesky(_require_metric(g))
+    _require_metric(g)
+    chol = np.linalg.cholesky(g.matrix)
     inv = np.linalg.inv(chol)
     tm = t.matrix
     components = chol.T @ tm @ chol if t.variance == "upper" else inv @ tm @ inv.T
@@ -527,11 +595,10 @@ def space_form_chart_jet(kappa: float, x: np.ndarray) -> MetricJet:
         raise DomainError("point lies outside the chart domain")
     eye = np.eye(3)
     g = eye / u**2
-    dg = np.empty((3, 3, 3))
-    ddg = np.empty((3, 3, 3, 3))
-    for k in range(3):
-        dg[k] = -eye * kappa * x[k] / u**3
-        for l in range(3):
-            delta = 1.0 if k == l else 0.0
-            ddg[k, l] = -eye * kappa * (delta / u**3 - 1.5 * kappa * x[k] * x[l] / u**4)
+    # dg_kij = -delta_ij kappa x_k / u^3 and
+    # ddg_klij = -delta_ij kappa (delta_kl / u^3 - 3/2 kappa x_k x_l / u^4),
+    # broadcast with each entry's operations in that written order
+    dg = -eye * kappa * x[:, None, None] / u**3
+    inner = eye / u**3 - (1.5 * kappa * x)[:, None] * x[None, :] / u**4
+    ddg = -eye * kappa * inner[:, :, None, None]
     return MetricJet.from_full(g, dg, ddg)

@@ -183,3 +183,23 @@ def test_curvature_frame_any_floats_exit_0_or_3(frame):
         assert out.getvalue() == ""
     if not all(math.isfinite(v) for v in frame):
         assert code == cli.EXIT_NUMERIC
+
+
+@pytest.mark.parametrize("frame, singular", [
+    ("1e102,1e102,1e103", False),   # ||P||^3 overflows; det(P / ||P||) does not
+    ("1e-150,2e-150,3e-150", False),  # det P underflows to 0; det(P / ||P||) does not
+    ("1,2,3", False),
+    ("0,1,2", True),
+])
+def test_curvature_determinant_form_at_every_scale(frame, singular, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["curvature", f"--frame={frame}", "--output", str(path),
+                         "--format", "json"])
+    assert code == cli.EXIT_OK
+    out, _ = capsys.readouterr()
+    report = json.loads(path.read_text(encoding="utf-8"))["cross_curvature"]
+    assert report["determinant_singular"] is singular
+    assert (report["determinant_form"] is None) is singular
+    assert ("determinant form unavailable" in out) is singular

@@ -21,6 +21,7 @@ from xcflow.curvature import (
     unpack,
     volume_form,
 )
+from xcflow import curvature
 from xcflow.errors import DomainError, InternalConsistencyError
 
 IDENTITY = SymTensor3.identity()
@@ -119,6 +120,37 @@ class TestSymTensor3:
         assert not SymTensor3(np.array([1.0, 0, 0, -1.0, 1.0, 0])).is_positive_definite()
         # positive minors but indefinite-looking off-diagonals
         assert not SymTensor3(np.array([1.0, 2.0, 0, 1.0, 1.0, 0])).is_positive_definite()
+
+    def test_positive_definite_matches_eigenvalue_reference(self):
+        # eigenvalues are the reference; LAPACK's output on a non-finite
+        # matrix is unspecified, and such a matrix is never a metric
+        rng = np.random.default_rng(37)
+        verdicts = set()
+        for trial in range(4000):
+            q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            lam = rng.uniform(0.05, 2.0, 3) * rng.choice([-1.0, 1.0], 3, p=[0.3, 0.7])
+            if trial % 4 == 1:  # near-singular, either side of zero
+                lam[rng.integers(3)] = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9, -6)
+            m = 10.0 ** rng.uniform(-3, 3) * (q * lam) @ q.T
+            m = 0.5 * (m + m.T)
+            if trial % 4 == 3:
+                i, j = rng.integers(3, size=2)
+                m[i, j] = m[j, i] = rng.choice([np.nan, np.inf, -np.inf])
+            expected = bool(np.isfinite(m).all() and np.linalg.eigvalsh(m).min() > 0.0)
+            assert SymTensor3(pack(m)).is_positive_definite() == expected, m
+            verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    def test_from_matrix_components_equal_numpy_symmetrization(self):
+        # Python-float packing must round exactly as pack(0.5 * (m + m.T))
+        rng = np.random.default_rng(41)
+        for _ in range(2000):
+            a = rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-300, 300)
+            m = a + a.T
+            i, j = rng.choice(3, size=2, replace=False)
+            m[i, j] += 0.5e-12 * max(1.0, np.abs(m).max()) * rng.uniform(-1.0, 1.0)
+            got = SymTensor3.from_matrix(m).components
+            assert got.tobytes() == pack(0.5 * (m + m.T)).tobytes()
 
 
 class TestVolumeForm:
@@ -308,6 +340,53 @@ class TestCrossCurvature:
         h = cross_curvature(Riemann3.from_frame(a, b, c), IDENTITY)
         assert h.is_positive_definite()
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e-20, 1.0, 1e20, 1e150])
+    def test_determinant_cutoff_is_scale_free(self, scale):
+        # both ends lie where |det P| <= 1e-12 ||P||^3 would under- or
+        # overflow; |det(P / ||P||_F)| does neither
+        q, _ = np.linalg.qr(np.random.default_rng(43).standard_normal((3, 3)))
+        regular = cross_curvature_forms(
+            Riemann3.from_frame(-1.5 * scale, 2.0 * scale, 0.7 * scale, rotation=q), IDENTITY)
+        assert not regular.determinant_singular
+        assert regular.determinant_form is not None
+        assert regular.max_pairwise_dev < 1e-12
+        singular = cross_curvature_forms(
+            Riemann3.from_frame(0.0, 2.0 * scale, 0.7 * scale, rotation=q), IDENTITY)
+        assert singular.determinant_singular
+        assert singular.determinant_form is None
+
+
+def _mutation_inputs():
+    """(riem, g) pairs whose P is invertible, so every route runs."""
+    q, _ = np.linalg.qr(np.random.default_rng(47).standard_normal((3, 3)))
+    g = spd(np.random.default_rng(53))
+    jet = space_form_chart_jet(-0.7, np.array([0.2, -0.1, 0.3]))
+    return [
+        (Riemann3.from_frame(-1.5, 2.0, 0.7, rotation=q), IDENTITY),
+        (Riemann3.space_form(0.8, g), g),
+        (riemann(jet), jet.g),
+    ]
+
+
+@pytest.mark.parametrize("route, is_p", [
+    ("_p_trace", True), ("_p_bivector", True),
+    ("_h_contraction", False), ("_h_mu", False), ("_h_determinant", False),
+])
+def test_every_formula_route_is_cross_checked(route, is_p, monkeypatch):
+    # a 1e-9 relative error in any one route must raise; 1e-12 must not
+    exact = getattr(curvature, route)
+    calls = (cross_curvature_forms, einstein_raised) if is_p else (cross_curvature_forms,)
+    for rel_error, raises in ((1e-12, False), (1e-9, True)):
+        monkeypatch.setattr(curvature, route,
+                            lambda *args, e=rel_error: (1.0 + e) * exact(*args))
+        for riem, g in _mutation_inputs():  # _p_bivector runs as riem is built
+            for call in calls:
+                if raises:
+                    with pytest.raises(InternalConsistencyError):
+                        call(riem, g)
+                else:
+                    call(riem, g)
+
 
 class TestEigenFrame:
     def test_diagonal_case(self):
@@ -369,6 +448,30 @@ class TestGeneralizedEigh:
     def test_eigen_frame_keeps_upper_index_check(self):
         with pytest.raises(DomainError):
             eigen_frame(SymTensor3(np.array([1.0, 0, 0, 2.0, 3.0, 0])), IDENTITY)
+
+
+def test_space_form_chart_jet_matches_loop_reference():
+    # the broadcast build must equal the per-entry loop bit for bit
+    def loop_jet(kappa, x):
+        u = 1.0 + kappa * float(x @ x) / 4.0
+        eye = np.eye(3)
+        dg = np.empty((3, 3, 3))
+        ddg = np.empty((3, 3, 3, 3))
+        for k in range(3):
+            dg[k] = -eye * kappa * x[k] / u**3
+            for l in range(3):
+                delta = 1.0 if k == l else 0.0
+                ddg[k, l] = -eye * kappa * (delta / u**3 - 1.5 * kappa * x[k] * x[l] / u**4)
+        return MetricJet.from_full(eye / u**2, dg, ddg)
+
+    rng = np.random.default_rng(59)
+    for _ in range(200):
+        kappa = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 3.0))
+        x = rng.uniform(-0.4, 0.4, 3)
+        got, want = space_form_chart_jet(kappa, x), loop_jet(kappa, x)
+        for a, b in ((got.g.components, want.g.components), (got.dg, want.dg),
+                     (got.ddg, want.ddg)):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestJetFromFunction:
