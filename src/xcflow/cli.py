@@ -4,15 +4,24 @@ Four subcommands: `curvature` (pointwise tensor reports), `symbol`
 (symbol matrices, spectra, parabolicity verdicts), `flow` (scale-factor
 integration with CSV/JSON traces), and `verify` (the invariant suites).
 
-Inputs come from flags or from a flat key-value config file with dotted
-section prefixes (`flow.dt = 1e-4`); flags override file values, and
-unknown or missing keys are rejected by name.  All floats are emitted
-with their shortest round-trip representation, so identical inputs
-produce byte-identical outputs.
+Every key a command takes is declared once, in `COMMANDS`, with its
+converter, default and help text.  A key is set by a flag (`--t-end 0.5`)
+or by a line of a flat key-value config file (`flow.t_end = 0.5`; the
+command prefix is optional), and flags override file values.  Both
+routes hand the same text to the same converter, so the same text gives
+the same value, or the same usage error naming the key, whichever route
+it came by.  A boolean is a flag without a value, or `true` / `false` in
+any case in a config file; any other spelling is a usage error.
+`format` is `json` (default) or `csv` for the `curvature` and `symbol`
+reports, `csv` (default) or `json` for the `flow` trace, and `json` only
+for the `verify` summary.  All floats are emitted with their shortest
+round-trip representation, so identical inputs produce byte-identical
+outputs.
 
 Exit codes: 0 success; 2 usage error, for malformed input (an unknown,
-duplicate or missing key, a value that is not a number, or not an
-integer where one is required, or contradictory options); 3
+duplicate or missing key, a value its key's converter rejects, such as
+text that is not a number, a non-integral count or a misspelt boolean,
+contradictory options, or an output file that cannot be opened); 3
 numeric/domain error, for well-formed values outside the domain of the
 mathematics (a non-finite or nonpositive step, a NaN coupling, an
 indefinite metric), raised by the library before anything is printed;
@@ -25,7 +34,8 @@ import argparse
 import json
 import math
 import sys
-from typing import IO
+from contextlib import nullcontext
+from typing import IO, Callable, NamedTuple
 
 import numpy as np
 
@@ -45,41 +55,105 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
-COMMON_KEYS = {"command", "seed", "output", "format"}
-COMMAND_KEYS = {
-    "curvature": {"frame", "space_form", "kappa", "jet_from_chart", "point",
-                  "fd_step", "richardson"},
-    "symbol": {"frame", "p", "rho", "xi", "case", "mode", "direction_samples"},
-    "flow": {"rho", "epsilon", "lambda", "dt", "t_end", "record_every",
-             "unsafe_signs", "paper_ode", "halt_on_parabolicity_loss"},
-    "verify": {"suite", "cases"},
-}
-
 
 # ---------------------------------------------------------------------------
-# config handling
+# converters: raw text -> typed value; a ValueError says what was expected
 
-def _parse_scalar(text: str):
-    s = text.strip()
-    low = s.lower()
-    if low in ("true", "false"):
-        return low == "true"
+def _number(text: str) -> float:
     try:
-        return int(s)
+        return float(text)
+    except ValueError:
+        raise ValueError("a number") from None
+
+
+def _integer(text: str) -> int:
+    """An integer; an integral float such as 20.0 or 1e3 counts as one."""
+    try:
+        return int(text)
     except ValueError:
         pass
     try:
-        return float(s)
+        value = float(text)
     except ValueError:
-        pass
-    return s
+        value = math.nan
+    if not value.is_integer():
+        raise ValueError("an integer")
+    return int(value)
 
 
-def parse_value(text: str):
-    """Type a config value by content; comma-separated scalars become tuples."""
-    if "," in text:
-        return tuple(_parse_scalar(part) for part in text.split(","))
-    return _parse_scalar(text)
+def _count(text: str) -> int:
+    value = _integer(text)
+    if value < 1:
+        raise ValueError("a positive integer")
+    return value
+
+
+def _floats(n: int) -> Callable[[str], tuple[float, ...]]:
+    def convert(text: str) -> tuple[float, ...]:
+        try:
+            values = tuple(float(part) for part in text.split(","))
+        except ValueError:
+            values = ()
+        if len(values) != n:
+            raise ValueError(f"{n} comma-separated numbers")
+        return values
+    return convert
+
+
+def _choice(*choices, parse: Callable[[str], object] = str) -> Callable[[str], object]:
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value not in choices:
+            raise ValueError("one of " + ", ".join(map(str, choices)))
+        return value
+    return convert
+
+
+def _boolean(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError("true or false")
+    return text.lower() == "true"
+
+
+def _path(text: str) -> str:
+    if not text:
+        raise ValueError("a file path")
+    return text
+
+
+def _suites(text: str) -> list[str]:
+    from . import verify as vf  # the suites load only when asked for
+
+    names = [name.strip() for name in text.split(",")]
+    if not set(names) <= set(vf.available_suites()):
+        raise ValueError("suite names from " + ", ".join(vf.available_suites()))
+    return names
+
+
+class Key(NamedTuple):
+    """One option of one command: its flag `--name` and config key `name`."""
+
+    name: str
+    convert: Callable[[str], object]
+    help: str
+    default: object = None
+    required: bool = False
+    many: bool = False  # a repeatable flag; the value lists one item per use
+
+    def typed(self, raw):
+        """The value of raw text, a list of texts (`many`) or a bare flag's True."""
+        if raw is True:
+            return True
+        values = []
+        for text in raw if self.many else [raw]:
+            try:
+                values.append(self.convert(text))
+            except ValueError as exc:
+                raise UsageError(f"{self.name} must be {exc}, got {text!r}") from None
+        return values if self.many else values[0]
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -103,63 +177,44 @@ def read_config_file(path: str) -> dict[str, str]:
     return raw
 
 
-def apply_config_keys(raw: dict[str, str], command: str) -> dict[str, object]:
-    """Validate config keys against the command schema and type the values.
+def collect_options(command: str, config: dict[str, str],
+                    flags: dict[str, object] | None = None) -> dict[str, object]:
+    """Every key of `command`, typed: flags over config text over defaults.
 
-    Dotted keys must use the command name as the section; plain keys must
-    be one of the common keys.  Any unknown key is rejected by name.
+    A config key is a key name, optionally prefixed by the command
+    (`flow.dt`); `command = <name>` must name the invoked command.
+    Unknown, duplicate and missing required keys are rejected by name.
     """
-    allowed = COMMAND_KEYS[command]
+    keys = {key.name: key for key in COMMANDS[command].keys}
+    raw: dict[str, object] = {}
+    for name, text in config.items():
+        if name == "command":
+            if text != command:
+                raise UsageError(
+                    f"config file is for command {text!r}, invoked {command!r}")
+            continue
+        key = keys.get(name.removeprefix(command + "."))
+        if key is None:
+            raise UsageError(f"unknown config key {name!r} for command {command!r}")
+        if key.name in raw:
+            raise UsageError(f"duplicate config key {key.name!r}")
+        raw[key.name] = [text] if key.many else text
+    raw.update((name, value) for name, value in (flags or {}).items() if value is not None)
     options: dict[str, object] = {}
-    for key, value in raw.items():
-        if "." in key:
-            section, sub = key.split(".", 1)
-            if section != command or sub not in allowed:
-                raise UsageError(f"unknown config key {key!r} for command {command!r}")
-            options[sub] = parse_value(value)
+    for key in keys.values():
+        if key.name in raw:
+            options[key.name] = key.typed(raw[key.name])
+        elif key.required:
+            raise UsageError(f"missing required key {key.name!r} for the {command} command")
         else:
-            if key not in COMMON_KEYS:
-                raise UsageError(f"unknown config key {key!r}")
-            options[key] = parse_value(value)
-    if "command" in options and options["command"] != command:
-        raise UsageError(
-            f"config file is for command {options['command']!r}, invoked {command!r}")
+            options[key.name] = key.default
     return options
-
-
-def _as_floats(value, n: int, key: str) -> tuple[float, ...]:
-    if isinstance(value, str):
-        value = parse_value(value)
-    if not isinstance(value, tuple):
-        value = (value,)
-    try:
-        floats = tuple(float(v) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"{key} must be {n} comma-separated numbers") from exc
-    if len(floats) != n:
-        raise UsageError(f"{key} must have exactly {n} components, got {len(floats)}")
-    return floats
-
-
-def _as_float(value, key: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise UsageError(f"{key} must be a number, got {value!r}")
-    return float(value)
 
 
 def _require_finite(values: tuple[float, ...], key: str) -> None:
     """A domain error (exit 3) unless every value is finite."""
     if not all(math.isfinite(v) for v in values):
         raise DomainError(f"{key} must be finite, got {_vec_str(values)}")
-
-
-def _as_int(value, key: str) -> int:
-    """The integer a config or flag value stands for; 2.0 passes, 2.5 does not."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise UsageError(f"{key} must be an integer, got {value!r}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +225,17 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _open_output(path: str) -> IO[str]:
+    try:
+        return open(path, "w", encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise UsageError(f"cannot write output file: {exc}") from exc
+
+
 def _write_report(report: dict, path: str | None, fmt_name: str) -> None:
     if path is None:
         return
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_output(path) as fh:
         if fmt_name == "json":
             json.dump(report, fh, indent=2)
             fh.write("\n")
@@ -206,22 +268,22 @@ def _vec_str(values) -> str:
 # curvature command
 
 def _curvature_inputs(options: dict) -> tuple[cv.Riemann3, cv.SymTensor3, dict]:
-    modes = [k for k in ("frame", "space_form", "jet_from_chart") if k in options]
+    modes = [k for k in ("frame", "space_form", "jet_from_chart") if options[k] is not None]
     if len(modes) != 1:
         raise UsageError(
             "provide exactly one of --frame, --space-form, --jet-from-chart")
     mode = modes[0]
     meta: dict = {"input_mode": mode}
     if mode == "frame":
-        a, b, c = _as_floats(options["frame"], 3, "frame")
+        a, b, c = options["frame"]
         _require_finite((a, b, c), "frame")
         meta["frame"] = [a, b, c]
         return cv.Riemann3.from_frame(a, b, c), cv.SymTensor3.identity(), meta
 
-    name = options.get("space_form") or options.get("jet_from_chart")
-    if name not in ("sphere", "hyperbolic"):
-        raise UsageError("space form name must be 'sphere' or 'hyperbolic'")
-    kappa = _as_float(options.get("kappa", 1.0 if name == "sphere" else -1.0), "kappa")
+    name = options[mode]
+    kappa = options["kappa"]
+    if kappa is None:
+        kappa = 1.0 if name == "sphere" else -1.0
     _require_finite((kappa,), "kappa")
     if name == "sphere" and kappa <= 0.0:
         raise UsageError("kappa must be positive for the sphere")
@@ -233,9 +295,8 @@ def _curvature_inputs(options: dict) -> tuple[cv.Riemann3, cv.SymTensor3, dict]:
         g = cv.SymTensor3.identity()
         return cv.Riemann3.space_form(kappa, g), g, meta
 
-    point = np.array(_as_floats(options.get("point", (0.0, 0.0, 0.0)), 3, "point"))
-    fd_step = _as_float(options.get("fd_step", 1e-3), "fd_step")
-    richardson = bool(options.get("richardson", False))
+    point = np.array(options["point"])
+    fd_step, richardson = options["fd_step"], options["richardson"]
     meta.update({"point": list(point), "fd_step": fd_step, "richardson": richardson})
     try:
         jet = cv.jet_from_function(cv.space_form_chart(kappa), point,
@@ -300,7 +361,7 @@ def cmd_curvature(options: dict, stdout: IO[str]) -> int:
     for warning in report["warnings"]:
         print(f"warning: {warning}", file=stdout)
 
-    _write_report(report, options.get("output"), options.get("format", "json"))
+    _write_report(report, options["output"], options["format"])
     return EXIT_OK
 
 
@@ -308,35 +369,23 @@ def cmd_curvature(options: dict, stdout: IO[str]) -> int:
 # symbol command
 
 def _symbol_p(options: dict) -> cv.SymTensor3:
-    if ("frame" in options) == ("p" in options):
+    if (options["frame"] is None) == (options["p"] is None):
         raise UsageError("provide exactly one of --frame or --p")
-    if "frame" in options:
-        a, b, c = _as_floats(options["frame"], 3, "frame")
+    if options["frame"] is not None:
+        a, b, c = options["frame"]
         return cv.SymTensor3(np.array([a, 0.0, 0.0, b, c, 0.0]), "upper")
-    return cv.SymTensor3(np.array(_as_floats(options["p"], 6, "p")), "upper")
-
-
-def _xi_list(options: dict) -> list[np.ndarray]:
-    if "xi" not in options:
-        return [np.array([1.0, 0.0, 0.0])]
-    value = options["xi"]
-    if isinstance(value, list):  # repeated --xi flags
-        return [np.array(_as_floats(v, 3, "xi")) for v in value]
-    return [np.array(_as_floats(value, 3, "xi"))]
+    return cv.SymTensor3(np.array(options["p"]), "upper")
 
 
 def cmd_symbol(options: dict, stdout: IO[str]) -> int:
     p = _symbol_p(options)
-    rho = _as_float(options.get("rho", 0.0), "rho")
-    samples = _as_int(options.get("direction_samples", sb.DEFAULT_DIRECTION_SAMPLES),
-                      "direction_samples")
-    case = options.get("case", "positive")
-    mode = options.get("mode", "all_directions")
-    xis = _xi_list(options)
+    rho, case = options["rho"], options["case"]
+    xis = [np.array(xi) for xi in options["xi"]]
 
     # everything that can reject the input runs before the first line is printed
     report_obj = sb.parabolicity(p, cv.SymTensor3.identity(), rho, case=case,
-                                 mode=mode, direction_samples=samples)
+                                 mode=options["mode"],
+                                 direction_samples=options["direction_samples"])
     p_signed = cv.SymTensor3(sb.case_sign(case) * p.components, "upper")
     per_direction = []
     for xi in xis:
@@ -377,7 +426,7 @@ def cmd_symbol(options: dict, stdout: IO[str]) -> int:
             "max_imag_residue": report_obj.max_imag_residue,
         },
     }
-    _write_report(report, options.get("output"), options.get("format", "json"))
+    _write_report(report, options["output"], options["format"])
     return EXIT_OK
 
 
@@ -385,64 +434,51 @@ def cmd_symbol(options: dict, stdout: IO[str]) -> int:
 # flow command
 
 def build_flow_params(options: dict) -> fl.FlowParams:
-    """Assemble FlowParams, naming any missing or non-numeric key.
+    """FlowParams from typed flow options; FlowParams checks the values
+    (DomainError, exit 3)."""
+    return fl.FlowParams(rho=options["rho"], epsilon=options["epsilon"],
+                         lam=options["lambda"], dt=options["dt"],
+                         t_end=options["t_end"], unsafe_signs=options["unsafe_signs"])
 
-    The values themselves are checked by FlowParams (DomainError, exit 3).
-    """
-    for key in ("rho", "epsilon", "lambda", "dt", "t_end"):
-        if key not in options:
-            raise UsageError(f"missing required key {key!r} for the flow command")
-    return fl.FlowParams(
-        rho=_as_float(options["rho"], "rho"),
-        epsilon=_as_int(options["epsilon"], "epsilon"),
-        lam=_as_float(options["lambda"], "lambda"),
-        dt=_as_float(options["dt"], "dt"),
-        t_end=_as_float(options["t_end"], "t_end"),
-        unsafe_signs=bool(options.get("unsafe_signs", False)),
-    )
+
+def _trace_table(trace: fl.FlowTrace) -> tuple[list[str], list[list]]:
+    """Column names and one row per record: t, c, R, h_eig, parab_margin,
+    events, plus c_closed_form (None where it is undefined) when rho = 0."""
+    params = trace.params
+    columns = ["t", "c", "R", "h_eig", "parab_margin", "events"]
+    rows = [[r.t, r.c, r.scalar_curvature, r.h_eigenvalue, r.parabolicity_margin,
+             list(r.events)] for r in trace.records]
+    if params.rho == 0.0:
+        columns.append("c_closed_form")
+        for row in rows:
+            try:
+                row.append(fl.closed_form_c(row[0], params))
+            except XcflowError:
+                row.append(None)
+    return columns, rows
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return "nan"
+    if isinstance(value, list):
+        return ";".join(value)
+    return fmt(value)
 
 
 def write_trace_csv(fh: IO[str], trace: fl.FlowTrace) -> None:
     """Pinned CSV trace format: version comment, then
     t,c,R,h_eig,parab_margin,events (plus c_closed_form when rho = 0)."""
-    params = trace.params
-    with_closed = params.rho == 0.0
+    columns, rows = _trace_table(trace)
     fh.write(f"# xcflow v{__version__}\n")
-    columns = ["t", "c", "R", "h_eig", "parab_margin", "events"]
-    if with_closed:
-        columns.append("c_closed_form")
     fh.write(",".join(columns) + "\n")
-    for record in trace.records:
-        row = [fmt(record.t), fmt(record.c), fmt(record.scalar_curvature),
-               fmt(record.h_eigenvalue), fmt(record.parabolicity_margin),
-               ";".join(record.events)]
-        if with_closed:
-            try:
-                row.append(fmt(fl.closed_form_c(record.t, params)))
-            except XcflowError:
-                row.append("nan")
-        fh.write(",".join(row) + "\n")
+    for row in rows:
+        fh.write(",".join(map(_csv_cell, row)) + "\n")
 
 
 def _trace_dict(trace: fl.FlowTrace, diagnostics: dict | None = None) -> dict:
     params = trace.params
-    with_closed = params.rho == 0.0
-    records = []
-    for record in trace.records:
-        entry = {
-            "t": record.t,
-            "c": record.c,
-            "R": record.scalar_curvature,
-            "h_eig": record.h_eigenvalue,
-            "parab_margin": record.parabolicity_margin,
-            "events": list(record.events),
-        }
-        if with_closed:
-            try:
-                entry["c_closed_form"] = fl.closed_form_c(record.t, params)
-            except XcflowError:
-                entry["c_closed_form"] = None
-        records.append(entry)
+    columns, rows = _trace_table(trace)
     out = {
         "version": __version__,
         "command": "flow",
@@ -460,7 +496,7 @@ def _trace_dict(trace: fl.FlowTrace, diagnostics: dict | None = None) -> dict:
             "steps": trace.steps,
             "bisection_iterations": trace.bisection_iterations,
         },
-        "records": records,
+        "records": [dict(zip(columns, row)) for row in rows],
     }
     if diagnostics:
         out["diagnostics"] = diagnostics
@@ -474,19 +510,12 @@ def write_trace_json(fh: IO[str], trace: fl.FlowTrace,
 
 
 def cmd_flow(options: dict, stdout: IO[str]) -> int:
-    out_format = options.get("format", "csv")
-    if out_format not in ("csv", "json"):
-        raise UsageError(f"format must be 'csv' or 'json', got {out_format!r}")
-    record_every = _as_int(options.get("record_every", 100), "record_every")
     params = build_flow_params(options)
-    trace = fl.integrate(
-        params,
-        record_every=record_every,
-        halt_on_parabolicity_loss=bool(options.get("halt_on_parabolicity_loss", False)),
-    )
+    trace = fl.integrate(params, record_every=options["record_every"],
+                         halt_on_parabolicity_loss=options["halt_on_parabolicity_loss"])
 
     diagnostics = None
-    if options.get("paper_ode"):
+    if options["paper_ode"]:
         # side-by-side of the integrated right-hand side and the originally
         # published form of the reduced ODE, which disagrees with the
         # engine-derived one
@@ -509,18 +538,13 @@ def cmd_flow(options: dict, stdout: IO[str]) -> int:
               f"{fmt(diagnostics['published_ode']['max_abs_discrepancy_on_trace'])}",
               file=stdout)
 
-    output = options.get("output")
-    if output is None:
-        if out_format == "csv":
-            write_trace_csv(stdout, trace)
+    output = options["output"]
+    with nullcontext(stdout) if output is None else _open_output(output) as fh:
+        if options["format"] == "csv":
+            write_trace_csv(fh, trace)
         else:
-            write_trace_json(stdout, trace, diagnostics)
-    else:
-        with open(output, "w", encoding="utf-8") as fh:
-            if out_format == "csv":
-                write_trace_csv(fh, trace)
-            else:
-                write_trace_json(fh, trace, diagnostics)
+            write_trace_json(fh, trace, diagnostics)
+    if output is not None:
         print(f"status: {trace.status}", file=stdout)
         if trace.extinction_time is not None:
             print(f"extinction_time: {fmt(trace.extinction_time)}", file=stdout)
@@ -534,39 +558,85 @@ def cmd_flow(options: dict, stdout: IO[str]) -> int:
 def cmd_verify(options: dict, stdout: IO[str]) -> int:
     from . import verify as vf  # the suites load only when asked for
 
-    suites = options.get("suite")
-    if isinstance(suites, str):
-        suites = [suites]
-    elif isinstance(suites, tuple):
-        suites = list(suites)
-    if suites:
-        unknown = set(suites) - set(vf.available_suites())
-        if unknown:
-            raise UsageError(f"unknown suite(s): {', '.join(sorted(unknown))}")
-    cases = options.get("cases")
-    if cases is not None:
-        cases = _as_int(cases, "cases")
-        if cases < 1:
-            raise UsageError("cases must be a positive integer")
-    seed = _as_int(options.get("seed", vf.DEFAULT_SEED), "seed")
-
-    summary = vf.run_checks(suites=suites, cases=cases, seed=seed)
+    suites = None if options["suite"] is None else sum(options["suite"], [])
+    summary = vf.run_checks(suites=suites, cases=options["cases"], seed=options["seed"])
     for result in summary.results:
         print(result.line(), file=stdout)
     n_failed = sum(not r.passed for r in summary.results)
     print(f"SUMMARY: {len(summary.results) - n_failed}/{len(summary.results)} "
-          f"checks passed (seed {seed})", file=stdout)
+          f"checks passed (seed {summary.seed})", file=stdout)
 
-    output = options.get("output")
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            json.dump(summary.to_dict(), fh, indent=2)
-            fh.write("\n")
+    _write_report(summary.to_dict(), options["output"], options["format"])
     return EXIT_OK if summary.all_passed else EXIT_VERIFY
 
 
 # ---------------------------------------------------------------------------
-# parser and dispatch
+# the option table, parser and dispatch
+
+class Command(NamedTuple):
+    run: Callable[[dict, IO[str]], int]
+    help: str
+    keys: tuple[Key, ...]
+
+
+_OUTPUT = Key("output", _path, "write the report, trace or summary to this path")
+_REPORT_FORMAT = Key("format", _choice("json", "csv"),
+                     "report file format: json or csv (default json)", "json")
+
+COMMANDS = {
+    "curvature": Command(cmd_curvature, "pointwise curvature and cross curvature report", (
+        Key("frame", _floats(3), "sectional curvatures a,b,c"),
+        Key("space_form", _choice("sphere", "hyperbolic"),
+            "named constant-curvature geometry: sphere or hyperbolic"),
+        Key("kappa", _number, "sectional curvature of the space form "
+            "(default 1 for the sphere, -1 for the hyperbolic space form)"),
+        Key("jet_from_chart", _choice("sphere", "hyperbolic"),
+            "finite-difference jet of the conformal chart: sphere or hyperbolic"),
+        Key("point", _floats(3), "chart point x,y,z (default 0,0,0)", (0.0, 0.0, 0.0)),
+        Key("fd_step", _number, "finite-difference step (default 1e-3)", 1e-3),
+        Key("richardson", _boolean, "refine the jet to fourth order", False),
+        _OUTPUT, _REPORT_FORMAT)),
+    "symbol": Command(cmd_symbol, "symbol matrices, spectra, parabolicity", (
+        Key("frame", _floats(3), "P eigenvalues a,b,c (orthonormal frame)"),
+        Key("p", _floats(6), "P components p11,p12,p13,p22,p33,p23"),
+        Key("rho", _number, "scalar-curvature coupling (default 0)", 0.0),
+        Key("xi", _floats(3), "direction x,y,z (repeatable; default 1,0,0)",
+            ((1.0, 0.0, 0.0),), many=True),
+        Key("case", _choice("positive", "negative"),
+            "curvature sign case: positive or negative (default positive)", "positive"),
+        Key("mode", _choice("frame", "all_directions"),
+            "threshold reading: frame or all_directions (default all_directions)",
+            "all_directions"),
+        Key("direction_samples", _integer,
+            "Fibonacci lattice directions swept with P's three eigenvectors; the "
+            "verdict uses the exact minimum over all directions whatever the count "
+            "(default 200)", sb.DEFAULT_DIRECTION_SAMPLES),
+        _OUTPUT, _REPORT_FORMAT)),
+    "flow": Command(cmd_flow, "integrate the scale-factor flow", (
+        Key("rho", _number, "scalar-curvature coupling", required=True),
+        Key("epsilon", _choice(1, -1, parse=_integer),
+            "sectional-curvature sign of the initial metric: 1 or -1", required=True),
+        Key("lambda", _number, "Einstein constant of the initial metric", required=True),
+        Key("dt", _number, "integration step", required=True),
+        Key("t_end", _number, "final time", required=True),
+        Key("record_every", _integer, "record every N steps (default 100)", 100),
+        Key("unsafe_signs", _boolean, "allow epsilon/lambda sign mismatch", False),
+        Key("paper_ode", _boolean, "also evaluate the originally published reduced "
+            "ODE and report its discrepancy", False),
+        Key("halt_on_parabolicity_loss", _boolean,
+            "stop when the margin turns negative", False),
+        _OUTPUT,
+        Key("format", _choice("csv", "json"), "trace format: csv or json (default csv)",
+            "csv"))),
+    "verify": Command(cmd_verify, "run the invariant verification suites", (
+        Key("suite", _suites, "restrict to suites (repeatable or comma-separated): "
+            "tensor_core, symbol, flow, cli", many=True),
+        Key("cases", _count, "override per-check case counts"),
+        Key("seed", _integer, "seed for the randomized checks (default 1729)"),
+        _OUTPUT,
+        Key("format", _choice("json"), "summary file format: json only", "json"))),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -575,103 +645,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "Einstein-data flow integration on 3-manifolds.")
     parser.add_argument("--version", action="version", version=f"xcflow {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
         sp.add_argument("--config", help="key-value config file; flags override it")
-        sp.add_argument("--output", help="write the report/trace to this path")
-        sp.add_argument("--format", choices=("csv", "json"),
-                        help="output file format (default: json for reports, csv for traces)")
-        sp.add_argument("--seed", type=int, help="seed for randomized suites")
-
-    p_curv = sub.add_parser("curvature", help="pointwise curvature and cross "
-                            "curvature report")
-    common(p_curv)
-    p_curv.add_argument("--frame", help="sectional curvatures a,b,c")
-    p_curv.add_argument("--space-form", dest="space_form",
-                        choices=("sphere", "hyperbolic"),
-                        help="named constant-curvature geometry")
-    p_curv.add_argument("--kappa", type=float, help="sectional curvature of the space form")
-    p_curv.add_argument("--jet-from-chart", dest="jet_from_chart",
-                        choices=("sphere", "hyperbolic"),
-                        help="finite-difference jet of the conformal chart")
-    p_curv.add_argument("--point", help="chart point x,y,z")
-    p_curv.add_argument("--fd-step", dest="fd_step", type=float,
-                        help="finite-difference step (default 1e-3)")
-    p_curv.add_argument("--richardson", action="store_true", default=None,
-                        help="refine the jet to fourth order")
-
-    p_sym = sub.add_parser("symbol", help="symbol matrices, spectra, parabolicity")
-    common(p_sym)
-    p_sym.add_argument("--frame", help="P eigenvalues a,b,c (orthonormal frame)")
-    p_sym.add_argument("--p", help="P components p11,p12,p13,p22,p33,p23")
-    p_sym.add_argument("--rho", type=float, help="scalar-curvature coupling (default 0)")
-    p_sym.add_argument("--xi", action="append", help="direction x,y,z (repeatable)")
-    p_sym.add_argument("--case", choices=("positive", "negative"),
-                       help="curvature sign case (default positive)")
-    p_sym.add_argument("--mode", choices=("frame", "all_directions"),
-                       help="threshold reading (default all_directions)")
-    p_sym.add_argument("--direction-samples", dest="direction_samples", type=int,
-                       help="Fibonacci lattice directions swept with P's three "
-                            "eigenvectors; the verdict uses the exact minimum over "
-                            "all directions whatever the count (default 200)")
-
-    p_flow = sub.add_parser("flow", help="integrate the scale-factor flow")
-    common(p_flow)
-    p_flow.add_argument("--rho", type=float, help="scalar-curvature coupling")
-    p_flow.add_argument("--epsilon", type=int, choices=(1, -1),
-                        help="sectional-curvature sign of the initial metric")
-    p_flow.add_argument("--lambda", dest="lambda", type=float,
-                        help="Einstein constant of the initial metric")
-    p_flow.add_argument("--dt", type=float, help="integration step")
-    p_flow.add_argument("--t-end", dest="t_end", type=float, help="final time")
-    p_flow.add_argument("--record-every", dest="record_every", type=int,
-                        help="record every N steps (default 100)")
-    p_flow.add_argument("--unsafe-signs", dest="unsafe_signs", action="store_true",
-                        default=None, help="allow epsilon/lambda sign mismatch")
-    p_flow.add_argument("--paper-ode", dest="paper_ode", action="store_true",
-                        default=None,
-                        help="also evaluate the originally published reduced ODE "
-                             "and report its discrepancy")
-    p_flow.add_argument("--halt-on-parabolicity-loss",
-                        dest="halt_on_parabolicity_loss", action="store_true",
-                        default=None, help="stop when the margin turns negative")
-
-    p_ver = sub.add_parser("verify", help="run the invariant verification suites")
-    common(p_ver)
-    p_ver.add_argument("--suite", action="append",
-                       help="restrict to a suite (repeatable): "
-                            "tensor_core, symbol, flow, cli")
-    p_ver.add_argument("--cases", type=int, help="override per-check case counts")
-
+        for key in command.keys:
+            # every flag keeps its raw text for the key's converter
+            action = ("store_true" if key.convert is _boolean
+                      else "append" if key.many else "store")
+            sp.add_argument("--" + key.name.replace("_", "-"), dest=key.name,
+                            action=action, default=None, help=key.help)
     return parser
 
 
-def _collect_options(args: argparse.Namespace) -> dict[str, object]:
-    """Config file values, overridden by the flags that were given."""
-    command = args.command
-    options: dict[str, object] = {}
-    if args.config:
-        options.update(apply_config_keys(read_config_file(args.config), command))
-    for key in (*COMMAND_KEYS[command], *(COMMON_KEYS - {"command"})):
-        value = getattr(args, key)
-        if value is not None:
-            options[key] = value
-    options.pop("command", None)
-    return options
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        options = _collect_options(args)
-        handler = {
-            "curvature": cmd_curvature,
-            "symbol": cmd_symbol,
-            "flow": cmd_flow,
-            "verify": cmd_verify,
-        }[args.command]
-        return handler(options, sys.stdout)
+        options = collect_options(
+            args.command, read_config_file(args.config) if args.config else {},
+            {key.name: getattr(args, key.name) for key in command.keys})
+        return command.run(options, sys.stdout)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -92,9 +92,13 @@ class SymTensor3:
         if max(abs(m12 - m21), abs(m13 - m31), abs(m23 - m32)) > 1e-12 * scale:
             raise DomainError("matrix is not symmetric")
         # pack(0.5 * (m + m.T)), rounded entry by entry as numpy rounds it
-        return cls(np.array([0.5 * (m11 + m11), 0.5 * (m12 + m21), 0.5 * (m13 + m31),
-                             0.5 * (m22 + m22), 0.5 * (m33 + m33), 0.5 * (m23 + m32)]),
-                   variance)
+        # wherever that is finite: 0.5 * (x + x) == x on the diagonal, and
+        # no sum of two entries overflows below half the float maximum
+        if scale <= 8.98e307:
+            p12, p13, p23 = 0.5 * (m12 + m21), 0.5 * (m13 + m31), 0.5 * (m23 + m32)
+        else:
+            p12, p13, p23 = _midpoint(m12, m21), _midpoint(m13, m31), _midpoint(m23, m32)
+        return cls(np.array([m11, p12, p13, m22, m33, p23]), variance)
 
     @classmethod
     def identity(cls, variance: str = "lower") -> "SymTensor3":
@@ -107,6 +111,13 @@ class SymTensor3:
     def is_positive_definite(self) -> bool:
         """Sylvester criterion: finite components, all leading principal minors positive."""
         return _positive_definite_det(self.components) > 0.0
+
+
+def _midpoint(x: float, y: float) -> float:
+    """0.5 * (x + y) for finite x, y, halving first where the sum overflows
+    (exact there, since both halves are far above the subnormal range)."""
+    total = x + y
+    return 0.5 * total if abs(total) != math.inf else 0.5 * x + 0.5 * y
 
 
 def _sym_adjugate_det(a: float, b: float, c: float,

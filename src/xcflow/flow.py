@@ -61,6 +61,8 @@ class FlowParams:
             raise DomainError("dt and t_end must be positive")
         if self.dt > self.t_end:
             raise DomainError("dt must not exceed t_end")
+        if not math.isfinite(self.t_end / self.dt):
+            raise DomainError("dt is too small for t_end: the step count overflows")
         if not self.unsafe_signs and self.epsilon * self.lam <= 0.0:
             raise DomainError(
                 "epsilon must match the sign of the Einstein constant "
@@ -150,8 +152,12 @@ def published_ode_rhs(c: float, params: FlowParams) -> float:
     if c <= 0.0:
         raise ExtinctStateError(f"scale factor must be positive, got {c!r}")
     lam = params.lam
-    ratio = (2.0 * c**2 - 3.0 * lam**2) / (2.0 * lam * c**2)
-    return -2.0 * ratio**2 / c**3 + 6.0 * params.rho * lam
+    try:
+        ratio = (2.0 * c**2 - 3.0 * lam**2) / (2.0 * lam * c**2)
+        return -2.0 * ratio**2 / c**3 + 6.0 * params.rho * lam
+    except (OverflowError, ZeroDivisionError) as exc:  # Python floats raise, not inf
+        raise DomainError(
+            f"the published ODE is not finite at c = {c!r} for lambda = {lam!r}") from exc
 
 
 def equilibrium_scale(params: FlowParams) -> float | None:

@@ -189,6 +189,17 @@ def case_sign(case) -> int:
     raise DomainError(f"case must be +1/-1 or 'positive'/'negative', got {case!r}")
 
 
+def _eigvals(stack: np.ndarray) -> np.ndarray:
+    """np.linalg.eigvals, with entries that overflowed to inf or nan (P or
+    rho beyond what the symbol's products keep finite) as a DomainError."""
+    try:
+        return np.linalg.eigvals(stack)
+    except np.linalg.LinAlgError as exc:
+        if np.isfinite(stack).all():
+            raise
+        raise DomainError("symbol matrix entries overflow: P or rho is too large") from exc
+
+
 def spectrum(m: SymbolMatrix | np.ndarray) -> np.ndarray:
     """Eigenvalues of a symbol matrix, sorted ascending by real part.
 
@@ -197,7 +208,7 @@ def spectrum(m: SymbolMatrix | np.ndarray) -> np.ndarray:
     silently.
     """
     entries = m.entries if isinstance(m, SymbolMatrix) else np.asarray(m, dtype=float)
-    vals = np.linalg.eigvals(entries)
+    vals = _eigvals(entries)
     residue = float(np.abs(vals.imag).max())
     if residue > IMAG_RESIDUE_TOL:
         warnings.warn(
@@ -316,7 +327,7 @@ def parabolicity(
     directions = np.vstack([lattice, gen_vecs.T])
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     raw, gauge = symbol_stacks(SymTensor3(sign * p_frame.components, "upper"), rho, directions)
-    eigs = np.linalg.eigvals(np.concatenate([raw, raw - gauge]))
+    eigs = _eigvals(np.concatenate([raw, raw - gauge]))
     raw_eigs, mod_eigs = eigs[:len(directions)].real, eigs[len(directions):].real
     # a multiple eigenvalue of the non-normal raw matrix can split with a
     # small imaginary residue near thresholds; track it instead of warning

@@ -89,22 +89,33 @@ def available_suites() -> list[str]:
     return seen
 
 
+def registered_checks() -> list[tuple[str, str]]:
+    """(suite, name) of every check, in run order; run_check takes the index."""
+    return [(suite, name) for suite, name, _, _ in _REGISTRY]
+
+
+def run_check(idx: int, cases: int | None = None,
+              seed: int = DEFAULT_SEED) -> CheckResult:
+    """Run one registered check with the generator run_checks gives it."""
+    suite, name, fn, default_cases = _REGISTRY[idx]
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
+    n = cases if cases is not None else default_cases
+    start = time.perf_counter()
+    try:
+        passed, detail = fn(rng, n)
+    except Exception as exc:  # a crash is a failure, not an abort
+        passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+    return CheckResult(suite, name, passed, n, detail, time.perf_counter() - start)
+
+
 def run_checks(suites=None, cases: int | None = None,
-               seed: int = DEFAULT_SEED) -> VerifySummary:
-    """Run the registered checks (optionally restricted to some suites)."""
-    summary = VerifySummary(seed=seed)
-    for idx, (suite, name, fn, default_cases) in enumerate(_REGISTRY):
-        if suites and suite not in suites:
-            continue
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(idx,)))
-        n = cases if cases is not None else default_cases
-        start = time.perf_counter()
-        try:
-            passed, detail = fn(rng, n)
-        except Exception as exc:  # a crash is a failure, not an abort
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        summary.results.append(
-            CheckResult(suite, name, passed, n, detail, time.perf_counter() - start))
+               seed: int | None = None) -> VerifySummary:
+    """Run the registered checks (optionally restricted to some suites),
+    seeded by `seed`, or by DEFAULT_SEED when it is None."""
+    summary = VerifySummary(seed=DEFAULT_SEED if seed is None else seed)
+    for idx, (suite, _name) in enumerate(registered_checks()):
+        if not suites or suite in suites:
+            summary.results.append(run_check(idx, cases, summary.seed))
     return summary
 
 
@@ -761,13 +772,13 @@ def _strict_config(rng, cases):
     del rng, cases
     from . import cli
     try:
-        cli.apply_config_keys({"flow.rho": "0.0", "flow.bogus_key": "1"}, "flow")
+        cli.collect_options("flow", {"flow.rho": "0.0", "flow.bogus_key": "1"})
         return False, "unknown key accepted"
     except cli.UsageError as exc:
         if "flow.bogus_key" not in str(exc):
             return False, "unknown-key error does not name the key"
     try:
-        cli.build_flow_params({"rho": 0.0, "epsilon": 1})
+        cli.collect_options("flow", {"flow.rho": "0.0", "flow.epsilon": "1"})
         return False, "missing required key accepted"
     except cli.UsageError as exc:
         if "lambda" not in str(exc):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -23,6 +24,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
     ["--frame=1,2,3", "--direction-samples=0"],
     ["--p=nan,0,0,1,1,0"],
     ["--frame=1,2,3", "--xi=0,0,0"],
+    ["--p=1,0.1,0,2,3,0.2", "--rho=1e308"],  # the symbol entries overflow
 ])
 def test_symbol_bad_input_exits_3_before_printing(argv, capsys):
     assert cli.main(["symbol", *argv]) == cli.EXIT_NUMERIC
@@ -78,6 +80,9 @@ FLOW_ARGS = ["--rho=0", "--epsilon=1", "--lambda=2", "--dt=1e-3", "--t-end=0.1"]
     ["--lambda=-2"],            # sign mismatch without --unsafe-signs
     ["--record-every=0"],
     ["--lambda=1e200"],         # the record at the default c_min overflows
+    ["--unsafe-signs", "--paper-ode", "--lambda=0"],    # the published ODE divides by lambda
+    ["--unsafe-signs", "--paper-ode", "--epsilon=-1", "--lambda=1e100"],  # ... squares it
+    ["--dt=5e-324"],            # t_end / dt, the step count, overflows
 ])
 def test_flow_bad_values_exit_3_before_printing(override, capsys):
     assert cli.main(["flow", *FLOW_ARGS, *override]) == cli.EXIT_NUMERIC
@@ -117,13 +122,14 @@ def test_config_integral_float_counts_as_integer(tmp_path, capsys):
     assert json.loads(path.read_text(encoding="utf-8"))["parabolicity"]["direction_samples"] == 20
 
 
-@pytest.mark.parametrize("command", sorted(cli.COMMAND_KEYS))
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 def test_parser_dests_match_command_keys(command):
     parser = cli.build_parser()
     subparsers = next(a for a in parser._actions if a.dest == "command")
     dests = {a.dest for a in subparsers.choices[command]._actions}
-    assert dests - {"help", "config"} - cli.COMMON_KEYS == cli.COMMAND_KEYS[command]
-    assert cli.COMMON_KEYS - {"command"} <= dests
+    names = [key.name for key in cli.COMMANDS[command].keys]
+    assert len(names) == len(set(names))
+    assert dests - {"help", "config"} == set(names)
 
 
 def test_lambda_flag_overrides_config(tmp_path, capsys):
@@ -203,3 +209,148 @@ def test_curvature_determinant_form_at_every_scale(frame, singular, tmp_path, ca
     assert report["determinant_singular"] is singular
     assert (report["determinant_form"] is None) is singular
     assert ("determinant form unavailable" in out) is singular
+
+
+def _run_main(argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects the flag itself
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+_FRAME = ["--frame=1,2,3"]
+_FLOW_NO_EPSILON = ["--rho=0", "--lambda=2", "--dt=1e-3", "--t-end=0.1"]
+
+# (command, flags completing the run, key, value, exit code by either route)
+PROBES = [
+    ("flow", FLOW_ARGS, "unsafe_signs", "no", cli.EXIT_USAGE),
+    ("flow", FLOW_ARGS, "halt_on_parabolicity_loss", "maybe", cli.EXIT_USAGE),
+    ("curvature", ["--jet-from-chart=sphere"], "richardson", "off", cli.EXIT_USAGE),
+    ("curvature", [], "frame", "true,2,3", cli.EXIT_USAGE),
+    ("symbol", [], "frame", "true,2,3", cli.EXIT_USAGE),
+    ("verify", [], "suite", "1", cli.EXIT_USAGE),
+    ("flow", _FLOW_NO_EPSILON, "epsilon", "2", cli.EXIT_USAGE),
+    ("symbol", _FRAME, "case", "foo", cli.EXIT_USAGE),
+    ("symbol", _FRAME, "mode", "foo", cli.EXIT_USAGE),
+    ("symbol", _FRAME, "direction_samples", "20.0", cli.EXIT_OK),
+    ("curvature", _FRAME, "output", "3", cli.EXIT_OK),
+    ("curvature", _FRAME, "output", "a,b", cli.EXIT_OK),
+    ("curvature", _FRAME, "output", "1", cli.EXIT_OK),
+    ("curvature", [*_FRAME, "--output=report"], "format", "xml", cli.EXIT_USAGE),
+    ("verify", [], "format", "csv", cli.EXIT_USAGE),
+    ("curvature", _FRAME, "seed", "1", cli.EXIT_USAGE),
+    ("symbol", _FRAME, "seed", "1", cli.EXIT_USAGE),
+    ("flow", FLOW_ARGS, "seed", "1", cli.EXIT_USAGE),
+]
+
+
+@pytest.mark.parametrize("command, base, key, value, expected", PROBES,
+                         ids=[f"{p[0]}-{p[2]}={p[3]}" for p in PROBES])
+def test_flag_and_config_line_give_the_same_result(command, base, key, value, expected,
+                                                   tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    plain = key in ("output", "format", "seed")
+    (tmp_path / "run.cfg").write_text(
+        f"{key} = {value}\n" if plain else f"{command}.{key} = {value}\n", encoding="utf-8")
+    results = []
+    for extra in ([f"--{key.replace('_', '-')}={value}"], ["--config", "run.cfg"]):
+        code, out, err = _run_main([command, *base, *extra], capsys)
+        assert "Traceback" not in err
+        if code == cli.EXIT_USAGE:
+            assert key in err or key.replace("_", "-") in err
+        written = None
+        if key == "output":
+            written = (tmp_path / value).read_text(encoding="utf-8")
+            (tmp_path / value).unlink()
+        results.append((code, out, written))
+    assert results[0] == results[1]
+    assert results[0][0] == expected
+
+
+_WORDS = st.text(alphabet="abcdefghijklmnopqrstuvwxyzEFT_", min_size=1, max_size=8)
+_SCALAR_TEXT = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    (st.floats() | _EDGE_FLOATS).map(repr),
+    _WORDS,
+    st.just(""),
+    st.sampled_from(["true", "False", "no", "2.5", "20.0"]),
+)
+_VALUE_TEXT = _SCALAR_TEXT | st.lists(_SCALAR_TEXT, min_size=2, max_size=7).map(",".join)
+# text that no flow step or direction count accepts as a positive size
+_NOT_A_SIZE = _WORDS | st.sampled_from(["", "0", "-1", "-0.0", "2.5", "nan", "inf", "-inf",
+                                        "-1e308", "1,2"])
+# well-formed values of every kind, edge floats included; each key draws
+# from the ones its converter accepts, so that most files reach the library
+_CANDIDATES = [
+    "0", "1", "-1", "2", "3", "0.5", "-0.25", "1e-3", "20.0", "1e308", "-1e308", "5e-324",
+    "nan", "inf", "-inf", "-0.0", "1,2,3", "0,0,0", "1,0,0", "0,1,1", "nan,1,2", "1e308,1,1",
+    "0.2,5,5", "-1,2,3", "1,0.1,0,2,3,0.2", "1,0,0,2,3,0", "1,2,3,4,5,6", "positive",
+    "negative", "frame", "all_directions", "csv", "json", "true", "FALSE", "report", "a,b",
+]
+
+
+def _accepts(key, text: str) -> bool:
+    try:
+        key.typed([text] if key.many else text)
+    except cli.UsageError:
+        return False
+    return True
+
+
+def _well_formed(key):
+    texts = st.sampled_from([t for t in _CANDIDATES if _accepts(key, t)])
+    return (texts | (st.floats() | _EDGE_FLOATS).map(repr)) if _accepts(key, "0.5") else texts
+
+
+def _sized_values(data, command: str) -> dict[str, str]:
+    """Text for the keys whose values set the run's size: at most 10^4 flow
+    steps, at most 400 lattice directions, or a value that is rejected."""
+    def either(valid: str) -> str:
+        return data.draw(_NOT_A_SIZE) if data.draw(st.integers(0, 4)) == 4 else valid
+
+    if command == "symbol":
+        return {"direction_samples": either(str(data.draw(st.integers(-3, 400))))}
+    t_end = data.draw(st.floats(1e-6, 10.0))
+    dt = t_end / data.draw(st.integers(1, 10**4))
+    return {"dt": either(repr(dt)), "t_end": either(repr(t_end))}
+
+
+@pytest.mark.parametrize("command", ["symbol", "flow"])
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_random_config_files_end_in_exit_0_2_or_3(command, data):
+    keys = cli.COMMANDS[command].keys
+    names = [key.name for key in keys]
+    omitted = data.draw(st.sets(st.sampled_from(names), max_size=1))
+    if command == "symbol":  # P is given by exactly one of the two keys
+        omitted.add(data.draw(st.sampled_from(["p", "frame"])))
+    sized = _sized_values(data, command)
+    malformed = data.draw(st.sets(st.sampled_from(sorted(set(names) - set(sized))),
+                                  max_size=1))
+    lines = []
+    for key in keys:
+        if key.name in omitted:
+            continue
+        if key.name in sized:
+            value = sized[key.name]
+        elif key.name in malformed:
+            value = data.draw(_VALUE_TEXT)
+        else:
+            value = data.draw(_well_formed(key))
+        prefix = data.draw(st.sampled_from(["", f"{command}."]))
+        lines.append(f"{prefix}{key.name} = {value}")
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)  # a drawn `output` value is a file name in here
+        try:
+            with open("run.cfg", "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = cli.main([command, "--config", "run.cfg"])
+        finally:
+            os.chdir(cwd)
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_NUMERIC), (lines, err.getvalue())

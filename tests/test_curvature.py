@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -143,6 +145,7 @@ class TestSymTensor3:
 
     def test_from_matrix_components_equal_numpy_symmetrization(self):
         # Python-float packing must round exactly as pack(0.5 * (m + m.T))
+        # wherever that is finite, and stay finite where m + m.T overflows
         rng = np.random.default_rng(41)
         for _ in range(2000):
             a = rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-300, 300)
@@ -151,6 +154,15 @@ class TestSymTensor3:
             m[i, j] += 0.5e-12 * max(1.0, np.abs(m).max()) * rng.uniform(-1.0, 1.0)
             got = SymTensor3.from_matrix(m).components
             assert got.tobytes() == pack(0.5 * (m + m.T)).tobytes()
+        huge = np.array([[1e308, -1e308, 1e308], [-1e308, 1e308, 5e-324],
+                         [1e308, 5e-324, -1e308]])
+        for m in (np.diag([1e308, 1.0, -1e308]), huge, np.full((3, 3), 1e308)):
+            got = SymTensor3.from_matrix(m).components
+            assert got.tobytes() == pack(m).tobytes()
+        m = np.eye(3)
+        m[0, 1], m[1, 0] = 1.7e308, np.nextafter(1.7e308, 0.0)
+        midpoint = float((Fraction(m[0, 1]) + Fraction(m[1, 0])) / 2)  # correctly rounded
+        assert SymTensor3.from_matrix(m).components[1] == midpoint
 
 
 class TestVolumeForm:
