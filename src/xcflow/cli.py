@@ -81,11 +81,13 @@ def _integer(text: str) -> int:
     return int(value)
 
 
-def _count(text: str) -> int:
-    value = _integer(text)
-    if value < 1:
-        raise ValueError("a positive integer")
-    return value
+def _at_least(low: int) -> Callable[[str], int]:
+    def convert(text: str) -> int:
+        value = _integer(text)
+        if value < low:
+            raise ValueError(f"an integer >= {low}")
+        return value
+    return convert
 
 
 def _floats(n: int) -> Callable[[str], tuple[float, ...]]:
@@ -131,6 +133,13 @@ def _suites(text: str) -> list[str]:
     if not set(names) <= set(vf.available_suites()):
         raise ValueError("suite names from " + ", ".join(vf.available_suites()))
     return names
+
+
+def _shown(value) -> str:
+    """A default as its text would be written: 1,0,0 for (1.0, 0.0, 0.0)."""
+    if isinstance(value, tuple):
+        return ",".join(map(_shown, value))
+    return f"{value:g}" if isinstance(value, float) else str(value)
 
 
 class Key(NamedTuple):
@@ -559,7 +568,8 @@ def cmd_verify(options: dict, stdout: IO[str]) -> int:
     from . import verify as vf  # the suites load only when asked for
 
     suites = None if options["suite"] is None else sum(options["suite"], [])
-    summary = vf.run_checks(suites=suites, cases=options["cases"], seed=options["seed"])
+    seed = vf.DEFAULT_SEED if options["seed"] is None else options["seed"]
+    summary = vf.run_checks(suites=suites, cases=options["cases"], seed=seed)
     for result in summary.results:
         print(result.line(), file=stdout)
     n_failed = sum(not r.passed for r in summary.results)
@@ -581,7 +591,7 @@ class Command(NamedTuple):
 
 _OUTPUT = Key("output", _path, "write the report, trace or summary to this path")
 _REPORT_FORMAT = Key("format", _choice("json", "csv"),
-                     "report file format: json or csv (default json)", "json")
+                     "report file format: json or csv", "json")
 
 COMMANDS = {
     "curvature": Command(cmd_curvature, "pointwise curvature and cross curvature report", (
@@ -592,25 +602,25 @@ COMMANDS = {
             "(default 1 for the sphere, -1 for the hyperbolic space form)"),
         Key("jet_from_chart", _choice("sphere", "hyperbolic"),
             "finite-difference jet of the conformal chart: sphere or hyperbolic"),
-        Key("point", _floats(3), "chart point x,y,z (default 0,0,0)", (0.0, 0.0, 0.0)),
-        Key("fd_step", _number, "finite-difference step (default 1e-3)", 1e-3),
+        Key("point", _floats(3), "chart point x,y,z", (0.0, 0.0, 0.0)),
+        Key("fd_step", _number, "finite-difference step", 1e-3),
         Key("richardson", _boolean, "refine the jet to fourth order", False),
         _OUTPUT, _REPORT_FORMAT)),
     "symbol": Command(cmd_symbol, "symbol matrices, spectra, parabolicity", (
         Key("frame", _floats(3), "P eigenvalues a,b,c (orthonormal frame)"),
         Key("p", _floats(6), "P components p11,p12,p13,p22,p33,p23"),
-        Key("rho", _number, "scalar-curvature coupling (default 0)", 0.0),
-        Key("xi", _floats(3), "direction x,y,z (repeatable; default 1,0,0)",
+        Key("rho", _number, "scalar-curvature coupling", 0.0),
+        Key("xi", _floats(3), "direction x,y,z, repeatable",
             ((1.0, 0.0, 0.0),), many=True),
         Key("case", _choice("positive", "negative"),
-            "curvature sign case: positive or negative (default positive)", "positive"),
+            "curvature sign case: positive or negative", "positive"),
         Key("mode", _choice("frame", "all_directions"),
-            "threshold reading: frame or all_directions (default all_directions)",
+            "threshold reading: frame or all_directions",
             "all_directions"),
         Key("direction_samples", _integer,
             "Fibonacci lattice directions swept with P's three eigenvectors; the "
-            "verdict uses the exact minimum over all directions whatever the count "
-            "(default 200)", sb.DEFAULT_DIRECTION_SAMPLES),
+            "verdict uses the exact minimum over all directions whatever the count",
+            sb.DEFAULT_DIRECTION_SAMPLES),
         _OUTPUT, _REPORT_FORMAT)),
     "flow": Command(cmd_flow, "integrate the scale-factor flow", (
         Key("rho", _number, "scalar-curvature coupling", required=True),
@@ -619,20 +629,21 @@ COMMANDS = {
         Key("lambda", _number, "Einstein constant of the initial metric", required=True),
         Key("dt", _number, "integration step", required=True),
         Key("t_end", _number, "final time", required=True),
-        Key("record_every", _integer, "record every N steps (default 100)", 100),
+        Key("record_every", _integer, "record every N steps", 100),
         Key("unsafe_signs", _boolean, "allow epsilon/lambda sign mismatch", False),
         Key("paper_ode", _boolean, "also evaluate the originally published reduced "
             "ODE and report its discrepancy", False),
         Key("halt_on_parabolicity_loss", _boolean,
             "stop when the margin turns negative", False),
         _OUTPUT,
-        Key("format", _choice("csv", "json"), "trace format: csv or json (default csv)",
+        Key("format", _choice("csv", "json"), "trace format: csv or json",
             "csv"))),
     "verify": Command(cmd_verify, "run the invariant verification suites", (
         Key("suite", _suites, "restrict to suites (repeatable or comma-separated): "
             "tensor_core, symbol, flow, cli", many=True),
-        Key("cases", _count, "override per-check case counts"),
-        Key("seed", _integer, "seed for the randomized checks (default 1729)"),
+        Key("cases", _at_least(1), "override per-check case counts"),
+        Key("seed", _at_least(0), "seed for the randomized checks "
+            "(default: the fixed seed the summary line names)"),
         _OUTPUT,
         Key("format", _choice("json"), "summary file format: json only", "json"))),
 }
@@ -652,8 +663,10 @@ def build_parser() -> argparse.ArgumentParser:
             # every flag keeps its raw text for the key's converter
             action = ("store_true" if key.convert is _boolean
                       else "append" if key.many else "store")
+            shown = (f" (default {_shown(key.default)})"
+                     if key.default is not None and action != "store_true" else "")
             sp.add_argument("--" + key.name.replace("_", "-"), dest=key.name,
-                            action=action, default=None, help=key.help)
+                            action=action, default=None, help=key.help + shown)
     return parser
 
 

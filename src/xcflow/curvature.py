@@ -92,12 +92,8 @@ class SymTensor3:
         if max(abs(m12 - m21), abs(m13 - m31), abs(m23 - m32)) > 1e-12 * scale:
             raise DomainError("matrix is not symmetric")
         # pack(0.5 * (m + m.T)), rounded entry by entry as numpy rounds it
-        # wherever that is finite: 0.5 * (x + x) == x on the diagonal, and
-        # no sum of two entries overflows below half the float maximum
-        if scale <= 8.98e307:
-            p12, p13, p23 = 0.5 * (m12 + m21), 0.5 * (m13 + m31), 0.5 * (m23 + m32)
-        else:
-            p12, p13, p23 = _midpoint(m12, m21), _midpoint(m13, m31), _midpoint(m23, m32)
+        # wherever that is finite: 0.5 * (x + x) == x on the diagonal
+        p12, p13, p23 = _midpoint(m12, m21), _midpoint(m13, m31), _midpoint(m23, m32)
         return cls(np.array([m11, p12, p13, m22, m33, p23]), variance)
 
     @classmethod

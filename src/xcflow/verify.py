@@ -109,10 +109,9 @@ def run_check(idx: int, cases: int | None = None,
 
 
 def run_checks(suites=None, cases: int | None = None,
-               seed: int | None = None) -> VerifySummary:
-    """Run the registered checks (optionally restricted to some suites),
-    seeded by `seed`, or by DEFAULT_SEED when it is None."""
-    summary = VerifySummary(seed=DEFAULT_SEED if seed is None else seed)
+               seed: int = DEFAULT_SEED) -> VerifySummary:
+    """Run the registered checks (optionally restricted to some suites)."""
+    summary = VerifySummary(seed=seed)
     for idx, (suite, _name) in enumerate(registered_checks()):
         if not suites or suite in suites:
             summary.results.append(run_check(idx, cases, summary.seed))

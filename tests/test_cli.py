@@ -243,6 +243,7 @@ PROBES = [
     ("curvature", _FRAME, "seed", "1", cli.EXIT_USAGE),
     ("symbol", _FRAME, "seed", "1", cli.EXIT_USAGE),
     ("flow", FLOW_ARGS, "seed", "1", cli.EXIT_USAGE),
+    ("verify", [], "seed", "-1", cli.EXIT_USAGE),
 ]
 
 
