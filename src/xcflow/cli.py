@@ -10,8 +10,10 @@ or by a line of a flat key-value config file (`flow.t_end = 0.5`; the
 command prefix is optional), and flags override file values.  Both
 routes hand the same text to the same converter, so the same text gives
 the same value, or the same usage error naming the key, whichever route
-it came by.  A boolean is a flag without a value, or `true` / `false` in
-any case in a config file; any other spelling is a usage error.
+it came by.  A value may follow its flag as a separate word even when it
+starts with '-' (`--lambda -1e-3`, `--xi -1,0,0`).  A boolean is a flag
+without a value, or `true` / `false` in any case in a config file; any
+other spelling is a usage error.
 `format` is `json` (default) or `csv` for the `curvature` and `symbol`
 reports, `csv` (default) or `json` for the `flow` trace, and `json` only
 for the `verify` summary.  All floats are emitted with their shortest
@@ -618,8 +620,9 @@ COMMANDS = {
             "threshold reading: frame or all_directions",
             "all_directions"),
         Key("direction_samples", _integer,
-            "Fibonacci lattice directions swept with P's three eigenvectors; the "
-            "verdict uses the exact minimum over all directions whatever the count",
+            "Fibonacci lattice directions swept with P's three eigenvectors, at most "
+            f"{sb.MAX_DIRECTION_SAMPLES}; the verdict uses the exact minimum over all "
+            "directions whatever the count",
             sb.DEFAULT_DIRECTION_SAMPLES),
         _OUTPUT, _REPORT_FORMAT)),
     "flow": Command(cmd_flow, "integrate the scale-factor flow", (
@@ -627,7 +630,8 @@ COMMANDS = {
         Key("epsilon", _choice(1, -1, parse=_integer),
             "sectional-curvature sign of the initial metric: 1 or -1", required=True),
         Key("lambda", _number, "Einstein constant of the initial metric", required=True),
-        Key("dt", _number, "integration step", required=True),
+        Key("dt", _number, f"integration step; t_end / dt at most {fl.MAX_STEPS}",
+            required=True),
         Key("t_end", _number, "final time", required=True),
         Key("record_every", _integer, "record every N steps", 100),
         Key("unsafe_signs", _boolean, "allow epsilon/lambda sign mismatch", False),
@@ -670,8 +674,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reads_as_number(word: str) -> bool:
+    try:
+        float(word.split(",", 1)[0])
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """`--key -1e100` as `--key=-1e100`, for every flag that takes a value.
+
+    argparse reads a separate word that starts with '-' as an option unless
+    it is a plain negative integer or decimal (-2, -0.5), so -1e100, -1e-3,
+    -inf or -1,0,0 after a flag would leave the flag without its value.  A
+    word that starts with '-' and whose first comma-separated part reads as
+    a number is attached to the value-taking flag before it.
+    """
+    command = next((word for word in argv if word in COMMANDS), None)
+    if command is None:
+        return list(argv)
+    takes_value = {"--" + key.name.replace("_", "-")
+                   for key in COMMANDS[command].keys if key.convert is not _boolean}
+    joined: list[str] = []
+    for word in argv:
+        if (joined and joined[-1] in takes_value and word.startswith("-")
+                and _reads_as_number(word)):
+            joined[-1] += "=" + word
+        else:
+            joined.append(word)
+    return joined
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _join_negative_values(sys.argv[1:] if argv is None else argv))
     command = COMMANDS[args.command]
     try:
         options = collect_options(

@@ -33,6 +33,9 @@ from .errors import DomainError, ExtinctStateError, ExtinctionExceededError
 DEFAULT_C_MIN = 1e-8
 STEADY_STATE_RHS_TOL = 1e-14
 STEADY_STATE_RUN_LENGTH = 10
+# the most RK4 steps one run may take (t_end / dt); at about 1 us a step,
+# a run at the bound takes minutes, and anything beyond it is refused
+MAX_STEPS = 10**8
 
 
 @dataclass(frozen=True)
@@ -61,8 +64,9 @@ class FlowParams:
             raise DomainError("dt and t_end must be positive")
         if self.dt > self.t_end:
             raise DomainError("dt must not exceed t_end")
-        if not math.isfinite(self.t_end / self.dt):
-            raise DomainError("dt is too small for t_end: the step count overflows")
+        if not self.t_end / self.dt <= MAX_STEPS:
+            raise DomainError(f"dt is too small for t_end: t_end / dt = "
+                              f"{self.t_end / self.dt!r} exceeds {MAX_STEPS} steps")
         if not self.unsafe_signs and self.epsilon * self.lam <= 0.0:
             raise DomainError(
                 "epsilon must match the sign of the Einstein constant "

@@ -21,6 +21,19 @@ built once per (P, rho).  `parabolicity` sweeps a Fibonacci lattice plus
 the three eigenvectors of P.  Since q is extremal at those eigenvectors,
 the minimum of the swept spectra is the exact minimum over the sphere,
 not a sample of it.
+
+The sweep solves one 3x3 eigenproblem per direction, not two 6x6 ones.
+At a unit xi the variations split as K(xi) + T(xi): K = {xi X^T + X xi^T}
+(3-dimensional) and T the symmetric tensors on the plane orthogonal to
+xi, its Frobenius complement.  The raw symbol R maps K to 0, and the
+gauge term G maps every variation into K and acts as -1 on K.  So R and
+the gauge-fixed S = R - G are block upper-triangular on K + T with the
+same quotient block B = E^T W R E on T (E a packed Frobenius-orthonormal
+basis of T, W = diag(1, 2, 2, 1, 1, 2) the Frobenius weight of packed
+components), and
+    spec R = {0, 0, 0} + spec B,    spec S = {1, 1, 1} + spec B.
+`quotient_blocks` checks that structure on the assembled stacks before
+it returns B; `verify` keeps the full 6x6 solve as the reference.
 """
 
 from __future__ import annotations
@@ -31,11 +44,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import COMPONENT_ORDER, SymTensor3, cholesky_frame, pack, unpack
-from .errors import DomainError
+from .errors import DomainError, InternalConsistencyError
 
 IMAG_RESIDUE_TOL = 1e-10
 STRICTNESS_FLOOR = 1e-9
+STRUCTURE_TOL = 1e-12
 DEFAULT_DIRECTION_SAMPLES = 200
+# The sweep peaks at about 2.1 KB per direction (peak RSS grew by 106 MB
+# at 50000 directions with numpy 2.4), so this bounds it near 110 MB; a
+# larger request is refused before anything is built.  The verdict is exact
+# at any lattice size, so more directions would buy nothing.
+MAX_DIRECTION_SAMPLES = 50_000
 
 
 class ComplexEigenvalueWarning(RuntimeWarning):
@@ -219,6 +238,67 @@ def spectrum(m: SymbolMatrix | np.ndarray) -> np.ndarray:
     return np.sort(vals.real)
 
 
+# Pairs (a, b) of the frame (xi, e, f) whose packed a b^T + b a^T, times
+# the factor that makes it Frobenius-unit, span K(xi) (first three) and
+# T(xi) (last three); pack(a) @ (_FROBENIUS * pack(b)) = tr(a b).
+_PAIR_A = np.array([0, 0, 0, 1, 2, 1])
+_PAIR_B = np.array([1, 2, 0, 1, 2, 2])
+_PAIR_NORM = np.array([0.5**0.5, 0.5**0.5, 0.5, 0.5, 0.5, 0.5**0.5])
+_FROBENIUS = np.array([1.0, 2.0, 2.0, 1.0, 1.0, 2.0])
+
+
+def _split_bases(xis: np.ndarray) -> np.ndarray:
+    """(N, 6, 6) packed Frobenius-orthonormal bases of K(xi) + T(xi), K in
+    columns 0-2, for unit rows xi.
+
+    e and f are the first two columns of the Householder reflection
+    I - v v^T / (1 + |xi_3|), v = xi + sign(xi_3) e3, which maps xi to
+    -sign(xi_3) e3; its other columns are therefore orthogonal to xi.
+    """
+    v = xis.copy()
+    v[:, 2] += np.where(xis[:, 2] >= 0.0, 1.0, -1.0)
+    frames = np.empty((len(xis), 3, 3))
+    frames[:, 0] = xis
+    frames[:, 1:] = (v[:, :2] / (1.0 + np.abs(xis[:, 2:])))[:, :, None] * -v[:, None]
+    frames[:, 1, 0] += 1.0
+    frames[:, 2, 1] += 1.0
+    a, b = frames[:, _PAIR_A], frames[:, _PAIR_B]
+    basis = a[..., _ROWS] * b[..., _COLS] + a[..., _COLS] * b[..., _ROWS]
+    return (basis * _PAIR_NORM[:, None]).transpose(0, 2, 1)
+
+
+def quotient_blocks(raw: np.ndarray, gauge: np.ndarray, xis) -> tuple[np.ndarray, float]:
+    """The 3x3 block B that the raw and gauge-fixed symbols share, and the
+    scale of the raw stack.
+
+    `raw` and `gauge` are `symbol_stacks` at the unit rows of `xis`.  In
+    direction n, spec raw[n] = {0, 0, 0} + spec B[n] and spec (raw[n] -
+    gauge[n]) = {1, 1, 1} + spec B[n].  Three residuals check the structure
+    that makes this true: |R K| (R maps K to 0), |G K + K| (G is -1 on K)
+    and |E^T W G E| (G maps T into K).  R enters divided by raw_scale =
+    max(1, max |raw|), so none of them overflows; G is already of order 1
+    at unit xi.  A residual above STRUCTURE_TOL raises
+    InternalConsistencyError.  Entries that overflowed to inf or nan make
+    every residual nan, which passes here and reaches `_eigvals` in B.
+    """
+    basis = _split_bases(np.asarray(xis, dtype=float))
+    t_dual = basis[..., 3:].transpose(0, 2, 1) * _FROBENIUS
+    raw_scale = max(1.0, float(np.abs(raw).max()))
+    raw_basis = (raw / raw_scale) @ basis
+    gauge_basis = gauge @ basis
+    residuals = (
+        ("raw symbol on K", np.abs(raw_basis[..., :3]).max()),
+        ("gauge term on K plus identity", np.abs(gauge_basis[..., :3] + basis[..., :3]).max()),
+        ("gauge term on T, projected to T", np.abs(t_dual @ gauge_basis[..., 3:]).max()),
+    )
+    for name, residual in residuals:
+        if residual > STRUCTURE_TOL:
+            raise InternalConsistencyError(
+                f"symbol structure broken: {name} has residual {residual:.3e} "
+                f"(tol {STRUCTURE_TOL:.0e})")
+    return raw_scale * (t_dual @ raw_basis[..., 3:]), raw_scale
+
+
 def unit_directions(n: int) -> np.ndarray:
     """n unit covectors from the Fibonacci sphere lattice (deterministic)."""
     if n < 1:
@@ -270,8 +350,13 @@ class ParabolicityReport:
     The verdict comes from the symbol spectra over the Fibonacci lattice
     plus the three eigenvectors of P, where the gauge-fixed spectrum is
     extremal, so `min_modified_eig` / `min_raw_eig` are the exact minima
-    over all directions.  `direction_samples` counts the lattice directions
-    only.
+    over all directions.  Each spectrum is read off the 3x3 quotient block
+    B of the K/T splitting (module docstring): the raw one is {0, 0, 0} +
+    spec B and the gauge-fixed one {1, 1, 1} + spec B, so `min_raw_eig` is
+    min(0, min spec B) with exact structural zeros and `min_modified_eig`
+    is min(1, min spec B).  `max_imag_residue` is the largest imaginary
+    part among the eigenvalues of B.  `direction_samples` counts the
+    lattice directions only.
     """
 
     case: str
@@ -306,11 +391,15 @@ def parabolicity(
     `direction_samples` Fibonacci lattice directions plus the three
     eigenvectors of P in the g-orthonormal frame.  The gauge-fixed
     spectrum {1, 1, 1, s q, s q, s q - 4 rho} is smallest at one of those
-    eigenvectors, so the verdict is exact for any lattice size.
+    eigenvectors, so the verdict is exact for any lattice size.  At most
+    MAX_DIRECTION_SAMPLES lattice directions are swept.
     """
     sign = case_sign(case)
     if mode not in ("frame", "all_directions"):
         raise DomainError(f"mode must be 'frame' or 'all_directions', got {mode!r}")
+    if not 1 <= direction_samples <= MAX_DIRECTION_SAMPLES:
+        raise DomainError(f"direction_samples must be between 1 and "
+                          f"{MAX_DIRECTION_SAMPLES}, got {direction_samples!r}")
     rho = _symbol_data(p, rho)
     lattice = unit_directions(direction_samples)
 
@@ -326,25 +415,27 @@ def parabolicity(
 
     directions = np.vstack([lattice, gen_vecs.T])
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    raw, gauge = symbol_stacks(SymTensor3(sign * p_frame.components, "upper"), rho, directions)
-    eigs = _eigvals(np.concatenate([raw, raw - gauge]))
-    raw_eigs, mod_eigs = eigs[:len(directions)].real, eigs[len(directions):].real
-    # a multiple eigenvalue of the non-normal raw matrix can split with a
-    # small imaginary residue near thresholds; track it instead of warning
-    # per direction, the verdict uses real parts
+    # P or rho large enough to overflow the symbol entries ends as the
+    # DomainError of _eigvals, without numpy's overflow warnings first
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw, gauge = symbol_stacks(SymTensor3(sign * p_frame.components, "upper"),
+                                   rho, directions)
+        blocks, raw_scale = quotient_blocks(raw, gauge, directions)
+        eigs = _eigvals(blocks)
+    # the verdict uses real parts; imaginary residue is tracked, not warned
+    # about per direction
     imag_residue = float(np.abs(eigs.imag).max())
-    raw_scale = max(1.0, float(np.abs(raw).max()))
-    min_raw = float(raw_eigs.min())
-    min_abs_raw = float(np.abs(raw_eigs).min())
-    min_modified = float(mod_eigs.min())
+    lowest = float(eigs.real.min())
+    min_raw = min(0.0, lowest)
+    min_modified = min(1.0, lowest)
 
-    # right at the weak boundary the structural zero eigenvalue becomes
-    # defective and eigensolvers split it by ~sqrt(machine eps), so the
-    # weak classification needs a matching tolerance
+    # weak: nothing below the raw spectrum's three structural zeros, up to a
+    # tolerance scaled like the symbol (at the weak boundary B's eigenvalue
+    # carries only rounding error, far below it)
     weak_floor = max(floor, 1e-7 * raw_scale)
     if min_modified >= floor:
         verdict = "strictly_parabolic_deturck"
-    elif min_raw >= -weak_floor and min_abs_raw <= weak_floor:
+    elif min_raw >= -weak_floor:
         verdict = "weakly_parabolic"
     else:
         verdict = "not_parabolic"

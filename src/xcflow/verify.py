@@ -523,6 +523,51 @@ def _sweep_batched(rng, cases):
     return _verdict(worst, 1e-13, f"max dev over {len(directions)} directions")
 
 
+@_check("symbol", "deflated_spectra_match_full_solve", default_cases=80)
+def _deflated_spectra(rng, cases):
+    # {0,0,0} + spec B and {1,1,1} + spec B against the full 6x6 solve of
+    # the raw and gauge-fixed stacks that `parabolicity` sweeps.  The case
+    # sign s enters the sweep only through the folded s P = Q diag(lam) Q^T,
+    # drawn here with lam of either sign.  Case i draws lam and rho by kind
+    # i % 4: random; random with rho = 0; rho within 1e-9 of the threshold
+    # min(lam) / 4, where B has an eigenvalue near the three structural
+    # zeros; lam near 1, where the gauge-fixed symbol has a five-fold
+    # eigenvalue.  The tolerances bound the error of the reference: the
+    # non-normal 6x6 solve splits an eigenvalue of B that meets a structural
+    # one by about sqrt(machine eps), which random data approach in some
+    # lattice directions
+    labels = ("random", "rho = 0", "near threshold", "five-fold")
+    tols = (1e-8, 1e-8, 1e-7, 1e-10)
+    worst = [0.0] * 4
+    lattice = sb.unit_directions(sb.DEFAULT_DIRECTION_SAMPLES)
+    for i in range(cases):
+        kind = i % 4
+        q = _random_rotation(rng)
+        if kind == 2:
+            lam = rng.uniform(0.1, 5.0, 3)
+            rho = lam.min() / 4.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-15, -9)
+        elif kind == 3:
+            lam = 1.0 + rng.uniform(-1e-12, 1e-12, 3)
+            rho = rng.uniform(-2.0, 2.0)
+        else:
+            lam = rng.uniform(-5.0, 5.0, 3)
+            rho = rng.uniform(-2.0, 2.0) if kind == 0 else 0.0
+        directions = np.vstack([lattice, q.T])
+        raw, gauge = sb.symbol_stacks(cv.SymTensor3.from_matrix((q * lam) @ q.T, "upper"),
+                                      float(rho), directions)
+        blocks, raw_scale = sb.quotient_blocks(raw, gauge, directions)
+        quotient = np.linalg.eigvals(blocks).real
+        for structural, full in ((0.0, raw), (1.0, raw - gauge)):
+            deflated = np.sort(np.hstack([np.full((len(directions), 3), structural),
+                                          quotient]), axis=1)
+            reference = np.sort(np.linalg.eigvals(full).real, axis=1)
+            worst[kind] = max(worst[kind],
+                              float(np.abs(deflated - reference).max()) / raw_scale)
+    passed = all(w <= tol for w, tol in zip(worst, tols))
+    return passed, "max dev / symbol scale: " + ", ".join(
+        f"{label} {w:.1e} (tol {tol:.0e})" for label, w, tol in zip(labels, worst, tols))
+
+
 @_check("symbol", "parabolicity_rotated_anisotropic_threshold", default_cases=50)
 def _rotated_anisotropic(rng, cases):
     # P = s Q diag(0.2, 5, 5) Q^T puts the critical direction off the

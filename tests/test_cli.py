@@ -25,12 +25,15 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
     ["--p=nan,0,0,1,1,0"],
     ["--frame=1,2,3", "--xi=0,0,0"],
     ["--p=1,0.1,0,2,3,0.2", "--rho=1e308"],  # the symbol entries overflow
+    ["--frame=1,2,3", "--direction-samples=1e9"],  # refused before the lattice is built
 ])
 def test_symbol_bad_input_exits_3_before_printing(argv, capsys):
-    assert cli.main(["symbol", *argv]) == cli.EXIT_NUMERIC
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow ends in the error line alone
+        assert cli.main(["symbol", *argv]) == cli.EXIT_NUMERIC
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: ")
+    assert err.count("\n") == 1 and err.startswith("error: ")
     assert "Traceback" not in err
 
 
@@ -90,6 +93,18 @@ def test_flow_bad_values_exit_3_before_printing(override, capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_flow_step_count_above_the_bound_never_starts_the_loop(monkeypatch, capsys):
+    def loop(*args, **kwargs):
+        raise AssertionError("integrate was called")
+
+    monkeypatch.setattr(cli.fl, "integrate", loop)
+    argv = ["flow", "--rho", "0", "--epsilon", "1", "--lambda", "1e-3", "--dt", "1e-300",
+            "--t-end", "1"]
+    assert cli.main(argv) == cli.EXIT_NUMERIC
+    _, err = capsys.readouterr()
+    assert err.startswith("error: dt is too small for t_end") and "steps" in err
 
 
 @pytest.mark.parametrize("command,lines", [
@@ -222,6 +237,7 @@ def _run_main(argv, capsys):
 
 _FRAME = ["--frame=1,2,3"]
 _FLOW_NO_EPSILON = ["--rho=0", "--lambda=2", "--dt=1e-3", "--t-end=0.1"]
+_FLOW_NO_LAMBDA = ["--rho=0", "--epsilon=-1", "--dt=1e-3", "--t-end=0.01"]
 
 # (command, flags completing the run, key, value, exit code by either route)
 PROBES = [
@@ -244,6 +260,11 @@ PROBES = [
     ("symbol", _FRAME, "seed", "1", cli.EXIT_USAGE),
     ("flow", FLOW_ARGS, "seed", "1", cli.EXIT_USAGE),
     ("verify", [], "seed", "-1", cli.EXIT_USAGE),
+    # negative values that argparse alone would read as options
+    ("flow", _FLOW_NO_LAMBDA, "lambda", "-1e100", cli.EXIT_OK),
+    ("flow", _FLOW_NO_LAMBDA, "lambda", "-1e-3", cli.EXIT_OK),
+    ("symbol", _FRAME, "rho", "-inf", cli.EXIT_NUMERIC),
+    ("symbol", [], "frame", "-1e-3,2,3", cli.EXIT_OK),
 ]
 
 
@@ -255,8 +276,12 @@ def test_flag_and_config_line_give_the_same_result(command, base, key, value, ex
     plain = key in ("output", "format", "seed")
     (tmp_path / "run.cfg").write_text(
         f"{key} = {value}\n" if plain else f"{command}.{key} = {value}\n", encoding="utf-8")
+    flag = "--" + key.replace("_", "-")
+    routes = [[f"{flag}={value}"], ["--config", "run.cfg"]]
+    if not any(k.name == key and k.convert is cli._boolean for k in cli.COMMANDS[command].keys):
+        routes.append([flag, value])  # the value as a separate word
     results = []
-    for extra in ([f"--{key.replace('_', '-')}={value}"], ["--config", "run.cfg"]):
+    for extra in routes:
         code, out, err = _run_main([command, *base, *extra], capsys)
         assert "Traceback" not in err
         if code == cli.EXIT_USAGE:
@@ -266,7 +291,7 @@ def test_flag_and_config_line_give_the_same_result(command, base, key, value, ex
             written = (tmp_path / value).read_text(encoding="utf-8")
             (tmp_path / value).unlink()
         results.append((code, out, written))
-    assert results[0] == results[1]
+    assert all(result == results[0] for result in results)
     assert results[0][0] == expected
 
 

@@ -12,6 +12,7 @@ from xcflow.errors import (
 from xcflow.cli import write_trace_csv
 from xcflow.flow import (
     DEFAULT_C_MIN,
+    MAX_STEPS,
     FlowParams,
     TraceRecord,
     closed_form_c,
@@ -50,6 +51,13 @@ class TestFlowParams:
             FlowParams(rho=0.0, epsilon=+1, lam=2.0, dt=2.0, t_end=1.0)
         with pytest.raises(DomainError):
             FlowParams(rho=0.0, epsilon=+1, lam=2.0, dt=-1e-3, t_end=1.0)
+
+    def test_step_count_bound(self):
+        params = FlowParams(rho=0.0, epsilon=+1, lam=1e-3, dt=1.0, t_end=float(MAX_STEPS))
+        assert params.t_end / params.dt == MAX_STEPS
+        for dt in (0.5, 1e-300, 5e-324):
+            with pytest.raises(DomainError, match="steps"):
+                FlowParams(rho=0.0, epsilon=+1, lam=1e-3, dt=dt, t_end=float(MAX_STEPS))
 
     @pytest.mark.parametrize("field", ["rho", "lam", "dt", "t_end"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

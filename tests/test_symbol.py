@@ -3,13 +3,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import special_ortho_group
 
+from xcflow import symbol as symbol_module
 from xcflow.curvature import Riemann3, SymTensor3, einstein_raised, pack, unpack
-from xcflow.errors import DomainError
+from xcflow.errors import DomainError, InternalConsistencyError
 from xcflow.symbol import (
+    MAX_DIRECTION_SAMPLES,
     STRICTNESS_FLOOR,
     ParabolicityReport,
     SymbolMatrix,
     parabolicity,
+    quotient_blocks,
     spectrum,
     stated_threshold,
     symbol_deturck_correction,
@@ -155,6 +158,50 @@ class TestStacks:
         assert np.array_equal(symbol_modified(p, 0.7, xi).entries, raw[0] - gauge[0])
 
 
+class TestDeflation:
+    def test_quotient_spectrum_is_the_closed_form(self):
+        # spec B = {q, q, q - 4 rho}, q = xi^T P xi, in every direction
+        rng = np.random.default_rng(34)
+        directions = unit_directions(60)
+        for _ in range(5):
+            p = sym_upper(rng)
+            rho = float(rng.uniform(-2, 2))
+            blocks, _ = quotient_blocks(*symbol_stacks(p, rho, directions), directions)
+            q = np.einsum("na,ab,nb->n", directions, p.matrix, directions)
+            expected = np.sort(np.column_stack([q, q, q - 4 * rho]), axis=1)
+            got = np.linalg.eigvals(blocks)
+            assert np.abs(got.imag).max() < 1e-12
+            assert np.abs(np.sort(got.real, axis=1) - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("stack, on", [("raw", "K"), ("gauge", "K"), ("gauge", "T")])
+    @pytest.mark.parametrize("error, raises", [(1e-9, True), (1e-13, False)])
+    def test_structure_residuals_catch_a_perturbed_stack(self, stack, on, error, raises,
+                                                         monkeypatch):
+        # a rank-one error m -> error * scale * tr(u m) e_11 along u = xi xi^T
+        # in K, or the projector I - xi xi^T in T; the raw error sits on K, so
+        # B and the verdict stay as they were and only a residual sees it
+        kernel = symbol_module.symbol_stacks
+
+        def perturbed(p, rho, xis):
+            raw, gauge = kernel(p, rho, xis)
+            u = np.einsum("na,nb->nab", xis, xis)
+            if on == "T":
+                u = (np.eye(3) - u) / np.sqrt(2.0)
+            dual = u[:, [0, 0, 0, 1, 2, 1], [0, 1, 2, 1, 2, 2]] * [1.0, 2.0, 2.0, 1.0, 1.0, 2.0]
+            scale = max(1.0, np.abs(raw).max()) if stack == "raw" else 1.0
+            delta = np.zeros((len(xis), 6, 6))
+            delta[:, 0, :] = error * scale * dual
+            return (raw + delta, gauge) if stack == "raw" else (raw, gauge + delta)
+
+        monkeypatch.setattr(symbol_module, "symbol_stacks", perturbed)
+        p = SymTensor3(np.array([3.0, 0.4, -0.2, 2.0, 1.0, 0.3]), "upper")
+        if raises:
+            with pytest.raises(InternalConsistencyError, match="symbol structure"):
+                parabolicity(p, IDENTITY, 0.2)
+        else:
+            assert parabolicity(p, IDENTITY, 0.2).verdict == "strictly_parabolic_deturck"
+
+
 class TestDeturckCorrection:
     def test_identity_variation_at_e1(self):
         out = symbol_deturck_correction(E1).apply(np.eye(3))
@@ -295,7 +342,7 @@ class TestParabolicity:
     def test_raw_flow_is_weakly_parabolic_below_threshold(self):
         # without gauge fixing the kernel keeps three zero eigenvalues
         rep = parabolicity(P_IDENTITY, IDENTITY, 0.1)
-        assert rep.min_raw_eig > -1e-9
+        assert rep.min_raw_eig == 0.0  # the structural zeros are exact, not solved for
         assert rep.verdict == "strictly_parabolic_deturck"
 
     def test_weak_verdict_at_exact_threshold(self):
@@ -353,6 +400,8 @@ class TestParabolicity:
         {"rho": float("inf")},
         {"p": SymTensor3(np.array([np.nan, 0, 0, 1.0, 1.0, 0]), "upper")},
         {"direction_samples": 0},
+        {"direction_samples": MAX_DIRECTION_SAMPLES + 1},
+        {"direction_samples": 10**12},  # refused before the lattice is built
     ])
     def test_bad_input_raises_domain_error(self, bad):
         args = {"p": P_IDENTITY, "g": IDENTITY, "rho": 0.0, **bad}
