@@ -344,14 +344,11 @@ def cmd_curvature(options: dict, stdout: IO[str]) -> int:
         "cross_curvature": {
             "contraction_form": list(h.components),
             "mu_form": list(forms.mu_form.components),
-            "determinant_form": (None if forms.determinant_form is None
-                                 else list(forms.determinant_form.components)),
+            "determinant_form": list(forms.determinant_form.components),
             "determinant_singular": forms.determinant_singular,
             "max_pairwise_dev": forms.max_pairwise_dev,
         },
         "h_eigenvalues": [float(v) for v in h_eigs],
-        "warnings": (["determinant form unavailable: P is singular"]
-                     if forms.determinant_singular else []),
     }
 
     print(f"g: {_vec_str(g.components)}", file=stdout)
@@ -361,16 +358,10 @@ def cmd_curvature(options: dict, stdout: IO[str]) -> int:
     print(f"frame a,b,c: {fmt(frame.a)},{fmt(frame.b)},{fmt(frame.c)}", file=stdout)
     print(f"h (contraction): {_vec_str(h.components)}", file=stdout)
     print(f"h (mu form): {_vec_str(forms.mu_form.components)}", file=stdout)
-    if forms.determinant_form is None:
-        print("h (determinant): unavailable (P singular)", file=stdout)
-    else:
-        print(f"h (determinant): {_vec_str(forms.determinant_form.components)}",
-              file=stdout)
+    print(f"h (determinant): {_vec_str(forms.determinant_form.components)}", file=stdout)
     print(f"h max pairwise deviation: {fmt(forms.max_pairwise_dev)}", file=stdout)
     print(f"h eigenvalues: {_vec_str(sorted(report['h_eigenvalues'], reverse=True))}",
           file=stdout)
-    for warning in report["warnings"]:
-        print(f"warning: {warning}", file=stdout)
 
     _write_report(report, options["output"], options["format"])
     return EXIT_OK

@@ -3,10 +3,12 @@
 Everything here operates on value types at a single point: a symmetric
 3x3 metric, its first and second coordinate derivatives (a "jet"), the
 fully lowered Riemann tensor, and the symmetric 2-tensors derived from
-them.  The cross curvature tensor is computed by three independent
-routes (determinant form, contraction form, volume-form contraction)
-that cross-check each other; the Einstein tensor with raised indices is
-computed by two.
+them.  The Einstein tensor with raised indices, P, is the volume-form
+value, checked against the trace form relative to ||P||_F.  The cross
+curvature tensor is computed by three independent routes (determinant
+form, contraction form, volume-form contraction), all three for every P,
+and each pair is checked relative to det(g) ||P||_F^2: one path at every
+scale, with no branch for a singular P.
 
 Sign conventions are pinned by the unit round 3-sphere: in an
 orthonormal frame R_1212 = +1, the Ricci tensor is 2g, the scalar
@@ -254,7 +256,7 @@ class Riemann3:
         r = np.asarray(lowered, dtype=float)
         if r.shape != (3, 3, 3, 3):
             raise DomainError(f"lowered Riemann must have shape (3,3,3,3), got {r.shape}")
-        scale = max(np.abs(r).max(), 1.0)
+        scale = np.abs(r).max()
         for residual in (
             r + r.transpose(1, 0, 2, 3),
             r + r.transpose(0, 1, 3, 2),
@@ -342,17 +344,20 @@ def _h_determinant(det_g: float, p_components: list[float]) -> np.ndarray:
     return det_g * unpack(_sym_adjugate_det(*p_components)[0])
 
 
-def _rel_dev(x: np.ndarray, y: np.ndarray) -> float:
-    """max |x - y| / max(max |x|, max |y|, 1e-300), in Python floats.
+def _rel_dev(x: np.ndarray, y: np.ndarray, *scale: float) -> float:
+    """max |x - y| divided by each factor of `scale` in turn, in Python floats.
 
-    NaN when any entry is not finite, as numpy's reductions give it, so the
-    finite check of the tensor built from x or y reports that input.
+    The input sets the scale, so a value near zero is not rounding noise
+    measured against itself.  Raises DomainError when an entry is not
+    finite: the input overflowed and no deviation can be measured.
     """
     xs, ys = x.ravel().tolist(), y.ravel().tolist()
     if not all(map(math.isfinite, xs + ys)):
-        return math.nan
-    scale = max(1e-300, *map(abs, xs), *map(abs, ys))
-    return max(map(abs, map(operator.sub, xs, ys))) / scale
+        raise DomainError("curvature values overflow; the input must keep them finite")
+    dev = max(map(abs, map(operator.sub, xs, ys)))
+    for factor in scale:  # a zero factor leaves 0 at 0 and makes the rest huge
+        dev /= max(factor, math.ulp(0.0))
+    return dev
 
 
 def _ricci_pass(riem: Riemann3, g: SymTensor3) -> tuple[float, np.ndarray, SymTensor3, float]:
@@ -367,23 +372,26 @@ def _ricci_pass(riem: Riemann3, g: SymTensor3) -> tuple[float, np.ndarray, SymTe
     return det_g, ginv, SymTensor3.from_matrix(ric, "lower"), scalar
 
 
-def _einstein_pass(riem: Riemann3, g: SymTensor3) -> tuple[float, SymTensor3]:
-    """det g and the checked raised Einstein-type tensor P of one (riem, g) pair.
+def _einstein_pass(riem: Riemann3, g: SymTensor3) -> tuple[float, SymTensor3, float]:
+    """det g, the checked raised Einstein-type tensor P and ||P||_F of one pair.
 
-    P is the trace form (R/2) g^ij - Ric^ij on the Ricci pass's g^-1, Ric
-    and R, compared with the volume-form value 1/4 mu^irs mu^jkl R_rskl
-    (`riem.bivector_form`); disagreement beyond tolerance raises
-    InternalConsistencyError, which indicates an inconsistent (riem, g) pair.
+    P is the volume-form value `riem.bivector_form`, which keeps every
+    sectional curvature.  The trace form (R/2) g^ij - Ric^ij on the Ricci
+    pass's g^-1, Ric and R checks it relative to ||P||_F (it cancels the
+    curvatures below about 1e-16 ||P||_F); disagreement beyond tolerance
+    raises InternalConsistencyError, which indicates an inconsistent pair.
     """
     det_g, ginv, ric, scalar = _ricci_pass(riem, g)
-    trace_form = _p_trace(ginv, ric.matrix, scalar)
-    dev = _rel_dev(trace_form, riem.bivector_form.matrix)
+    p = riem.bivector_form
+    comps = p.components.tolist()
+    p_norm = math.hypot(*comps, comps[1], comps[2], comps[5])
+    dev = _rel_dev(_p_trace(ginv, ric.matrix, scalar), p.matrix, p_norm)
     if dev > FORMULA_AGREEMENT_RTOL:
         raise InternalConsistencyError(
             f"trace and volume-form evaluations of the raised Einstein tensor "
             f"disagree (relative deviation {dev:.3e}); riem and g are inconsistent"
         )
-    return det_g, SymTensor3.from_matrix(trace_form, "upper")
+    return det_g, p, p_norm
 
 
 def ricci(riem: Riemann3, g: SymTensor3) -> tuple[SymTensor3, float]:
@@ -395,11 +403,11 @@ def ricci(riem: Riemann3, g: SymTensor3) -> tuple[SymTensor3, float]:
 def einstein_raised(riem: Riemann3, g: SymTensor3) -> SymTensor3:
     """Raised Einstein-type tensor P^ij with sectional-curvature eigenvalues.
 
-    Two independent evaluations: the trace form (R/2) g^ij - Ric^ij and the
-    volume-form contraction 1/4 mu^irs mu^jkl R_rskl.  The sign of the trace
-    form is fixed so both agree; on the unit sphere P is the identity.
-    Disagreement beyond tolerance raises InternalConsistencyError, which
-    indicates an inconsistent (riem, g) pair.  Returns the trace form.
+    Returns the volume-form contraction 1/4 mu^irs mu^jkl R_rskl, which
+    `Riemann3` already carries; on the unit sphere P is the identity.  The
+    trace form (R/2) g^ij - Ric^ij checks it to within 1e-10 ||P||_F, and
+    disagreement raises InternalConsistencyError, which indicates an
+    inconsistent (riem, g) pair.
     """
     return _einstein_pass(riem, g)[1]
 
@@ -408,14 +416,16 @@ def einstein_raised(riem: Riemann3, g: SymTensor3) -> SymTensor3:
 class CrossCurvatureForms:
     """All evaluations of the cross curvature tensor, for cross-checking.
 
-    `determinant_form` is det(g) adj(P), None when P is numerically
-    singular by the scale-free cutoff |det(P / ||P||_F)| <= 1e-12; then
-    `determinant_singular` is set and only the other two are compared.
+    `determinant_form` is det(g) adj(P), present for every P.
+    `determinant_singular` records whether P is numerically singular by
+    the scale-free cutoff |det(P / ||P||_F)| <= 1e-12; it selects nothing.
+    `max_pairwise_dev` is the largest deviation among the three pairs,
+    relative to det(g) ||P||_F^2, the size adj(P) can reach.
     """
 
     contraction_form: SymTensor3
     mu_form: SymTensor3
-    determinant_form: SymTensor3 | None
+    determinant_form: SymTensor3
     determinant_singular: bool
     max_pairwise_dev: float
 
@@ -429,27 +439,23 @@ def cross_curvature_forms(riem: Riemann3, g: SymTensor3) -> CrossCurvatureForms:
                  times the inverse of P^kl when P is invertible
 
     P, det g and mu^ijk = eps_ijk / sqrt(det g) come from one pass over
-    (riem, g).  The determinant form is skipped when P is singular to
-    within |det(P / ||P||_F)| <= 1e-12, a test with no overflow at any
-    finite scale of P.
+    (riem, g).  All three pairs are compared relative to det(g) ||P||_F^2,
+    which scales like h under g -> s g and bounds it, so a vanishing h (a
+    singular or zero P) is checked like any other.  The scale is divided in
+    two steps because ||P||_F^2 alone overflows where h is still finite.
     """
-    det_g, p_t = _einstein_pass(riem, g)
+    det_g, p_t, p_norm = _einstein_pass(riem, g)
     r = riem.lowered
-    p = p_t.matrix
-
-    h_con = _h_contraction(p, r)
-    h_mu = _h_mu(r, _EPS3 / math.sqrt(det_g))
-
     comps = p_t.components.tolist()
-    p_norm = math.hypot(*comps, comps[1], comps[2], comps[5])  # ||P||_F
-    unit_det = _sym_adjugate_det(*(v / p_norm for v in comps))[1] if p_norm else 0.0
-    singular = abs(unit_det) <= 1e-12
-    h_det = None if singular else _h_determinant(det_g, comps)
 
-    devs = [_rel_dev(h_con, h_mu)]
-    if h_det is not None:
-        devs += [_rel_dev(h_con, h_det), _rel_dev(h_mu, h_det)]
-    max_dev = max(devs)
+    h_con = _h_contraction(p_t.matrix, r)
+    h_mu = _h_mu(r, _EPS3 / math.sqrt(det_g))
+    h_det = _h_determinant(det_g, comps)
+    unit_det = _sym_adjugate_det(*(v / p_norm for v in comps))[1] if p_norm else 0.0
+
+    scale = (det_g * p_norm, p_norm)
+    max_dev = max(_rel_dev(h_con, h_mu, *scale), _rel_dev(h_con, h_det, *scale),
+                  _rel_dev(h_mu, h_det, *scale))
     if max_dev > FORMULA_AGREEMENT_RTOL:
         raise InternalConsistencyError(
             f"cross curvature formulas disagree (relative deviation {max_dev:.3e})"
@@ -458,16 +464,15 @@ def cross_curvature_forms(riem: Riemann3, g: SymTensor3) -> CrossCurvatureForms:
     return CrossCurvatureForms(
         contraction_form=SymTensor3.from_matrix(0.5 * (h_con + h_con.T)),
         mu_form=SymTensor3.from_matrix(0.5 * (h_mu + h_mu.T)),
-        determinant_form=None if h_det is None else SymTensor3.from_matrix(h_det),
-        determinant_singular=singular,
+        determinant_form=SymTensor3.from_matrix(h_det),
+        determinant_singular=abs(unit_det) <= 1e-12,
         max_pairwise_dev=max_dev,
     )
 
 
 def cross_curvature(riem: Riemann3, g: SymTensor3) -> SymTensor3:
-    """Cross curvature tensor h_ij (the contraction-form value, which is
-    defined even when P is singular); all available formulas are
-    cross-checked before returning."""
+    """Cross curvature tensor h_ij (the contraction-form value); all three
+    formulas are cross-checked before returning."""
     return cross_curvature_forms(riem, g).contraction_form
 
 
@@ -542,8 +547,8 @@ def jet_from_function(
     symmetric under the derivative-pair swap exactly.  With richardson=True
     the step and half-step estimates are combined to fourth order.
     """
-    if step <= 0.0:
-        raise DomainError("finite-difference step must be positive")
+    if not (math.isfinite(step) and step > 0.0):
+        raise DomainError(f"finite-difference step must be finite and positive, got {step!r}")
 
     def _sample(point: np.ndarray) -> np.ndarray:
         value = np.asarray(g_fn(point), dtype=float)

@@ -87,7 +87,7 @@ def _covector(xi) -> np.ndarray:
     v = np.asarray(xi, dtype=float)
     if v.shape != (3,):
         raise DomainError(f"covector must have 3 components, got shape {v.shape}")
-    if not np.all(np.isfinite(v)) or np.linalg.norm(v) == 0.0:
+    if not np.all(np.isfinite(v)) or not v.any():
         raise DomainError("covector must be finite and nonzero")
     return v
 
@@ -160,7 +160,10 @@ def symbol_stacks(p: SymTensor3, rho: float, xis) -> tuple[np.ndarray, np.ndarra
 
 def _one_direction(p: SymTensor3, rho, xi, normalize: bool):
     xi_v = _covector(xi)
-    v = xi_v / np.linalg.norm(xi_v) if normalize else xi_v
+    v = xi_v
+    if normalize:  # largest |component| first: the norm neither over- nor underflows
+        v = xi_v / np.abs(xi_v).max()
+        v /= np.linalg.norm(v)
     raw, gauge = symbol_stacks(p, rho, v[None])
     return xi_v, raw[0], gauge[0]
 
@@ -223,13 +226,13 @@ def spectrum(m: SymbolMatrix | np.ndarray) -> np.ndarray:
     """Eigenvalues of a symbol matrix, sorted ascending by real part.
 
     The matrices arising here have real spectra; imaginary residue above
-    1e-10 is surfaced as a ComplexEigenvalueWarning rather than dropped
-    silently.
+    1e-10 max(1, max |entries|) is surfaced as a ComplexEigenvalueWarning
+    rather than dropped silently.
     """
     entries = m.entries if isinstance(m, SymbolMatrix) else np.asarray(m, dtype=float)
     vals = _eigvals(entries)
     residue = float(np.abs(vals.imag).max())
-    if residue > IMAG_RESIDUE_TOL:
+    if residue > IMAG_RESIDUE_TOL * max(1.0, float(np.abs(entries).max())):
         warnings.warn(
             f"symbol spectrum has imaginary residue {residue:.3e}",
             ComplexEigenvalueWarning,
@@ -355,8 +358,9 @@ class ParabolicityReport:
     spec B and the gauge-fixed one {1, 1, 1} + spec B, so `min_raw_eig` is
     min(0, min spec B) with exact structural zeros and `min_modified_eig`
     is min(1, min spec B).  `max_imag_residue` is the largest imaginary
-    part among the eigenvalues of B.  `direction_samples` counts the
-    lattice directions only.
+    part among the eigenvalues of B over the symbol scale max(1, max |raw|),
+    so IMAG_RESIDUE_TOL bounds it relatively.  `direction_samples` counts
+    the lattice directions only.
     """
 
     case: str
@@ -424,7 +428,7 @@ def parabolicity(
         eigs = _eigvals(blocks)
     # the verdict uses real parts; imaginary residue is tracked, not warned
     # about per direction
-    imag_residue = float(np.abs(eigs.imag).max())
+    imag_residue = float(np.abs(eigs.imag).max()) / raw_scale
     lowest = float(eigs.real.min())
     min_raw = min(0.0, lowest)
     min_modified = min(1.0, lowest)

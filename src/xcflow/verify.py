@@ -247,17 +247,10 @@ def _volume_raising(rng, cases):
 @_check("tensor_core", "cross_curvature_triple_agreement", default_cases=1000)
 def _triple_agreement(rng, cases):
     worst = 0.0
-    skipped = 0
     for _ in range(cases):
         riem, g = _frame_data(rng, _random_frame(rng))
-        forms = cv.cross_curvature_forms(riem, g)
-        if forms.determinant_singular:
-            skipped += 1
-        worst = max(worst, forms.max_pairwise_dev)
-    ok, detail = _verdict(worst, 1e-10, "max pairwise rel dev")
-    if skipped:
-        detail += f", determinant form skipped {skipped}x"
-    return ok, detail
+        worst = max(worst, cv.cross_curvature_forms(riem, g).max_pairwise_dev)
+    return _verdict(worst, 1e-10, "max pairwise rel dev")
 
 
 @_check("tensor_core", "cross_curvature_eigenvalue_law", default_cases=1000)
@@ -628,8 +621,11 @@ def _rhs_agreement(rng, cases):
                                        lam=lam, dt=1e-4, t_end=1.0)
                 a = fl.einstein_rhs(c, params)
                 b = fl.engine_rhs(c, params)
-                worst = max(worst, abs(a - b) / max(abs(a), abs(b), 1e-300))
-    return _verdict(worst, 1e-10, "max rel dev over grid")
+                # relative to the larger of the two terms lam^2 / (2c) and
+                # 6 rho lam, not to a and b: at an equilibrium both are 0
+                terms = max(lam**2 / (2.0 * c), abs(6.0 * rho * lam))
+                worst = max(worst, abs(a - b) / terms)
+    return _verdict(worst, 1e-10, "max dev over grid, relative to the larger RHS term")
 
 
 def _sphere_params(dt=1e-4, t_end=0.2):

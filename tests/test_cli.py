@@ -220,10 +220,55 @@ def test_curvature_determinant_form_at_every_scale(frame, singular, tmp_path, ca
                          "--format", "json"])
     assert code == cli.EXIT_OK
     out, _ = capsys.readouterr()
-    report = json.loads(path.read_text(encoding="utf-8"))["cross_curvature"]
+    full = json.loads(path.read_text(encoding="utf-8"))
+    report = full["cross_curvature"]
     assert report["determinant_singular"] is singular
-    assert (report["determinant_form"] is None) is singular
-    assert ("determinant form unavailable" in out) is singular
+    # present for every P, within 1e-12 det(g) ||P||_F^2 of the contraction form
+    p = full["einstein_raised"]
+    p_norm = math.hypot(*p, p[1], p[2], p[5])
+    dev = max(abs(x - y) for x, y in zip(report["determinant_form"],
+                                         report["contraction_form"]))
+    assert dev <= 1e-12 * p_norm * p_norm
+    assert "unavailable" not in out and "warning" not in out
+
+
+@pytest.mark.parametrize("frame, h_eigenvalues", [
+    ("1e17,1,1", [1.0, 1e17, 1e17]),
+    ("1e60,1,1", [1.0, 1e60, 1e60]),
+    ("1,2,1e90", [2.0, 1e90, 2e90]),
+])
+def test_curvature_keeps_small_curvatures_next_to_large(frame, h_eigenvalues, tmp_path):
+    # P is the volume-form value, which the trace form's cancellation
+    # cannot reach, so h = (bc, ac, ab) comes out exact
+    path = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["curvature", f"--frame={frame}", "--output", str(path),
+                         "--format", "json"])
+    assert code == cli.EXIT_OK
+    assert json.loads(path.read_text(encoding="utf-8"))["h_eigenvalues"] == h_eigenvalues
+
+
+@pytest.mark.parametrize("step", ["nan", "inf"])
+def test_curvature_non_finite_fd_step_is_named(step, capsys):
+    code = cli.main(["curvature", "--jet-from-chart=sphere", f"--fd-step={step}"])
+    assert code == cli.EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    assert out == "" and "finite-difference step must be finite" in err
+
+
+def _spectrum_lines(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["symbol", *argv]) == cli.EXIT_OK
+    out, _ = capsys.readouterr()
+    return [line for line in out.splitlines() if line.startswith(("raw:", "deturck:"))]
+
+
+@pytest.mark.parametrize("xi", ["1e200,1e200,0", "1e-200,1e-200,0"])
+def test_symbol_covector_scale_does_not_change_the_spectrum(xi, capsys):
+    want = _spectrum_lines(["--frame=1,2,3", "--xi=1,1,0"], capsys)
+    assert _spectrum_lines(["--frame=1,2,3", f"--xi={xi}"], capsys) == want
 
 
 def _run_main(argv, capsys):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -36,6 +37,14 @@ def constant_jet(g: SymTensor3) -> MetricJet:
 def spd(rng, scale=1.0):
     m = rng.uniform(-1.0, 1.0, (3, 3))
     return SymTensor3.from_matrix(scale * (m @ m.T + 0.5 * np.eye(3)))
+
+
+def assert_determinant_form_matches(forms, p, det_g=1.0):
+    """The determinant form equals the contraction form within
+    1e-12 det(g) ||P||_F^2, the size adj(P) can reach."""
+    p_norm = np.linalg.norm(p.matrix)
+    dev = np.abs(forms.determinant_form.matrix - forms.contraction_form.matrix).max()
+    assert dev <= 1e-12 * det_g * p_norm * p_norm
 
 
 def gen_eigs(t, g):
@@ -247,6 +256,12 @@ class TestRiemann:
         bad[0, 1, 0, 1] = 1.0  # missing the antisymmetric partners
         with pytest.raises(DomainError):
             Riemann3.from_lowered(bad, IDENTITY)
+        # the test is scale-free: small noise is no curvature tensor either
+        noise = 1e-13 * np.random.default_rng(61).standard_normal((3, 3, 3, 3))
+        with pytest.raises(DomainError, match="Riemann algebraic symmetries"):
+            Riemann3.from_lowered(noise, IDENTITY)
+        flat = Riemann3.from_lowered(np.zeros((3, 3, 3, 3)), IDENTITY)
+        assert not flat.bivector_form.components.any()
 
     def test_sphere_sign_convention(self):
         # unit round sphere has R_1212 = +1 in an orthonormal frame
@@ -304,11 +319,12 @@ class TestCrossCurvature:
         h = cross_curvature(Riemann3.from_frame(1.0, 1.0, 1.0), IDENTITY)
         assert np.abs(h.matrix - np.eye(3)).max() < 1e-15
 
-    def test_flat_contraction_form_defined_determinant_skipped(self):
+    def test_flat_h_is_zero_by_every_route(self):
         forms = cross_curvature_forms(Riemann3.space_form(0.0, IDENTITY), IDENTITY)
         assert np.abs(forms.contraction_form.matrix).max() == 0.0
         assert forms.determinant_singular
-        assert forms.determinant_form is None
+        assert np.abs(forms.determinant_form.matrix).max() == 0.0
+        assert forms.max_pairwise_dev == 0.0
 
     def test_three_formulas_agree_on_rotated_frame(self):
         rng = np.random.default_rng(11)
@@ -317,7 +333,7 @@ class TestCrossCurvature:
         r = Riemann3.from_frame(-1.5, 2.0, 0.7, rotation=q)
         forms = cross_curvature_forms(r, IDENTITY)
         assert forms.max_pairwise_dev < 1e-12
-        assert forms.determinant_form is not None
+        assert_determinant_form_matches(forms, einstein_raised(r, IDENTITY))
 
     def test_h_shares_eigenvectors_with_p(self):
         rng = np.random.default_rng(13)
@@ -357,15 +373,65 @@ class TestCrossCurvature:
         # both ends lie where |det P| <= 1e-12 ||P||^3 would under- or
         # overflow; |det(P / ||P||_F)| does neither
         q, _ = np.linalg.qr(np.random.default_rng(43).standard_normal((3, 3)))
-        regular = cross_curvature_forms(
-            Riemann3.from_frame(-1.5 * scale, 2.0 * scale, 0.7 * scale, rotation=q), IDENTITY)
+        regular_r = Riemann3.from_frame(-1.5 * scale, 2.0 * scale, 0.7 * scale, rotation=q)
+        regular = cross_curvature_forms(regular_r, IDENTITY)
         assert not regular.determinant_singular
-        assert regular.determinant_form is not None
+        assert_determinant_form_matches(regular, einstein_raised(regular_r, IDENTITY))
         assert regular.max_pairwise_dev < 1e-12
-        singular = cross_curvature_forms(
-            Riemann3.from_frame(0.0, 2.0 * scale, 0.7 * scale, rotation=q), IDENTITY)
+        singular_r = Riemann3.from_frame(0.0, 2.0 * scale, 0.7 * scale, rotation=q)
+        singular = cross_curvature_forms(singular_r, IDENTITY)
         assert singular.determinant_singular
-        assert singular.determinant_form is None
+        assert_determinant_form_matches(singular, einstein_raised(singular_r, IDENTITY))
+
+
+# Sectional curvatures log-uniform in +-[1e-150, 1e150], zeros mixed in
+_SWEEP_VALUE = st.just(0.0) | st.builds(
+    lambda sign, exponent: sign * 10.0**exponent,
+    st.sampled_from([-1.0, 1.0]), st.floats(-150.0, 150.0))
+
+
+@given(st.tuples(_SWEEP_VALUE, _SWEEP_VALUE, _SWEEP_VALUE), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_cross_curvature_eigenvalues_at_every_scale(abc, seed):
+    # every check scales with the input, so no frame trips one; the
+    # eigenvalues of h are (bc, ac, ab) to within 1e-12 ||P||_F^2
+    from scipy.stats import special_ortho_group
+    a, b, c = abc
+    q = special_ortho_group.rvs(3, random_state=seed)  # Haar-distributed
+    h = cross_curvature(Riemann3.from_frame(a, b, c, rotation=q), IDENTITY)
+    got = np.linalg.eigvalsh(h.matrix)
+    want = np.sort([b * c, a * c, a * b])
+    assert np.abs(got - want).max() <= 1e-12 * (a * a + b * b + c * c)
+
+
+def _product_chart(q):
+    """S^2 x R in the linear chart x = q u: the round unit S^2 in conformal
+    coordinates (x1, x2) times the line x3."""
+    def g_fn(u):
+        x = q @ u
+        conformal = (1.0 + (x[0] ** 2 + x[1] ** 2) / 4.0) ** -2
+        return q.T @ np.diag([conformal, conformal, 1.0]) @ q
+    return g_fn
+
+
+def test_vanishing_h_passes_every_check():
+    # S^2 x R and the frame (0, 0, 1) have h = 0: each route's rounding is
+    # measured against det(g) ||P||^2, not against h itself
+    from scipy.stats import special_ortho_group
+    rng = np.random.default_rng(67)
+    for _ in range(20):
+        q = special_ortho_group.rvs(3, random_state=rng)
+        forms = cross_curvature_forms(Riemann3.from_frame(0.0, 0.0, 1.0, rotation=q), IDENTITY)
+        for h in (forms.contraction_form, forms.mu_form, forms.determinant_form):
+            assert np.abs(h.matrix).max() <= 1e-12
+        jet = jet_from_function(_product_chart(q), rng.uniform(-0.5, 0.5, 3),
+                                step=1e-3, richardson=True)
+        riem = riemann(jet)
+        forms = cross_curvature_forms(riem, jet.g)
+        p_norm = np.linalg.norm(einstein_raised(riem, jet.g).matrix)
+        assert abs(p_norm - 1.0) < 1e-6  # one unit sectional curvature
+        for h in (forms.contraction_form, forms.mu_form, forms.determinant_form):
+            assert np.abs(h.matrix).max() <= 1e-6 * p_norm**2
 
 
 def _mutation_inputs():
@@ -526,6 +592,11 @@ class TestJetFromFunction:
 
         with pytest.raises(DomainError):
             jet_from_function(g_fn, np.zeros(3), step=1e-3)
+
+    @pytest.mark.parametrize("step", [math.nan, math.inf])
+    def test_step_must_be_finite_and_positive(self, step):
+        with pytest.raises(DomainError, match="finite-difference step"):
+            jet_from_function(space_form_chart(1.0), np.zeros(3), step=step)
 
     def test_ddg_pair_symmetry_is_structural(self):
         jet = jet_from_function(space_form_chart(-1.0), np.array([0.1, 0.5, -0.4]))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from xcflow import symbol as symbol_module
 from xcflow.curvature import Riemann3, SymTensor3, einstein_raised, pack, unpack
 from xcflow.errors import DomainError, InternalConsistencyError
 from xcflow.symbol import (
+    IMAG_RESIDUE_TOL,
     MAX_DIRECTION_SAMPLES,
     STRICTNESS_FLOOR,
     ParabolicityReport,
@@ -86,6 +89,16 @@ class TestRawSymbol:
     def test_zero_covector_rejected(self):
         with pytest.raises(DomainError):
             symbol_raw(P_IDENTITY, 0.0, np.zeros(3))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_normalization_is_scale_free(self, scale):
+        # the norm of scale * xi over- or underflows; the largest component does not
+        p = SymTensor3(np.array([1.0, 0.0, 0.0, 2.0, 3.0, 0.0]), "upper")
+        want = symbol_raw(p, 0.1, [1.0, 1.0, 0.0]).entries
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = symbol_raw(p, 0.1, [scale, scale, 0.0]).entries
+        assert np.array_equal(got, want)
 
     def test_vectorized_action_matches_tensor_action(self):
         rng = np.random.default_rng(6)
@@ -286,6 +299,15 @@ class TestSpectrum:
                 SymTensor3.from_matrix(q @ p.matrix @ q.T, "upper"), rho, q @ xi))
             assert np.abs(base - moved).max() < 1e-9
 
+    def test_imaginary_residue_is_judged_relative_to_the_entries(self):
+        # at |P| ~ 1e150 rounding leaves imaginary parts far above 1e-10 in
+        # absolute terms, yet only ~1e-16 of the entries: no warning
+        rng = np.random.default_rng(22)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(20):
+                spectrum(symbol_raw(sym_upper(rng, span=1e150), 0.0, rng.normal(size=3)))
+
     def test_direction_dependence_through_quadratic_form(self):
         # at any unit direction the nonzero eigenvalues are xi'P xi (twice)
         # and xi'P xi - 4 rho
@@ -407,6 +429,10 @@ class TestParabolicity:
         args = {"p": P_IDENTITY, "g": IDENTITY, "rho": 0.0, **bad}
         with pytest.raises(DomainError):
             parabolicity(**args)
+
+    def test_imag_residue_is_relative_to_the_symbol_scale(self):
+        p = SymTensor3(np.array([1e150, 0.0, 0.0, 1.0, 1.0, 0.0]), "upper")
+        assert parabolicity(p, IDENTITY, 0.0).max_imag_residue <= IMAG_RESIDUE_TOL
 
     def test_report_types(self):
         rep = parabolicity(P_IDENTITY, IDENTITY, 0.0, direction_samples=16)
