@@ -364,11 +364,16 @@ def _ricci_pass(riem: Riemann3, g: SymTensor3) -> tuple[float, np.ndarray, SymTe
     """det g, g^-1, Ric_ij = g^kl R_kilj and R = g^ij Ric_ij, each once.
 
     The metric check gives det g; the one g^-1 serves both contractions.
+    Raises DomainError when Ric or R overflows.
     """
     det_g = _require_metric(g)
     ginv = np.linalg.inv(g.matrix)
     ric = np.einsum("kl,kilj->ij", ginv, riem.lowered)
     scalar = float(np.einsum("ij,ij->", ginv, ric))
+    # every entry of Ric enters R (times g^ij, and inf * 0 is nan), so a
+    # non-finite Ric makes R non-finite too
+    if not math.isfinite(scalar):
+        raise DomainError("curvature values overflow; the input must keep them finite")
     return det_g, ginv, SymTensor3.from_matrix(ric, "lower"), scalar
 
 

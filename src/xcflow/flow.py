@@ -12,14 +12,19 @@ of curvature lambda / (2 c).  The curvature engine provides an
 independent evaluation of the same coefficient (`engine_rhs`), used to
 cross-check the closed form.  The right-hand side is num / (2c) + a with
 run constants num = -eps * lambda^2, a = 6 * rho * lambda.  Integration
-is fixed-step classical RK4 in one fused scalar loop on those floats
-(checked bit for bit against `verify.reference_rk4_step`), with extinction
-detection (bisection-refined) and parabolicity-margin monitoring.
+is fixed-step classical RK4 on those floats, with extinction detection
+(bisection-refined) and parabolicity-margin monitoring, in one flat loop
+that makes no Python-level call on an accepted step.  `_rk4_step` is the
+named step, checked bit for bit against `verify.reference_rk4_step`; the
+bisection uses it, and the loop repeats it inline.  verify's
+`flow/integrate_matches_reference_replay` replays whole runs step by step
+against the reference step and `_record`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from math import isfinite
 from typing import NamedTuple
@@ -277,7 +282,7 @@ def integrate(
     c_min: float = DEFAULT_C_MIN,
     halt_on_parabolicity_loss: bool = False,
 ) -> FlowTrace:
-    """Integrate the reduced flow with fixed-step RK4 in one fused scalar loop.
+    """Integrate the reduced flow with fixed-step RK4 in one flat scalar loop.
 
     Events checked every step: extinction (c <= c_min; the crossing time
     is refined by bisection to dt * 1e-3 and the run truncates with
@@ -286,11 +291,24 @@ def integrate(
     steady state (|dc/dt| < 1e-14 for 10 consecutive steps).  The rate at
     an accepted c is also the next step's first stage, and a record reuses
     the step's margin.  Records are kept every `record_every` steps, plus
-    the initial and final states.  c_min must lie in (0, 1) and keep the
-    record at c_min finite; otherwise DomainError is raised before the loop.
+    the initial and final states.  record_every must be an integer >= 1
+    (not a bool); c_min must lie in (0, 1) and keep the record at c_min
+    finite; otherwise DomainError is raised before the loop.
+
+    An accepted step makes no Python-level call: the loop body repeats
+    `_rk4_step` (stage guards `0 < y < inf`), `_record` (the margin as
+    kappa times the stated-threshold factor of P = kappa g^-1) and the
+    record construction inline, operation for operation, so a trace is
+    bit for bit what those functions give.  verify's
+    `flow/integrate_matches_reference_replay` replays every accepted step
+    and record against `verify.reference_rk4_step` and `_record`.
     """
-    if record_every < 1:
-        raise DomainError("record_every must be a positive integer")
+    try:
+        every = operator.index(record_every)  # an int, or TypeError for 2.5 and nan
+    except TypeError:
+        every = 0
+    if every < 1 or isinstance(record_every, bool):
+        raise DomainError(f"record_every must be a positive integer, got {record_every!r}")
     _check_c_min(c_min, params)
 
     dt_full, t_end = params.dt, params.t_end
@@ -299,11 +317,15 @@ def integrate(
         n_steps += 1  # final partial step: the last t_next is capped at t_end
 
     num, a = _rhs_coefficients(params)
-    lam, epsilon, rho = params.lam, params.epsilon, params.rho
-    threshold, make_record = sb.stated_threshold, TraceRecord._make
+    lam, rho = params.lam, params.rho
+    lam3 = 3.0 * lam  # 3 lam / c evaluates as (3 lam) / c
+    # stated_threshold(kappa, kappa, eps) is kappa times this exact power of two
+    factor = sb.stated_threshold(1.0, 1.0, params.epsilon)
+    steady_tol, steady_len = STEADY_STATE_RHS_TOL, STEADY_STATE_RUN_LENGTH
+    # tuple.__new__ builds a TraceRecord without NamedTuple's argument binding
+    inf, new = math.inf, tuple.__new__
     pending: set[str] = set()
     steady_run = 0
-    status, extinction_time, bisections = "completed", None, 0
 
     c, t = 1.0, 0.0
     first = _record(t, c, params, ())
@@ -313,46 +335,65 @@ def integrate(
         if halt_on_parabolicity_loss:
             return FlowTrace(params, (first,), "parabolicity_lost")
     records = [first]
+    append = records.append
 
     k = num / (2.0 * c) + a  # rate at c: the next step's first stage
     for step in range(1, n_steps + 1):
-        t_next = min(step * dt_full, t_end)
+        t_next = step * dt_full
+        if t_next > t_end:  # only the final partial step
+            t_next = t_end
         dt = t_next - t
-        c_next = _rk4_step(c, k, dt, num, a, 0.0)
-        if c_next is None or c_next <= c_min:
-            extinction_time, bisections = _refine_extinction(
-                c, k, t, dt, num, a, c_min, time_tol=dt_full * 1e-3)
-            pending.add("extinct")
-            status, c, t = "extinct", c_min, extinction_time
-            step -= 1  # the crossing step is not taken; bisection replaces it
+        # _rk4_step(c, k, dt, num, a, 0.0) inline; a rejected stage or a
+        # result at or below c_min ends the loop at the crossing step
+        half = 0.5 * dt
+        y = c + half * k
+        if not (0.0 < y < inf):
+            break
+        k2 = num / (2.0 * y) + a
+        y = c + half * k2
+        if not (0.0 < y < inf):
+            break
+        k3 = num / (2.0 * y) + a
+        y = c + dt * k3
+        if not (0.0 < y < inf):
+            break
+        k4 = num / (2.0 * y) + a
+        c_next = c + dt / 6.0 * (k + 2.0 * k2 + 2.0 * k3 + k4)
+        if not (c_min < c_next < inf):
             break
 
         c, t = c_next, t_next
         k = num / (2.0 * c) + a
-        steady_run = steady_run + 1 if abs(k) < STEADY_STATE_RHS_TOL else 0
-        if steady_run == STEADY_STATE_RUN_LENGTH:
+        steady_run = steady_run + 1 if -steady_tol < k < steady_tol else 0
+        if steady_run == steady_len:
             pending.add("steady_state")
 
         kappa = lam / (2.0 * c)
-        margin = threshold(kappa, kappa, epsilon) - rho
+        margin = kappa * factor - rho
         if margin <= 0.0 and not parab_lost:
             pending.add("parabolicity_lost")
             parab_lost = True
             if halt_on_parabolicity_loss:
-                records.append(_record(t, c, params, tuple(sorted(pending))))
+                append(_record(t, c, params, tuple(sorted(pending))))
                 return FlowTrace(params, tuple(records), "parabolicity_lost", steps=step)
 
-        if step % record_every == 0 and t < t_end:
-            # _record inline, reusing this step's kappa and margin; _make
-            # skips argument binding, the cheapest way to build the record
-            records.append(make_record((t, c, 3.0 * lam / c, kappa**2, margin,
-                                        tuple(sorted(pending)) if pending else ())))
-            pending.clear()
+        if step % every == 0 and t < t_end:
+            events = ()
+            if pending:
+                events = tuple(sorted(pending))
+                pending.clear()
+            append(new(TraceRecord, (t, c, lam3 / c, kappa**2, margin, events)))
+    else:  # every step accepted: the final state
+        append(_record(t, c, params, tuple(sorted(pending))))
+        return FlowTrace(params, tuple(records), "completed", steps=n_steps)
 
-    # final state (or the event point for truncated runs)
-    records.append(_record(t, c, params, tuple(sorted(pending))))
-    return FlowTrace(params, tuple(records), status, extinction_time,
-                     steps=step, bisection_iterations=bisections)
+    # the crossing step is not taken: bisection on its size replaces it
+    extinction_time, bisections = _refine_extinction(
+        c, k, t, dt, num, a, c_min, time_tol=dt_full * 1e-3)
+    pending.add("extinct")
+    append(_record(extinction_time, c_min, params, tuple(sorted(pending))))
+    return FlowTrace(params, tuple(records), "extinct", extinction_time,
+                     steps=step - 1, bisection_iterations=bisections)
 
 
 def einstein_residual(record: TraceRecord, params: FlowParams) -> float:

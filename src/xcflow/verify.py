@@ -768,6 +768,51 @@ def _fused_step(rng, cases):
                 f"({rejected} rejected by both)")
 
 
+@_check("flow", "integrate_matches_reference_replay")
+def _replay(rng, cases):
+    """`integrate` repeats `_rk4_step` and `_record` inline; replay a run that
+    records every step against the reference step and the record builder."""
+    del rng, cases
+    # at most a few hundred steps a run: each one is a record held until
+    # the run is replayed, and `verify --suite flow` keeps its peak memory
+    coupled = fl.FlowParams(rho=0.1, epsilon=+1, lam=1.0, dt=1e-2, t_end=2.0)
+    runs = (  # (params, halt, expected status)
+        (fl.FlowParams(rho=0.0, epsilon=+1, lam=1.0, dt=1e-2, t_end=2.0), False, "extinct"),
+        (coupled, False, "completed"),
+        (coupled, True, "parabolicity_lost"),
+        (fl.FlowParams(rho=1.0 / 6.0, epsilon=+1, lam=2.0, dt=1e-3, t_end=0.1), False,
+         "completed"),
+        (_hyperbolic_params(dt=1e-2), False, "completed"),
+        (_sphere_params(dt=1e-3, t_end=0.0105), False, "completed"),
+    )
+    steps = records = differ = 0
+    crossing_rejected = statuses_ok = True
+    for params, halt, status in runs:
+        trace = fl.integrate(params, record_every=1, halt_on_parabolicity_loss=halt)
+        statuses_ok &= trace.status == status
+        recs = trace.records
+        replayed = recs[1:-1] if trace.status == "extinct" else recs[1:]
+        for prev, rec in zip(recs, replayed):
+            ref = reference_rk4_step(prev.c, rec.t - prev.t, params, 0.0)
+            steps += 1
+            differ += ref is None or ref.hex() != rec.c.hex()
+        if trace.status == "extinct":
+            # the final record is the bisected crossing; the full step that
+            # crossed c_min must be rejected by the reference as well
+            prev = recs[-2]
+            dt = min((trace.steps + 1) * params.dt, params.t_end) - prev.t
+            ref = reference_rk4_step(prev.c, dt, params, 0.0)
+            crossing_rejected &= ref is None or ref <= fl.DEFAULT_C_MIN
+        for rec in recs:
+            expect = fl._record(rec.t, rec.c, params, rec.events)
+            records += 1
+            differ += any(x.hex() != y.hex() for x, y in zip(rec[2:5], expect[2:5]))
+    ok = differ == 0 and crossing_rejected and statuses_ok
+    return ok, (f"{differ} of {steps} steps and {records} records differ from the reference "
+                f"at tolerance 0; crossing step rejected: {crossing_rejected}, "
+                f"statuses as expected: {statuses_ok}")
+
+
 # ---------------------------------------------------------------------------
 # cli suite (round-trip and determinism of the emitters)
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -105,6 +106,34 @@ def test_flow_step_count_above_the_bound_never_starts_the_loop(monkeypatch, caps
     assert cli.main(argv) == cli.EXIT_NUMERIC
     _, err = capsys.readouterr()
     assert err.startswith("error: dt is too small for t_end") and "steps" in err
+
+
+# sha256 of the JSON trace, recording every step, taken from the loop that
+# called `_rk4_step` and `_record` each step: the flat loop must match it byte
+# for byte
+PINNED_FLOW_TRACES = [
+    (["--rho", "0", "--epsilon", "1", "--lambda", "1", "--dt", "1e-3", "--t-end", "2"],
+     "extinct", "fc5c39c14c993b5345d2e6f936d41322d1023a35a6199e613278f829cc4b2e54"),
+    (["--rho", "0.16666666666666666", "--epsilon", "1", "--lambda", "2", "--dt", "1e-3",
+      "--t-end", "1"],
+     "completed", "8fec3e44cd2100d6c1f718c5b5e6b8878af5d296b085db597bcfc045f0fdca62"),
+    (["--rho", "0.1", "--epsilon", "1", "--lambda", "1", "--dt", "1e-3", "--t-end", "20",
+      "--halt-on-parabolicity-loss"],
+     "parabolicity_lost", "46e175d93628ae2dec335d602d61dda24b961a901caa13d9c01a4b957c6ab679"),
+]
+
+
+@pytest.mark.parametrize("args,status,digest", PINNED_FLOW_TRACES,
+                         ids=[status for _, status, _ in PINNED_FLOW_TRACES])
+def test_flow_json_trace_is_pinned(args, status, digest, tmp_path, capsys):
+    path = tmp_path / "trace.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["flow", *args, "--record-every", "1", "--format", "json",
+                         "--output", str(path)]) == cli.EXIT_OK
+    out, _ = capsys.readouterr()
+    assert f"status: {status}\n" in out
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("command,lines", [

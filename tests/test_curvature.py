@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -285,6 +286,16 @@ class TestRicci:
         ric, scalar = ricci(Riemann3.space_form(0.0, IDENTITY), IDENTITY)
         assert np.abs(ric.matrix).max() == 0.0
         assert scalar == 0.0
+
+    @pytest.mark.parametrize("g_scale", [1.0, 0.25])  # R overflows; Ric and R overflow
+    @pytest.mark.parametrize("fn", [ricci, einstein_raised])
+    def test_overflowing_curvature_is_named(self, fn, g_scale):
+        r = Riemann3.from_frame(4e307, 4e307, 4e307)
+        g = SymTensor3.from_matrix(g_scale * np.eye(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on the way
+            with pytest.raises(DomainError, match="curvature values overflow"):
+                fn(r, g)
 
 
 class TestEinsteinRaised:

@@ -294,6 +294,18 @@ class TestCMin:
         assert integrate(params).records == integrate(params, c_min=DEFAULT_C_MIN).records
 
 
+class TestRecordEvery:
+    @pytest.mark.parametrize("every", [2.5, math.nan, True, 0, -3, "7", None])
+    def test_non_positive_or_non_integer_rejected_by_name(self, every):
+        with pytest.raises(DomainError, match="record_every must be a positive integer"):
+            integrate(sphere(dt=1e-3, t_end=0.1), record_every=every)
+
+    def test_integer_like_values_accepted(self):
+        base = integrate(sphere(dt=1e-3, t_end=0.1), record_every=7)
+        assert integrate(sphere(dt=1e-3, t_end=0.1), record_every=np.int64(7)) == base
+        assert len(base.records) == 100 // 7 + 2
+
+
 class TestTraceRecord:
     def test_fields_follow_the_csv_columns(self):
         assert TraceRecord._fields == ("t", "c", "scalar_curvature", "h_eigenvalue",
