@@ -345,6 +345,7 @@ def cmd_curvature(options: dict, stdout: IO[str]) -> int:
             "contraction_form": list(h.components),
             "mu_form": list(forms.mu_form.components),
             "determinant_form": list(forms.determinant_form.components),
+            "determinant_unit": forms.determinant_unit,
             "determinant_singular": forms.determinant_singular,
             "max_pairwise_dev": forms.max_pairwise_dev,
         },

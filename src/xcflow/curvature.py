@@ -3,12 +3,31 @@
 Everything here operates on value types at a single point: a symmetric
 3x3 metric, its first and second coordinate derivatives (a "jet"), the
 fully lowered Riemann tensor, and the symmetric 2-tensors derived from
-them.  The Einstein tensor with raised indices, P, is the volume-form
-value, checked against the trace form relative to ||P||_F.  The cross
+them.  The tensors are immutable: their component arrays are read-only,
+and an array the caller passes in is copied, so the caller's array stays
+writeable.
+
+`riemann` works from the jet without differentiating the connection:
+
+    R_ijkl = 1/2 (d_j d_k g_il + d_i d_l g_jk - d_i d_k g_jl - d_j d_l g_ik)
+             + Gamma_{m,li} Gamma^m_kj - Gamma_{m,ki} Gamma^m_lj,
+
+with Gamma_{m,ab} = 1/2 (d_a g_bm + d_b g_am - d_m g_ab); the quadratic
+term is one symmetric 9x9 product Gamma^T g^-1 Gamma.  g^-1 is the
+adjugate over the determinant, in Python floats on g scaled by a power
+of two, as in the metric check; no LAPACK inverse is called.
+
+The Einstein tensor with raised indices, P, is the volume-form value,
+checked against the trace form relative to ||P||_F.  The cross
 curvature tensor is computed by three independent routes (determinant
 form, contraction form, volume-form contraction), all three for every P,
 and each pair is checked relative to det(g) ||P||_F^2: one path at every
-scale, with no branch for a singular P.
+scale, with no branch for a singular P.  Each (Riemann3, metric) pair
+pays for one checked pass: the Riemann3 keeps det g, g^-1, Ric, R and
+the checked P of the last metric object it was paired with, stored only
+once every check of the pass has succeeded, so `ricci`,
+`einstein_raised` and `cross_curvature_forms` on the same two objects
+share them, and an inconsistent pair raises on every call.
 
 Sign conventions are pinned by the unit round 3-sphere: in an
 orthonormal frame R_1212 = +1, the Ricci tensor is 2g, the scalar
@@ -43,6 +62,32 @@ _EPS3 = np.zeros((3, 3, 3))
 _EPS3[0, 1, 2] = _EPS3[1, 2, 0] = _EPS3[2, 0, 1] = 1.0
 _EPS3[0, 2, 1] = _EPS3[2, 1, 0] = _EPS3[1, 0, 2] = -1.0
 
+
+def _transposed(index: np.ndarray, *perms: tuple[int, ...]) -> np.ndarray:
+    """Flat gather indices: row n holds index.transpose(perms[n]).ravel()."""
+    return np.stack([index.transpose(perm).ravel() for perm in perms])
+
+
+_FLAT4 = np.arange(81).reshape(3, 3, 3, 3)
+# r.ravel()[_SYMMETRY_GATHER] stacks r transposed by each permutation that
+# the algebraic symmetries compare r with (see Riemann3.from_lowered)
+_SYMMETRY_GATHER = _transposed(_FLAT4, (1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1),
+                               (0, 2, 3, 1), (0, 3, 1, 2))
+# Slots of MetricJet's dg (3, 6) and ddg (6, 6) arrays, flattened:
+# dg[k, _UNPACK[i, j]] = d_k g_ij and ddg[_UNPACK[k, l], _UNPACK[i, j]] = d_k d_l g_ij
+_DG_SLOT = 6 * np.arange(3)[:, None, None] + _UNPACK[None]
+_DDG_SLOT = 6 * _UNPACK[:, :, None, None] + _UNPACK[None, None]
+# [n, m, a, b] -> the three terms d_a g_bm, d_b g_am, d_m g_ab of the
+# Christoffel bracket, gathered from dg
+_BRACKET_GATHER = np.stack([_DG_SLOT.transpose(2, 0, 1), _DG_SLOT.transpose(2, 1, 0),
+                            _DG_SLOT]).reshape(3, 3, 9)
+# the four second-derivative terms d_j d_k g_il, d_i d_l g_jk, d_i d_k g_jl,
+# d_j d_l g_ik of R_ijkl, gathered from ddg
+_RIEMANN_LINEAR = _transposed(_DDG_SLOT, (2, 0, 1, 3), (0, 2, 3, 1), (0, 2, 1, 3),
+                              (2, 0, 3, 1))
+# M[li, kj] and M[ki, lj] for M = Gamma^T g^-1 Gamma, as [i, j, k, l]
+_RIEMANN_QUADRATIC = _transposed(_FLAT4, (1, 3, 2, 0), (1, 3, 0, 2))
+
 # Relative tolerance for agreement between independent formulas of the
 # same tensor; failures indicate inconsistent (riem, g) input.
 FORMULA_AGREEMENT_RTOL = 1e-10
@@ -66,13 +111,15 @@ class SymTensor3:
     tensors (metrics, Ricci, cross curvature) and 'upper' for (2,0)
     tensors (inverse metrics, the raised Einstein-type tensor).
     Symmetry is structural: only the 6 independent components exist.
+    `components` is read-only; a writeable float array passed in is
+    copied first, so it stays the caller's.
     """
 
     components: np.ndarray
     variance: str = "lower"
 
     def __post_init__(self):
-        comps = np.asarray(self.components, dtype=float)
+        comps = _read_only(self.components)
         if comps.shape != (6,):
             raise DomainError(f"expected 6 components, got shape {comps.shape}")
         if self.variance not in ("lower", "upper"):
@@ -96,11 +143,11 @@ class SymTensor3:
         # pack(0.5 * (m + m.T)), rounded entry by entry as numpy rounds it
         # wherever that is finite: 0.5 * (x + x) == x on the diagonal
         p12, p13, p23 = _midpoint(m12, m21), _midpoint(m13, m31), _midpoint(m23, m32)
-        return cls(np.array([m11, p12, p13, m22, m33, p23]), variance)
+        return cls(_frozen(np.array([m11, p12, p13, m22, m33, p23])), variance)
 
     @classmethod
     def identity(cls, variance: str = "lower") -> "SymTensor3":
-        return cls(np.array([1.0, 0.0, 0.0, 1.0, 1.0, 0.0]), variance)
+        return cls(_frozen(np.array([1.0, 0.0, 0.0, 1.0, 1.0, 0.0])), variance)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -109,6 +156,22 @@ class SymTensor3:
     def is_positive_definite(self) -> bool:
         """Sylvester criterion: finite components, all leading principal minors positive."""
         return _positive_definite_det(self.components) > 0.0
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """An array the library has just made, marked read-only in place."""
+    array.flags.writeable = False
+    return array
+
+
+def _read_only(given) -> np.ndarray:
+    """`given` as a read-only float array.  An array np.asarray returns as
+    it is and that is still writeable belongs to the caller, so it is
+    copied; one it had to make anew, and a read-only one, are not."""
+    array = np.asarray(given, dtype=float)
+    if not array.flags.writeable:
+        return array
+    return _frozen(array.copy() if array is given else array)
 
 
 def _midpoint(x: float, y: float) -> float:
@@ -150,6 +213,23 @@ def _require_metric(g: SymTensor3) -> float:
     if det == 0.0:
         raise DomainError("metric is not positive definite")
     return det
+
+
+def _metric_inverse(g: SymTensor3) -> tuple[float, np.ndarray]:
+    """det g and g^-1 = adj(g) / det g of a checked metric.
+
+    The adjugate and determinant are those of g / 2^e, with 2^e near the
+    geometric mean of g's diagonal, so that det(g / 2^e) is near 1 for a
+    well-conditioned g.  Scaling by a power of two is exact: where adj(g)
+    and det g are normal floats the quotient rounds as theirs does, and
+    where det g is subnormal or overflows g^-1 keeps its precision.
+    """
+    det = _require_metric(g)
+    comps = g.components.tolist()
+    e = (math.frexp(comps[0])[1] + math.frexp(comps[3])[1] + math.frexp(comps[4])[1]) // 3
+    down = math.ldexp(1.0, -e)
+    adj, det_scaled = _sym_adjugate_det(*[v * down for v in comps])
+    return det, unpack([v / det_scaled * down for v in adj])
 
 
 def volume_form(g: SymTensor3) -> tuple[np.ndarray, np.ndarray]:
@@ -221,20 +301,7 @@ def christoffel(jet: MetricJet) -> np.ndarray:
 
     Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij), symmetric in (i, j).
     """
-    return _christoffel(np.linalg.inv(jet.g.matrix), _bracket(jet.dg_full))
-
-
-def _christoffel_jacobian(ginv: np.ndarray, dg: np.ndarray, bracket: np.ndarray,
-                          ddg: np.ndarray) -> np.ndarray:
-    """Coordinate derivatives of the connection, shape (3, 3, 3, 3) indexed
-    [m, k, i, j], from g^-1, dg_full, its bracket and ddg_full."""
-    dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
-    # [m, i, j, l] = d_m (d_i g_jl + d_j g_il - d_l g_ij)
-    dbracket = ddg + ddg.transpose(0, 2, 1, 3) - ddg.transpose(0, 2, 3, 1)
-    return 0.5 * (
-        np.einsum("mkl,ijl->mkij", dginv, bracket)
-        + np.einsum("kl,mijl->mkij", ginv, dbracket)
-    )
+    return _christoffel(_metric_inverse(jet.g)[1], _bracket(jet.dg_full))
 
 
 @dataclass(frozen=True)
@@ -242,29 +309,37 @@ class Riemann3:
     """Fully lowered Riemann tensor of a 3-metric.
 
     `lowered` is R_ijkl with the algebraic symmetries (antisymmetry in
-    (i,j) and (k,l), pair symmetry, first Bianchi identity).
+    (i,j) and (k,l), pair symmetry, first Bianchi identity), read-only.
     `bivector_form` is the symmetric (2,0) tensor
     1/4 mu^irs mu^jkl R_rskl, the curvature viewed as a bilinear form on
-    the mu-identified bivector space.
+    the mu-identified bivector space.  `_pair` is the checked pass over
+    this tensor and the last metric object it was paired with:
+    (g, Ricci pass, Einstein pass or None).
     """
 
     lowered: np.ndarray
     bivector_form: SymTensor3
+    _pair: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "lowered", _read_only(self.lowered))
 
     @classmethod
     def from_lowered(cls, lowered: np.ndarray, g: SymTensor3) -> "Riemann3":
         r = np.asarray(lowered, dtype=float)
         if r.shape != (3, 3, 3, 3):
             raise DomainError(f"lowered Riemann must have shape (3,3,3,3), got {r.shape}")
-        scale = np.abs(r).max()
-        for residual in (
-            r + r.transpose(1, 0, 2, 3),
-            r + r.transpose(0, 1, 3, 2),
-            r - r.transpose(2, 3, 0, 1),
-            r + r.transpose(0, 2, 3, 1) + r.transpose(0, 3, 1, 2),
-        ):
-            if np.abs(residual).max() > 1e-12 * scale:
-                raise DomainError("input violates the Riemann algebraic symmetries")
+        # the residuals r + r^(1,0,2,3), r + r^(0,1,3,2), r - r^(2,3,0,1) and
+        # r + r^(0,2,3,1) + r^(0,3,1,2), from one gather of the 81 entries
+        # (row 2 holds the negated difference, which rounds the same)
+        flat = r.ravel()
+        moved = flat[_SYMMETRY_GATHER]
+        moved[:2] += flat
+        moved[2] -= flat
+        moved[3] += flat
+        moved[3] += moved[4]
+        if np.abs(moved[:4]).max() > 1e-12 * np.abs(flat).max():
+            raise DomainError("input violates the Riemann algebraic symmetries")
         _, mu_up = volume_form(g)
         return cls(r, SymTensor3.from_matrix(_p_bivector(r, mu_up), "upper"))
 
@@ -273,8 +348,8 @@ class Riemann3:
         """Constant-curvature tensor R_ijkl = kappa (g_ik g_jl - g_il g_jk)."""
         _require_metric(g)
         gm = g.matrix
-        r = kappa * (np.einsum("ik,jl->ijkl", gm, gm) - np.einsum("il,jk->ijkl", gm, gm))
-        return cls.from_lowered(r, g)
+        outer = gm[:, None, :, None] * gm[None, :, None, :]  # [i, j, k, l] = g_ik g_jl
+        return cls.from_lowered(_frozen(kappa * (outer - outer.transpose(0, 1, 3, 2))), g)
 
     @classmethod
     def from_frame(cls, a: float, b: float, c: float,
@@ -286,31 +361,33 @@ class Riemann3:
             r[i, j, i, j] = r[j, i, j, i] = v
             r[i, j, j, i] = r[j, i, i, j] = -v
         if rotation is not None:
+            # R'_ijkl = q_ia q_jb q_kc q_ld R_abcd as K R K^T on index pairs,
+            # with K[ij, ab] = q_ia q_jb
             q = np.asarray(rotation, dtype=float)
-            r = np.einsum("ia,jb,kc,ld,abcd->ijkl", q, q, q, q, r)
-        return cls.from_lowered(r, SymTensor3.identity())
+            k = (q[:, None, :, None] * q[None, :, None, :]).reshape(9, 9)
+            r = (k @ r.reshape(9, 9) @ k.T).reshape(3, 3, 3, 3)
+        return cls.from_lowered(_frozen(r), SymTensor3.identity())
 
 
 def riemann(jet: MetricJet) -> Riemann3:
     """Riemann tensor of the jet's metric, symmetrized onto the algebraic
-    curvature symmetries to remove rounding residue."""
-    gm = jet.g.matrix
-    ginv = np.linalg.inv(gm)
-    dg = jet.dg_full
-    bracket = _bracket(dg)
-    gamma = _christoffel(ginv, bracket)
-    dgamma = _christoffel_jacobian(ginv, dg, bracket, jet.ddg_full)
-    # R^m_jkl = d_k Gamma^m_lj - d_l Gamma^m_kj + Gamma^m_kp Gamma^p_lj - Gamma^m_lp Gamma^p_kj
-    r_up = (
-        np.einsum("kmlj->mjkl", dgamma)
-        - np.einsum("lmkj->mjkl", dgamma)
-        + np.einsum("mkp,plj->mjkl", gamma, gamma)
-        - np.einsum("mlp,pkj->mjkl", gamma, gamma)
-    )
-    r = np.einsum("im,mjkl->ijkl", gm, r_up)
+    curvature symmetries to remove rounding residue.
+
+    R_ijkl = 1/2 (d_j d_k g_il + d_i d_l g_jk - d_i d_k g_jl - d_j d_l g_ik)
+             + M[li, kj] - M[ki, lj],
+    with M = Gamma^T g^-1 Gamma and Gamma[m, ab] = Gamma_{m,ab} the
+    lowered Christoffel symbols: no derivative of the connection is formed.
+    """
+    _, ginv = _metric_inverse(jet.g)
+    first = jet.dg.ravel()[_BRACKET_GATHER]
+    gamma = 0.5 * (first[0] + first[1] - first[2])
+    quadratic = (gamma.T @ ginv @ gamma).ravel()[_RIEMANN_QUADRATIC]
+    second = jet.ddg.ravel()[_RIEMANN_LINEAR]
+    r = 0.5 * (second[0] + second[1] - second[2] - second[3]) + quadratic[0] - quadratic[1]
+    r = r.reshape(3, 3, 3, 3)
     r = 0.25 * (r - r.transpose(1, 0, 2, 3) - r.transpose(0, 1, 3, 2) + r.transpose(1, 0, 3, 2))
     r = 0.5 * (r + r.transpose(2, 3, 0, 1))
-    return Riemann3.from_lowered(r, jet.g)
+    return Riemann3.from_lowered(_frozen(r), jet.g)
 
 
 # The two routes to P and the three to h.  Each formula is its own function,
@@ -361,20 +438,25 @@ def _rel_dev(x: np.ndarray, y: np.ndarray, *scale: float) -> float:
 
 
 def _ricci_pass(riem: Riemann3, g: SymTensor3) -> tuple[float, np.ndarray, SymTensor3, float]:
-    """det g, g^-1, Ric_ij = g^kl R_kilj and R = g^ij Ric_ij, each once.
+    """det g, g^-1, Ric_ij = g^kl R_kilj and R = g^ij Ric_ij, each once per pair.
 
-    The metric check gives det g; the one g^-1 serves both contractions.
-    Raises DomainError when Ric or R overflows.
+    The metric check gives det g and adj(g), so g^-1 = adj(g) / det g; the
+    one g^-1 serves both contractions.  Raises DomainError when Ric or R
+    overflows.  The result is kept on `riem` for this metric object.
     """
-    det_g = _require_metric(g)
-    ginv = np.linalg.inv(g.matrix)
+    pair = riem._pair
+    if pair is not None and pair[0] is g:
+        return pair[1]
+    det_g, ginv = _metric_inverse(g)
     ric = np.einsum("kl,kilj->ij", ginv, riem.lowered)
     scalar = float(np.einsum("ij,ij->", ginv, ric))
     # every entry of Ric enters R (times g^ij, and inf * 0 is nan), so a
     # non-finite Ric makes R non-finite too
     if not math.isfinite(scalar):
         raise DomainError("curvature values overflow; the input must keep them finite")
-    return det_g, ginv, SymTensor3.from_matrix(ric, "lower"), scalar
+    passed = det_g, ginv, SymTensor3.from_matrix(ric, "lower"), scalar
+    object.__setattr__(riem, "_pair", (g, passed, None))
+    return passed
 
 
 def _einstein_pass(riem: Riemann3, g: SymTensor3) -> tuple[float, SymTensor3, float]:
@@ -385,8 +467,14 @@ def _einstein_pass(riem: Riemann3, g: SymTensor3) -> tuple[float, SymTensor3, fl
     pass's g^-1, Ric and R checks it relative to ||P||_F (it cancels the
     curvatures below about 1e-16 ||P||_F); disagreement beyond tolerance
     raises InternalConsistencyError, which indicates an inconsistent pair.
+    Only a pass whose check succeeded is kept on `riem`, so an
+    inconsistent pair raises on every call.
     """
-    det_g, ginv, ric, scalar = _ricci_pass(riem, g)
+    pair = riem._pair
+    if pair is not None and pair[0] is g and pair[2] is not None:
+        return pair[2]
+    ricci_pass = _ricci_pass(riem, g)
+    det_g, ginv, ric, scalar = ricci_pass
     p = riem.bivector_form
     comps = p.components.tolist()
     p_norm = math.hypot(*comps, comps[1], comps[2], comps[5])
@@ -396,7 +484,9 @@ def _einstein_pass(riem: Riemann3, g: SymTensor3) -> tuple[float, SymTensor3, fl
             f"trace and volume-form evaluations of the raised Einstein tensor "
             f"disagree (relative deviation {dev:.3e}); riem and g are inconsistent"
         )
-    return det_g, p, p_norm
+    passed = det_g, p, p_norm
+    object.__setattr__(riem, "_pair", (g, ricci_pass, passed))
+    return passed
 
 
 def ricci(riem: Riemann3, g: SymTensor3) -> tuple[SymTensor3, float]:
@@ -422,8 +512,11 @@ class CrossCurvatureForms:
     """All evaluations of the cross curvature tensor, for cross-checking.
 
     `determinant_form` is det(g) adj(P), present for every P.
-    `determinant_singular` records whether P is numerically singular by
-    the scale-free cutoff |det(P / ||P||_F)| <= 1e-12; it selects nothing.
+    `determinant_unit` is det(P / ||P||_F), which measures how well P is
+    conditioned (0 for P = 0).  `determinant_singular` records whether P
+    is singular to working precision (|det(P / ||P||_F)| <= 1e-12), not
+    whether det P = 0: it reads true for an invertible P whose
+    eigenvalues lie far apart, and it selects nothing.
     `max_pairwise_dev` is the largest deviation among the three pairs,
     relative to det(g) ||P||_F^2, the size adj(P) can reach.
     """
@@ -431,6 +524,7 @@ class CrossCurvatureForms:
     contraction_form: SymTensor3
     mu_form: SymTensor3
     determinant_form: SymTensor3
+    determinant_unit: float
     determinant_singular: bool
     max_pairwise_dev: float
 
@@ -466,10 +560,17 @@ def cross_curvature_forms(riem: Riemann3, g: SymTensor3) -> CrossCurvatureForms:
             f"cross curvature formulas disagree (relative deviation {max_dev:.3e})"
         )
 
+    # h_det and 0.5 (h + h^T) are exactly symmetric, so packing them gives
+    # what SymTensor3.from_matrix would; finiteness is all it would still
+    # check, since the sum can overflow where h does not
+    con, mu = pack(0.5 * (h_con + h_con.T)), pack(0.5 * (h_mu + h_mu.T))
+    if not all(map(math.isfinite, con.tolist() + mu.tolist())):
+        raise DomainError("curvature values overflow; the input must keep them finite")
     return CrossCurvatureForms(
-        contraction_form=SymTensor3.from_matrix(0.5 * (h_con + h_con.T)),
-        mu_form=SymTensor3.from_matrix(0.5 * (h_mu + h_mu.T)),
-        determinant_form=SymTensor3.from_matrix(h_det),
+        contraction_form=SymTensor3(_frozen(con)),
+        mu_form=SymTensor3(_frozen(mu)),
+        determinant_form=SymTensor3(_frozen(pack(h_det))),
+        determinant_unit=unit_det,
         determinant_singular=abs(unit_det) <= 1e-12,
         max_pairwise_dev=max_dev,
     )
@@ -517,11 +618,19 @@ def generalized_eigh(t: SymTensor3, g: SymTensor3) -> tuple[np.ndarray, np.ndarr
     those of the lowered tensor g t g, i.e. t g v = lam v.  Returns the
     eigenvalues in ascending order and g-orthonormal eigenvectors as the
     columns of a 3x3 matrix V, with V^T g V = I.  Diagonalizes t in the
-    Cholesky frame of g and maps the eigenvectors back.
+    Cholesky frame of g and maps the eigenvectors back.  Raises
+    DomainError when a component of t, or an eigenvalue or eigenvector,
+    is not finite.
     """
+    if not all(map(math.isfinite, t.components.tolist())):
+        raise DomainError("tensor components must be finite")
     components, frame = cholesky_frame(t, g)
-    vals, vecs = np.linalg.eigh(components)
-    return vals, frame @ vecs
+    if all(map(math.isfinite, components.ravel().tolist())):
+        vals, vecs = np.linalg.eigh(components)
+        vecs = frame @ vecs
+        if all(map(math.isfinite, vals.tolist() + vecs.ravel().tolist())):
+            return vals, vecs
+    raise DomainError("eigenvalues overflow; the tensor and metric must keep them finite")
 
 
 def eigen_frame(p: SymTensor3, g: SymTensor3) -> tuple[CurvatureFrame, np.ndarray]:

@@ -344,6 +344,49 @@ def _chart_jet_fd(rng, cases):
                 f"improvement x{ratio:.2f} at 5e-4 (need 2..8)")
 
 
+def reference_riemann(jet: cv.MetricJet) -> cv.Riemann3:
+    """Riemann tensor through the derivative of the connection:
+    R^m_jkl = d_k Gamma^m_lj - d_l Gamma^m_kj + Gamma^m_kp Gamma^p_lj
+    - Gamma^m_lp Gamma^p_kj, lowered with g, on np.linalg.inv(g).
+    `curvature.riemann` must match it to rounding."""
+    gm = jet.g.matrix
+    ginv = np.linalg.inv(gm)
+    dg = jet.dg_full
+    bracket = cv._bracket(dg)
+    gamma = cv._christoffel(ginv, bracket)
+    dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
+    # [m, i, j, l] = d_m (d_i g_jl + d_j g_il - d_l g_ij)
+    ddg = jet.ddg_full
+    dbracket = ddg + ddg.transpose(0, 2, 1, 3) - ddg.transpose(0, 2, 3, 1)
+    # [m, k, i, j] = d_m Gamma^k_ij
+    dgamma = 0.5 * (np.einsum("mkl,ijl->mkij", dginv, bracket)
+                    + np.einsum("kl,mijl->mkij", ginv, dbracket))
+    r_up = (
+        np.einsum("kmlj->mjkl", dgamma)
+        - np.einsum("lmkj->mjkl", dgamma)
+        + np.einsum("mkp,plj->mjkl", gamma, gamma)
+        - np.einsum("mlp,pkj->mjkl", gamma, gamma)
+    )
+    r = np.einsum("im,mjkl->ijkl", gm, r_up)
+    r = 0.25 * (r - r.transpose(1, 0, 2, 3) - r.transpose(0, 1, 3, 2) + r.transpose(1, 0, 3, 2))
+    r = 0.5 * (r + r.transpose(2, 3, 0, 1))
+    return cv.Riemann3.from_lowered(r, jet.g)
+
+
+@_check("tensor_core", "riemann_matches_reference", default_cases=300)
+def _riemann_reference(rng, cases):
+    worst = 0.0
+    for _ in range(cases):
+        # a generic jet: independent uniform first and second derivatives,
+        # so no identity beyond the algebraic ones holds by construction
+        jet = cv.MetricJet(_random_spd(rng), rng.uniform(-1.0, 1.0, (3, 6)),
+                           rng.uniform(-1.0, 1.0, (6, 6)))
+        ref = reference_riemann(jet).lowered
+        got = cv.riemann(jet).lowered
+        worst = max(worst, float(np.abs(got - ref).max() / np.abs(ref).max()))
+    return _verdict(worst, 1e-13, "max dev relative to max |R|")
+
+
 # ---------------------------------------------------------------------------
 # symbol suite
 

@@ -252,6 +252,8 @@ def test_curvature_determinant_form_at_every_scale(frame, singular, tmp_path, ca
     full = json.loads(path.read_text(encoding="utf-8"))
     report = full["cross_curvature"]
     assert report["determinant_singular"] is singular
+    # the flag thresholds the normalised determinant det(P / ||P||_F), reported next to it
+    assert (abs(report["determinant_unit"]) <= 1e-12) is singular
     # present for every P, within 1e-12 det(g) ||P||_F^2 of the contraction form
     p = full["einstein_raised"]
     p_norm = math.hypot(*p, p[1], p[2], p[5])

@@ -57,6 +57,18 @@ def gen_eigs(t, g):
 
 
 class TestSymTensor3:
+    def test_components_are_read_only_and_the_callers_array_stays_writeable(self):
+        mine = np.array([2.0, 0.1, 0.0, 3.0, 4.0, 0.2])
+        t = SymTensor3(mine)
+        mine[0] = 7.0  # still the caller's array, and not the tensor's
+        assert t.components[0] == 2.0
+        for made in (t, SymTensor3.from_matrix(np.eye(3)), SymTensor3.identity(),
+                     SymTensor3([1.0, 0.0, 0.0, 1.0, 1.0, 0.0])):
+            with pytest.raises(ValueError):
+                made.components[0] = 5.0
+        # a read-only array is shared, not copied
+        assert SymTensor3(t.components, "upper").components is t.components
+
     def test_pack_unpack_roundtrip(self):
         m = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
         assert np.array_equal(unpack(pack(m)), m)
@@ -287,6 +299,13 @@ class TestRicci:
         assert np.abs(ric.matrix).max() == 0.0
         assert scalar == 0.0
 
+    def test_keeps_precision_where_det_g_is_subnormal(self):
+        scale = 1e-105  # det g is about 2e-315
+        g = SymTensor3(scale * np.array([1.0, 0.1, 0.0, 2.0, 1.0, 0.0]))
+        ric, scalar = ricci(Riemann3.space_form(0.5 / scale, g), g)
+        assert abs(scalar - 3.0 / scale) <= 1e-14 * 3.0 / scale
+        assert np.abs(ric.components - g.components / scale).max() <= 1e-14 * 2.0
+
     @pytest.mark.parametrize("g_scale", [1.0, 0.25])  # R overflows; Ric and R overflow
     @pytest.mark.parametrize("fn", [ricci, einstein_raised])
     def test_overflowing_curvature_is_named(self, fn, g_scale):
@@ -395,6 +414,18 @@ class TestCrossCurvature:
         assert_determinant_form_matches(singular, einstein_raised(singular_r, IDENTITY))
 
 
+@pytest.mark.parametrize("abc, unit, singular", [
+    ((1.0, 2.0, 3.0), 6.0 / 14.0**1.5, False),
+    ((0.0, 2.0, 3.0), 0.0, True),
+    # invertible (det P = 1e17) but singular to working precision
+    ((1e17, 1.0, 1.0), 1e-34, True),
+])
+def test_determinant_unit_is_what_the_singular_flag_thresholds(abc, unit, singular):
+    forms = cross_curvature_forms(Riemann3.from_frame(*abc), IDENTITY)
+    assert forms.determinant_unit == pytest.approx(unit, rel=1e-14, abs=0.0)
+    assert forms.determinant_singular is singular
+
+
 # Sectional curvatures log-uniform in +-[1e-150, 1e150], zeros mixed in
 _SWEEP_VALUE = st.just(0.0) | st.builds(
     lambda sign, exponent: sign * 10.0**exponent,
@@ -477,6 +508,64 @@ def test_every_formula_route_is_cross_checked(route, is_p, monkeypatch):
                     call(riem, g)
 
 
+def _generic_jet(rng) -> MetricJet:
+    # independent uniform derivatives: not conformally flat, no symmetry
+    return MetricJet(spd(rng), rng.uniform(-1.0, 1.0, (3, 6)), rng.uniform(-1.0, 1.0, (6, 6)))
+
+
+def test_lowered_riemann_is_read_only():
+    mine = Riemann3.from_frame(1.0, 2.0, 3.0).lowered.copy()
+    riem = Riemann3.from_lowered(mine, IDENTITY)
+    mine[0, 1, 0, 1] = 9.0  # the caller's copy stays writeable and separate
+    assert riem.lowered[0, 1, 0, 1] == 3.0
+    for made in (riem, riemann(_generic_jet(np.random.default_rng(73))),
+                 Riemann3.space_form(0.5, IDENTITY), Riemann3.from_frame(1.0, 2.0, 3.0)):
+        with pytest.raises(ValueError):
+            made.lowered[0, 1, 0, 1] = 1.0
+        with pytest.raises(ValueError):
+            made.bivector_form.components[0] = 1.0
+
+
+def _pair_outputs(riem, g):
+    ric, scalar = ricci(riem, g)
+    forms = cross_curvature_forms(riem, g)
+    return (ric.components, np.array([scalar]), einstein_raised(riem, g).components,
+            forms.contraction_form.components, forms.mu_form.components,
+            forms.determinant_form.components, np.array([forms.max_pairwise_dev]))
+
+
+def test_each_pair_pays_for_one_checked_pass(monkeypatch):
+    calls = {"_metric_inverse": 0, "_p_trace": 0}
+    for name in calls:
+        def counted(*args, exact=getattr(curvature, name), name=name):
+            calls[name] += 1
+            return exact(*args)
+        monkeypatch.setattr(curvature, name, counted)
+    jet = _generic_jet(np.random.default_rng(79))
+    riem = riemann(jet)  # one inverse for the connection
+    for _ in range(3):
+        _pair_outputs(riem, jet.g)
+    assert calls == {"_metric_inverse": 2, "_p_trace": 1}
+    # an equal metric in another object is another pair, with equal results
+    twin = SymTensor3(jet.g.components.copy())
+    for got, want in zip(_pair_outputs(riem, twin), _pair_outputs(riemann(jet), jet.g)):
+        assert np.array_equal(got, want)
+    assert calls == {"_metric_inverse": 5, "_p_trace": 3}
+
+
+def test_inconsistent_pair_raises_on_every_call():
+    riem = Riemann3.space_form(1.0, IDENTITY)
+    other = SymTensor3(np.array([4.0, 0.3, -0.2, 2.0, 1.0, 0.5]))
+    for _ in range(3):
+        for call in (einstein_raised, cross_curvature_forms, cross_curvature):
+            with pytest.raises(InternalConsistencyError):
+                call(riem, other)
+    # the consistent pair still passes, and the inconsistent one still raises after it
+    assert np.array_equal(einstein_raised(riem, IDENTITY).matrix, np.eye(3))
+    with pytest.raises(InternalConsistencyError):
+        einstein_raised(riem, other)
+
+
 class TestEigenFrame:
     def test_diagonal_case(self):
         p = SymTensor3(np.array([1.0, 0, 0, 2.0, 3.0, 0]), "upper")
@@ -537,6 +626,20 @@ class TestGeneralizedEigh:
     def test_eigen_frame_keeps_upper_index_check(self):
         with pytest.raises(DomainError):
             eigen_frame(SymTensor3(np.array([1.0, 0, 0, 2.0, 3.0, 0])), IDENTITY)
+
+    @pytest.mark.parametrize("components, match", [
+        ([math.nan, 0.0, 0.0, 1.0, 1.0, 0.0], "components must be finite"),
+        ([math.inf, 0.0, 0.0, 1.0, 1.0, 0.0], "components must be finite"),
+        # finite, but the largest eigenvalue is 2e308
+        ([1e308, 1e308, 0.0, 1e308, 1.0, 0.0], "eigenvalues overflow"),
+    ])
+    def test_non_finite_input_or_result_is_named(self, components, match):
+        p = SymTensor3(np.array(components), "upper")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for solve in (generalized_eigh, eigen_frame):
+                with pytest.raises(DomainError, match=match):
+                    solve(p, IDENTITY)
 
 
 def test_space_form_chart_jet_matches_loop_reference():
