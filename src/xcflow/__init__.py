@@ -63,7 +63,6 @@ from .symbol import (
     SymbolMatrix,
     parabolicity,
     spectrum,
-    symbol_deturck_correction,
     symbol_modified,
     symbol_raw,
     to_orthonormal_frame,
@@ -107,7 +106,6 @@ __all__ = [
     "space_form_chart",
     "space_form_chart_jet",
     "spectrum",
-    "symbol_deturck_correction",
     "symbol_modified",
     "symbol_raw",
     "to_orthonormal_frame",

@@ -206,13 +206,38 @@ def _positive_definite_det(components: np.ndarray) -> float:
 
 
 def _require_metric(g: SymTensor3) -> float:
-    """det g, once g is checked to be a metric (lower indices, positive definite)."""
+    """det g, once g is checked to be a metric (lower indices, positive
+    definite) whose determinant is a positive finite float."""
     if g.variance != "lower":
         raise DomainError("a metric must carry lower indices")
     det = _positive_definite_det(g.components)
-    if det == 0.0:
-        raise DomainError("metric is not positive definite")
+    if not 0.0 < det < math.inf:
+        raise DomainError(_metric_failure(g.components.tolist(), det))
     return det
+
+
+def _metric_failure(comps: list[float], det: float) -> str:
+    """Why g failed `_require_metric`: it is not positive definite, or it
+    is and det g under- (det = 0) or overflows (det = inf).
+
+    Sylvester's test is rerun on D g D with D = diag(2^-h_i) and 4^h_i
+    near g_ii.  The congruence keeps definiteness and is exact up to
+    off-diagonal entries that fall below the normal range; it brings each
+    diagonal entry into [1/2, 2) and, for a positive definite g, every
+    entry to at most 2 in size, so no minor there under- or overflows.
+    """
+    half = [math.frexp(comps[k])[1] // 2 for k in (0, 3, 4)]
+    try:
+        scaled = [math.ldexp(v, -(half[i] + half[j]))
+                  for v, (i, j) in zip(comps, COMPONENT_ORDER)]
+    except OverflowError:  # an off-diagonal entry far beyond sqrt(g_ii g_jj)
+        return "metric is not positive definite"
+    if _positive_definite_det(np.array(scaled)) == 0.0:
+        return "metric is not positive definite"
+    scale = math.exp(sum(math.log(comps[k]) for k in (0, 3, 4)) / 3.0)
+    return (f"metric determinant {'overflows' if det else 'underflows'}: g is positive "
+            f"definite but of scale {scale:.3g} (geometric mean of its diagonal); "
+            "rescale it toward 1")
 
 
 def _metric_inverse(g: SymTensor3) -> tuple[float, np.ndarray]:
@@ -222,7 +247,7 @@ def _metric_inverse(g: SymTensor3) -> tuple[float, np.ndarray]:
     geometric mean of g's diagonal, so that det(g / 2^e) is near 1 for a
     well-conditioned g.  Scaling by a power of two is exact: where adj(g)
     and det g are normal floats the quotient rounds as theirs does, and
-    where det g is subnormal or overflows g^-1 keeps its precision.
+    where det g is subnormal g^-1 keeps its precision.
     """
     det = _require_metric(g)
     comps = g.components.tolist()
@@ -659,15 +684,26 @@ def jet_from_function(
     g_fn maps a point (3-vector) to the 3x3 metric matrix there.  The
     mixed second derivatives use the symmetric 4-point stencil, so ddg is
     symmetric under the derivative-pair swap exactly.  With richardson=True
-    the step and half-step estimates are combined to fourth order.
+    the step and half-step estimates are combined to fourth order.  A
+    DomainError that g_fn raises at x itself propagates as it is; one it
+    raises at another sample of the stencil is re-raised naming that sample
+    and the step, since the point itself lies in the domain.
     """
     if not (math.isfinite(step) and step > 0.0):
         raise DomainError(f"finite-difference step must be finite and positive, got {step!r}")
 
     def _sample(point: np.ndarray) -> np.ndarray:
-        value = np.asarray(g_fn(point), dtype=float)
-        if not np.all(np.isfinite(value)):
-            raise DomainError("metric callback returned non-finite samples")
+        try:
+            value = np.asarray(g_fn(point), dtype=float)
+            if not np.all(np.isfinite(value)):
+                raise DomainError("metric callback returned non-finite samples")
+        except DomainError as exc:
+            if point is x:
+                raise
+            where = ",".join(f"{v:.12g}" for v in point)
+            raise DomainError(f"the finite-difference stencil leaves the metric's domain: "
+                              f"its sample at {where} (fd_step {step:g}) fails with "
+                              f"'{exc}'; the point itself is inside") from exc
         return value
 
     def _differences(h: float) -> tuple[np.ndarray, np.ndarray]:

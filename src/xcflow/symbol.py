@@ -33,7 +33,9 @@ basis of T, W = diag(1, 2, 2, 1, 1, 2) the Frobenius weight of packed
 components), and
     spec R = {0, 0, 0} + spec B,    spec S = {1, 1, 1} + spec B.
 `quotient_blocks` checks that structure on the assembled stacks before
-it returns B; `verify` keeps the full 6x6 solve as the reference.
+it returns B.  Every spectrum, the sweep's and `spectrum`'s, is read off
+B, so the structural eigenvalues are exact, not solved for in the
+non-normal 6x6 matrix; `verify` keeps the full 6x6 solve as the reference.
 """
 
 from __future__ import annotations
@@ -67,16 +69,16 @@ class SymbolMatrix:
 
     Rows and columns follow the component order (11, 12, 13, 22, 33, 23).
     `kind` is 'raw' for the ungauged operator, 'deturck' for the
-    gauge-fixed one, 'deturck_correction' for the gauge term alone.
-    `xi` is the covector as supplied; `normalized` records whether the
-    entries were assembled at xi rescaled to unit Euclidean length.
+    gauge-fixed one.  `xi` is the unit covector the entries were assembled
+    at, and `block` the 3x3 quotient block B that `quotient_blocks`
+    checked there, which `spectrum` reads the eigenvalues from.
     """
 
     entries: np.ndarray
     kind: str
     xi: np.ndarray
     rho: float
-    normalized: bool = True
+    block: np.ndarray
 
     def apply(self, tensor: np.ndarray) -> np.ndarray:
         """Act on a symmetric 3x3 tensor and return the symmetric result."""
@@ -136,7 +138,6 @@ def _coefficients() -> tuple[np.ndarray, np.ndarray]:
 
 
 _RAW_COEFF, _GAUGE_COEFF = _coefficients()
-_ZERO_P = SymTensor3(np.zeros(6), "upper")
 
 
 def symbol_stacks(p: SymTensor3, rho: float, xis) -> tuple[np.ndarray, np.ndarray]:
@@ -158,35 +159,28 @@ def symbol_stacks(p: SymTensor3, rho: float, xis) -> tuple[np.ndarray, np.ndarra
     return stacks[:, 0], stacks[:, 1]
 
 
-def _one_direction(p: SymTensor3, rho, xi, normalize: bool):
+def _one_direction(p: SymTensor3, rho, xi):
+    """The unit covector along xi, and the raw symbol, gauge term and
+    quotient block there.  Entries that overflow end as the DomainError of
+    `_eigvals` in `spectrum`, without numpy's overflow warnings first."""
     xi_v = _covector(xi)
-    v = xi_v
-    if normalize:  # largest |component| first: the norm neither over- nor underflows
-        v = xi_v / np.abs(xi_v).max()
-        v /= np.linalg.norm(v)
-    raw, gauge = symbol_stacks(p, rho, v[None])
-    return xi_v, raw[0], gauge[0]
+    # largest |component| first: the norm neither over- nor underflows
+    v = xi_v / np.abs(xi_v).max()
+    v /= np.linalg.norm(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw, gauge = symbol_stacks(p, rho, v[None])
+        blocks, _ = quotient_blocks(raw, gauge, v[None])
+    return v, raw[0], gauge[0], blocks[0]
 
 
-def symbol_raw(p: SymTensor3, rho: float, xi, normalize: bool = True) -> SymbolMatrix:
+def symbol_raw(p: SymTensor3, rho: float, xi) -> SymbolMatrix:
     """Symbol of the ungauged linearized operator at g = identity.
 
-    The action on a variation m is the raw action of `symbol_stacks`,
-    quadratic in xi.  With normalize=True (default) xi is rescaled to unit
-    Euclidean length first, matching the reference normalization.
+    The action on a variation m is the raw action of `symbol_stacks` at xi
+    rescaled to unit Euclidean length.
     """
-    xi_v, raw, _ = _one_direction(p, rho, xi, normalize)
-    return SymbolMatrix(raw, "raw", xi_v, float(rho), normalize)
-
-
-def symbol_deturck_correction(xi, normalize: bool = True) -> SymbolMatrix:
-    """Symbol of the gauge-fixing term, m -> tr(m) xi xi^T - xi (m xi)^T - (m xi) xi^T.
-
-    Subtracting this matrix from the raw symbol replaces the three zero
-    eigenvalues with ones.
-    """
-    xi_v, _, gauge = _one_direction(_ZERO_P, 0.0, xi, normalize)
-    return SymbolMatrix(gauge, "deturck_correction", xi_v, 0.0, normalize)
+    v, raw, _, block = _one_direction(p, rho, xi)
+    return SymbolMatrix(raw, "raw", v, float(rho), block)
 
 
 def symbol_modified(p: SymTensor3, rho: float, xi, case: int = +1) -> SymbolMatrix:
@@ -199,8 +193,8 @@ def symbol_modified(p: SymTensor3, rho: float, xi, case: int = +1) -> SymbolMatr
     s P11 - 4 rho} with s = case.
     """
     p_eff = SymTensor3(case_sign(case) * p.components, p.variance)
-    xi_v, raw, gauge = _one_direction(p_eff, rho, xi, True)
-    return SymbolMatrix(raw - gauge, "deturck", xi_v, float(rho), True)
+    v, raw, gauge, block = _one_direction(p_eff, rho, xi)
+    return SymbolMatrix(raw - gauge, "deturck", v, float(rho), block)
 
 
 def case_sign(case) -> int:
@@ -222,23 +216,26 @@ def _eigvals(stack: np.ndarray) -> np.ndarray:
         raise DomainError("symbol matrix entries overflow: P or rho is too large") from exc
 
 
-def spectrum(m: SymbolMatrix | np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symbol matrix, sorted ascending by real part.
+def spectrum(m: SymbolMatrix) -> np.ndarray:
+    """Eigenvalues of a symbol matrix, sorted ascending.
 
-    The matrices arising here have real spectra; imaginary residue above
-    1e-10 max(1, max |entries|) is surfaced as a ComplexEigenvalueWarning
-    rather than dropped silently.
+    They are read off the checked quotient block: {0, 0, 0} + spec B for
+    the raw symbol and {1, 1, 1} + spec B for the gauge-fixed one (module
+    docstring), so the structural eigenvalues are exact and only B's
+    three are solved for.  The spectra are real; imaginary residue in
+    spec B above 1e-10 max(1, max |entries|) is surfaced as a
+    ComplexEigenvalueWarning rather than dropped silently.
     """
-    entries = m.entries if isinstance(m, SymbolMatrix) else np.asarray(m, dtype=float)
-    vals = _eigvals(entries)
+    vals = _eigvals(m.block)
     residue = float(np.abs(vals.imag).max())
-    if residue > IMAG_RESIDUE_TOL * max(1.0, float(np.abs(entries).max())):
+    if residue > IMAG_RESIDUE_TOL * max(1.0, float(np.abs(m.entries).max())):
         warnings.warn(
             f"symbol spectrum has imaginary residue {residue:.3e}",
             ComplexEigenvalueWarning,
             stacklevel=2,
         )
-    return np.sort(vals.real)
+    structural = 0.0 if m.kind == "raw" else 1.0
+    return np.sort(np.append(np.full(3, structural), vals.real))
 
 
 # Pairs (a, b) of the frame (xi, e, f) whose packed a b^T + b a^T, times
@@ -383,7 +380,6 @@ def parabolicity(
     case: int = +1,
     mode: str = "all_directions",
     direction_samples: int = DEFAULT_DIRECTION_SAMPLES,
-    floor: float = STRICTNESS_FLOOR,
 ) -> ParabolicityReport:
     """Classify the flow linearization as strictly/weakly/not parabolic.
 
@@ -436,8 +432,8 @@ def parabolicity(
     # weak: nothing below the raw spectrum's three structural zeros, up to a
     # tolerance scaled like the symbol (at the weak boundary B's eigenvalue
     # carries only rounding error, far below it)
-    weak_floor = max(floor, 1e-7 * raw_scale)
-    if min_modified >= floor:
+    weak_floor = max(STRICTNESS_FLOOR, 1e-7 * raw_scale)
+    if min_modified >= STRICTNESS_FLOOR:
         verdict = "strictly_parabolic_deturck"
     elif min_raw >= -weak_floor:
         verdict = "weakly_parabolic"

@@ -288,6 +288,37 @@ def test_curvature_non_finite_fd_step_is_named(step, capsys):
     assert out == "" and "finite-difference step must be finite" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    # g = I / (1 + 1e120 / 4)^2 is positive definite; only det g underflows
+    (["--jet-from-chart=sphere", "--point=1e60,0,0"],
+     "metric determinant underflows: g is positive definite but of scale 1.6e-239"),
+    # the point is inside the chart; the step-1e-3 stencil is not
+    (["--jet-from-chart=hyperbolic", "--point=1.9999999,0,0"],
+     "the finite-difference stencil leaves the metric's domain: its sample at "
+     "2.0009999,0,0 (fd_step 0.001)"),
+])
+def test_curvature_chart_edge_cases_name_their_cause(argv, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["curvature", *argv]) == cli.EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert message in err and "not positive definite" not in err
+
+
+def test_symbol_at_the_threshold_runs_under_warnings_as_errors():
+    # at rho = q / 4 the structural zeros meet an eigenvalue of B; the
+    # spectra come from B, so no imaginary-residue warning is raised
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "xcflow", "symbol", "--frame", "1,1,1",
+         "--rho", "0.25", "--xi", "1,1,1"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "raw: 0.0,0.0,0.0,0.0," in proc.stdout
+    assert "deturck: 0.0,1.0,1.0,1.0," in proc.stdout
+
+
 def _spectrum_lines(argv, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

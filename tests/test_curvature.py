@@ -203,6 +203,32 @@ class TestVolumeForm:
         with pytest.raises(DomainError):
             volume_form(SymTensor3(np.array([-1.0, 0, 0, 1.0, 1.0, 0])))
 
+    @pytest.mark.parametrize("scale, message", [
+        (1e103, "metric determinant overflows: g is positive definite but of scale 1.26e+103"),
+        (1e-110, "metric determinant underflows: g is positive definite but of scale 1.26e-110"),
+    ])
+    def test_determinant_out_of_range_is_named_with_the_scale(self, scale, message):
+        # Sylvester's test in floats sees det g = inf (once accepted, then
+        # an InternalConsistencyError downstream) or det g = 0 ("not
+        # positive definite", which is false)
+        g = SymTensor3(scale * np.array([1.0, 0.1, 0.0, 2.0, 1.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message.replace("+", r"\+")):
+                einstein_raised(Riemann3.space_form(0.5 / scale, g), g)
+            with pytest.raises(DomainError, match="determinant"):
+                volume_form(g)
+
+    @pytest.mark.parametrize("components", [
+        [1e200, 0, 0, 1e200, -1e200, 0],      # indefinite at a scale whose det overflows
+        [1e-200, 0, 0, 1e-200, -1e-200, 0],   # and at one whose det underflows
+        [1e-320, 1e-9, 0, 1e300, 1e-320, 0],  # g_12^2 > g_11 g_22, diagonal 1e620 apart
+        [5e-324, 1e300, 0, 5e-324, 5e-324, 0],  # the rescaled g_12 overflows
+    ])
+    def test_indefinite_metric_at_any_scale_is_not_positive_definite(self, components):
+        with pytest.raises(DomainError, match="metric is not positive definite"):
+            volume_form(SymTensor3(np.array(components, dtype=float)))
+
     def test_contraction_identity_brute_force(self):
         rng = np.random.default_rng(3)
         g = spd(rng)
@@ -706,6 +732,14 @@ class TestJetFromFunction:
 
         with pytest.raises(DomainError):
             jet_from_function(g_fn, np.zeros(3), step=1e-3)
+
+    def test_stencil_outside_the_domain_is_named(self):
+        # the point lies inside the hyperbolic chart |x| < 2; x + step e1 does not
+        with pytest.raises(DomainError, match=r"stencil leaves the metric's domain: its "
+                           r"sample at 2\.0009999,0,0 \(fd_step 0\.001\)"):
+            jet_from_function(space_form_chart(-1.0), np.array([1.9999999, 0.0, 0.0]))
+        with pytest.raises(DomainError, match="^point lies outside the chart domain$"):
+            jet_from_function(space_form_chart(-1.0), np.array([2.1, 0.0, 0.0]))
 
     @pytest.mark.parametrize("step", [math.nan, math.inf])
     def test_step_must_be_finite_and_positive(self, step):

@@ -18,23 +18,18 @@ from xcflow.symbol import (
     quotient_blocks,
     spectrum,
     stated_threshold,
-    symbol_deturck_correction,
     symbol_modified,
     symbol_raw,
     symbol_stacks,
     to_orthonormal_frame,
     unit_directions,
 )
-from xcflow.verify import (
-    induced_tensor_rotation,
-    reference_gauge_term,
-    reference_raw_symbol,
-    rotation_to_e1,
-)
+from xcflow.verify import matrix_of, reference_gauge_term, reference_raw_symbol
 
 E1 = np.array([1.0, 0.0, 0.0])
 IDENTITY = SymTensor3.identity()
 P_IDENTITY = SymTensor3.identity("upper")
+ZERO_P = SymTensor3(np.zeros(6), "upper")
 
 
 def sym_upper(rng, span=5.0):
@@ -49,6 +44,11 @@ def haar_rotation(rng) -> np.ndarray:
     if np.linalg.det(q) < 0.0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def gauge_term(xi) -> np.ndarray:
+    """The gauge term's 6x6 matrix at xi, from the stack kernel."""
+    return symbol_stacks(ZERO_P, 0.0, np.asarray(xi, dtype=float)[None])[1][0]
 
 
 def displayed_raw_matrix(pm: np.ndarray, rho: float) -> np.ndarray:
@@ -126,20 +126,19 @@ class TestRawSymbol:
         rng = np.random.default_rng(8)
         p = sym_upper(rng)
         xi = rng.normal(size=3)
-        base = symbol_raw(p, 0.3, xi, normalize=False).entries
-        scaled = symbol_raw(p, 0.3, s * xi, normalize=False).entries
-        assert np.array_equal(scaled, s * s * base)
+        for base, scaled in zip(symbol_stacks(p, 0.3, xi[None]),
+                                symbol_stacks(p, 0.3, s * xi[None])):
+            assert np.array_equal(scaled, s * s * base)
 
     def test_rho_zero_has_no_trace_coupling(self):
         rng = np.random.default_rng(10)
         p = sym_upper(rng)
         xi = rng.normal(size=3)
-        zero_p = SymTensor3(np.zeros(6), "upper")
         full = symbol_raw(p, 1.3, xi).entries
         p_part = symbol_raw(p, 0.0, xi).entries
-        rho_part = symbol_raw(zero_p, 1.3, xi).entries
+        rho_part = symbol_raw(ZERO_P, 1.3, xi).entries
         assert np.abs(full - p_part - rho_part).max() < 1e-13
-        assert np.abs(symbol_raw(zero_p, 0.0, xi).entries).max() == 0.0
+        assert np.abs(symbol_raw(ZERO_P, 0.0, xi).entries).max() == 0.0
 
     def test_non_finite_data_rejected(self):
         with pytest.raises(DomainError):
@@ -165,10 +164,15 @@ class TestStacks:
         rng = np.random.default_rng(32)
         p = sym_upper(rng)
         xi = rng.normal(size=3)
-        raw, gauge = symbol_stacks(p, 0.7, xi[None] / np.linalg.norm(xi))
-        assert np.array_equal(symbol_raw(p, 0.7, xi).entries, raw[0])
-        assert np.array_equal(symbol_deturck_correction(xi).entries, gauge[0])
-        assert np.array_equal(symbol_modified(p, 0.7, xi).entries, raw[0] - gauge[0])
+        unit = xi / np.abs(xi).max()
+        unit /= np.linalg.norm(unit)
+        raw, gauge = symbol_stacks(p, 0.7, unit[None])
+        blocks, _ = quotient_blocks(raw, gauge, unit[None])
+        for sym, entries in ((symbol_raw(p, 0.7, xi), raw[0]),
+                             (symbol_modified(p, 0.7, xi), raw[0] - gauge[0])):
+            assert np.array_equal(sym.entries, entries)
+            assert np.array_equal(sym.xi, unit)
+            assert np.array_equal(sym.block, blocks[0])
 
 
 class TestDeflation:
@@ -217,7 +221,7 @@ class TestDeflation:
 
 class TestDeturckCorrection:
     def test_identity_variation_at_e1(self):
-        out = symbol_deturck_correction(E1).apply(np.eye(3))
+        out = unpack(gauge_term(E1) @ pack(np.eye(3)))
         expected = np.zeros((3, 3))
         expected[0, 0] = 1.0  # tr - 2 = 3 - 2
         assert np.array_equal(out, expected)
@@ -225,12 +229,12 @@ class TestDeturckCorrection:
     def test_kernel_variations_map_to_zero(self):
         # traceless variations with vanishing first row are annihilated
         m = np.array([[0.0, 0, 0], [0, 1.0, 0.3], [0, 0.3, -1.0]])
-        out = symbol_deturck_correction(E1).apply(m)
+        out = unpack(gauge_term(E1) @ pack(m))
         assert np.abs(out).max() == 0.0
 
     def test_rotated_direction_matches_direct_formula(self):
         xi = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
-        got = symbol_deturck_correction(xi).entries
+        got = gauge_term(xi)
 
         def direct(m):
             mv = m @ xi
@@ -240,12 +244,13 @@ class TestDeturckCorrection:
         assert np.abs(got - expected).max() < 1e-14
 
     def test_conjugation_by_induced_rotation(self):
-        xi = np.array([0.3, -0.8, 0.5])
-        xi /= np.linalg.norm(xi)
-        q = rotation_to_e1(xi)
-        s, s_back = induced_tensor_rotation(q), induced_tensor_rotation(q.T)
-        conjugated = s_back @ symbol_deturck_correction(E1).entries @ s
-        assert np.abs(conjugated - symbol_deturck_correction(xi).entries).max() < 1e-14
+        # with S(Q) pack(m) = pack(Q m Q^T) and Q xi = e1, the gauge term at
+        # xi is S(Q^T) G(e1) S(Q)
+        q = haar_rotation(np.random.default_rng(28))
+        xi = q.T @ E1
+        s = matrix_of(lambda m: q @ m @ q.T)
+        s_back = matrix_of(lambda m: q.T @ m @ q)
+        assert np.abs(s_back @ gauge_term(E1) @ s - gauge_term(xi)).max() < 1e-14
 
 
 class TestModifiedSymbol:
@@ -281,10 +286,11 @@ class TestSpectrum:
             p = sym_upper(rng)
             rho = float(rng.uniform(-2, 2))
             p11 = p.components[0]
+            tol = 1e-12 * max(1, abs(p11), abs(rho))
             raw = spectrum(symbol_raw(p, rho, E1))
-            assert np.abs(raw - np.sort([0, 0, 0, p11, p11, p11 - 4 * rho])).max() < 1e-9
+            assert np.abs(raw - np.sort([0, 0, 0, p11, p11, p11 - 4 * rho])).max() < tol
             mod = spectrum(symbol_modified(p, rho, E1))
-            assert np.abs(mod - np.sort([1, 1, 1, p11, p11, p11 - 4 * rho])).max() < 1e-9
+            assert np.abs(mod - np.sort([1, 1, 1, p11, p11, p11 - 4 * rho])).max() < tol
 
     def test_rotation_equivariance(self):
         rng = np.random.default_rng(16)
@@ -298,6 +304,44 @@ class TestSpectrum:
             moved = spectrum(symbol_raw(
                 SymTensor3.from_matrix(q @ p.matrix @ q.T, "upper"), rho, q @ xi))
             assert np.abs(base - moved).max() < 1e-9
+
+    @pytest.mark.parametrize("kind", ["threshold", "isotropic"])
+    def test_exact_where_an_eigenvalue_meets_the_structural_ones(self, kind):
+        # at rho = q / 4 the eigenvalue q - 4 rho of B meets the raw
+        # symbol's three zeros, and for isotropic P with rho = 0 the
+        # gauge-fixed symbol at q = 1 is the identity; the non-normal 6x6
+        # solve split such eigenvalues by ~1e-8 and warned of imaginary
+        # residue there
+        rng = np.random.default_rng(29)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(100):
+                xi = rng.normal(size=3)
+                xi /= np.linalg.norm(xi)
+                if kind == "threshold":
+                    p = sym_upper(rng)
+                    q = float(xi @ p.matrix @ xi)
+                    rho = q / 4.0
+                else:
+                    q = float(rng.choice([1.0, rng.uniform(-5, 5)]))
+                    p = SymTensor3(q * P_IDENTITY.components, "upper")
+                    rho = float(rng.choice([0.0, q / 4.0]))
+                scale = max(1.0, abs(q), abs(rho))
+                raw = spectrum(symbol_raw(p, rho, xi))
+                mod = spectrum(symbol_modified(p, rho, xi))
+                assert np.abs(raw - np.sort([0, 0, 0, q, q, q - 4 * rho])).max() <= 1e-12 * scale
+                assert np.abs(mod - np.sort([1, 1, 1, q, q, q - 4 * rho])).max() <= 1e-12 * scale
+
+    def test_structural_eigenvalues_are_exact(self):
+        rng = np.random.default_rng(31)
+        p, xi = sym_upper(rng), rng.normal(size=3)
+        q = float(xi @ p.matrix @ xi) / float(xi @ xi)
+        for sym, structural in ((symbol_raw(p, 0.4, xi), 0.0),
+                                (symbol_modified(p, 0.4, xi), 1.0)):
+            got = spectrum(sym)
+            assert np.count_nonzero(got == structural) >= 3
+            assert np.abs(np.sort(np.linalg.eigvals(sym.block).real)
+                          - np.sort([q, q, q - 1.6])).max() < 1e-12
 
     def test_imaginary_residue_is_judged_relative_to_the_entries(self):
         # at |P| ~ 1e150 rounding leaves imaginary parts far above 1e-10 in
@@ -317,7 +361,8 @@ class TestSpectrum:
         for xi in unit_directions(12):
             q = float(xi @ p.matrix @ xi)
             got = spectrum(symbol_raw(p, rho, xi))
-            assert np.abs(got - np.sort([0, 0, 0, q, q, q - 4 * rho])).max() < 1e-9
+            tol = 1e-12 * max(1, abs(q))
+            assert np.abs(got - np.sort([0, 0, 0, q, q, q - 4 * rho])).max() < tol
 
 
 class TestParabolicity:
@@ -442,23 +487,6 @@ class TestParabolicity:
 
 
 class TestHelpers:
-    def test_rotation_to_e1_maps_and_is_orthogonal(self):
-        rng = np.random.default_rng(20)
-        for _ in range(25):
-            xi = rng.normal(size=3)
-            xi /= np.linalg.norm(xi)
-            q = rotation_to_e1(xi)
-            assert np.abs(q @ xi - E1).max() < 1e-14
-            assert np.abs(q @ q.T - np.eye(3)).max() < 1e-14
-            assert np.linalg.det(q) == pytest.approx(1.0, abs=1e-12)
-
-    def test_induced_rotation_is_a_homomorphism(self):
-        rng = np.random.default_rng(22)
-        q1 = special_ortho_group.rvs(3, random_state=rng)
-        q2 = special_ortho_group.rvs(3, random_state=rng)
-        s = induced_tensor_rotation(q1 @ q2)
-        assert np.abs(s - induced_tensor_rotation(q1) @ induced_tensor_rotation(q2)).max() < 1e-13
-
     def test_unit_directions_are_unit_and_deterministic(self):
         d1 = unit_directions(200)
         d2 = unit_directions(200)
@@ -470,8 +498,9 @@ class TestHelpers:
         assert isinstance(m, SymbolMatrix)
         assert m.kind == "raw"
         assert m.rho == 0.5
-        assert np.array_equal(m.xi, [0.0, 2.0, 0.0])
-        assert m.normalized
+        assert np.array_equal(m.xi, [0.0, 1.0, 0.0])  # the unit covector
+        assert m.block.shape == (3, 3)
+        assert symbol_modified(P_IDENTITY, 0.5, [0.0, 2.0, 0.0]).kind == "deturck"
 
     def test_stated_threshold_cases(self):
         assert stated_threshold(0.2, 5.0, +1) == 0.05
