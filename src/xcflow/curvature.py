@@ -154,8 +154,12 @@ class SymTensor3:
         return unpack(self.components)
 
     def is_positive_definite(self) -> bool:
-        """Sylvester criterion: finite components, all leading principal minors positive."""
-        return _positive_definite_det(self.components) > 0.0
+        """Sylvester's criterion at every scale: finite components, and all
+        leading principal minors of D t D positive, where the congruence by
+        a diagonal power of two D brings each diagonal entry near 1, so the
+        verdict does not depend on the overall scale of t.  A metric check
+        may still refuse t for a determinant that under- or overflows."""
+        return _positive_definite_scaled(self.components.tolist())
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -216,23 +220,27 @@ def _require_metric(g: SymTensor3) -> float:
     return det
 
 
-def _metric_failure(comps: list[float], det: float) -> str:
-    """Why g failed `_require_metric`: it is not positive definite, or it
-    is and det g under- (det = 0) or overflows (det = inf).
+def _positive_definite_scaled(comps: list[float]) -> bool:
+    """Sylvester's test on D g D, with D = diag(2^-h_i) and 4^h_i near g_ii.
 
-    Sylvester's test is rerun on D g D with D = diag(2^-h_i) and 4^h_i
-    near g_ii.  The congruence keeps definiteness and is exact up to
-    off-diagonal entries that fall below the normal range; it brings each
-    diagonal entry into [1/2, 2) and, for a positive definite g, every
-    entry to at most 2 in size, so no minor there under- or overflows.
+    The congruence keeps definiteness and is exact up to off-diagonal
+    entries that fall below the normal range; it brings each diagonal
+    entry into [1/2, 2) and, for a positive definite g, every entry to at
+    most 2 in size, so no minor there under- or overflows.
     """
     half = [math.frexp(comps[k])[1] // 2 for k in (0, 3, 4)]
     try:
         scaled = [math.ldexp(v, -(half[i] + half[j]))
                   for v, (i, j) in zip(comps, COMPONENT_ORDER)]
     except OverflowError:  # an off-diagonal entry far beyond sqrt(g_ii g_jj)
-        return "metric is not positive definite"
-    if _positive_definite_det(np.array(scaled)) == 0.0:
+        return False
+    return _positive_definite_det(np.array(scaled)) > 0.0
+
+
+def _metric_failure(comps: list[float], det: float) -> str:
+    """Why g failed `_require_metric`: it is not positive definite, or it
+    is and det g under- (det = 0) or overflows (det = inf)."""
+    if not _positive_definite_scaled(comps):
         return "metric is not positive definite"
     scale = math.exp(sum(math.log(comps[k]) for k in (0, 3, 4)) / 3.0)
     return (f"metric determinant {'overflows' if det else 'underflows'}: g is positive "
@@ -673,6 +681,54 @@ def eigen_frame(p: SymTensor3, g: SymTensor3) -> tuple[CurvatureFrame, np.ndarra
     return CurvatureFrame(*map(float, vals)), vecs
 
 
+def _fd_offsets() -> np.ndarray:
+    """The finite-difference stencil in sampling order: +e_k, -e_k for
+    k = 0, 1, 2, then the corners s e_k + t e_l, (s, t) = (+,+), (+,-),
+    (-,+), (-,-), for (k, l) = (0, 1), (0, 2), (1, 2).
+
+    Each row is the sum of the signed unit vectors, so a zero entry is -0.0
+    exactly where every term subtracts, and x + h * row rounds as the
+    chained x +- h e_k +- h e_l does, signed zeros included.
+    """
+    e = np.eye(3)
+    axes = [s * e[k] for k in range(3) for s in (1.0, -1.0)]
+    corners = [s * e[k] + t * e[l] for k, l in ((0, 1), (0, 2), (1, 2))
+               for s, t in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))]
+    return _frozen(np.array(axes + corners))
+
+
+_FD_OFFSETS = _fd_offsets()
+# MetricJet's ddg rows (pairs 11, 12, 13, 22, 33, 23) from the stacked
+# second differences: the pure ones d_k d_k (rows 0-2), then the mixed
+# d_0 d_1, d_0 d_2, d_1 d_2 (rows 3-5)
+_FD_DDG_ROWS = np.array([0, 3, 4, 1, 2, 5])
+
+
+def _stencil_failure(samples: list, points: list[np.ndarray], step: float) -> None:
+    """Raise DomainError for the first sample that is not a finite 3x3
+    matrix, naming it unless it is the centre points[0]; return if none is.
+
+    A sample that np.asarray cannot read as floats raises numpy's error.
+    """
+    for n, sample in enumerate(samples):
+        value = np.asarray(sample, dtype=float)
+        if value.shape != (3, 3):
+            reason = f"metric callback returned shape {value.shape}, not (3, 3)"
+        elif not np.all(np.isfinite(value)):
+            reason = "metric callback returned non-finite samples"
+        else:
+            continue
+        if n == 0:
+            raise DomainError(reason)
+        raise DomainError(_stencil_message(points[n], step, reason))
+
+
+def _stencil_message(point: np.ndarray, step: float, reason: object) -> str:
+    where = ",".join(f"{v:.12g}" for v in point)
+    return (f"the finite-difference stencil leaves the metric's domain: its sample at "
+            f"{where} (fd_step {step:g}) fails with '{reason}'; the point itself is inside")
+
+
 def jet_from_function(
     g_fn: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
@@ -681,58 +737,64 @@ def jet_from_function(
 ) -> MetricJet:
     """Second-order central-difference jet of a coordinate metric field.
 
-    g_fn maps a point (3-vector) to the 3x3 metric matrix there.  The
+    g_fn maps a point (3-vector) to the 3x3 metric matrix there.  It is
+    called once at x, then at the 18 points x + h * row of the stencil
+    `_FD_OFFSETS` (+-e_k, then the corners +-e_k +-e_l) for h = step and,
+    with richardson=True, again for h = step / 2: 19 samples, or 37.  The
     mixed second derivatives use the symmetric 4-point stencil, so ddg is
     symmetric under the derivative-pair swap exactly.  With richardson=True
-    the step and half-step estimates are combined to fourth order.  A
-    DomainError that g_fn raises at x itself propagates as it is; one it
-    raises at another sample of the stencil is re-raised naming that sample
-    and the step, since the point itself lies in the domain.
+    the step and half-step estimates are combined to fourth order.
+
+    The samples are differenced as one stack of canonical components, with
+    the operations, in the order, of the central differences written out
+    per entry, so the jet is the same bit for bit as that of a loop over
+    the stencil.  The first sample that raises DomainError, is not finite
+    or is not 3x3 ends the call: at x itself its error propagates as it is,
+    at another sample it is re-raised naming that sample and the step,
+    since the point itself lies in the domain.
     """
     if not (math.isfinite(step) and step > 0.0):
         raise DomainError(f"finite-difference step must be finite and positive, got {step!r}")
-
-    def _sample(point: np.ndarray) -> np.ndarray:
-        try:
-            value = np.asarray(g_fn(point), dtype=float)
-            if not np.all(np.isfinite(value)):
-                raise DomainError("metric callback returned non-finite samples")
-        except DomainError as exc:
-            if point is x:
-                raise
-            where = ",".join(f"{v:.12g}" for v in point)
-            raise DomainError(f"the finite-difference stencil leaves the metric's domain: "
-                              f"its sample at {where} (fd_step {step:g}) fails with "
-                              f"'{exc}'; the point itself is inside") from exc
-        return value
-
-    def _differences(h: float) -> tuple[np.ndarray, np.ndarray]:
-        e = np.eye(3)
-        g0 = _sample(x)
-        dg = np.empty((3, 3, 3))
-        ddg = np.empty((3, 3, 3, 3))
-        for k in range(3):
-            gp = _sample(x + h * e[k])
-            gm_ = _sample(x - h * e[k])
-            dg[k] = (gp - gm_) / (2.0 * h)
-            ddg[k, k] = (gp - 2.0 * g0 + gm_) / h**2
-        for k in range(3):
-            for l in range(k + 1, 3):
-                mixed = (_sample(x + h * e[k] + h * e[l])
-                         - _sample(x + h * e[k] - h * e[l])
-                         - _sample(x - h * e[k] + h * e[l])
-                         + _sample(x - h * e[k] - h * e[l])) / (4.0 * h**2)
-                ddg[k, l] = mixed
-                ddg[l, k] = mixed
-        return dg, ddg
-
     x = np.asarray(x, dtype=float)
-    dg, ddg = _differences(step)
+    steps = (step, step / 2.0) if richardson else (step,)
+    points = [x, *(x + np.array(steps)[:, None, None] * _FD_OFFSETS).reshape(-1, 3)]
+    samples = []
+    try:
+        for point in points:
+            samples.append(g_fn(point))
+    except Exception as exc:
+        # a bad sample before the raising one ends the call first
+        _stencil_failure(samples, points, step)
+        if not samples or not isinstance(exc, DomainError):
+            raise
+        raise DomainError(_stencil_message(points[len(samples)], step, exc)) from exc
+    try:
+        stack = np.array(samples, dtype=float)
+    except (TypeError, ValueError):  # samples of different shapes, or not numbers
+        _stencil_failure(samples, points, step)
+        raise
+    if stack.shape[1:] != (3, 3) or not np.isfinite(stack).all():
+        _stencil_failure(samples, points, step)
+
+    packed = stack[:, _ROWS, _COLS]
+    centre = packed[0]
+    blocks = packed[1:].reshape(len(steps), 18, 6)
+    plus, minus = blocks[:, 0:6:2], blocks[:, 1:6:2]
+    corners = blocks[:, 6:].reshape(len(steps), 3, 4, 6)
+    # per step: 2h, h^2 and 4h^2 in Python floats, as the written-out
+    # differences divide by them
+    div = np.array([[2.0 * h, h**2, 4.0 * h**2] for h in steps])[:, :, None, None]
+    dg = (plus - minus) / div[:, 0]
+    pure = (plus - 2.0 * centre + minus) / div[:, 1]
+    mixed = (corners[:, :, 0] - corners[:, :, 1] - corners[:, :, 2]
+             + corners[:, :, 3]) / div[:, 2]
+    ddg = np.concatenate((pure, mixed), axis=1)[:, _FD_DDG_ROWS]
     if richardson:
-        dg_half, ddg_half = _differences(step / 2.0)
-        dg = (4.0 * dg_half - dg) / 3.0
-        ddg = (4.0 * ddg_half - ddg) / 3.0
-    return MetricJet.from_full(_sample(x), dg, ddg)
+        dg = (4.0 * dg[1] - dg[0]) / 3.0
+        ddg = (4.0 * ddg[1] - ddg[0]) / 3.0
+    else:
+        dg, ddg = dg[0], ddg[0]
+    return MetricJet(SymTensor3.from_matrix(stack[0]), dg, ddg)
 
 
 def space_form_chart(kappa: float) -> Callable[[np.ndarray], np.ndarray]:

@@ -145,6 +145,14 @@ class TestSymTensor3:
         # positive minors but indefinite-looking off-diagonals
         assert not SymTensor3(np.array([1.0, 2.0, 0, 1.0, 1.0, 0])).is_positive_definite()
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-110, 1.0, 1e103, 1e300])
+    def test_positive_definite_verdict_does_not_depend_on_scale(self, scale):
+        # det g under- or overflows at most of these scales; the verdict is
+        # Sylvester's on the diagonally rescaled tensor
+        assert SymTensor3(scale * np.array([1.0, 0.1, 0.0, 2.0, 1.0, 0.0])).is_positive_definite()
+        assert not SymTensor3(scale * np.array([1.0, 2.0, 0.0, 1.0, 1.0, 0.0])).is_positive_definite()
+        assert not SymTensor3(scale * np.array([1.0, 0.1, 0.0, 2.0, -1.0, 0.0])).is_positive_definite()
+
     def test_positive_definite_matches_eigenvalue_reference(self):
         # eigenvalues are the reference; LAPACK's output on a non-finite
         # matrix is unspecified, and such a matrix is never a metric
@@ -212,6 +220,7 @@ class TestVolumeForm:
         # an InternalConsistencyError downstream) or det g = 0 ("not
         # positive definite", which is false)
         g = SymTensor3(scale * np.array([1.0, 0.1, 0.0, 2.0, 1.0, 0.0]))
+        assert g.is_positive_definite()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match=message.replace("+", r"\+")):
@@ -226,8 +235,10 @@ class TestVolumeForm:
         [5e-324, 1e300, 0, 5e-324, 5e-324, 0],  # the rescaled g_12 overflows
     ])
     def test_indefinite_metric_at_any_scale_is_not_positive_definite(self, components):
+        g = SymTensor3(np.array(components, dtype=float))
+        assert not g.is_positive_definite()
         with pytest.raises(DomainError, match="metric is not positive definite"):
-            volume_form(SymTensor3(np.array(components, dtype=float)))
+            volume_form(g)
 
     def test_contraction_identity_brute_force(self):
         rng = np.random.default_rng(3)
@@ -692,7 +703,153 @@ def test_space_form_chart_jet_matches_loop_reference():
             assert a.tobytes() == b.tobytes()
 
 
+def loop_jet_reference(g_fn, x, step=1e-3, richardson=False):
+    """jet_from_function written out as a loop over the stencil, one sample
+    at a time and each checked as it comes: the reference the stacked
+    differences must match bit for bit, errors included."""
+    def _sample(point):
+        try:
+            value = np.asarray(g_fn(point), dtype=float)
+            if not np.all(np.isfinite(value)):
+                raise DomainError("metric callback returned non-finite samples")
+        except DomainError as exc:
+            if point is x:
+                raise
+            where = ",".join(f"{v:.12g}" for v in point)
+            raise DomainError(f"the finite-difference stencil leaves the metric's domain: "
+                              f"its sample at {where} (fd_step {step:g}) fails with "
+                              f"'{exc}'; the point itself is inside") from exc
+        return value
+
+    def _differences(h):
+        e = np.eye(3)
+        g0 = _sample(x)
+        dg = np.empty((3, 3, 3))
+        ddg = np.empty((3, 3, 3, 3))
+        for k in range(3):
+            gp = _sample(x + h * e[k])
+            gm_ = _sample(x - h * e[k])
+            dg[k] = (gp - gm_) / (2.0 * h)
+            ddg[k, k] = (gp - 2.0 * g0 + gm_) / h**2
+        for k in range(3):
+            for l in range(k + 1, 3):
+                mixed = (_sample(x + h * e[k] + h * e[l])
+                         - _sample(x + h * e[k] - h * e[l])
+                         - _sample(x - h * e[k] + h * e[l])
+                         + _sample(x - h * e[k] - h * e[l])) / (4.0 * h**2)
+                ddg[k, l] = mixed
+                ddg[l, k] = mixed
+        return dg, ddg
+
+    x = np.asarray(x, dtype=float)
+    dg, ddg = _differences(step)
+    if richardson:
+        dg_half, ddg_half = _differences(step / 2.0)
+        dg = (4.0 * dg_half - dg) / 3.0
+        ddg = (4.0 * ddg_half - ddg) / 3.0
+    return MetricJet.from_full(_sample(x), dg, ddg)
+
+
+def _sign_reading_chart(kappa):
+    """The space-form chart, perturbed by the sign bits of the point's
+    coordinates, so a sample at -0.0 differs from one at +0.0."""
+    chart = space_form_chart(kappa)
+
+    def g_fn(x):
+        return chart(x) * (1.0 + 1e-3 * np.signbit(x).sum()) + 1e-4 * np.diag(np.copysign(1.0, x))
+
+    return g_fn
+
+
 class TestJetFromFunction:
+    def test_matches_loop_reference_bit_for_bit(self):
+        rng = np.random.default_rng(71)
+        signed_zero_points = 0
+        for trial in range(600):
+            kappa = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 3.0))
+            x = rng.uniform(-0.5, 0.5, 3)
+            if trial % 3 == 0:  # some coordinates +-0.0, sometimes all three
+                zeros = rng.random(3) < (1.0 if trial % 2 else 0.4)
+                x[zeros] = rng.choice([0.0, -0.0], zeros.sum())
+                signed_zero_points += bool(np.signbit(x[zeros]).any())
+            step = float(10.0 ** rng.uniform(-5, -1)) if trial % 4 else 2.0 ** -int(rng.integers(3, 20))
+            g_fn = _sign_reading_chart(kappa) if trial % 2 else space_form_chart(kappa)
+            for richardson in (False, True):
+                got = jet_from_function(g_fn, x, step=step, richardson=richardson)
+                want = loop_jet_reference(g_fn, x, step=step, richardson=richardson)
+                for a, b in ((got.g.components, want.g.components), (got.dg, want.dg),
+                             (got.ddg, want.ddg)):
+                    assert a.tobytes() == b.tobytes(), (kappa, x, step, richardson)
+        assert signed_zero_points > 50
+
+    def test_signed_zero_samples_reach_the_callback(self):
+        # x - h e_k keeps a -0.0 coordinate and x + h e_k makes it +0.0: the
+        # sign-reading chart sees both, so its jet differs from the chart's
+        x = np.array([0.1, -0.0, 0.2])
+        plain = jet_from_function(space_form_chart(0.5), x)
+        signed = jet_from_function(_sign_reading_chart(0.5), x)
+        assert not np.array_equal(plain.dg, signed.dg)
+        assert signed.dg.tobytes() == loop_jet_reference(_sign_reading_chart(0.5), x).dg.tobytes()
+
+    @pytest.mark.parametrize("richardson, calls", [(False, 19), (True, 37)])
+    def test_one_sample_per_stencil_point(self, richardson, calls):
+        points = []
+        chart = space_form_chart(1.0)
+
+        def g_fn(x):
+            points.append(x.copy())
+            return chart(x)
+
+        x = np.array([0.1, -0.2, 0.3])
+        jet_from_function(g_fn, x, richardson=richardson)
+        assert len(points) == calls
+        assert np.array_equal(points[0], x)
+        # no stencil point is sampled twice
+        assert len({p.tobytes() for p in points}) == calls
+
+    def test_non_finite_stencil_sample_is_named_with_the_step(self):
+        def g_fn(x):
+            return np.eye(3) * (math.nan if x[1] < 0.0 else 1.0)
+
+        with pytest.raises(DomainError, match=r"stencil leaves the metric's domain: its sample "
+                           r"at 0,-0\.002,0 \(fd_step 0\.002\) fails with 'metric callback "
+                           r"returned non-finite samples'"):
+            jet_from_function(g_fn, np.zeros(3), step=2e-3)
+
+    def test_non_finite_centre_is_not_named(self):
+        def g_fn(x):
+            return np.eye(3) * (math.nan if not x.any() else 1.0)
+
+        with pytest.raises(DomainError, match="^metric callback returned non-finite samples$"):
+            jet_from_function(g_fn, np.zeros(3), richardson=True)
+
+    @pytest.mark.parametrize("first, then, named", [
+        ("nan", "raise", "metric callback returned non-finite samples"),
+        ("raise", "nan", "outside"),
+    ])
+    def test_first_failing_sample_is_the_one_named(self, first, then, named):
+        # +e_0 is sampled before -e_0; whichever fails first is named, as a
+        # loop that checks every sample as it comes names it
+        def g_fn(x):
+            how = first if x[0] > 0.0 else then if x[0] < 0.0 else None
+            if how == "raise":
+                raise DomainError("outside")
+            return np.eye(3) * (math.nan if how == "nan" else 1.0)
+
+        message = (r"its sample at 0\.001,0,0 \(fd_step 0\.001\) fails with '" + named + "'")
+        for fn in (jet_from_function, loop_jet_reference):
+            with pytest.raises(DomainError, match=message):
+                fn(g_fn, np.zeros(3))
+
+    def test_wrong_shape_callback_names_the_shape(self):
+        with pytest.raises(DomainError, match=r"^metric callback returned shape \(2, 2\), "
+                           r"not \(3, 3\)$"):
+            jet_from_function(lambda x: np.eye(2), np.zeros(3))
+        # a stencil sample of another shape is named like a non-finite one
+        with pytest.raises(DomainError, match=r"its sample at 0,0\.001,0 \(fd_step 0\.001\) "
+                           r"fails with 'metric callback returned shape \(2, 2\)"):
+            jet_from_function(lambda x: np.eye(2) if x[1] > 0.0 else np.eye(3), np.zeros(3))
+
     def test_constant_metric_exact_zero(self):
         g = np.diag([2.0, 1.0, 3.0])
         jet = jet_from_function(lambda x: g, np.zeros(3), step=1e-3)
@@ -727,7 +884,7 @@ class TestJetFromFunction:
 
     def test_non_finite_samples_raise(self):
         def g_fn(x):
-            with np.errstate(divide="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore"):
                 return np.eye(3) / x[0]  # singular across the stencil at x = 0
 
         with pytest.raises(DomainError):
