@@ -10,106 +10,89 @@ Subsystems:
 - `symbol`: 6x6 principal-symbol matrices of the linearized flow
   operator (raw and gauge-fixed), their spectra, and parabolicity
   verdicts.
+- `bounds`: the stated parabolicity bound and the sweep's size limits,
+  without numpy, shared by `symbol`, `flow` and `cli`.
 - `flow`: the scale-factor reduction of the flow for Einstein initial
   data, with RK4 integration, event detection, and closed-form oracles.
 - `verify`: invariant suites that re-derive every promised identity by
   an independent route.
 - `cli`: the `xcflow` command (curvature / symbol / flow / verify).
+
+Every name in `__all__` loads its submodule on first access (PEP 562), so
+`import xcflow` loads no numpy.  `xcflow flow` runs on the standard
+library alone; `curvature`, `symbol` and `verify` need numpy.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .curvature import (
-    COMPONENT_ORDER,
-    CrossCurvatureForms,
-    CurvatureFrame,
-    MetricJet,
-    Riemann3,
-    SymTensor3,
-    christoffel,
-    cross_curvature,
-    cross_curvature_forms,
-    eigen_frame,
-    einstein_raised,
-    generalized_eigh,
-    jet_from_function,
-    pack,
-    ricci,
-    riemann,
-    space_form_chart,
-    space_form_chart_jet,
-    unpack,
-    volume_form,
-)
-from .errors import (
-    DomainError,
-    ExtinctStateError,
-    ExtinctionExceededError,
-    InternalConsistencyError,
-    XcflowError,
-)
-from .flow import (
-    FlowParams,
-    FlowTrace,
-    TraceRecord,
-    closed_form_c,
-    einstein_residual,
-    einstein_rhs,
-    engine_rhs,
-    integrate,
-)
-from .symbol import (
-    ParabolicityReport,
-    SymbolMatrix,
-    parabolicity,
-    spectrum,
-    symbol_modified,
-    symbol_raw,
-    to_orthonormal_frame,
-    unit_directions,
-)
+# every re-exported name, by the submodule it comes from
+_EXPORTS = {
+    "curvature": (
+        "COMPONENT_ORDER",
+        "CrossCurvatureForms",
+        "CurvatureFrame",
+        "MetricJet",
+        "Riemann3",
+        "SymTensor3",
+        "christoffel",
+        "cross_curvature",
+        "cross_curvature_forms",
+        "eigen_frame",
+        "einstein_raised",
+        "generalized_eigh",
+        "jet_from_function",
+        "pack",
+        "ricci",
+        "riemann",
+        "space_form_chart",
+        "space_form_chart_jet",
+        "unpack",
+        "volume_form",
+    ),
+    "errors": (
+        "DomainError",
+        "ExtinctStateError",
+        "ExtinctionExceededError",
+        "InternalConsistencyError",
+        "XcflowError",
+    ),
+    "flow": (
+        "FlowParams",
+        "FlowTrace",
+        "TraceRecord",
+        "closed_form_c",
+        "einstein_residual",
+        "einstein_rhs",
+        "engine_rhs",
+        "integrate",
+    ),
+    "symbol": (
+        "ParabolicityReport",
+        "SymbolMatrix",
+        "parabolicity",
+        "spectrum",
+        "symbol_modified",
+        "symbol_raw",
+        "to_orthonormal_frame",
+        "unit_directions",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = ["__version__", *sorted(_HOME)]
 
-__all__ = [
-    "__version__",
-    "COMPONENT_ORDER",
-    "CrossCurvatureForms",
-    "CurvatureFrame",
-    "DomainError",
-    "ExtinctStateError",
-    "ExtinctionExceededError",
-    "FlowParams",
-    "FlowTrace",
-    "InternalConsistencyError",
-    "MetricJet",
-    "ParabolicityReport",
-    "Riemann3",
-    "SymTensor3",
-    "SymbolMatrix",
-    "TraceRecord",
-    "XcflowError",
-    "christoffel",
-    "closed_form_c",
-    "cross_curvature",
-    "cross_curvature_forms",
-    "eigen_frame",
-    "einstein_raised",
-    "einstein_residual",
-    "einstein_rhs",
-    "engine_rhs",
-    "generalized_eigh",
-    "integrate",
-    "jet_from_function",
-    "pack",
-    "parabolicity",
-    "ricci",
-    "riemann",
-    "space_form_chart",
-    "space_form_chart_jet",
-    "spectrum",
-    "symbol_modified",
-    "symbol_raw",
-    "to_orthonormal_frame",
-    "unit_directions",
-    "unpack",
-    "volume_form",
-]
+
+def __getattr__(name: str):
+    """A re-exported name, or one of the submodules above, loaded on first use."""
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})

@@ -14,6 +14,11 @@ it came by.  A value may follow its flag as a separate word even when it
 starts with '-' (`--lambda -1e-3`, `--xi -1,0,0`).  A boolean is a flag
 without a value, or `true` / `false` in any case in a config file; any
 other spelling is a usage error.
+
+`flow` imports only the standard library and `xcflow.flow`, so it runs
+without numpy; `curvature`, `symbol` and `verify` need numpy, and load it
+and the modules they use when they run.
+
 `format` is `json` (default) or `csv` for the `curvature` and `symbol`
 reports, `csv` (default) or `json` for the `flow` trace, and `json` only
 for the `verify` summary.  All floats are emitted with their shortest
@@ -37,15 +42,15 @@ import json
 import math
 import sys
 from contextlib import nullcontext
-from typing import IO, Callable, NamedTuple
-
-import numpy as np
+from typing import IO, TYPE_CHECKING, Callable, NamedTuple
 
 from . import __version__
-from . import curvature as cv
 from . import flow as fl
-from . import symbol as sb
+from .bounds import DEFAULT_DIRECTION_SAMPLES, MAX_DIRECTION_SAMPLES
 from .errors import DomainError, XcflowError
+
+if TYPE_CHECKING:
+    from .curvature import Riemann3, SymTensor3
 
 
 class UsageError(Exception):
@@ -256,19 +261,23 @@ def _write_report(report: dict, path: str | None, fmt_name: str) -> None:
                 fh.write(f"{key},{value}\n")
 
 
-def _flatten(obj, prefix=""):
-    rows = []
+def _flatten(obj, key: str = "") -> list[tuple[str, str]]:
+    """(key, value) rows of a report: a dict, or a list of dicts, recurses
+    with a dotted key (`directions.0.raw_spectrum`); any other value is one
+    row, a nested list of numbers `;`-joined in row-major order."""
     if isinstance(obj, dict):
-        for key, value in obj.items():
-            rows.extend(_flatten(value, f"{prefix}{key}." if prefix else f"{key}."))
-    elif isinstance(obj, (list, tuple)):
-        rows.append((prefix.rstrip("."), ";".join(
-            fmt(v) if isinstance(v, float) else str(v) for v in np.ravel(np.asarray(obj, dtype=object)))))
-    elif isinstance(obj, float):
-        rows.append((prefix.rstrip("."), fmt(obj)))
+        items = obj.items()
+    elif isinstance(obj, (list, tuple)) and obj and all(isinstance(v, dict) for v in obj):
+        items = enumerate(obj)
     else:
-        rows.append((prefix.rstrip("."), str(obj)))
-    return rows
+        return [(key, _joined(obj))]
+    return [row for k, v in items for row in _flatten(v, f"{key}.{k}" if key else str(k))]
+
+
+def _joined(obj) -> str:
+    if isinstance(obj, (list, tuple)):
+        return ";".join(map(_joined, obj))
+    return fmt(obj) if isinstance(obj, float) else str(obj)
 
 
 def _vec_str(values) -> str:
@@ -278,7 +287,11 @@ def _vec_str(values) -> str:
 # ---------------------------------------------------------------------------
 # curvature command
 
-def _curvature_inputs(options: dict) -> tuple[cv.Riemann3, cv.SymTensor3, dict]:
+def _curvature_inputs(options: dict) -> tuple[Riemann3, SymTensor3, dict]:
+    import numpy as np
+
+    from . import curvature as cv
+
     modes = [k for k in ("frame", "space_form", "jet_from_chart") if options[k] is not None]
     if len(modes) != 1:
         raise UsageError(
@@ -319,6 +332,10 @@ def _curvature_inputs(options: dict) -> tuple[cv.Riemann3, cv.SymTensor3, dict]:
 
 
 def cmd_curvature(options: dict, stdout: IO[str]) -> int:
+    import numpy as np
+
+    from . import curvature as cv
+
     # A finite but huge input can overflow on the way to the tensor checks,
     # which reject the non-finite result (exit 3); numpy's warnings about
     # the overflow would only put noise on stderr ahead of that error line.
@@ -371,7 +388,11 @@ def cmd_curvature(options: dict, stdout: IO[str]) -> int:
 # ---------------------------------------------------------------------------
 # symbol command
 
-def _symbol_p(options: dict) -> cv.SymTensor3:
+def _symbol_p(options: dict) -> SymTensor3:
+    import numpy as np
+
+    from . import curvature as cv
+
     if (options["frame"] is None) == (options["p"] is None):
         raise UsageError("provide exactly one of --frame or --p")
     if options["frame"] is not None:
@@ -381,6 +402,11 @@ def _symbol_p(options: dict) -> cv.SymTensor3:
 
 
 def cmd_symbol(options: dict, stdout: IO[str]) -> int:
+    import numpy as np
+
+    from . import curvature as cv
+    from . import symbol as sb
+
     p = _symbol_p(options)
     rho, case = options["rho"], options["case"]
     xis = [np.array(xi) for xi in options["xi"]]
@@ -613,9 +639,9 @@ COMMANDS = {
             "all_directions"),
         Key("direction_samples", _integer,
             "Fibonacci lattice directions swept with P's three eigenvectors, at most "
-            f"{sb.MAX_DIRECTION_SAMPLES}; the verdict uses the exact minimum over all "
+            f"{MAX_DIRECTION_SAMPLES}; the verdict uses the exact minimum over all "
             "directions whatever the count",
-            sb.DEFAULT_DIRECTION_SAMPLES),
+            DEFAULT_DIRECTION_SAMPLES),
         _OUTPUT, _REPORT_FORMAT)),
     "flow": Command(cmd_flow, "integrate the scale-factor flow", (
         Key("rho", _number, "scalar-curvature coupling", required=True),

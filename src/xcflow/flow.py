@@ -19,6 +19,11 @@ named step, checked bit for bit against `verify.reference_rk4_step`; the
 bisection uses it, and the loop repeats it inline.  verify's
 `flow/integrate_matches_reference_replay` replays whole runs step by step
 against the reference step and `_record`.
+
+The integrator runs on the standard library alone, so `xcflow flow` loads
+no numpy.  The engine cross-checks (`engine_rhs`, `einstein_residual`,
+`parabolicity_report_at`, `tensor_norm`) import numpy, `curvature` and
+`symbol` when they are called.
 """
 
 from __future__ import annotations
@@ -27,13 +32,16 @@ import math
 import operator
 from dataclasses import dataclass
 from math import isfinite
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
-from . import curvature as cv
-from . import symbol as sb
+from .bounds import stated_threshold
 from .errors import DomainError, ExtinctStateError, ExtinctionExceededError
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .curvature import SymTensor3
+    from .symbol import ParabolicityReport
 
 DEFAULT_C_MIN = 1e-8
 STEADY_STATE_RHS_TOL = 1e-14
@@ -138,6 +146,8 @@ def engine_rhs(c: float, params: FlowParams) -> float:
     and reads off the coefficient of the initial metric.  Serves as the
     independent verification of einstein_rhs.
     """
+    from . import curvature as cv
+
     if c <= 0.0:
         raise ExtinctStateError(f"scale factor must be positive, got {c!r}")
     g = cv.SymTensor3(c * cv.SymTensor3.identity().components)
@@ -243,8 +253,11 @@ def _refine_extinction(c: float, k1: float, t: float, dt: float, num: float, a: 
     return t + 0.5 * (lo + hi), halvings
 
 
-def parabolicity_report_at(c: float, params: FlowParams) -> sb.ParabolicityReport:
+def parabolicity_report_at(c: float, params: FlowParams) -> ParabolicityReport:
     """Full symbol-sweep parabolicity report on the instantaneous space form."""
+    from . import curvature as cv
+    from . import symbol as sb
+
     g = cv.SymTensor3(c * cv.SymTensor3.identity().components)
     riem = cv.Riemann3.space_form(params.lam / (2.0 * c), g)
     p = cv.einstein_raised(riem, g)
@@ -256,7 +269,7 @@ def _record(t: float, c: float, params: FlowParams, events: tuple[str, ...]) -> 
     """Record at scale c.  P's generalized eigenvalues all equal kappa, so the
     margin is symbol.parabolicity's all-directions stated bound, at scalar cost."""
     kappa = params.lam / (2.0 * c)
-    margin = sb.stated_threshold(kappa, kappa, params.epsilon) - params.rho
+    margin = stated_threshold(kappa, kappa, params.epsilon) - params.rho
     return TraceRecord(t, c, 3.0 * params.lam / c, kappa**2, margin, events)
 
 
@@ -320,7 +333,7 @@ def integrate(
     lam, rho = params.lam, params.rho
     lam3 = 3.0 * lam  # 3 lam / c evaluates as (3 lam) / c
     # stated_threshold(kappa, kappa, eps) is kappa times this exact power of two
-    factor = sb.stated_threshold(1.0, 1.0, params.epsilon)
+    factor = stated_threshold(1.0, 1.0, params.epsilon)
     steady_tol, steady_len = STEADY_STATE_RHS_TOL, STEADY_STATE_RUN_LENGTH
     # tuple.__new__ builds a TraceRecord without NamedTuple's argument binding
     inf, new = math.inf, tuple.__new__
@@ -404,6 +417,8 @@ def einstein_residual(record: TraceRecord, params: FlowParams) -> float:
     norm.  Identically zero on the ansatz up to rounding; measures
     engine self-consistency rather than integration error.
     """
+    from . import curvature as cv
+
     c = record.c
     g = cv.SymTensor3(c * cv.SymTensor3.identity().components)
     riem = cv.Riemann3.space_form(params.lam / (2.0 * c), g)
@@ -411,7 +426,9 @@ def einstein_residual(record: TraceRecord, params: FlowParams) -> float:
     return tensor_norm(ric.matrix - (scalar / 3.0) * g.matrix, g)
 
 
-def tensor_norm(t_lower: np.ndarray, g: cv.SymTensor3) -> float:
+def tensor_norm(t_lower: np.ndarray, g: SymTensor3) -> float:
     """Metric norm of a lowered 2-tensor: sqrt(g^ik g^jl T_ij T_kl)."""
+    import numpy as np
+
     ginv = np.linalg.inv(g.matrix)
     return float(np.sqrt(np.einsum("ik,jl,ij,kl->", ginv, ginv, t_lower, t_lower)))

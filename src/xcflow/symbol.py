@@ -45,18 +45,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import DEFAULT_DIRECTION_SAMPLES, MAX_DIRECTION_SAMPLES, stated_threshold
 from .curvature import COMPONENT_ORDER, SymTensor3, cholesky_frame, pack, unpack
 from .errors import DomainError, InternalConsistencyError
 
 IMAG_RESIDUE_TOL = 1e-10
 STRICTNESS_FLOOR = 1e-9
 STRUCTURE_TOL = 1e-12
-DEFAULT_DIRECTION_SAMPLES = 200
-# The sweep peaks at about 2.1 KB per direction (peak RSS grew by 106 MB
-# at 50000 directions with numpy 2.4), so this bounds it near 110 MB; a
-# larger request is refused before anything is built.  The verdict is exact
-# at any lattice size, so more directions would buy nothing.
-MAX_DIRECTION_SAMPLES = 50_000
 
 
 class ComplexEigenvalueWarning(RuntimeWarning):
@@ -326,13 +321,6 @@ def to_orthonormal_frame(p: SymTensor3, g: SymTensor3) -> SymTensor3:
         raise DomainError("frame transform expects a tensor with upper indices")
     components, _ = cholesky_frame(p, g)
     return SymTensor3.from_matrix(components, "upper")
-
-
-def stated_threshold(lowest: float, highest: float, sign: int) -> float:
-    """Stated sufficient bound on rho from the extreme eigenvalues of P:
-    lowest / 4 in the positive case (sign +1), -highest / 2 in the
-    negative case (sign -1)."""
-    return lowest / 4.0 if sign > 0 else -highest / 2.0
 
 
 @dataclass(frozen=True)

@@ -618,12 +618,12 @@ def reference_rk4_step(c: float, dt: float, params: fl.FlowParams,
     for weight in (None, 0.5, 0.5, 1.0):
         if weight is not None:
             y = c + weight * dt * stages[-1]
-            if not np.isfinite(y) or y <= c_floor:
+            if not math.isfinite(y) or y <= c_floor:
                 return None
         stages.append(fl.einstein_rhs(y, params))
     k1, k2, k3, k4 = stages
     c_next = c + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.isfinite(c_next):
+    if not math.isfinite(c_next):
         return None
     return c_next
 

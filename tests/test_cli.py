@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -12,6 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import xcflow
 from xcflow import cli
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -72,6 +74,81 @@ def test_cli_and_verify_import_without_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": SRC}, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def _python(*argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, check=True)
+
+
+def test_import_xcflow_loads_no_numpy_and_no_submodule():
+    code = ("import sys, xcflow\n"
+            "def loaded(): return sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('xcflow', 'numpy'))\n"
+            "print(loaded())\n"
+            "assert xcflow.flow.integrate is xcflow.integrate\n"
+            "print(loaded())")
+    assert _python("-c", code).stdout.splitlines() == [
+        "['xcflow']", "['xcflow', 'xcflow.bounds', 'xcflow.errors', 'xcflow.flow']"]
+
+
+# `python -m xcflow` with numpy unimportable
+_WITHOUT_NUMPY = ("-c", "import runpy, sys; sys.modules['numpy'] = None; "
+                        "runpy.run_module('xcflow', run_name='__main__')")
+
+
+@pytest.mark.parametrize("fmt_name", ["csv", "json"])
+def test_flow_command_runs_without_numpy(fmt_name, tmp_path):
+    argv = ["flow", "--rho", "0.1", "--epsilon", "1", "--lambda", "1", "--dt", "1e-2",
+            "--t-end", "20", "--record-every", "3", "--paper-ode", "--format", fmt_name]
+    path = tmp_path / f"trace.{fmt_name}"
+    outputs = []
+    for python in (("-m", "xcflow"), _WITHOUT_NUMPY):
+        trace = _python(*python, *argv).stdout
+        printed = _python(*python, *argv, "--output", str(path)).stdout
+        outputs.append((trace, printed, path.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert "parabolicity_lost" in outputs[0][0] and f"wrote {path}" in outputs[0][1]
+
+
+def test_curvature_command_loads_no_symbol_module():
+    code = ("import sys; from xcflow.cli import main; "
+            "code = main(['curvature', '--frame', '1,2,3']); "
+            "print('modules', *(m for m in sorted(sys.modules) if m.startswith('xcflow.'))); "
+            "sys.exit(code)")
+    last = _python("-c", code).stdout.splitlines()[-1].split()
+    assert last[0] == "modules" and "xcflow.curvature" in last
+    assert "xcflow.symbol" not in last
+
+
+@pytest.mark.parametrize("name", [name for name in xcflow.__all__ if name != "__version__"])
+def test_every_export_is_its_home_modules_object(name):
+    home = importlib.import_module(f"xcflow.{xcflow._HOME[name]}")
+    value = getattr(xcflow, name)
+    assert value is getattr(home, name)
+    # the home module defines the name, not a re-export of it
+    assert getattr(value, "__module__", home.__name__) == home.__name__
+
+
+def test_namespace_lists_every_export_and_refuses_unknown_names():
+    assert set(xcflow.__all__) <= set(dir(xcflow))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(xcflow, "no_such_name")
+
+
+def test_symbol_csv_has_one_key_and_one_value_per_row(tmp_path, capsys):
+    path = tmp_path / "s.csv"
+    assert cli.main(["symbol", "--frame", "1,2,3", "--xi", "1,1,0", "--xi", "0,0,1",
+                     "--output", str(path), "--format", "csv"]) == cli.EXIT_OK
+    capsys.readouterr()
+    comment, *lines = path.read_text(encoding="utf-8").splitlines()
+    assert comment.startswith("# xcflow v")
+    rows = dict(line.split(",") for line in lines)  # exactly one comma per row
+    assert len(rows) == len(lines)
+    spectrum = [float(v) for v in rows["directions.1.raw_spectrum"].split(";")]
+    assert spectrum[:3] == [0.0, 0.0, 0.0] and spectrum[3:] == pytest.approx([3.0] * 3)
+    assert len(rows["directions.0.raw_matrix"].split(";")) == 36
+    assert rows["directions.0.xi"] == "1.0;1.0;0.0"
 
 
 FLOW_ARGS = ["--rho=0", "--epsilon=1", "--lambda=2", "--dt=1e-3", "--t-end=0.1"]
