@@ -249,16 +249,17 @@ def _open_output(path: str) -> IO[str]:
 
 
 def _write_report(report: dict, path: str | None, fmt_name: str) -> None:
+    """Write the report as JSON or CSV; the text is built before the file
+    is opened, so a report that cannot be serialised leaves no partial file."""
     if path is None:
         return
+    if fmt_name == "json":
+        text = json.dumps(report, indent=2) + "\n"
+    else:
+        text = "".join([f"# xcflow v{__version__}\n",
+                        *(f"{key},{value}\n" for key, value in _flatten(report))])
     with _open_output(path) as fh:
-        if fmt_name == "json":
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-        else:
-            fh.write(f"# xcflow v{__version__}\n")
-            for key, value in _flatten(report):
-                fh.write(f"{key},{value}\n")
+        fh.write(text)
 
 
 def _flatten(obj, key: str = "") -> list[tuple[str, str]]:

@@ -797,6 +797,10 @@ def jet_from_function(
     return MetricJet(SymTensor3.from_matrix(stack[0]), dg, ddg)
 
 
+_CHART_IDENTITY = np.eye(3)
+_CHART_IDENTITY.flags.writeable = False
+
+
 def space_form_chart(kappa: float) -> Callable[[np.ndarray], np.ndarray]:
     """Conformal chart of the curvature-kappa space form:
     g_ij(x) = delta_ij (1 + kappa |x|^2 / 4)^-2."""
@@ -806,7 +810,7 @@ def space_form_chart(kappa: float) -> Callable[[np.ndarray], np.ndarray]:
         u = 1.0 + kappa * float(x @ x) / 4.0
         if u <= 0.0:
             raise DomainError("point lies outside the chart domain")
-        return np.eye(3) / u**2
+        return _CHART_IDENTITY / u**2  # a fresh array; the identity stays read-only
 
     return g_fn
 

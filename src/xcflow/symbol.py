@@ -36,10 +36,30 @@ components), and
 it returns B.  Every spectrum, the sweep's and `spectrum`'s, is read off
 B, so the structural eigenvalues are exact, not solved for in the
 non-normal 6x6 matrix; `verify` keeps the full 6x6 solve as the reference.
+
+B is symmetric.  A variation m in T has m xi = 0, so xi^T m xi = 0, and
+the three terms xi (m P xi)^T + (m P xi) xi^T and tr(P m) xi xi^T of the
+raw action lie in K, which the projection onto T drops.  What is left is
+q m - 2 rho tr(m) I with q = xi^T P xi.  The identity splits as xi xi^T
+in K plus pi = I - xi xi^T in T, and tr m = <pi, m> on T, so
+    B = q 1 - 2 rho pi pi^T
+in the basis E, with |pi|^2 = 2: symmetric, with spec B = {q, q, q -
+4 rho}.  Every spectrum is therefore taken with the symmetric solver
+`eigvalsh` on the symmetric part (B + B^T) / 2; the skew part (B - B^T) / 2
+is rounding alone.  By Bendixson's theorem every eigenvalue of B lies
+within |(B - B^T) / 2|_2 of the real axis, so that norm bounds the
+imaginary residue a general solve of B could return.  Over the symbol
+scale, it is the `max_imag_residue` a report carries, and `spectrum`
+warns when it exceeds IMAG_RESIDUE_TOL of the entries.
+
+The Fibonacci lattice, its K/T bases and their T-duals depend only on
+the number of directions, so `parabolicity` keeps them per size, read-only,
+in a small cache; only the three eigenvectors of P are split per query.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -157,7 +177,7 @@ def symbol_stacks(p: SymTensor3, rho: float, xis) -> tuple[np.ndarray, np.ndarra
 def _one_direction(p: SymTensor3, rho, xi):
     """The unit covector along xi, and the raw symbol, gauge term and
     quotient block there.  Entries that overflow end as the DomainError of
-    `_eigvals` in `spectrum`, without numpy's overflow warnings first."""
+    `_block_spectra` in `spectrum`, without numpy's overflow warnings first."""
     xi_v = _covector(xi)
     # largest |component| first: the norm neither over- nor underflows
     v = xi_v / np.abs(xi_v).max()
@@ -200,15 +220,21 @@ def case_sign(case) -> int:
     raise DomainError(f"case must be +1/-1 or 'positive'/'negative', got {case!r}")
 
 
-def _eigvals(stack: np.ndarray) -> np.ndarray:
-    """np.linalg.eigvals, with entries that overflowed to inf or nan (P or
-    rho beyond what the symbol's products keep finite) as a DomainError."""
-    try:
-        return np.linalg.eigvals(stack)
-    except np.linalg.LinAlgError as exc:
-        if np.isfinite(stack).all():
-            raise
-        raise DomainError("symbol matrix entries overflow: P or rho is too large") from exc
+def _block_spectra(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of the symmetric part of each 3x3 block, and the
+    spectral norm of its skew part, which bounds the imaginary part of every
+    eigenvalue of the block (Bendixson; module docstring).  Entries that
+    overflowed to inf or nan (P or rho beyond what the symbol's products keep
+    finite) are a DomainError: `eigvalsh` would return nan for them."""
+    if not np.isfinite(blocks).all():
+        raise DomainError("symbol matrix entries overflow: P or rho is too large")
+    # halves first, so neither the sum nor the difference overflows
+    half, half_t = 0.5 * blocks, 0.5 * blocks.swapaxes(-1, -2)
+    skew = half - half_t
+    # a 3x3 skew matrix with entries a, b, c above its diagonal has
+    # eigenvalues 0 and +-i |(a, b, c)|
+    skew_norm = np.hypot(np.hypot(skew[..., 0, 1], skew[..., 0, 2]), skew[..., 1, 2])
+    return np.linalg.eigvalsh(half + half_t), skew_norm
 
 
 def spectrum(m: SymbolMatrix) -> np.ndarray:
@@ -217,20 +243,21 @@ def spectrum(m: SymbolMatrix) -> np.ndarray:
     They are read off the checked quotient block: {0, 0, 0} + spec B for
     the raw symbol and {1, 1, 1} + spec B for the gauge-fixed one (module
     docstring), so the structural eigenvalues are exact and only B's
-    three are solved for.  The spectra are real; imaginary residue in
-    spec B above 1e-10 max(1, max |entries|) is surfaced as a
+    three are solved for, as the eigenvalues of its symmetric part.  A
+    skew part of B above 1e-10 max(1, max |entries|), which bounds the
+    imaginary residue a general solve could return, is surfaced as a
     ComplexEigenvalueWarning rather than dropped silently.
     """
-    vals = _eigvals(m.block)
-    residue = float(np.abs(vals.imag).max())
-    if residue > IMAG_RESIDUE_TOL * max(1.0, float(np.abs(m.entries).max())):
+    vals, skew_norm = _block_spectra(m.block)
+    if skew_norm > IMAG_RESIDUE_TOL * max(1.0, float(np.abs(m.entries).max())):
         warnings.warn(
-            f"symbol spectrum has imaginary residue {residue:.3e}",
+            f"symbol spectrum has imaginary residue up to {float(skew_norm):.3e} "
+            f"(the skew part of its quotient block)",
             ComplexEigenvalueWarning,
             stacklevel=2,
         )
     structural = 0.0 if m.kind == "raw" else 1.0
-    return np.sort(np.append(np.full(3, structural), vals.real))
+    return np.sort(np.append(np.full(3, structural), vals))
 
 
 # Pairs (a, b) of the frame (xi, e, f) whose packed a b^T + b a^T, times
@@ -242,9 +269,10 @@ _PAIR_NORM = np.array([0.5**0.5, 0.5**0.5, 0.5, 0.5, 0.5, 0.5**0.5])
 _FROBENIUS = np.array([1.0, 2.0, 2.0, 1.0, 1.0, 2.0])
 
 
-def _split_bases(xis: np.ndarray) -> np.ndarray:
+def _split_bases(xis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(N, 6, 6) packed Frobenius-orthonormal bases of K(xi) + T(xi), K in
-    columns 0-2, for unit rows xi.
+    columns 0-2, for unit rows xi, and the (N, 3, 6) T-duals E^T W that
+    project a packed variation onto T's coordinates.
 
     e and f are the first two columns of the Householder reflection
     I - v v^T / (1 + |xi_3|), v = xi + sign(xi_3) e3, which maps xi to
@@ -259,7 +287,8 @@ def _split_bases(xis: np.ndarray) -> np.ndarray:
     frames[:, 2, 1] += 1.0
     a, b = frames[:, _PAIR_A], frames[:, _PAIR_B]
     basis = a[..., _ROWS] * b[..., _COLS] + a[..., _COLS] * b[..., _ROWS]
-    return (basis * _PAIR_NORM[:, None]).transpose(0, 2, 1)
+    basis = (basis * _PAIR_NORM[:, None]).transpose(0, 2, 1)
+    return basis, basis[..., 3:].transpose(0, 2, 1) * _FROBENIUS
 
 
 def quotient_blocks(raw: np.ndarray, gauge: np.ndarray, xis) -> tuple[np.ndarray, float]:
@@ -268,16 +297,20 @@ def quotient_blocks(raw: np.ndarray, gauge: np.ndarray, xis) -> tuple[np.ndarray
 
     `raw` and `gauge` are `symbol_stacks` at the unit rows of `xis`.  In
     direction n, spec raw[n] = {0, 0, 0} + spec B[n] and spec (raw[n] -
-    gauge[n]) = {1, 1, 1} + spec B[n].  Three residuals check the structure
-    that makes this true: |R K| (R maps K to 0), |G K + K| (G is -1 on K)
-    and |E^T W G E| (G maps T into K).  R enters divided by raw_scale =
+    gauge[n]) = {1, 1, 1} + spec B[n], and B[n] is symmetric up to rounding
+    (module docstring).  Three residuals check the structure that makes
+    this true: |R K| (R maps K to 0), |G K + K| (G is -1 on K) and
+    |E^T W G E| (G maps T into K).  R enters divided by raw_scale =
     max(1, max |raw|), so none of them overflows; G is already of order 1
     at unit xi.  A residual above STRUCTURE_TOL raises
     InternalConsistencyError.  Entries that overflowed to inf or nan make
-    every residual nan, which passes here and reaches `_eigvals` in B.
+    every residual nan, which passes here and reaches `_block_spectra` in B.
     """
-    basis = _split_bases(np.asarray(xis, dtype=float))
-    t_dual = basis[..., 3:].transpose(0, 2, 1) * _FROBENIUS
+    return _quotient(raw, gauge, *_split_bases(np.asarray(xis, dtype=float)))
+
+
+def _quotient(raw, gauge, basis, t_dual) -> tuple[np.ndarray, float]:
+    """`quotient_blocks` on the bases and T-duals of its directions."""
     raw_scale = max(1.0, float(np.abs(raw).max()))
     raw_basis = (raw / raw_scale) @ basis
     gauge_basis = gauge @ basis
@@ -308,6 +341,20 @@ def unit_directions(n: int) -> np.ndarray:
     ])
 
 
+# 456 B per direction per entry: four entries hold at most 91 MB at
+# MAX_DIRECTION_SAMPLES (bounds.py), 0.4 MB at the default 200 directions
+@functools.lru_cache(maxsize=4)
+def _lattice(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The normalised `unit_directions(n)`, their K/T bases and T-duals,
+    read-only: the part of a sweep that depends on its size alone."""
+    directions = unit_directions(n)
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    arrays = (directions, *_split_bases(directions))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def to_orthonormal_frame(p: SymTensor3, g: SymTensor3) -> SymTensor3:
     """Components of an upper-index tensor in a g-orthonormal frame.
 
@@ -327,13 +374,18 @@ def to_orthonormal_frame(p: SymTensor3, g: SymTensor3) -> SymTensor3:
 class ParabolicityReport:
     """Verdict and threshold bookkeeping for one (P, g, rho, case) query.
 
-    `threshold` is the stated sufficient-condition bound on rho for the
-    requested case and mode; `margin` = threshold - rho.  `spectral_margin`
-    is min(mu, mu - 4 rho) / 4 with mu the minimum of s lambda over the
-    generalized eigenvalues lambda of P: the verdict is strict exactly when
-    4 * spectral_margin clears the positivity floor.  It equals `margin` in
-    the positive all_directions case with rho >= 0 and differs from it in
-    the negative case, whose stated bound is -lambda_max / 2.
+    `threshold` is the stated bound on rho for the requested case and mode
+    (`bounds.stated_threshold`); `margin` = threshold - rho.  A positive
+    margin implies a strict verdict only in the positive all_directions
+    case with P positive definite.  Elsewhere it does not: in the negative
+    case P = -I, rho = 0.3 has margin +0.2 and verdict not_parabolic, and
+    an indefinite P or the frame mode's P11 can do the same in the positive
+    case.  `spectral_margin` is min(mu, mu - 4 rho) / 4 with mu the minimum
+    of s lambda over the generalized eigenvalues lambda of P: the verdict
+    is strict exactly when 4 * spectral_margin clears the positivity floor.
+    It equals `margin` in the positive all_directions case with rho >= 0
+    and differs from it in the negative case, whose stated bound is
+    -lambda_max / 2.
 
     The verdict comes from the symbol spectra over the Fibonacci lattice
     plus the three eigenvectors of P, where the gauge-fixed spectrum is
@@ -342,9 +394,11 @@ class ParabolicityReport:
     B of the K/T splitting (module docstring): the raw one is {0, 0, 0} +
     spec B and the gauge-fixed one {1, 1, 1} + spec B, so `min_raw_eig` is
     min(0, min spec B) with exact structural zeros and `min_modified_eig`
-    is min(1, min spec B).  `max_imag_residue` is the largest imaginary
-    part among the eigenvalues of B over the symbol scale max(1, max |raw|),
-    so IMAG_RESIDUE_TOL bounds it relatively.  `direction_samples` counts
+    is min(1, min spec B), with spec B taken from B's symmetric part.
+    `max_imag_residue` is the largest spectral norm of the skew part
+    (B - B^T) / 2 over the symbol scale max(1, max |raw|): by Bendixson's
+    theorem it bounds the imaginary part a general solve of B could return,
+    and IMAG_RESIDUE_TOL bounds it relatively.  `direction_samples` counts
     the lattice directions only.
     """
 
@@ -389,7 +443,7 @@ def parabolicity(
         raise DomainError(f"direction_samples must be between 1 and "
                           f"{MAX_DIRECTION_SAMPLES}, got {direction_samples!r}")
     rho = _symbol_data(p, rho)
-    lattice = unit_directions(direction_samples)
+    lattice, lattice_basis, lattice_dual = _lattice(direction_samples)
 
     p_frame = to_orthonormal_frame(p, g)
     gen_eigs, gen_vecs = np.linalg.eigh(p_frame.matrix)
@@ -401,19 +455,22 @@ def parabolicity(
         threshold = stated_threshold(float(gen_eigs[0]), float(gen_eigs[-1]), sign)
     lowest_q = float((sign * gen_eigs).min())
 
-    directions = np.vstack([lattice, gen_vecs.T])
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    vecs = gen_vecs.T / np.linalg.norm(gen_vecs.T, axis=1, keepdims=True)
+    vecs_basis, vecs_dual = _split_bases(vecs)
+    directions = np.vstack([lattice, vecs])
     # P or rho large enough to overflow the symbol entries ends as the
-    # DomainError of _eigvals, without numpy's overflow warnings first
+    # DomainError of _block_spectra, without numpy's overflow warnings first
     with np.errstate(over="ignore", invalid="ignore"):
         raw, gauge = symbol_stacks(SymTensor3(sign * p_frame.components, "upper"),
                                    rho, directions)
-        blocks, raw_scale = quotient_blocks(raw, gauge, directions)
-        eigs = _eigvals(blocks)
-    # the verdict uses real parts; imaginary residue is tracked, not warned
+        blocks, raw_scale = _quotient(raw, gauge,
+                                      np.concatenate([lattice_basis, vecs_basis]),
+                                      np.concatenate([lattice_dual, vecs_dual]))
+    eigs, skew_norms = _block_spectra(blocks)
+    # the skew part bounds the imaginary residue; it is tracked, not warned
     # about per direction
-    imag_residue = float(np.abs(eigs.imag).max()) / raw_scale
-    lowest = float(eigs.real.min())
+    imag_residue = float(skew_norms.max()) / raw_scale
+    lowest = float(eigs.min())
     min_raw = min(0.0, lowest)
     min_modified = min(1.0, lowest)
 

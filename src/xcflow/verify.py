@@ -105,7 +105,7 @@ def run_check(idx: int, cases: int | None = None,
         passed, detail = fn(rng, n)
     except Exception as exc:  # a crash is a failure, not an abort
         passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-    return CheckResult(suite, name, passed, n, detail, time.perf_counter() - start)
+    return CheckResult(suite, name, bool(passed), n, detail, time.perf_counter() - start)
 
 
 def run_checks(suites=None, cases: int | None = None,
@@ -536,8 +536,8 @@ def _sweep_batched(rng, cases):
 
 @_check("symbol", "deflated_spectra_match_full_solve", default_cases=80)
 def _deflated_spectra(rng, cases):
-    # {0,0,0} + spec B and {1,1,1} + spec B against the full 6x6 solve of
-    # the raw and gauge-fixed stacks that `parabolicity` sweeps.  The case
+    # {0,0,0} + spec B and {1,1,1} + spec B, B solved as the sweep solves it,
+    # against the full 6x6 solve of the raw and gauge-fixed stacks.  The case
     # sign s enters the sweep only through the folded s P = Q diag(lam) Q^T,
     # drawn here with lam of either sign.  Case i draws lam and rho by kind
     # i % 4: random; random with rho = 0; rho within 1e-9 of the threshold
@@ -567,7 +567,7 @@ def _deflated_spectra(rng, cases):
         raw, gauge = sb.symbol_stacks(cv.SymTensor3.from_matrix((q * lam) @ q.T, "upper"),
                                       float(rho), directions)
         blocks, raw_scale = sb.quotient_blocks(raw, gauge, directions)
-        quotient = np.linalg.eigvals(blocks).real
+        quotient = sb._block_spectra(blocks)[0]
         for structural, full in ((0.0, raw), (1.0, raw - gauge)):
             deflated = np.sort(np.hstack([np.full((len(directions), 3), structural),
                                           quotient]), axis=1)

@@ -564,3 +564,24 @@ def test_random_config_files_end_in_exit_0_2_or_3(command, data):
         finally:
             os.chdir(cwd)
     assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_NUMERIC), (lines, err.getvalue())
+
+
+def test_verify_report_is_written_and_reads_back(tmp_path, capsys):
+    # every suite, two cases per check: a check whose `passed` is a numpy
+    # bool_ used to stop the JSON report at its first "passed" key
+    from xcflow import verify as vf
+
+    path = tmp_path / "v.json"
+    assert cli.main(["verify", "--cases", "2", "--output", str(path)]) == cli.EXIT_OK
+    with open(path, encoding="utf-8") as fh:
+        report = json.load(fh)
+    assert report["n_checks"] == len(report["checks"]) == len(vf.registered_checks())
+    assert report["all_passed"] is True
+    assert all(check["passed"] is True for check in report["checks"])
+
+
+def test_a_report_that_cannot_be_serialised_leaves_no_file(tmp_path):
+    path = tmp_path / "r.json"
+    with pytest.raises(TypeError):
+        cli._write_report({"passed": object()}, str(path), "json")
+    assert not path.exists()

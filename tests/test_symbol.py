@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from xcflow.symbol import (
     IMAG_RESIDUE_TOL,
     MAX_DIRECTION_SAMPLES,
     STRICTNESS_FLOOR,
+    ComplexEigenvalueWarning,
     ParabolicityReport,
     SymbolMatrix,
     parabolicity,
@@ -217,6 +219,112 @@ class TestDeflation:
                 parabolicity(p, IDENTITY, 0.2)
         else:
             assert parabolicity(p, IDENTITY, 0.2).verdict == "strictly_parabolic_deturck"
+
+
+def reference_sweep(p, g, rho, case, n):
+    """The sweep of `parabolicity` with the general solver: the same
+    directions and blocks, every block's eigenvalues from np.linalg.eigvals.
+    Returns the verdict, min_modified_eig, min_raw_eig and the symbol scale."""
+    p_frame = to_orthonormal_frame(p, g)
+    vecs = np.linalg.eigh(p_frame.matrix)[1]
+    directions = np.vstack([unit_directions(n), vecs.T])
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    raw, gauge = symbol_stacks(SymTensor3(case * p_frame.components, "upper"), rho, directions)
+    blocks, scale = quotient_blocks(raw, gauge, directions)
+    lowest = float(np.linalg.eigvals(blocks).real.min())
+    min_modified, min_raw = min(1.0, lowest), min(0.0, lowest)
+    if min_modified >= STRICTNESS_FLOOR:
+        verdict = "strictly_parabolic_deturck"
+    elif min_raw >= -max(STRICTNESS_FLOOR, 1e-7 * scale):
+        verdict = "weakly_parabolic"
+    else:
+        verdict = "not_parabolic"
+    return verdict, min_modified, min_raw, scale
+
+
+class TestSymmetricSolve:
+    @pytest.mark.parametrize("case", [1, -1])
+    def test_quotient_block_is_symmetric(self, case):
+        # B = q 1 - 2 rho pi pi^T: symmetric up to rounding, in random
+        # directions and next to +-e3, on both branches of the Householder
+        # reflection (xi_3 >= 0 and xi_3 < 0)
+        rng = np.random.default_rng(40)
+        tiny = rng.normal(size=(8, 2)) * 10.0 ** rng.uniform(-16, -6, (8, 1))
+        near_poles = np.vstack([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
+                                np.column_stack([tiny, np.ones(8)]),
+                                np.column_stack([tiny, -np.ones(8)])])
+        for _ in range(20):
+            p = SymTensor3(case * sym_upper(rng).components, "upper")
+            rho = float(rng.uniform(-2, 2))
+            directions = np.vstack([rng.normal(size=(30, 3)), near_poles])
+            directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+            blocks, scale = quotient_blocks(*symbol_stacks(p, rho, directions), directions)
+            assert np.abs(blocks - blocks.swapaxes(1, 2)).max() <= 1e-15 * scale
+
+    def test_sweep_matches_the_general_solver(self):
+        # verdicts and minima of the symmetric solve against the sweep with
+        # np.linalg.eigvals, for random P and g, both cases, rho far from and
+        # near the threshold, one lattice direction to 200
+        rng = np.random.default_rng(41)
+        for i in range(120):
+            p = sym_upper(rng)
+            m = rng.uniform(-1, 1, (3, 3))
+            g = SymTensor3.from_matrix(m @ m.T + 0.5 * np.eye(3))
+            case = int(rng.choice([1, -1]))
+            n = int(rng.choice([1, 50, 200]))
+            rho = float(rng.uniform(-2, 2))
+            if i % 2:
+                lowest = (case * np.linalg.eigvalsh(to_orthonormal_frame(p, g).matrix)).min()
+                rho = float(lowest / 4.0 + rng.choice([-1, 1]) * 10.0 ** rng.uniform(-8, -3))
+            rep = parabolicity(p, g, rho, case=case, direction_samples=n)
+            verdict, min_modified, min_raw, scale = reference_sweep(p, g, rho, case, n)
+            assert rep.verdict == verdict
+            assert abs(rep.min_modified_eig - min_modified) <= 1e-13 * scale
+            assert abs(rep.min_raw_eig - min_raw) <= 1e-13 * scale
+        # at rho = min(lam) / 4 an eigenvalue of B meets the structural zeros
+        for p in (P_IDENTITY, SymTensor3(np.array([2.0, 0, 0, 3.0, 1.0, 0]), "upper")):
+            rep = parabolicity(p, IDENTITY, 0.25 * float(p.components[4]))
+            assert rep.verdict == reference_sweep(p, IDENTITY, rep.rho, 1, 200)[0]
+            assert rep.verdict == "weakly_parabolic"
+
+    def test_a_skew_part_of_the_block_warns(self):
+        sym = symbol_raw(P_IDENTITY, 0.1, E1)
+        skew = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.warns(ComplexEigenvalueWarning, match="imaginary residue up to 1.000e-06"):
+            spectrum(dataclasses.replace(sym, block=sym.block + 1e-6 * skew))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # 1e-12 of the scale is below IMAG_RESIDUE_TOL
+            spectrum(dataclasses.replace(sym, block=sym.block + 1e-12 * skew))
+
+    @pytest.mark.parametrize("components, rho", [
+        ([1.0, 0.1, 0.0, 2.0, 3.0, 0.2], 1e308),
+        ([1e308, 1e307, 0.0, 1.5e308, 1.7e308, 2e307], 0.0),
+    ])
+    def test_overflow_is_the_named_domain_error(self, components, rho):
+        p = SymTensor3(np.array(components), "upper")
+        message = "symbol matrix entries overflow: P or rho is too large"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                parabolicity(p, IDENTITY, rho)
+            with pytest.raises(DomainError, match=message):
+                spectrum(symbol_raw(p, rho, [1.0, 2.0, 3.0]))
+
+    def test_cached_lattice_is_read_only_and_changes_no_result(self):
+        directions, bases, t_duals = symbol_module._lattice(50)
+        unit = unit_directions(50)
+        assert np.array_equal(directions, unit / np.linalg.norm(unit, axis=1, keepdims=True))
+        assert bases.shape == (50, 6, 6) and t_duals.shape == (50, 3, 6)
+        for array in (directions, bases, t_duals):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        rng = np.random.default_rng(42)
+        p, rho = sym_upper(rng), float(rng.uniform(-2, 2))
+        warm = parabolicity(p, IDENTITY, rho, direction_samples=50)
+        symbol_module._lattice.cache_clear()
+        cold = parabolicity(p, IDENTITY, rho, direction_samples=50)
+        assert repr(cold) == repr(warm)  # every float to its last bit
 
 
 class TestDeturckCorrection:

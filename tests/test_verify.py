@@ -12,6 +12,7 @@ CHECKS = vf.registered_checks()
 def test_verify_check_passes(idx):
     result = vf.run_check(idx, seed=1729)
     assert result.passed, result.line()
+    assert type(result.passed) is bool  # a numpy bool_ would break the JSON report
 
 
 def test_run_checks_is_the_checks_in_order():
