@@ -10,7 +10,7 @@ Subsystems:
 - `symbol`: 6x6 principal-symbol matrices of the linearized flow
   operator (raw and gauge-fixed), their spectra, and parabolicity
   verdicts.
-- `bounds`: the stated parabolicity bound and the sweep's size limits,
+- `bounds`: the stated parabolicity bound and the lattice's size limits,
   without numpy, shared by `symbol`, `flow` and `cli`.
 - `flow`: the scale-factor reduction of the flow for Einstein initial
   data, with RK4 integration, event detection, and closed-form oracles.

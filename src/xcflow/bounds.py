@@ -1,4 +1,4 @@
-"""The stated parabolicity bound and the sweep's size limits, without numpy.
+"""The stated parabolicity bound and the lattice's size limits, without numpy.
 
 `symbol` decides parabolicity with numpy; `flow`'s per-record margin and
 the CLI's option table need only these, so they live here and `xcflow
@@ -6,13 +6,10 @@ flow` runs on the standard library alone.  `symbol` re-exports all three.
 """
 
 DEFAULT_DIRECTION_SAMPLES = 200
-# The sweep peaks at about 2.4 KB per direction (peak RSS grew by 115 MB
-# at 50000 directions with numpy 2.4), so this bounds it near 120 MB; a
-# larger request is refused before anything is built.  Of that, 456 B per
-# direction (the directions, their K/T bases and T-duals, 23 MB at 50000)
-# stays in `symbol`'s lattice cache after the query; the cache keeps at
-# most four sizes, so at most 91 MB.  The verdict is exact at any lattice
-# size, so more directions would buy nothing.
+# A query peaks at about 70 B per lattice direction (peak RSS grew by
+# 3.4 MB at 50000 directions with numpy 2.4), of which 24 B stay in
+# `symbol`'s lattice cache (four sizes, at most 4.8 MB).  The lattice only
+# cross-checks the closed-form minimum, so more directions would buy nothing.
 MAX_DIRECTION_SAMPLES = 50_000
 
 

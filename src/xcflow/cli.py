@@ -435,6 +435,7 @@ def cmd_symbol(options: dict, stdout: IO[str]) -> int:
         print(f"deturck: {_vec_str(entry['deturck_spectrum'])}", file=stdout)
     print(f"threshold: {fmt(report_obj.threshold)}", file=stdout)
     print(f"margin: {fmt(report_obj.margin)}", file=stdout)
+    print(f"spectral_margin: {fmt(report_obj.spectral_margin)}", file=stdout)
     print(f"verdict: {report_obj.verdict}", file=stdout)
 
     report = {
@@ -454,6 +455,8 @@ def cmd_symbol(options: dict, stdout: IO[str]) -> int:
             "min_raw_eig": report_obj.min_raw_eig,
             "direction_samples": report_obj.direction_samples,
             "max_imag_residue": report_obj.max_imag_residue,
+            "critical_direction": list(report_obj.critical_direction),
+            "deciding_branch": report_obj.deciding_branch,
         },
     }
     _write_report(report, options["output"], options["format"])
@@ -639,9 +642,9 @@ COMMANDS = {
             "threshold reading: frame or all_directions",
             "all_directions"),
         Key("direction_samples", _integer,
-            "Fibonacci lattice directions swept with P's three eigenvectors, at most "
-            f"{MAX_DIRECTION_SAMPLES}; the verdict uses the exact minimum over all "
-            "directions whatever the count",
+            "Fibonacci lattice directions that the closed-form minimum over all "
+            f"directions is cross-checked over, at most {MAX_DIRECTION_SAMPLES}; "
+            "the count changes no result",
             DEFAULT_DIRECTION_SAMPLES),
         _OUTPUT, _REPORT_FORMAT)),
     "flow": Command(cmd_flow, "integrate the scale-factor flow", (

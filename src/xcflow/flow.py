@@ -254,7 +254,8 @@ def _refine_extinction(c: float, k1: float, t: float, dt: float, num: float, a: 
 
 
 def parabolicity_report_at(c: float, params: FlowParams) -> ParabolicityReport:
-    """Full symbol-sweep parabolicity report on the instantaneous space form."""
+    """Closed-form, self-checked `symbol.parabolicity` report on the
+    instantaneous space form."""
     from . import curvature as cv
     from . import symbol as sb
 

@@ -17,24 +17,26 @@ direction.
 Every symbol matrix comes from one kernel, `symbol_stacks`: the symbol is
 quadratic in xi and linear in P and rho, so a direction enters only
 through the components of xi xi^T, contracted with a coefficient tensor
-built once per (P, rho).  `parabolicity` sweeps a Fibonacci lattice plus
-the three eigenvectors of P.  Since q is extremal at those eigenvectors,
-the minimum of the swept spectra is the exact minimum over the sphere,
-not a sample of it.
+built once per (P, rho).  In a g-orthonormal frame, over unit xi, q
+(times the case sign s) ranges over the generalized eigenvalues lambda
+of P and is smallest at an eigenvector of P.  So `parabolicity` decides
+in closed form from q_min = min(s lambda).  It assembles the symbol only
+at P's three eigenvectors, to check its spectra there against the closed
+form, and checks q_min against s q over a cached Fibonacci lattice.
 
-The sweep solves one 3x3 eigenproblem per direction, not two 6x6 ones.
-At a unit xi the variations split as K(xi) + T(xi): K = {xi X^T + X xi^T}
-(3-dimensional) and T the symmetric tensors on the plane orthogonal to
-xi, its Frobenius complement.  The raw symbol R maps K to 0, and the
-gauge term G maps every variation into K and acts as -1 on K.  So R and
-the gauge-fixed S = R - G are block upper-triangular on K + T with the
-same quotient block B = E^T W R E on T (E a packed Frobenius-orthonormal
-basis of T, W = diag(1, 2, 2, 1, 1, 2) the Frobenius weight of packed
-components), and
+A spectrum takes one 3x3 eigenproblem, not a 6x6 one.  At a unit xi the
+variations split as K(xi) + T(xi): K = {xi X^T + X xi^T} (3-dimensional)
+and T the symmetric tensors on the plane orthogonal to xi, its Frobenius
+complement.  The raw symbol R maps K to 0, and the gauge term G maps
+every variation into K and acts as -1 on K.  So R and the gauge-fixed
+S = R - G are block upper-triangular on K + T with the same quotient
+block B = E^T W R E on T (E a packed Frobenius-orthonormal basis of T,
+W = diag(1, 2, 2, 1, 1, 2) the Frobenius weight of packed components),
+and
     spec R = {0, 0, 0} + spec B,    spec S = {1, 1, 1} + spec B.
 `quotient_blocks` checks that structure on the assembled stacks before
-it returns B.  Every spectrum, the sweep's and `spectrum`'s, is read off
-B, so the structural eigenvalues are exact, not solved for in the
+it returns B.  Every spectrum, `parabolicity`'s and `spectrum`'s, is read
+off B, so the structural eigenvalues are exact, not solved for in the
 non-normal 6x6 matrix; `verify` keeps the full 6x6 solve as the reference.
 
 B is symmetric.  A variation m in T has m xi = 0, so xi^T m xi = 0, and
@@ -51,10 +53,6 @@ within |(B - B^T) / 2|_2 of the real axis, so that norm bounds the
 imaginary residue a general solve of B could return.  Over the symbol
 scale, it is the `max_imag_residue` a report carries, and `spectrum`
 warns when it exceeds IMAG_RESIDUE_TOL of the entries.
-
-The Fibonacci lattice, its K/T bases and their T-duals depend only on
-the number of directions, so `parabolicity` keeps them per size, read-only,
-in a small cache; only the three eigenvectors of P are split per query.
 """
 
 from __future__ import annotations
@@ -306,11 +304,7 @@ def quotient_blocks(raw: np.ndarray, gauge: np.ndarray, xis) -> tuple[np.ndarray
     InternalConsistencyError.  Entries that overflowed to inf or nan make
     every residual nan, which passes here and reaches `_block_spectra` in B.
     """
-    return _quotient(raw, gauge, *_split_bases(np.asarray(xis, dtype=float)))
-
-
-def _quotient(raw, gauge, basis, t_dual) -> tuple[np.ndarray, float]:
-    """`quotient_blocks` on the bases and T-duals of its directions."""
+    basis, t_dual = _split_bases(np.asarray(xis, dtype=float))
     raw_scale = max(1.0, float(np.abs(raw).max()))
     raw_basis = (raw / raw_scale) @ basis
     gauge_basis = gauge @ basis
@@ -341,18 +335,16 @@ def unit_directions(n: int) -> np.ndarray:
     ])
 
 
-# 456 B per direction per entry: four entries hold at most 91 MB at
-# MAX_DIRECTION_SAMPLES (bounds.py), 0.4 MB at the default 200 directions
+# 24 B per direction per entry: four entries hold at most 4.8 MB at
+# MAX_DIRECTION_SAMPLES (bounds.py)
 @functools.lru_cache(maxsize=4)
-def _lattice(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The normalised `unit_directions(n)`, their K/T bases and T-duals,
-    read-only: the part of a sweep that depends on its size alone."""
+def _directions(n: int) -> np.ndarray:
+    """The normalised `unit_directions(n)`, read-only: the lattice that
+    `parabolicity` cross-checks q_min over."""
     directions = unit_directions(n)
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    arrays = (directions, *_split_bases(directions))
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
+    directions.flags.writeable = False
+    return directions
 
 
 def to_orthonormal_frame(p: SymTensor3, g: SymTensor3) -> SymTensor3:
@@ -387,19 +379,17 @@ class ParabolicityReport:
     and differs from it in the negative case, whose stated bound is
     -lambda_max / 2.
 
-    The verdict comes from the symbol spectra over the Fibonacci lattice
-    plus the three eigenvectors of P, where the gauge-fixed spectrum is
-    extremal, so `min_modified_eig` / `min_raw_eig` are the exact minima
-    over all directions.  Each spectrum is read off the 3x3 quotient block
-    B of the K/T splitting (module docstring): the raw one is {0, 0, 0} +
-    spec B and the gauge-fixed one {1, 1, 1} + spec B, so `min_raw_eig` is
-    min(0, min spec B) with exact structural zeros and `min_modified_eig`
-    is min(1, min spec B), with spec B taken from B's symmetric part.
-    `max_imag_residue` is the largest spectral norm of the skew part
-    (B - B^T) / 2 over the symbol scale max(1, max |raw|): by Bendixson's
-    theorem it bounds the imaginary part a general solve of B could return,
-    and IMAG_RESIDUE_TOL bounds it relatively.  `direction_samples` counts
-    the lattice directions only.
+    The gauge-fixed spectrum at a unit xi is {1, 1, 1, q, q, q - 4 rho}
+    (module docstring), so over all directions `min_modified_eig` = min(1,
+    q_min, q_min - 4 rho) and `min_raw_eig` = min(0, q_min, q_min - 4 rho).
+    `critical_direction` is the unit eigenvector of q_min in g-orthonormal
+    frame components, and `deciding_branch` names what sets
+    `min_modified_eig`: "gauge" (the structural 1), "q" or "q - 4 rho".
+    `max_imag_residue` is the largest norm of the skew part (B - B^T) / 2
+    at P's eigenvectors over the symbol scale max(1, max |raw|) there; by
+    Bendixson's theorem it bounds the imaginary part a general solve of B
+    could return.  `direction_samples` echoes the size of the lattice q_min
+    was checked over; it changes no other field.
     """
 
     case: str
@@ -413,6 +403,8 @@ class ParabolicityReport:
     min_raw_eig: float
     direction_samples: int
     max_imag_residue: float
+    critical_direction: tuple[float, float, float]
+    deciding_branch: str
 
 
 def parabolicity(
@@ -429,12 +421,12 @@ def parabolicity(
     as supplied; mode='all_directions' uses the direction-uniform bound
     from the generalized eigenvalues of P relative to g (minimum / 4 for
     the positive case, -maximum / 2 for the negative case).  The verdict
-    itself always comes from the eigenvalues of the assembled symbols in
-    `direction_samples` Fibonacci lattice directions plus the three
-    eigenvectors of P in the g-orthonormal frame.  The gauge-fixed
-    spectrum {1, 1, 1, s q, s q, s q - 4 rho} is smallest at one of those
-    eigenvectors, so the verdict is exact for any lattice size.  At most
-    MAX_DIRECTION_SAMPLES lattice directions are swept.
+    itself comes from q_min = min(s lambda) (module docstring).  Two
+    self-checks raise InternalConsistencyError beyond STRUCTURE_TOL of the
+    symbol scale: the quotient blocks at P's eigenvectors must have the
+    spectra {s lambda_i, s lambda_i, s lambda_i - 4 rho}, and s q must not
+    fall below q_min over `direction_samples` (at most
+    MAX_DIRECTION_SAMPLES) lattice directions, whose number changes no result.
     """
     sign = case_sign(case)
     if mode not in ("frame", "all_directions"):
@@ -443,7 +435,7 @@ def parabolicity(
         raise DomainError(f"direction_samples must be between 1 and "
                           f"{MAX_DIRECTION_SAMPLES}, got {direction_samples!r}")
     rho = _symbol_data(p, rho)
-    lattice, lattice_basis, lattice_dual = _lattice(direction_samples)
+    lattice = _directions(direction_samples)
 
     p_frame = to_orthonormal_frame(p, g)
     gen_eigs, gen_vecs = np.linalg.eigh(p_frame.matrix)
@@ -453,30 +445,35 @@ def parabolicity(
         threshold = stated_threshold(p11, p11, sign)
     else:
         threshold = stated_threshold(float(gen_eigs[0]), float(gen_eigs[-1]), sign)
-    lowest_q = float((sign * gen_eigs).min())
+    q = sign * gen_eigs
+    critical = int(q.argmin())
+    q_min = float(q[critical])
 
     vecs = gen_vecs.T / np.linalg.norm(gen_vecs.T, axis=1, keepdims=True)
-    vecs_basis, vecs_dual = _split_bases(vecs)
-    directions = np.vstack([lattice, vecs])
+    signed = SymTensor3(sign * p_frame.components, "upper")
     # P or rho large enough to overflow the symbol entries ends as the
     # DomainError of _block_spectra, without numpy's overflow warnings first
     with np.errstate(over="ignore", invalid="ignore"):
-        raw, gauge = symbol_stacks(SymTensor3(sign * p_frame.components, "upper"),
-                                   rho, directions)
-        blocks, raw_scale = _quotient(raw, gauge,
-                                      np.concatenate([lattice_basis, vecs_basis]),
-                                      np.concatenate([lattice_dual, vecs_dual]))
+        blocks, raw_scale = quotient_blocks(*symbol_stacks(signed, rho, vecs), vecs)
     eigs, skew_norms = _block_spectra(blocks)
-    # the skew part bounds the imaginary residue; it is tracked, not warned
-    # about per direction
-    imag_residue = float(skew_norms.max()) / raw_scale
-    lowest = float(eigs.min())
-    min_raw = min(0.0, lowest)
-    min_modified = min(1.0, lowest)
+    # both checks in units of the symbol scale, where nothing overflows
+    qs = q / raw_scale
+    closed_form = np.sort(np.column_stack([qs, qs, qs - 4.0 * (rho / raw_scale)]), axis=1)
+    mismatch = float(np.abs(eigs / raw_scale - closed_form).max())
+    lattice_q = ((lattice @ (signed.matrix / raw_scale)) * lattice).sum(axis=1)
+    undershoot = qs[critical] - float(lattice_q.min())
+    for what, residual in (("spectrum at P's eigenvectors off {q, q, q - 4 rho}", mismatch),
+                           ("a lattice direction below q_min", undershoot)):
+        if not residual <= STRUCTURE_TOL:
+            raise InternalConsistencyError(
+                f"parabolicity self-check: {what} by {residual:.3e} of the symbol scale")
+    lowest = min(q_min, q_min - 4.0 * rho)
+    min_raw, min_modified = min(0.0, lowest), min(1.0, lowest)
+    branch = "gauge" if lowest >= 1.0 else "q - 4 rho" if rho > 0.0 else "q"
 
     # weak: nothing below the raw spectrum's three structural zeros, up to a
-    # tolerance scaled like the symbol (at the weak boundary B's eigenvalue
-    # carries only rounding error, far below it)
+    # tolerance scaled like the symbol at P's eigenvectors (at the weak
+    # boundary the closed form carries only rounding error, far below it)
     weak_floor = max(STRICTNESS_FLOOR, 1e-7 * raw_scale)
     if min_modified >= STRICTNESS_FLOOR:
         verdict = "strictly_parabolic_deturck"
@@ -492,9 +489,13 @@ def parabolicity(
         rho=rho,
         verdict=verdict,
         margin=float(threshold - rho),
-        spectral_margin=min(lowest_q, lowest_q - 4.0 * rho) / 4.0,
+        spectral_margin=lowest / 4.0,
         min_modified_eig=min_modified,
         min_raw_eig=min_raw,
         direction_samples=direction_samples,
-        max_imag_residue=imag_residue,
+        # the skew part bounds the imaginary residue; it is tracked, not
+        # warned about per direction
+        max_imag_residue=float(skew_norms.max()) / raw_scale,
+        critical_direction=tuple(vecs[critical].tolist()),
+        deciding_branch=branch,
     )

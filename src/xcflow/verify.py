@@ -536,7 +536,7 @@ def _sweep_batched(rng, cases):
 
 @_check("symbol", "deflated_spectra_match_full_solve", default_cases=80)
 def _deflated_spectra(rng, cases):
-    # {0,0,0} + spec B and {1,1,1} + spec B, B solved as the sweep solves it,
+    # {0,0,0} + spec B and {1,1,1} + spec B, B solved as the library solves it,
     # against the full 6x6 solve of the raw and gauge-fixed stacks.  The case
     # sign s enters the sweep only through the folded s P = Q diag(lam) Q^T,
     # drawn here with lam of either sign.  Case i draws lam and rho by kind
@@ -546,10 +546,12 @@ def _deflated_spectra(rng, cases):
     # eigenvalue.  The tolerances bound the error of the reference: the
     # non-normal 6x6 solve splits an eigenvalue of B that meets a structural
     # one by about sqrt(machine eps), which random data approach in some
-    # lattice directions
-    labels = ("random", "rho = 0", "near threshold", "five-fold")
-    tols = (1e-8, 1e-8, 1e-7, 1e-10)
-    worst = [0.0] * 4
+    # lattice directions.  The sweep is also the closed form's reference: no
+    # block below min(lam, lam - 4 rho), {lam_i, lam_i, lam_i - 4 rho} at the
+    # eigenvectors, and `parabolicity` on a random SPD g returns its minimum
+    labels = ("random", "rho = 0", "near threshold", "five-fold", "closed form")
+    tols = (1e-8, 1e-8, 1e-7, 1e-10, 1e-12)
+    worst = [0.0] * 5
     lattice = sb.unit_directions(sb.DEFAULT_DIRECTION_SAMPLES)
     for i in range(cases):
         kind = i % 4
@@ -574,6 +576,13 @@ def _deflated_spectra(rng, cases):
             reference = np.sort(np.linalg.eigvals(full).real, axis=1)
             worst[kind] = max(worst[kind],
                               float(np.abs(deflated - reference).max()) / raw_scale)
+        g = _random_spd(rng)
+        inv = np.linalg.inv(np.linalg.cholesky(g.matrix))
+        p = cv.SymTensor3.from_matrix(inv.T @ (q * lam) @ q.T @ inv, "upper")
+        swept = sb.parabolicity(p, g, float(rho)).min_modified_eig - min(1.0, quotient.min())
+        closed = np.sort(np.column_stack([lam, lam, lam - 4.0 * rho]), axis=1)
+        dev = max(closed.min() - quotient[:-3].min(), np.abs(quotient[-3:] - closed).max(), abs(swept))
+        worst[4] = max(worst[4], float(dev) / raw_scale)
     passed = all(w <= tol for w, tol in zip(worst, tols))
     return passed, "max dev / symbol scale: " + ", ".join(
         f"{label} {w:.1e} (tol {tol:.0e})" for label, w, tol in zip(labels, worst, tols))

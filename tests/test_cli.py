@@ -65,7 +65,23 @@ def test_symbol_json_reports_spectral_margin(tmp_path, capsys):
     # positive case, all_directions, rho >= 0: the two margins coincide
     assert block["spectral_margin"] == block["margin"] == pytest.approx(0.15)
     assert [line.split(":")[0] for line in out.splitlines()] == [
-        "xi", "raw", "deturck", "threshold", "margin", "verdict"]
+        "xi", "raw", "deturck", "threshold", "margin", "spectral_margin", "verdict"]
+    assert f"spectral_margin: {block['spectral_margin']!r}" in out.splitlines()
+
+
+def test_symbol_json_names_the_critical_direction_and_branch(tmp_path):
+    # the command CI runs under warnings as errors, with one lattice direction
+    path = tmp_path / "crit.json"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "xcflow", "symbol", "--frame", "0.2,5,5",
+         "--rho", "0.051", "--direction-samples", "1", "--format", "json",
+         "--output", str(path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, check=False)
+    assert proc.returncode == 0, proc.stderr
+    block = json.loads(path.read_text(encoding="utf-8"))["parabolicity"]
+    assert block["verdict"] == "not_parabolic"
+    assert [abs(v) for v in block["critical_direction"]] == [1.0, 0.0, 0.0]
+    assert block["deciding_branch"] == "q - 4 rho"
 
 
 def test_cli_and_verify_import_without_scipy():

@@ -310,21 +310,66 @@ class TestSymmetricSolve:
             with pytest.raises(DomainError, match=message):
                 spectrum(symbol_raw(p, rho, [1.0, 2.0, 3.0]))
 
-    def test_cached_lattice_is_read_only_and_changes_no_result(self):
-        directions, bases, t_duals = symbol_module._lattice(50)
+    def test_cached_directions_are_read_only_and_change_no_result(self):
+        directions = symbol_module._directions(50)
         unit = unit_directions(50)
         assert np.array_equal(directions, unit / np.linalg.norm(unit, axis=1, keepdims=True))
-        assert bases.shape == (50, 6, 6) and t_duals.shape == (50, 3, 6)
-        for array in (directions, bases, t_duals):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 0.0
+        assert not directions.flags.writeable
+        with pytest.raises(ValueError):
+            directions[0] = 0.0
         rng = np.random.default_rng(42)
         p, rho = sym_upper(rng), float(rng.uniform(-2, 2))
         warm = parabolicity(p, IDENTITY, rho, direction_samples=50)
-        symbol_module._lattice.cache_clear()
+        symbol_module._directions.cache_clear()
         cold = parabolicity(p, IDENTITY, rho, direction_samples=50)
         assert repr(cold) == repr(warm)  # every float to its last bit
+
+
+class TestClosedForm:
+    def test_direction_samples_changes_no_other_field(self):
+        rng = np.random.default_rng(43)
+        for _ in range(10):
+            p = sym_upper(rng)
+            m = rng.uniform(-1, 1, (3, 3))
+            g = SymTensor3.from_matrix(m @ m.T + 0.5 * np.eye(3))
+            args = (p, g, float(rng.uniform(-2, 2)), int(rng.choice([1, -1])),
+                    str(rng.choice(["frame", "all_directions"])))
+            reports = {repr(dataclasses.replace(parabolicity(*args, direction_samples=n),
+                                                direction_samples=0))
+                       for n in (1, 50, 200, 5000)}
+            assert len(reports) == 1
+
+    def test_a_wrong_eigenvalue_trips_the_check_at_the_eigenvectors(self, monkeypatch):
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: (eigh(m)[0] + [0.0, 1e-9, 0.0],
+                                                          eigh(m)[1]))
+        p = SymTensor3(np.array([3.0, 0.4, -0.2, 2.0, 1.0, 0.3]), "upper")
+        with pytest.raises(InternalConsistencyError, match="spectrum at P's eigenvectors"):
+            parabolicity(p, IDENTITY, 0.2)
+
+    def test_a_wrong_minimum_trips_the_lattice_check(self, monkeypatch):
+        # a rotated frame with its Rayleigh quotients as "eigenvalues": the
+        # blocks there match them, but q_min is not the minimum over the sphere
+        c, s_ = np.cos(0.3), np.sin(0.3)
+        frame = np.array([[c, -s_, 0.0], [s_, c, 0.0], [0.0, 0.0, 1.0]])
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: (
+            np.einsum("ai,ab,bi->i", frame, m, frame), frame))
+        p = SymTensor3(np.array([0.2, 0.0, 0.0, 5.0, 5.0, 0.0]), "upper")
+        with pytest.raises(InternalConsistencyError, match="lattice direction below q_min"):
+            parabolicity(p, IDENTITY, 0.0)
+
+    @pytest.mark.parametrize("frame, rho, branch, verdict", [
+        ((0.2, 5.0, 5.0), 0.051, "q - 4 rho", "not_parabolic"),
+        ((0.2, 5.0, 5.0), -0.1, "q", "strictly_parabolic_deturck"),
+        ((5.0, 5.0, 5.0), -10.0, "gauge", "strictly_parabolic_deturck"),
+    ])
+    def test_the_report_names_what_decided_the_verdict(self, frame, rho, branch, verdict):
+        p = SymTensor3(np.array([frame[0], 0.0, 0.0, frame[1], frame[2], 0.0]), "upper")
+        rep = parabolicity(p, IDENTITY, rho)
+        assert (rep.deciding_branch, rep.verdict) == (branch, verdict)
+        assert np.array_equal(np.abs(rep.critical_direction), E1)
+        assert rep.min_modified_eig == pytest.approx(
+            min(1.0, min(frame), min(frame) - 4.0 * rho), abs=1e-15)
 
 
 class TestDeturckCorrection:
