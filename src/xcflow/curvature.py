@@ -628,53 +628,62 @@ class CurvatureFrame:
         return np.array([self.a, self.b, self.c])
 
 
-def cholesky_frame(t: SymTensor3, g: SymTensor3) -> tuple[np.ndarray, np.ndarray]:
-    """Components of t in a g-orthonormal frame, and that frame.
-
-    With g = L L^T (Cholesky), the columns of L^-T are g-orthonormal; in
-    that frame an upper-index t has components L^T t L and a lower-index t
-    has L^-1 t L^-T.  Returns (frame components, L^-T).  Raises DomainError
-    unless g is a positive definite metric.
-    """
-    _require_metric(g)
-    chol = np.linalg.cholesky(g.matrix)
-    inv = np.linalg.inv(chol)
-    tm = t.matrix
-    components = chol.T @ tm @ chol if t.variance == "upper" else inv @ tm @ inv.T
-    return components, inv.T
-
-
-def generalized_eigh(t: SymTensor3, g: SymTensor3) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of a symmetric tensor relative to a metric.
-
-    For lower-index t these solve t v = lam g v; for upper-index t they are
-    those of the lowered tensor g t g, i.e. t g v = lam v.  Returns the
-    eigenvalues in ascending order and g-orthonormal eigenvectors as the
-    columns of a 3x3 matrix V, with V^T g V = I.  Diagonalizes t in the
-    Cholesky frame of g and maps the eigenvectors back.  Raises
-    DomainError when a component of t, or an eigenvalue or eigenvector,
-    is not finite.
-    """
-    if not all(map(math.isfinite, t.components.tolist())):
+def _frame_eigh(t: SymTensor3, g: SymTensor3) -> tuple[np.ndarray, ...]:
+    """The one routine that factors a metric and solves a generalized
+    eigenproblem: t in the Cholesky frame of g = L L^T, whose axes are the
+    columns of L^-T, has components L^T t L (upper indices) or L^-1 t L^-T
+    (lower), read off the lower triangle.  L, L^-1 (forward substitution)
+    and the components are Python floats, which overflow to inf silently.
+    Returns the canonical frame components (read-only), their ascending
+    eigenvalues, the orthonormal eigenvectors in the frame (columns) and
+    L^-T.  A t that is not finite, a g that is not a metric or loses a
+    Cholesky pivot to rounding, and an overflow are each a DomainError."""
+    t11, t12, t13, t22, t33, t23 = comps = t.components.tolist()
+    if not all(map(math.isfinite, comps)):
         raise DomainError("tensor components must be finite")
-    components, frame = cholesky_frame(t, g)
-    if all(map(math.isfinite, components.ravel().tolist())):
-        vals, vecs = np.linalg.eigh(components)
-        vecs = frame @ vecs
-        if all(map(math.isfinite, vals.tolist() + vecs.ravel().tolist())):
-            return vals, vecs
+    _require_metric(g)
+    a, b, c, d, e, f = g.components.tolist()
+    try:  # Sylvester's minors can pass where a rounded pivot is <= 0
+        l11 = math.sqrt(a)
+        l21, l31 = b / l11, c / l11
+        l22 = math.sqrt(d - l21 * l21)
+        l32 = (f - l31 * l21) / l22
+        l33 = math.sqrt(e - l31 * l31 - l32 * l32)
+        m11, m22, m33 = 1.0 / l11, 1.0 / l22, 1.0 / l33
+    except (ValueError, ZeroDivisionError):
+        raise DomainError("metric is singular to working precision: a Cholesky pivot "
+                          "is not positive") from None
+    m21 = -l21 * m11 / l22
+    inv = ((m11, 0.0, 0.0), (m21, m22, 0.0),
+           (-(l31 * m11 + l32 * m21) / l33, -l32 * m22 / l33, m33))
+    rows = ((l11, l21, l31), (0.0, l22, l32), (0.0, 0.0, l33)) if t.variance == "upper" else inv
+    # B t B^T for B = L^T or L^-1: w = B t by rows, then entry (j, i) = w_j . B_i
+    w = [(x * t11 + y * t12 + z * t13, x * t12 + y * t22 + z * t23,
+          x * t13 + y * t23 + z * t33) for x, y, z in rows]
+    frame = [w[j][0] * rows[i][0] + w[j][1] * rows[i][1] + w[j][2] * rows[i][2]
+             for i, j in COMPONENT_ORDER]
+    if all(map(math.isfinite, frame + [*inv[1], *inv[2]])):
+        components = _frozen(np.array(frame))
+        vals, vecs = np.linalg.eigh(components[_UNPACK])
+        if all(map(math.isfinite, vals.tolist())):
+            return components, vals, vecs, np.array(inv).T
     raise DomainError("eigenvalues overflow; the tensor and metric must keep them finite")
 
 
-def eigen_frame(p: SymTensor3, g: SymTensor3) -> tuple[CurvatureFrame, np.ndarray]:
-    """Diagonalize P relative to g.
+def generalized_eigh(t: SymTensor3, g: SymTensor3) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of a symmetric tensor relative to a metric, ascending, and
+    g-orthonormal eigenvectors V as columns (V^T g V = I): t v = lam g v for
+    lower-index t, t g v = lam v for upper-index t.  They are the eigenpairs
+    of `_frame_eigh`, whose DomainErrors it raises, mapped back by L^-T."""
+    _, vals, vecs, frame = _frame_eigh(t, g)
+    return vals, frame @ vecs
 
-    Returns the generalized eigenvalues of the upper-index P as a
-    CurvatureFrame (ascending) and the g-orthonormal eigenvectors as the
-    columns of a 3x3 matrix.  The reconstruction P^ij = sum_k lam_k
-    v_k v_k^T holds.  Degenerate eigenvalues yield an arbitrary
-    orthonormal basis of the eigenspace.
-    """
+
+def eigen_frame(p: SymTensor3, g: SymTensor3) -> tuple[CurvatureFrame, np.ndarray]:
+    """`generalized_eigh` of an upper-index P: its eigenvalues as a
+    CurvatureFrame (ascending) and its g-orthonormal eigenvectors v_k as
+    columns, with P^ij = sum_k lam_k v_k v_k^T.  A degenerate eigenvalue
+    gets an arbitrary orthonormal basis of its eigenspace."""
     if p.variance != "upper":
         raise DomainError("eigen_frame expects a tensor with upper indices")
     vals, vecs = generalized_eigh(p, g)

@@ -428,8 +428,12 @@ def einstein_residual(record: TraceRecord, params: FlowParams) -> float:
 
 
 def tensor_norm(t_lower: np.ndarray, g: SymTensor3) -> float:
-    """Metric norm of a lowered 2-tensor: sqrt(g^ik g^jl T_ij T_kl)."""
+    """Metric norm of a lowered 2-tensor: sqrt(g^ik g^jl T_ij T_kl), on the
+    checked adjugate inverse of g, so a g that is not a metric is a
+    DomainError."""
     import numpy as np
 
-    ginv = np.linalg.inv(g.matrix)
+    from .curvature import _metric_inverse
+
+    _, ginv = _metric_inverse(g)
     return float(np.sqrt(np.einsum("ik,jl,ij,kl->", ginv, ginv, t_lower, t_lower)))

@@ -17,12 +17,15 @@ direction.
 Every symbol matrix comes from one kernel, `symbol_stacks`: the symbol is
 quadratic in xi and linear in P and rho, so a direction enters only
 through the components of xi xi^T, contracted with a coefficient tensor
-built once per (P, rho).  In a g-orthonormal frame, over unit xi, q
+built once per (P, rho).  In the Cholesky frame of g, over unit xi, q
 (times the case sign s) ranges over the generalized eigenvalues lambda
-of P and is smallest at an eigenvector of P.  So `parabolicity` decides
-in closed form from q_min = min(s lambda).  It assembles the symbol only
-at P's three eigenvectors, to check its spectra there against the closed
-form, and checks q_min against s q over a cached Fibonacci lattice.
+of P and is smallest at an eigenvector of P.  `parabolicity` takes P's
+frame components and eigenpairs from one call of the solver behind
+`curvature.generalized_eigh`, so its threshold reads that function's
+eigenvalues, and decides in closed form from q_min = min(s lambda).  It
+assembles the symbol only at P's three eigenvectors, to check its
+spectra there against the closed form, and checks q_min against s q over
+a cached Fibonacci lattice.
 
 A spectrum takes one 3x3 eigenproblem, not a 6x6 one.  At a unit xi the
 variations split as K(xi) + T(xi): K = {xi X^T + X xi^T} (3-dimensional)
@@ -64,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import DEFAULT_DIRECTION_SAMPLES, MAX_DIRECTION_SAMPLES, stated_threshold
-from .curvature import COMPONENT_ORDER, SymTensor3, cholesky_frame, pack, unpack
+from .curvature import _COLS, _ROWS, SymTensor3, _frame_eigh, pack, unpack
 from .errors import DomainError, InternalConsistencyError
 
 IMAG_RESIDUE_TOL = 1e-10
@@ -112,14 +115,11 @@ def _symbol_data(p: SymTensor3, rho) -> float:
     if p.variance != "upper":
         raise DomainError("symbol assembly expects P with upper indices")
     if not np.all(np.isfinite(p.components)):
-        raise DomainError("P must have finite components")
+        raise DomainError("P components must be finite")
     rho = float(rho)
     if not np.isfinite(rho):
         raise DomainError(f"rho must be finite, got {rho!r}")
     return rho
-
-
-_ROWS, _COLS = np.array(COMPONENT_ORDER).T
 
 
 def _coefficients() -> tuple[np.ndarray, np.ndarray]:
@@ -348,18 +348,13 @@ def _directions(n: int) -> np.ndarray:
 
 
 def to_orthonormal_frame(p: SymTensor3, g: SymTensor3) -> SymTensor3:
-    """Components of an upper-index tensor in a g-orthonormal frame.
-
-    With g = L L^T (Cholesky), the frame components are L^T P L
-    (`curvature.cholesky_frame`); the metric becomes the identity, which is
-    what the symbol assembly assumes.  Generalized eigenvalues of P
-    relative to g are preserved.  A metric that is not positive definite
-    raises DomainError.
-    """
+    """Components L^T P L of an upper-index tensor in the g-orthonormal
+    Cholesky frame of g = L L^T (`curvature._frame_eigh`), where the metric
+    is the identity that the symbol assembly assumes; they keep the
+    generalized eigenvalues of P relative to g."""
     if p.variance != "upper":
         raise DomainError("frame transform expects a tensor with upper indices")
-    components, _ = cholesky_frame(p, g)
-    return SymTensor3.from_matrix(components, "upper")
+    return SymTensor3(_frame_eigh(p, g)[0], "upper")
 
 
 @dataclass(frozen=True)
@@ -437,20 +432,15 @@ def parabolicity(
     rho = _symbol_data(p, rho)
     lattice = _directions(direction_samples)
 
-    p_frame = to_orthonormal_frame(p, g)
-    gen_eigs, gen_vecs = np.linalg.eigh(p_frame.matrix)
-
-    if mode == "frame":
-        p11 = float(p.components[0])
-        threshold = stated_threshold(p11, p11, sign)
-    else:
-        threshold = stated_threshold(float(gen_eigs[0]), float(gen_eigs[-1]), sign)
+    frame, gen_eigs, gen_vecs, _ = _frame_eigh(p, g)
+    lo, hi = (p.components[0],) * 2 if mode == "frame" else (gen_eigs[0], gen_eigs[-1])
+    threshold = stated_threshold(float(lo), float(hi), sign)
     q = sign * gen_eigs
     critical = int(q.argmin())
     q_min = float(q[critical])
 
     vecs = gen_vecs.T / np.linalg.norm(gen_vecs.T, axis=1, keepdims=True)
-    signed = SymTensor3(sign * p_frame.components, "upper")
+    signed = SymTensor3(sign * frame, "upper")
     # P or rho large enough to overflow the symbol entries ends as the
     # DomainError of _block_spectra, without numpy's overflow warnings first
     with np.errstate(over="ignore", invalid="ignore"):

@@ -632,28 +632,41 @@ class TestEigenFrame:
 
 class TestGeneralizedEigh:
     # scipy.linalg.eigvalsh(a, b) is the independent oracle here
-    @pytest.mark.parametrize("variance", ["lower", "upper"])
-    def test_matches_scipy_and_vectors_are_g_orthonormal(self, variance):
+    # cond None draws g as `spd` does (condition number below 100); 1e2 and
+    # 1e4 draw g = s Q diag(1, c^u, c) Q^T with that condition number c
+    @pytest.mark.parametrize("variance, cond", [
+        pytest.param("lower", None, id="lower"), pytest.param("upper", None, id="upper"),
+        ("lower", 1e2), ("upper", 1e2), ("lower", 1e4), ("upper", 1e4)])
+    def test_matches_scipy_and_vectors_are_g_orthonormal(self, variance, cond):
         rng = np.random.default_rng(31)
         for _ in range(50):
             m = rng.uniform(-3.0, 3.0, (3, 3))
             t = SymTensor3.from_matrix(m + m.T, variance)
-            g = spd(rng, scale=float(rng.uniform(0.2, 3.0)))
+            scale_g = float(rng.uniform(0.2, 3.0))
+            if cond is None:
+                g = spd(rng, scale=scale_g)
+            else:
+                q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+                lam = scale_g * np.array([1.0, cond ** rng.uniform(0.0, 1.0), cond])
+                g = SymTensor3.from_matrix((q * lam) @ q.T)
+            gm = g.matrix
+            # rounding in the Cholesky frame grows with cond(g); every
+            # tolerance holds as it is up to cond(g) = 100 and grows with it beyond
+            k = max(1.0, np.linalg.cond(gm) / 100.0)
             vals, vecs = generalized_eigh(t, g)
             scale = max(1.0, np.abs(vals).max())
-            assert np.abs(vals - gen_eigs(t, g)).max() < 1e-12 * scale
+            assert np.abs(vals - gen_eigs(t, g)).max() < 1e-12 * k * scale
             assert np.all(np.diff(vals) >= 0.0)
-            gm = g.matrix
-            assert np.abs(vecs.T @ gm @ vecs - np.eye(3)).max() < 1e-12
+            assert np.abs(vecs.T @ gm @ vecs - np.eye(3)).max() < 1e-12 * k
             if variance == "lower":
                 # t v = lam g v, and t = g V diag(lam) V^T g
-                assert np.abs(t.matrix @ vecs - gm @ vecs * vals).max() < 1e-11 * scale
+                assert np.abs(t.matrix @ vecs - gm @ vecs * vals).max() < 1e-11 * k * scale
                 rebuilt = gm @ (vecs * vals) @ vecs.T @ gm
             else:
                 # t g v = lam v, and t = V diag(lam) V^T
-                assert np.abs(t.matrix @ gm @ vecs - vecs * vals).max() < 1e-11 * scale
+                assert np.abs(t.matrix @ gm @ vecs - vecs * vals).max() < 1e-11 * k * scale
                 rebuilt = (vecs * vals) @ vecs.T
-            assert np.abs(rebuilt - t.matrix).max() < 1e-11 * max(1.0, np.abs(t.matrix).max())
+            assert np.abs(rebuilt - t.matrix).max() < 1e-11 * k * max(1.0, np.abs(t.matrix).max())
 
     def test_rejects_indefinite_metric(self):
         g = SymTensor3(np.array([1.0, 0, 0, -1.0, 1.0, 0]))
@@ -664,19 +677,39 @@ class TestGeneralizedEigh:
         with pytest.raises(DomainError):
             eigen_frame(SymTensor3(np.array([1.0, 0, 0, 2.0, 3.0, 0])), IDENTITY)
 
-    @pytest.mark.parametrize("components, match", [
-        ([math.nan, 0.0, 0.0, 1.0, 1.0, 0.0], "components must be finite"),
-        ([math.inf, 0.0, 0.0, 1.0, 1.0, 0.0], "components must be finite"),
-        # finite, but the largest eigenvalue is 2e308
-        ([1e308, 1e308, 0.0, 1e308, 1.0, 0.0], "eigenvalues overflow"),
+    @pytest.mark.parametrize("components, metrics, match", [
+        pytest.param([math.nan, 0.0, 0.0, 1.0, 1.0, 0.0], (1.0, 1e100),
+                     "components must be finite", id="components0-components must be finite"),
+        pytest.param([math.inf, 0.0, 0.0, 1.0, 1.0, 0.0], (1.0, 1e100),
+                     "components must be finite", id="components1-components must be finite"),
+        # finite, but the largest eigenvalue is 2e308 (2e408 in the frame of 1e100 I)
+        pytest.param([1e308, 1e308, 0.0, 1e308, 1.0, 0.0], (1.0, 1e100),
+                     "eigenvalues overflow", id="components2-eigenvalues overflow"),
+        # P and g = 1e100 I are finite, but the frame components L^T P L are 1e350
+        pytest.param([1e250, 0.0, 0.0, 1e250, 1e250, 0.0], (1e100,),
+                     "eigenvalues overflow", id="components3-eigenvalues overflow"),
     ])
-    def test_non_finite_input_or_result_is_named(self, components, match):
+    def test_non_finite_input_or_result_is_named(self, components, metrics, match):
+        from xcflow.symbol import parabolicity, to_orthonormal_frame
+
         p = SymTensor3(np.array(components), "upper")
+        solvers = (generalized_eigh, eigen_frame, to_orthonormal_frame,
+                   lambda p, g: parabolicity(p, g, 0.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for solve in (generalized_eigh, eigen_frame):
-                with pytest.raises(DomainError, match=match):
-                    solve(p, IDENTITY)
+            for g in (SymTensor3(s * IDENTITY.components) for s in metrics):
+                for solve in solvers:
+                    with pytest.raises(DomainError, match=match):
+                        solve(p, g)
+
+    def test_a_pivot_lost_to_rounding_is_a_domain_error(self):
+        # u u^T of rank 2 plus 2^-52 e3 e3^T: Sylvester's minors are positive,
+        # but a Cholesky pivot rounds to <= 0 (numpy's cholesky raises
+        # LinAlgError on it)
+        g = SymTensor3(np.array([0.8125, 1.25, 0.75, 2.0, 1.0 + 2.0**-52, 1.0]))
+        assert g.is_positive_definite()
+        with pytest.raises(DomainError, match="a Cholesky pivot is not positive"):
+            generalized_eigh(IDENTITY, g)
 
 
 def test_space_form_chart_jet_matches_loop_reference():

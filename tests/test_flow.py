@@ -359,6 +359,16 @@ class TestEinsteinResidual:
         residual = tensor_norm(ric.matrix - (scalar / 3.0) * g.matrix, g)
         assert 1e-4 < residual < 1e-2
 
+    @pytest.mark.parametrize("components", [
+        [1.0, 0.0, 0.0, -1.0, 1.0, 0.0],  # indefinite
+        [1.0, 1.0, 0.0, 1.0, 1.0, 0.0],   # singular
+    ])
+    def test_tensor_norm_rejects_a_non_metric(self, components):
+        from xcflow.curvature import SymTensor3
+        from xcflow.flow import tensor_norm
+        with pytest.raises(DomainError, match="metric is not positive definite"):
+            tensor_norm(np.eye(3), SymTensor3(np.array(components)))
+
 
 class TestParabolicityAlongFlow:
     def test_report_matches_margin_column(self):

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import special_ortho_group
 
 from xcflow import symbol as symbol_module
-from xcflow.curvature import Riemann3, SymTensor3, einstein_raised, pack, unpack
+from xcflow.curvature import (Riemann3, SymTensor3, einstein_raised, generalized_eigh,
+                              pack, unpack)
 from xcflow.errors import DomainError, InternalConsistencyError
 from xcflow.symbol import (
     IMAG_RESIDUE_TOL,
@@ -296,16 +297,23 @@ class TestSymmetricSolve:
             warnings.simplefilter("error")  # 1e-12 of the scale is below IMAG_RESIDUE_TOL
             spectrum(dataclasses.replace(sym, block=sym.block + 1e-12 * skew))
 
-    @pytest.mark.parametrize("components, rho", [
-        ([1.0, 0.1, 0.0, 2.0, 3.0, 0.2], 1e308),
-        ([1e308, 1e307, 0.0, 1.5e308, 1.7e308, 2e307], 0.0),
+    # `parabolicity` solves P's eigenproblem before it assembles a symbol, so
+    # a P whose largest eigenvalue overflows (about 1.9e308 in the second
+    # row) ends there; finite eigenvalues reach the symbol's own check
+    @pytest.mark.parametrize("components, rho, stops_at", [
+        pytest.param([1.0, 0.1, 0.0, 2.0, 3.0, 0.2], 1e308, "symbol matrix entries overflow",
+                     id="components0-1e+308"),
+        pytest.param([1e308, 1e307, 0.0, 1.5e308, 1.7e308, 2e307], 0.0, "eigenvalues overflow",
+                     id="components1-0.0"),
+        pytest.param([1e308, 1e307, 0.0, 1.4e308, 1.5e308, 2e307], 0.0,
+                     "symbol matrix entries overflow", id="components2-0.0"),
     ])
-    def test_overflow_is_the_named_domain_error(self, components, rho):
+    def test_overflow_is_the_named_domain_error(self, components, rho, stops_at):
         p = SymTensor3(np.array(components), "upper")
         message = "symbol matrix entries overflow: P or rho is too large"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match=message):
+            with pytest.raises(DomainError, match=stops_at):
                 parabolicity(p, IDENTITY, rho)
             with pytest.raises(DomainError, match=message):
                 spectrum(symbol_raw(p, rho, [1.0, 2.0, 3.0]))
@@ -660,16 +668,26 @@ class TestHelpers:
         assert stated_threshold(-5.0, -0.2, -1) == 0.1
 
     def test_stated_threshold_is_the_report_threshold(self):
+        # the report reads the eigenvalues generalized_eigh returns, to the
+        # last bit, at g = I (20 draws) and at random SPD g (200 draws)
         rng = np.random.default_rng(27)
-        for _ in range(20):
+        for i in range(220):
             p = sym_upper(rng)
-            eigs = np.linalg.eigvalsh(p.matrix)
+            if i < 20:
+                g = IDENTITY
+                eigs = np.linalg.eigvalsh(p.matrix)
+            else:
+                m = rng.uniform(-1.0, 1.0, (3, 3))
+                g = SymTensor3.from_matrix(m @ m.T + 0.5 * np.eye(3))
+            vals, _ = generalized_eigh(p, g)
             for case in (1, -1):
-                rep = parabolicity(p, IDENTITY, 0.0, case=case, direction_samples=8)
-                assert rep.threshold == pytest.approx(
-                    stated_threshold(eigs[0], eigs[-1], case), rel=1e-13, abs=1e-13)
+                rep = parabolicity(p, g, 0.0, case=case, direction_samples=8)
+                assert rep.threshold == stated_threshold(vals[0], vals[-1], case)
+                if i < 20:
+                    assert rep.threshold == pytest.approx(
+                        stated_threshold(eigs[0], eigs[-1], case), rel=1e-13, abs=1e-13)
                 p11 = p.components[0]
-                rep = parabolicity(p, IDENTITY, 0.0, case=case, mode="frame",
+                rep = parabolicity(p, g, 0.0, case=case, mode="frame",
                                    direction_samples=8)
                 assert rep.threshold == stated_threshold(p11, p11, case)
 
