@@ -6,10 +6,11 @@ Subsystems:
   tensors, the cross curvature tensor via three cross-checking
   formulas, and the generalized eigenvalues of a tensor relative to a
   metric.  One private routine factors g = L L^T and inverts L in
-  Python floats, takes the tensor's components in that frame and calls
-  numpy's `eigh` once; `generalized_eigh`, `eigen_frame`,
-  `symbol.to_orthonormal_frame` and `symbol.parabolicity` all use it.
-  numpy is the only runtime dependency.
+  Python floats; that factor alone decides whether g is a metric and
+  gives det g, g^-1 and the frame in which one call to numpy's `eigh`
+  solves each generalized eigenproblem, for `generalized_eigh`,
+  `eigen_frame`, `symbol.to_orthonormal_frame` and
+  `symbol.parabolicity`.  numpy is the only runtime dependency.
 - `symbol`: 6x6 principal-symbol matrices of the linearized flow
   operator (raw and gauge-fixed), their spectra, and parabolicity
   verdicts.

@@ -13,9 +13,10 @@ writeable.
              + Gamma_{m,li} Gamma^m_kj - Gamma_{m,ki} Gamma^m_lj,
 
 with Gamma_{m,ab} = 1/2 (d_a g_bm + d_b g_am - d_m g_ab); the quadratic
-term is one symmetric 9x9 product Gamma^T g^-1 Gamma.  g^-1 is the
-adjugate over the determinant, in Python floats on g scaled by a power
-of two, as in the metric check; no LAPACK inverse is called.
+term is one symmetric 9x9 product Gamma^T g^-1 Gamma.  g^-1 is
+L^-T L^-1 from the Cholesky factor g = L L^T in Python floats, the one
+factor that also decides whether g is a metric and gives det g; no
+LAPACK inverse is called.
 
 The Einstein tensor with raised indices, P, is the volume-form value,
 checked against the trace form relative to ||P||_F.  The cross
@@ -53,7 +54,6 @@ from .errors import DomainError, InternalConsistencyError
 COMPONENT_ORDER: tuple[tuple[int, int], ...] = (
     (0, 0), (0, 1), (0, 2), (1, 1), (2, 2), (1, 2),
 )
-COMPONENT_LABELS = ("11", "12", "13", "22", "33", "23")
 _ROWS, _COLS = np.array(COMPONENT_ORDER).T
 # _UNPACK[i, j] is the canonical slot of entry (i, j)
 _UNPACK = np.array([[0, 1, 2], [1, 3, 5], [2, 5, 4]])
@@ -154,12 +154,11 @@ class SymTensor3:
         return unpack(self.components)
 
     def is_positive_definite(self) -> bool:
-        """Sylvester's criterion at every scale: finite components, and all
-        leading principal minors of D t D positive, where the congruence by
-        a diagonal power of two D brings each diagonal entry near 1, so the
-        verdict does not depend on the overall scale of t.  A metric check
-        may still refuse t for a determinant that under- or overflows."""
-        return _positive_definite_scaled(self.components.tolist())
+        """Whether the Cholesky factor t = L L^T exists in floats: finite
+        components and three positive pivots.  The pivots scale as t, so
+        the verdict does not depend on the overall scale of t.  A metric
+        check may still refuse t for a determinant that under- or overflows."""
+        return _cholesky(self.components.tolist()) is not None
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -194,75 +193,61 @@ def _sym_adjugate_det(a: float, b: float, c: float,
     return adj, a * adj[0] + b * adj[1] + c * adj[2]
 
 
-def _positive_definite_det(components: np.ndarray) -> float:
-    """Determinant of a symmetric tensor that Sylvester's criterion finds
-    positive definite, else 0.0.
-
-    Python floats on the six components: all must be finite, and the
-    leading minors a, ad - b^2 and det must be positive.  The 2x2 minor is
-    the adjugate's 33 component.
-    """
-    comps = components.tolist()
+def _cholesky(comps: list[float]) -> tuple[float, tuple, tuple] | None:
+    """The one test of a metric: the Cholesky factor g = L L^T, in Python
+    floats on g's canonical components.  Every component must be finite
+    and every pivot positive; an off-diagonal ratio that overflows exceeds
+    the diagonal, so the next pivot is -inf or nan, and no scaling is
+    needed.  Returns det g = (l11 l22 l33)^2 with L^T and L^-1 (forward
+    substitution) by rows, or None where the factor does not exist."""
     if not all(map(math.isfinite, comps)):
-        return 0.0
-    adj, det = _sym_adjugate_det(*comps)
-    return det if comps[0] > 0.0 and adj[4] > 0.0 and det > 0.0 else 0.0
+        return None
+    a, b, c, d, e, f = comps
+    if not a > 0.0:
+        return None
+    l11 = math.sqrt(a)
+    l21, l31 = b / l11, c / l11
+    pivot = d - l21 * l21
+    if not pivot > 0.0:
+        return None
+    l22 = math.sqrt(pivot)
+    l32 = (f - l31 * l21) / l22
+    pivot = e - l31 * l31 - l32 * l32
+    if not pivot > 0.0:
+        return None
+    l33 = math.sqrt(pivot)
+    m11, m22, m33 = 1.0 / l11, 1.0 / l22, 1.0 / l33
+    m21 = -l21 * m11 / l22
+    root = l11 * l22 * l33
+    return (root * root, ((l11, l21, l31), (0.0, l22, l32), (0.0, 0.0, l33)),
+            ((m11, 0.0, 0.0), (m21, m22, 0.0),
+             (-(l31 * m11 + l32 * m21) / l33, -l32 * m22 / l33, m33)))
 
 
-def _require_metric(g: SymTensor3) -> float:
-    """det g, once g is checked to be a metric (lower indices, positive
-    definite) whose determinant is a positive finite float."""
+def _require_metric(g: SymTensor3) -> tuple[float, tuple, tuple]:
+    """`_cholesky` of g, once g is checked to be a metric: lower indices, a
+    Cholesky factor, and a determinant that is a positive finite float."""
     if g.variance != "lower":
         raise DomainError("a metric must carry lower indices")
-    det = _positive_definite_det(g.components)
+    comps = g.components.tolist()
+    factor = _cholesky(comps)
+    if factor is None:
+        raise DomainError("metric is not positive definite")
+    det = factor[0]
     if not 0.0 < det < math.inf:
-        raise DomainError(_metric_failure(g.components.tolist(), det))
-    return det
-
-
-def _positive_definite_scaled(comps: list[float]) -> bool:
-    """Sylvester's test on D g D, with D = diag(2^-h_i) and 4^h_i near g_ii.
-
-    The congruence keeps definiteness and is exact up to off-diagonal
-    entries that fall below the normal range; it brings each diagonal
-    entry into [1/2, 2) and, for a positive definite g, every entry to at
-    most 2 in size, so no minor there under- or overflows.
-    """
-    half = [math.frexp(comps[k])[1] // 2 for k in (0, 3, 4)]
-    try:
-        scaled = [math.ldexp(v, -(half[i] + half[j]))
-                  for v, (i, j) in zip(comps, COMPONENT_ORDER)]
-    except OverflowError:  # an off-diagonal entry far beyond sqrt(g_ii g_jj)
-        return False
-    return _positive_definite_det(np.array(scaled)) > 0.0
-
-
-def _metric_failure(comps: list[float], det: float) -> str:
-    """Why g failed `_require_metric`: it is not positive definite, or it
-    is and det g under- (det = 0) or overflows (det = inf)."""
-    if not _positive_definite_scaled(comps):
-        return "metric is not positive definite"
-    scale = math.exp(sum(math.log(comps[k]) for k in (0, 3, 4)) / 3.0)
-    return (f"metric determinant {'overflows' if det else 'underflows'}: g is positive "
+        scale = math.exp(sum(math.log(comps[k]) for k in (0, 3, 4)) / 3.0)
+        raise DomainError(
+            f"metric determinant {'overflows' if det else 'underflows'}: g is positive "
             f"definite but of scale {scale:.3g} (geometric mean of its diagonal); "
             "rescale it toward 1")
+    return factor
 
 
 def _metric_inverse(g: SymTensor3) -> tuple[float, np.ndarray]:
-    """det g and g^-1 = adj(g) / det g of a checked metric.
-
-    The adjugate and determinant are those of g / 2^e, with 2^e near the
-    geometric mean of g's diagonal, so that det(g / 2^e) is near 1 for a
-    well-conditioned g.  Scaling by a power of two is exact: where adj(g)
-    and det g are normal floats the quotient rounds as theirs does, and
-    where det g is subnormal g^-1 keeps its precision.
-    """
-    det = _require_metric(g)
-    comps = g.components.tolist()
-    e = (math.frexp(comps[0])[1] + math.frexp(comps[3])[1] + math.frexp(comps[4])[1]) // 3
-    down = math.ldexp(1.0, -e)
-    adj, det_scaled = _sym_adjugate_det(*[v * down for v in comps])
-    return det, unpack([v / det_scaled * down for v in adj])
+    """det g and g^-1 = L^-T L^-1 of a checked metric, from its one factor."""
+    det, _, ((m11, _, _), (m21, m22, _), (m31, m32, m33)) = _require_metric(g)
+    return det, unpack([m11 * m11 + m21 * m21 + m31 * m31, m21 * m22 + m31 * m32,
+                        m31 * m33, m22 * m22 + m32 * m32, m33 * m33, m32 * m33])
 
 
 def volume_form(g: SymTensor3) -> tuple[np.ndarray, np.ndarray]:
@@ -273,7 +258,7 @@ def volume_form(g: SymTensor3) -> tuple[np.ndarray, np.ndarray]:
     inverse metric reproduces mu_upper.  In an orthonormal frame both
     normalizations give mu_123 = mu^123 = 1.
     """
-    root_det = math.sqrt(_require_metric(g))
+    root_det = math.sqrt(_require_metric(g)[0])
     return root_det * _EPS3, _EPS3 / root_det
 
 
@@ -473,8 +458,8 @@ def _rel_dev(x: np.ndarray, y: np.ndarray, *scale: float) -> float:
 def _ricci_pass(riem: Riemann3, g: SymTensor3) -> tuple[float, np.ndarray, SymTensor3, float]:
     """det g, g^-1, Ric_ij = g^kl R_kilj and R = g^ij Ric_ij, each once per pair.
 
-    The metric check gives det g and adj(g), so g^-1 = adj(g) / det g; the
-    one g^-1 serves both contractions.  Raises DomainError when Ric or R
+    det g and g^-1 come from the metric's one Cholesky factor, and the one
+    g^-1 serves both contractions.  Raises DomainError when Ric or R
     overflows.  The result is kept on `riem` for this metric object.
     """
     pair = riem._pair
@@ -629,34 +614,20 @@ class CurvatureFrame:
 
 
 def _frame_eigh(t: SymTensor3, g: SymTensor3) -> tuple[np.ndarray, ...]:
-    """The one routine that factors a metric and solves a generalized
-    eigenproblem: t in the Cholesky frame of g = L L^T, whose axes are the
-    columns of L^-T, has components L^T t L (upper indices) or L^-1 t L^-T
-    (lower), read off the lower triangle.  L, L^-1 (forward substitution)
-    and the components are Python floats, which overflow to inf silently.
+    """The one routine that solves a generalized eigenproblem: t in the
+    Cholesky frame of g = L L^T, whose axes are the columns of L^-T, has
+    components L^T t L (upper indices) or L^-1 t L^-T (lower), read off
+    the lower triangle.  L^T and L^-1 are the metric check's (`_cholesky`);
+    the components are Python floats, which overflow to inf silently.
     Returns the canonical frame components (read-only), their ascending
     eigenvalues, the orthonormal eigenvectors in the frame (columns) and
-    L^-T.  A t that is not finite, a g that is not a metric or loses a
-    Cholesky pivot to rounding, and an overflow are each a DomainError."""
+    L^-T.  A t that is not finite, a g that is not a metric and an
+    overflow are each a DomainError."""
     t11, t12, t13, t22, t33, t23 = comps = t.components.tolist()
     if not all(map(math.isfinite, comps)):
         raise DomainError("tensor components must be finite")
-    _require_metric(g)
-    a, b, c, d, e, f = g.components.tolist()
-    try:  # Sylvester's minors can pass where a rounded pivot is <= 0
-        l11 = math.sqrt(a)
-        l21, l31 = b / l11, c / l11
-        l22 = math.sqrt(d - l21 * l21)
-        l32 = (f - l31 * l21) / l22
-        l33 = math.sqrt(e - l31 * l31 - l32 * l32)
-        m11, m22, m33 = 1.0 / l11, 1.0 / l22, 1.0 / l33
-    except (ValueError, ZeroDivisionError):
-        raise DomainError("metric is singular to working precision: a Cholesky pivot "
-                          "is not positive") from None
-    m21 = -l21 * m11 / l22
-    inv = ((m11, 0.0, 0.0), (m21, m22, 0.0),
-           (-(l31 * m11 + l32 * m21) / l33, -l32 * m22 / l33, m33))
-    rows = ((l11, l21, l31), (0.0, l22, l32), (0.0, 0.0, l33)) if t.variance == "upper" else inv
+    _, upper, inv = _require_metric(g)
+    rows = upper if t.variance == "upper" else inv
     # B t B^T for B = L^T or L^-1: w = B t by rows, then entry (j, i) = w_j . B_i
     w = [(x * t11 + y * t12 + z * t13, x * t12 + y * t22 + z * t23,
           x * t13 + y * t23 + z * t33) for x, y, z in rows]

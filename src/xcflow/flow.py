@@ -130,10 +130,19 @@ def _rhs_coefficients(params: FlowParams) -> tuple[float, float]:
     return -params.epsilon * params.lam**2, 6.0 * params.rho * params.lam
 
 
-def einstein_rhs(c: float, params: FlowParams) -> float:
-    """dc/dt on the Einstein ansatz: -eps * lam^2 / (2c) + 6 rho lam."""
+def _require_scale(c: float) -> None:
+    """The scale-factor check of every pointwise evaluation at c (not of
+    the integrate loop, whose stage guards keep c positive and finite): a
+    collapsed c <= 0 is an ExtinctStateError, a nan or inf a DomainError."""
     if c <= 0.0:
         raise ExtinctStateError(f"scale factor must be positive, got {c!r}")
+    if not isfinite(c):
+        raise DomainError(f"scale factor must be finite, got {c!r}")
+
+
+def einstein_rhs(c: float, params: FlowParams) -> float:
+    """dc/dt on the Einstein ansatz: -eps * lam^2 / (2c) + 6 rho lam."""
+    _require_scale(c)
     num, a = _rhs_coefficients(params)
     return num / (2.0 * c) + a
 
@@ -148,8 +157,7 @@ def engine_rhs(c: float, params: FlowParams) -> float:
     """
     from . import curvature as cv
 
-    if c <= 0.0:
-        raise ExtinctStateError(f"scale factor must be positive, got {c!r}")
+    _require_scale(c)
     g = cv.SymTensor3(c * cv.SymTensor3.identity().components)
     kappa = params.lam / (2.0 * c)
     riem = cv.Riemann3.space_form(kappa, g)
@@ -168,8 +176,7 @@ def published_ode_rhs(c: float, params: FlowParams) -> float:
     source is read as the Einstein constant).  Never used for
     integration.
     """
-    if c <= 0.0:
-        raise ExtinctStateError(f"scale factor must be positive, got {c!r}")
+    _require_scale(c)
     lam = params.lam
     try:
         ratio = (2.0 * c**2 - 3.0 * lam**2) / (2.0 * lam * c**2)
@@ -259,6 +266,7 @@ def parabolicity_report_at(c: float, params: FlowParams) -> ParabolicityReport:
     from . import curvature as cv
     from . import symbol as sb
 
+    _require_scale(c)
     g = cv.SymTensor3(c * cv.SymTensor3.identity().components)
     riem = cv.Riemann3.space_form(params.lam / (2.0 * c), g)
     p = cv.einstein_raised(riem, g)
@@ -421,6 +429,7 @@ def einstein_residual(record: TraceRecord, params: FlowParams) -> float:
     from . import curvature as cv
 
     c = record.c
+    _require_scale(c)
     g = cv.SymTensor3(c * cv.SymTensor3.identity().components)
     riem = cv.Riemann3.space_form(params.lam / (2.0 * c), g)
     ric, scalar = cv.ricci(riem, g)
@@ -429,8 +438,8 @@ def einstein_residual(record: TraceRecord, params: FlowParams) -> float:
 
 def tensor_norm(t_lower: np.ndarray, g: SymTensor3) -> float:
     """Metric norm of a lowered 2-tensor: sqrt(g^ik g^jl T_ij T_kl), on the
-    checked adjugate inverse of g, so a g that is not a metric is a
-    DomainError."""
+    checked inverse of g (`curvature._metric_inverse`), so a g that is not
+    a metric is a DomainError."""
     import numpy as np
 
     from .curvature import _metric_inverse

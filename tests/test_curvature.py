@@ -142,13 +142,13 @@ class TestSymTensor3:
     def test_positive_definite_by_leading_minors(self):
         assert IDENTITY.is_positive_definite()
         assert not SymTensor3(np.array([1.0, 0, 0, -1.0, 1.0, 0])).is_positive_definite()
-        # positive minors but indefinite-looking off-diagonals
+        # g_12^2 > g_11 g_22: the second Cholesky pivot is negative
         assert not SymTensor3(np.array([1.0, 2.0, 0, 1.0, 1.0, 0])).is_positive_definite()
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-110, 1.0, 1e103, 1e300])
     def test_positive_definite_verdict_does_not_depend_on_scale(self, scale):
-        # det g under- or overflows at most of these scales; the verdict is
-        # Sylvester's on the diagonally rescaled tensor
+        # det g under- or overflows at most of these scales; the Cholesky
+        # pivots scale with g and decide alone
         assert SymTensor3(scale * np.array([1.0, 0.1, 0.0, 2.0, 1.0, 0.0])).is_positive_definite()
         assert not SymTensor3(scale * np.array([1.0, 2.0, 0.0, 1.0, 1.0, 0.0])).is_positive_definite()
         assert not SymTensor3(scale * np.array([1.0, 0.1, 0.0, 2.0, -1.0, 0.0])).is_positive_definite()
@@ -169,7 +169,16 @@ class TestSymTensor3:
                 i, j = rng.integers(3, size=2)
                 m[i, j] = m[j, i] = rng.choice([np.nan, np.inf, -np.inf])
             expected = bool(np.isfinite(m).all() and np.linalg.eigvalsh(m).min() > 0.0)
-            assert SymTensor3(pack(m)).is_positive_definite() == expected, m
+            t = SymTensor3(pack(m))
+            assert t.is_positive_definite() == expected, m
+            # the metric check decides from the same factor: it refuses a
+            # positive definite g only for a determinant out of range
+            try:
+                curvature._require_metric(t)
+                accepted = True
+            except DomainError as exc:
+                accepted = str(exc).startswith("metric determinant")
+            assert accepted == expected, m
             verdicts.add(expected)
         assert verdicts == {True, False}
 
@@ -216,9 +225,8 @@ class TestVolumeForm:
         (1e-110, "metric determinant underflows: g is positive definite but of scale 1.26e-110"),
     ])
     def test_determinant_out_of_range_is_named_with_the_scale(self, scale, message):
-        # Sylvester's test in floats sees det g = inf (once accepted, then
-        # an InternalConsistencyError downstream) or det g = 0 ("not
-        # positive definite", which is false)
+        # the Cholesky factor exists, but det g is inf or 0: the error names
+        # the scale, and nothing downstream blames the pair
         g = SymTensor3(scale * np.array([1.0, 0.1, 0.0, 2.0, 1.0, 0.0]))
         assert g.is_positive_definite()
         with warnings.catch_warnings():
@@ -232,7 +240,10 @@ class TestVolumeForm:
         [1e200, 0, 0, 1e200, -1e200, 0],      # indefinite at a scale whose det overflows
         [1e-200, 0, 0, 1e-200, -1e-200, 0],   # and at one whose det underflows
         [1e-320, 1e-9, 0, 1e300, 1e-320, 0],  # g_12^2 > g_11 g_22, diagonal 1e620 apart
-        [5e-324, 1e300, 0, 5e-324, 5e-324, 0],  # the rescaled g_12 overflows
+        [5e-324, 1e300, 0, 5e-324, 5e-324, 0],  # g_12 / sqrt(g_11) overflows
+        # u u^T of rank 2 plus 2^-52 e3 e3^T: det g = 1.1e-16 from the
+        # cofactors, but the smallest eigenvalue is -1.3e-16
+        [0.8125, 1.25, 0.75, 2.0, 1.0 + 2.0**-52, 1.0],
     ])
     def test_indefinite_metric_at_any_scale_is_not_positive_definite(self, components):
         g = SymTensor3(np.array(components, dtype=float))
@@ -703,13 +714,24 @@ class TestGeneralizedEigh:
                         solve(p, g)
 
     def test_a_pivot_lost_to_rounding_is_a_domain_error(self):
-        # u u^T of rank 2 plus 2^-52 e3 e3^T: Sylvester's minors are positive,
-        # but a Cholesky pivot rounds to <= 0 (numpy's cholesky raises
-        # LinAlgError on it)
+        # u u^T of rank 2 plus 2^-52 e3 e3^T: the cofactor determinant is
+        # 1.1e-16 > 0, but the last Cholesky pivot rounds to <= 0 (numpy's
+        # cholesky raises LinAlgError on it, eigvalsh gives -1.3e-16), so
+        # every routine refuses it as the metric check does
+        from xcflow.symbol import parabolicity
+
         g = SymTensor3(np.array([0.8125, 1.25, 0.75, 2.0, 1.0 + 2.0**-52, 1.0]))
-        assert g.is_positive_definite()
-        with pytest.raises(DomainError, match="a Cholesky pivot is not positive"):
-            generalized_eigh(IDENTITY, g)
+        assert not g.is_positive_definite()
+        calls = (lambda: constant_jet(g),
+                 lambda: volume_form(g),
+                 lambda: Riemann3.space_form(1.0, g),
+                 lambda: ricci(Riemann3.space_form(1.0, IDENTITY), g),
+                 lambda: einstein_raised(Riemann3.space_form(1.0, IDENTITY), g),
+                 lambda: generalized_eigh(IDENTITY, g),
+                 lambda: parabolicity(SymTensor3.identity("upper"), g, 0.0))
+        for call in calls:
+            with pytest.raises(DomainError, match="metric is not positive definite"):
+                call()
 
 
 def test_space_form_chart_jet_matches_loop_reference():

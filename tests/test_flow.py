@@ -1,5 +1,6 @@
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,24 @@ class TestRhs:
             einstein_rhs(0.0, sphere())
         with pytest.raises(ExtinctStateError):
             engine_rhs(-1.0, sphere())
+
+    @pytest.mark.parametrize("evaluate", [
+        einstein_rhs, engine_rhs, published_ode_rhs, parabolicity_report_at,
+        lambda c, params: einstein_residual(TraceRecord(0.0, c, 0.0, 0.0, 0.0), params),
+    ], ids=["einstein_rhs", "engine_rhs", "published_ode_rhs", "parabolicity_report_at",
+            "einstein_residual"])
+    def test_every_evaluation_checks_the_scale_factor(self, evaluate):
+        # one check: a collapsed c is extinct, a non-finite one is named,
+        # with no ZeroDivisionError, nan result or numpy warning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for c in (0.0, -1.0, -math.inf):
+                with pytest.raises(ExtinctStateError, match="scale factor must be positive"):
+                    evaluate(c, sphere())
+            for c in (math.nan, math.inf):
+                with pytest.raises(DomainError, match="scale factor must be finite") as caught:
+                    evaluate(c, sphere())
+                assert not isinstance(caught.value, ExtinctStateError)
 
     def test_published_form_disagrees(self):
         # the originally published reduced ODE is kept only as a diagnostic;
