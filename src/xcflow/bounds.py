@@ -6,10 +6,12 @@ flow` runs on the standard library alone.  `symbol` re-exports all three.
 """
 
 DEFAULT_DIRECTION_SAMPLES = 200
-# A query peaks at about 70 B per lattice direction (peak RSS grew by
-# 3.4 MB at 50000 directions with numpy 2.4), of which 24 B stay in
-# `symbol`'s lattice cache (four sizes, at most 4.8 MB).  The lattice only
-# cross-checks the closed-form minimum, so more directions would buy nothing.
+# The first query at a lattice size peaks at about 90 B per direction
+# (peak RSS grew by 4.4 MB at 50000 directions with numpy 2.4), of which
+# 72 B stay in `symbol`'s caches: 24 B of unit directions and 48 B of
+# their packed xi xi^T table, four sizes each, at most 14.4 MB.  The
+# lattice only cross-checks the closed-form minimum, so more directions
+# would buy nothing.
 MAX_DIRECTION_SAMPLES = 50_000
 
 

@@ -15,8 +15,10 @@ writeable.
 with Gamma_{m,ab} = 1/2 (d_a g_bm + d_b g_am - d_m g_ab); the quadratic
 term is one symmetric 9x9 product Gamma^T g^-1 Gamma.  g^-1 is
 L^-T L^-1 from the Cholesky factor g = L L^T in Python floats, the one
-factor that also decides whether g is a metric and gives det g; no
-LAPACK inverse is called.
+factor that also decides whether g is a metric and gives sqrt(det g) =
+l11 l22 l33; no LAPACK inverse is called.  Every use of det g takes that
+product (det g as two factors of it), so a metric whose det g is a
+subnormal float keeps full precision.
 
 The Einstein tensor with raised indices, P, is the volume-form value,
 checked against the trace form relative to ||P||_F.  The cross
@@ -24,7 +26,7 @@ curvature tensor is computed by three independent routes (determinant
 form, contraction form, volume-form contraction), all three for every P,
 and each pair is checked relative to det(g) ||P||_F^2: one path at every
 scale, with no branch for a singular P.  Each (Riemann3, metric) pair
-pays for one checked pass: the Riemann3 keeps det g, g^-1, Ric, R and
+pays for one checked pass: the Riemann3 keeps sqrt(det g), g^-1, Ric, R and
 the checked P of the last metric object it was paired with, stored only
 once every check of the pass has succeeded, so `ricci`,
 `einstein_raised` and `cross_curvature_forms` on the same two objects
@@ -198,8 +200,9 @@ def _cholesky(comps: list[float]) -> tuple[float, tuple, tuple] | None:
     floats on g's canonical components.  Every component must be finite
     and every pivot positive; an off-diagonal ratio that overflows exceeds
     the diagonal, so the next pivot is -inf or nan, and no scaling is
-    needed.  Returns det g = (l11 l22 l33)^2 with L^T and L^-1 (forward
-    substitution) by rows, or None where the factor does not exist."""
+    needed.  Returns sqrt(det g) = l11 l22 l33, exact to a few ulps even
+    where det g itself would round to a subnormal float, with L^T and L^-1
+    (forward substitution) by rows, or None where the factor does not exist."""
     if not all(map(math.isfinite, comps)):
         return None
     a, b, c, d, e, f = comps
@@ -218,8 +221,7 @@ def _cholesky(comps: list[float]) -> tuple[float, tuple, tuple] | None:
     l33 = math.sqrt(pivot)
     m11, m22, m33 = 1.0 / l11, 1.0 / l22, 1.0 / l33
     m21 = -l21 * m11 / l22
-    root = l11 * l22 * l33
-    return (root * root, ((l11, l21, l31), (0.0, l22, l32), (0.0, 0.0, l33)),
+    return (l11 * l22 * l33, ((l11, l21, l31), (0.0, l22, l32), (0.0, 0.0, l33)),
             ((m11, 0.0, 0.0), (m21, m22, 0.0),
              (-(l31 * m11 + l32 * m21) / l33, -l32 * m22 / l33, m33)))
 
@@ -233,7 +235,7 @@ def _require_metric(g: SymTensor3) -> tuple[float, tuple, tuple]:
     factor = _cholesky(comps)
     if factor is None:
         raise DomainError("metric is not positive definite")
-    det = factor[0]
+    det = factor[0] * factor[0]
     if not 0.0 < det < math.inf:
         scale = math.exp(sum(math.log(comps[k]) for k in (0, 3, 4)) / 3.0)
         raise DomainError(
@@ -244,10 +246,10 @@ def _require_metric(g: SymTensor3) -> tuple[float, tuple, tuple]:
 
 
 def _metric_inverse(g: SymTensor3) -> tuple[float, np.ndarray]:
-    """det g and g^-1 = L^-T L^-1 of a checked metric, from its one factor."""
-    det, _, ((m11, _, _), (m21, m22, _), (m31, m32, m33)) = _require_metric(g)
-    return det, unpack([m11 * m11 + m21 * m21 + m31 * m31, m21 * m22 + m31 * m32,
-                        m31 * m33, m22 * m22 + m32 * m32, m33 * m33, m32 * m33])
+    """sqrt(det g) and g^-1 = L^-T L^-1 of a checked metric, from its one factor."""
+    root_det, _, ((m11, _, _), (m21, m22, _), (m31, m32, m33)) = _require_metric(g)
+    return root_det, unpack([m11 * m11 + m21 * m21 + m31 * m31, m21 * m22 + m31 * m32,
+                             m31 * m33, m22 * m22 + m32 * m32, m33 * m33, m32 * m33])
 
 
 def volume_form(g: SymTensor3) -> tuple[np.ndarray, np.ndarray]:
@@ -258,7 +260,7 @@ def volume_form(g: SymTensor3) -> tuple[np.ndarray, np.ndarray]:
     inverse metric reproduces mu_upper.  In an orthonormal frame both
     normalizations give mu_123 = mu^123 = 1.
     """
-    root_det = math.sqrt(_require_metric(g)[0])
+    root_det = _require_metric(g)[0]
     return root_det * _EPS3, _EPS3 / root_det
 
 
@@ -434,9 +436,12 @@ def _h_mu(r: np.ndarray, mu_up: np.ndarray) -> np.ndarray:
     return 0.125 * (t.reshape(3, 9) @ t.transpose(2, 0, 1).reshape(9, 3))
 
 
-def _h_determinant(det_g: float, p_components: list[float]) -> np.ndarray:
-    """h_ij = det(g) adj(P)_ij, defined for every P and free of g^-1."""
-    return det_g * unpack(_sym_adjugate_det(*p_components)[0])
+def _h_determinant(root_det: float, p_components: list[float]) -> np.ndarray:
+    """h_ij = det(g) adj(P)_ij = adj(sqrt(det g) P)_ij, defined for every P
+    and free of g^-1.  Scaling P first keeps det g from rounding to a
+    subnormal float, and adj(P) from overflowing where h is finite:
+    sqrt(det g) P is of the size of sqrt(|h|)."""
+    return unpack(_sym_adjugate_det(*(root_det * v for v in p_components))[0])
 
 
 def _rel_dev(x: np.ndarray, y: np.ndarray, *scale: float) -> float:
@@ -456,29 +461,29 @@ def _rel_dev(x: np.ndarray, y: np.ndarray, *scale: float) -> float:
 
 
 def _ricci_pass(riem: Riemann3, g: SymTensor3) -> tuple[float, np.ndarray, SymTensor3, float]:
-    """det g, g^-1, Ric_ij = g^kl R_kilj and R = g^ij Ric_ij, each once per pair.
+    """sqrt(det g), g^-1, Ric_ij = g^kl R_kilj and R = g^ij Ric_ij, each once per pair.
 
-    det g and g^-1 come from the metric's one Cholesky factor, and the one
+    sqrt(det g) and g^-1 come from the metric's one Cholesky factor, and the one
     g^-1 serves both contractions.  Raises DomainError when Ric or R
     overflows.  The result is kept on `riem` for this metric object.
     """
     pair = riem._pair
     if pair is not None and pair[0] is g:
         return pair[1]
-    det_g, ginv = _metric_inverse(g)
+    root_det, ginv = _metric_inverse(g)
     ric = np.einsum("kl,kilj->ij", ginv, riem.lowered)
     scalar = float(np.einsum("ij,ij->", ginv, ric))
     # every entry of Ric enters R (times g^ij, and inf * 0 is nan), so a
     # non-finite Ric makes R non-finite too
     if not math.isfinite(scalar):
         raise DomainError("curvature values overflow; the input must keep them finite")
-    passed = det_g, ginv, SymTensor3.from_matrix(ric, "lower"), scalar
+    passed = root_det, ginv, SymTensor3.from_matrix(ric, "lower"), scalar
     object.__setattr__(riem, "_pair", (g, passed, None))
     return passed
 
 
 def _einstein_pass(riem: Riemann3, g: SymTensor3) -> tuple[float, SymTensor3, float]:
-    """det g, the checked raised Einstein-type tensor P and ||P||_F of one pair.
+    """sqrt(det g), the checked raised Einstein-type tensor P and ||P||_F of one pair.
 
     P is the volume-form value `riem.bivector_form`, which keeps every
     sectional curvature.  The trace form (R/2) g^ij - Ric^ij on the Ricci
@@ -492,7 +497,7 @@ def _einstein_pass(riem: Riemann3, g: SymTensor3) -> tuple[float, SymTensor3, fl
     if pair is not None and pair[0] is g and pair[2] is not None:
         return pair[2]
     ricci_pass = _ricci_pass(riem, g)
-    det_g, ginv, ric, scalar = ricci_pass
+    root_det, ginv, ric, scalar = ricci_pass
     p = riem.bivector_form
     comps = p.components.tolist()
     p_norm = math.hypot(*comps, comps[1], comps[2], comps[5])
@@ -502,7 +507,7 @@ def _einstein_pass(riem: Riemann3, g: SymTensor3) -> tuple[float, SymTensor3, fl
             f"trace and volume-form evaluations of the raised Einstein tensor "
             f"disagree (relative deviation {dev:.3e}); riem and g are inconsistent"
         )
-    passed = det_g, p, p_norm
+    passed = root_det, p, p_norm
     object.__setattr__(riem, "_pair", (g, ricci_pass, passed))
     return passed
 
@@ -555,22 +560,24 @@ def cross_curvature_forms(riem: Riemann3, g: SymTensor3) -> CrossCurvatureForms:
     determinant: h_ij = det(g) adj(P)_ij, which is (det P^kl / det g^kl)
                  times the inverse of P^kl when P is invertible
 
-    P, det g and mu^ijk = eps_ijk / sqrt(det g) come from one pass over
-    (riem, g).  All three pairs are compared relative to det(g) ||P||_F^2,
-    which scales like h under g -> s g and bounds it, so a vanishing h (a
-    singular or zero P) is checked like any other.  The scale is divided in
-    two steps because ||P||_F^2 alone overflows where h is still finite.
+    P, sqrt(det g) = l11 l22 l33 and mu^ijk = eps_ijk / sqrt(det g) come
+    from one pass over (riem, g).  All three pairs are compared relative to
+    det(g) ||P||_F^2, which scales like h under g -> s g and bounds it, so a
+    vanishing h (a singular or zero P) is checked like any other.  The scale
+    is divided in two steps of sqrt(det g) ||P||_F, because ||P||_F^2 alone
+    overflows where h is still finite and det g alone can round to a
+    subnormal float.
     """
-    det_g, p_t, p_norm = _einstein_pass(riem, g)
+    root_det, p_t, p_norm = _einstein_pass(riem, g)
     r = riem.lowered
     comps = p_t.components.tolist()
 
     h_con = _h_contraction(p_t.matrix, r)
-    h_mu = _h_mu(r, _EPS3 / math.sqrt(det_g))
-    h_det = _h_determinant(det_g, comps)
+    h_mu = _h_mu(r, _EPS3 / root_det)
+    h_det = _h_determinant(root_det, comps)
     unit_det = _sym_adjugate_det(*(v / p_norm for v in comps))[1] if p_norm else 0.0
 
-    scale = (det_g * p_norm, p_norm)
+    scale = (root_det * p_norm,) * 2
     max_dev = max(_rel_dev(h_con, h_mu, *scale), _rel_dev(h_con, h_det, *scale),
                   _rel_dev(h_mu, h_det, *scale))
     if max_dev > FORMULA_AGREEMENT_RTOL:

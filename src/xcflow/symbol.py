@@ -25,7 +25,12 @@ frame components and eigenpairs from one call of the solver behind
 eigenvalues, and decides in closed form from q_min = min(s lambda).  It
 assembles the symbol only at P's three eigenvectors, to check its
 spectra there against the closed form, and checks q_min against s q over
-a cached Fibonacci lattice.
+a cached Fibonacci lattice.  At an eigenvector v_n the other two already
+span the plane orthogonal to it, so the frame (v_n, v_{n+1}, v_{n+2})
+(indices mod 3) stands in for the Householder frame that `quotient_blocks`
+builds at a general direction.  Over the lattice, s q is one product
+with a cached table of the directions' packed xi xi^T, Frobenius-weighted
+so that q = table @ pack(s P).
 
 A spectrum takes one 3x3 eigenproblem, not a 6x6 one.  At a unit xi the
 variations split as K(xi) + T(xi): K = {xi X^T + X xi^T} (3-dimensional)
@@ -61,6 +66,7 @@ warns when it exceeds IMAG_RESIDUE_TOL of the entries.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -114,10 +120,10 @@ def _symbol_data(p: SymTensor3, rho) -> float:
     """Check the data a symbol is assembled from; returns rho as a float."""
     if p.variance != "upper":
         raise DomainError("symbol assembly expects P with upper indices")
-    if not np.all(np.isfinite(p.components)):
+    if not all(map(math.isfinite, p.components.tolist())):
         raise DomainError("P components must be finite")
     rho = float(rho)
-    if not np.isfinite(rho):
+    if not math.isfinite(rho):
         raise DomainError(f"rho must be finite, got {rho!r}")
     return rho
 
@@ -264,13 +270,19 @@ def spectrum(m: SymbolMatrix) -> np.ndarray:
 _PAIR_A = np.array([0, 0, 0, 1, 2, 1])
 _PAIR_B = np.array([1, 2, 0, 1, 2, 2])
 _PAIR_NORM = np.array([0.5**0.5, 0.5**0.5, 0.5, 0.5, 0.5, 0.5**0.5])
+# [:, slot, pair]: the flat frame indices of a_r, b_c, a_c and b_r, with
+# (r, c) the canonical slot, so a b^T + b a^T packs to a_r b_c + a_c b_r
+_PAIR_GATHER = np.stack([3 * _PAIR_A + _ROWS[:, None], 3 * _PAIR_B + _COLS[:, None],
+                         3 * _PAIR_A + _COLS[:, None], 3 * _PAIR_B + _ROWS[:, None]])
 _FROBENIUS = np.array([1.0, 2.0, 2.0, 1.0, 1.0, 2.0])
 
 
-def _split_bases(xis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(N, 6, 6) packed Frobenius-orthonormal bases of K(xi) + T(xi), K in
-    columns 0-2, for unit rows xi, and the (N, 3, 6) T-duals E^T W that
-    project a packed variation onto T's coordinates.
+# Row n: the frame (v_n, v_{n+1}, v_{n+2}), cyclically, of P's eigenvector n
+_CYCLIC = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+
+
+def _householder_frames(xis: np.ndarray) -> np.ndarray:
+    """(N, 3, 3) orthonormal frames (xi, e, f), by rows, for unit rows xi.
 
     e and f are the first two columns of the Householder reflection
     I - v v^T / (1 + |xi_3|), v = xi + sign(xi_3) e3, which maps xi to
@@ -283,28 +295,25 @@ def _split_bases(xis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     frames[:, 1:] = (v[:, :2] / (1.0 + np.abs(xis[:, 2:])))[:, :, None] * -v[:, None]
     frames[:, 1, 0] += 1.0
     frames[:, 2, 1] += 1.0
-    a, b = frames[:, _PAIR_A], frames[:, _PAIR_B]
-    basis = a[..., _ROWS] * b[..., _COLS] + a[..., _COLS] * b[..., _ROWS]
-    basis = (basis * _PAIR_NORM[:, None]).transpose(0, 2, 1)
+    return frames
+
+
+def _split_bases(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 6, 6) packed Frobenius-orthonormal bases of K(xi) + T(xi), K in
+    columns 0-2, from orthonormal frames (xi, e, f) by rows, and the
+    (N, 3, 6) T-duals E^T W that project a packed variation onto T's
+    coordinates."""
+    factors = frames.reshape(len(frames), 9)[:, _PAIR_GATHER]
+    basis = (factors[:, 0] * factors[:, 1] + factors[:, 2] * factors[:, 3]) * _PAIR_NORM
     return basis, basis[..., 3:].transpose(0, 2, 1) * _FROBENIUS
 
 
-def quotient_blocks(raw: np.ndarray, gauge: np.ndarray, xis) -> tuple[np.ndarray, float]:
-    """The 3x3 block B that the raw and gauge-fixed symbols share, and the
-    scale of the raw stack.
-
-    `raw` and `gauge` are `symbol_stacks` at the unit rows of `xis`.  In
-    direction n, spec raw[n] = {0, 0, 0} + spec B[n] and spec (raw[n] -
-    gauge[n]) = {1, 1, 1} + spec B[n], and B[n] is symmetric up to rounding
-    (module docstring).  Three residuals check the structure that makes
-    this true: |R K| (R maps K to 0), |G K + K| (G is -1 on K) and
-    |E^T W G E| (G maps T into K).  R enters divided by raw_scale =
-    max(1, max |raw|), so none of them overflows; G is already of order 1
-    at unit xi.  A residual above STRUCTURE_TOL raises
-    InternalConsistencyError.  Entries that overflowed to inf or nan make
-    every residual nan, which passes here and reaches `_block_spectra` in B.
-    """
-    basis, t_dual = _split_bases(np.asarray(xis, dtype=float))
+def _frame_blocks(raw: np.ndarray, gauge: np.ndarray,
+                  frames: np.ndarray) -> tuple[np.ndarray, float]:
+    """The checked quotient blocks and raw scale of `quotient_blocks`, in
+    the given orthonormal frames (xi, e, f), whose rows xi are the
+    directions the stacks were assembled at."""
+    basis, t_dual = _split_bases(frames)
     raw_scale = max(1.0, float(np.abs(raw).max()))
     raw_basis = (raw / raw_scale) @ basis
     gauge_basis = gauge @ basis
@@ -319,6 +328,28 @@ def quotient_blocks(raw: np.ndarray, gauge: np.ndarray, xis) -> tuple[np.ndarray
                 f"symbol structure broken: {name} has residual {residual:.3e} "
                 f"(tol {STRUCTURE_TOL:.0e})")
     return raw_scale * (t_dual @ raw_basis[..., 3:]), raw_scale
+
+
+def quotient_blocks(raw: np.ndarray, gauge: np.ndarray, xis) -> tuple[np.ndarray, float]:
+    """The 3x3 block B that the raw and gauge-fixed symbols share, and the
+    scale of the raw stack.
+
+    `raw` and `gauge` are `symbol_stacks` at the unit rows of `xis`.  In
+    direction n, spec raw[n] = {0, 0, 0} + spec B[n] and spec (raw[n] -
+    gauge[n]) = {1, 1, 1} + spec B[n], and B[n] is symmetric up to rounding
+    (module docstring).  B is taken in the basis E of T(xi) built from the
+    Householder frame (xi, e, f) of each xi (`_householder_frames`);
+    `parabolicity` runs the same checks in the frames of P's eigenvectors,
+    whose B differs from this one by a rotation of T's basis, so only in
+    rounding.  Three residuals check the structure that makes this true:
+    |R K| (R maps K to 0), |G K + K| (G is -1 on K) and |E^T W G E| (G
+    maps T into K).  R enters divided by raw_scale = max(1, max |raw|), so
+    none of them overflows; G is already of order 1 at unit xi.  A
+    residual above STRUCTURE_TOL raises InternalConsistencyError.  Entries
+    that overflowed to inf or nan make every residual nan, which passes
+    here and reaches `_block_spectra` in B.
+    """
+    return _frame_blocks(raw, gauge, _householder_frames(np.asarray(xis, dtype=float)))
 
 
 def unit_directions(n: int) -> np.ndarray:
@@ -345,6 +376,22 @@ def _directions(n: int) -> np.ndarray:
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     directions.flags.writeable = False
     return directions
+
+
+# 48 B per direction per entry, built a column at a time so that building
+# it adds 16 B per direction at most: four entries hold at most 9.6 MB at
+# MAX_DIRECTION_SAMPLES, on top of the 4.8 MB of `_directions` (bounds.py)
+@functools.lru_cache(maxsize=4)
+def _lattice_table(n: int) -> np.ndarray:
+    """Row k: the packed xi xi^T of lattice direction k (`_directions`)
+    times the Frobenius weight W, read-only, so that xi^T M xi is
+    `_lattice_table(n) @ pack(M)` for every symmetric M."""
+    directions = _directions(n)
+    table = np.empty((n, 6))
+    for k, (r, c, w) in enumerate(zip(_ROWS, _COLS, _FROBENIUS)):
+        table[:, k] = w * directions[:, r] * directions[:, c]
+    table.flags.writeable = False
+    return table
 
 
 def to_orthonormal_frame(p: SymTensor3, g: SymTensor3) -> SymTensor3:
@@ -383,8 +430,11 @@ class ParabolicityReport:
     `max_imag_residue` is the largest norm of the skew part (B - B^T) / 2
     at P's eigenvectors over the symbol scale max(1, max |raw|) there; by
     Bendixson's theorem it bounds the imaginary part a general solve of B
-    could return.  `direction_samples` echoes the size of the lattice q_min
-    was checked over; it changes no other field.
+    could return.  B is taken in the frames of P's eigenvectors, so this
+    skew part, which is rounding alone, can differ in its last bits from
+    that of `quotient_blocks` at the same direction.  `direction_samples`
+    echoes the size of the lattice q_min was checked over; it changes no
+    other field.
     """
 
     case: str
@@ -416,12 +466,15 @@ def parabolicity(
     as supplied; mode='all_directions' uses the direction-uniform bound
     from the generalized eigenvalues of P relative to g (minimum / 4 for
     the positive case, -maximum / 2 for the negative case).  The verdict
-    itself comes from q_min = min(s lambda) (module docstring).  Two
-    self-checks raise InternalConsistencyError beyond STRUCTURE_TOL of the
-    symbol scale: the quotient blocks at P's eigenvectors must have the
-    spectra {s lambda_i, s lambda_i, s lambda_i - 4 rho}, and s q must not
-    fall below q_min over `direction_samples` (at most
-    MAX_DIRECTION_SAMPLES) lattice directions, whose number changes no result.
+    itself comes from q_min = min(s lambda) (module docstring).  The
+    quotient blocks at P's eigenvectors v_n pass the structure checks of
+    `quotient_blocks`, in the frames (v_n, v_{n+1}, v_{n+2}) those
+    eigenvectors already form.  Two more self-checks raise
+    InternalConsistencyError beyond STRUCTURE_TOL of the symbol scale: the
+    blocks must have the spectra {s lambda_i, s lambda_i, s lambda_i -
+    4 rho}, and s q must not fall below q_min over `direction_samples` (at
+    most MAX_DIRECTION_SAMPLES) lattice directions, whose number changes
+    no result.
     """
     sign = case_sign(case)
     if mode not in ("frame", "all_directions"):
@@ -430,7 +483,7 @@ def parabolicity(
         raise DomainError(f"direction_samples must be between 1 and "
                           f"{MAX_DIRECTION_SAMPLES}, got {direction_samples!r}")
     rho = _symbol_data(p, rho)
-    lattice = _directions(direction_samples)
+    table = _lattice_table(direction_samples)
 
     frame, gen_eigs, gen_vecs, _ = _frame_eigh(p, g)
     lo, hi = (p.components[0],) * 2 if mode == "frame" else (gen_eigs[0], gen_eigs[-1])
@@ -441,17 +494,18 @@ def parabolicity(
 
     vecs = gen_vecs.T / np.linalg.norm(gen_vecs.T, axis=1, keepdims=True)
     signed = SymTensor3(sign * frame, "upper")
+    # P's eigenvectors, taken cyclically, frame K(v_n) + T(v_n) at each v_n.
     # P or rho large enough to overflow the symbol entries ends as the
     # DomainError of _block_spectra, without numpy's overflow warnings first
     with np.errstate(over="ignore", invalid="ignore"):
-        blocks, raw_scale = quotient_blocks(*symbol_stacks(signed, rho, vecs), vecs)
+        blocks, raw_scale = _frame_blocks(*symbol_stacks(signed, rho, vecs), vecs[_CYCLIC])
     eigs, skew_norms = _block_spectra(blocks)
     # both checks in units of the symbol scale, where nothing overflows
-    qs = q / raw_scale
-    closed_form = np.sort(np.column_stack([qs, qs, qs - 4.0 * (rho / raw_scale)]), axis=1)
-    mismatch = float(np.abs(eigs / raw_scale - closed_form).max())
-    lattice_q = ((lattice @ (signed.matrix / raw_scale)) * lattice).sum(axis=1)
-    undershoot = qs[critical] - float(lattice_q.min())
+    qs = (q / raw_scale).tolist()
+    shift = 4.0 * (rho / raw_scale)
+    mismatch = max(abs(e - c) for row, qn in zip((eigs / raw_scale).tolist(), qs)
+                   for e, c in zip(row, sorted((qn, qn, qn - shift))))
+    undershoot = qs[critical] - float((table @ (signed.components / raw_scale)).min())
     for what, residual in (("spectrum at P's eigenvectors off {q, q, q - 4 rho}", mismatch),
                            ("a lattice direction below q_min", undershoot)):
         if not residual <= STRUCTURE_TOL:

@@ -548,10 +548,13 @@ def _deflated_spectra(rng, cases):
     # one by about sqrt(machine eps), which random data approach in some
     # lattice directions.  The sweep is also the closed form's reference: no
     # block below min(lam, lam - 4 rho), {lam_i, lam_i, lam_i - 4 rho} at the
-    # eigenvectors, and `parabolicity` on a random SPD g returns its minimum
-    labels = ("random", "rho = 0", "near threshold", "five-fold", "closed form")
-    tols = (1e-8, 1e-8, 1e-7, 1e-10, 1e-12)
-    worst = [0.0] * 5
+    # eigenvectors, and `parabolicity` on a random SPD g returns its minimum.
+    # There the Householder frames are also the reference of the frames
+    # (v_n, v_{n+1}, v_{n+2}) that `parabolicity` takes: equal spectra and skew norms
+    labels = ("random", "rho = 0", "near threshold", "five-fold", "closed form",
+              "eigenvector frames")
+    tols = (1e-8, 1e-8, 1e-7, 1e-10, 1e-12, 1e-12)
+    worst = [0.0] * 6
     lattice = sb.unit_directions(sb.DEFAULT_DIRECTION_SAMPLES)
     for i in range(cases):
         kind = i % 4
@@ -569,7 +572,11 @@ def _deflated_spectra(rng, cases):
         raw, gauge = sb.symbol_stacks(cv.SymTensor3.from_matrix((q * lam) @ q.T, "upper"),
                                       float(rho), directions)
         blocks, raw_scale = sb.quotient_blocks(raw, gauge, directions)
-        quotient = sb._block_spectra(blocks)[0]
+        quotient, skew = sb._block_spectra(blocks)
+        framed, framed_skew = sb._block_spectra(
+            sb._frame_blocks(raw[-3:], gauge[-3:], q.T[sb._CYCLIC])[0])
+        worst[5] = max(worst[5], float(max(np.abs(framed - quotient[-3:]).max(),
+                                           np.abs(framed_skew - skew[-3:]).max())) / raw_scale)
         for structural, full in ((0.0, raw), (1.0, raw - gauge)):
             deflated = np.sort(np.hstack([np.full((len(directions), 3), structural),
                                           quotient]), axis=1)

@@ -379,6 +379,26 @@ class TestEinsteinRaised:
         p = einstein_raised(Riemann3.space_form(0.0, IDENTITY), IDENTITY)
         assert np.abs(p.matrix).max() == 0.0
 
+    @pytest.mark.parametrize("g_components, kappa", [
+        pytest.param(1e-106 * np.array([1.0, 0.1, 0.0, 2.0, 1.0, 0.0]), 0.5e106, id="det-2e-318"),
+        pytest.param(1e-104 * np.array([1.0, 0.0, 0.0, 1.0, 1.0, 0.0]), 1.0, id="det-1e-312"),
+    ])
+    def test_space_form_where_det_g_is_subnormal(self, g_components, kappa):
+        # det g rounds to a subnormal float with a few significant bits, while
+        # sqrt(det g) = l11 l22 l33 of the Cholesky factor is exact to a few ulps
+        g = SymTensor3(g_components)
+        riem = Riemann3.space_form(kappa, g)
+        p = einstein_raised(riem, g)
+        assert np.abs(p.matrix / kappa - np.linalg.inv(g.matrix)).max() <= (
+            1e-13 * np.abs(np.linalg.inv(g.matrix)).max())
+        assert np.abs(eigen_frame(p, g)[0].as_array() / kappa - 1.0).max() <= 1e-13
+        # h = kappa^2 g by all three routes
+        forms = cross_curvature_forms(riem, g)
+        assert forms.max_pairwise_dev <= 1e-13
+        for h in (forms.contraction_form, forms.mu_form, forms.determinant_form):
+            assert np.abs(h.components / kappa**2 - g.components).max() <= (
+                1e-13 * np.abs(g.components).max())
+
     def test_inconsistent_pair_raises(self):
         # Riemann of one metric paired with a very different metric breaks
         # the agreement between the trace form and the volume-form route

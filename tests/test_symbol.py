@@ -333,6 +333,86 @@ class TestSymmetricSolve:
         assert repr(cold) == repr(warm)  # every float to its last bit
 
 
+def tilted_from_e3(angle: float, sign: float) -> np.ndarray:
+    """A rotation whose third column is sign * e3 tilted by `angle` toward e1."""
+    c, s_ = np.cos(angle), np.sin(angle)
+    turn = np.array([[c, 0.0, s_], [0.0, 1.0, 0.0], [-s_, 0.0, c]])
+    return turn @ np.diag([sign, 1.0, sign])
+
+
+# P in frame components where eigh's eigenvectors are arbitrary (a degenerate
+# eigenvalue, in a rotated frame or not) or lie at or next to +-e3
+ROTATION = haar_rotation(np.random.default_rng(44))
+EIGENFRAME_CASES = {
+    "identity": np.eye(3),
+    "diag(2, 2, 5)": np.diag([2.0, 2.0, 5.0]),
+    "rotated diag(2, 2, 5)": ROTATION @ np.diag([2.0, 2.0, 5.0]) @ ROTATION.T,
+    "rotated diag(5, 2, 2)": ROTATION @ np.diag([5.0, 2.0, 2.0]) @ ROTATION.T,
+    "identity + 1e-15 noise": np.eye(3) + 1e-15 * (ROTATION + ROTATION.T),
+    **{f"e3 tilted by {angle:g}, sign {sign:+g}":
+       tilted_from_e3(angle, sign) @ np.diag([1.0, 2.0, 0.5]) @ tilted_from_e3(angle, sign).T
+       for angle in (0.0, 1e-17, 1e-9) for sign in (1.0, -1.0)},
+}
+
+
+class TestEigenvectorFrames:
+    """The frames (v_n, v_{n+1}, v_{n+2}) that `parabolicity` builds its
+    bases from at P's eigenvectors v_n, in place of Householder frames."""
+
+    @pytest.mark.parametrize("name", EIGENFRAME_CASES)
+    def test_bases_are_orthonormal_and_split_k_from_t(self, name):
+        vecs = np.linalg.eigh(EIGENFRAME_CASES[name])[1].T
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        basis, t_dual = symbol_module._split_bases(vecs[symbol_module._CYCLIC])
+        weight = np.array([1.0, 2.0, 2.0, 1.0, 1.0, 2.0])
+        gram = basis.transpose(0, 2, 1) @ (weight[:, None] * basis)
+        assert np.abs(gram - np.eye(6)).max() <= 1e-15
+        assert np.array_equal(t_dual, basis[..., 3:].transpose(0, 2, 1) * weight)
+        for xi, columns in zip(vecs, basis):
+            tensors = [unpack(column) for column in columns.T]
+            pi = np.eye(3) - np.outer(xi, xi)
+            # K = {xi X^T + X xi^T} is what pi annihilates on both sides, and T
+            # (m xi = 0) is its Frobenius complement
+            assert max(np.abs(pi @ m @ pi).max() for m in tensors[:3]) <= 1e-15
+            assert max(np.abs(m @ xi).max() for m in tensors[3:]) <= 1e-15
+
+    @pytest.mark.parametrize("name", EIGENFRAME_CASES)
+    @pytest.mark.parametrize("case", [1, -1])
+    def test_blocks_match_the_householder_frames(self, name, case):
+        # the same quotient block up to a rotation of T's basis: equal spectra,
+        # a skew part of rounding size, and the report's closed-form verdict
+        p = SymTensor3.from_matrix(case * EIGENFRAME_CASES[name], "upper")
+        lam = case * np.linalg.eigvalsh(p.matrix)
+        vecs = np.linalg.eigh(p.matrix)[1].T
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        for rho in (-0.7, 0.0, float(lam.min()) / 4.0, 1.3):
+            raw, gauge = symbol_stacks(p, rho, vecs)
+            framed, scale = symbol_module._frame_blocks(raw, gauge,
+                                                        vecs[symbol_module._CYCLIC])
+            householder, _ = quotient_blocks(raw, gauge, vecs)
+            (got, skew), (want, _) = map(symbol_module._block_spectra, (framed, householder))
+            assert np.abs(got - want).max() <= 1e-14 * scale
+            assert skew.max() <= 1e-15 * scale
+            rep = parabolicity(p, IDENTITY, rho, case=case)
+            assert rep.max_imag_residue <= 1e-15
+            assert rep.min_modified_eig == pytest.approx(
+                min(1.0, lam.min(), lam.min() - 4.0 * rho), abs=1e-14)
+
+    def test_lattice_table_is_read_only_and_reads_q(self):
+        table = symbol_module._lattice_table(50)
+        assert not table.flags.writeable
+        rng = np.random.default_rng(45)
+        m = sym_upper(rng)
+        directions = symbol_module._directions(50)
+        q = np.einsum("na,ab,nb->n", directions, m.matrix, directions)
+        assert np.abs(table @ m.components - q).max() <= 1e-14
+        p, rho = sym_upper(rng), float(rng.uniform(-2, 2))
+        warm = parabolicity(p, IDENTITY, rho, direction_samples=50)
+        symbol_module._lattice_table.cache_clear()
+        symbol_module._directions.cache_clear()
+        assert repr(parabolicity(p, IDENTITY, rho, direction_samples=50)) == repr(warm)
+
+
 class TestClosedForm:
     def test_direction_samples_changes_no_other_field(self):
         rng = np.random.default_rng(43)
