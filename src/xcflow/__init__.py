@@ -8,14 +8,14 @@ Subsystems:
   metric.  One private routine factors g = L L^T and inverts L in
   Python floats; that factor alone decides whether g is a metric and
   gives det g, g^-1 and the frame in which one call to numpy's `eigh`
-  solves each generalized eigenproblem, for `generalized_eigh`,
+  solves each generalized eigenproblem, certified by its residuals, for `generalized_eigh`,
   `eigen_frame`, `symbol.to_orthonormal_frame` and
   `symbol.parabolicity`.  numpy is the only runtime dependency.
 - `symbol`: 6x6 principal-symbol matrices of the linearized flow
   operator (raw and gauge-fixed), their spectra, and parabolicity
   verdicts.
-- `bounds`: the stated parabolicity bound and the lattice's size limits,
-  without numpy, shared by `symbol`, `flow` and `cli`.
+- `bounds`: the stated parabolicity bound and the range of
+  `direction_samples`, without numpy, shared by `symbol`, `flow` and `cli`.
 - `flow`: the scale-factor reduction of the flow for Einstein initial
   data, with RK4 integration, event detection, and closed-form oracles.
 - `verify`: invariant suites that re-derive every promised identity by

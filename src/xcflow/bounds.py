@@ -1,17 +1,13 @@
-"""The stated parabolicity bound and the lattice's size limits, without numpy.
+"""The stated parabolicity bound and direction_samples' range, without numpy.
 
 `symbol` decides parabolicity with numpy; `flow`'s per-record margin and
 the CLI's option table need only these, so they live here and `xcflow
 flow` runs on the standard library alone.  `symbol` re-exports all three.
+`direction_samples` is range-checked and echoed in every parabolicity
+report; it decides nothing.
 """
 
 DEFAULT_DIRECTION_SAMPLES = 200
-# The first query at a lattice size peaks at about 90 B per direction
-# (peak RSS grew by 4.4 MB at 50000 directions with numpy 2.4), of which
-# 72 B stay in `symbol`'s caches: 24 B of unit directions and 48 B of
-# their packed xi xi^T table, four sizes each, at most 14.4 MB.  The
-# lattice only cross-checks the closed-form minimum, so more directions
-# would buy nothing.
 MAX_DIRECTION_SAMPLES = 50_000
 
 

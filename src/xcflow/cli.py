@@ -642,9 +642,8 @@ COMMANDS = {
             "threshold reading: frame or all_directions",
             "all_directions"),
         Key("direction_samples", _integer,
-            "Fibonacci lattice directions that the closed-form minimum over all "
-            f"directions is cross-checked over, at most {MAX_DIRECTION_SAMPLES}; "
-            "the count changes no result",
+            f"an integer from 1 to {MAX_DIRECTION_SAMPLES}, echoed in the report; "
+            "it decides nothing, since the verdict is in closed form",
             DEFAULT_DIRECTION_SAMPLES),
         _OUTPUT, _REPORT_FORMAT)),
     "flow": Command(cmd_flow, "integrate the scale-factor flow", (

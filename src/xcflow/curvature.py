@@ -93,6 +93,8 @@ _RIEMANN_QUADRATIC = _transposed(_FLAT4, (1, 3, 2, 0), (1, 3, 0, 2))
 # Relative tolerance for agreement between independent formulas of the
 # same tensor; failures indicate inconsistent (riem, g) input.
 FORMULA_AGREEMENT_RTOL = 1e-10
+# Residual tolerance of an eigensolve's and a symbol's self-checks, in units of their scale
+STRUCTURE_TOL = 1e-12
 
 
 def pack(matrix: np.ndarray) -> np.ndarray:
@@ -159,7 +161,8 @@ class SymTensor3:
         """Whether the Cholesky factor t = L L^T exists in floats: finite
         components and three positive pivots.  The pivots scale as t, so
         the verdict does not depend on the overall scale of t.  A metric
-        check may still refuse t for a determinant that under- or overflows."""
+        check may still refuse t if sqrt(det t) = l11 l22 l33, the one form
+        of its determinant the code uses, under- or overflows."""
         return _cholesky(self.components.tolist()) is not None
 
 
@@ -228,18 +231,17 @@ def _cholesky(comps: list[float]) -> tuple[float, tuple, tuple] | None:
 
 def _require_metric(g: SymTensor3) -> tuple[float, tuple, tuple]:
     """`_cholesky` of g, once g is checked to be a metric: lower indices, a
-    Cholesky factor, and a determinant that is a positive finite float."""
+    Cholesky factor, and sqrt(det g) = l11 l22 l33 a positive finite float."""
     if g.variance != "lower":
         raise DomainError("a metric must carry lower indices")
     comps = g.components.tolist()
     factor = _cholesky(comps)
     if factor is None:
         raise DomainError("metric is not positive definite")
-    det = factor[0] * factor[0]
-    if not 0.0 < det < math.inf:
+    if not 0.0 < factor[0] < math.inf:  # sqrt(det g), the determinant the code uses
         scale = math.exp(sum(math.log(comps[k]) for k in (0, 3, 4)) / 3.0)
         raise DomainError(
-            f"metric determinant {'overflows' if det else 'underflows'}: g is positive "
+            f"metric determinant {'overflows' if factor[0] else 'underflows'}: g is positive "
             f"definite but of scale {scale:.3g} (geometric mean of its diagonal); "
             "rescale it toward 1")
     return factor
@@ -629,7 +631,7 @@ def _frame_eigh(t: SymTensor3, g: SymTensor3) -> tuple[np.ndarray, ...]:
     Returns the canonical frame components (read-only), their ascending
     eigenvalues, the orthonormal eigenvectors in the frame (columns) and
     L^-T.  A t that is not finite, a g that is not a metric and an
-    overflow are each a DomainError."""
+    overflow are each a DomainError; `_certify_eigenpairs` checks every solve."""
     t11, t12, t13, t22, t33, t23 = comps = t.components.tolist()
     if not all(map(math.isfinite, comps)):
         raise DomainError("tensor components must be finite")
@@ -644,8 +646,32 @@ def _frame_eigh(t: SymTensor3, g: SymTensor3) -> tuple[np.ndarray, ...]:
         components = _frozen(np.array(frame))
         vals, vecs = np.linalg.eigh(components[_UNPACK])
         if all(map(math.isfinite, vals.tolist())):
+            _certify_eigenpairs(frame, vals.tolist(), vecs.T.tolist())
             return components, vals, vecs, np.array(inv).T
     raise DomainError("eigenvalues overflow; the tensor and metric must keep them finite")
+
+
+def _certify_eigenpairs(frame: list[float], lams: list[float], vecs: list[list[float]]) -> None:
+    """Raise InternalConsistencyError unless the residuals r_i = F v_i - lam_i
+    v_i over s = max(1, max |lam|) and E = V^T V - I of the eigenpairs of the
+    symmetric F (canonical components `frame`) are all within STRUCTURE_TOL.
+    Then each lam_i lies within |r_i| of an eigenvalue of F, up to O(|E|)
+    (Kahan's residual bound; B. N. Parlett, The Symmetric Eigenvalue Problem,
+    SIAM 1998).  F and lam enter divided by s, so nothing overflows."""
+    scale = max(1.0, *map(abs, lams))
+    f11, f12, f13, f22, f33, f23 = [x / scale for x in frame]
+    residual = max(math.hypot(f11 * x + f12 * y + f13 * z - lam * x,
+                              f12 * x + f22 * y + f23 * z - lam * y,
+                              f13 * x + f23 * y + f33 * z - lam * z)
+                   for (x, y, z), lam in zip(vecs, [lam / scale for lam in lams]))
+    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = vecs
+    gram = max(abs(a1 * a1 + a2 * a2 + a3 * a3 - 1.0), abs(b1 * b1 + b2 * b2 + b3 * b3 - 1.0),
+               abs(c1 * c1 + c2 * c2 + c3 * c3 - 1.0), abs(a1 * b1 + a2 * b2 + a3 * b3),
+               abs(a1 * c1 + a2 * c2 + a3 * c3), abs(b1 * c1 + b2 * c2 + b3 * c3))
+    if not max(residual, gram) <= STRUCTURE_TOL:
+        raise InternalConsistencyError(
+            f"eigensolve self-check: |F v - lam v| / max(1, max |lam|) is {residual:.3e} and "
+            f"|V^T V - I| is {gram:.3e} (tol {STRUCTURE_TOL:.0e})")
 
 
 def generalized_eigh(t: SymTensor3, g: SymTensor3) -> tuple[np.ndarray, np.ndarray]:

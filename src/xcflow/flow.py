@@ -71,7 +71,11 @@ class FlowParams:
         if self.epsilon not in (+1, -1):
             raise DomainError(f"epsilon must be +1 or -1, got {self.epsilon!r}")
         for name in ("rho", "lam", "dt", "t_end"):
-            if not math.isfinite(getattr(self, name)):
+            try:
+                finite = math.isfinite(getattr(self, name))
+            except TypeError:  # not a real number: "x", None
+                finite = False
+            if not finite:
                 raise DomainError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.dt <= 0.0 or self.t_end <= 0.0:
             raise DomainError("dt and t_end must be positive")

@@ -22,15 +22,15 @@ built once per (P, rho).  In the Cholesky frame of g, over unit xi, q
 of P and is smallest at an eigenvector of P.  `parabolicity` takes P's
 frame components and eigenpairs from one call of the solver behind
 `curvature.generalized_eigh`, so its threshold reads that function's
-eigenvalues, and decides in closed form from q_min = min(s lambda).  It
-assembles the symbol only at P's three eigenvectors, to check its
-spectra there against the closed form, and checks q_min against s q over
-a cached Fibonacci lattice.  At an eigenvector v_n the other two already
-span the plane orthogonal to it, so the frame (v_n, v_{n+1}, v_{n+2})
-(indices mod 3) stands in for the Householder frame that `quotient_blocks`
-builds at a general direction.  Over the lattice, s q is one product
-with a cached table of the directions' packed xi xi^T, Frobenius-weighted
-so that q = table @ pack(s P).
+eigenvalues, and decides in closed form from q_min = min(s lambda).  That
+solver certifies every eigenpair by its residual (`curvature._frame_eigh`),
+so q_min is the minimum of s q over the whole unit sphere to rounding, not
+over sampled directions.  `parabolicity` assembles the symbol only at P's
+three eigenvectors, to check its spectra there against the closed form.
+At an eigenvector v_n the other two already span the plane orthogonal to
+it, so the frame (v_n, v_{n+1}, v_{n+2}) (indices mod 3) stands in for
+the Householder frame that `quotient_blocks` builds at a general
+direction.
 
 A spectrum takes one 3x3 eigenproblem, not a 6x6 one.  At a unit xi the
 variations split as K(xi) + T(xi): K = {xi X^T + X xi^T} (3-dimensional)
@@ -65,20 +65,19 @@ warns when it exceeds IMAG_RESIDUE_TOL of the entries.
 
 from __future__ import annotations
 
-import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import DEFAULT_DIRECTION_SAMPLES, MAX_DIRECTION_SAMPLES, stated_threshold
-from .curvature import _COLS, _ROWS, SymTensor3, _frame_eigh, pack, unpack
+from .curvature import _COLS, _ROWS, STRUCTURE_TOL, SymTensor3, _frame_eigh, pack, unpack
 from .errors import DomainError, InternalConsistencyError
 
 IMAG_RESIDUE_TOL = 1e-10
 STRICTNESS_FLOOR = 1e-9
-STRUCTURE_TOL = 1e-12
 
 
 class ComplexEigenvalueWarning(RuntimeWarning):
@@ -122,7 +121,10 @@ def _symbol_data(p: SymTensor3, rho) -> float:
         raise DomainError("symbol assembly expects P with upper indices")
     if not all(map(math.isfinite, p.components.tolist())):
         raise DomainError("P components must be finite")
-    rho = float(rho)
+    try:
+        rho = float(rho)
+    except (TypeError, ValueError):
+        raise DomainError(f"rho must be a finite number, got {rho!r}") from None
     if not math.isfinite(rho):
         raise DomainError(f"rho must be finite, got {rho!r}")
     return rho
@@ -366,34 +368,6 @@ def unit_directions(n: int) -> np.ndarray:
     ])
 
 
-# 24 B per direction per entry: four entries hold at most 4.8 MB at
-# MAX_DIRECTION_SAMPLES (bounds.py)
-@functools.lru_cache(maxsize=4)
-def _directions(n: int) -> np.ndarray:
-    """The normalised `unit_directions(n)`, read-only: the lattice that
-    `parabolicity` cross-checks q_min over."""
-    directions = unit_directions(n)
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    directions.flags.writeable = False
-    return directions
-
-
-# 48 B per direction per entry, built a column at a time so that building
-# it adds 16 B per direction at most: four entries hold at most 9.6 MB at
-# MAX_DIRECTION_SAMPLES, on top of the 4.8 MB of `_directions` (bounds.py)
-@functools.lru_cache(maxsize=4)
-def _lattice_table(n: int) -> np.ndarray:
-    """Row k: the packed xi xi^T of lattice direction k (`_directions`)
-    times the Frobenius weight W, read-only, so that xi^T M xi is
-    `_lattice_table(n) @ pack(M)` for every symmetric M."""
-    directions = _directions(n)
-    table = np.empty((n, 6))
-    for k, (r, c, w) in enumerate(zip(_ROWS, _COLS, _FROBENIUS)):
-        table[:, k] = w * directions[:, r] * directions[:, c]
-    table.flags.writeable = False
-    return table
-
-
 def to_orthonormal_frame(p: SymTensor3, g: SymTensor3) -> SymTensor3:
     """Components L^T P L of an upper-index tensor in the g-orthonormal
     Cholesky frame of g = L L^T (`curvature._frame_eigh`), where the metric
@@ -433,8 +407,7 @@ class ParabolicityReport:
     could return.  B is taken in the frames of P's eigenvectors, so this
     skew part, which is rounding alone, can differ in its last bits from
     that of `quotient_blocks` at the same direction.  `direction_samples`
-    echoes the size of the lattice q_min was checked over; it changes no
-    other field.
+    echoes the query's option, which decides nothing.
     """
 
     case: str
@@ -469,21 +442,26 @@ def parabolicity(
     itself comes from q_min = min(s lambda) (module docstring).  The
     quotient blocks at P's eigenvectors v_n pass the structure checks of
     `quotient_blocks`, in the frames (v_n, v_{n+1}, v_{n+2}) those
-    eigenvectors already form.  Two more self-checks raise
+    eigenvectors already form.  One more self-check raises
     InternalConsistencyError beyond STRUCTURE_TOL of the symbol scale: the
     blocks must have the spectra {s lambda_i, s lambda_i, s lambda_i -
-    4 rho}, and s q must not fall below q_min over `direction_samples` (at
-    most MAX_DIRECTION_SAMPLES) lattice directions, whose number changes
-    no result.
+    4 rho}.  The eigenpairs themselves are certified by `_frame_eigh`.
+    `direction_samples`, an integer from 1 to MAX_DIRECTION_SAMPLES, is
+    only echoed in the report.
     """
     sign = case_sign(case)
     if mode not in ("frame", "all_directions"):
         raise DomainError(f"mode must be 'frame' or 'all_directions', got {mode!r}")
-    if not 1 <= direction_samples <= MAX_DIRECTION_SAMPLES:
+    try:
+        samples = operator.index(direction_samples)  # TypeError for 2.5, nan and "3"
+    except TypeError:
+        samples = None
+    if samples is None or isinstance(direction_samples, bool):
+        raise DomainError(f"direction_samples must be an integer, got {direction_samples!r}")
+    if not 1 <= samples <= MAX_DIRECTION_SAMPLES:
         raise DomainError(f"direction_samples must be between 1 and "
                           f"{MAX_DIRECTION_SAMPLES}, got {direction_samples!r}")
     rho = _symbol_data(p, rho)
-    table = _lattice_table(direction_samples)
 
     frame, gen_eigs, gen_vecs, _ = _frame_eigh(p, g)
     lo, hi = (p.components[0],) * 2 if mode == "frame" else (gen_eigs[0], gen_eigs[-1])
@@ -500,17 +478,15 @@ def parabolicity(
     with np.errstate(over="ignore", invalid="ignore"):
         blocks, raw_scale = _frame_blocks(*symbol_stacks(signed, rho, vecs), vecs[_CYCLIC])
     eigs, skew_norms = _block_spectra(blocks)
-    # both checks in units of the symbol scale, where nothing overflows
+    # the check in units of the symbol scale, where nothing overflows
     qs = (q / raw_scale).tolist()
     shift = 4.0 * (rho / raw_scale)
     mismatch = max(abs(e - c) for row, qn in zip((eigs / raw_scale).tolist(), qs)
                    for e, c in zip(row, sorted((qn, qn, qn - shift))))
-    undershoot = qs[critical] - float((table @ (signed.components / raw_scale)).min())
-    for what, residual in (("spectrum at P's eigenvectors off {q, q, q - 4 rho}", mismatch),
-                           ("a lattice direction below q_min", undershoot)):
-        if not residual <= STRUCTURE_TOL:
-            raise InternalConsistencyError(
-                f"parabolicity self-check: {what} by {residual:.3e} of the symbol scale")
+    if not mismatch <= STRUCTURE_TOL:
+        raise InternalConsistencyError(
+            "parabolicity self-check: spectrum at P's eigenvectors off {q, q, q - 4 rho} "
+            f"by {mismatch:.3e} of the symbol scale")
     lowest = min(q_min, q_min - 4.0 * rho)
     min_raw, min_modified = min(0.0, lowest), min(1.0, lowest)
     branch = "gauge" if lowest >= 1.0 else "q - 4 rho" if rho > 0.0 else "q"
@@ -536,7 +512,7 @@ def parabolicity(
         spectral_margin=lowest / 4.0,
         min_modified_eig=min_modified,
         min_raw_eig=min_raw,
-        direction_samples=direction_samples,
+        direction_samples=samples,
         # the skew part bounds the imaginary residue; it is tracked, not
         # warned about per direction
         max_imag_residue=float(skew_norms.max()) / raw_scale,

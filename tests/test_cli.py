@@ -28,7 +28,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
     ["--p=nan,0,0,1,1,0"],
     ["--frame=1,2,3", "--xi=0,0,0"],
     ["--p=1,0.1,0,2,3,0.2", "--rho=1e308"],  # the symbol entries overflow
-    ["--frame=1,2,3", "--direction-samples=1e9"],  # refused before the lattice is built
+    ["--frame=1,2,3", "--direction-samples=1e9"],  # above MAX_DIRECTION_SAMPLES
 ])
 def test_symbol_bad_input_exits_3_before_printing(argv, capsys):
     with warnings.catch_warnings():
@@ -70,7 +70,7 @@ def test_symbol_json_reports_spectral_margin(tmp_path, capsys):
 
 
 def test_symbol_json_names_the_critical_direction_and_branch(tmp_path):
-    # the command CI runs under warnings as errors, with one lattice direction
+    # the command CI runs under warnings as errors; --direction-samples is only echoed
     path = tmp_path / "crit.json"
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "xcflow", "symbol", "--frame", "0.2,5,5",
@@ -532,7 +532,7 @@ def _well_formed(key):
 
 def _sized_values(data, command: str) -> dict[str, str]:
     """Text for the keys whose values set the run's size: at most 10^4 flow
-    steps, at most 400 lattice directions, or a value that is rejected."""
+    steps, a direction_samples of at most 400, or a value that is rejected."""
     def either(valid: str) -> str:
         return data.draw(_NOT_A_SIZE) if data.draw(st.integers(0, 4)) == 4 else valid
 

@@ -221,12 +221,12 @@ class TestVolumeForm:
             volume_form(SymTensor3(np.array([-1.0, 0, 0, 1.0, 1.0, 0])))
 
     @pytest.mark.parametrize("scale, message", [
-        (1e103, "metric determinant overflows: g is positive definite but of scale 1.26e+103"),
-        (1e-110, "metric determinant underflows: g is positive definite but of scale 1.26e-110"),
+        (1e206, "metric determinant overflows: g is positive definite but of scale 1.26e+206"),
+        (1e-220, "metric determinant underflows: g is positive definite but of scale 1.26e-220"),
     ])
     def test_determinant_out_of_range_is_named_with_the_scale(self, scale, message):
-        # the Cholesky factor exists, but det g is inf or 0: the error names
-        # the scale, and nothing downstream blames the pair
+        # the Cholesky factor exists, but sqrt(det g) = l11 l22 l33 is inf or
+        # 0: the error names the scale, and nothing downstream blames the pair
         g = SymTensor3(scale * np.array([1.0, 0.1, 0.0, 2.0, 1.0, 0.0]))
         assert g.is_positive_definite()
         with warnings.catch_warnings():
@@ -235,6 +235,34 @@ class TestVolumeForm:
                 einstein_raised(Riemann3.space_form(0.5 / scale, g), g)
             with pytest.raises(DomainError, match="determinant"):
                 volume_form(g)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_far_scales_keep_the_scale_covariance(self, scale):
+        from xcflow.symbol import parabolicity
+        # det g = 1e+-450 is no float, but sqrt(det g) = l11 l22 l33 is, and
+        # nothing forms det g alone.  Under g -> c g the lowered Riemann
+        # tensor scales as c, Ric not at all, R as 1/c, P as 1/c^2, h as 1/c
+        # and the generalized eigenvalues of P, so parabolicity's threshold, as 1/c
+        jet = _generic_jet(np.random.default_rng(74))
+        far = MetricJet(SymTensor3(scale * jet.g.components), scale * jet.dg, scale * jet.ddg)
+        near_riem, far_riem = riemann(jet), riemann(far)
+        (near_ric, near_r), (far_ric, far_r) = ricci(near_riem, jet.g), ricci(far_riem, far.g)
+        pairs = [
+            (near_riem.lowered, far_riem.lowered / scale),
+            (near_ric.components, far_ric.components),
+            (np.array([near_r]), np.array([far_r * scale])),
+            (einstein_raised(near_riem, jet.g).components,
+             einstein_raised(far_riem, far.g).components * scale * scale),
+            (cross_curvature(near_riem, jet.g).components,
+             cross_curvature(far_riem, far.g).components * scale),
+            (eigen_frame(einstein_raised(near_riem, jet.g), jet.g)[0].as_array(),
+             eigen_frame(einstein_raised(far_riem, far.g), far.g)[0].as_array() * scale),
+            (np.array([parabolicity(einstein_raised(near_riem, jet.g), jet.g, 0.0).threshold]),
+             np.array([parabolicity(einstein_raised(far_riem, far.g), far.g, 0.0).threshold])
+             * scale),
+        ]
+        for near, far_scaled in pairs:
+            assert np.abs(far_scaled - near).max() <= 1e-12 * np.abs(near).max()
 
     @pytest.mark.parametrize("components", [
         [1e200, 0, 0, 1e200, -1e200, 0],      # indefinite at a scale whose det overflows

@@ -61,7 +61,7 @@ class TestFlowParams:
                 FlowParams(rho=0.0, epsilon=+1, lam=1e-3, dt=dt, t_end=float(MAX_STEPS))
 
     @pytest.mark.parametrize("field", ["rho", "lam", "dt", "t_end"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), "x", None])
     def test_non_finite_values_rejected(self, field, value):
         args = {"rho": 0.0, "epsilon": +1, "lam": 2.0, "dt": 1e-3, "t_end": 1.0,
                 "unsafe_signs": True, field: value}

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import special_ortho_group
 
 from xcflow import symbol as symbol_module
-from xcflow.curvature import (Riemann3, SymTensor3, einstein_raised, generalized_eigh,
-                              pack, unpack)
+from xcflow.curvature import (Riemann3, SymTensor3, eigen_frame, einstein_raised,
+                              generalized_eigh, pack, unpack)
 from xcflow.errors import DomainError, InternalConsistencyError
 from xcflow.symbol import (
     IMAG_RESIDUE_TOL,
@@ -318,20 +318,6 @@ class TestSymmetricSolve:
             with pytest.raises(DomainError, match=message):
                 spectrum(symbol_raw(p, rho, [1.0, 2.0, 3.0]))
 
-    def test_cached_directions_are_read_only_and_change_no_result(self):
-        directions = symbol_module._directions(50)
-        unit = unit_directions(50)
-        assert np.array_equal(directions, unit / np.linalg.norm(unit, axis=1, keepdims=True))
-        assert not directions.flags.writeable
-        with pytest.raises(ValueError):
-            directions[0] = 0.0
-        rng = np.random.default_rng(42)
-        p, rho = sym_upper(rng), float(rng.uniform(-2, 2))
-        warm = parabolicity(p, IDENTITY, rho, direction_samples=50)
-        symbol_module._directions.cache_clear()
-        cold = parabolicity(p, IDENTITY, rho, direction_samples=50)
-        assert repr(cold) == repr(warm)  # every float to its last bit
-
 
 def tilted_from_e3(angle: float, sign: float) -> np.ndarray:
     """A rotation whose third column is sign * e3 tilted by `angle` toward e1."""
@@ -398,20 +384,6 @@ class TestEigenvectorFrames:
             assert rep.min_modified_eig == pytest.approx(
                 min(1.0, lam.min(), lam.min() - 4.0 * rho), abs=1e-14)
 
-    def test_lattice_table_is_read_only_and_reads_q(self):
-        table = symbol_module._lattice_table(50)
-        assert not table.flags.writeable
-        rng = np.random.default_rng(45)
-        m = sym_upper(rng)
-        directions = symbol_module._directions(50)
-        q = np.einsum("na,ab,nb->n", directions, m.matrix, directions)
-        assert np.abs(table @ m.components - q).max() <= 1e-14
-        p, rho = sym_upper(rng), float(rng.uniform(-2, 2))
-        warm = parabolicity(p, IDENTITY, rho, direction_samples=50)
-        symbol_module._lattice_table.cache_clear()
-        symbol_module._directions.cache_clear()
-        assert repr(parabolicity(p, IDENTITY, rho, direction_samples=50)) == repr(warm)
-
 
 class TestClosedForm:
     def test_direction_samples_changes_no_other_field(self):
@@ -427,15 +399,15 @@ class TestClosedForm:
                        for n in (1, 50, 200, 5000)}
             assert len(reports) == 1
 
-    def test_a_wrong_eigenvalue_trips_the_check_at_the_eigenvectors(self, monkeypatch):
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda m: (eigh(m)[0] + [0.0, 1e-9, 0.0],
-                                                          eigh(m)[1]))
+    def test_a_wrong_block_eigenvalue_trips_the_check_at_the_eigenvectors(self, monkeypatch):
+        # the eigenpairs of P are right, the spectrum of a quotient block is not
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: eigvalsh(m) + [0.0, 1e-9, 0.0])
         p = SymTensor3(np.array([3.0, 0.4, -0.2, 2.0, 1.0, 0.3]), "upper")
         with pytest.raises(InternalConsistencyError, match="spectrum at P's eigenvectors"):
             parabolicity(p, IDENTITY, 0.2)
 
-    def test_a_wrong_minimum_trips_the_lattice_check(self, monkeypatch):
+    def test_a_wrong_minimum_trips_the_eigensolve_certificate(self, monkeypatch):
         # a rotated frame with its Rayleigh quotients as "eigenvalues": the
         # blocks there match them, but q_min is not the minimum over the sphere
         c, s_ = np.cos(0.3), np.sin(0.3)
@@ -443,7 +415,7 @@ class TestClosedForm:
         monkeypatch.setattr(np.linalg, "eigh", lambda m: (
             np.einsum("ai,ab,bi->i", frame, m, frame), frame))
         p = SymTensor3(np.array([0.2, 0.0, 0.0, 5.0, 5.0, 0.0]), "upper")
-        with pytest.raises(InternalConsistencyError, match="lattice direction below q_min"):
+        with pytest.raises(InternalConsistencyError, match="eigensolve self-check"):
             parabolicity(p, IDENTITY, 0.0)
 
     @pytest.mark.parametrize("frame, rho, branch, verdict", [
@@ -709,7 +681,11 @@ class TestParabolicity:
         {"p": SymTensor3(np.array([np.nan, 0, 0, 1.0, 1.0, 0]), "upper")},
         {"direction_samples": 0},
         {"direction_samples": MAX_DIRECTION_SAMPLES + 1},
-        {"direction_samples": 10**12},  # refused before the lattice is built
+        {"direction_samples": 10**12},
+        {"direction_samples": 2.5},
+        {"direction_samples": True},
+        {"rho": "x"},
+        {"rho": None},
     ])
     def test_bad_input_raises_domain_error(self, bad):
         args = {"p": P_IDENTITY, "g": IDENTITY, "rho": 0.0, **bad}
@@ -775,3 +751,58 @@ class TestHelpers:
         g = SymTensor3(np.array([1.0, 0, 0, -1.0, 1.0, 0]))
         with pytest.raises(DomainError):
             to_orthonormal_frame(P_IDENTITY, g)
+
+
+def rotated_eigh(angle: float):
+    """np.linalg.eigh with its first two eigenvectors rotated by `angle` in
+    their plane and their Rayleigh quotients returned as the eigenvalues."""
+    eigh = np.linalg.eigh
+    c, s_ = np.cos(angle), np.sin(angle)
+    turn = np.array([[c, -s_, 0.0], [s_, c, 0.0], [0.0, 0.0, 1.0]])
+
+    def wrong(m):
+        vecs = eigh(m)[1] @ turn
+        return np.einsum("ai,ab,bi->i", vecs, m, vecs), vecs
+    return wrong
+
+
+class TestEigensolveCertificate:
+    """`curvature._frame_eigh` checks the residuals |F v - lam v| and
+    |V^T V - I| of every eigensolve, so each of its three callers refuses
+    eigenpairs that are wrong by more than rounding."""
+
+    P = SymTensor3(np.array([1.0, 0.0, 0.0, 2.0, 3.0, 0.0]), "upper")
+    CALLERS = {
+        "parabolicity": lambda p: parabolicity(p, IDENTITY, 0.1),
+        "generalized_eigh": lambda p: generalized_eigh(p, IDENTITY),
+        "eigen_frame": lambda p: eigen_frame(p, IDENTITY),
+    }
+
+    @pytest.mark.parametrize("caller", CALLERS)
+    def test_eigenvectors_rotated_by_a_microradian_raise(self, caller, monkeypatch):
+        # every other self-check passes for them: the symbol's blocks at the
+        # rotated vectors do have the spectra their Rayleigh quotients give
+        self.CALLERS[caller](self.P)
+        monkeypatch.setattr(np.linalg, "eigh", rotated_eigh(1e-6))
+        # 1e-6 |lam_2 - lam_1| / max |lam| = 3.3e-7 of the scale
+        with pytest.raises(InternalConsistencyError, match=r"max \|lam\|\) is 3\.33\de-07"):
+            self.CALLERS[caller](self.P)
+
+    @pytest.mark.parametrize("caller", CALLERS)
+    def test_eigenvectors_off_orthonormal_raise(self, caller, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def stretched(m):
+            vals, vecs = eigh(m)
+            vecs[:, 0] *= 1.0 + 1e-9
+            return vals, vecs
+        monkeypatch.setattr(np.linalg, "eigh", stretched)
+        # |v_1|^2 - 1 = 2e-9
+        with pytest.raises(InternalConsistencyError, match=r"\|V\^T V - I\| is 2\.000e-09"):
+            self.CALLERS[caller](self.P)
+
+    @pytest.mark.parametrize("frame", [(1e-8, 1.0, 1e8), (1e-300, 1.0, 1e300), (-1e150, 0.0, 1.0)])
+    def test_exact_eigenpairs_pass_at_every_scale(self, frame):
+        p = SymTensor3(np.array([frame[0], 0.0, 0.0, frame[1], frame[2], 0.0]), "upper")
+        for call in self.CALLERS.values():
+            call(p)
