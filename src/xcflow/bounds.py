@@ -1,11 +1,17 @@
-"""The stated parabolicity bound and direction_samples' range, without numpy.
+"""The stated parabolicity bound, direction_samples' range and the parser
+of real-number parameters, without numpy.
 
 `symbol` decides parabolicity with numpy; `flow`'s per-record margin and
 the CLI's option table need only these, so they live here and `xcflow
-flow` runs on the standard library alone.  `symbol` re-exports all three.
-`direction_samples` is range-checked and echoed in every parabolicity
-report; it decides nothing.
+flow` runs on the standard library alone.  `symbol` re-exports the bound
+and the range.  `direction_samples` is range-checked and echoed in every
+parabolicity report; it decides nothing.  `finite_real` reads rho in
+`symbol` and every real parameter of `flow.FlowParams`.
 """
+
+import math
+
+from .errors import DomainError
 
 DEFAULT_DIRECTION_SAMPLES = 200
 MAX_DIRECTION_SAMPLES = 50_000
@@ -26,3 +32,19 @@ def stated_threshold(lowest: float, highest: float, sign: int) -> float:
     abstract; `symbol.ParabolicityReport.spectral_margin` tracks the verdict.
     """
     return lowest / 4.0 if sign > 0 else -highest / 2.0
+
+
+def finite_real(value, name: str) -> float:
+    """`value` as a finite float, or a DomainError "<name> must be a finite
+    real number".  A str, bytes or bool is refused, though float() would
+    read it ("0.1" as 0.1, True as 1.0), as is whatever float() refuses or
+    reads as nan or +-inf."""
+    number = None
+    if not isinstance(value, (str, bytes, bytearray, bool)):
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):  # None, 1j, 10**400
+            pass
+    if number is None or not math.isfinite(number):
+        raise DomainError(f"{name} must be a finite real number, got {value!r}")
+    return number

@@ -18,7 +18,11 @@ L^-T L^-1 from the Cholesky factor g = L L^T in Python floats, the one
 factor that also decides whether g is a metric and gives sqrt(det g) =
 l11 l22 l33; no LAPACK inverse is called.  Every use of det g takes that
 product (det g as two factors of it), so a metric whose det g is a
-subnormal float keeps full precision.
+subnormal float keeps full precision.  Each metric object is factored
+once: the first metric check that passes keeps sqrt(det g), L^T, L^-1,
+g^-1, mu^ijk and L^-T on the object (`_require_metric`), and every
+later use of that object (a jet, `riemann`, the Ricci pass, the
+eigensolver) reads them there.
 
 The Einstein tensor with raised indices, P, is the volume-form value,
 checked against the trace form relative to ||P||_F.  The cross
@@ -45,7 +49,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -121,6 +125,9 @@ class SymTensor3:
 
     components: np.ndarray
     variance: str = "lower"
+    # the checked factor of this object as a metric (`_require_metric`)
+    _factor: "_MetricFactor | None" = field(default=None, init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         comps = _read_only(self.components)
@@ -152,6 +159,17 @@ class SymTensor3:
     @classmethod
     def identity(cls, variance: str = "lower") -> "SymTensor3":
         return cls(_frozen(np.array([1.0, 0.0, 0.0, 1.0, 1.0, 0.0])), variance)
+
+    @classmethod
+    def _made(cls, components: list[float], variance: str = "lower") -> "SymTensor3":
+        """A tensor on six finite components the library has just computed,
+        as a fresh read-only array, without the checks of `SymTensor3(...)`,
+        which every tensor a caller builds still passes."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "components", _frozen(np.array(components)))
+        object.__setattr__(t, "variance", variance)
+        object.__setattr__(t, "_factor", None)
+        return t
 
     @property
     def matrix(self) -> np.ndarray:
@@ -187,6 +205,10 @@ def _midpoint(x: float, y: float) -> float:
     (exact there, since both halves are far above the subnormal range)."""
     total = x + y
     return 0.5 * total if abs(total) != math.inf else 0.5 * x + 0.5 * y
+
+
+# the metric of from_frame, factored once for every frame
+_IDENTITY = SymTensor3.identity()
 
 
 def _sym_adjugate_det(a: float, b: float, c: float,
@@ -229,29 +251,58 @@ def _cholesky(comps: list[float]) -> tuple[float, tuple, tuple] | None:
              (-(l31 * m11 + l32 * m21) / l33, -l32 * m22 / l33, m33)))
 
 
-def _require_metric(g: SymTensor3) -> tuple[float, tuple, tuple]:
-    """`_cholesky` of g, once g is checked to be a metric: lower indices, a
-    Cholesky factor, and sqrt(det g) = l11 l22 l33 a positive finite float."""
+class _MetricFactor(NamedTuple):
+    """What the metric check of one g keeps: sqrt(det g) = l11 l22 l33, the
+    rows of L^T and of L^-1 (g = L L^T) as Python floats, and, as read-only
+    arrays, g^-1 = L^-T L^-1, mu^ijk = eps_ijk / sqrt(det g) and L^-T."""
+
+    root_det: float
+    upper: tuple
+    inverse: tuple
+    ginv: np.ndarray
+    mu_upper: np.ndarray
+    frame_axes: np.ndarray
+
+
+def _require_metric(g: SymTensor3) -> _MetricFactor:
+    """The factor of g, once g is checked to be a metric: lower indices, a
+    Cholesky factor (`_cholesky`), and sqrt(det g) = l11 l22 l33 a positive
+    finite float.
+
+    Each metric object is factored once: the first call that passes every
+    check keeps the factor on g (components are read-only, so it stays
+    g's), and later calls return it.  A g that fails is never kept, so it
+    raises the same DomainError on every call; an equal metric held in
+    another object is factored again."""
+    factor = g._factor
+    if factor is not None:
+        return factor
     if g.variance != "lower":
         raise DomainError("a metric must carry lower indices")
     comps = g.components.tolist()
-    factor = _cholesky(comps)
-    if factor is None:
+    cholesky = _cholesky(comps)
+    if cholesky is None:
         raise DomainError("metric is not positive definite")
-    if not 0.0 < factor[0] < math.inf:  # sqrt(det g), the determinant the code uses
+    root_det, upper, inverse = cholesky
+    if not 0.0 < root_det < math.inf:  # sqrt(det g), the determinant the code uses
         scale = math.exp(sum(math.log(comps[k]) for k in (0, 3, 4)) / 3.0)
         raise DomainError(
-            f"metric determinant {'overflows' if factor[0] else 'underflows'}: g is positive "
+            f"metric determinant {'overflows' if root_det else 'underflows'}: g is positive "
             f"definite but of scale {scale:.3g} (geometric mean of its diagonal); "
             "rescale it toward 1")
+    (m11, _, _), (m21, m22, _), (m31, m32, m33) = inverse
+    ginv = unpack([m11 * m11 + m21 * m21 + m31 * m31, m21 * m22 + m31 * m32,
+                   m31 * m33, m22 * m22 + m32 * m32, m33 * m33, m32 * m33])
+    factor = _MetricFactor(root_det, upper, inverse, _frozen(ginv),
+                           _frozen(_EPS3 / root_det), _frozen(np.array(inverse)).T)
+    object.__setattr__(g, "_factor", factor)
     return factor
 
 
 def _metric_inverse(g: SymTensor3) -> tuple[float, np.ndarray]:
-    """sqrt(det g) and g^-1 = L^-T L^-1 of a checked metric, from its one factor."""
-    root_det, _, ((m11, _, _), (m21, m22, _), (m31, m32, m33)) = _require_metric(g)
-    return root_det, unpack([m11 * m11 + m21 * m21 + m31 * m31, m21 * m22 + m31 * m32,
-                             m31 * m33, m22 * m22 + m32 * m32, m33 * m33, m32 * m33])
+    """sqrt(det g) and g^-1 = L^-T L^-1 (read-only) of a checked metric."""
+    factor = _require_metric(g)
+    return factor.root_det, factor.ginv
 
 
 def volume_form(g: SymTensor3) -> tuple[np.ndarray, np.ndarray]:
@@ -262,7 +313,7 @@ def volume_form(g: SymTensor3) -> tuple[np.ndarray, np.ndarray]:
     inverse metric reproduces mu_upper.  In an orthonormal frame both
     normalizations give mu_123 = mu^123 = 1.
     """
-    root_det = _require_metric(g)[0]
+    root_det = _require_metric(g).root_det
     return root_det * _EPS3, _EPS3 / root_det
 
 
@@ -362,7 +413,7 @@ class Riemann3:
         moved[3] += moved[4]
         if np.abs(moved[:4]).max() > 1e-12 * np.abs(flat).max():
             raise DomainError("input violates the Riemann algebraic symmetries")
-        _, mu_up = volume_form(g)
+        mu_up = _require_metric(g).mu_upper
         return cls(r, SymTensor3.from_matrix(_p_bivector(r, mu_up), "upper"))
 
     @classmethod
@@ -388,7 +439,7 @@ class Riemann3:
             q = np.asarray(rotation, dtype=float)
             k = (q[:, None, :, None] * q[None, :, None, :]).reshape(9, 9)
             r = (k @ r.reshape(9, 9) @ k.T).reshape(3, 3, 3, 3)
-        return cls.from_lowered(_frozen(r), SymTensor3.identity())
+        return cls.from_lowered(_frozen(r), _IDENTITY)
 
 
 def riemann(jet: MetricJet) -> Riemann3:
@@ -456,10 +507,22 @@ def _rel_dev(x: np.ndarray, y: np.ndarray, *scale: float) -> float:
     xs, ys = x.ravel().tolist(), y.ravel().tolist()
     if not all(map(math.isfinite, xs + ys)):
         raise DomainError("curvature values overflow; the input must keep them finite")
+    return _deviation(xs, ys, scale)
+
+
+def _deviation(xs: list[float], ys: list[float], scale: tuple[float, ...]) -> float:
+    """max |x - y| over finite Python floats, divided by each factor of `scale`."""
     dev = max(map(abs, map(operator.sub, xs, ys)))
     for factor in scale:  # a zero factor leaves 0 at 0 and makes the rest huge
         dev /= max(factor, math.ulp(0.0))
     return dev
+
+
+def _packed_symmetric_part(h: list[float]) -> list[float]:
+    """pack(0.5 * (h + h^T)) of a 3x3 h given row by row, rounded entry by
+    entry as numpy rounds it."""
+    return [0.5 * (h[0] + h[0]), 0.5 * (h[1] + h[3]), 0.5 * (h[2] + h[6]),
+            0.5 * (h[4] + h[4]), 0.5 * (h[8] + h[8]), 0.5 * (h[5] + h[7])]
 
 
 def _ricci_pass(riem: Riemann3, g: SymTensor3) -> tuple[float, np.ndarray, SymTensor3, float]:
@@ -562,8 +625,10 @@ def cross_curvature_forms(riem: Riemann3, g: SymTensor3) -> CrossCurvatureForms:
     determinant: h_ij = det(g) adj(P)_ij, which is (det P^kl / det g^kl)
                  times the inverse of P^kl when P is invertible
 
-    P, sqrt(det g) = l11 l22 l33 and mu^ijk = eps_ijk / sqrt(det g) come
-    from one pass over (riem, g).  All three pairs are compared relative to
+    P and sqrt(det g) = l11 l22 l33 come from one pass over (riem, g), and
+    mu^ijk = eps_ijk / sqrt(det g) from g's factor.  Each route is read
+    into Python floats once, for one finiteness test and the three pairwise
+    deviations.  All three pairs are compared relative to
     det(g) ||P||_F^2, which scales like h under g -> s g and bounds it, so a
     vanishing h (a singular or zero P) is checked like any other.  The scale
     is divided in two steps of sqrt(det g) ||P||_F, because ||P||_F^2 alone
@@ -574,14 +639,16 @@ def cross_curvature_forms(riem: Riemann3, g: SymTensor3) -> CrossCurvatureForms:
     r = riem.lowered
     comps = p_t.components.tolist()
 
-    h_con = _h_contraction(p_t.matrix, r)
-    h_mu = _h_mu(r, _EPS3 / root_det)
-    h_det = _h_determinant(root_det, comps)
+    routes = (_h_contraction(p_t.matrix, r), _h_mu(r, _require_metric(g).mu_upper),
+              _h_determinant(root_det, comps))
+    h_con, h_mu, h_det = (h.ravel().tolist() for h in routes)
     unit_det = _sym_adjugate_det(*(v / p_norm for v in comps))[1] if p_norm else 0.0
 
+    if not all(map(math.isfinite, h_con + h_mu + h_det)):
+        raise DomainError("curvature values overflow; the input must keep them finite")
     scale = (root_det * p_norm,) * 2
-    max_dev = max(_rel_dev(h_con, h_mu, *scale), _rel_dev(h_con, h_det, *scale),
-                  _rel_dev(h_mu, h_det, *scale))
+    max_dev = max(_deviation(h_con, h_mu, scale), _deviation(h_con, h_det, scale),
+                  _deviation(h_mu, h_det, scale))
     if max_dev > FORMULA_AGREEMENT_RTOL:
         raise InternalConsistencyError(
             f"cross curvature formulas disagree (relative deviation {max_dev:.3e})"
@@ -590,13 +657,13 @@ def cross_curvature_forms(riem: Riemann3, g: SymTensor3) -> CrossCurvatureForms:
     # h_det and 0.5 (h + h^T) are exactly symmetric, so packing them gives
     # what SymTensor3.from_matrix would; finiteness is all it would still
     # check, since the sum can overflow where h does not
-    con, mu = pack(0.5 * (h_con + h_con.T)), pack(0.5 * (h_mu + h_mu.T))
-    if not all(map(math.isfinite, con.tolist() + mu.tolist())):
+    con, mu = _packed_symmetric_part(h_con), _packed_symmetric_part(h_mu)
+    if not all(map(math.isfinite, con + mu)):
         raise DomainError("curvature values overflow; the input must keep them finite")
     return CrossCurvatureForms(
-        contraction_form=SymTensor3(_frozen(con)),
-        mu_form=SymTensor3(_frozen(mu)),
-        determinant_form=SymTensor3(_frozen(pack(h_det))),
+        contraction_form=SymTensor3._made(con),
+        mu_form=SymTensor3._made(mu),
+        determinant_form=SymTensor3._made([h_det[k] for k in (0, 1, 2, 4, 8, 5)]),
         determinant_unit=unit_det,
         determinant_singular=abs(unit_det) <= 1e-12,
         max_pairwise_dev=max_dev,
@@ -626,16 +693,17 @@ def _frame_eigh(t: SymTensor3, g: SymTensor3) -> tuple[np.ndarray, ...]:
     """The one routine that solves a generalized eigenproblem: t in the
     Cholesky frame of g = L L^T, whose axes are the columns of L^-T, has
     components L^T t L (upper indices) or L^-1 t L^-T (lower), read off
-    the lower triangle.  L^T and L^-1 are the metric check's (`_cholesky`);
-    the components are Python floats, which overflow to inf silently.
+    the lower triangle.  L^T, L^-1 and L^-T come from g's one factor
+    (`_require_metric`); the components are Python floats, which overflow
+    to inf silently.
     Returns the canonical frame components (read-only), their ascending
     eigenvalues, the orthonormal eigenvectors in the frame (columns) and
-    L^-T.  A t that is not finite, a g that is not a metric and an
+    L^-T (read-only).  A t that is not finite, a g that is not a metric and an
     overflow are each a DomainError; `_certify_eigenpairs` checks every solve."""
     t11, t12, t13, t22, t33, t23 = comps = t.components.tolist()
     if not all(map(math.isfinite, comps)):
         raise DomainError("tensor components must be finite")
-    _, upper, inv = _require_metric(g)
+    _, upper, inv, _, _, frame_axes = _require_metric(g)
     rows = upper if t.variance == "upper" else inv
     # B t B^T for B = L^T or L^-1: w = B t by rows, then entry (j, i) = w_j . B_i
     w = [(x * t11 + y * t12 + z * t13, x * t12 + y * t22 + z * t23,
@@ -647,7 +715,7 @@ def _frame_eigh(t: SymTensor3, g: SymTensor3) -> tuple[np.ndarray, ...]:
         vals, vecs = np.linalg.eigh(components[_UNPACK])
         if all(map(math.isfinite, vals.tolist())):
             _certify_eigenpairs(frame, vals.tolist(), vecs.T.tolist())
-            return components, vals, vecs, np.array(inv).T
+            return components, vals, vecs, frame_axes
     raise DomainError("eigenvalues overflow; the tensor and metric must keep them finite")
 
 
@@ -812,6 +880,27 @@ def jet_from_function(
 
 _CHART_IDENTITY = np.eye(3)
 _CHART_IDENTITY.flags.writeable = False
+# delta_ij and -delta_ij, packed
+_PACKED_IDENTITY = _IDENTITY.components
+_NEG_PACKED_IDENTITY = _frozen(-_PACKED_IDENTITY)
+
+
+def _conformal_factor(kappa: float, x: np.ndarray) -> float:
+    """u = 1 + kappa |x|^2 / 4 of the conformal chart, a DomainError where
+    u <= 0.  |x|^2 is numpy's x @ x; a coordinate of 1e150 or more can
+    overflow it, so there it is taken without numpy's overflow warning: the
+    inf makes g = 0, which the metric check names."""
+    coords = x.ravel().tolist()
+    # max and min may pass over a nan, never over a coordinate of 1e150 or more
+    if max(coords) < 1e150 and min(coords) > -1e150:
+        r2 = float(x @ x)
+    else:
+        with np.errstate(over="ignore"):
+            r2 = float(x @ x)
+    u = 1.0 + kappa * r2 / 4.0
+    if u <= 0.0:
+        raise DomainError("point lies outside the chart domain")
+    return u
 
 
 def space_form_chart(kappa: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -819,27 +908,32 @@ def space_form_chart(kappa: float) -> Callable[[np.ndarray], np.ndarray]:
     g_ij(x) = delta_ij (1 + kappa |x|^2 / 4)^-2."""
 
     def g_fn(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        u = 1.0 + kappa * float(x @ x) / 4.0
-        if u <= 0.0:
-            raise DomainError("point lies outside the chart domain")
+        u = _conformal_factor(kappa, np.asarray(x, dtype=float))
         return _CHART_IDENTITY / u**2  # a fresh array; the identity stays read-only
 
     return g_fn
 
 
 def space_form_chart_jet(kappa: float, x: np.ndarray) -> MetricJet:
-    """Analytic jet of the conformal space-form chart (no differencing error)."""
+    """Analytic jet of the conformal space-form chart (no differencing error).
+
+    The jet is written packed: g's six components, dg (3, 6) and ddg (6, 6)
+    from -delta_ij packed, each entry with the operations, in the order, of
+    the formulas below.  The metric is checked before its derivatives are
+    formed, so a point where g is not a metric raises its DomainError with
+    no numpy warning."""
     x = np.asarray(x, dtype=float)
-    u = 1.0 + kappa * float(x @ x) / 4.0
-    if u <= 0.0:
-        raise DomainError("point lies outside the chart domain")
-    eye = np.eye(3)
-    g = eye / u**2
+    if x.shape != (3,):
+        raise DomainError(f"point must be a 3-vector, got shape {x.shape}")
+    u = _conformal_factor(kappa, x)
+    diagonal = 1.0 / u**2
+    if diagonal != diagonal:  # u is nan: a nan in x or kappa
+        raise DomainError("matrix entries must be finite")
+    g = SymTensor3._made([diagonal, 0.0, 0.0, diagonal, diagonal, 0.0])
+    _require_metric(g)
     # dg_kij = -delta_ij kappa x_k / u^3 and
-    # ddg_klij = -delta_ij kappa (delta_kl / u^3 - 3/2 kappa x_k x_l / u^4),
-    # broadcast with each entry's operations in that written order
-    dg = -eye * kappa * x[:, None, None] / u**3
-    inner = eye / u**3 - (1.5 * kappa * x)[:, None] * x[None, :] / u**4
-    ddg = -eye * kappa * inner[:, :, None, None]
-    return MetricJet.from_full(g, dg, ddg)
+    # ddg_klij = -delta_ij kappa (delta_kl / u^3 - 3/2 kappa x_k x_l / u^4)
+    dg = _NEG_PACKED_IDENTITY * kappa * x[:, None] / u**3
+    inner = _PACKED_IDENTITY / u**3 - (1.5 * kappa * x)[_ROWS] * x[_COLS] / u**4
+    ddg = (_NEG_PACKED_IDENTITY * kappa)[None, :] * inner[:, None]
+    return MetricJet(g, dg, ddg)

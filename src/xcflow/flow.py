@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from math import isfinite
 from typing import TYPE_CHECKING, NamedTuple
 
-from .bounds import stated_threshold
+from .bounds import finite_real, stated_threshold
 from .errors import DomainError, ExtinctStateError, ExtinctionExceededError
 
 if TYPE_CHECKING:
@@ -58,6 +58,8 @@ class FlowParams:
     epsilon is the sectional-curvature sign of the initial metric and
     must match the sign of the Einstein constant lam (epsilon = +1 with
     lam > 0, epsilon = -1 with lam < 0) unless unsafe_signs is set.
+    rho, lam, dt and t_end are kept as the Python floats they are read as
+    (`bounds.finite_real`).
     """
 
     rho: float
@@ -68,15 +70,10 @@ class FlowParams:
     unsafe_signs: bool = False
 
     def __post_init__(self):
-        if self.epsilon not in (+1, -1):
+        if self.epsilon not in (+1, -1) or isinstance(self.epsilon, bool):
             raise DomainError(f"epsilon must be +1 or -1, got {self.epsilon!r}")
-        for name in ("rho", "lam", "dt", "t_end"):
-            try:
-                finite = math.isfinite(getattr(self, name))
-            except TypeError:  # not a real number: "x", None
-                finite = False
-            if not finite:
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for name in ("rho", "lam", "dt", "t_end"):  # a numpy float32 would run in float32
+            object.__setattr__(self, name, finite_real(getattr(self, name), name))
         if self.dt <= 0.0 or self.t_end <= 0.0:
             raise DomainError("dt and t_end must be positive")
         if self.dt > self.t_end:

@@ -72,7 +72,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import DEFAULT_DIRECTION_SAMPLES, MAX_DIRECTION_SAMPLES, stated_threshold
+from .bounds import (DEFAULT_DIRECTION_SAMPLES, MAX_DIRECTION_SAMPLES, finite_real,
+                     stated_threshold)
 from .curvature import _COLS, _ROWS, STRUCTURE_TOL, SymTensor3, _frame_eigh, pack, unpack
 from .errors import DomainError, InternalConsistencyError
 
@@ -121,13 +122,19 @@ def _symbol_data(p: SymTensor3, rho) -> float:
         raise DomainError("symbol assembly expects P with upper indices")
     if not all(map(math.isfinite, p.components.tolist())):
         raise DomainError("P components must be finite")
+    return finite_real(rho, "rho")
+
+
+def _integer(value, name: str) -> int:
+    """`value` as an int, or a DomainError "<name> must be an integer":
+    operator.index refuses 2.5, nan and "3", and a bool is refused too."""
     try:
-        rho = float(rho)
-    except (TypeError, ValueError):
-        raise DomainError(f"rho must be a finite number, got {rho!r}") from None
-    if not math.isfinite(rho):
-        raise DomainError(f"rho must be finite, got {rho!r}")
-    return rho
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return number
 
 
 def _coefficients() -> tuple[np.ndarray, np.ndarray]:
@@ -355,7 +362,9 @@ def quotient_blocks(raw: np.ndarray, gauge: np.ndarray, xis) -> tuple[np.ndarray
 
 
 def unit_directions(n: int) -> np.ndarray:
-    """n unit covectors from the Fibonacci sphere lattice (deterministic)."""
+    """n unit covectors from the Fibonacci sphere lattice (deterministic);
+    n must be a positive integer (not a bool)."""
+    n = _integer(n, "the number of directions")
     if n < 1:
         raise DomainError("need at least one direction")
     i = np.arange(n) + 0.5
@@ -452,12 +461,7 @@ def parabolicity(
     sign = case_sign(case)
     if mode not in ("frame", "all_directions"):
         raise DomainError(f"mode must be 'frame' or 'all_directions', got {mode!r}")
-    try:
-        samples = operator.index(direction_samples)  # TypeError for 2.5, nan and "3"
-    except TypeError:
-        samples = None
-    if samples is None or isinstance(direction_samples, bool):
-        raise DomainError(f"direction_samples must be an integer, got {direction_samples!r}")
+    samples = _integer(direction_samples, "direction_samples")
     if not 1 <= samples <= MAX_DIRECTION_SAMPLES:
         raise DomainError(f"direction_samples must be between 1 and "
                           f"{MAX_DIRECTION_SAMPLES}, got {direction_samples!r}")

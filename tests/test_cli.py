@@ -229,6 +229,65 @@ def test_flow_json_trace_is_pinned(args, status, digest, tmp_path, capsys):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+def _rotated_frame():
+    from xcflow import curvature as cv
+
+    q = [[2.0 / 3.0, -1.0 / 3.0, 2.0 / 3.0], [2.0 / 3.0, 2.0 / 3.0, -1.0 / 3.0],
+         [-1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0]]  # orthogonal: the rows are orthonormal
+    return (cv.Riemann3.from_frame(-1.5, 2.0, 0.7, rotation=q), cv.SymTensor3.identity(),
+            {"input_mode": "frame", "frame": [-1.5, 2.0, 0.7], "rotation": q})
+
+
+def _space_form_off_identity():
+    from xcflow import curvature as cv
+
+    g = cv.SymTensor3([2.0, 0.3, -0.1, 1.5, 1.2, 0.25])
+    return (cv.Riemann3.space_form(0.8, g), g,
+            {"input_mode": "space_form", "kappa": 0.8, "g": g.components.tolist()})
+
+
+def _chart_jet():
+    from xcflow import curvature as cv
+
+    jet = cv.space_form_chart_jet(-0.7, [0.2, -0.1, 0.3])
+    return cv.riemann(jet), jet.g, {"input_mode": "chart_jet", "kappa": -0.7,
+                                    "point": [0.2, -0.1, 0.3]}
+
+
+# sha256 of `xcflow curvature ... --format json`, taken before each metric
+# object kept its factor and before the analytic chart jet was built packed:
+# those changes must leave the report the same byte for byte.  The command
+# has no flag for a rotation, a metric other than the identity or the
+# analytic jet, so those three cases feed their tensors to the command in
+# place of its input parsing.  The digests hold for numpy 2.4 on x86-64; a
+# BLAS or LAPACK that rounds differently changes the last bits.
+PINNED_CURVATURE_REPORTS = [
+    ("rotated_frame", ["--frame", "-1.5,2,0.7"], _rotated_frame,
+     "65abb8085974ceed3c05b39ade3ffd768e770d510c4a5cc95af6183b6cdb2114"),
+    ("space_form_off_identity", ["--space-form", "sphere"], _space_form_off_identity,
+     "b4931052ec68cde1becf6eda6991439b5e95846889e72acab71bd25be122cefd"),
+    ("chart_jet", ["--frame", "1,1,1"], _chart_jet,
+     "cb054b1bb75c25ec1325b04544c88adeb2d30a1bf7dfdf9fb75634489a4accf4"),
+    ("richardson_jet", ["--jet-from-chart", "hyperbolic", "--kappa", "-0.5", "--point",
+                        "0.3,-0.2,0.1", "--richardson"], None,
+     "2832b872296218f656eac4dcbf242d0dd41b68e47056a3f7ca10f15a9a4ade45"),
+]
+
+
+@pytest.mark.parametrize("argv,inputs,digest", [case[1:] for case in PINNED_CURVATURE_REPORTS],
+                         ids=[case[0] for case in PINNED_CURVATURE_REPORTS])
+def test_curvature_json_report_is_pinned(argv, inputs, digest, tmp_path, monkeypatch, capsys):
+    if inputs is not None:
+        monkeypatch.setattr(cli, "_curvature_inputs", lambda options: inputs())
+    path = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["curvature", *argv, "--format", "json",
+                         "--output", str(path)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("command,lines", [
     ("symbol", ["symbol.frame = 1,2,3", "symbol.direction_samples = 2.5"]),
     ("flow", ["flow.rho = 0", "flow.epsilon = 1", "flow.lambda = 2", "flow.dt = 1e-3",

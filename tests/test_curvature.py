@@ -649,6 +649,99 @@ def test_each_pair_pays_for_one_checked_pass(monkeypatch):
     assert calls == {"_metric_inverse": 5, "_p_trace": 3}
 
 
+def _counted_cholesky(monkeypatch) -> list:
+    """Record the components of every metric `curvature._cholesky` factors."""
+    calls = []
+    exact = curvature._cholesky
+
+    def counted(comps):
+        calls.append(tuple(comps))
+        return exact(comps)
+
+    monkeypatch.setattr(curvature, "_cholesky", counted)
+    return calls
+
+
+def _every_metric_use(jet):
+    """Run every public operation that checks jet.g as a metric; return
+    their array results."""
+    from xcflow.symbol import parabolicity, to_orthonormal_frame
+
+    g = jet.g
+    riem = riemann(jet)
+    ric, _ = ricci(riem, g)
+    p = einstein_raised(riem, g)
+    forms = cross_curvature_forms(riem, g)
+    frame, vectors = eigen_frame(p, g)
+    vals, vecs = generalized_eigh(ric, g)
+    report = parabolicity(p, g, 0.1)
+    MetricJet(g, jet.dg, jet.ddg)
+    return (riem.lowered, ric.components, p.components, forms.contraction_form.components,
+            forms.mu_form.components, forms.determinant_form.components, frame.as_array(),
+            vectors, vals, vecs, christoffel(jet), *volume_form(g),
+            to_orthonormal_frame(p, g).components, np.array([report.min_modified_eig]))
+
+
+@pytest.mark.parametrize("make_jet", [
+    lambda: space_form_chart_jet(0.7, np.array([0.2, -0.1, 0.3])),
+    lambda: _generic_jet(np.random.default_rng(83)),
+    lambda: jet_from_function(space_form_chart(-0.6), np.array([0.1, 0.3, -0.2])),
+], ids=["chart_jet", "generic_jet", "fd_jet"])
+def test_each_metric_object_is_factored_once(make_jet, monkeypatch):
+    calls = _counted_cholesky(monkeypatch)
+    jet = make_jet()
+    for _ in range(2):
+        first = _every_metric_use(jet)
+    assert calls == [tuple(jet.g.components.tolist())]
+    # an equal metric held in another object is factored again, to the same results
+    twin = MetricJet(SymTensor3(jet.g.components.copy()), jet.dg, jet.ddg)
+    for got, want in zip(_every_metric_use(twin), first):
+        assert got.tobytes() == want.tobytes()
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("components, variance, message", [
+    ([1.0, 0.0, 0.0, -1.0, 1.0, 0.0], "lower", "metric is not positive definite"),
+    ([1.0, 0.0, 0.0, 1.0, 1.0, 0.0], "upper", "a metric must carry lower indices"),
+    ([1e-250, 0.0, 0.0, 1e-250, 1e-250, 0.0], "lower", "metric determinant underflows"),
+    ([1e250, 0.0, 0.0, 1e250, 1e250, 0.0], "lower", "metric determinant overflows"),
+])
+def test_a_failing_metric_is_never_kept(components, variance, message, monkeypatch):
+    calls = _counted_cholesky(monkeypatch)
+    g = SymTensor3(np.array(components), variance)
+    p = SymTensor3.identity("upper")
+    for n, call in enumerate((lambda: curvature._require_metric(g), lambda: volume_form(g),
+                              lambda: eigen_frame(p, g), lambda: constant_jet(g),
+                              lambda: Riemann3.space_form(1.0, g),
+                              lambda: curvature._metric_inverse(g)) * 2):
+        with pytest.raises(DomainError) as caught:
+            call()
+        assert str(caught.value).startswith(message)
+        assert g._factor is None
+    # each call checked g afresh: a lower-index g was factored every time
+    assert len(calls) == (12 if variance == "lower" else 0)
+
+
+def test_the_kept_factor_is_read_only():
+    g = spd(np.random.default_rng(89))
+    factor = curvature._require_metric(g)
+    assert curvature._require_metric(g) is factor and g._factor is factor
+    assert curvature._metric_inverse(g) == (factor.root_det, factor.ginv)
+    for array in (factor.ginv, factor.mu_upper, factor.frame_axes):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 1] = 1.0
+    # the public results stay fresh arrays that belong to the caller
+    mu_lo, mu_up = volume_form(g)
+    mu_up[0, 1, 2] = 7.0
+    assert np.array_equal(curvature._require_metric(g).mu_upper * factor.root_det,
+                          curvature._EPS3)
+    assert np.array_equal(mu_lo, factor.root_det * curvature._EPS3)
+    # the factor is not part of the tensor's value
+    assert "_factor" not in repr(g)
+    assert SymTensor3(g.components.copy())._factor is None
+
+
 def test_inconsistent_pair_raises_on_every_call():
     riem = Riemann3.space_form(1.0, IDENTITY)
     other = SymTensor3(np.array([4.0, 0.3, -0.2, 2.0, 1.0, 0.5]))
@@ -797,13 +890,41 @@ def test_space_form_chart_jet_matches_loop_reference():
         return MetricJet.from_full(eye / u**2, dg, ddg)
 
     rng = np.random.default_rng(59)
-    for _ in range(200):
-        kappa = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 3.0))
-        x = rng.uniform(-0.4, 0.4, 3)
+    cases = [(float(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 3.0)), rng.uniform(-0.4, 0.4, 3))
+             for _ in range(200)]
+    # signed zeros in x set the signs of the zeros in dg
+    cases += [(kappa, np.array(x)) for kappa in (0.8, -1.3)
+              for x in ([0.0, -0.0, 0.3], [-0.0, -0.2, 0.0], [0.0, 0.0, 0.0])]
+    for kappa, x in cases:
         got, want = space_form_chart_jet(kappa, x), loop_jet(kappa, x)
         for a, b in ((got.g.components, want.g.components), (got.dg, want.dg),
                      (got.ddg, want.ddg)):
             assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: space_form_chart_jet(1.0, [1e200, 0.0, 0.0]), "metric is not positive definite"),
+    (lambda: space_form_chart_jet(1.0, [0.0, -math.inf, 0.0]),
+     "metric is not positive definite"),
+    (lambda: space_form_chart_jet(1.0, [math.nan, 0.0, 0.0]), "matrix entries must be finite"),
+    (lambda: space_form_chart_jet(math.inf, [0.0, 0.0, 0.0]), "matrix entries must be finite"),
+    (lambda: space_form_chart_jet(-1.0, [1e200, 0.0, 0.0]), "point lies outside the chart"),
+    # u^3 and u^4 would overflow; the metric is checked before they are formed
+    (lambda: space_form_chart_jet(1.0, [1e60, 0.0, 0.0]), "metric determinant underflows"),
+    (lambda: space_form_chart_jet(1.0, [0.1, 0.2]), "point must be a 3-vector"),
+    (lambda: jet_from_function(space_form_chart(1.0), [1e200, 0.0, 0.0]),
+     "metric is not positive definite"),
+    (lambda: jet_from_function(space_form_chart(1.0), [math.inf, 0.0, 0.0]),
+     "metric is not positive definite"),
+    (lambda: jet_from_function(space_form_chart(1.0), [math.nan, 0.0, 0.0]),
+     "metric callback returned non-finite samples"),
+], ids=["huge", "inf", "nan", "inf_kappa", "outside", "underflow", "short", "fd_huge",
+        "fd_inf", "fd_nan"])
+def test_chart_jets_raise_their_named_error_without_numpy_warnings(make, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message):
+            make()
 
 
 def loop_jet_reference(g_fn, x, step=1e-3, richardson=False):

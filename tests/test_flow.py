@@ -68,6 +68,29 @@ class TestFlowParams:
         with pytest.raises(DomainError, match=field):
             FlowParams(**args)
 
+    @pytest.mark.parametrize("field", ["rho", "lam", "dt", "t_end"])
+    @pytest.mark.parametrize("value", ["0.1", b"0.1", True, 1j])
+    def test_values_that_are_not_real_numbers_rejected(self, field, value):
+        # float() would read "0.1", b"0.1" and True; none is a real parameter
+        args = {"rho": 0.0, "epsilon": +1, "lam": 2.0, "dt": 1e-3, "t_end": 1.0,
+                "unsafe_signs": True, field: value}
+        with pytest.raises(DomainError, match=f"{field} must be a finite real number"):
+            FlowParams(**args)
+
+    @pytest.mark.parametrize("value", [True, False, 1.5, "1", None])
+    def test_epsilon_is_a_sign(self, value):
+        with pytest.raises(DomainError, match="epsilon must be \\+1 or -1"):
+            FlowParams(rho=0.0, epsilon=value, lam=2.0, dt=1e-3, t_end=1.0,
+                       unsafe_signs=True)
+
+    def test_real_values_are_kept_as_python_floats(self):
+        params = FlowParams(rho=np.float64(0.1), epsilon=np.int64(1), lam=np.float32(0.3),
+                            dt=1e-3, t_end=1)
+        assert [type(v) for v in (params.rho, params.lam, params.dt, params.t_end)] == [float] * 4
+        # a float32 lam used to run the flow in float32
+        same = FlowParams(rho=0.1, epsilon=1, lam=float(np.float32(0.3)), dt=1e-3, t_end=1.0)
+        assert integrate(params).records == integrate(same).records
+
 
 class TestRhs:
     def test_unit_sphere_values(self):

@@ -692,6 +692,21 @@ class TestParabolicity:
         with pytest.raises(DomainError):
             parabolicity(**args)
 
+    @pytest.mark.parametrize("rho", ["0.1", b"0.1", bytearray(b"0.1"), True, False, 1j,
+                                     10**400, [0.1]],
+                             ids=["str", "bytes", "bytearray", "true", "false", "complex",
+                                  "huge_int", "list"])
+    def test_rho_must_be_a_finite_real_number(self, rho):
+        # float() reads "0.1", b"0.1" and True, but none of them is a real parameter
+        with pytest.raises(DomainError, match="rho must be a finite real number"):
+            parabolicity(P_IDENTITY, IDENTITY, rho)
+        with pytest.raises(DomainError, match="rho must be a finite real number"):
+            symbol_raw(P_IDENTITY, rho, E1)
+
+    def test_rho_accepts_real_numbers(self):
+        for rho in (0, np.float64(0.1), np.float32(0.25), np.int64(0), np.array(0.1)):
+            assert parabolicity(P_IDENTITY, IDENTITY, rho).rho == float(rho)
+
     def test_imag_residue_is_relative_to_the_symbol_scale(self):
         p = SymTensor3(np.array([1e150, 0.0, 0.0, 1.0, 1.0, 0.0]), "upper")
         assert parabolicity(p, IDENTITY, 0.0).max_imag_residue <= IMAG_RESIDUE_TOL
@@ -709,6 +724,20 @@ class TestHelpers:
         d2 = unit_directions(200)
         assert np.array_equal(d1, d2)
         assert np.abs(np.linalg.norm(d1, axis=1) - 1.0).max() < 1e-14
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True, False, "3", None, float("nan")])
+    def test_unit_directions_takes_an_integer(self, n):
+        with pytest.raises(DomainError, match="must be an integer"):
+            unit_directions(n)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_unit_directions_needs_one_direction(self, n):
+        with pytest.raises(DomainError, match="at least one direction"):
+            unit_directions(n)
+
+    def test_unit_directions_accepts_numpy_integers(self):
+        assert np.array_equal(unit_directions(np.int64(7)), unit_directions(7))
+        assert unit_directions(1).shape == (1, 3)
 
     def test_symbol_matrix_metadata(self):
         m = symbol_raw(P_IDENTITY, 0.5, np.array([0.0, 2.0, 0.0]))
