@@ -34,13 +34,20 @@ def stated_threshold(lowest: float, highest: float, sign: int) -> float:
     return lowest / 4.0 if sign > 0 else -highest / 2.0
 
 
+def is_bool(value) -> bool:
+    """Whether `value` is a bool: Python's, numpy's or a bool array.  numpy's
+    are told by their dtype's kind, so this module needs no numpy."""
+    return (isinstance(value, bool)
+            or getattr(getattr(value, "dtype", None), "kind", None) == "b")
+
+
 def finite_real(value, name: str) -> float:
     """`value` as a finite float, or a DomainError "<name> must be a finite
-    real number".  A str, bytes or bool is refused, though float() would
-    read it ("0.1" as 0.1, True as 1.0), as is whatever float() refuses or
-    reads as nan or +-inf."""
+    real number".  A str, bytes or bool (numpy's too) is refused, though
+    float() would read it ("0.1" as 0.1, True as 1.0), as is whatever
+    float() refuses or reads as nan or +-inf."""
     number = None
-    if not isinstance(value, (str, bytes, bytearray, bool)):
+    if not (isinstance(value, (str, bytes, bytearray)) or is_bool(value)):
         try:
             number = float(value)
         except (TypeError, ValueError, OverflowError):  # None, 1j, 10**400

@@ -856,15 +856,21 @@ def jet_from_function(
         raise
     if stack.shape[1:] != (3, 3) or not np.isfinite(stack).all():
         _stencil_failure(samples, points, step)
+    # per step: 2h, h^2 and 4h^2 in Python floats, as the written-out
+    # differences divide by them; h^2 raises where it overflows, 4h^2 turns inf
+    try:
+        div = [[2.0 * h, h**2, 4.0 * h**2] for h in steps]
+    except OverflowError:
+        div = [[math.inf]]
+    if div[0][-1] == math.inf:
+        raise DomainError(_CHART_OVERFLOW)
 
     packed = stack[:, _ROWS, _COLS]
     centre = packed[0]
     blocks = packed[1:].reshape(len(steps), 18, 6)
     plus, minus = blocks[:, 0:6:2], blocks[:, 1:6:2]
     corners = blocks[:, 6:].reshape(len(steps), 3, 4, 6)
-    # per step: 2h, h^2 and 4h^2 in Python floats, as the written-out
-    # differences divide by them
-    div = np.array([[2.0 * h, h**2, 4.0 * h**2] for h in steps])[:, :, None, None]
+    div = np.array(div)[:, :, None, None]
     dg = (plus - minus) / div[:, 0]
     pure = (plus - 2.0 * centre + minus) / div[:, 1]
     mixed = (corners[:, :, 0] - corners[:, :, 1] - corners[:, :, 2]
@@ -878,6 +884,10 @@ def jet_from_function(
     return MetricJet(SymTensor3.from_matrix(stack[0]), dg, ddg)
 
 
+_CHART_OVERFLOW = ("the chart metric or its differences overflow; kappa, point and "
+                  "fd_step must keep them finite")
+# the largest kappa whose 1.5 kappa, a factor of the chart's ddg, is finite
+_CHART_KAPPA_MAX = 1.1984620899082103e308
 _CHART_IDENTITY = np.eye(3)
 _CHART_IDENTITY.flags.writeable = False
 # delta_ij and -delta_ij, packed
@@ -885,11 +895,11 @@ _PACKED_IDENTITY = _IDENTITY.components
 _NEG_PACKED_IDENTITY = _frozen(-_PACKED_IDENTITY)
 
 
-def _conformal_factor(kappa: float, x: np.ndarray) -> float:
-    """u = 1 + kappa |x|^2 / 4 of the conformal chart, a DomainError where
-    u <= 0.  |x|^2 is numpy's x @ x; a coordinate of 1e150 or more can
-    overflow it, so there it is taken without numpy's overflow warning: the
-    inf makes g = 0, which the metric check names."""
+def _conformal_factor(kappa: float, x: np.ndarray) -> tuple[float, float]:
+    """u = 1 + kappa |x|^2 / 4 of the conformal chart and u^2, a DomainError
+    where u <= 0 or u^2 overflows.  |x|^2 is numpy's x @ x; a coordinate of
+    1e150 or more can overflow it, so there it is taken without numpy's
+    overflow warning: the inf makes g = 0, which the metric check names."""
     coords = x.ravel().tolist()
     # max and min may pass over a nan, never over a coordinate of 1e150 or more
     if max(coords) < 1e150 and min(coords) > -1e150:
@@ -900,7 +910,10 @@ def _conformal_factor(kappa: float, x: np.ndarray) -> float:
     u = 1.0 + kappa * r2 / 4.0
     if u <= 0.0:
         raise DomainError("point lies outside the chart domain")
-    return u
+    try:
+        return u, u**2
+    except OverflowError as exc:
+        raise DomainError(_CHART_OVERFLOW) from exc
 
 
 def space_form_chart(kappa: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -908,8 +921,8 @@ def space_form_chart(kappa: float) -> Callable[[np.ndarray], np.ndarray]:
     g_ij(x) = delta_ij (1 + kappa |x|^2 / 4)^-2."""
 
     def g_fn(x: np.ndarray) -> np.ndarray:
-        u = _conformal_factor(kappa, np.asarray(x, dtype=float))
-        return _CHART_IDENTITY / u**2  # a fresh array; the identity stays read-only
+        _, u2 = _conformal_factor(kappa, np.asarray(x, dtype=float))
+        return _CHART_IDENTITY / u2  # a fresh array; the identity stays read-only
 
     return g_fn
 
@@ -921,19 +934,26 @@ def space_form_chart_jet(kappa: float, x: np.ndarray) -> MetricJet:
     from -delta_ij packed, each entry with the operations, in the order, of
     the formulas below.  The metric is checked before its derivatives are
     formed, so a point where g is not a metric raises its DomainError with
-    no numpy warning."""
+    no numpy warning.  A u^2, u^3 or u^4 beyond the float range, or a
+    |kappa| whose 1.5 kappa is, raises a DomainError that names them."""
     x = np.asarray(x, dtype=float)
     if x.shape != (3,):
         raise DomainError(f"point must be a 3-vector, got shape {x.shape}")
-    u = _conformal_factor(kappa, x)
-    diagonal = 1.0 / u**2
+    u, u2 = _conformal_factor(kappa, x)
+    diagonal = 1.0 / u2
     if diagonal != diagonal:  # u is nan: a nan in x or kappa
         raise DomainError("matrix entries must be finite")
     g = SymTensor3._made([diagonal, 0.0, 0.0, diagonal, diagonal, 0.0])
     _require_metric(g)
+    if abs(kappa) > _CHART_KAPPA_MAX:
+        raise DomainError(_CHART_OVERFLOW)
+    try:
+        u3, u4 = u**3, u**4
+    except OverflowError as exc:
+        raise DomainError(_CHART_OVERFLOW) from exc
     # dg_kij = -delta_ij kappa x_k / u^3 and
     # ddg_klij = -delta_ij kappa (delta_kl / u^3 - 3/2 kappa x_k x_l / u^4)
-    dg = _NEG_PACKED_IDENTITY * kappa * x[:, None] / u**3
-    inner = _PACKED_IDENTITY / u**3 - (1.5 * kappa * x)[_ROWS] * x[_COLS] / u**4
+    dg = _NEG_PACKED_IDENTITY * kappa * x[:, None] / u3
+    inner = _PACKED_IDENTITY / u3 - (1.5 * kappa * x)[_ROWS] * x[_COLS] / u4
     ddg = (_NEG_PACKED_IDENTITY * kappa)[None, :] * inner[:, None]
     return MetricJet(g, dg, ddg)

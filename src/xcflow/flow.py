@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from math import isfinite
 from typing import TYPE_CHECKING, NamedTuple
 
-from .bounds import finite_real, stated_threshold
+from .bounds import finite_real, is_bool, stated_threshold
 from .errors import DomainError, ExtinctStateError, ExtinctionExceededError
 
 if TYPE_CHECKING:
@@ -70,7 +70,7 @@ class FlowParams:
     unsafe_signs: bool = False
 
     def __post_init__(self):
-        if self.epsilon not in (+1, -1) or isinstance(self.epsilon, bool):
+        if is_bool(self.epsilon) or self.epsilon not in (+1, -1):
             raise DomainError(f"epsilon must be +1 or -1, got {self.epsilon!r}")
         for name in ("rho", "lam", "dt", "t_end"):  # a numpy float32 would run in float32
             object.__setattr__(self, name, finite_real(getattr(self, name), name))

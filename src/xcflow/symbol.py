@@ -26,7 +26,7 @@ eigenvalues, and decides in closed form from q_min = min(s lambda).  That
 solver certifies every eigenpair by its residual (`curvature._frame_eigh`),
 so q_min is the minimum of s q over the whole unit sphere to rounding, not
 over sampled directions.  `parabolicity` assembles the symbol only at P's
-three eigenvectors, to check its spectra there against the closed form.
+three eigenvectors, to check it there against the closed form below.
 At an eigenvector v_n the other two already span the plane orthogonal to
 it, so the frame (v_n, v_{n+1}, v_{n+2}) (indices mod 3) stands in for
 the Householder frame that `quotient_blocks` builds at a general
@@ -43,9 +43,9 @@ W = diag(1, 2, 2, 1, 1, 2) the Frobenius weight of packed components),
 and
     spec R = {0, 0, 0} + spec B,    spec S = {1, 1, 1} + spec B.
 `quotient_blocks` checks that structure on the assembled stacks before
-it returns B.  Every spectrum, `parabolicity`'s and `spectrum`'s, is read
-off B, so the structural eigenvalues are exact, not solved for in the
-non-normal 6x6 matrix; `verify` keeps the full 6x6 solve as the reference.
+it returns B.  `spectrum` reads every spectrum off B, so the structural
+eigenvalues are exact, not solved for in the non-normal 6x6 matrix;
+`verify` keeps the full 6x6 solve as the reference.
 
 B is symmetric.  A variation m in T has m xi = 0, so xi^T m xi = 0, and
 the three terms xi (m P xi)^T + (m P xi) xi^T and tr(P m) xi xi^T of the
@@ -54,9 +54,17 @@ q m - 2 rho tr(m) I with q = xi^T P xi.  The identity splits as xi xi^T
 in K plus pi = I - xi xi^T in T, and tr m = <pi, m> on T, so
     B = q 1 - 2 rho pi pi^T
 in the basis E, with |pi|^2 = 2: symmetric, with spec B = {q, q, q -
-4 rho}.  Every spectrum is therefore taken with the symmetric solver
-`eigvalsh` on the symmetric part (B + B^T) / 2; the skew part (B - B^T) / 2
-is rounding alone.  By Bendixson's theorem every eigenvalue of B lies
+4 rho}.  In the frame (v_n, v_{n+1}, v_{n+2}) of an eigenvector v_n, pi
+has the T-coordinates (1, 1, 0), so B_n has the diagonal (q - 2 rho,
+q - 2 rho, q), -2 rho at (1, 2) and (2, 1) and zeros elsewhere, with
+q = s lambda_n.  `parabolicity` compares each B_n with that entry by entry,
+within STRUCTURE_TOL / 3 of the symbol scale, and solves no eigenproblem
+of its own: a 3x3 matrix has |M|_2 <= 3 max |M_ij|, so by Weyl's
+inequality the spectrum of B_n is then within STRUCTURE_TOL of {q, q,
+q - 4 rho}, and a block rotated within its spectrum fails too.  `spectrum`
+takes its eigenvalues with the symmetric solver `eigvalsh` on the
+symmetric part (B + B^T) / 2; the skew part (B - B^T) / 2 is rounding
+alone.  By Bendixson's theorem every eigenvalue of B lies
 within |(B - B^T) / 2|_2 of the real axis, so that norm bounds the
 imaginary residue a general solve of B could return.  Over the symbol
 scale, it is the `max_imag_residue` a report carries, and `spectrum`
@@ -180,9 +188,9 @@ def symbol_stacks(p: SymTensor3, rho: float, xis) -> tuple[np.ndarray, np.ndarra
     gauge-fixed symbol is their difference.  One matrix product with the
     components of xi xi^T assembles every matrix of both stacks.
     """
-    weights = np.append(p.components, _symbol_data(p, rho))
+    weights = np.array([*p.components.tolist(), _symbol_data(p, rho)])
     v = np.asarray(xis, dtype=float)
-    coeff = np.hstack([(weights @ _RAW_COEFF).reshape(6, 36), _GAUGE_COEFF])
+    coeff = np.concatenate([(weights @ _RAW_COEFF).reshape(6, 36), _GAUGE_COEFF], axis=1)
     stacks = ((v[:, _ROWS] * v[:, _COLS]) @ coeff).reshape(len(v), 2, 6, 6)
     return stacks[:, 0], stacks[:, 1]
 
@@ -243,11 +251,15 @@ def _block_spectra(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError("symbol matrix entries overflow: P or rho is too large")
     # halves first, so neither the sum nor the difference overflows
     half, half_t = 0.5 * blocks, 0.5 * blocks.swapaxes(-1, -2)
+    return np.linalg.eigvalsh(half + half_t), _skew_norms(half, half_t)
+
+
+def _skew_norms(half: np.ndarray, half_t: np.ndarray) -> np.ndarray:
+    """Spectral norm of the skew part B / 2 - B^T / 2 of each 3x3 block, from
+    the halves B / 2 and B^T / 2: a 3x3 skew matrix with entries a, b, c
+    above its diagonal has eigenvalues 0 and +-i |(a, b, c)|."""
     skew = half - half_t
-    # a 3x3 skew matrix with entries a, b, c above its diagonal has
-    # eigenvalues 0 and +-i |(a, b, c)|
-    skew_norm = np.hypot(np.hypot(skew[..., 0, 1], skew[..., 0, 2]), skew[..., 1, 2])
-    return np.linalg.eigvalsh(half + half_t), skew_norm
+    return np.hypot(np.hypot(skew[..., 0, 1], skew[..., 0, 2]), skew[..., 1, 2])
 
 
 def spectrum(m: SymbolMatrix) -> np.ndarray:
@@ -327,9 +339,9 @@ def _frame_blocks(raw: np.ndarray, gauge: np.ndarray,
     raw_basis = (raw / raw_scale) @ basis
     gauge_basis = gauge @ basis
     residuals = (
-        ("raw symbol on K", np.abs(raw_basis[..., :3]).max()),
-        ("gauge term on K plus identity", np.abs(gauge_basis[..., :3] + basis[..., :3]).max()),
-        ("gauge term on T, projected to T", np.abs(t_dual @ gauge_basis[..., 3:]).max()),
+        ("raw symbol on K", abs(raw_basis[..., :3]).max()),
+        ("gauge term on K plus identity", abs(gauge_basis[..., :3] + basis[..., :3]).max()),
+        ("gauge term on T, projected to T", abs(t_dual @ gauge_basis[..., 3:]).max()),
     )
     for name, residual in residuals:
         if residual > STRUCTURE_TOL:
@@ -356,7 +368,8 @@ def quotient_blocks(raw: np.ndarray, gauge: np.ndarray, xis) -> tuple[np.ndarray
     none of them overflows; G is already of order 1 at unit xi.  A
     residual above STRUCTURE_TOL raises InternalConsistencyError.  Entries
     that overflowed to inf or nan make every residual nan, which passes
-    here and reaches `_block_spectra` in B.
+    here and reaches the finiteness test of `_block_spectra` (or of
+    `parabolicity`) in B.
     """
     return _frame_blocks(raw, gauge, _householder_frames(np.asarray(xis, dtype=float)))
 
@@ -452,9 +465,11 @@ def parabolicity(
     quotient blocks at P's eigenvectors v_n pass the structure checks of
     `quotient_blocks`, in the frames (v_n, v_{n+1}, v_{n+2}) those
     eigenvectors already form.  One more self-check raises
-    InternalConsistencyError beyond STRUCTURE_TOL of the symbol scale: the
-    blocks must have the spectra {s lambda_i, s lambda_i, s lambda_i -
-    4 rho}.  The eigenpairs themselves are certified by `_frame_eigh`.
+    InternalConsistencyError beyond STRUCTURE_TOL / 3 of the symbol scale:
+    each block B_n must equal q_n 1 - 2 rho pi pi^T, q_n = s lambda_n,
+    entry by entry, which by Weyl's inequality puts its spectrum within
+    STRUCTURE_TOL of {q_n, q_n, q_n - 4 rho}.  The eigenpairs themselves
+    are certified by `_frame_eigh`, the one eigensolve of a query.
     `direction_samples`, an integer from 1 to MAX_DIRECTION_SAMPLES, is
     only echoed in the report.
     """
@@ -468,29 +483,40 @@ def parabolicity(
     rho = _symbol_data(p, rho)
 
     frame, gen_eigs, gen_vecs, _ = _frame_eigh(p, g)
-    lo, hi = (p.components[0],) * 2 if mode == "frame" else (gen_eigs[0], gen_eigs[-1])
-    threshold = stated_threshold(float(lo), float(hi), sign)
-    q = sign * gen_eigs
-    critical = int(q.argmin())
-    q_min = float(q[critical])
+    eigs = gen_eigs.tolist()
+    lo, hi = (float(p.components[0]),) * 2 if mode == "frame" else (eigs[0], eigs[-1])
+    threshold = stated_threshold(lo, hi, sign)
+    q = [sign * e for e in eigs]
+    q_min = min(q)
+    critical = q.index(q_min)
 
-    vecs = gen_vecs.T / np.linalg.norm(gen_vecs.T, axis=1, keepdims=True)
-    signed = SymTensor3(sign * frame, "upper")
+    # unit eigenvectors by rows, through numpy's norm along axis 1 written out
+    rows = gen_vecs.T
+    vecs = rows / np.sqrt(np.add.reduce(rows * rows, axis=1, keepdims=True))
+    signed = SymTensor3._made(sign * frame, "upper")
     # P's eigenvectors, taken cyclically, frame K(v_n) + T(v_n) at each v_n.
-    # P or rho large enough to overflow the symbol entries ends as the
-    # DomainError of _block_spectra, without numpy's overflow warnings first
+    # P or rho large enough to overflow the symbol entries ends in the
+    # DomainError below, without numpy's overflow warnings first
     with np.errstate(over="ignore", invalid="ignore"):
         blocks, raw_scale = _frame_blocks(*symbol_stacks(signed, rho, vecs), vecs[_CYCLIC])
-    eigs, skew_norms = _block_spectra(blocks)
-    # the check in units of the symbol scale, where nothing overflows
-    qs = (q / raw_scale).tolist()
-    shift = 4.0 * (rho / raw_scale)
-    mismatch = max(abs(e - c) for row, qn in zip((eigs / raw_scale).tolist(), qs)
-                   for e, c in zip(row, sorted((qn, qn, qn - shift))))
-    if not mismatch <= STRUCTURE_TOL:
+    # B_n against q_n 1 - 2 rho pi pi^T, pi = (1, 1, 0) in T's coordinates,
+    # entry by entry in units of the symbol scale, where nothing overflows
+    entries = (blocks / raw_scale).ravel().tolist()
+    if not all(map(math.isfinite, entries)):
+        raise DomainError("symbol matrix entries overflow: P or rho is too large")
+    two_rho = 2.0 * (rho / raw_scale)
+    closed = []
+    for qn in [e / raw_scale for e in q]:
+        closed += (qn - two_rho, -two_rho, 0.0, -two_rho, qn - two_rho, 0.0, 0.0, 0.0, qn)
+    mismatch = max(map(abs, map(operator.sub, entries, closed)))
+    # |B - C|_2 <= 3 max |B - C| for 3x3 blocks, so by Weyl's inequality the
+    # spectra of B_n are within STRUCTURE_TOL of {q, q, q - 4 rho}
+    if not mismatch <= STRUCTURE_TOL / 3.0:
         raise InternalConsistencyError(
-            "parabolicity self-check: spectrum at P's eigenvectors off {q, q, q - 4 rho} "
-            f"by {mismatch:.3e} of the symbol scale")
+            "parabolicity self-check: a quotient block at P's eigenvectors is off "
+            f"q 1 - 2 rho pi pi^T by {mismatch:.3e} of the symbol scale")
+    half = 0.5 * blocks
+    skew_norms = _skew_norms(half, half.swapaxes(-1, -2))
     lowest = min(q_min, q_min - 4.0 * rho)
     min_raw, min_modified = min(0.0, lowest), min(1.0, lowest)
     branch = "gauge" if lowest >= 1.0 else "q - 4 rho" if rho > 0.0 else "q"

@@ -288,6 +288,33 @@ def test_curvature_json_report_is_pinned(argv, inputs, digest, tmp_path, monkeyp
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+# sha256 of `xcflow symbol ... --format json`, taken while parabolicity still
+# compared the spectra of its quotient blocks: the entrywise check must leave
+# the report the same byte for byte.  Same numpy and platform caveat as above.
+PINNED_SYMBOL_REPORTS = [
+    ("threshold", ["--frame", "0.2,5,5", "--rho", "0.04"],
+     "9b0c51b7ce5eaeaa3886d65e4218b9fd72d2fff8c6b73baf8461ce52cba0841a"),
+    ("threefold_weak", ["--frame", "2,2,2", "--rho", "0.5"],
+     "4784b5b082e750ddcac5c0d8bcd9d3f7040b1aa561c099025fa2677f909d59be"),
+    ("negative", ["--p", "-2,0,0,-2.5,-2.5,0.5", "--case", "negative", "--rho", "0.3"],
+     "5ce6d216e59dd77e8e57ab0eca2432026c29f8d13834821bde4eb4c45da11952"),
+    ("wide_range", ["--frame", "1e-8,1,1e8"],
+     "cbe60e3b70d3d23259e180d7dfed7904f5787fecfb85f7d18329e8bfb7e987f5"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", [case[1:] for case in PINNED_SYMBOL_REPORTS],
+                         ids=[case[0] for case in PINNED_SYMBOL_REPORTS])
+def test_symbol_json_report_is_pinned(argv, digest, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["symbol", *argv, "--format", "json",
+                         "--output", str(path)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("command,lines", [
     ("symbol", ["symbol.frame = 1,2,3", "symbol.direction_samples = 2.5"]),
     ("flow", ["flow.rho = 0", "flow.epsilon = 1", "flow.lambda = 2", "flow.dt = 1e-3",

@@ -902,6 +902,10 @@ def test_space_form_chart_jet_matches_loop_reference():
             assert a.tobytes() == b.tobytes()
 
 
+CHART_OVERFLOW = ("the chart metric or its differences overflow; kappa, point and fd_step "
+                  "must keep them finite")
+
+
 @pytest.mark.parametrize("make, message", [
     (lambda: space_form_chart_jet(1.0, [1e200, 0.0, 0.0]), "metric is not positive definite"),
     (lambda: space_form_chart_jet(1.0, [0.0, -math.inf, 0.0]),
@@ -918,13 +922,42 @@ def test_space_form_chart_jet_matches_loop_reference():
      "metric is not positive definite"),
     (lambda: jet_from_function(space_form_chart(1.0), [math.nan, 0.0, 0.0]),
      "metric callback returned non-finite samples"),
+    # powers of u, 1.5 kappa and the stencil's divisors that leave the float range
+    (lambda: space_form_chart_jet(1.0, [1e45, 0.0, 0.0]), CHART_OVERFLOW),  # u^4
+    (lambda: space_form_chart_jet(1.0, [1e100, 0.0, 0.0]), CHART_OVERFLOW),  # u^2
+    (lambda: space_form_chart_jet(1.0, [1e153, 0.0, 0.0]), CHART_OVERFLOW),
+    (lambda: space_form_chart_jet(1.5e308, [0.0, 0.0, 0.0]), CHART_OVERFLOW),
+    (lambda: space_form_chart_jet(-1.5e308, [0.0, 0.0, 0.0]), CHART_OVERFLOW),
+    (lambda: space_form_chart(1.0)(np.array([1e100, 0.0, 0.0])), CHART_OVERFLOW),
+    (lambda: jet_from_function(space_form_chart(1.0), [1e100, 0.0, 0.0]), CHART_OVERFLOW),
+    # a sample one step away overflows u^2, and the stencil names it
+    (lambda: jet_from_function(space_form_chart(1.0), [0.1, 0.2, 0.3], step=1e154),
+     "stencil leaves the metric's domain.*" + CHART_OVERFLOW),
+    (lambda: jet_from_function(space_form_chart(1.0), [0.1, 0.2, 0.3], step=1e160),
+     CHART_OVERFLOW),  # h^2
+    (lambda: jet_from_function(lambda x: np.eye(3), [0.1, 0.2, 0.3], step=1e154),
+     CHART_OVERFLOW),  # 4 h^2
+    (lambda: jet_from_function(lambda x: np.eye(3), [0.1, 0.2, 0.3], step=1e154,
+                               richardson=True), CHART_OVERFLOW),
 ], ids=["huge", "inf", "nan", "inf_kappa", "outside", "underflow", "short", "fd_huge",
-        "fd_inf", "fd_nan"])
+        "fd_inf", "fd_nan", "u4_overflows", "u2_overflows", "u2_overflows_edge",
+        "kappa_overflows", "negative_kappa_overflows", "chart_overflows", "fd_centre_overflows",
+        "fd_sample_overflows", "fd_step_overflows", "fd_step_mixed_overflows",
+        "fd_step_richardson_overflows"])
 def test_chart_jets_raise_their_named_error_without_numpy_warnings(make, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=message):
             make()
+
+
+def test_chart_jet_keeps_the_largest_kappa_whose_products_are_finite():
+    kappa = 1.1984620899082103e308  # the largest kappa with 1.5 kappa finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        jet = space_form_chart_jet(kappa, [0.0, 0.0, 0.0])
+    assert jet.g.components.tolist() == [1.0, 0.0, 0.0, 1.0, 1.0, 0.0]
+    assert np.isfinite(jet.ddg).all() and jet.ddg[0, 0] == -kappa
 
 
 def loop_jet_reference(g_fn, x, step=1e-3, richardson=False):

@@ -69,15 +69,16 @@ class TestFlowParams:
             FlowParams(**args)
 
     @pytest.mark.parametrize("field", ["rho", "lam", "dt", "t_end"])
-    @pytest.mark.parametrize("value", ["0.1", b"0.1", True, 1j])
+    @pytest.mark.parametrize("value", ["0.1", b"0.1", True, 1j, np.True_, np.array(True)])
     def test_values_that_are_not_real_numbers_rejected(self, field, value):
-        # float() would read "0.1", b"0.1" and True; none is a real parameter
+        # float() would read "0.1", b"0.1" and True, numpy's bools too; none is
+        # a real parameter
         args = {"rho": 0.0, "epsilon": +1, "lam": 2.0, "dt": 1e-3, "t_end": 1.0,
                 "unsafe_signs": True, field: value}
         with pytest.raises(DomainError, match=f"{field} must be a finite real number"):
             FlowParams(**args)
 
-    @pytest.mark.parametrize("value", [True, False, 1.5, "1", None])
+    @pytest.mark.parametrize("value", [True, False, 1.5, "1", None, np.True_, np.array(True)])
     def test_epsilon_is_a_sign(self, value):
         with pytest.raises(DomainError, match="epsilon must be \\+1 or -1"):
             FlowParams(rho=0.0, epsilon=value, lam=2.0, dt=1e-3, t_end=1.0,

@@ -399,13 +399,100 @@ class TestClosedForm:
                        for n in (1, 50, 200, 5000)}
             assert len(reports) == 1
 
-    def test_a_wrong_block_eigenvalue_trips_the_check_at_the_eigenvectors(self, monkeypatch):
-        # the eigenpairs of P are right, the spectrum of a quotient block is not
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: eigvalsh(m) + [0.0, 1e-9, 0.0])
+    @staticmethod
+    def _perturb_blocks(monkeypatch, change):
+        """Make `parabolicity` check `change(blocks, raw_scale)` in place of
+        its quotient blocks; returns the list of (blocks, raw_scale) it saw."""
+        frame_blocks, seen = symbol_module._frame_blocks, []
+
+        def perturbed(raw, gauge, frames):
+            blocks, raw_scale = frame_blocks(raw, gauge, frames)
+            blocks = change(blocks, raw_scale)
+            seen.append((blocks, raw_scale))
+            return blocks, raw_scale
+
+        monkeypatch.setattr(symbol_module, "_frame_blocks", perturbed)
+        return seen
+
+    @staticmethod
+    def _spectra_match(blocks, raw_scale, q, rho):
+        """The check at P's eigenvectors as it was before it compared entries:
+        the spectrum of each block's symmetric part against {q, q, q - 4 rho},
+        within STRUCTURE_TOL of the symbol scale."""
+        sym = 0.5 * blocks + 0.5 * blocks.swapaxes(-1, -2)
+        eigs = np.linalg.eigvalsh(sym) / raw_scale
+        closed = np.sort(np.column_stack([q, q, q - 4.0 * rho]), axis=1) / raw_scale
+        return np.abs(eigs - closed).max() <= symbol_module.STRUCTURE_TOL
+
+    def test_a_wrong_block_entry_trips_the_check_at_the_eigenvectors(self, monkeypatch):
+        # the eigenpairs of P are right, one entry of a quotient block is not
+        def change(blocks, raw_scale):
+            blocks[1, 0, 2] += 1e-9 * raw_scale
+            return blocks
+
+        self._perturb_blocks(monkeypatch, change)
         p = SymTensor3(np.array([3.0, 0.4, -0.2, 2.0, 1.0, 0.3]), "upper")
-        with pytest.raises(InternalConsistencyError, match="spectrum at P's eigenvectors"):
+        with pytest.raises(InternalConsistencyError,
+                           match="quotient block at P's eigenvectors is off q 1 - 2 rho"):
             parabolicity(p, IDENTITY, 0.2)
+
+    @pytest.mark.parametrize("fraction, raises", [(0.25, False), (0.5, True)])
+    def test_the_entrywise_tolerance_is_a_third_of_the_spectral_one(self, fraction, raises,
+                                                                    monkeypatch):
+        # |B - C|_2 <= 3 max |B - C|: an entry may be off by STRUCTURE_TOL / 3,
+        # though an entry off by STRUCTURE_TOL / 2 moves no eigenvalue that far
+        def change(blocks, raw_scale):
+            blocks[1, 0, 2] += fraction * symbol_module.STRUCTURE_TOL * raw_scale
+            return blocks
+
+        seen = self._perturb_blocks(monkeypatch, change)
+        p = SymTensor3(np.array([3.0, 0.0, 0.0, 2.0, 1.0, 0.0]), "upper")
+        if raises:
+            with pytest.raises(InternalConsistencyError, match="quotient block"):
+                parabolicity(p, IDENTITY, 0.2)
+        else:
+            assert parabolicity(p, IDENTITY, 0.2).verdict == "strictly_parabolic_deturck"
+        (blocks, raw_scale), = seen
+        assert self._spectra_match(blocks, raw_scale, np.array([1.0, 2.0, 3.0]), 0.2)
+
+    def test_a_block_rotated_within_its_spectrum_trips_the_check(self, monkeypatch):
+        # R B R^T has B's spectrum but not its entries: the spectral check
+        # passed it, the entrywise one does not
+        c, s_ = np.cos(1e-3), np.sin(1e-3)
+        rotation = np.array([[c, -s_, 0.0], [s_, c, 0.0], [0.0, 0.0, 1.0]])
+
+        def change(blocks, raw_scale):
+            blocks[0] = rotation @ blocks[0] @ rotation.T
+            return blocks
+
+        seen = self._perturb_blocks(monkeypatch, change)
+        # P diagonal: v_n = +-e_n, q_n = P_nn
+        p = SymTensor3(np.array([3.0, 0.0, 0.0, 2.0, 1.0, 0.0]), "upper")
+        rho = 0.2
+        with pytest.raises(InternalConsistencyError,
+                           match="quotient block at P's eigenvectors is off"):
+            parabolicity(p, IDENTITY, rho)
+        (blocks, raw_scale), = seen
+        assert self._spectra_match(blocks, raw_scale, np.array([1.0, 2.0, 3.0]), rho)
+
+    def test_one_eigensolve_per_query(self, monkeypatch):
+        # _frame_eigh's eigh, and no eigensolve of the quotient blocks
+        calls = {"eigh": 0, "eigvalsh": 0, "eigvals": 0, "eig": 0}
+        for name in calls:
+            solver = getattr(np.linalg, name)
+
+            def counted(*args, _solver=solver, _name=name, **kwargs):
+                calls[_name] += 1
+                return _solver(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        rng = np.random.default_rng(47)
+        for n in range(1, 7):
+            m = rng.uniform(-1, 1, (3, 3))
+            g = SymTensor3.from_matrix(m @ m.T + 0.5 * np.eye(3))
+            parabolicity(sym_upper(rng), g, float(rng.uniform(-2, 2)),
+                         int(rng.choice([1, -1])), str(rng.choice(["frame", "all_directions"])))
+            assert calls == {"eigh": n, "eigvalsh": 0, "eigvals": 0, "eig": 0}
 
     def test_a_wrong_minimum_trips_the_eigensolve_certificate(self, monkeypatch):
         # a rotated frame with its Rayleigh quotients as "eigenvalues": the
@@ -693,11 +780,13 @@ class TestParabolicity:
             parabolicity(**args)
 
     @pytest.mark.parametrize("rho", ["0.1", b"0.1", bytearray(b"0.1"), True, False, 1j,
-                                     10**400, [0.1]],
+                                     10**400, [0.1], np.True_, np.False_, np.array(True)],
                              ids=["str", "bytes", "bytearray", "true", "false", "complex",
-                                  "huge_int", "list"])
+                                  "huge_int", "list", "numpy_true", "numpy_false",
+                                  "bool_array"])
     def test_rho_must_be_a_finite_real_number(self, rho):
-        # float() reads "0.1", b"0.1" and True, but none of them is a real parameter
+        # float() reads "0.1", b"0.1" and True (numpy's too), but none of them
+        # is a real parameter
         with pytest.raises(DomainError, match="rho must be a finite real number"):
             parabolicity(P_IDENTITY, IDENTITY, rho)
         with pytest.raises(DomainError, match="rho must be a finite real number"):
