@@ -6,7 +6,8 @@ the CLI's option table need only these, so they live here and `xcflow
 flow` runs on the standard library alone.  `symbol` re-exports the bound
 and the range.  `direction_samples` is range-checked and echoed in every
 parabolicity report; it decides nothing.  `finite_real` reads rho in
-`symbol` and every real parameter of `flow.FlowParams`.
+`symbol` and every real parameter of `flow.FlowParams`, `real_number` the
+curvature scalars of `curvature`, whose inf and nan are named downstream.
 """
 
 import math
@@ -41,17 +42,26 @@ def is_bool(value) -> bool:
             or getattr(getattr(value, "dtype", None), "kind", None) == "b")
 
 
-def finite_real(value, name: str) -> float:
-    """`value` as a finite float, or a DomainError "<name> must be a finite
-    real number".  A str, bytes or bool (numpy's too) is refused, though
-    float() would read it ("0.1" as 0.1, True as 1.0), as is whatever
-    float() refuses or reads as nan or +-inf."""
-    number = None
+def real_number(value, name: str) -> float:
+    """`value` as a float, inf and nan included, or a DomainError "<name>
+    must be a real number within the float range".  A str, bytes or bool
+    (numpy's too) is refused, though float() reads it ("0.1" as 0.1, True as
+    1.0), as is what float() refuses (None, 1j) or overflows on (10**400)."""
     if not (isinstance(value, (str, bytes, bytearray)) or is_bool(value)):
         try:
-            number = float(value)
-        except (TypeError, ValueError, OverflowError):  # None, 1j, 10**400
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
             pass
-    if number is None or not math.isfinite(number):
+    raise DomainError(f"{name} must be a real number within the float range, got {value!r}")
+
+
+def finite_real(value, name: str) -> float:
+    """`value` as a finite float, or a DomainError "<name> must be a finite
+    real number": what `real_number` refuses, and nan and +-inf."""
+    try:
+        number = real_number(value, name)
+    except DomainError:
+        number = math.nan
+    if not math.isfinite(number):
         raise DomainError(f"{name} must be a finite real number, got {value!r}")
     return number

@@ -53,6 +53,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .bounds import finite_real, real_number
 from .errors import DomainError, InternalConsistencyError
 
 # Canonical ordering of the 6 independent components of a symmetric
@@ -419,6 +420,7 @@ class Riemann3:
     @classmethod
     def space_form(cls, kappa: float, g: SymTensor3) -> "Riemann3":
         """Constant-curvature tensor R_ijkl = kappa (g_ik g_jl - g_il g_jk)."""
+        kappa = finite_real(kappa, "kappa")
         _require_metric(g)
         gm = g.matrix
         outer = gm[:, None, :, None] * gm[None, :, None, :]  # [i, j, k, l] = g_ik g_jl
@@ -430,7 +432,8 @@ class Riemann3:
         """Curvature with sectional values R_2323 = a, R_1313 = b, R_1212 = c
         in the identity metric, optionally pushed forward by a rotation."""
         r = np.zeros((3, 3, 3, 3))
-        for (i, j), v in (((1, 2), a), ((0, 2), b), ((0, 1), c)):
+        for (i, j), v in (((1, 2), finite_real(a, "a")), ((0, 2), finite_real(b, "b")),
+                          ((0, 1), finite_real(c, "c"))):
             r[i, j, i, j] = r[j, i, j, i] = v
             r[i, j, j, i] = r[j, i, i, j] = -v
         if rotation is not None:
@@ -886,8 +889,6 @@ def jet_from_function(
 
 _CHART_OVERFLOW = ("the chart metric or its differences overflow; kappa, point and "
                   "fd_step must keep them finite")
-# the largest kappa whose 1.5 kappa, a factor of the chart's ddg, is finite
-_CHART_KAPPA_MAX = 1.1984620899082103e308
 _CHART_IDENTITY = np.eye(3)
 _CHART_IDENTITY.flags.writeable = False
 # delta_ij and -delta_ij, packed
@@ -895,8 +896,8 @@ _PACKED_IDENTITY = _IDENTITY.components
 _NEG_PACKED_IDENTITY = _frozen(-_PACKED_IDENTITY)
 
 
-def _conformal_factor(kappa: float, x: np.ndarray) -> tuple[float, float]:
-    """u = 1 + kappa |x|^2 / 4 of the conformal chart and u^2, a DomainError
+def _conformal_factor(kappa: float, x: np.ndarray) -> tuple[float, float, float]:
+    """u = 1 + kappa |x|^2 / 4 of the conformal chart, u^2 and |x|^2; a DomainError
     where u <= 0 or u^2 overflows.  |x|^2 is numpy's x @ x; a coordinate of
     1e150 or more can overflow it, so there it is taken without numpy's
     overflow warning: the inf makes g = 0, which the metric check names."""
@@ -911,17 +912,18 @@ def _conformal_factor(kappa: float, x: np.ndarray) -> tuple[float, float]:
     if u <= 0.0:
         raise DomainError("point lies outside the chart domain")
     try:
-        return u, u**2
+        return u, u**2, r2
     except OverflowError as exc:
         raise DomainError(_CHART_OVERFLOW) from exc
 
 
 def space_form_chart(kappa: float) -> Callable[[np.ndarray], np.ndarray]:
     """Conformal chart of the curvature-kappa space form:
-    g_ij(x) = delta_ij (1 + kappa |x|^2 / 4)^-2."""
+    g_ij(x) = delta_ij (1 + kappa |x|^2 / 4)^-2, kappa read once."""
+    kappa = real_number(kappa, "kappa")
 
     def g_fn(x: np.ndarray) -> np.ndarray:
-        _, u2 = _conformal_factor(kappa, np.asarray(x, dtype=float))
+        _, u2, _ = _conformal_factor(kappa, np.asarray(x, dtype=float))
         return _CHART_IDENTITY / u2  # a fresh array; the identity stays read-only
 
     return g_fn
@@ -934,23 +936,28 @@ def space_form_chart_jet(kappa: float, x: np.ndarray) -> MetricJet:
     from -delta_ij packed, each entry with the operations, in the order, of
     the formulas below.  The metric is checked before its derivatives are
     formed, so a point where g is not a metric raises its DomainError with
-    no numpy warning.  A u^2, u^3 or u^4 beyond the float range, or a
-    |kappa| whose 1.5 kappa is, raises a DomainError that names them."""
+    no numpy warning.  So does a u^2, u^3 or u^4, or a bound on |dg| or
+    |ddg| in Python floats, beyond the float range."""
+    kappa = real_number(kappa, "kappa")
     x = np.asarray(x, dtype=float)
     if x.shape != (3,):
         raise DomainError(f"point must be a 3-vector, got shape {x.shape}")
-    u, u2 = _conformal_factor(kappa, x)
+    u, u2, r2 = _conformal_factor(kappa, x)
     diagonal = 1.0 / u2
     if diagonal != diagonal:  # u is nan: a nan in x or kappa
         raise DomainError("matrix entries must be finite")
     g = SymTensor3._made([diagonal, 0.0, 0.0, diagonal, diagonal, 0.0])
     _require_metric(g)
-    if abs(kappa) > _CHART_KAPPA_MAX:
-        raise DomainError(_CHART_OVERFLOW)
     try:
         u3, u4 = u**3, u**4
     except OverflowError as exc:
         raise DomainError(_CHART_OVERFLOW) from exc
+    # |kappa| |x| / u^3 and |kappa| (1 / u^3 + 3/2 |kappa| |x|^2 / u^4) bound every
+    # product numpy forms below; nan is 1.5 |kappa| = inf times |x|^2 = 0
+    size = abs(kappa)
+    if not (size * math.sqrt(r2) / u3 < math.inf
+            and size * (1.0 / u3 + 1.5 * size * r2 / u4) < math.inf):
+        raise DomainError(_CHART_OVERFLOW)
     # dg_kij = -delta_ij kappa x_k / u^3 and
     # ddg_klij = -delta_ij kappa (delta_kl / u^3 - 3/2 kappa x_k x_l / u^4)
     dg = _NEG_PACKED_IDENTITY * kappa * x[:, None] / u3

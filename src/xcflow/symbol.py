@@ -5,7 +5,9 @@ frozen at a point in normal coordinates (g = identity), acts on metric
 variations by a second-order operator.  Replacing derivatives with a
 covector xi gives a linear map on symmetric 2-tensors; in the component
 basis (11, 12, 13, 22, 33, 23) that map is a 6x6 matrix whose spectrum
-decides parabolicity.
+decides parabolicity.  It is the curvature engine's own linear response,
+`verify.engine_symbol`, which the check `symbol/linearisation_matches_engine`
+holds both stacks of `symbol_stacks` to within 1e-12 of the symbol scale.
 
 For the positive-curvature flow the eigenvalues in direction xi (unit
 length) are {0, 0, 0, q, q, q - 4*rho} with q = xi^T P xi, where P is the

@@ -928,6 +928,8 @@ CHART_OVERFLOW = ("the chart metric or its differences overflow; kappa, point an
     (lambda: space_form_chart_jet(1.0, [1e153, 0.0, 0.0]), CHART_OVERFLOW),
     (lambda: space_form_chart_jet(1.5e308, [0.0, 0.0, 0.0]), CHART_OVERFLOW),
     (lambda: space_form_chart_jet(-1.5e308, [0.0, 0.0, 0.0]), CHART_OVERFLOW),
+    # u = 2e-10 near the hyperbolic chart's boundary: kappa^2 |x|^2 / u^4 overflows in ddg
+    (lambda: space_form_chart_jet(-1e300, [2e-150 * (1 - 1e-10), 0.0, 0.0]), CHART_OVERFLOW),
     (lambda: space_form_chart(1.0)(np.array([1e100, 0.0, 0.0])), CHART_OVERFLOW),
     (lambda: jet_from_function(space_form_chart(1.0), [1e100, 0.0, 0.0]), CHART_OVERFLOW),
     # a sample one step away overflows u^2, and the stencil names it
@@ -941,7 +943,8 @@ CHART_OVERFLOW = ("the chart metric or its differences overflow; kappa, point an
                                richardson=True), CHART_OVERFLOW),
 ], ids=["huge", "inf", "nan", "inf_kappa", "outside", "underflow", "short", "fd_huge",
         "fd_inf", "fd_nan", "u4_overflows", "u2_overflows", "u2_overflows_edge",
-        "kappa_overflows", "negative_kappa_overflows", "chart_overflows", "fd_centre_overflows",
+        "kappa_overflows", "negative_kappa_overflows", "ddg_overflows", "chart_overflows",
+        "fd_centre_overflows",
         "fd_sample_overflows", "fd_step_overflows", "fd_step_mixed_overflows",
         "fd_step_richardson_overflows"])
 def test_chart_jets_raise_their_named_error_without_numpy_warnings(make, message):
@@ -949,6 +952,39 @@ def test_chart_jets_raise_their_named_error_without_numpy_warnings(make, message
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=message):
             make()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: space_form_chart_jet(10**400, [0.1, 0.0, 0.0]), "kappa must be a real number"),
+    (lambda: space_form_chart_jet("1", [0.1, 0.0, 0.0]), "kappa must be a real number"),
+    (lambda: space_form_chart(10**400)(np.array([0.1, 0.0, 0.0])), "kappa must be a real number"),
+    (lambda: space_form_chart("1")(np.array([0.1, 0.0, 0.0])), "kappa must be a real number"),
+    (lambda: Riemann3.space_form(10**400, IDENTITY), "kappa must be a finite real number"),
+    (lambda: Riemann3.space_form("1", IDENTITY), "kappa must be a finite real number"),
+    (lambda: Riemann3.space_form(math.inf, IDENTITY), "kappa must be a finite real number"),
+    (lambda: Riemann3.from_frame(10**400, 1, 1), "a must be a finite real number"),
+    (lambda: Riemann3.from_frame(1.0, "1", 1.0), "b must be a finite real number"),
+    (lambda: Riemann3.from_frame(1.0, 1.0, math.nan), "c must be a finite real number"),
+], ids=["chart_jet_huge_int", "chart_jet_str", "chart_huge_int", "chart_str",
+        "space_form_huge_int", "space_form_str", "space_form_inf", "frame_huge_int",
+        "frame_str", "frame_nan"])
+def test_curvature_scalars_that_are_not_floats_are_named(make, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message):
+            make()
+
+
+def test_curvature_scalars_read_ints_and_numpy_floats_as_floats():
+    x = np.array([0.1, -0.2, 0.3])
+    assert (space_form_chart_jet(-1, x).ddg.tobytes()
+            == space_form_chart_jet(np.float64(-1.0), x).ddg.tobytes()
+            == space_form_chart_jet(-1.0, x).ddg.tobytes())
+    assert space_form_chart(2)(x).tobytes() == space_form_chart(2.0)(x).tobytes()
+    assert np.array_equal(Riemann3.from_frame(1, 2, 3).lowered,
+                          Riemann3.from_frame(1.0, 2.0, 3.0).lowered)
+    assert np.array_equal(Riemann3.space_form(np.int64(2), IDENTITY).lowered,
+                          Riemann3.space_form(2.0, IDENTITY).lowered)
 
 
 def test_chart_jet_keeps_the_largest_kappa_whose_products_are_finite():

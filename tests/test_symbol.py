@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import special_ortho_group
 
 from xcflow import symbol as symbol_module
-from xcflow.curvature import (Riemann3, SymTensor3, eigen_frame, einstein_raised,
-                              generalized_eigh, pack, unpack)
+from xcflow.curvature import (MetricJet, Riemann3, SymTensor3, eigen_frame, einstein_raised,
+                              generalized_eigh, pack, riemann, space_form_chart_jet, unpack)
 from xcflow.errors import DomainError, InternalConsistencyError
 from xcflow.symbol import (
     IMAG_RESIDUE_TOL,
@@ -27,7 +27,7 @@ from xcflow.symbol import (
     to_orthonormal_frame,
     unit_directions,
 )
-from xcflow.verify import matrix_of, reference_gauge_term, reference_raw_symbol
+from xcflow.verify import engine_symbol, matrix_of
 
 E1 = np.array([1.0, 0.0, 0.0])
 IDENTITY = SymTensor3.identity()
@@ -150,18 +150,41 @@ class TestRawSymbol:
             symbol_raw(SymTensor3(np.array([np.inf, 0, 0, 1.0, 1.0, 0]), "upper"), 0.0, E1)
 
 
+def assert_stacks_are_engine_response(jet, epsilon, rho, directions):
+    p = einstein_raised(riemann(jet), jet.g)
+    raw, gauge = symbol_stacks(SymTensor3(epsilon * p.components, "upper"), rho, directions)
+    assert raw.shape == gauge.shape == (len(directions), 6, 6)
+    for v, raw_v, gauge_v in zip(directions, raw, gauge):
+        scale = max(1.0, np.abs(raw_v).max())
+        raw_ref, gauge_ref = engine_symbol(jet, epsilon, rho, v)
+        assert np.abs(raw_v - raw_ref).max() <= 1e-13 * scale
+        assert np.abs(gauge_v - gauge_ref).max() <= 1e-13 * scale
+
+
 class TestStacks:
-    def test_stacks_match_column_reference_over_lattice(self):
+    def test_stacks_match_engine_response_over_lattice(self):
+        # random jets at g = I: the stacks are the linearisation of -2 eps h + 2 rho R g
         rng = np.random.default_rng(30)
         directions = unit_directions(50)
-        for _ in range(3):
-            p = sym_upper(rng)
-            rho = float(rng.uniform(-2, 2))
-            raw, gauge = symbol_stacks(p, rho, directions)
-            assert raw.shape == gauge.shape == (50, 6, 6)
-            for v, raw_v, gauge_v in zip(directions, raw, gauge):
-                assert np.abs(raw_v - reference_raw_symbol(p.matrix, rho, v)).max() < 1e-13
-                assert np.abs(gauge_v - reference_gauge_term(v)).max() < 1e-13
+        for epsilon in (1.0, -1.0, 1.0):
+            jet = MetricJet(IDENTITY, rng.uniform(-1, 1, (3, 6)), rng.uniform(-1, 1, (6, 6)))
+            assert_stacks_are_engine_response(jet, epsilon, float(rng.uniform(-2, 2)),
+                                              directions)
+
+    @pytest.mark.parametrize("kappa", [1.0, -1.0, 0.3])
+    @pytest.mark.parametrize("epsilon", [1.0, -1.0])
+    def test_stacks_match_engine_response_at_chart_origins(self, kappa, epsilon):
+        # the sphere and hyperbolic charts have g = I and dg = 0 at the origin
+        jet = space_form_chart_jet(kappa, np.zeros(3))
+        directions = np.vstack([np.eye(3), unit_directions(7), [[2.0, -1.0, 0.5]]])
+        for rho in (0.0, 0.4):
+            assert_stacks_are_engine_response(jet, epsilon, rho, directions)
+
+    def test_engine_reference_needs_the_identity_metric(self):
+        jet = MetricJet(SymTensor3.from_matrix(2.0 * np.eye(3)), np.zeros((3, 6)),
+                        np.zeros((6, 6)))
+        with pytest.raises(DomainError, match="metric is the identity"):
+            engine_symbol(jet, 1.0, 0.0, E1)
 
     def test_single_direction_symbols_are_stack_rows(self):
         rng = np.random.default_rng(32)
