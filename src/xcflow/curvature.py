@@ -325,7 +325,8 @@ class MetricJet:
     dg has shape (3, 6): row k holds the canonical components of
     d_k g_ij.  ddg has shape (6, 6): row p holds the components of
     d_k d_l g_ij for the (k, l) pair in canonical pair order, so the
-    symmetry of mixed partials is structural.
+    symmetry of mixed partials is structural.  dg and ddg are read-only;
+    writeable float arrays passed in are copied, so they stay the caller's.
     """
 
     g: SymTensor3
@@ -334,8 +335,8 @@ class MetricJet:
 
     def __post_init__(self):
         _require_metric(self.g)
-        dg = np.asarray(self.dg, dtype=float)
-        ddg = np.asarray(self.ddg, dtype=float)
+        dg = _read_only(self.dg)
+        ddg = _read_only(self.ddg)
         if dg.shape != (3, 6):
             raise DomainError(f"dg must have shape (3, 6), got {dg.shape}")
         if ddg.shape != (6, 6):
@@ -348,7 +349,7 @@ class MetricJet:
         """Build from full arrays dg_full[k,i,j] and ddg_full[k,l,i,j]."""
         dg = np.asarray(dg_full, dtype=float)[:, _ROWS, _COLS]
         ddg = np.asarray(ddg_full, dtype=float)[_ROWS, _COLS][:, _ROWS, _COLS]
-        return cls(SymTensor3.from_matrix(g), dg, ddg)
+        return cls(SymTensor3.from_matrix(g), _frozen(dg), _frozen(ddg))
 
     @property
     def dg_full(self) -> np.ndarray:
@@ -884,7 +885,7 @@ def jet_from_function(
         ddg = (4.0 * ddg[1] - ddg[0]) / 3.0
     else:
         dg, ddg = dg[0], ddg[0]
-    return MetricJet(SymTensor3.from_matrix(stack[0]), dg, ddg)
+    return MetricJet(SymTensor3.from_matrix(stack[0]), _frozen(dg), _frozen(ddg))
 
 
 _CHART_OVERFLOW = ("the chart metric or its differences overflow; kappa, point and "
@@ -919,8 +920,12 @@ def _conformal_factor(kappa: float, x: np.ndarray) -> tuple[float, float, float]
 
 def space_form_chart(kappa: float) -> Callable[[np.ndarray], np.ndarray]:
     """Conformal chart of the curvature-kappa space form:
-    g_ij(x) = delta_ij (1 + kappa |x|^2 / 4)^-2, kappa read once."""
+    g_ij(x) = delta_ij (1 + kappa |x|^2 / 4)^-2, kappa read once.  An
+    infinite or nan kappa makes no metric entry finite, and is refused here
+    as `space_form_chart_jet` refuses it."""
     kappa = real_number(kappa, "kappa")
+    if not math.isfinite(kappa):
+        raise DomainError("matrix entries must be finite")
 
     def g_fn(x: np.ndarray) -> np.ndarray:
         _, u2, _ = _conformal_factor(kappa, np.asarray(x, dtype=float))
@@ -963,4 +968,4 @@ def space_form_chart_jet(kappa: float, x: np.ndarray) -> MetricJet:
     dg = _NEG_PACKED_IDENTITY * kappa * x[:, None] / u3
     inner = _PACKED_IDENTITY / u3 - (1.5 * kappa * x)[_ROWS] * x[_COLS] / u4
     ddg = (_NEG_PACKED_IDENTITY * kappa)[None, :] * inner[:, None]
-    return MetricJet(g, dg, ddg)
+    return MetricJet(g, _frozen(dg), _frozen(ddg))

@@ -15,10 +15,11 @@ run constants num = -eps * lambda^2, a = 6 * rho * lambda.  Integration
 is fixed-step classical RK4 on those floats, with extinction detection
 (bisection-refined) and parabolicity-margin monitoring, in one flat loop
 that makes no Python-level call on an accepted step.  `_rk4_step` is the
-named step, checked bit for bit against `verify.reference_rk4_step`; the
-bisection uses it, and the loop repeats it inline.  verify's
+one named step, every stage through `einstein_rhs`; the extinction
+bisection takes it, and the loop repeats it inline.  A run is extinct
+once c falls to the constant `C_MIN`.  verify's
 `flow/integrate_matches_reference_replay` replays whole runs step by step
-against the reference step and `_record`.
+against `_rk4_step` and `_record`.
 
 The integrator runs on the standard library alone, so `xcflow flow` loads
 no numpy.  The engine cross-checks (`engine_rhs`, `einstein_residual`,
@@ -40,10 +41,11 @@ from .errors import DomainError, ExtinctStateError, ExtinctionExceededError
 if TYPE_CHECKING:
     import numpy as np
 
-    from .curvature import SymTensor3
+    from .curvature import Riemann3, SymTensor3
     from .symbol import ParabolicityReport
 
-DEFAULT_C_MIN = 1e-8
+# the scale factor at which a run is extinct: its final record
+C_MIN = 1e-8
 STEADY_STATE_RHS_TOL = 1e-14
 STEADY_STATE_RUN_LENGTH = 10
 # the most RK4 steps one run may take (t_end / dt); at about 1 us a step,
@@ -114,7 +116,7 @@ class FlowTrace:
 
     status is one of 'completed', 'extinct', 'parabolicity_lost'.
     extinction_time is set only for extinct runs.  Counters: `steps` RK4
-    steps taken (not the one that crossed c_min), `bisection_iterations`
+    steps taken (not the one that crossed C_MIN), `bisection_iterations`
     halvings refining the extinction time (0 unless extinct).
     """
 
@@ -148,6 +150,16 @@ def einstein_rhs(c: float, params: FlowParams) -> float:
     return num / (2.0 * c) + a
 
 
+def _space_form(c: float, params: FlowParams) -> tuple[Riemann3, SymTensor3]:
+    """The Einstein metric at scale c as engine data: the Riemann tensor of
+    the space form of curvature lam / (2c) on g = c * identity, and g."""
+    from . import curvature as cv
+
+    _require_scale(c)
+    g = cv.SymTensor3(c * cv.SymTensor3.identity().components)
+    return cv.Riemann3.space_form(params.lam / (2.0 * c), g), g
+
+
 def engine_rhs(c: float, params: FlowParams) -> float:
     """The same dc/dt coefficient, evaluated through the curvature engine.
 
@@ -158,10 +170,7 @@ def engine_rhs(c: float, params: FlowParams) -> float:
     """
     from . import curvature as cv
 
-    _require_scale(c)
-    g = cv.SymTensor3(c * cv.SymTensor3.identity().components)
-    kappa = params.lam / (2.0 * c)
-    riem = cv.Riemann3.space_form(kappa, g)
+    riem, g = _space_form(c, params)
     h = cv.cross_curvature(riem, g)
     _, scalar = cv.ricci(riem, g)
     rhs_tensor = -2.0 * params.epsilon * h.matrix + 2.0 * params.rho * scalar * g.matrix
@@ -225,35 +234,29 @@ def closed_form_c(t: float, params: FlowParams) -> float:
     )
 
 
-def _rk4_step(c: float, k1: float, dt: float, num: float, a: float, c_floor: float) -> float | None:
-    """One RK4 step of dc/dt = num / (2c) + a from c, with k1 the rate at c;
-    None if any stage or the result is non-finite or a stage is <= c_floor."""
-    half = 0.5 * dt
-    y = c + half * k1
-    if not isfinite(y) or y <= c_floor:
-        return None
-    k2 = num / (2.0 * y) + a
-    y = c + half * k2
-    if not isfinite(y) or y <= c_floor:
-        return None
-    k3 = num / (2.0 * y) + a
-    y = c + dt * k3
-    if not isfinite(y) or y <= c_floor:
-        return None
-    k4 = num / (2.0 * y) + a
+def _rk4_step(c: float, dt: float, params: FlowParams) -> float | None:
+    """One classical RK4 step from c with every stage through `einstein_rhs`;
+    None if a stage point leaves 0 < y < inf or the result is not finite."""
+    stages = [einstein_rhs(c, params)]
+    for weight in (0.5, 0.5, 1.0):
+        y = c + weight * dt * stages[-1]
+        if not (0.0 < y < math.inf):
+            return None
+        stages.append(einstein_rhs(y, params))
+    k1, k2, k3, k4 = stages
     c_next = c + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return c_next if isfinite(c_next) else None
 
 
-def _refine_extinction(c: float, k1: float, t: float, dt: float, num: float, a: float,
-                       c_min: float, time_tol: float) -> tuple[float, int]:
-    """Bisection on the step size for the crossing c = c_min inside [t, t+dt];
-    returns the crossing time and the number of halvings."""
+def _refine_extinction(c: float, t: float, dt: float, params: FlowParams) -> tuple[float, int]:
+    """Bisection on the step size for the crossing c = C_MIN inside [t, t+dt],
+    down to params.dt * 1e-3; returns the crossing time and the number of
+    halvings."""
     lo, hi, halvings = 0.0, dt, 0
-    while hi - lo > time_tol:
+    while hi - lo > params.dt * 1e-3:
         mid = 0.5 * (lo + hi)
-        c_mid = _rk4_step(c, k1, mid, num, a, 0.0)
-        if c_mid is None or c_mid <= c_min:
+        c_mid = _rk4_step(c, mid, params)
+        if c_mid is None or c_mid <= C_MIN:
             hi = mid
         else:
             lo = mid
@@ -267,9 +270,7 @@ def parabolicity_report_at(c: float, params: FlowParams) -> ParabolicityReport:
     from . import curvature as cv
     from . import symbol as sb
 
-    _require_scale(c)
-    g = cv.SymTensor3(c * cv.SymTensor3.identity().components)
-    riem = cv.Riemann3.space_form(params.lam / (2.0 * c), g)
+    riem, g = _space_form(c, params)
     p = cv.einstein_raised(riem, g)
     return sb.parabolicity(p, g, params.rho, case=params.epsilon,
                            mode="all_directions")
@@ -283,40 +284,37 @@ def _record(t: float, c: float, params: FlowParams, events: tuple[str, ...]) -> 
     return TraceRecord(t, c, 3.0 * params.lam / c, kappa**2, margin, events)
 
 
-def _check_c_min(c_min: float, params: FlowParams) -> None:
-    """DomainError unless c_min is finite, in (0, 1), and large enough that
-    the record at c_min (the final record of an extinct run) is finite."""
-    if not (isfinite(c_min) and 0.0 < c_min < 1.0):
-        raise DomainError(f"c_min must be finite and in (0, 1), got {c_min!r}")
+def _check_c_min(params: FlowParams) -> None:
+    """DomainError unless the record at C_MIN (the final record of an
+    extinct run) is finite for the run's lam."""
     try:
-        _, _, *scalars, _ = _record(0.0, c_min, params, ())  # R, h, margin
+        _, _, *scalars, _ = _record(0.0, C_MIN, params, ())  # R, h, margin
         finite = all(isfinite(v) for v in scalars)
     except OverflowError:  # kappa**2 in Python floats
         finite = False
     if not finite:
         raise DomainError(
-            f"c_min={c_min!r} is too small for lam={params.lam!r}: "
+            f"c_min={C_MIN!r} is too small for lam={params.lam!r}: "
             "the curvature scalars at c_min overflow")
 
 
 def integrate(
     params: FlowParams,
     record_every: int = 100,
-    c_min: float = DEFAULT_C_MIN,
     halt_on_parabolicity_loss: bool = False,
 ) -> FlowTrace:
     """Integrate the reduced flow with fixed-step RK4 in one flat scalar loop.
 
-    Events checked every step: extinction (c <= c_min; the crossing time
-    is refined by bisection to dt * 1e-3 and the run truncates with
-    status 'extinct'), loss of the parabolicity margin (flagged on the
+    Events checked every step: extinction (c <= C_MIN; the crossing time
+    is refined to dt * 1e-3 by bisecting the size of one `_rk4_step`, and
+    the run truncates with status 'extinct'), loss of the parabolicity margin (flagged on the
     next record; halts with status 'parabolicity_lost' if requested), and
     steady state (|dc/dt| < 1e-14 for 10 consecutive steps).  The rate at
     an accepted c is also the next step's first stage, and a record reuses
     the step's margin.  Records are kept every `record_every` steps, plus
     the initial and final states.  record_every must be an integer >= 1
-    (not a bool); c_min must lie in (0, 1) and keep the record at c_min
-    finite; otherwise DomainError is raised before the loop.
+    (not a bool), and the record at C_MIN must be finite for the run's
+    lam; otherwise DomainError is raised before the loop.
 
     An accepted step makes no Python-level call: the loop body repeats
     `_rk4_step` (stage guards `0 < y < inf`), `_record` (the margin as
@@ -324,7 +322,7 @@ def integrate(
     record construction inline, operation for operation, so a trace is
     bit for bit what those functions give.  verify's
     `flow/integrate_matches_reference_replay` replays every accepted step
-    and record against `verify.reference_rk4_step` and `_record`.
+    and record against `_rk4_step` and `_record`.
     """
     try:
         every = operator.index(record_every)  # an int, or TypeError for 2.5 and nan
@@ -332,7 +330,7 @@ def integrate(
         every = 0
     if every < 1 or isinstance(record_every, bool):
         raise DomainError(f"record_every must be a positive integer, got {record_every!r}")
-    _check_c_min(c_min, params)
+    _check_c_min(params)
 
     dt_full, t_end = params.dt, params.t_end
     n_steps = round(t_end / dt_full)
@@ -346,7 +344,7 @@ def integrate(
     factor = stated_threshold(1.0, 1.0, params.epsilon)
     steady_tol, steady_len = STEADY_STATE_RHS_TOL, STEADY_STATE_RUN_LENGTH
     # tuple.__new__ builds a TraceRecord without NamedTuple's argument binding
-    inf, new = math.inf, tuple.__new__
+    inf, c_min, new = math.inf, C_MIN, tuple.__new__
     pending: set[str] = set()
     steady_run = 0
 
@@ -366,8 +364,8 @@ def integrate(
         if t_next > t_end:  # only the final partial step
             t_next = t_end
         dt = t_next - t
-        # _rk4_step(c, k, dt, num, a, 0.0) inline; a rejected stage or a
-        # result at or below c_min ends the loop at the crossing step
+        # _rk4_step(c, dt, params) inline; a rejected stage or a result
+        # at or below C_MIN ends the loop at the crossing step
         half = 0.5 * dt
         y = c + half * k
         if not (0.0 < y < inf):
@@ -411,10 +409,9 @@ def integrate(
         return FlowTrace(params, tuple(records), "completed", steps=n_steps)
 
     # the crossing step is not taken: bisection on its size replaces it
-    extinction_time, bisections = _refine_extinction(
-        c, k, t, dt, num, a, c_min, time_tol=dt_full * 1e-3)
+    extinction_time, bisections = _refine_extinction(c, t, dt, params)
     pending.add("extinct")
-    append(_record(extinction_time, c_min, params, tuple(sorted(pending))))
+    append(_record(extinction_time, C_MIN, params, tuple(sorted(pending))))
     return FlowTrace(params, tuple(records), "extinct", extinction_time,
                      steps=step - 1, bisection_iterations=bisections)
 
@@ -429,10 +426,7 @@ def einstein_residual(record: TraceRecord, params: FlowParams) -> float:
     """
     from . import curvature as cv
 
-    c = record.c
-    _require_scale(c)
-    g = cv.SymTensor3(c * cv.SymTensor3.identity().components)
-    riem = cv.Riemann3.space_form(params.lam / (2.0 * c), g)
+    riem, g = _space_form(record.c, params)
     ric, scalar = cv.ricci(riem, g)
     return tensor_norm(ric.matrix - (scalar / 3.0) * g.matrix, g)
 

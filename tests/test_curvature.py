@@ -622,6 +622,22 @@ def test_lowered_riemann_is_read_only():
             made.bivector_form.components[0] = 1.0
 
 
+def test_jet_derivatives_are_read_only():
+    dg, ddg = np.zeros((3, 6)), np.zeros((6, 6))
+    jet = MetricJet(IDENTITY, dg, ddg)
+    dg[0, 0] = ddg[0, 0] = 9.0  # the caller's arrays stay writeable and separate
+    assert jet.dg[0, 0] == jet.ddg[0, 0] == 0.0
+    x = np.array([0.2, -0.1, 0.3])
+    for made in (jet, space_form_chart_jet(0.7, x), jet_from_function(space_form_chart(0.7), x),
+                 jet_from_function(space_form_chart(0.7), x, richardson=True),
+                 MetricJet.from_full(np.eye(3), jet.dg_full, jet.ddg_full)):
+        for array in (made.dg, made.ddg):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+    # a read-only array is shared, not copied
+    assert MetricJet(IDENTITY, jet.dg, jet.ddg).ddg is jet.ddg
+
+
 def _pair_outputs(riem, g):
     ric, scalar = ricci(riem, g)
     forms = cross_curvature_forms(riem, g)
@@ -912,6 +928,8 @@ CHART_OVERFLOW = ("the chart metric or its differences overflow; kappa, point an
      "metric is not positive definite"),
     (lambda: space_form_chart_jet(1.0, [math.nan, 0.0, 0.0]), "matrix entries must be finite"),
     (lambda: space_form_chart_jet(math.inf, [0.0, 0.0, 0.0]), "matrix entries must be finite"),
+    (lambda: space_form_chart(math.inf), "matrix entries must be finite"),
+    (lambda: space_form_chart(math.nan), "matrix entries must be finite"),
     (lambda: space_form_chart_jet(-1.0, [1e200, 0.0, 0.0]), "point lies outside the chart"),
     # u^3 and u^4 would overflow; the metric is checked before they are formed
     (lambda: space_form_chart_jet(1.0, [1e60, 0.0, 0.0]), "metric determinant underflows"),
@@ -941,10 +959,10 @@ CHART_OVERFLOW = ("the chart metric or its differences overflow; kappa, point an
      CHART_OVERFLOW),  # 4 h^2
     (lambda: jet_from_function(lambda x: np.eye(3), [0.1, 0.2, 0.3], step=1e154,
                                richardson=True), CHART_OVERFLOW),
-], ids=["huge", "inf", "nan", "inf_kappa", "outside", "underflow", "short", "fd_huge",
-        "fd_inf", "fd_nan", "u4_overflows", "u2_overflows", "u2_overflows_edge",
-        "kappa_overflows", "negative_kappa_overflows", "ddg_overflows", "chart_overflows",
-        "fd_centre_overflows",
+], ids=["huge", "inf", "nan", "inf_kappa", "chart_inf_kappa", "chart_nan_kappa", "outside",
+        "underflow", "short", "fd_huge", "fd_inf", "fd_nan", "u4_overflows", "u2_overflows",
+        "u2_overflows_edge", "kappa_overflows", "negative_kappa_overflows", "ddg_overflows",
+        "chart_overflows", "fd_centre_overflows",
         "fd_sample_overflows", "fd_step_overflows", "fd_step_mixed_overflows",
         "fd_step_richardson_overflows"])
 def test_chart_jets_raise_their_named_error_without_numpy_warnings(make, message):

@@ -12,7 +12,7 @@ from xcflow.errors import (
 )
 from xcflow.cli import write_trace_csv
 from xcflow.flow import (
-    DEFAULT_C_MIN,
+    C_MIN,
     MAX_STEPS,
     FlowParams,
     TraceRecord,
@@ -271,24 +271,6 @@ class TestIntegrate:
 
 
 class TestFusedStep:
-    def test_step_matches_reference_bit_for_bit(self):
-        from xcflow.flow import _rhs_coefficients, _rk4_step
-        from xcflow.verify import reference_rk4_step
-        rejected = 0
-        for params in (sphere(), sphere(rho=0.1), hyperbolic(), hyperbolic(rho=-0.2)):
-            num, a = _rhs_coefficients(params)
-            for c in (1e-7, 1e-3, 0.1, 1.0, 10.0):
-                for dt in (1e-6, 1e-2, 1.0, 1e308):
-                    for c_floor in (0.0, 0.5 * c):
-                        fused = _rk4_step(c, einstein_rhs(c, params), dt, num, a, c_floor)
-                        ref = reference_rk4_step(c, dt, params, c_floor)
-                        if ref is None:
-                            rejected += 1
-                            assert fused is None
-                        else:
-                            assert fused.hex() == ref.hex()
-        assert rejected > 0
-
     def test_counters_completed_run(self):
         trace = integrate(sphere(dt=1e-3, t_end=0.0105))
         assert trace.status == "completed"
@@ -315,26 +297,18 @@ class TestFusedStep:
 
 
 class TestCMin:
-    @pytest.mark.parametrize("c_min", [0.0, 1e-300, math.nan, -1.0, 2.0, 1.0, math.inf])
-    def test_bad_c_min_rejected_by_name(self, c_min):
-        params = FlowParams(rho=0.0, epsilon=+1, lam=1.0, dt=1e-3, t_end=1.3)
-        with pytest.raises(DomainError, match="c_min"):
-            integrate(params, c_min=c_min)
-
     def test_c_min_whose_record_overflows_rejected(self):
-        # in (0, 1), but kappa**2 at c_min overflows for this lam
-        params = FlowParams(rho=0.0, epsilon=-1, lam=-1e100, dt=1e-3, t_end=1.0)
-        with pytest.raises(DomainError, match="c_min=1e-100 is too small"):
-            integrate(params, c_min=1e-100)
+        # kappa**2 at C_MIN overflows for this lam
+        params = FlowParams(rho=0.0, epsilon=-1, lam=-1e150, dt=1e-3, t_end=1.0)
+        with pytest.raises(DomainError, match="c_min=1e-08 is too small"):
+            integrate(params)
 
     def test_valid_c_min_is_the_final_record(self):
         params = FlowParams(rho=0.0, epsilon=+1, lam=1.0, dt=1e-3, t_end=1.3)
-        for c_min in (DEFAULT_C_MIN, 1e-100, 0.5):
-            trace = integrate(params, c_min=c_min)
-            assert trace.status == "extinct"
-            assert trace.records[-1].c == c_min
-            assert all(math.isfinite(v) for v in trace.records[-1][:5])
-        assert integrate(params).records == integrate(params, c_min=DEFAULT_C_MIN).records
+        trace = integrate(params)
+        assert trace.status == "extinct"
+        assert trace.records[-1].c == C_MIN
+        assert all(math.isfinite(v) for v in trace.records[-1][:5])
 
 
 class TestRecordEvery:

@@ -21,3 +21,13 @@ def test_run_checks_is_the_checks_in_order():
     assert [(r.suite, r.name) for r in summary.results] == [
         check for check in CHECKS if check[0] == "cli"]
     assert summary.all_passed
+
+
+def test_removing_an_earlier_check_leaves_a_checks_data(monkeypatch):
+    check = ("tensor_core", "positive_definite_propagation")
+    idx = CHECKS.index(check)
+    before = vf.run_check(idx, cases=20).detail
+    monkeypatch.setattr(vf, "_REGISTRY", vf._REGISTRY[1:])  # the first check goes
+    assert vf.registered_checks().index(check) == idx - 1
+    assert vf.run_check(idx - 1, cases=20).detail == before
+    assert vf.run_check(idx - 1, cases=20, seed=1730).detail != before  # data-dependent
