@@ -127,6 +127,15 @@ def test_flow_command_runs_without_numpy(fmt_name, tmp_path):
     assert "parabolicity_lost" in outputs[0][0] and f"wrote {path}" in outputs[0][1]
 
 
+def test_extinct_flow_command_runs_without_numpy():
+    # the extinction bisection steps through einstein_rhs, on floats alone
+    argv = ["flow", "--rho", "0", "--epsilon", "1", "--lambda", "1", "--dt", "1e-3",
+            "--t-end", "2", "--record-every", "1", "--format", "json"]
+    with_numpy = _python("-m", "xcflow", *argv).stdout
+    assert _python(*_WITHOUT_NUMPY, *argv).stdout == with_numpy
+    assert '"extinct"' in with_numpy
+
+
 def test_curvature_command_loads_no_symbol_module():
     code = ("import sys; from xcflow.cli import main; "
             "code = main(['curvature', '--frame', '1,2,3']); "

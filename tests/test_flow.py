@@ -271,6 +271,28 @@ class TestIntegrate:
 
 
 class TestFusedStep:
+    def test_step_matches_reference_bit_for_bit(self):
+        # integrate's loop repeats _rk4_step inline: every accepted step is
+        # the named step bit for bit, and the crossing step is refused by both
+        from xcflow.flow import _rk4_step
+        rejected = 0
+        for params in (sphere(t_end=0.3), sphere(rho=0.1, dt=1e-3, t_end=0.3),
+                       hyperbolic(rho=-0.2), hyperbolic(rho=0.3, dt=1e-2, t_end=3.0),
+                       FlowParams(rho=0.0, epsilon=+1, lam=1.0, dt=1.9, t_end=1.9),
+                       sphere(dt=1e-3, t_end=0.0105)):
+            trace = integrate(params, record_every=1)
+            recs = trace.records
+            extinct = trace.status == "extinct"
+            for prev, rec in zip(recs, recs[1:-1] if extinct else recs[1:]):
+                assert _rk4_step(prev.c, rec.t - prev.t, params).hex() == rec.c.hex()
+            if extinct:
+                prev = recs[-2]
+                dt = min((trace.steps + 1) * params.dt, params.t_end) - prev.t
+                ref = _rk4_step(prev.c, dt, params)
+                rejected += ref is None
+                assert ref is None or ref <= C_MIN
+        assert rejected > 0  # a stage left 0 < y < inf at least once
+
     def test_counters_completed_run(self):
         trace = integrate(sphere(dt=1e-3, t_end=0.0105))
         assert trace.status == "completed"
@@ -296,12 +318,41 @@ class TestFusedStep:
         assert 0 < mid_run.steps < 2000
 
 
+class TestNamedStep:
+    def test_stage_outside_the_open_half_line_is_refused(self):
+        from xcflow.flow import _rk4_step
+        shrinking = FlowParams(rho=0.0, epsilon=+1, lam=1.0, dt=1.9, t_end=1.9)
+        assert _rk4_step(1.0, 1.9, shrinking) is None  # third stage at y < 0
+        assert _rk4_step(1.0, 1e308, hyperbolic()) is None  # fourth stage at y = inf
+        assert _rk4_step(1.0, 1e-3, shrinking) == pytest.approx(
+            closed_form_c(1e-3, shrinking), abs=1e-15)
+
+    def test_refined_extinction_time_brackets_the_crossing(self):
+        from xcflow.flow import _rk4_step
+        params = FlowParams(rho=0.0, epsilon=+1, lam=1.0, dt=1e-2, t_end=2.0)
+        trace = integrate(params, record_every=1)
+        assert trace.status == "extinct"
+        prev, tol = trace.records[-2], params.dt * 1e-3
+        assert prev.t < trace.extinction_time < prev.t + params.dt
+        assert _rk4_step(prev.c, trace.extinction_time - prev.t - tol, params) > C_MIN
+        late = _rk4_step(prev.c, trace.extinction_time - prev.t + tol, params)
+        assert late is None or late <= C_MIN
+        assert trace.extinction_time == pytest.approx(1.0, abs=params.dt)
+
+
 class TestCMin:
     def test_c_min_whose_record_overflows_rejected(self):
         # kappa**2 at C_MIN overflows for this lam
         params = FlowParams(rho=0.0, epsilon=-1, lam=-1e150, dt=1e-3, t_end=1.0)
         with pytest.raises(DomainError, match="c_min=1e-08 is too small"):
             integrate(params)
+
+    def test_c_min_bound_is_where_the_record_overflows(self):
+        # kappa = lam / (2 C_MIN) squares to inf past lam ~ 2.7e146
+        finite = FlowParams(rho=0.0, epsilon=+1, lam=1e146, dt=1e-3, t_end=1.0)
+        assert integrate(finite).records[-1].c == C_MIN
+        with pytest.raises(DomainError, match=r"c_min=1e-08 is too small for lam=1e\+147"):
+            integrate(FlowParams(rho=0.0, epsilon=+1, lam=1e147, dt=1e-3, t_end=1.0))
 
     def test_valid_c_min_is_the_final_record(self):
         params = FlowParams(rho=0.0, epsilon=+1, lam=1.0, dt=1e-3, t_end=1.3)
@@ -360,6 +411,18 @@ class TestTraceRecord:
 
 
 class TestEinsteinResidual:
+    @pytest.mark.parametrize("c", [1e-3, 0.5, 1.0, 7.0])
+    def test_space_form_is_the_einstein_metric_at_scale_c(self, c):
+        from xcflow import curvature as cv
+        from xcflow.flow import _space_form
+        for params in (sphere(), hyperbolic(rho=0.1)):
+            riem, g = _space_form(c, params)
+            np.testing.assert_array_equal(g.matrix, c * np.eye(3))
+            ric, scalar = cv.ricci(riem, g)
+            # Ric = lam * g(0) at every scale, so R = 3 lam / c
+            np.testing.assert_allclose(ric.matrix, params.lam * np.eye(3), rtol=1e-14, atol=0)
+            assert scalar == pytest.approx(3.0 * params.lam / c, rel=1e-14)
+
     def test_residual_vanishes_on_space_form_records(self):
         for params in (sphere(dt=1e-3, t_end=0.1), hyperbolic(dt=1e-3, t_end=0.5)):
             trace = integrate(params, record_every=25)
