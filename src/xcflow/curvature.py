@@ -187,7 +187,7 @@ class SymTensor3:
 
 def _frozen(array: np.ndarray) -> np.ndarray:
     """An array the library has just made, marked read-only in place."""
-    array.flags.writeable = False
+    array.setflags(write=False)
     return array
 
 
@@ -768,8 +768,8 @@ def eigen_frame(p: SymTensor3, g: SymTensor3) -> tuple[CurvatureFrame, np.ndarra
 
 def _fd_offsets() -> np.ndarray:
     """The finite-difference stencil in sampling order: +e_k, -e_k for
-    k = 0, 1, 2, then the corners s e_k + t e_l, (s, t) = (+,+), (+,-),
-    (-,+), (-,-), for (k, l) = (0, 1), (0, 2), (1, 2).
+    k = 0, 1, 2, then the diagonals +(e_k + e_l), -(e_k + e_l) for
+    (k, l) = (0, 1), (0, 2), (1, 2): 12 rows.
 
     Each row is the sum of the signed unit vectors, so a zero entry is -0.0
     exactly where every term subtracts, and x + h * row rounds as the
@@ -777,12 +777,14 @@ def _fd_offsets() -> np.ndarray:
     """
     e = np.eye(3)
     axes = [s * e[k] for k in range(3) for s in (1.0, -1.0)]
-    corners = [s * e[k] + t * e[l] for k, l in ((0, 1), (0, 2), (1, 2))
-               for s, t in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))]
-    return _frozen(np.array(axes + corners))
+    diagonals = [s * e[k] + s * e[l] for k, l in ((0, 1), (0, 2), (1, 2)) for s in (1.0, -1.0)]
+    return _frozen(np.array(axes + diagonals))
 
 
 _FD_OFFSETS = _fd_offsets()
+# the axes k and l of the mixed pairs (0, 1), (0, 2), (1, 2)
+_FD_PAIR_K = np.array([0, 0, 1])
+_FD_PAIR_L = np.array([1, 2, 2])
 # MetricJet's ddg rows (pairs 11, 12, 13, 22, 33, 23) from the stacked
 # second differences: the pure ones d_k d_k (rows 0-2), then the mixed
 # d_0 d_1, d_0 d_2, d_1 d_2 (rows 3-5)
@@ -823,16 +825,26 @@ def jet_from_function(
     """Second-order central-difference jet of a coordinate metric field.
 
     g_fn maps a point (3-vector) to the 3x3 metric matrix there.  It is
-    called once at x, then at the 18 points x + h * row of the stencil
-    `_FD_OFFSETS` (+-e_k, then the corners +-e_k +-e_l) for h = step and,
-    with richardson=True, again for h = step / 2: 19 samples, or 37.  The
-    mixed second derivatives use the symmetric 4-point stencil, so ddg is
+    called once at x, then at the 12 points x + h * row of the stencil
+    `_FD_OFFSETS` (+-e_k, then the diagonals +-(e_k + e_l)) for h = step
+    and, with richardson=True, again for h = step / 2: 13 samples, or 25.
+    With the second differences D_v = g(x + h v) - 2 g(x) + g(x - h v),
+
+        d_k g = (g(x + h e_k) - g(x - h e_k)) / 2h,
+        d_k d_k g = D_{e_k} / h^2,
+        d_k d_l g = (D_{e_k + e_l} - D_{e_k} - D_{e_l}) / 2h^2,
+
+    the last being the seven-point formula of Abramowitz & Stegun 25.3.27,
+    which shares the axis samples of the pure derivatives.  Its error is
+    h^2/12 (2 g_kkkl + 3 g_kkll + 2 g_klll), even in h, and ddg is
     symmetric under the derivative-pair swap exactly.  With richardson=True
-    the step and half-step estimates are combined to fourth order.
+    the step and half-step estimates are combined to fourth order.  dg and
+    the pure rows of ddg are the same as those of the 18-point stencil of
+    four corners per mixed pair, bit for bit; only the mixed rows differ.
 
     The samples are differenced as one stack of canonical components, with
-    the operations, in the order, of the central differences written out
-    per entry, so the jet is the same bit for bit as that of a loop over
+    the operations, in the order, of the differences above written out per
+    entry, so the jet is the same bit for bit as that of a loop over
     the stencil.  The first sample that raises DomainError, is not finite
     or is not 3x3 ends the call: at x itself its error propagates as it is,
     at another sample it is re-raised naming that sample and the step,
@@ -860,26 +872,25 @@ def jet_from_function(
         raise
     if stack.shape[1:] != (3, 3) or not np.isfinite(stack).all():
         _stencil_failure(samples, points, step)
-    # per step: 2h, h^2 and 4h^2 in Python floats, as the written-out
-    # differences divide by them; h^2 raises where it overflows, 4h^2 turns inf
+    # per step: 2h, h^2 and 2h^2 in Python floats, as the written-out
+    # differences divide by them; h^2 raises where it overflows, 2h^2 turns inf
     try:
-        div = [[2.0 * h, h**2, 4.0 * h**2] for h in steps]
+        div = [[2.0 * h, h**2, 2.0 * h**2] for h in steps]
     except OverflowError:
         div = [[math.inf]]
     if div[0][-1] == math.inf:
         raise DomainError(_CHART_OVERFLOW)
 
     packed = stack[:, _ROWS, _COLS]
-    centre = packed[0]
-    blocks = packed[1:].reshape(len(steps), 18, 6)
-    plus, minus = blocks[:, 0:6:2], blocks[:, 1:6:2]
-    corners = blocks[:, 6:].reshape(len(steps), 3, 4, 6)
+    # [step, v, s]: the sample at x + s h v, s = +1, -1, for the six v of
+    # the stencil: e_0, e_1, e_2, e_0 + e_1, e_0 + e_2, e_1 + e_2
+    pairs = packed[1:].reshape(len(steps), 6, 2, 6)
+    plus, minus = pairs[:, :, 0], pairs[:, :, 1]
     div = np.array(div)[:, :, None, None]
-    dg = (plus - minus) / div[:, 0]
-    pure = (plus - 2.0 * centre + minus) / div[:, 1]
-    mixed = (corners[:, :, 0] - corners[:, :, 1] - corners[:, :, 2]
-             + corners[:, :, 3]) / div[:, 2]
-    ddg = np.concatenate((pure, mixed), axis=1)[:, _FD_DDG_ROWS]
+    dg = (plus[:, :3] - minus[:, :3]) / div[:, 0]
+    second = plus - 2.0 * packed[0] + minus  # D_v for the six v
+    mixed = (second[:, 3:] - second[:, _FD_PAIR_K] - second[:, _FD_PAIR_L]) / div[:, 2]
+    ddg = np.concatenate((second[:, :3] / div[:, 1], mixed), axis=1)[:, _FD_DDG_ROWS]
     if richardson:
         dg = (4.0 * dg[1] - dg[0]) / 3.0
         ddg = (4.0 * ddg[1] - ddg[0]) / 3.0
@@ -890,8 +901,7 @@ def jet_from_function(
 
 _CHART_OVERFLOW = ("the chart metric or its differences overflow; kappa, point and "
                   "fd_step must keep them finite")
-_CHART_IDENTITY = np.eye(3)
-_CHART_IDENTITY.flags.writeable = False
+_CHART_IDENTITY = _frozen(np.eye(3))
 # delta_ij and -delta_ij, packed
 _PACKED_IDENTITY = _IDENTITY.components
 _NEG_PACKED_IDENTITY = _frozen(-_PACKED_IDENTITY)

@@ -82,7 +82,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (DEFAULT_DIRECTION_SAMPLES, MAX_DIRECTION_SAMPLES, finite_real,
+from .bounds import (DEFAULT_DIRECTION_SAMPLES, MAX_DIRECTION_SAMPLES, finite_real, is_bool,
                      stated_threshold)
 from .curvature import _COLS, _ROWS, STRUCTURE_TOL, SymTensor3, _frame_eigh, pack, unpack
 from .errors import DomainError, InternalConsistencyError
@@ -236,10 +236,13 @@ def symbol_modified(p: SymTensor3, rho: float, xi, case: int = +1) -> SymbolMatr
 
 
 def case_sign(case) -> int:
-    if case in (+1, "positive"):
-        return +1
-    if case in (-1, "negative"):
-        return -1
+    """+1 or -1 from `case`; a bool, Python's or numpy's, is refused though
+    it compares equal to 1 or 0."""
+    if not is_bool(case):
+        if case in (+1, "positive"):
+            return +1
+        if case in (-1, "negative"):
+            return -1
     raise DomainError(f"case must be +1/-1 or 'positive'/'negative', got {case!r}")
 
 

@@ -270,6 +270,8 @@ def _chart_jet():
 # analytic jet, so those three cases feed their tensors to the command in
 # place of its input parsing.  The digests hold for numpy 2.4 on x86-64; a
 # BLAS or LAPACK that rounds differently changes the last bits.
+# richardson_jet pins jet_from_function's seven-point mixed differences:
+# its off-diagonal Ric, P and h, exactly 0 for the chart, read below 3e-10.
 PINNED_CURVATURE_REPORTS = [
     ("rotated_frame", ["--frame", "-1.5,2,0.7"], _rotated_frame,
      "65abb8085974ceed3c05b39ade3ffd768e770d510c4a5cc95af6183b6cdb2114"),
@@ -279,7 +281,7 @@ PINNED_CURVATURE_REPORTS = [
      "cb054b1bb75c25ec1325b04544c88adeb2d30a1bf7dfdf9fb75634489a4accf4"),
     ("richardson_jet", ["--jet-from-chart", "hyperbolic", "--kappa", "-0.5", "--point",
                         "0.3,-0.2,0.1", "--richardson"], None,
-     "2832b872296218f656eac4dcbf242d0dd41b68e47056a3f7ca10f15a9a4ade45"),
+     "b442611f9273723bc98ccaff1d0c12616b849b7cf6f04a0a067424941de56f87"),
 ]
 
 

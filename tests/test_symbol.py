@@ -17,6 +17,7 @@ from xcflow.symbol import (
     ComplexEigenvalueWarning,
     ParabolicityReport,
     SymbolMatrix,
+    case_sign,
     parabolicity,
     quotient_blocks,
     spectrum,
@@ -818,6 +819,41 @@ class TestParabolicity:
     def test_rho_accepts_real_numbers(self):
         for rho in (0, np.float64(0.1), np.float32(0.25), np.int64(0), np.array(0.1)):
             assert parabolicity(P_IDENTITY, IDENTITY, rho).rho == float(rho)
+
+    @pytest.mark.parametrize("case", [True, np.True_, False, np.False_, 0, 2, "sideways"],
+                             ids=["true", "numpy_true", "false", "numpy_false", "zero", "two",
+                                  "name"])
+    def test_case_must_be_a_sign_or_its_name(self, case):
+        # True == 1, yet a bool is no case, as it is no rho
+        match = r"case must be \+1/-1 or 'positive'/'negative'"
+        with pytest.raises(DomainError, match=match):
+            case_sign(case)
+        with pytest.raises(DomainError, match=match):
+            symbol_modified(P_IDENTITY, 0.0, E1, case=case)
+        with pytest.raises(DomainError, match=match):
+            parabolicity(P_IDENTITY, IDENTITY, 0.0, case=case)
+
+    def test_case_accepts_signs_and_names(self):
+        for case, sign in ((1, 1), (-1, -1), ("positive", 1), ("negative", -1),
+                           (np.int64(-1), -1), (1.0, 1)):
+            assert case_sign(case) == sign
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+    def test_a_negative_symbol_eigenvalue_is_not_weak(self):
+        # rho = 1/4 + d/4 puts the eigenvalue q_min - 4 rho = -d below zero;
+        # the weak floor max(1e-9, 1e-7 raw_scale) calls it weakly parabolic
+        p = SymTensor3(np.array([1.0, 0, 0, 2.0, 3.0, 0]), "upper")
+        rep = parabolicity(p, IDENTITY, 0.25 + 1e-8 / 4.0)
+        assert rep.min_raw_eig < 0.0
+        assert rep.verdict == "not_parabolic"
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+    def test_the_strict_verdict_does_not_depend_on_the_scale_of_p(self):
+        # P = t diag(1, 2, 3), rho = 0.1 t: min(1, q_min, q_min - 4 rho) = 0.6 t > 0
+        # at every t, but STRICTNESS_FLOOR is absolute
+        t = 1e-9
+        p = SymTensor3(t * np.array([1.0, 0, 0, 2.0, 3.0, 0]), "upper")
+        assert parabolicity(p, IDENTITY, 0.1 * t).verdict == "strictly_parabolic_deturck"
 
     def test_imag_residue_is_relative_to_the_symbol_scale(self):
         p = SymTensor3(np.array([1e150, 0.0, 0.0, 1.0, 1.0, 0.0]), "upper")
