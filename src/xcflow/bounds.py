@@ -7,7 +7,8 @@ flow` runs on the standard library alone.  `symbol` re-exports the bound
 and the range.  `direction_samples` is range-checked and echoed in every
 parabolicity report; it decides nothing.  `finite_real` reads rho in
 `symbol` and every real parameter of `flow.FlowParams`, `real_number` the
-curvature scalars of `curvature`, whose inf and nan are named downstream.
+curvature scalars and the finite-difference step of `curvature`, whose
+inf and nan are named downstream, and `flag` every library flag.
 """
 
 import math
@@ -40,6 +41,15 @@ def is_bool(value) -> bool:
     are told by their dtype's kind, so this module needs no numpy."""
     return (isinstance(value, bool)
             or getattr(getattr(value, "dtype", None), "kind", None) == "b")
+
+
+def flag(value, name: str) -> bool:
+    """`value` as a Python bool, or a DomainError "<name> must be a bool".
+    Python's and numpy's bools pass; anything else is refused, since a truth
+    test reads "no" as True and 0 as False."""
+    if is_bool(value) and getattr(value, "size", 1) == 1:
+        return bool(value)
+    raise DomainError(f"{name} must be a bool, got {value!r}")
 
 
 def real_number(value, name: str) -> float:

@@ -30,11 +30,10 @@ curvature tensor is computed by three independent routes (determinant
 form, contraction form, volume-form contraction), all three for every P,
 and each pair is checked relative to det(g) ||P||_F^2: one path at every
 scale, with no branch for a singular P.  Each (Riemann3, metric) pair
-pays for one checked pass: the Riemann3 keeps sqrt(det g), g^-1, Ric, R and
-the checked P of the last metric object it was paired with, stored only
-once every check of the pass has succeeded, so `ricci`,
-`einstein_raised` and `cross_curvature_forms` on the same two objects
-share them, and an inconsistent pair raises on every call.
+pays for one checked pass (`_pair_pass`), which the Riemann3 keeps for
+the last metric object it was paired with, only once every check has
+succeeded: `ricci`, `einstein_raised` and `cross_curvature_forms` all
+read it, and an inconsistent pair raises on every call of each.
 
 Sign conventions are pinned by the unit round 3-sphere: in an
 orthonormal frame R_1212 = +1, the Ricci tensor is 2g, the scalar
@@ -53,7 +52,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .bounds import finite_real, real_number
+from .bounds import finite_real, flag, real_number
 from .errors import DomainError, InternalConsistencyError
 
 # Canonical ordering of the 6 independent components of a symmetric
@@ -100,6 +99,7 @@ _RIEMANN_QUADRATIC = _transposed(_FLAT4, (1, 3, 2, 0), (1, 3, 0, 2))
 FORMULA_AGREEMENT_RTOL = 1e-10
 # Residual tolerance of an eigensolve's and a symbol's self-checks, in units of their scale
 STRUCTURE_TOL = 1e-12
+_OVERFLOW = "curvature values overflow; the input must keep them finite"
 
 
 def pack(matrix: np.ndarray) -> np.ndarray:
@@ -389,7 +389,7 @@ class Riemann3:
     1/4 mu^irs mu^jkl R_rskl, the curvature viewed as a bilinear form on
     the mu-identified bivector space.  `_pair` is the checked pass over
     this tensor and the last metric object it was paired with:
-    (g, Ricci pass, Einstein pass or None).
+    (g, pass), the pass as `_pair_pass` returns it.
     """
 
     lowered: np.ndarray
@@ -431,16 +431,26 @@ class Riemann3:
     def from_frame(cls, a: float, b: float, c: float,
                    rotation: np.ndarray | None = None) -> "Riemann3":
         """Curvature with sectional values R_2323 = a, R_1313 = b, R_1212 = c
-        in the identity metric, optionally pushed forward by a rotation."""
+        in the identity metric, optionally pushed forward by a rotation: a
+        finite 3x3 Q with |Q^T Q - I| <= STRUCTURE_TOL entrywise (a
+        reflection is one), else DomainError."""
         r = np.zeros((3, 3, 3, 3))
         for (i, j), v in (((1, 2), finite_real(a, "a")), ((0, 2), finite_real(b, "b")),
                           ((0, 1), finite_real(c, "c"))):
             r[i, j, i, j] = r[j, i, j, i] = v
             r[i, j, j, i] = r[j, i, i, j] = -v
         if rotation is not None:
+            try:
+                q = np.asarray(rotation, dtype=float)
+            except (TypeError, ValueError):  # not numbers, or ragged
+                q = np.empty(0)
+            columns = q.T.tolist() if q.shape == (3, 3) else [[math.nan] * 3] * 3
+            if not (all(math.isfinite(x) for column in columns for x in column)
+                    and _gram_deviation(columns) <= STRUCTURE_TOL):
+                raise DomainError(f"rotation must be an orthogonal 3x3 matrix "
+                                  f"(|Q^T Q - I| <= {STRUCTURE_TOL:.0e} entrywise)")
             # R'_ijkl = q_ia q_jb q_kc q_ld R_abcd as K R K^T on index pairs,
             # with K[ij, ab] = q_ia q_jb
-            q = np.asarray(rotation, dtype=float)
             k = (q[:, None, :, None] * q[None, :, None, :]).reshape(9, 9)
             r = (k @ r.reshape(9, 9) @ k.T).reshape(3, 3, 3, 3)
         return cls.from_lowered(_frozen(r), _IDENTITY)
@@ -501,19 +511,6 @@ def _h_determinant(root_det: float, p_components: list[float]) -> np.ndarray:
     return unpack(_sym_adjugate_det(*(root_det * v for v in p_components))[0])
 
 
-def _rel_dev(x: np.ndarray, y: np.ndarray, *scale: float) -> float:
-    """max |x - y| divided by each factor of `scale` in turn, in Python floats.
-
-    The input sets the scale, so a value near zero is not rounding noise
-    measured against itself.  Raises DomainError when an entry is not
-    finite: the input overflowed and no deviation can be measured.
-    """
-    xs, ys = x.ravel().tolist(), y.ravel().tolist()
-    if not all(map(math.isfinite, xs + ys)):
-        raise DomainError("curvature values overflow; the input must keep them finite")
-    return _deviation(xs, ys, scale)
-
-
 def _deviation(xs: list[float], ys: list[float], scale: tuple[float, ...]) -> float:
     """max |x - y| over finite Python floats, divided by each factor of `scale`."""
     dev = max(map(abs, map(operator.sub, xs, ys)))
@@ -529,12 +526,18 @@ def _packed_symmetric_part(h: list[float]) -> list[float]:
             0.5 * (h[4] + h[4]), 0.5 * (h[8] + h[8]), 0.5 * (h[5] + h[7])]
 
 
-def _ricci_pass(riem: Riemann3, g: SymTensor3) -> tuple[float, np.ndarray, SymTensor3, float]:
-    """sqrt(det g), g^-1, Ric_ij = g^kl R_kilj and R = g^ij Ric_ij, each once per pair.
+def _pair_pass(riem: Riemann3,
+               g: SymTensor3) -> tuple[float, SymTensor3, float, SymTensor3, float]:
+    """sqrt(det g), Ric_ij = g^kl R_kilj, R = g^ij Ric_ij, the checked raised
+    Einstein-type tensor P and ||P||_F, once per pair.
 
-    sqrt(det g) and g^-1 come from the metric's one Cholesky factor, and the one
-    g^-1 serves both contractions.  Raises DomainError when Ric or R
-    overflows.  The result is kept on `riem` for this metric object.
+    One g^-1, from the metric's one Cholesky factor, serves both contractions
+    and the trace form (R/2) g^ij - Ric^ij, which checks P, the volume-form
+    value `riem.bivector_form` that keeps every sectional curvature, relative
+    to ||P||_F: the input sets the scale.  Raises DomainError when R or the
+    trace form overflows and InternalConsistencyError, which indicates an
+    inconsistent pair, when the forms disagree.  The pass is kept on `riem`
+    only once every check has succeeded, so such a pair raises on every call.
     """
     pair = riem._pair
     if pair is not None and pair[0] is g:
@@ -545,46 +548,31 @@ def _ricci_pass(riem: Riemann3, g: SymTensor3) -> tuple[float, np.ndarray, SymTe
     # every entry of Ric enters R (times g^ij, and inf * 0 is nan), so a
     # non-finite Ric makes R non-finite too
     if not math.isfinite(scalar):
-        raise DomainError("curvature values overflow; the input must keep them finite")
-    passed = root_det, ginv, SymTensor3.from_matrix(ric, "lower"), scalar
-    object.__setattr__(riem, "_pair", (g, passed, None))
-    return passed
-
-
-def _einstein_pass(riem: Riemann3, g: SymTensor3) -> tuple[float, SymTensor3, float]:
-    """sqrt(det g), the checked raised Einstein-type tensor P and ||P||_F of one pair.
-
-    P is the volume-form value `riem.bivector_form`, which keeps every
-    sectional curvature.  The trace form (R/2) g^ij - Ric^ij on the Ricci
-    pass's g^-1, Ric and R checks it relative to ||P||_F (it cancels the
-    curvatures below about 1e-16 ||P||_F); disagreement beyond tolerance
-    raises InternalConsistencyError, which indicates an inconsistent pair.
-    Only a pass whose check succeeded is kept on `riem`, so an
-    inconsistent pair raises on every call.
-    """
-    pair = riem._pair
-    if pair is not None and pair[0] is g and pair[2] is not None:
-        return pair[2]
-    ricci_pass = _ricci_pass(riem, g)
-    root_det, ginv, ric, scalar = ricci_pass
+        raise DomainError(_OVERFLOW)
+    ric = SymTensor3.from_matrix(ric, "lower")
     p = riem.bivector_form
     comps = p.components.tolist()
     p_norm = math.hypot(*comps, comps[1], comps[2], comps[5])
-    dev = _rel_dev(_p_trace(ginv, ric.matrix, scalar), p.matrix, p_norm)
+    trace_form = _p_trace(ginv, ric.matrix, scalar).ravel().tolist()
+    bivector = p.matrix.ravel().tolist()
+    if not all(map(math.isfinite, trace_form + bivector)):
+        raise DomainError(_OVERFLOW)
+    dev = _deviation(trace_form, bivector, (p_norm,))
     if dev > FORMULA_AGREEMENT_RTOL:
         raise InternalConsistencyError(
             f"trace and volume-form evaluations of the raised Einstein tensor "
             f"disagree (relative deviation {dev:.3e}); riem and g are inconsistent"
         )
-    passed = root_det, p, p_norm
-    object.__setattr__(riem, "_pair", (g, ricci_pass, passed))
+    passed = root_det, ric, scalar, p, p_norm
+    object.__setattr__(riem, "_pair", (g, passed))
     return passed
 
 
 def ricci(riem: Riemann3, g: SymTensor3) -> tuple[SymTensor3, float]:
-    """Ricci tensor Ric_ij = g^kl R_kilj and scalar curvature R = g^ij Ric_ij."""
-    _, _, ric, scalar = _ricci_pass(riem, g)
-    return ric, scalar
+    """Ricci tensor Ric_ij = g^kl R_kilj and scalar curvature R = g^ij Ric_ij,
+    from the pair's one checked pass: an inconsistent (riem, g) pair raises
+    InternalConsistencyError, as in `einstein_raised`."""
+    return _pair_pass(riem, g)[1:3]
 
 
 def einstein_raised(riem: Riemann3, g: SymTensor3) -> SymTensor3:
@@ -596,7 +584,7 @@ def einstein_raised(riem: Riemann3, g: SymTensor3) -> SymTensor3:
     disagreement raises InternalConsistencyError, which indicates an
     inconsistent (riem, g) pair.
     """
-    return _einstein_pass(riem, g)[1]
+    return _pair_pass(riem, g)[3]
 
 
 @dataclass(frozen=True)
@@ -639,7 +627,7 @@ def cross_curvature_forms(riem: Riemann3, g: SymTensor3) -> CrossCurvatureForms:
     overflows where h is still finite and det g alone can round to a
     subnormal float.
     """
-    root_det, p_t, p_norm = _einstein_pass(riem, g)
+    root_det, _, _, p_t, p_norm = _pair_pass(riem, g)
     r = riem.lowered
     comps = p_t.components.tolist()
 
@@ -649,7 +637,7 @@ def cross_curvature_forms(riem: Riemann3, g: SymTensor3) -> CrossCurvatureForms:
     unit_det = _sym_adjugate_det(*(v / p_norm for v in comps))[1] if p_norm else 0.0
 
     if not all(map(math.isfinite, h_con + h_mu + h_det)):
-        raise DomainError("curvature values overflow; the input must keep them finite")
+        raise DomainError(_OVERFLOW)
     scale = (root_det * p_norm,) * 2
     max_dev = max(_deviation(h_con, h_mu, scale), _deviation(h_con, h_det, scale),
                   _deviation(h_mu, h_det, scale))
@@ -663,7 +651,7 @@ def cross_curvature_forms(riem: Riemann3, g: SymTensor3) -> CrossCurvatureForms:
     # check, since the sum can overflow where h does not
     con, mu = _packed_symmetric_part(h_con), _packed_symmetric_part(h_mu)
     if not all(map(math.isfinite, con + mu)):
-        raise DomainError("curvature values overflow; the input must keep them finite")
+        raise DomainError(_OVERFLOW)
     return CrossCurvatureForms(
         contraction_form=SymTensor3._made(con),
         mu_form=SymTensor3._made(mu),
@@ -736,14 +724,20 @@ def _certify_eigenpairs(frame: list[float], lams: list[float], vecs: list[list[f
                               f12 * x + f22 * y + f23 * z - lam * y,
                               f13 * x + f23 * y + f33 * z - lam * z)
                    for (x, y, z), lam in zip(vecs, [lam / scale for lam in lams]))
-    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = vecs
-    gram = max(abs(a1 * a1 + a2 * a2 + a3 * a3 - 1.0), abs(b1 * b1 + b2 * b2 + b3 * b3 - 1.0),
-               abs(c1 * c1 + c2 * c2 + c3 * c3 - 1.0), abs(a1 * b1 + a2 * b2 + a3 * b3),
-               abs(a1 * c1 + a2 * c2 + a3 * c3), abs(b1 * c1 + b2 * c2 + b3 * c3))
+    gram = _gram_deviation(vecs)
     if not max(residual, gram) <= STRUCTURE_TOL:
         raise InternalConsistencyError(
             f"eigensolve self-check: |F v - lam v| / max(1, max |lam|) is {residual:.3e} and "
             f"|V^T V - I| is {gram:.3e} (tol {STRUCTURE_TOL:.0e})")
+
+
+def _gram_deviation(vecs: list[list[float]]) -> float:
+    """max |V^T V - I| over the entries, for the columns `vecs` of a finite 3x3
+    V, in Python floats: a diagonal entry comes first, so an overflow is inf."""
+    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = vecs
+    return max(abs(a1 * a1 + a2 * a2 + a3 * a3 - 1.0), abs(b1 * b1 + b2 * b2 + b3 * b3 - 1.0),
+               abs(c1 * c1 + c2 * c2 + c3 * c3 - 1.0), abs(a1 * b1 + a2 * b2 + a3 * b3),
+               abs(a1 * c1 + a2 * c2 + a3 * c3), abs(b1 * c1 + b2 * c2 + b3 * c3))
 
 
 def generalized_eigh(t: SymTensor3, g: SymTensor3) -> tuple[np.ndarray, np.ndarray]:
@@ -848,10 +842,13 @@ def jet_from_function(
     the stencil.  The first sample that raises DomainError, is not finite
     or is not 3x3 ends the call: at x itself its error propagates as it is,
     at another sample it is re-raised naming that sample and the step,
-    since the point itself lies in the domain.
+    since the point itself lies in the domain.  `step` is read as a Python
+    float (`bounds.real_number`), `richardson` as a bool (`bounds.flag`).
     """
+    step = real_number(step, "finite-difference step")
     if not (math.isfinite(step) and step > 0.0):
         raise DomainError(f"finite-difference step must be finite and positive, got {step!r}")
+    richardson = flag(richardson, "richardson")
     x = np.asarray(x, dtype=float)
     steps = (step, step / 2.0) if richardson else (step,)
     points = [x, *(x + np.array(steps)[:, None, None] * _FD_OFFSETS).reshape(-1, 3)]

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from math import isfinite
 from typing import TYPE_CHECKING, NamedTuple
 
-from .bounds import finite_real, is_bool, stated_threshold
+from .bounds import finite_real, flag, is_bool, stated_threshold
 from .errors import DomainError, ExtinctStateError, ExtinctionExceededError
 
 if TYPE_CHECKING:
@@ -60,8 +60,11 @@ class FlowParams:
     epsilon is the sectional-curvature sign of the initial metric and
     must match the sign of the Einstein constant lam (epsilon = +1 with
     lam > 0, epsilon = -1 with lam < 0) unless unsafe_signs is set.
-    rho, lam, dt and t_end are kept as the Python floats they are read as
-    (`bounds.finite_real`).
+    epsilon is kept as the Python int +1 or -1, whatever number type gave
+    it (a numpy float32 would run the integration in float32), rho, lam,
+    dt and t_end as the Python floats they are read as
+    (`bounds.finite_real`), and unsafe_signs as a Python bool
+    (`bounds.flag`: a non-bool such as "false" is refused).
     """
 
     rho: float
@@ -74,6 +77,8 @@ class FlowParams:
     def __post_init__(self):
         if is_bool(self.epsilon) or self.epsilon not in (+1, -1):
             raise DomainError(f"epsilon must be +1 or -1, got {self.epsilon!r}")
+        object.__setattr__(self, "epsilon", 1 if self.epsilon == 1 else -1)
+        object.__setattr__(self, "unsafe_signs", flag(self.unsafe_signs, "unsafe_signs"))
         for name in ("rho", "lam", "dt", "t_end"):  # a numpy float32 would run in float32
             object.__setattr__(self, name, finite_real(getattr(self, name), name))
         if self.dt <= 0.0 or self.t_end <= 0.0:
@@ -313,8 +318,9 @@ def integrate(
     an accepted c is also the next step's first stage, and a record reuses
     the step's margin.  Records are kept every `record_every` steps, plus
     the initial and final states.  record_every must be an integer >= 1
-    (not a bool), and the record at C_MIN must be finite for the run's
-    lam; otherwise DomainError is raised before the loop.
+    (not a bool), halt_on_parabolicity_loss a bool (`bounds.flag`), and the
+    record at C_MIN must be finite for the run's lam; otherwise DomainError
+    is raised before the loop.
 
     An accepted step makes no Python-level call: the loop body repeats
     `_rk4_step` (stage guards `0 < y < inf`), `_record` (the margin as
@@ -330,6 +336,7 @@ def integrate(
         every = 0
     if every < 1 or isinstance(record_every, bool):
         raise DomainError(f"record_every must be a positive integer, got {record_every!r}")
+    halt_on_parabolicity_loss = flag(halt_on_parabolicity_loss, "halt_on_parabolicity_loss")
     _check_c_min(params)
 
     dt_full, t_end = params.dt, params.t_end

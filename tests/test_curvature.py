@@ -357,6 +357,26 @@ class TestRiemann:
         r = Riemann3.space_form(1.0, IDENTITY)
         assert r.lowered[0, 1, 0, 1] == 1.0
 
+    @pytest.mark.parametrize("rotation", [
+        2.0 * np.eye(3), np.eye(3) + 1e-11 * np.triu(np.ones((3, 3)), 1), np.eye(2),
+        np.eye(3)[:, :, None], np.full((3, 3), np.nan), np.diag([1.0, math.inf, 1.0]),
+        np.full((3, 3), 1e200), np.zeros((0, 3)), "abc", [[1.0, 0.0], [0.0]],
+    ], ids=["scaled", "near_orthogonal", "2x2", "3x3x1", "nan", "inf", "huge", "empty",
+            "str", "ragged"])
+    def test_from_frame_rotation_must_be_orthogonal(self, rotation):
+        # 2 I used to give the frame (16, 32, 48), and a 2x2 a bare ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on the way
+            with pytest.raises(DomainError, match="rotation must be an orthogonal 3x3 matrix"):
+                Riemann3.from_frame(1.0, 2.0, 3.0, rotation=rotation)
+
+    def test_from_frame_accepts_reflections(self):
+        q, _ = np.linalg.qr(np.random.default_rng(83).standard_normal((3, 3)))
+        for reflection in (np.diag([1.0, -1.0, 1.0]), -q if np.linalg.det(q) > 0 else q):
+            riem = Riemann3.from_frame(1.0, 2.0, 3.0, rotation=reflection)
+            frame, _ = eigen_frame(einstein_raised(riem, IDENTITY), IDENTITY)
+            assert np.allclose(frame.as_array(), [1.0, 2.0, 3.0], rtol=0, atol=1e-14)
+
 
 class TestRicci:
     def test_unit_sphere(self):
@@ -762,13 +782,23 @@ def test_inconsistent_pair_raises_on_every_call():
     riem = Riemann3.space_form(1.0, IDENTITY)
     other = SymTensor3(np.array([4.0, 0.3, -0.2, 2.0, 1.0, 0.5]))
     for _ in range(3):
-        for call in (einstein_raised, cross_curvature_forms, cross_curvature):
+        for call in (ricci, einstein_raised, cross_curvature_forms, cross_curvature):
             with pytest.raises(InternalConsistencyError):
                 call(riem, other)
     # the consistent pair still passes, and the inconsistent one still raises after it
     assert np.array_equal(einstein_raised(riem, IDENTITY).matrix, np.eye(3))
-    with pytest.raises(InternalConsistencyError):
-        einstein_raised(riem, other)
+    for call in (ricci, einstein_raised):
+        with pytest.raises(InternalConsistencyError):
+            call(riem, other)
+
+
+def test_ricci_refuses_an_overflowing_trace_form(monkeypatch):
+    # R is finite here; the trace form of P that checks the pair is not
+    monkeypatch.setattr(curvature, "_p_trace", lambda *args: np.full((3, 3), np.inf))
+    riem = Riemann3.from_frame(1.0, 2.0, 3.0)
+    for _ in range(2):  # a failed pass is not kept
+        with pytest.raises(DomainError, match="curvature values overflow"):
+            ricci(riem, IDENTITY)
 
 
 class TestEigenFrame:
@@ -1251,10 +1281,41 @@ class TestJetFromFunction:
         with pytest.raises(DomainError, match="^point lies outside the chart domain$"):
             jet_from_function(space_form_chart(-1.0), np.array([2.1, 0.0, 0.0]))
 
-    @pytest.mark.parametrize("step", [math.nan, math.inf])
+    @pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -1e-3])
     def test_step_must_be_finite_and_positive(self, step):
-        with pytest.raises(DomainError, match="finite-difference step"):
+        with pytest.raises(DomainError,
+                           match="finite-difference step must be finite and positive"):
             jet_from_function(space_form_chart(1.0), np.zeros(3), step=step)
+
+    @pytest.mark.parametrize("step", [True, np.True_, "0.001", 10**400, None],
+                             ids=["bool", "numpy_bool", "str", "huge_int", "none"])
+    def test_step_must_be_a_real_number(self, step):
+        # True used to run with h = 1, "0.001" to raise TypeError and 10**400
+        # a bare OverflowError
+        with pytest.raises(DomainError, match="finite-difference step must be a real number"):
+            jet_from_function(space_form_chart(1.0), np.zeros(3), step=step)
+
+    @pytest.mark.parametrize("richardson", [False, True])
+    def test_numpy_float_step_differences_in_float64(self, richardson):
+        # a float32 step used to take its divisors in float32 (ddg off by 1.5e-8)
+        g_fn, x = space_form_chart(1.0), np.array([0.1, 0.2, 0.3])
+        got = jet_from_function(g_fn, x, step=np.float32(1e-3), richardson=richardson)
+        want = jet_from_function(g_fn, x, step=float(np.float32(1e-3)), richardson=richardson)
+        assert got.dg.tobytes() == want.dg.tobytes()
+        assert got.ddg.tobytes() == want.ddg.tobytes()
+        assert got.dg.dtype == got.ddg.dtype == np.float64
+
+    @pytest.mark.parametrize("richardson", ["no", "", 0, 1, None])
+    def test_richardson_must_be_a_bool(self, richardson):
+        # "no" used to refine
+        with pytest.raises(DomainError, match="richardson must be a bool"):
+            jet_from_function(space_form_chart(1.0), np.zeros(3), richardson=richardson)
+
+    def test_numpy_bool_richardson_refines(self):
+        x = np.array([0.1, 0.2, 0.3])
+        got = jet_from_function(space_form_chart(1.0), x, richardson=np.True_)
+        want = jet_from_function(space_form_chart(1.0), x, richardson=True)
+        assert got.ddg.tobytes() == want.ddg.tobytes()
 
     def test_ddg_pair_symmetry_is_structural(self):
         jet = jet_from_function(space_form_chart(-1.0), np.array([0.1, 0.5, -0.4]))

@@ -10,7 +10,7 @@ from xcflow.errors import (
     ExtinctStateError,
     ExtinctionExceededError,
 )
-from xcflow.cli import write_trace_csv
+from xcflow.cli import write_trace_csv, write_trace_json
 from xcflow.flow import (
     C_MIN,
     MAX_STEPS,
@@ -91,6 +91,35 @@ class TestFlowParams:
         # a float32 lam used to run the flow in float32
         same = FlowParams(rho=0.1, epsilon=1, lam=float(np.float32(0.3)), dt=1e-3, t_end=1.0)
         assert integrate(params).records == integrate(same).records
+
+
+    @pytest.mark.parametrize("epsilon, lam", [(np.float32(1.0), 2.0), (np.int64(1), 2.0),
+                                              (np.float32(-1.0), -2.0), (np.int64(-1), -2.0)],
+                             ids=["float32", "int64", "float32_negative", "int64_negative"])
+    def test_epsilon_is_kept_as_a_python_int(self, epsilon, lam):
+        # a float32 epsilon used to run the flow in float32, and an int64 one
+        # made the JSON trace unserialisable
+        params = FlowParams(rho=0.1, epsilon=epsilon, lam=lam, dt=1e-3, t_end=0.5)
+        assert type(params.epsilon) is int
+        same = FlowParams(rho=0.1, epsilon=int(epsilon), lam=lam, dt=1e-3, t_end=0.5)
+        traces = []
+        for run in (params, same):
+            out = io.StringIO()
+            write_trace_json(out, integrate(run, record_every=1))
+            traces.append(out.getvalue())
+        assert traces[0] == traces[1]
+
+    @pytest.mark.parametrize("value", ["false", "no", 0, 1, None, np.array([True, False])],
+                             ids=["false", "no", "0", "1", "None", "bool_pair"])
+    def test_unsafe_signs_must_be_a_bool(self, value):
+        # "false" used to pass the sign check, and its JSON trace printed it
+        with pytest.raises(DomainError, match="unsafe_signs must be a bool"):
+            FlowParams(rho=0.0, epsilon=1, lam=-1.0, dt=1e-3, t_end=1.0, unsafe_signs=value)
+
+    @pytest.mark.parametrize("value", [np.True_, np.array(True)], ids=["bool_", "array"])
+    def test_numpy_bool_flags_are_kept_as_python_bools(self, value):
+        params = FlowParams(rho=0.0, epsilon=1, lam=-1.0, dt=1e-3, t_end=1.0, unsafe_signs=value)
+        assert params.unsafe_signs is True
 
 
 class TestRhs:
@@ -372,6 +401,20 @@ class TestRecordEvery:
         base = integrate(sphere(dt=1e-3, t_end=0.1), record_every=7)
         assert integrate(sphere(dt=1e-3, t_end=0.1), record_every=np.int64(7)) == base
         assert len(base.records) == 100 // 7 + 2
+
+
+class TestHaltFlag:
+    @pytest.mark.parametrize("value", ["no", "", 0, 1, None])
+    def test_non_bool_rejected_by_name(self, value):
+        # "no" used to halt
+        with pytest.raises(DomainError, match="halt_on_parabolicity_loss must be a bool"):
+            integrate(sphere(rho=0.1, dt=1e-3, t_end=0.5), halt_on_parabolicity_loss=value)
+
+    def test_numpy_bool_halts_as_true(self):
+        params = FlowParams(rho=0.1, epsilon=1, lam=1.0, dt=1e-3, t_end=20.0)
+        halted = integrate(params, halt_on_parabolicity_loss=True)
+        assert halted.status == "parabolicity_lost"
+        assert integrate(params, halt_on_parabolicity_loss=np.True_) == halted
 
 
 class TestTraceRecord:
