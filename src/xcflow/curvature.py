@@ -13,16 +13,16 @@ writeable.
              + Gamma_{m,li} Gamma^m_kj - Gamma_{m,ki} Gamma^m_lj,
 
 with Gamma_{m,ab} = 1/2 (d_a g_bm + d_b g_am - d_m g_ab); the quadratic
-term is one symmetric 9x9 product Gamma^T g^-1 Gamma.  g^-1 is
-L^-T L^-1 from the Cholesky factor g = L L^T in Python floats, the one
-factor that also decides whether g is a metric and gives sqrt(det g) =
-l11 l22 l33; no LAPACK inverse is called.  Every use of det g takes that
-product (det g as two factors of it), so a metric whose det g is a
-subnormal float keeps full precision.  Each metric object is factored
-once: the first metric check that passes keeps sqrt(det g), L^T, L^-1,
-g^-1, mu^ijk and L^-T on the object (`_require_metric`), and every
-later use of that object (a jet, `riemann`, the Ricci pass, the
-eigensolver) reads them there.
+term is one symmetric 9x9 product Gamma^T g^-1 Gamma (`christoffel` raises
+that Gamma).  g^-1 is L^-T L^-1 from the Cholesky factor g = L L^T in
+Python floats, the one factor that also decides whether g is a metric and
+gives sqrt(det g) = l11 l22 l33; no LAPACK inverse is called.  Every use
+of det g takes that product (det g as two factors of it), so a metric
+whose det g is a subnormal float keeps full precision.  Each metric
+object is factored once: the first metric check that passes keeps
+sqrt(det g), L^T, L^-1, g^-1, mu^ijk and L^-T on the object
+(`_require_metric`), and every later use of that object (a jet,
+`riemann`, `christoffel`, the Ricci pass, the eigensolver) reads them there.
 
 The Einstein tensor with raised indices, P, is the volume-form value,
 checked against the trace form relative to ||P||_F.  The cross
@@ -134,7 +134,7 @@ class SymTensor3:
         comps = _read_only(self.components)
         if comps.shape != (6,):
             raise DomainError(f"expected 6 components, got shape {comps.shape}")
-        if self.variance not in ("lower", "upper"):
+        if not (isinstance(self.variance, str) and self.variance in ("lower", "upper")):
             raise DomainError(f"variance must be 'lower' or 'upper', got {self.variance!r}")
         object.__setattr__(self, "components", comps)
 
@@ -146,16 +146,13 @@ class SymTensor3:
         entries = m.ravel().tolist()
         if not all(map(math.isfinite, entries)):
             raise DomainError("matrix entries must be finite")
-        m11, m12, m13, m21, m22, m23, m31, m32, m33 = entries
+        _, m12, m13, m21, _, m23, m31, m32, _ = entries
         # np.allclose(m, m.T, rtol=0, atol=...) on finite entries, in Python
         # floats: one compare of the largest off-diagonal gap
         scale = max(1.0, *map(abs, entries))
         if max(abs(m12 - m21), abs(m13 - m31), abs(m23 - m32)) > 1e-12 * scale:
             raise DomainError("matrix is not symmetric")
-        # pack(0.5 * (m + m.T)), rounded entry by entry as numpy rounds it
-        # wherever that is finite: 0.5 * (x + x) == x on the diagonal
-        p12, p13, p23 = _midpoint(m12, m21), _midpoint(m13, m31), _midpoint(m23, m32)
-        return cls(_frozen(np.array([m11, p12, p13, m22, m33, p23])), variance)
+        return cls(_frozen(np.array(_packed_symmetric_part(entries))), variance)
 
     @classmethod
     def identity(cls, variance: str = "lower") -> "SymTensor3":
@@ -206,6 +203,15 @@ def _midpoint(x: float, y: float) -> float:
     (exact there, since both halves are far above the subnormal range)."""
     total = x + y
     return 0.5 * total if abs(total) != math.inf else 0.5 * x + 0.5 * y
+
+
+def _packed_symmetric_part(m: list[float]) -> list[float]:
+    """pack(0.5 * (m + m^T)) of a finite 3x3 m given row by row, rounded
+    entry by entry as numpy rounds it wherever that is finite: the diagonal
+    as it is (0.5 * (x + x) == x), each off-diagonal pair by `_midpoint`,
+    so the result is finite too."""
+    return [m[0], _midpoint(m[1], m[3]), _midpoint(m[2], m[6]),
+            m[4], m[8], _midpoint(m[5], m[7])]
 
 
 # the metric of from_frame, factored once for every frame
@@ -268,7 +274,7 @@ class _MetricFactor(NamedTuple):
 def _require_metric(g: SymTensor3) -> _MetricFactor:
     """The factor of g, once g is checked to be a metric: lower indices, a
     Cholesky factor (`_cholesky`), and sqrt(det g) = l11 l22 l33 a positive
-    finite float.
+    finite float whose reciprocal is finite too.
 
     Each metric object is factored once: the first call that passes every
     check keeps the factor on g (components are read-only, so it stays
@@ -285,10 +291,11 @@ def _require_metric(g: SymTensor3) -> _MetricFactor:
     if cholesky is None:
         raise DomainError("metric is not positive definite")
     root_det, upper, inverse = cholesky
-    if not 0.0 < root_det < math.inf:  # sqrt(det g), the determinant the code uses
+    # sqrt(det g), the determinant the code uses, and its reciprocal in mu^ijk
+    if not (0.0 < root_det < math.inf and 1.0 / root_det < math.inf):
         scale = math.exp(sum(math.log(comps[k]) for k in (0, 3, 4)) / 3.0)
         raise DomainError(
-            f"metric determinant {'overflows' if root_det else 'underflows'}: g is positive "
+            f"metric determinant {'overflows' if root_det > 1.0 else 'underflows'}: g is positive "
             f"definite but of scale {scale:.3g} (geometric mean of its diagonal); "
             "rescale it toward 1")
     (m11, _, _), (m21, m22, _), (m31, m32, m33) = inverse
@@ -300,22 +307,16 @@ def _require_metric(g: SymTensor3) -> _MetricFactor:
     return factor
 
 
-def _metric_inverse(g: SymTensor3) -> tuple[float, np.ndarray]:
-    """sqrt(det g) and g^-1 = L^-T L^-1 (read-only) of a checked metric."""
-    factor = _require_metric(g)
-    return factor.root_det, factor.ginv
-
-
 def volume_form(g: SymTensor3) -> tuple[np.ndarray, np.ndarray]:
     """Volume form of a metric and its fully raised counterpart.
 
     Returns (mu_lower, mu_upper) with mu_ijk = sqrt(det g) * eps_ijk and
     mu^ijk = eps_ijk / sqrt(det g), so that raising mu_lower with the
     inverse metric reproduces mu_upper.  In an orthonormal frame both
-    normalizations give mu_123 = mu^123 = 1.
+    normalizations give mu_123 = mu^123 = 1: fresh arrays from g's factor.
     """
-    root_det = _require_metric(g).root_det
-    return root_det * _EPS3, _EPS3 / root_det
+    factor = _require_metric(g)
+    return factor.root_det * _EPS3, factor.mu_upper.copy()
 
 
 @dataclass(frozen=True)
@@ -362,21 +363,20 @@ class MetricJet:
         return self.ddg[:, _UNPACK][_UNPACK]
 
 
-def _bracket(dg: np.ndarray) -> np.ndarray:
-    """[i, j, l] -> d_i g_jl + d_j g_il - d_l g_ij from dg[k, i, j] = d_k g_ij."""
-    return dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
-
-
-def _christoffel(ginv: np.ndarray, bracket: np.ndarray) -> np.ndarray:
-    return 0.5 * np.einsum("kl,ijl->kij", ginv, bracket)
+def _lowered_gamma(jet: MetricJet) -> np.ndarray:
+    """Gamma[m, ab] = Gamma_{m,ab} = 1/2 (d_a g_bm + d_b g_am - d_m g_ab), the
+    lowered Christoffel symbols as a (3, 9) array gathered from the packed dg."""
+    first = jet.dg.ravel()[_BRACKET_GATHER]
+    return 0.5 * (first[0] + first[1] - first[2])
 
 
 def christoffel(jet: MetricJet) -> np.ndarray:
     """Levi-Civita connection coefficients, shape (3, 3, 3) indexed [k, i, j].
 
-    Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij), symmetric in (i, j).
+    Gamma^k_ij = g^km Gamma_{m,ij}: the lowered symbols that `riemann` uses,
+    raised by the metric's kept g^-1; exactly symmetric in (i, j).
     """
-    return _christoffel(_metric_inverse(jet.g)[1], _bracket(jet.dg_full))
+    return (_require_metric(jet.g).ginv @ _lowered_gamma(jet)).reshape(3, 3, 3)
 
 
 @dataclass(frozen=True)
@@ -404,18 +404,26 @@ class Riemann3:
         r = np.asarray(lowered, dtype=float)
         if r.shape != (3, 3, 3, 3):
             raise DomainError(f"lowered Riemann must have shape (3,3,3,3), got {r.shape}")
+        flat = r.ravel()
+        if not math.isfinite(size := float(np.abs(flat).max())):
+            raise DomainError("lowered Riemann entries must be finite")
         # the residuals r + r^(1,0,2,3), r + r^(0,1,3,2), r - r^(2,3,0,1) and
         # r + r^(0,2,3,1) + r^(0,3,1,2), from one gather of the 81 entries
         # (row 2 holds the negated difference, which rounds the same)
-        flat = r.ravel()
         moved = flat[_SYMMETRY_GATHER]
         moved[:2] += flat
         moved[2] -= flat
         moved[3] += flat
         moved[3] += moved[4]
-        if np.abs(moved[:4]).max() > 1e-12 * np.abs(flat).max():
+        if np.abs(moved[:4]).max() > 1e-12 * size:
             raise DomainError("input violates the Riemann algebraic symmetries")
-        mu_up = _require_metric(g).mu_upper
+        root_det, _, _, _, mu_up, _ = _require_metric(g)
+        # a row of mu^irs holds two entries +-1 / sqrt(det g), so no partial sum of
+        # P's products exceeds 4 max |R| / det g; near inf, P is tried quietly first
+        if not 8.0 * size / root_det / root_det < math.inf:
+            with np.errstate(over="ignore", invalid="ignore"):
+                if not np.isfinite(_p_bivector(r, mu_up)).all():
+                    raise DomainError(_OVERFLOW)
         return cls(r, SymTensor3.from_matrix(_p_bivector(r, mu_up), "upper"))
 
     @classmethod
@@ -465,10 +473,8 @@ def riemann(jet: MetricJet) -> Riemann3:
     with M = Gamma^T g^-1 Gamma and Gamma[m, ab] = Gamma_{m,ab} the
     lowered Christoffel symbols: no derivative of the connection is formed.
     """
-    _, ginv = _metric_inverse(jet.g)
-    first = jet.dg.ravel()[_BRACKET_GATHER]
-    gamma = 0.5 * (first[0] + first[1] - first[2])
-    quadratic = (gamma.T @ ginv @ gamma).ravel()[_RIEMANN_QUADRATIC]
+    gamma = _lowered_gamma(jet)
+    quadratic = (gamma.T @ _require_metric(jet.g).ginv @ gamma).ravel()[_RIEMANN_QUADRATIC]
     second = jet.ddg.ravel()[_RIEMANN_LINEAR]
     r = 0.5 * (second[0] + second[1] - second[2] - second[3]) + quadratic[0] - quadratic[1]
     r = r.reshape(3, 3, 3, 3)
@@ -519,13 +525,6 @@ def _deviation(xs: list[float], ys: list[float], scale: tuple[float, ...]) -> fl
     return dev
 
 
-def _packed_symmetric_part(h: list[float]) -> list[float]:
-    """pack(0.5 * (h + h^T)) of a 3x3 h given row by row, rounded entry by
-    entry as numpy rounds it."""
-    return [0.5 * (h[0] + h[0]), 0.5 * (h[1] + h[3]), 0.5 * (h[2] + h[6]),
-            0.5 * (h[4] + h[4]), 0.5 * (h[8] + h[8]), 0.5 * (h[5] + h[7])]
-
-
 def _pair_pass(riem: Riemann3,
                g: SymTensor3) -> tuple[float, SymTensor3, float, SymTensor3, float]:
     """sqrt(det g), Ric_ij = g^kl R_kilj, R = g^ij Ric_ij, the checked raised
@@ -542,7 +541,7 @@ def _pair_pass(riem: Riemann3,
     pair = riem._pair
     if pair is not None and pair[0] is g:
         return pair[1]
-    root_det, ginv = _metric_inverse(g)
+    root_det, _, _, ginv, _, _ = _require_metric(g)
     ric = np.einsum("kl,kilj->ij", ginv, riem.lowered)
     scalar = float(np.einsum("ij,ij->", ginv, ric))
     # every entry of Ric enters R (times g^ij, and inf * 0 is nan), so a
@@ -646,15 +645,11 @@ def cross_curvature_forms(riem: Riemann3, g: SymTensor3) -> CrossCurvatureForms:
             f"cross curvature formulas disagree (relative deviation {max_dev:.3e})"
         )
 
-    # h_det and 0.5 (h + h^T) are exactly symmetric, so packing them gives
-    # what SymTensor3.from_matrix would; finiteness is all it would still
-    # check, since the sum can overflow where h does not
-    con, mu = _packed_symmetric_part(h_con), _packed_symmetric_part(h_mu)
-    if not all(map(math.isfinite, con + mu)):
-        raise DomainError(_OVERFLOW)
+    # the two finite routes packed as SymTensor3.from_matrix packs them, and
+    # h_det, which is exactly symmetric
     return CrossCurvatureForms(
-        contraction_form=SymTensor3._made(con),
-        mu_form=SymTensor3._made(mu),
+        contraction_form=SymTensor3._made(_packed_symmetric_part(h_con)),
+        mu_form=SymTensor3._made(_packed_symmetric_part(h_mu)),
         determinant_form=SymTensor3._made([h_det[k] for k in (0, 1, 2, 4, 8, 5)]),
         determinant_unit=unit_det,
         determinant_singular=abs(unit_det) <= 1e-12,
@@ -850,6 +845,8 @@ def jet_from_function(
         raise DomainError(f"finite-difference step must be finite and positive, got {step!r}")
     richardson = flag(richardson, "richardson")
     x = np.asarray(x, dtype=float)
+    if x.shape != (3,):
+        raise DomainError(f"point must be a 3-vector, got shape {x.shape}")
     steps = (step, step / 2.0) if richardson else (step,)
     points = [x, *(x + np.array(steps)[:, None, None] * _FD_OFFSETS).reshape(-1, 3)]
     samples = []

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from math import isfinite
 from typing import TYPE_CHECKING, NamedTuple
 
-from .bounds import finite_real, flag, is_bool, stated_threshold
+from .bounds import finite_real, flag, is_bool, real_number, stated_threshold
 from .errors import DomainError, ExtinctStateError, ExtinctionExceededError
 
 if TYPE_CHECKING:
@@ -138,19 +138,23 @@ def _rhs_coefficients(params: FlowParams) -> tuple[float, float]:
     return -params.epsilon * params.lam**2, 6.0 * params.rho * params.lam
 
 
-def _require_scale(c: float) -> None:
+def _require_scale(c: float) -> float:
     """The scale-factor check of every pointwise evaluation at c (not of
-    the integrate loop, whose stage guards keep c positive and finite): a
-    collapsed c <= 0 is an ExtinctStateError, a nan or inf a DomainError."""
+    the integrate loop, whose stage guards keep c positive and finite):
+    c is read as a Python float (`bounds.real_number`), so a numpy float32
+    is evaluated in float64; a collapsed c <= 0 is an ExtinctStateError, a
+    nan or inf a DomainError.  Returns the float."""
+    c = real_number(c, "scale factor")
     if c <= 0.0:
         raise ExtinctStateError(f"scale factor must be positive, got {c!r}")
     if not isfinite(c):
         raise DomainError(f"scale factor must be finite, got {c!r}")
+    return c
 
 
 def einstein_rhs(c: float, params: FlowParams) -> float:
     """dc/dt on the Einstein ansatz: -eps * lam^2 / (2c) + 6 rho lam."""
-    _require_scale(c)
+    c = _require_scale(c)
     num, a = _rhs_coefficients(params)
     return num / (2.0 * c) + a
 
@@ -160,7 +164,7 @@ def _space_form(c: float, params: FlowParams) -> tuple[Riemann3, SymTensor3]:
     the space form of curvature lam / (2c) on g = c * identity, and g."""
     from . import curvature as cv
 
-    _require_scale(c)
+    c = _require_scale(c)
     g = cv.SymTensor3(c * cv.SymTensor3.identity().components)
     return cv.Riemann3.space_form(params.lam / (2.0 * c), g), g
 
@@ -191,7 +195,7 @@ def published_ode_rhs(c: float, params: FlowParams) -> float:
     source is read as the Einstein constant).  Never used for
     integration.
     """
-    _require_scale(c)
+    c = _require_scale(c)
     lam = params.lam
     try:
         ratio = (2.0 * c**2 - 3.0 * lam**2) / (2.0 * lam * c**2)
@@ -222,8 +226,10 @@ def closed_form_c(t: float, params: FlowParams) -> float:
     rho = 0: c(t) = sqrt(1 - eps * lam^2 * t); for the shrinking case the
     argument turns negative past the extinction time and
     ExtinctionExceededError is raised.  At the equilibrium c* = 1 the
-    solution is constant.
+    solution is constant.  t is read as a finite Python float
+    (`bounds.finite_real`).
     """
+    t = finite_real(t, "time")
     if t < 0.0:
         raise DomainError("time must be nonnegative")
     if params.rho == 0.0:
@@ -440,11 +446,11 @@ def einstein_residual(record: TraceRecord, params: FlowParams) -> float:
 
 def tensor_norm(t_lower: np.ndarray, g: SymTensor3) -> float:
     """Metric norm of a lowered 2-tensor: sqrt(g^ik g^jl T_ij T_kl), on the
-    checked inverse of g (`curvature._metric_inverse`), so a g that is not
-    a metric is a DomainError."""
+    inverse of g kept by its metric check (`curvature._require_metric`), so
+    a g that is not a metric is a DomainError."""
     import numpy as np
 
-    from .curvature import _metric_inverse
+    from .curvature import _require_metric
 
-    _, ginv = _metric_inverse(g)
+    ginv = _require_metric(g).ginv
     return float(np.sqrt(np.einsum("ik,jl,ij,kl->", ginv, ginv, t_lower, t_lower)))

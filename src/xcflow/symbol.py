@@ -192,6 +192,8 @@ def symbol_stacks(p: SymTensor3, rho: float, xis) -> tuple[np.ndarray, np.ndarra
     """
     weights = np.array([*p.components.tolist(), _symbol_data(p, rho)])
     v = np.asarray(xis, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 3:
+        raise DomainError(f"xis must have shape (N, 3), got shape {v.shape}")
     coeff = np.concatenate([(weights @ _RAW_COEFF).reshape(6, 36), _GAUGE_COEFF], axis=1)
     stacks = ((v[:, _ROWS] * v[:, _COLS]) @ coeff).reshape(len(v), 2, 6, 6)
     return stacks[:, 0], stacks[:, 1]
@@ -237,8 +239,9 @@ def symbol_modified(p: SymTensor3, rho: float, xi, case: int = +1) -> SymbolMatr
 
 def case_sign(case) -> int:
     """+1 or -1 from `case`; a bool, Python's or numpy's, is refused though
-    it compares equal to 1 or 0."""
-    if not is_bool(case):
+    it compares equal to 1 or 0, and so is an array of more than one entry,
+    whose == compares entry by entry."""
+    if not is_bool(case) and getattr(case, "size", 1) == 1:
         if case in (+1, "positive"):
             return +1
         if case in (-1, "negative"):
@@ -479,7 +482,7 @@ def parabolicity(
     only echoed in the report.
     """
     sign = case_sign(case)
-    if mode not in ("frame", "all_directions"):
+    if not (isinstance(mode, str) and mode in ("frame", "all_directions")):
         raise DomainError(f"mode must be 'frame' or 'all_directions', got {mode!r}")
     samples = _integer(direction_samples, "direction_samples")
     if not 1 <= samples <= MAX_DIRECTION_SAMPLES:

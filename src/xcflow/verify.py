@@ -157,6 +157,19 @@ def _verdict(max_dev: float, tol: float, label: str = "max dev") -> tuple[bool, 
     return max_dev <= tol, f"{label} {max_dev:.3e} (tol {tol:.1e})"
 
 
+# The einsum route to the connection, independent of the gathered lowered
+# symbols that `curvature.christoffel` and `curvature.riemann` share
+
+def _bracket(dg: np.ndarray) -> np.ndarray:
+    """[i, j, l] -> d_i g_jl + d_j g_il - d_l g_ij from dg[k, i, j] = d_k g_ij."""
+    return dg + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
+
+
+def reference_christoffel(ginv: np.ndarray, bracket: np.ndarray) -> np.ndarray:
+    """Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij), [k, i, j]."""
+    return 0.5 * np.einsum("kl,ijl->kij", ginv, bracket)
+
+
 # The one reference for the symbol matrices: `engine_symbol` rebuilds them
 # column by column from the curvature engine's linear response, not from a
 # second copy of the formula that `symbol.symbol_stacks` assembles them from.
@@ -175,7 +188,7 @@ def engine_symbol(jet: cv.MetricJet, epsilon: float, rho: float,
     d_k d_l g_ij += s xi_k xi_l m_ij, and F is at most quadratic in the
     second derivatives, so (F(+1) - F(-1)) / 2 is its exact linear response.
     The gauge term is minus the principal part of L_W g, W^k = g^ij
-    Gamma^k_ij, with d_a Gamma from `curvature._christoffel` on the second
+    Gamma^k_ij, with d_a Gamma from `reference_christoffel` on the second
     derivatives."""
     g = jet.g
     if g.components.tolist() != [1.0, 0.0, 0.0, 1.0, 1.0, 0.0]:
@@ -196,7 +209,7 @@ def engine_symbol(jet: cv.MetricJet, epsilon: float, rho: float,
         # [a, l, i, j] = d_a d_l g_ij of the variation alone, in which the
         # principal part of L_W g is linear
         second = cv.MetricJet(g, jet.dg, np.outer(xixi, cv.pack(m))).ddg_full
-        dgamma = np.array([cv._christoffel(ginv, cv._bracket(d)) for d in second])
+        dgamma = np.array([reference_christoffel(ginv, _bracket(d)) for d in second])
         dw = np.einsum("ij,akij->ak", ginv, dgamma)  # d_a W^k, lowered by g = I
         return -(dw + dw.T)
 
@@ -343,8 +356,8 @@ def reference_riemann(jet: cv.MetricJet) -> cv.Riemann3:
     gm = jet.g.matrix
     ginv = np.linalg.inv(gm)
     dg = jet.dg_full
-    bracket = cv._bracket(dg)
-    gamma = cv._christoffel(ginv, bracket)
+    bracket = _bracket(dg)
+    gamma = reference_christoffel(ginv, bracket)
     dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
     # [m, i, j, l] = d_m (d_i g_jl + d_j g_il - d_l g_ij)
     ddg = jet.ddg_full

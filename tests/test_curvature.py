@@ -667,22 +667,22 @@ def _pair_outputs(riem, g):
 
 
 def test_each_pair_pays_for_one_checked_pass(monkeypatch):
-    calls = {"_metric_inverse": 0, "_p_trace": 0}
+    calls = {"_p_trace": 0}
     for name in calls:
         def counted(*args, exact=getattr(curvature, name), name=name):
             calls[name] += 1
             return exact(*args)
         monkeypatch.setattr(curvature, name, counted)
     jet = _generic_jet(np.random.default_rng(79))
-    riem = riemann(jet)  # one inverse for the connection
+    riem = riemann(jet)
     for _ in range(3):
         _pair_outputs(riem, jet.g)
-    assert calls == {"_metric_inverse": 2, "_p_trace": 1}
+    assert calls == {"_p_trace": 1}
     # an equal metric in another object is another pair, with equal results
     twin = SymTensor3(jet.g.components.copy())
     for got, want in zip(_pair_outputs(riem, twin), _pair_outputs(riemann(jet), jet.g)):
         assert np.array_equal(got, want)
-    assert calls == {"_metric_inverse": 5, "_p_trace": 3}
+    assert calls == {"_p_trace": 3}
 
 
 def _counted_cholesky(monkeypatch) -> list:
@@ -748,21 +748,19 @@ def test_a_failing_metric_is_never_kept(components, variance, message, monkeypat
     p = SymTensor3.identity("upper")
     for n, call in enumerate((lambda: curvature._require_metric(g), lambda: volume_form(g),
                               lambda: eigen_frame(p, g), lambda: constant_jet(g),
-                              lambda: Riemann3.space_form(1.0, g),
-                              lambda: curvature._metric_inverse(g)) * 2):
+                              lambda: Riemann3.space_form(1.0, g)) * 2):
         with pytest.raises(DomainError) as caught:
             call()
         assert str(caught.value).startswith(message)
         assert g._factor is None
     # each call checked g afresh: a lower-index g was factored every time
-    assert len(calls) == (12 if variance == "lower" else 0)
+    assert len(calls) == (10 if variance == "lower" else 0)
 
 
 def test_the_kept_factor_is_read_only():
     g = spd(np.random.default_rng(89))
     factor = curvature._require_metric(g)
     assert curvature._require_metric(g) is factor and g._factor is factor
-    assert curvature._metric_inverse(g) == (factor.root_det, factor.ginv)
     for array in (factor.ginv, factor.mu_upper, factor.frame_axes):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
@@ -1331,3 +1329,118 @@ def test_mu_raising_consistency(i, j, scale):
     ginv = np.linalg.inv(g.matrix)
     raised = np.einsum("ip,jq,kr,pqr->ijk", ginv, ginv, ginv, mu_lo)
     assert np.abs(raised - mu_up).max() < 1e-12
+
+
+def test_christoffel_raises_the_lowered_symbols_of_riemann():
+    # one route to Gamma: the gathered Gamma_{m,ab} raised by the kept g^-1,
+    # against verify's einsum over the full bracket with the same g^-1
+    from xcflow.verify import _bracket, reference_christoffel
+
+    rng = np.random.default_rng(97)
+    worst = 0.0
+    for _ in range(300):
+        jet = _generic_jet(rng)
+        got = christoffel(jet)
+        want = reference_christoffel(curvature._require_metric(jet.g).ginv,
+                                     _bracket(jet.dg_full))
+        worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
+        assert np.array_equal(got, got.transpose(0, 2, 1))
+    assert worst <= 1e-14
+
+
+def test_symmetric_parts_pack_by_midpoint():
+    # pack(0.5 * (m + m^T)) bit for bit wherever numpy's is finite, and
+    # finite where the sum of an off-diagonal pair overflows
+    rng = np.random.default_rng(101)
+    overflowed = 0
+    for _ in range(400):
+        m = rng.uniform(-1.8, 1.8, (3, 3)) * 10.0 ** rng.integers(-300, 309)
+        with np.errstate(over="ignore"):
+            want = pack(0.5 * (m + m.T))
+        got = np.array(curvature._packed_symmetric_part(m.ravel().tolist()))
+        finite = np.isfinite(want)
+        overflowed += not finite.all()
+        assert got[finite].tobytes() == want[finite].tobytes()
+        assert np.isfinite(got).all()
+    assert overflowed > 0
+    assert curvature._packed_symmetric_part([1.5e308] * 9) == [1.5e308] * 6
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: SymTensor3(np.zeros(5)), r"expected 6 components, got shape \(5,\)"),
+    (lambda: SymTensor3(np.zeros((2, 3))), r"expected 6 components, got shape \(2, 3\)"),
+    (lambda: SymTensor3(np.zeros(6), "middle"), "variance must be 'lower' or 'upper'"),
+    # an array variance used to end in numpy's "truth value ... is ambiguous"
+    (lambda: SymTensor3(np.zeros(6), np.zeros(2)), "variance must be 'lower' or 'upper'"),
+    (lambda: SymTensor3.from_matrix(np.eye(2)), r"expected a 3x3 matrix, got shape \(2, 2\)"),
+    (lambda: MetricJet(IDENTITY, np.zeros((6, 3)), np.zeros((6, 6))),
+     r"dg must have shape \(3, 6\), got \(6, 3\)"),
+    (lambda: MetricJet(IDENTITY, np.zeros((3, 6)), np.zeros((3, 6))),
+     r"ddg must have shape \(6, 6\), got \(3, 6\)"),
+    (lambda: Riemann3.from_lowered(np.zeros((3, 3, 9)), IDENTITY),
+     r"lowered Riemann must have shape \(3,3,3,3\), got \(3, 3, 9\)"),
+    # a point of the wrong shape used to end in numpy's broadcast ValueError
+    (lambda: jet_from_function(space_form_chart(1.0), [1, 2]),
+     r"point must be a 3-vector, got shape \(2,\)"),
+    (lambda: jet_from_function(space_form_chart(1.0), np.zeros((1, 3))),
+     r"point must be a 3-vector, got shape \(1, 3\)"),
+], ids=["short_components", "matrix_components", "unknown_variance", "array_variance",
+        "from_matrix_shape", "dg_shape", "ddg_shape", "lowered_shape", "fd_point_short",
+        "fd_point_row"])
+def test_malformed_inputs_raise_their_named_error(make, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message):
+            make()
+
+
+OVERFLOW = "curvature values overflow; the input must keep them finite"
+
+
+def _infinite_frame() -> np.ndarray:
+    """The unit frame's R_ijkl with every nonzero entry made +-inf."""
+    r = Riemann3.from_frame(1.0, 1.0, 1.0).lowered.copy()
+    r[r != 0.0] = np.copysign(math.inf, r[r != 0.0])
+    return r
+
+
+@pytest.mark.parametrize("make, message", [
+    # P = R / det g is 7e307, but the bivector products overflow on the way
+    (lambda: Riemann3.space_form(7e297, SymTensor3(1e-10 * IDENTITY.components)), OVERFLOW),
+    (lambda: Riemann3.space_form(1e300, SymTensor3(1e-10 * IDENTITY.components)), OVERFLOW),
+    (lambda: Riemann3.from_frame(1e308, -1e308, 1e308), OVERFLOW),
+    (lambda: Riemann3.from_lowered(np.full((3, 3, 3, 3), np.nan), IDENTITY),
+     "lowered Riemann entries must be finite"),
+    (lambda: Riemann3.from_lowered(_infinite_frame(), IDENTITY),
+     "lowered Riemann entries must be finite"),
+], ids=["space_form_near_the_edge", "space_form", "frame", "nan", "inf"])
+def test_bivector_form_overflow_is_named_without_numpy_warnings(make, message):
+    # the finite input used to warn "overflow encountered in matmul", then
+    # raise "matrix entries must be finite"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message):
+            make()
+
+
+def test_bivector_form_near_the_float_range_is_kept():
+    # the bound 8 max |R| / det g overflows, the products do not: the same
+    # P as the plain products, with no warning
+    g = SymTensor3(1e-10 * IDENTITY.components)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        riem = Riemann3.space_form(3e297, g)
+    want = curvature._p_bivector(riem.lowered, curvature._require_metric(g).mu_upper)
+    assert riem.bivector_form.components.tobytes() == pack(want).tobytes()
+    assert riem.bivector_form.components[0] == pytest.approx(3e307, rel=1e-15)
+
+
+def test_a_metric_whose_volume_form_overflows_is_refused():
+    # sqrt(det g) = 1e-309 is a positive float, but mu^ijk = eps_ijk / sqrt(det g)
+    # overflowed with numpy's warning
+    g = SymTensor3(1e-206 * IDENTITY.components)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="metric determinant underflows"):
+            volume_form(g)
+    assert g._factor is None

@@ -171,6 +171,20 @@ class TestRhs:
                     evaluate(c, sphere())
                 assert not isinstance(caught.value, ExtinctStateError)
 
+    @pytest.mark.parametrize("evaluate", [einstein_rhs, engine_rhs, published_ode_rhs],
+                             ids=["einstein_rhs", "engine_rhs", "published_ode_rhs"])
+    def test_scale_factor_is_read_as_a_python_float(self, evaluate):
+        # a numpy float32 computed in float32 and returned a numpy float32
+        got = evaluate(np.float32(0.5), sphere(rho=0.1))
+        assert type(got) is float
+        assert got == evaluate(0.5, sphere(rho=0.1))
+
+    @pytest.mark.parametrize("c", ["abc", "0.5", None, True, 1j])
+    def test_scale_factor_must_be_a_real_number(self, c):
+        # "abc" raised a TypeError
+        with pytest.raises(DomainError, match="scale factor must be a real number"):
+            einstein_rhs(c, sphere())
+
     def test_published_form_disagrees(self):
         # the originally published reduced ODE is kept only as a diagnostic;
         # at the unit sphere it gives -12.5 against the engine's -2
@@ -198,6 +212,20 @@ class TestClosedForm:
     def test_unavailable_for_generic_rho(self):
         with pytest.raises(DomainError):
             closed_form_c(0.1, sphere(rho=0.05))
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(DomainError, match="time must be nonnegative"):
+            closed_form_c(-1e-3, sphere())
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, "0.1", None, True])
+    def test_time_must_be_a_finite_real_number(self, t):
+        # nan returned nan
+        with pytest.raises(DomainError, match="time must be a finite real number"):
+            closed_form_c(t, sphere())
+
+    def test_time_is_read_as_a_python_float(self):
+        got = closed_form_c(np.float32(0.125), sphere())
+        assert type(got) is float and got == closed_form_c(0.125, sphere())
 
 
 class TestIntegrate:
@@ -367,6 +395,27 @@ class TestNamedStep:
         late = _rk4_step(prev.c, trace.extinction_time - prev.t + tol, params)
         assert late is None or late <= C_MIN
         assert trace.extinction_time == pytest.approx(1.0, abs=params.dt)
+
+
+class TestCrossingStep:
+    # the first step of each run is its crossing step: at dt = 1.9 the third
+    # stage point c + dt k3 is negative, at dt = 1.1 every stage point is
+    # positive but the result c_next falls below C_MIN
+    @pytest.mark.parametrize("dt, rejected_by", [(1.9, "stage"), (1.1, "result")])
+    def test_a_rejected_first_step_ends_extinct_as_the_bisection_gives(self, dt, rejected_by):
+        from xcflow.flow import _record, _refine_extinction, _rk4_step
+        params = FlowParams(rho=0.0, epsilon=+1, lam=1.0, dt=dt, t_end=dt)
+        step = _rk4_step(1.0, dt, params)
+        if rejected_by == "stage":
+            assert step is None
+        else:
+            assert step is not None and step <= C_MIN
+        trace = integrate(params, record_every=1)
+        t_ext, halvings = _refine_extinction(1.0, 0.0, dt, params)
+        assert (trace.status, trace.steps, trace.bisection_iterations) == ("extinct", 0, halvings)
+        assert trace.extinction_time == t_ext
+        assert trace.records == (_record(0.0, 1.0, params, ()),
+                                 _record(t_ext, C_MIN, params, ("extinct",)))
 
 
 class TestCMin:

@@ -3,8 +3,8 @@ and eigensolved in one named place.
 
 curvature._cholesky is the one Cholesky factorisation of g (in Python
 floats): it decides whether g is a metric and gives det g, the factor that
-_frame_eigh uses and the one inverse of g (_metric_inverse), so no other
-determinant, inverse or solve of g exists.  verify.py keeps numpy's
+_frame_eigh uses and the one inverse of g, which _require_metric keeps on
+the metric object, so no other determinant, inverse or solve of g exists.  verify.py keeps numpy's
 routines as its independent references.
 """
 

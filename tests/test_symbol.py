@@ -983,3 +983,31 @@ class TestEigensolveCertificate:
         p = SymTensor3(np.array([frame[0], 0.0, 0.0, frame[1], frame[2], 0.0]), "upper")
         for call in self.CALLERS.values():
             call(p)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: symbol_raw(P_IDENTITY, 0.1, [1.0, 2.0]),
+     r"covector must have 3 components, got shape \(2,\)"),
+    (lambda: symbol_stacks(SymTensor3.identity(), 0.1, np.eye(3)),
+     "symbol assembly expects P with upper indices"),
+    (lambda: to_orthonormal_frame(SymTensor3.identity(), IDENTITY),
+     "frame transform expects a tensor with upper indices"),
+    (lambda: parabolicity(P_IDENTITY, IDENTITY, 0.1, mode="every_direction"),
+     "mode must be 'frame' or 'all_directions', got 'every_direction'"),
+    # directions of the wrong shape used to end in numpy's IndexError
+    (lambda: symbol_stacks(P_IDENTITY, 0.1, [1, 2]),
+     r"xis must have shape \(N, 3\), got shape \(2,\)"),
+    (lambda: symbol_stacks(P_IDENTITY, 0.1, np.ones((2, 4))),
+     r"xis must have shape \(N, 3\), got shape \(2, 4\)"),
+    # array choices used to end in numpy's "truth value ... is ambiguous"
+    (lambda: parabolicity(P_IDENTITY, IDENTITY, 0.1, mode=np.zeros((2, 2))),
+     "mode must be 'frame' or 'all_directions'"),
+    (lambda: parabolicity(P_IDENTITY, IDENTITY, 0.1, case=np.zeros((2, 2))),
+     "case must be \\+1/-1 or 'positive'/'negative'"),
+], ids=["covector_shape", "stacks_lower_p", "frame_lower_p", "unknown_mode", "xis_vector",
+        "xis_columns", "array_mode", "array_case"])
+def test_malformed_symbol_inputs_raise_their_named_error(make, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message):
+            make()
