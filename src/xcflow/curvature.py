@@ -431,6 +431,10 @@ class Riemann3:
         """Constant-curvature tensor R_ijkl = kappa (g_ik g_jl - g_il g_jk)."""
         kappa = finite_real(kappa, "kappa")
         _require_metric(g)
+        # g_ik g_jl - g_il g_jk and its product with kappa stay below this bound
+        size = max(map(abs, g.components.tolist()))
+        if not max(1.0, abs(kappa)) * 2.0 * size * size < math.inf:
+            raise DomainError(_OVERFLOW)
         gm = g.matrix
         outer = gm[:, None, :, None] * gm[None, :, None, :]  # [i, j, k, l] = g_ik g_jl
         return cls.from_lowered(_frozen(kappa * (outer - outer.transpose(0, 1, 3, 2))), g)
@@ -472,14 +476,20 @@ def riemann(jet: MetricJet) -> Riemann3:
              + M[li, kj] - M[ki, lj],
     with M = Gamma^T g^-1 Gamma and Gamma[m, ab] = Gamma_{m,ab} the
     lowered Christoffel symbols: no derivative of the connection is formed.
+    A finite jet whose R overflows is a DomainError naming the overflow.
     """
-    gamma = _lowered_gamma(jet)
-    quadratic = (gamma.T @ _require_metric(jet.g).ginv @ gamma).ravel()[_RIEMANN_QUADRATIC]
-    second = jet.ddg.ravel()[_RIEMANN_LINEAR]
-    r = 0.5 * (second[0] + second[1] - second[2] - second[3]) + quadratic[0] - quadratic[1]
-    r = r.reshape(3, 3, 3, 3)
-    r = 0.25 * (r - r.transpose(1, 0, 2, 3) - r.transpose(0, 1, 3, 2) + r.transpose(1, 0, 3, 2))
-    r = 0.5 * (r + r.transpose(2, 3, 0, 1))
+    # formed quietly: an overflow on the way leaves R non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = _lowered_gamma(jet)
+        quadratic = (gamma.T @ _require_metric(jet.g).ginv @ gamma).ravel()[_RIEMANN_QUADRATIC]
+        second = jet.ddg.ravel()[_RIEMANN_LINEAR]
+        r = 0.5 * (second[0] + second[1] - second[2] - second[3]) + quadratic[0] - quadratic[1]
+        r = r.reshape(3, 3, 3, 3)
+        r = 0.25 * (r - r.transpose(1, 0, 2, 3) - r.transpose(0, 1, 3, 2)
+                    + r.transpose(1, 0, 3, 2))
+        r = 0.5 * (r + r.transpose(2, 3, 0, 1))
+    if not np.isfinite(r).all() and np.isfinite(jet.dg).all() and np.isfinite(jet.ddg).all():
+        raise DomainError(_OVERFLOW)
     return Riemann3.from_lowered(_frozen(r), jet.g)
 
 

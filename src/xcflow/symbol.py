@@ -34,7 +34,7 @@ it, so the frame (v_n, v_{n+1}, v_{n+2}) (indices mod 3) stands in for
 the Householder frame that `quotient_blocks` builds at a general
 direction.
 
-A spectrum takes one 3x3 eigenproblem, not a 6x6 one.  At a unit xi the
+A spectrum is read off a 3x3 block, not a 6x6 matrix.  At a unit xi the
 variations split as K(xi) + T(xi): K = {xi X^T + X xi^T} (3-dimensional)
 and T the symmetric tensors on the plane orthogonal to xi, its Frobenius
 complement.  The raw symbol R maps K to 0, and the gauge term G maps
@@ -45,9 +45,9 @@ W = diag(1, 2, 2, 1, 1, 2) the Frobenius weight of packed components),
 and
     spec R = {0, 0, 0} + spec B,    spec S = {1, 1, 1} + spec B.
 `quotient_blocks` checks that structure on the assembled stacks before
-it returns B.  `spectrum` reads every spectrum off B, so the structural
-eigenvalues are exact, not solved for in the non-normal 6x6 matrix;
-`verify` keeps the full 6x6 solve as the reference.
+it returns B, so the structural eigenvalues are exact, not solved for in
+the non-normal 6x6 matrix; `verify` keeps the full 6x6 solve as the
+reference.
 
 B is symmetric.  A variation m in T has m xi = 0, so xi^T m xi = 0, and
 the three terms xi (m P xi)^T + (m P xi) xi^T and tr(P m) xi xi^T of the
@@ -56,28 +56,28 @@ q m - 2 rho tr(m) I with q = xi^T P xi.  The identity splits as xi xi^T
 in K plus pi = I - xi xi^T in T, and tr m = <pi, m> on T, so
     B = q 1 - 2 rho pi pi^T
 in the basis E, with |pi|^2 = 2: symmetric, with spec B = {q, q, q -
-4 rho}.  In the frame (v_n, v_{n+1}, v_{n+2}) of an eigenvector v_n, pi
-has the T-coordinates (1, 1, 0), so B_n has the diagonal (q - 2 rho,
-q - 2 rho, q), -2 rho at (1, 2) and (2, 1) and zeros elsewhere, with
-q = s lambda_n.  `parabolicity` compares each B_n with that entry by entry,
-within STRUCTURE_TOL / 3 of the symbol scale, and solves no eigenproblem
-of its own: a 3x3 matrix has |M|_2 <= 3 max |M_ij|, so by Weyl's
-inequality the spectrum of B_n is then within STRUCTURE_TOL of {q, q,
-q - 4 rho}, and a block rotated within its spectrum fails too.  `spectrum`
-takes its eigenvalues with the symmetric solver `eigvalsh` on the
-symmetric part (B + B^T) / 2; the skew part (B - B^T) / 2 is rounding
-alone.  By Bendixson's theorem every eigenvalue of B lies
-within |(B - B^T) / 2|_2 of the real axis, so that norm bounds the
-imaginary residue a general solve of B could return.  Over the symbol
-scale, it is the `max_imag_residue` a report carries, and `spectrum`
-warns when it exceeds IMAG_RESIDUE_TOL of the entries.
+4 rho}.  In a frame (xi, e, f), the Householder frame of `quotient_blocks`
+or the frame (v_n, v_{n+1}, v_{n+2}) of an eigenvector v_n, pi has the
+T-coordinates (1, 1, 0), so B has the diagonal (q - 2 rho, q - 2 rho, q),
+-2 rho at (1, 2) and (2, 1) and zeros elsewhere.  `_check_closed_form`
+compares B with that entry by entry, within STRUCTURE_TOL / 3 of the
+symbol scale: a 3x3 matrix has |M|_2 <= 3 max |M_ij|, so by Weyl's
+inequality the spectrum of B is then within STRUCTURE_TOL of {q, q,
+q - 4 rho}, and a block rotated within its spectrum fails too.
+`parabolicity` runs it at P's eigenvectors with q = s lambda_n, and
+`symbol_raw` and `symbol_modified` at their one direction with the
+Rayleigh quotient q = xi^T P xi / xi^T xi, which `spectrum` then reads:
+no eigenproblem is solved for a spectrum, and the library's one
+eigensolve is `curvature._frame_eigh`'s.  The skew part (B - B^T) / 2 is
+rounding alone; by Bendixson's theorem its norm bounds the imaginary part
+a general solve of B could return, and over the symbol scale it is the
+`max_imag_residue` a report carries.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,7 +92,14 @@ STRICTNESS_FLOOR = 1e-9
 
 
 class ComplexEigenvalueWarning(RuntimeWarning):
-    """A nominally real spectrum carried imaginary residue above tolerance."""
+    """A nominally real spectrum carried imaginary residue above tolerance.
+
+    Nothing raises it now: `spectrum` solves nothing, and a quotient block
+    that passes `_check_closed_form` has a skew part, the bound on that
+    residue, about 170 times below IMAG_RESIDUE_TOL of the symbol scale.
+    The name stays for callers that still filter it, as the benchmark's
+    parabolicity check does until ROADMAP item 3 removes that filter.
+    """
 
 
 @dataclass(frozen=True)
@@ -102,15 +109,16 @@ class SymbolMatrix:
     Rows and columns follow the component order (11, 12, 13, 22, 33, 23).
     `kind` is 'raw' for the ungauged operator, 'deturck' for the
     gauge-fixed one.  `xi` is the unit covector the entries were assembled
-    at, and `block` the 3x3 quotient block B that `quotient_blocks`
-    checked there, which `spectrum` reads the eigenvalues from.
+    at, and `q` = xi^T P xi there (P signed by the case for 'deturck'):
+    the quotient block at xi passed its check against q 1 - 2 rho pi pi^T,
+    so `spectrum` reads the eigenvalues off q.
     """
 
     entries: np.ndarray
     kind: str
     xi: np.ndarray
     rho: float
-    block: np.ndarray
+    q: float
 
     def apply(self, tensor: np.ndarray) -> np.ndarray:
         """Act on a symmetric 3x3 tensor and return the symmetric result."""
@@ -200,17 +208,20 @@ def symbol_stacks(p: SymTensor3, rho: float, xis) -> tuple[np.ndarray, np.ndarra
 
 
 def _one_direction(p: SymTensor3, rho, xi):
-    """The unit covector along xi, and the raw symbol, gauge term and
-    quotient block there.  Entries that overflow end as the DomainError of
-    `_block_spectra` in `spectrum`, without numpy's overflow warnings first."""
+    """The unit covector v along xi, the raw symbol and gauge term there, and
+    the Rayleigh quotient q = v^T P v / v^T v, once the quotient block at v
+    has passed `_check_closed_form`.  Entries that overflow end as its
+    DomainError, without numpy's overflow warnings first."""
     xi_v = _covector(xi)
     # largest |component| first: the norm neither over- nor underflows
     v = xi_v / np.abs(xi_v).max()
     v /= np.linalg.norm(v)
     with np.errstate(over="ignore", invalid="ignore"):
         raw, gauge = symbol_stacks(p, rho, v[None])
-        blocks, _ = quotient_blocks(raw, gauge, v[None])
-    return v, raw[0], gauge[0], blocks[0]
+        blocks, raw_scale = quotient_blocks(raw, gauge, v[None])
+        q = float(v @ p.matrix @ v) / float(v @ v)
+    _check_closed_form(blocks, raw_scale, [q], float(rho), "symbol self-check: the block at xi")
+    return v, raw[0], gauge[0], q
 
 
 def symbol_raw(p: SymTensor3, rho: float, xi) -> SymbolMatrix:
@@ -219,8 +230,8 @@ def symbol_raw(p: SymTensor3, rho: float, xi) -> SymbolMatrix:
     The action on a variation m is the raw action of `symbol_stacks` at xi
     rescaled to unit Euclidean length.
     """
-    v, raw, _, block = _one_direction(p, rho, xi)
-    return SymbolMatrix(raw, "raw", v, float(rho), block)
+    v, raw, _, q = _one_direction(p, rho, xi)
+    return SymbolMatrix(raw, "raw", v, float(rho), q)
 
 
 def symbol_modified(p: SymTensor3, rho: float, xi, case: int = +1) -> SymbolMatrix:
@@ -233,8 +244,8 @@ def symbol_modified(p: SymTensor3, rho: float, xi, case: int = +1) -> SymbolMatr
     s P11 - 4 rho} with s = case.
     """
     p_eff = SymTensor3(case_sign(case) * p.components, p.variance)
-    v, raw, gauge, block = _one_direction(p_eff, rho, xi)
-    return SymbolMatrix(raw - gauge, "deturck", v, float(rho), block)
+    v, raw, gauge, q = _one_direction(p_eff, rho, xi)
+    return SymbolMatrix(raw - gauge, "deturck", v, float(rho), q)
 
 
 def case_sign(case) -> int:
@@ -249,48 +260,47 @@ def case_sign(case) -> int:
     raise DomainError(f"case must be +1/-1 or 'positive'/'negative', got {case!r}")
 
 
-def _block_spectra(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of the symmetric part of each 3x3 block, and the
-    spectral norm of its skew part, which bounds the imaginary part of every
-    eigenvalue of the block (Bendixson; module docstring).  Entries that
-    overflowed to inf or nan (P or rho beyond what the symbol's products keep
-    finite) are a DomainError: `eigvalsh` would return nan for them."""
-    if not np.isfinite(blocks).all():
-        raise DomainError("symbol matrix entries overflow: P or rho is too large")
-    # halves first, so neither the sum nor the difference overflows
-    half, half_t = 0.5 * blocks, 0.5 * blocks.swapaxes(-1, -2)
-    return np.linalg.eigvalsh(half + half_t), _skew_norms(half, half_t)
-
-
-def _skew_norms(half: np.ndarray, half_t: np.ndarray) -> np.ndarray:
-    """Spectral norm of the skew part B / 2 - B^T / 2 of each 3x3 block, from
-    the halves B / 2 and B^T / 2: a 3x3 skew matrix with entries a, b, c
-    above its diagonal has eigenvalues 0 and +-i |(a, b, c)|."""
-    skew = half - half_t
+def _skew_norms(blocks: np.ndarray) -> np.ndarray:
+    """Spectral norm of the skew part B / 2 - B^T / 2 of each 3x3 block B,
+    halved first so that nothing overflows: a 3x3 skew matrix with entries
+    a, b, c above its diagonal has eigenvalues 0 and +-i |(a, b, c)|."""
+    half = 0.5 * blocks
+    skew = half - half.swapaxes(-1, -2)
     return np.hypot(np.hypot(skew[..., 0, 1], skew[..., 0, 2]), skew[..., 1, 2])
 
 
 def spectrum(m: SymbolMatrix) -> np.ndarray:
-    """Eigenvalues of a symbol matrix, sorted ascending.
-
-    They are read off the checked quotient block: {0, 0, 0} + spec B for
-    the raw symbol and {1, 1, 1} + spec B for the gauge-fixed one (module
-    docstring), so the structural eigenvalues are exact and only B's
-    three are solved for, as the eigenvalues of its symmetric part.  A
-    skew part of B above 1e-10 max(1, max |entries|), which bounds the
-    imaginary residue a general solve could return, is surfaced as a
-    ComplexEigenvalueWarning rather than dropped silently.
+    """Eigenvalues of a symbol matrix, sorted ascending: {0, 0, 0, q, q,
+    q - 4 rho} for the raw symbol and {1, 1, 1, q, q, q - 4 rho} for the
+    gauge-fixed one, with q = m.q (module docstring).  Nothing is solved
+    for: the quotient block at m.xi passed its closed-form check when m was
+    assembled, which puts its spectrum within STRUCTURE_TOL of the symbol
+    scale of {q, q, q - 4 rho}.
     """
-    vals, skew_norm = _block_spectra(m.block)
-    if skew_norm > IMAG_RESIDUE_TOL * max(1.0, float(np.abs(m.entries).max())):
-        warnings.warn(
-            f"symbol spectrum has imaginary residue up to {float(skew_norm):.3e} "
-            f"(the skew part of its quotient block)",
-            ComplexEigenvalueWarning,
-            stacklevel=2,
-        )
     structural = 0.0 if m.kind == "raw" else 1.0
-    return np.sort(np.append(np.full(3, structural), vals))
+    return np.sort([structural] * 3 + [m.q, m.q, m.q - 4.0 * m.rho])
+
+
+def _check_closed_form(blocks: np.ndarray, raw_scale: float, q: list[float], rho: float,
+                       where: str) -> None:
+    """Compare each quotient block B_n with q_n 1 - 2 rho pi pi^T, pi = (1, 1,
+    0) in T's coordinates, entry by entry in units of the symbol scale
+    raw_scale, where nothing overflows (module docstring).  A non-finite
+    entry or q_n is a DomainError; an entry off by more than STRUCTURE_TOL
+    / 3 an InternalConsistencyError that names `where`."""
+    entries = (blocks / raw_scale).ravel().tolist()
+    if not all(map(math.isfinite, entries + q)):
+        raise DomainError("symbol matrix entries overflow: P or rho is too large")
+    two_rho = 2.0 * (rho / raw_scale)
+    closed = []
+    for qn in [e / raw_scale for e in q]:
+        closed += (qn - two_rho, -two_rho, 0.0, -two_rho, qn - two_rho, 0.0, 0.0, 0.0, qn)
+    mismatch = max(map(abs, map(operator.sub, entries, closed)))
+    # |B - C|_2 <= 3 max |B - C| for 3x3 blocks, so by Weyl's inequality the
+    # spectra of B_n are within STRUCTURE_TOL of {q, q, q - 4 rho}
+    if not mismatch <= STRUCTURE_TOL / 3.0:
+        raise InternalConsistencyError(
+            f"{where} is off q 1 - 2 rho pi pi^T by {mismatch:.3e} of the symbol scale")
 
 
 # Pairs (a, b) of the frame (xi, e, f) whose packed a b^T + b a^T, times
@@ -376,8 +386,7 @@ def quotient_blocks(raw: np.ndarray, gauge: np.ndarray, xis) -> tuple[np.ndarray
     none of them overflows; G is already of order 1 at unit xi.  A
     residual above STRUCTURE_TOL raises InternalConsistencyError.  Entries
     that overflowed to inf or nan make every residual nan, which passes
-    here and reaches the finiteness test of `_block_spectra` (or of
-    `parabolicity`) in B.
+    here and reaches the finiteness test of `_check_closed_form` in B.
     """
     return _frame_blocks(raw, gauge, _householder_frames(np.asarray(xis, dtype=float)))
 
@@ -472,12 +481,9 @@ def parabolicity(
     itself comes from q_min = min(s lambda) (module docstring).  The
     quotient blocks at P's eigenvectors v_n pass the structure checks of
     `quotient_blocks`, in the frames (v_n, v_{n+1}, v_{n+2}) those
-    eigenvectors already form.  One more self-check raises
-    InternalConsistencyError beyond STRUCTURE_TOL / 3 of the symbol scale:
-    each block B_n must equal q_n 1 - 2 rho pi pi^T, q_n = s lambda_n,
-    entry by entry, which by Weyl's inequality puts its spectrum within
-    STRUCTURE_TOL of {q_n, q_n, q_n - 4 rho}.  The eigenpairs themselves
-    are certified by `_frame_eigh`, the one eigensolve of a query.
+    eigenvectors already form, and `_check_closed_form` with q_n = s
+    lambda_n.  The eigenpairs themselves are certified by `_frame_eigh`,
+    the one eigensolve of a query.
     `direction_samples`, an integer from 1 to MAX_DIRECTION_SAMPLES, is
     only echoed in the report.
     """
@@ -504,27 +510,12 @@ def parabolicity(
     signed = SymTensor3._made(sign * frame, "upper")
     # P's eigenvectors, taken cyclically, frame K(v_n) + T(v_n) at each v_n.
     # P or rho large enough to overflow the symbol entries ends in the
-    # DomainError below, without numpy's overflow warnings first
+    # DomainError of _check_closed_form, without numpy's overflow warnings first
     with np.errstate(over="ignore", invalid="ignore"):
         blocks, raw_scale = _frame_blocks(*symbol_stacks(signed, rho, vecs), vecs[_CYCLIC])
-    # B_n against q_n 1 - 2 rho pi pi^T, pi = (1, 1, 0) in T's coordinates,
-    # entry by entry in units of the symbol scale, where nothing overflows
-    entries = (blocks / raw_scale).ravel().tolist()
-    if not all(map(math.isfinite, entries)):
-        raise DomainError("symbol matrix entries overflow: P or rho is too large")
-    two_rho = 2.0 * (rho / raw_scale)
-    closed = []
-    for qn in [e / raw_scale for e in q]:
-        closed += (qn - two_rho, -two_rho, 0.0, -two_rho, qn - two_rho, 0.0, 0.0, 0.0, qn)
-    mismatch = max(map(abs, map(operator.sub, entries, closed)))
-    # |B - C|_2 <= 3 max |B - C| for 3x3 blocks, so by Weyl's inequality the
-    # spectra of B_n are within STRUCTURE_TOL of {q, q, q - 4 rho}
-    if not mismatch <= STRUCTURE_TOL / 3.0:
-        raise InternalConsistencyError(
-            "parabolicity self-check: a quotient block at P's eigenvectors is off "
-            f"q 1 - 2 rho pi pi^T by {mismatch:.3e} of the symbol scale")
-    half = 0.5 * blocks
-    skew_norms = _skew_norms(half, half.swapaxes(-1, -2))
+    _check_closed_form(blocks, raw_scale, q, rho,
+                       "parabolicity self-check: a quotient block at P's eigenvectors")
+    skew_norms = _skew_norms(blocks)
     lowest = min(q_min, q_min - 4.0 * rho)
     min_raw, min_modified = min(0.0, lowest), min(1.0, lowest)
     branch = "gauge" if lowest >= 1.0 else "q - 4 rho" if rho > 0.0 else "q"

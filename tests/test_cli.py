@@ -299,16 +299,19 @@ def test_curvature_json_report_is_pinned(argv, inputs, digest, tmp_path, monkeyp
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
-# sha256 of `xcflow symbol ... --format json`, taken while parabolicity still
-# compared the spectra of its quotient blocks: the entrywise check must leave
-# the report the same byte for byte.  Same numpy and platform caveat as above.
+# sha256 of `xcflow symbol ... --format json`.  The parabolicity block is the
+# same byte for byte as when parabolicity compared the spectra of its
+# quotient blocks; the per-direction spectra were taken once they came from
+# the checked closed form {q, q, q - 4 rho}, which repeats q exactly where an
+# eigensolve of the block split it in the last bit.  Same numpy and platform
+# caveat as above.
 PINNED_SYMBOL_REPORTS = [
     ("threshold", ["--frame", "0.2,5,5", "--rho", "0.04"],
-     "9b0c51b7ce5eaeaa3886d65e4218b9fd72d2fff8c6b73baf8461ce52cba0841a"),
+     "65d2e2be048739b0c44cc3aae951ce6467bf1a95ae770c038a724924cedaaadb"),
     ("threefold_weak", ["--frame", "2,2,2", "--rho", "0.5"],
-     "4784b5b082e750ddcac5c0d8bcd9d3f7040b1aa561c099025fa2677f909d59be"),
+     "53749049e91aeb082661d2b40439babd77fa38dda18baa0cd2172b0402d8bf03"),
     ("negative", ["--p", "-2,0,0,-2.5,-2.5,0.5", "--case", "negative", "--rho", "0.3"],
-     "5ce6d216e59dd77e8e57ab0eca2432026c29f8d13834821bde4eb4c45da11952"),
+     "d6d3a5303eebe6466724b57a9506bd8f24ed7bc62569f88c7d9cfa7d654d8264"),
     ("wide_range", ["--frame", "1e-8,1,1e8"],
      "cbe60e3b70d3d23259e180d7dfed7904f5787fecfb85f7d18329e8bfb7e987f5"),
 ]
@@ -498,7 +501,7 @@ def test_curvature_chart_edge_cases_name_their_cause(argv, message, capsys):
 
 def test_symbol_at_the_threshold_runs_under_warnings_as_errors():
     # at rho = q / 4 the structural zeros meet an eigenvalue of B; the
-    # spectra come from B, so no imaginary-residue warning is raised
+    # spectra come from B's checked closed form, so nothing is solved or warned
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "xcflow", "symbol", "--frame", "1,1,1",
          "--rho", "0.25", "--xi", "1,1,1"],
@@ -507,6 +510,18 @@ def test_symbol_at_the_threshold_runs_under_warnings_as_errors():
     assert proc.stderr == ""
     assert "raw: 0.0,0.0,0.0,0.0," in proc.stdout
     assert "deturck: 0.0,1.0,1.0,1.0," in proc.stdout
+
+
+@pytest.mark.parametrize("argv, q", [
+    (["--frame", "0.2,5,5", "--rho", "0.04"], "0.2"),
+    (["--frame", "2,2,2", "--rho", "0.5"], "2.0"),
+])
+def test_symbol_prints_the_double_eigenvalue_q_exactly_twice(argv, q, capsys):
+    # spec B = {q, q, q - 4 rho}: q prints as one float twice, and no value a bit off it
+    for line in _spectrum_lines(argv, capsys):
+        values = line.split(": ")[1].split(",")
+        assert values.count(q) == 2, line
+        assert all(float(v) != float(q) for v in values if v != q), line
 
 
 def _spectrum_lines(argv, capsys):

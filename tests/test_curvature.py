@@ -1413,14 +1413,39 @@ def _infinite_frame() -> np.ndarray:
      "lowered Riemann entries must be finite"),
     (lambda: Riemann3.from_lowered(_infinite_frame(), IDENTITY),
      "lowered Riemann entries must be finite"),
-], ids=["space_form_near_the_edge", "space_form", "frame", "nan", "inf"])
+    # R itself overflows: Gamma^T g^-1 Gamma, the sums of ddg, or g_ik g_jl
+    (lambda: riemann(MetricJet(IDENTITY, np.full((3, 6), 1e160), np.zeros((6, 6)))), OVERFLOW),
+    (lambda: riemann(MetricJet(SymTensor3(1e-100 * IDENTITY.components),
+                               1e110 * np.random.default_rng(7).uniform(-1, 1, (3, 6)),
+                               np.zeros((6, 6)))), OVERFLOW),
+    (lambda: riemann(MetricJet(IDENTITY, np.zeros((3, 6)), np.full((6, 6), 1e308))), OVERFLOW),
+    (lambda: Riemann3.space_form(1.0, SymTensor3(1e160 * IDENTITY.components)), OVERFLOW),
+    (lambda: Riemann3.space_form(1e-300, SymTensor3(1e155 * IDENTITY.components)), OVERFLOW),
+], ids=["space_form_near_the_edge", "space_form", "frame", "nan", "inf", "riemann_quadratic",
+        "riemann_quadratic_small_metric", "riemann_second", "space_form_outer",
+        "space_form_outer_small_kappa"])
 def test_bivector_form_overflow_is_named_without_numpy_warnings(make, message):
-    # the finite input used to warn "overflow encountered in matmul", then
-    # raise "matrix entries must be finite"
+    # the finite input used to warn "overflow encountered in matmul" (or "in
+    # multiply", "in add"), then raise that the entries must be finite
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=message):
             make()
+
+
+def test_riemann_near_the_float_range_is_kept():
+    # R is quadratic in dg at g = I, ddg = 0: dg scaled by 2^510 gives R
+    # scaled by 2^1020 (~1e307) exactly, with no warning; a non-finite jet
+    # still names the entries, quietly
+    dg = np.random.default_rng(7).uniform(-1, 1, (3, 6))
+    base = riemann(MetricJet(IDENTITY, dg, np.zeros((6, 6)))).lowered
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = riemann(MetricJet(IDENTITY, 2.0 ** 510 * dg, np.zeros((6, 6)))).lowered
+        assert got.tobytes() == (2.0 ** 1020 * base).tobytes()
+        assert np.abs(got).max() > 1e306
+        with pytest.raises(DomainError, match="lowered Riemann entries must be finite"):
+            riemann(MetricJet(IDENTITY, np.zeros((3, 6)), np.full((6, 6), np.inf)))
 
 
 def test_bivector_form_near_the_float_range_is_kept():

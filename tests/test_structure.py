@@ -54,14 +54,12 @@ def test_each_metric_object_is_factored_in_one_place():
 
 
 def test_one_eigensolver_per_purpose():
-    # _frame_eigh is the one eigensolve of P (certified by its residuals),
-    # _block_spectra the one of the quotient blocks that spectrum() reads;
-    # parabolicity checks its blocks entrywise and solves nothing else
+    # _frame_eigh is the one eigensolve of the library, that of P (certified
+    # by its residuals); every quotient block is checked entrywise against
+    # its closed form, and spectrum() reads the eigenvalues off that form
     uses = [f"{path.name}:{scope}" for path in SOURCES
             for scope, node in _scoped_nodes(path)
             if isinstance(node, ast.Attribute) and node.attr.startswith("eig")
             and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"]
-    assert "curvature.py:_frame_eigh" in uses
-    assert [use for use in uses
-            if use not in ("curvature.py:_frame_eigh", "symbol.py:_block_spectra")
-            and not use.startswith("verify.py:")] == []
+    assert [use for use in uses if not use.startswith("verify.py:")] == [
+        "curvature.py:_frame_eigh"]

@@ -14,7 +14,6 @@ from xcflow.symbol import (
     IMAG_RESIDUE_TOL,
     MAX_DIRECTION_SAMPLES,
     STRICTNESS_FLOOR,
-    ComplexEigenvalueWarning,
     ParabolicityReport,
     SymbolMatrix,
     case_sign,
@@ -194,12 +193,16 @@ class TestStacks:
         unit = xi / np.abs(xi).max()
         unit /= np.linalg.norm(unit)
         raw, gauge = symbol_stacks(p, 0.7, unit[None])
-        blocks, _ = quotient_blocks(raw, gauge, unit[None])
+        blocks, scale = quotient_blocks(raw, gauge, unit[None])
+        q = float(unit @ p.matrix @ unit) / float(unit @ unit)
         for sym, entries in ((symbol_raw(p, 0.7, xi), raw[0]),
                              (symbol_modified(p, 0.7, xi), raw[0] - gauge[0])):
             assert np.array_equal(sym.entries, entries)
             assert np.array_equal(sym.xi, unit)
-            assert np.array_equal(sym.block, blocks[0])
+            assert sym.q == q
+        # the quotient block there has the spectrum that q stands for
+        expected = np.sort([q, q, q - 2.8])
+        assert np.abs(np.linalg.eigvalsh(blocks[0]) - expected).max() <= 1e-14 * scale
 
 
 class TestDeflation:
@@ -312,14 +315,43 @@ class TestSymmetricSolve:
             assert rep.verdict == reference_sweep(p, IDENTITY, rep.rho, 1, 200)[0]
             assert rep.verdict == "weakly_parabolic"
 
-    def test_a_skew_part_of_the_block_warns(self):
-        sym = symbol_raw(P_IDENTITY, 0.1, E1)
-        skew = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        with pytest.warns(ComplexEigenvalueWarning, match="imaginary residue up to 1.000e-06"):
-            spectrum(dataclasses.replace(sym, block=sym.block + 1e-6 * skew))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # 1e-12 of the scale is below IMAG_RESIDUE_TOL
-            spectrum(dataclasses.replace(sym, block=sym.block + 1e-12 * skew))
+    @pytest.mark.parametrize("change, raises", [
+        ("skew part 1e-6", True),  # beyond IMAG_RESIDUE_TOL of the scale
+        ("entry 1e-9", True),
+        ("rotated within its spectrum", True),
+        ("entry STRUCTURE_TOL / 4", False),
+    ])
+    def test_a_block_off_its_closed_form_at_one_direction_raises(self, change, raises,
+                                                                 monkeypatch):
+        # the quotient block in the Householder frame of xi, changed in units
+        # of the symbol scale before the closed-form check sees it
+        entry = np.zeros((3, 3))
+        entry[0, 2] = 1.0
+        c, s_ = np.cos(1e-3), np.sin(1e-3)
+        turn = np.array([[c, -s_, 0.0], [s_, c, 0.0], [0.0, 0.0, 1.0]])
+        perturbation = {
+            "skew part 1e-6": lambda b: b + 1e-6 * (entry - entry.T),
+            "entry 1e-9": lambda b: b + 1e-9 * entry,
+            "rotated within its spectrum": lambda b: turn @ b @ turn.T,
+            "entry STRUCTURE_TOL / 4": lambda b: b + 0.25 * symbol_module.STRUCTURE_TOL * entry,
+        }[change]
+        frame_blocks = symbol_module._frame_blocks
+
+        def perturbed(raw, gauge, frames):
+            blocks, raw_scale = frame_blocks(raw, gauge, frames)
+            return raw_scale * perturbation(blocks / raw_scale), raw_scale
+
+        monkeypatch.setattr(symbol_module, "_frame_blocks", perturbed)
+        p = SymTensor3(np.array([3.0, 0.4, -0.2, 2.0, 1.0, 0.3]), "upper")
+        xi = np.array([0.3, -0.5, 0.8])
+        for make in (symbol_raw, symbol_modified):
+            if raises:
+                with pytest.raises(InternalConsistencyError,
+                                   match="symbol self-check: the block at xi is off q 1 - 2 rho"):
+                    make(p, 0.7, xi)
+            else:
+                q = xi @ p.matrix @ xi / (xi @ xi)
+                assert make(p, 0.7, xi).q == pytest.approx(q, rel=1e-14)
 
     # `parabolicity` solves P's eigenproblem before it assembles a symbol, so
     # a P whose largest eigenvalue overflows (about 1.9e308 in the second
@@ -400,8 +432,10 @@ class TestEigenvectorFrames:
             framed, scale = symbol_module._frame_blocks(raw, gauge,
                                                         vecs[symbol_module._CYCLIC])
             householder, _ = quotient_blocks(raw, gauge, vecs)
-            (got, skew), (want, _) = map(symbol_module._block_spectra, (framed, householder))
+            got, want = (np.linalg.eigvalsh(0.5 * (b + b.swapaxes(1, 2)))
+                         for b in (framed, householder))
             assert np.abs(got - want).max() <= 1e-14 * scale
+            skew = np.linalg.norm(0.5 * (framed - framed.swapaxes(1, 2)), 2, axis=(1, 2))
             assert skew.max() <= 1e-15 * scale
             rep = parabolicity(p, IDENTITY, rho, case=case)
             assert rep.max_imag_residue <= 1e-15
@@ -664,17 +698,35 @@ class TestSpectrum:
                                 (symbol_modified(p, 0.4, xi), 1.0)):
             got = spectrum(sym)
             assert np.count_nonzero(got == structural) >= 3
-            assert np.abs(np.sort(np.linalg.eigvals(sym.block).real)
-                          - np.sort([q, q, q - 1.6])).max() < 1e-12
+            # the other three against numpy's general solve of the quotient block
+            block = quotient_blocks(*symbol_stacks(p, 0.4, sym.xi[None]), sym.xi[None])[0][0]
+            rest = np.delete(got, np.flatnonzero(got == structural)[:3])
+            assert np.abs(np.sort(np.linalg.eigvals(block).real) - rest).max() < 1e-12
+            assert np.abs(rest - np.sort([q, q, q - 1.6])).max() < 1e-12
 
     def test_imaginary_residue_is_judged_relative_to_the_entries(self):
-        # at |P| ~ 1e150 rounding leaves imaginary parts far above 1e-10 in
-        # absolute terms, yet only ~1e-16 of the entries: no warning
+        # at |P| ~ 1e150 the quotient block's rounding is far above 1e-10 in
+        # absolute terms, yet only ~1e-16 of the entries: the closed-form
+        # check passes, nothing warns, and the spectrum is the closed form
         rng = np.random.default_rng(22)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for _ in range(20):
-                spectrum(symbol_raw(sym_upper(rng, span=1e150), 0.0, rng.normal(size=3)))
+                p, xi = sym_upper(rng, span=1e150), rng.normal(size=3)
+                q = float(xi @ p.matrix @ xi) / float(xi @ xi)
+                got = spectrum(symbol_raw(p, 0.0, xi))
+                scale = np.abs(p.matrix).max()
+                assert np.abs(got - np.sort([0, 0, 0, q, q, q])).max() <= 1e-13 * scale
+
+    def test_a_spectrum_solves_no_eigenproblem(self, monkeypatch):
+        # the one eigensolve of the library is _frame_eigh's, which a
+        # single-direction symbol does not call
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, None)
+        p = SymTensor3(np.array([3.0, 0.4, -0.2, 2.0, 1.0, 0.3]), "upper")
+        q = float(np.array([1.0, 2.0, 3.0]) @ p.matrix @ [1.0, 2.0, 3.0]) / 14.0
+        got = spectrum(symbol_modified(p, 0.1, [1.0, 2.0, 3.0]))
+        assert np.abs(got - np.sort([1, 1, 1, q, q, q - 0.4])).max() <= 1e-15
 
     def test_direction_dependence_through_quadratic_form(self):
         # at any unit direction the nonzero eigenvalues are xi'P xi (twice)
@@ -893,7 +945,7 @@ class TestHelpers:
         assert m.kind == "raw"
         assert m.rho == 0.5
         assert np.array_equal(m.xi, [0.0, 1.0, 0.0])  # the unit covector
-        assert m.block.shape == (3, 3)
+        assert m.q == 1.0
         assert symbol_modified(P_IDENTITY, 0.5, [0.0, 2.0, 0.0]).kind == "deturck"
 
     def test_stated_threshold_cases(self):
