@@ -5,10 +5,13 @@ Subsystems:
 - `curvature`: symmetric tensors, metric jets, Riemann/Ricci/Einstein
   tensors, the cross curvature tensor via three cross-checking
   formulas, and the generalized eigenvalues of a tensor relative to a
-  metric.  One private routine factors g = L L^T and inverts L in
-  Python floats; that factor alone decides whether g is a metric and
-  gives det g, g^-1 and the frame in which one call to numpy's `eigh`
-  solves each generalized eigenproblem, certified by its residuals, for `generalized_eigh`,
+  metric.  The conformal space-form chart is written once; its jet is
+  exact to rounding by second-order forward-mode arithmetic, and
+  `jet_from_function` differences any other metric callback.  One
+  private routine factors g = L L^T and inverts L in Python floats; that
+  factor alone decides whether g is a metric and gives det g, g^-1 and
+  the frame in which one call to numpy's `eigh` solves each generalized
+  eigenproblem, certified by its residuals, for `generalized_eigh`,
   `eigen_frame`, `symbol.to_orthonormal_frame` and
   `symbol.parabolicity`.  numpy is the only runtime dependency.
 - `symbol`: 6x6 principal-symbol matrices of the linearized flow

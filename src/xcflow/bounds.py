@@ -8,10 +8,12 @@ and the range.  `direction_samples` is range-checked and echoed in every
 parabolicity report; it decides nothing.  `finite_real` reads rho in
 `symbol` and every real parameter of `flow.FlowParams`, `real_number` the
 curvature scalars and the finite-difference step of `curvature`, whose
-inf and nan are named downstream, and `flag` every library flag.
+inf and nan are named downstream, `integer` the counts of `symbol` and
+`flow`, and `flag` every library flag.
 """
 
 import math
+import operator
 
 from .errors import DomainError
 
@@ -63,6 +65,19 @@ def real_number(value, name: str) -> float:
         except (TypeError, ValueError, OverflowError):
             pass
     raise DomainError(f"{name} must be a real number within the float range, got {value!r}")
+
+
+def integer(value, name: str) -> int:
+    """`value` as an int, or a DomainError "<name> must be an integer":
+    operator.index refuses 2.5, nan and "3", and a bool (numpy's too) is
+    refused, though operator.index reads Python's True as 1."""
+    try:
+        number = None if is_bool(value) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None:
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return number
 
 
 def finite_real(value, name: str) -> float:

@@ -30,8 +30,8 @@ duplicate or missing key, a value its key's converter rejects, such as
 text that is not a number, a non-integral count or a misspelt boolean,
 contradictory options, or an output file that cannot be opened); 3
 numeric/domain error, for well-formed values outside the domain of the
-mathematics (a non-finite or nonpositive step, a NaN coupling, an
-indefinite metric), raised by the library before anything is printed;
+mathematics (a chart point outside the chart's domain, a NaN coupling,
+an indefinite metric), raised by the library before anything is printed;
 4 verification failure.
 """
 
@@ -289,8 +289,6 @@ def _vec_str(values) -> str:
 # curvature command
 
 def _curvature_inputs(options: dict) -> tuple[Riemann3, SymTensor3, dict]:
-    import numpy as np
-
     from . import curvature as cv
 
     modes = [k for k in ("frame", "space_form", "jet_from_chart") if options[k] is not None]
@@ -320,11 +318,9 @@ def _curvature_inputs(options: dict) -> tuple[Riemann3, SymTensor3, dict]:
         g = cv.SymTensor3.identity()
         return cv.Riemann3.space_form(kappa, g), g, meta
 
-    point = np.array(options["point"])
-    fd_step, richardson = options["fd_step"], options["richardson"]
-    meta.update({"point": list(point), "fd_step": fd_step, "richardson": richardson})
-    jet = cv.jet_from_function(cv.space_form_chart(kappa), point,
-                               step=fd_step, richardson=richardson)
+    point = list(options["point"])
+    meta["point"] = point
+    jet = cv.space_form_chart_jet(kappa, point)
     return cv.riemann(jet), jet.g, meta
 
 
@@ -621,10 +617,8 @@ COMMANDS = {
         Key("kappa", _number, "sectional curvature of the space form "
             "(default 1 for the sphere, -1 for the hyperbolic space form)"),
         Key("jet_from_chart", _choice("sphere", "hyperbolic"),
-            "finite-difference jet of the conformal chart: sphere or hyperbolic"),
+            "exact jet of the conformal chart: sphere or hyperbolic"),
         Key("point", _floats(3), "chart point x,y,z", (0.0, 0.0, 0.0)),
-        Key("fd_step", _number, "finite-difference step", 1e-3),
-        Key("richardson", _boolean, "refine the jet to fourth order", False),
         _OUTPUT, _REPORT_FORMAT)),
     "symbol": Command(cmd_symbol, "symbol matrices, spectra, parabolicity", (
         Key("frame", _floats(3), "P eigenvalues a,b,c (orthonormal frame)"),

@@ -7,33 +7,15 @@ them.  The tensors are immutable: their component arrays are read-only,
 and an array the caller passes in is copied, so the caller's array stays
 writeable.
 
-`riemann` works from the jet without differentiating the connection:
-
-    R_ijkl = 1/2 (d_j d_k g_il + d_i d_l g_jk - d_i d_k g_jl - d_j d_l g_ik)
-             + Gamma_{m,li} Gamma^m_kj - Gamma_{m,ki} Gamma^m_lj,
-
-with Gamma_{m,ab} = 1/2 (d_a g_bm + d_b g_am - d_m g_ab); the quadratic
-term is one symmetric 9x9 product Gamma^T g^-1 Gamma (`christoffel` raises
-that Gamma).  g^-1 is L^-T L^-1 from the Cholesky factor g = L L^T in
-Python floats, the one factor that also decides whether g is a metric and
-gives sqrt(det g) = l11 l22 l33; no LAPACK inverse is called.  Every use
-of det g takes that product (det g as two factors of it), so a metric
-whose det g is a subnormal float keeps full precision.  Each metric
-object is factored once: the first metric check that passes keeps
-sqrt(det g), L^T, L^-1, g^-1, mu^ijk and L^-T on the object
-(`_require_metric`), and every later use of that object (a jet,
-`riemann`, `christoffel`, the Ricci pass, the eigensolver) reads them there.
-
-The Einstein tensor with raised indices, P, is the volume-form value,
-checked against the trace form relative to ||P||_F.  The cross
-curvature tensor is computed by three independent routes (determinant
-form, contraction form, volume-form contraction), all three for every P,
-and each pair is checked relative to det(g) ||P||_F^2: one path at every
-scale, with no branch for a singular P.  Each (Riemann3, metric) pair
-pays for one checked pass (`_pair_pass`), which the Riemann3 keeps for
-the last metric object it was paired with, only once every check has
-succeeded: `ricci`, `einstein_raised` and `cross_curvature_forms` all
-read it, and an inconsistent pair raises on every call of each.
+`riemann` works from the jet without differentiating the connection.
+g^-1, sqrt(det g) and the eigensolver's frame come from one Cholesky factor
+g = L L^T in Python floats, which alone decides whether g is a metric and
+which each metric object keeps (`_require_metric`).  P, the Einstein-type
+tensor with raised indices, and the cross curvature tensor h are computed by
+routes that check one another, in one pass per (Riemann3, metric) pair
+(`_pair_pass`).  The conformal space-form chart is written once, over Python
+floats and over a forward-mode number that gives its exact jet
+(`_conformal_chart`); `jet_from_function` differences any metric callback.
 
 Sign conventions are pinned by the unit round 3-sphere: in an
 orthonormal frame R_1212 = +1, the Ricci tensor is 2g, the scalar
@@ -214,8 +196,9 @@ def _packed_symmetric_part(m: list[float]) -> list[float]:
             m[4], m[8], _midpoint(m[5], m[7])]
 
 
-# the metric of from_frame, factored once for every frame
+# the metric of from_frame, factored once for every frame, and its matrix
 _IDENTITY = SymTensor3.identity()
+_EYE = _frozen(np.eye(3))
 
 
 def _sym_adjugate_det(a: float, b: float, c: float,
@@ -326,8 +309,8 @@ class MetricJet:
     dg has shape (3, 6): row k holds the canonical components of
     d_k g_ij.  ddg has shape (6, 6): row p holds the components of
     d_k d_l g_ij for the (k, l) pair in canonical pair order, so the
-    symmetry of mixed partials is structural.  dg and ddg are read-only;
-    writeable float arrays passed in are copied, so they stay the caller's.
+    symmetry of mixed partials is structural.  dg and ddg are finite and
+    read-only; writeable float arrays passed in are copied, so they stay the caller's.
     """
 
     g: SymTensor3
@@ -342,6 +325,8 @@ class MetricJet:
             raise DomainError(f"dg must have shape (3, 6), got {dg.shape}")
         if ddg.shape != (6, 6):
             raise DomainError(f"ddg must have shape (6, 6), got {ddg.shape}")
+        if not all(map(math.isfinite, dg.ravel().tolist() + ddg.ravel().tolist())):
+            raise DomainError("jet derivatives dg and ddg must be finite")
         object.__setattr__(self, "dg", dg)
         object.__setattr__(self, "ddg", ddg)
 
@@ -374,9 +359,14 @@ def christoffel(jet: MetricJet) -> np.ndarray:
     """Levi-Civita connection coefficients, shape (3, 3, 3) indexed [k, i, j].
 
     Gamma^k_ij = g^km Gamma_{m,ij}: the lowered symbols that `riemann` uses,
-    raised by the metric's kept g^-1; exactly symmetric in (i, j).
+    raised by the metric's kept g^-1; exactly symmetric in (i, j).  A jet
+    whose Gamma overflows is a DomainError naming the overflow.
     """
-    return (_require_metric(jet.g).ginv @ _lowered_gamma(jet)).reshape(3, 3, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = (_require_metric(jet.g).ginv @ _lowered_gamma(jet)).reshape(3, 3, 3)
+    if not np.isfinite(gamma).all():
+        raise DomainError(_OVERFLOW)
+    return gamma
 
 
 @dataclass(frozen=True)
@@ -488,7 +478,7 @@ def riemann(jet: MetricJet) -> Riemann3:
         r = 0.25 * (r - r.transpose(1, 0, 2, 3) - r.transpose(0, 1, 3, 2)
                     + r.transpose(1, 0, 3, 2))
         r = 0.5 * (r + r.transpose(2, 3, 0, 1))
-    if not np.isfinite(r).all() and np.isfinite(jet.dg).all() and np.isfinite(jet.ddg).all():
+    if not np.isfinite(r).all():
         raise DomainError(_OVERFLOW)
     return Riemann3.from_lowered(_frozen(r), jet.g)
 
@@ -626,10 +616,7 @@ def cross_curvature_forms(riem: Riemann3, g: SymTensor3) -> CrossCurvatureForms:
     determinant: h_ij = det(g) adj(P)_ij, which is (det P^kl / det g^kl)
                  times the inverse of P^kl when P is invertible
 
-    P and sqrt(det g) = l11 l22 l33 come from one pass over (riem, g), and
-    mu^ijk = eps_ijk / sqrt(det g) from g's factor.  Each route is read
-    into Python floats once, for one finiteness test and the three pairwise
-    deviations.  All three pairs are compared relative to
+    All three pairs are compared relative to
     det(g) ||P||_F^2, which scales like h under g -> s g and bounds it, so a
     vanishing h (a singular or zero P) is checked like any other.  The scale
     is divided in two steps of sqrt(det g) ||P||_F, because ||P||_F^2 alone
@@ -765,22 +752,14 @@ def eigen_frame(p: SymTensor3, g: SymTensor3) -> tuple[CurvatureFrame, np.ndarra
     return CurvatureFrame(*map(float, vals)), vecs
 
 
-def _fd_offsets() -> np.ndarray:
-    """The finite-difference stencil in sampling order: +e_k, -e_k for
-    k = 0, 1, 2, then the diagonals +(e_k + e_l), -(e_k + e_l) for
-    (k, l) = (0, 1), (0, 2), (1, 2): 12 rows.
-
-    Each row is the sum of the signed unit vectors, so a zero entry is -0.0
-    exactly where every term subtracts, and x + h * row rounds as the
-    chained x +- h e_k +- h e_l does, signed zeros included.
-    """
-    e = np.eye(3)
-    axes = [s * e[k] for k in range(3) for s in (1.0, -1.0)]
-    diagonals = [s * e[k] + s * e[l] for k, l in ((0, 1), (0, 2), (1, 2)) for s in (1.0, -1.0)]
-    return _frozen(np.array(axes + diagonals))
-
-
-_FD_OFFSETS = _fd_offsets()
+# The finite-difference stencil in sampling order: +e_k, -e_k for k = 0, 1, 2,
+# then the diagonals +(e_k + e_l), -(e_k + e_l) for (k, l) = (0, 1), (0, 2),
+# (1, 2).  Each row is a sum of signed unit vectors, so a zero entry is -0.0
+# exactly where every term subtracts, and x + h * row rounds as the chained
+# x +- h e_k +- h e_l does, signed zeros included.
+_FD_OFFSETS = _frozen(np.array(
+    [s * _EYE[k] for k in range(3) for s in (1.0, -1.0)]
+    + [s * _EYE[k] + s * _EYE[l] for k, l in ((0, 1), (0, 2), (1, 2)) for s in (1.0, -1.0)]))
 # the axes k and l of the mixed pairs (0, 1), (0, 2), (1, 2)
 _FD_PAIR_K = np.array([0, 0, 1])
 _FD_PAIR_L = np.array([1, 2, 2])
@@ -788,6 +767,14 @@ _FD_PAIR_L = np.array([1, 2, 2])
 # second differences: the pure ones d_k d_k (rows 0-2), then the mixed
 # d_0 d_1, d_0 d_2, d_1 d_2 (rows 3-5)
 _FD_DDG_ROWS = np.array([0, 3, 4, 1, 2, 5])
+
+
+def _point(x) -> list[float]:
+    """A point as three Python floats, or a DomainError."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (3,):
+        raise DomainError(f"point must be a 3-vector, got shape {x.shape}")
+    return x.tolist()
 
 
 def _stencil_failure(samples: list, points: list[np.ndarray], step: float) -> None:
@@ -815,18 +802,13 @@ def _stencil_message(point: np.ndarray, step: float, reason: object) -> str:
             f"{where} (fd_step {step:g}) fails with '{reason}'; the point itself is inside")
 
 
-def jet_from_function(
-    g_fn: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    step: float = 1e-3,
-    richardson: bool = False,
-) -> MetricJet:
+def jet_from_function(g_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+                      step: float = 1e-3, richardson: bool = False) -> MetricJet:
     """Second-order central-difference jet of a coordinate metric field.
 
     g_fn maps a point (3-vector) to the 3x3 metric matrix there.  It is
-    called once at x, then at the 12 points x + h * row of the stencil
-    `_FD_OFFSETS` (+-e_k, then the diagonals +-(e_k + e_l)) for h = step
-    and, with richardson=True, again for h = step / 2: 13 samples, or 25.
+    called once at x, then at the 12 points x + h * row of `_FD_OFFSETS` for
+    h = step and, with richardson=True, for h = step / 2: 13 samples, or 25.
     With the second differences D_v = g(x + h v) - 2 g(x) + g(x - h v),
 
         d_k g = (g(x + h e_k) - g(x - h e_k)) / 2h,
@@ -837,9 +819,7 @@ def jet_from_function(
     which shares the axis samples of the pure derivatives.  Its error is
     h^2/12 (2 g_kkkl + 3 g_kkll + 2 g_klll), even in h, and ddg is
     symmetric under the derivative-pair swap exactly.  With richardson=True
-    the step and half-step estimates are combined to fourth order.  dg and
-    the pure rows of ddg are the same as those of the 18-point stencil of
-    four corners per mixed pair, bit for bit; only the mixed rows differ.
+    the step and half-step estimates are combined to fourth order.
 
     The samples are differenced as one stack of canonical components, with
     the operations, in the order, of the differences above written out per
@@ -854,9 +834,7 @@ def jet_from_function(
     if not (math.isfinite(step) and step > 0.0):
         raise DomainError(f"finite-difference step must be finite and positive, got {step!r}")
     richardson = flag(richardson, "richardson")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (3,):
-        raise DomainError(f"point must be a 3-vector, got shape {x.shape}")
+    x = np.array(_point(x))
     steps = (step, step / 2.0) if richardson else (step,)
     points = [x, *(x + np.array(steps)[:, None, None] * _FD_OFFSETS).reshape(-1, 3)]
     samples = []
@@ -877,12 +855,8 @@ def jet_from_function(
     if stack.shape[1:] != (3, 3) or not np.isfinite(stack).all():
         _stencil_failure(samples, points, step)
     # per step: 2h, h^2 and 2h^2 in Python floats, as the written-out
-    # differences divide by them; h^2 raises where it overflows, 2h^2 turns inf
-    try:
-        div = [[2.0 * h, h**2, 2.0 * h**2] for h in steps]
-    except OverflowError:
-        div = [[math.inf]]
-    if div[0][-1] == math.inf:
+    # differences divide by them; the largest, 2 step^2, must be finite
+    if not 2.0 * step * step < math.inf:
         raise DomainError(_CHART_OVERFLOW)
 
     packed = stack[:, _ROWS, _COLS]
@@ -890,7 +864,7 @@ def jet_from_function(
     # the stencil: e_0, e_1, e_2, e_0 + e_1, e_0 + e_2, e_1 + e_2
     pairs = packed[1:].reshape(len(steps), 6, 2, 6)
     plus, minus = pairs[:, :, 0], pairs[:, :, 1]
-    div = np.array(div)[:, :, None, None]
+    div = np.array([[2.0 * h, h**2, 2.0 * h**2] for h in steps])[:, :, None, None]
     dg = (plus[:, :3] - minus[:, :3]) / div[:, 0]
     second = plus - 2.0 * packed[0] + minus  # D_v for the six v
     mixed = (second[:, 3:] - second[:, _FD_PAIR_K] - second[:, _FD_PAIR_L]) / div[:, 2]
@@ -905,81 +879,106 @@ def jet_from_function(
 
 _CHART_OVERFLOW = ("the chart metric or its differences overflow; kappa, point and "
                   "fd_step must keep them finite")
-_CHART_IDENTITY = _frozen(np.eye(3))
-# delta_ij and -delta_ij, packed
-_PACKED_IDENTITY = _IDENTITY.components
-_NEG_PACKED_IDENTITY = _frozen(-_PACKED_IDENTITY)
+_SEEDS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))  # unit first partials
 
 
-def _conformal_factor(kappa: float, x: np.ndarray) -> tuple[float, float, float]:
-    """u = 1 + kappa |x|^2 / 4 of the conformal chart, u^2 and |x|^2; a DomainError
-    where u <= 0 or u^2 overflows.  |x|^2 is numpy's x @ x; a coordinate of
-    1e150 or more can overflow it, so there it is taken without numpy's
-    overflow warning: the inf makes g = 0, which the metric check names."""
-    coords = x.ravel().tolist()
-    # max and min may pass over a nan, never over a coordinate of 1e150 or more
-    if max(coords) < 1e150 and min(coords) > -1e150:
-        r2 = float(x @ x)
-    else:
-        with np.errstate(over="ignore"):
-            r2 = float(x @ x)
-    u = 1.0 + kappa * r2 / 4.0
-    if u <= 0.0:
+class _HyperDual:
+    """Second-order forward-mode ("hyper-dual") number in three variables, in
+    Python floats (J. Fike and J. Alonso, AIAA 2011-886): value v, first
+    partials d_k, second partials h = d_k d_l in COMPONENT_ORDER.  It has only
+    what the chart uses: + and * with floats or such numbers, the square,
+    float() and c / w, whose float power w ** 2 raises OverflowError."""
+
+    __slots__ = ("v", "d", "h")
+
+    def __init__(self, v: float, d: tuple, h: tuple = (0.0,) * 6):
+        self.v, self.d, self.h = v, d, h
+
+    def __float__(self) -> float:
+        return self.v
+
+    def __add__(self, other):
+        if type(other) is not _HyperDual:
+            return _HyperDual(self.v + other, self.d, self.h)
+        (a0, a1, a2), (p0, p1, p2, p3, p4, p5) = self.d, self.h
+        (b0, b1, b2), (q0, q1, q2, q3, q4, q5) = other.d, other.h
+        return _HyperDual(self.v + other.v, (a0 + b0, a1 + b1, a2 + b2),
+                          (p0 + q0, p1 + q1, p2 + q2, p3 + q3, p4 + q4, p5 + q5))
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if type(other) is not _HyperDual:
+            return _HyperDual(self.v * other, tuple([x * other for x in self.d]),
+                              tuple([x * other for x in self.h]))
+        # d_k d_l (a b) = a b_kl + a_k b_l + a_l b_k + a_kl b, written out per pair
+        a, (a0, a1, a2), (p0, p1, p2, p3, p4, p5) = self.v, self.d, self.h
+        b, (b0, b1, b2), (q0, q1, q2, q3, q4, q5) = other.v, other.d, other.h
+        return _HyperDual(
+            a * b, (a * b0 + a0 * b, a * b1 + a1 * b, a * b2 + a2 * b),
+            (a * q0 + 2.0 * a0 * b0 + p0 * b, a * q1 + a0 * b1 + a1 * b0 + p1 * b,
+             a * q2 + a0 * b2 + a2 * b0 + p2 * b, a * q3 + 2.0 * a1 * b1 + p3 * b,
+             a * q4 + 2.0 * a2 * b2 + p4 * b, a * q5 + a1 * b2 + a2 * b1 + p5 * b))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        return self * self if n == 2 else NotImplemented
+
+    def __rtruediv__(self, c):
+        # d_k (c / w) = -c w_k / w^2, d_k d_l (c / w) = c (2 w_k w_l / w - w_kl) / w^2
+        w, (d0, d1, d2), (h0, h1, h2, h3, h4, h5) = self.v, self.d, self.h
+        s, t = c / w ** 2, 2.0 / w
+        return _HyperDual(c / w, (-d0 * s, -d1 * s, -d2 * s),
+                          ((t * d0 * d0 - h0) * s, (t * d0 * d1 - h1) * s,
+                           (t * d0 * d2 - h2) * s, (t * d1 * d1 - h3) * s,
+                           (t * d2 * d2 - h4) * s, (t * d1 * d2 - h5) * s))
+
+
+def _conformal_chart(kappa: float, x):
+    """The conformal chart of the curvature-kappa space form, written once:
+    g_ij = delta_ij u^-2 at three coordinates (floats or seeded `_HyperDual`s)
+    as u^-2.  A DomainError where u <= 0 or a finite u's square (a jet's: its
+    fourth power) leaves the float range; u = inf gives g = 0, a non-metric."""
+    x0, x1, x2 = x
+    u = 1.0 + 0.25 * kappa * (x0 * x0 + x1 * x1 + x2 * x2)
+    if float(u) <= 0.0:
         raise DomainError("point lies outside the chart domain")
     try:
-        return u, u**2, r2
+        return 1.0 / u ** 2
     except OverflowError as exc:
         raise DomainError(_CHART_OVERFLOW) from exc
 
 
 def space_form_chart(kappa: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Conformal chart of the curvature-kappa space form:
-    g_ij(x) = delta_ij (1 + kappa |x|^2 / 4)^-2, kappa read once.  An
-    infinite or nan kappa makes no metric entry finite, and is refused here
-    as `space_form_chart_jet` refuses it."""
+    """Conformal chart of the curvature-kappa space form as a metric callback:
+    `_conformal_chart` on floats, kappa read once.  An infinite or nan kappa
+    makes no metric entry finite and is refused here.  Each call returns a
+    fresh array."""
     kappa = real_number(kappa, "kappa")
     if not math.isfinite(kappa):
         raise DomainError("matrix entries must be finite")
-
-    def g_fn(x: np.ndarray) -> np.ndarray:
-        _, u2, _ = _conformal_factor(kappa, np.asarray(x, dtype=float))
-        return _CHART_IDENTITY / u2  # a fresh array; the identity stays read-only
-
-    return g_fn
+    return lambda x: _EYE * _conformal_chart(kappa, _point(x))
 
 
 def space_form_chart_jet(kappa: float, x: np.ndarray) -> MetricJet:
-    """Analytic jet of the conformal space-form chart (no differencing error).
-
-    The jet is written packed: g's six components, dg (3, 6) and ddg (6, 6)
-    from -delta_ij packed, each entry with the operations, in the order, of
-    the formulas below.  The metric is checked before its derivatives are
-    formed, so a point where g is not a metric raises its DomainError with
-    no numpy warning.  So does a u^2, u^3 or u^4, or a bound on |dg| or
-    |ddg| in Python floats, beyond the float range."""
+    """Exact jet of the conformal space-form chart, to rounding: g from
+    `_conformal_chart` on floats, checked as a metric first, then dg and ddg
+    from the same chart on seeded coordinates; a derivative that is not
+    finite is a DomainError naming the overflow."""
     kappa = real_number(kappa, "kappa")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (3,):
-        raise DomainError(f"point must be a 3-vector, got shape {x.shape}")
-    u, u2, r2 = _conformal_factor(kappa, x)
-    diagonal = 1.0 / u2
+    coords = _point(x)
+    diagonal = _conformal_chart(kappa, coords)
     if diagonal != diagonal:  # u is nan: a nan in x or kappa
         raise DomainError("matrix entries must be finite")
     g = SymTensor3._made([diagonal, 0.0, 0.0, diagonal, diagonal, 0.0])
     _require_metric(g)
-    try:
-        u3, u4 = u**3, u**4
-    except OverflowError as exc:
-        raise DomainError(_CHART_OVERFLOW) from exc
-    # |kappa| |x| / u^3 and |kappa| (1 / u^3 + 3/2 |kappa| |x|^2 / u^4) bound every
-    # product numpy forms below; nan is 1.5 |kappa| = inf times |x|^2 = 0
-    size = abs(kappa)
-    if not (size * math.sqrt(r2) / u3 < math.inf
-            and size * (1.0 / u3 + 1.5 * size * r2 / u4) < math.inf):
+    jet = _conformal_chart(kappa, map(_HyperDual, coords, _SEEDS))
+    partials = [*jet.d, *jet.h]
+    # refused, too, where verify's hand formulas for the jet, which form
+    # 3/2 kappa, overflow: they can check every jet returned
+    if not (all(map(math.isfinite, partials)) and 1.5 * abs(kappa) < math.inf):
         raise DomainError(_CHART_OVERFLOW)
-    # dg_kij = -delta_ij kappa x_k / u^3 and
-    # ddg_klij = -delta_ij kappa (delta_kl / u^3 - 3/2 kappa x_k x_l / u^4)
-    dg = _NEG_PACKED_IDENTITY * kappa * x[:, None] / u3
-    inner = _PACKED_IDENTITY / u3 - (1.5 * kappa * x)[_ROWS] * x[_COLS] / u4
-    ddg = (_NEG_PACKED_IDENTITY * kappa)[None, :] * inner[:, None]
-    return MetricJet(g, _frozen(dg), _frozen(ddg))
+    # dg_kij = delta_ij d_k u^-2 and ddg_klij = delta_ij d_k d_l u^-2, packed
+    packed = _frozen(np.multiply.outer(partials, _IDENTITY.components))
+    return MetricJet(g, packed[:3], packed[3:])

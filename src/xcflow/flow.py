@@ -30,12 +30,11 @@ no numpy.  The engine cross-checks (`engine_rhs`, `einstein_residual`,
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from math import isfinite
 from typing import TYPE_CHECKING, NamedTuple
 
-from .bounds import finite_real, flag, is_bool, real_number, stated_threshold
+from .bounds import finite_real, flag, integer, is_bool, real_number, stated_threshold
 from .errors import DomainError, ExtinctStateError, ExtinctionExceededError
 
 if TYPE_CHECKING:
@@ -337,10 +336,10 @@ def integrate(
     and record against `_rk4_step` and `_record`.
     """
     try:
-        every = operator.index(record_every)  # an int, or TypeError for 2.5 and nan
-    except TypeError:
+        every = integer(record_every, "record_every")
+    except DomainError:
         every = 0
-    if every < 1 or isinstance(record_every, bool):
+    if every < 1:
         raise DomainError(f"record_every must be a positive integer, got {record_every!r}")
     halt_on_parabolicity_loss = flag(halt_on_parabolicity_loss, "halt_on_parabolicity_loss")
     _check_c_min(params)

@@ -82,8 +82,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (DEFAULT_DIRECTION_SAMPLES, MAX_DIRECTION_SAMPLES, finite_real, is_bool,
-                     stated_threshold)
+from .bounds import (DEFAULT_DIRECTION_SAMPLES, MAX_DIRECTION_SAMPLES, finite_real, integer,
+                     is_bool, stated_threshold)
 from .curvature import _COLS, _ROWS, STRUCTURE_TOL, SymTensor3, _frame_eigh, pack, unpack
 from .errors import DomainError, InternalConsistencyError
 
@@ -98,7 +98,7 @@ class ComplexEigenvalueWarning(RuntimeWarning):
     that passes `_check_closed_form` has a skew part, the bound on that
     residue, about 170 times below IMAG_RESIDUE_TOL of the symbol scale.
     The name stays for callers that still filter it, as the benchmark's
-    parabolicity check does until ROADMAP item 3 removes that filter.
+    parabolicity check does until ROADMAP item 4 removes that filter.
     """
 
 
@@ -141,18 +141,6 @@ def _symbol_data(p: SymTensor3, rho) -> float:
     if not all(map(math.isfinite, p.components.tolist())):
         raise DomainError("P components must be finite")
     return finite_real(rho, "rho")
-
-
-def _integer(value, name: str) -> int:
-    """`value` as an int, or a DomainError "<name> must be an integer":
-    operator.index refuses 2.5, nan and "3", and a bool is refused too."""
-    try:
-        number = operator.index(value)
-    except TypeError:
-        number = None
-    if number is None or isinstance(value, bool):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    return number
 
 
 def _coefficients() -> tuple[np.ndarray, np.ndarray]:
@@ -394,7 +382,7 @@ def quotient_blocks(raw: np.ndarray, gauge: np.ndarray, xis) -> tuple[np.ndarray
 def unit_directions(n: int) -> np.ndarray:
     """n unit covectors from the Fibonacci sphere lattice (deterministic);
     n must be a positive integer (not a bool)."""
-    n = _integer(n, "the number of directions")
+    n = integer(n, "the number of directions")
     if n < 1:
         raise DomainError("need at least one direction")
     i = np.arange(n) + 0.5
@@ -490,7 +478,7 @@ def parabolicity(
     sign = case_sign(case)
     if not (isinstance(mode, str) and mode in ("frame", "all_directions")):
         raise DomainError(f"mode must be 'frame' or 'all_directions', got {mode!r}")
-    samples = _integer(direction_samples, "direction_samples")
+    samples = integer(direction_samples, "direction_samples")
     if not 1 <= samples <= MAX_DIRECTION_SAMPLES:
         raise DomainError(f"direction_samples must be between 1 and "
                           f"{MAX_DIRECTION_SAMPLES}, got {direction_samples!r}")

@@ -348,6 +348,34 @@ def _chart_jet_fd(rng, cases):
                 f"improvement x{ratio:.2f} at 5e-4 (need 2..8)")
 
 
+def reference_chart_jet(kappa: float, x: np.ndarray) -> cv.MetricJet:
+    """The conformal chart's jet from its hand-derived derivatives: with
+    u = 1 + kappa |x|^2 / 4, g_ij = delta_ij / u^2,
+    d_k g_ij = -delta_ij kappa x_k / u^3 and
+    d_k d_l g_ij = -delta_ij kappa (delta_kl / u^3 - 3/2 kappa x_k x_l / u^4).
+    `curvature.space_form_chart_jet` must match it to rounding."""
+    # |x|^2 summed in the chart's order: the two share u, and the check sees
+    # the rounding of the derivatives alone
+    u = 1.0 + kappa * sum(v * v for v in x.tolist()) / 4.0
+    eye = np.eye(3)
+    dg = np.multiply.outer(-kappa * x / u**3, eye)
+    ddg = np.multiply.outer(-kappa * (eye / u**3 - 1.5 * kappa * np.outer(x, x) / u**4), eye)
+    return cv.MetricJet.from_full(eye / u**2, dg, ddg)
+
+
+@_check("tensor_core", "chart_jet_matches_hand_formulas", default_cases=1000)
+def _chart_jet_reference(rng, cases):
+    worst = 0.0
+    for n in range(cases):
+        kappa = (-1.0) ** n * float(rng.uniform(0.05, 3.0))
+        x = rng.uniform(-0.4, 0.4, 3)
+        got, want = cv.space_form_chart_jet(kappa, x), reference_chart_jet(kappa, x)
+        pairs = ((got.g.components, want.g.components), (got.dg, want.dg), (got.ddg, want.ddg))
+        scale = max(float(np.abs(b).max()) for _, b in pairs)
+        worst = max(worst, max(float(np.abs(a - b).max()) for a, b in pairs) / scale)
+    return _verdict(worst, 1e-15, "max dev relative to the largest entry")
+
+
 def reference_riemann(jet: cv.MetricJet) -> cv.Riemann3:
     """Riemann tensor through the derivative of the connection:
     R^m_jkl = d_k Gamma^m_lj - d_l Gamma^m_kj + Gamma^m_kp Gamma^p_lj

@@ -263,25 +263,38 @@ def _chart_jet():
                                     "point": [0.2, -0.1, 0.3]}
 
 
+def _richardson_jet():
+    from xcflow import curvature as cv
+
+    jet = cv.jet_from_function(cv.space_form_chart(-0.5), [0.3, -0.2, 0.1], richardson=True)
+    return cv.riemann(jet), jet.g, {"input_mode": "jet_from_chart", "space_form": "hyperbolic",
+                                    "kappa": -0.5, "point": [0.3, -0.2, 0.1],
+                                    "fd_step": 0.001, "richardson": True}
+
+
 # sha256 of `xcflow curvature ... --format json`, taken before each metric
-# object kept its factor and before the analytic chart jet was built packed:
-# those changes must leave the report the same byte for byte.  The command
-# has no flag for a rotation, a metric other than the identity or the
-# analytic jet, so those three cases feed their tensors to the command in
-# place of its input parsing.  The digests hold for numpy 2.4 on x86-64; a
-# BLAS or LAPACK that rounds differently changes the last bits.
-# richardson_jet pins jet_from_function's seven-point mixed differences:
-# its off-diagonal Ric, P and h, exactly 0 for the chart, read below 3e-10.
+# object kept its factor: that change must leave the report the same byte
+# for byte.  The command has no flag for a rotation, a metric other than the
+# identity, a chart jet at a kappa and point of the library's choosing or a
+# finite-difference jet, so those four cases feed their tensors to the
+# command in place of its input parsing.  The digests hold for numpy 2.4 on
+# x86-64; a BLAS or LAPACK that rounds differently changes the last bits.
+# chart_jet and exact_jet were taken once the chart's jet came from
+# forward-mode arithmetic.  richardson_jet pins jet_from_function's
+# seven-point mixed differences: its off-diagonal Ric, P and h, exactly 0
+# for the chart, read below 3e-10.
 PINNED_CURVATURE_REPORTS = [
     ("rotated_frame", ["--frame", "-1.5,2,0.7"], _rotated_frame,
      "65abb8085974ceed3c05b39ade3ffd768e770d510c4a5cc95af6183b6cdb2114"),
     ("space_form_off_identity", ["--space-form", "sphere"], _space_form_off_identity,
      "b4931052ec68cde1becf6eda6991439b5e95846889e72acab71bd25be122cefd"),
     ("chart_jet", ["--frame", "1,1,1"], _chart_jet,
-     "cb054b1bb75c25ec1325b04544c88adeb2d30a1bf7dfdf9fb75634489a4accf4"),
-    ("richardson_jet", ["--jet-from-chart", "hyperbolic", "--kappa", "-0.5", "--point",
-                        "0.3,-0.2,0.1", "--richardson"], None,
+     "01657cfaab606d70a9b0bd35b95ea933f60fc5e7286f50019914bcb754398c65"),
+    ("richardson_jet", ["--frame", "1,1,1"], _richardson_jet,
      "b442611f9273723bc98ccaff1d0c12616b849b7cf6f04a0a067424941de56f87"),
+    ("exact_jet", ["--jet-from-chart", "hyperbolic", "--kappa", "-0.5", "--point",
+                   "0.3,-0.2,0.1"], None,
+     "db8432833c9941437d21b98e288730d7d43729442389e346fe66b17eee0cc9d2"),
 ]
 
 
@@ -393,7 +406,7 @@ def test_lambda_flag_overrides_config(tmp_path, capsys):
     (["--space-form=sphere", "--kappa=1e200"], True),
     (["--frame=1e200,1e200,-1e200"], True),
     (["--jet-from-chart=sphere", "--kappa=1e200"], True),
-    (["--jet-from-chart=sphere", "--fd-step=1e300"], True),
+    (["--jet-from-chart=sphere", "--point=1e100,0,0"], True),
 ])
 def test_curvature_non_finite_values_exit_3_naming_finiteness(argv, overflows, capsys):
     with warnings.catch_warnings():
@@ -473,22 +486,25 @@ def test_curvature_keeps_small_curvatures_next_to_large(frame, h_eigenvalues, tm
     assert json.loads(path.read_text(encoding="utf-8"))["h_eigenvalues"] == h_eigenvalues
 
 
-@pytest.mark.parametrize("step", ["nan", "inf"])
-def test_curvature_non_finite_fd_step_is_named(step, capsys):
-    code = cli.main(["curvature", "--jet-from-chart=sphere", f"--fd-step={step}"])
-    assert code == cli.EXIT_NUMERIC
-    out, err = capsys.readouterr()
-    assert out == "" and "finite-difference step must be finite" in err
+@pytest.mark.parametrize("argv, scalar", [
+    (["--jet-from-chart", "sphere", "--point", "0.1,0.2,0.3"], 6.0),
+    (["--jet-from-chart", "hyperbolic", "--kappa", "-0.5", "--point", "0.3,-0.2,0.1"], -3.0),
+], ids=["sphere", "hyperbolic"])
+def test_curvature_chart_jet_is_exact_to_rounding(argv, scalar, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["curvature", *argv]) == cli.EXIT_OK
+    out, _ = capsys.readouterr()
+    r = float(next(line for line in out.splitlines() if line.startswith("R: "))[3:])
+    assert abs(r - scalar) < 1e-13
 
 
 @pytest.mark.parametrize("argv, message", [
     # g = I / (1 + 1e120 / 4)^2 is positive definite; only det g underflows
     (["--jet-from-chart=sphere", "--point=1e60,0,0"],
      "metric determinant underflows: g is positive definite but of scale 1.6e-239"),
-    # the point is inside the chart; the step-1e-3 stencil is not
-    (["--jet-from-chart=hyperbolic", "--point=1.9999999,0,0"],
-     "the finite-difference stencil leaves the metric's domain: its sample at "
-     "2.0009999,0,0 (fd_step 0.001)"),
+    # |x| < 2 is the chart's domain at kappa = -1
+    (["--jet-from-chart=hyperbolic", "--point=2.5,0,0"], "point lies outside the chart domain"),
 ])
 def test_curvature_chart_edge_cases_name_their_cause(argv, message, capsys):
     with warnings.catch_warnings():
@@ -555,7 +571,9 @@ _FLOW_NO_LAMBDA = ["--rho=0", "--epsilon=-1", "--dt=1e-3", "--t-end=0.01"]
 PROBES = [
     ("flow", FLOW_ARGS, "unsafe_signs", "no", cli.EXIT_USAGE),
     ("flow", FLOW_ARGS, "halt_on_parabolicity_loss", "maybe", cli.EXIT_USAGE),
+    # the chart's jet is exact: the differencing keys are gone
     ("curvature", ["--jet-from-chart=sphere"], "richardson", "off", cli.EXIT_USAGE),
+    ("curvature", ["--jet-from-chart=sphere"], "fd_step", "1e-3", cli.EXIT_USAGE),
     ("curvature", [], "frame", "true,2,3", cli.EXIT_USAGE),
     ("symbol", [], "frame", "true,2,3", cli.EXIT_USAGE),
     ("verify", [], "suite", "1", cli.EXIT_USAGE),

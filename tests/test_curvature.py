@@ -920,30 +920,20 @@ class TestGeneralizedEigh:
 
 
 def test_space_form_chart_jet_matches_loop_reference():
-    # the broadcast build must equal the per-entry loop bit for bit
-    def loop_jet(kappa, x):
-        u = 1.0 + kappa * float(x @ x) / 4.0
-        eye = np.eye(3)
-        dg = np.empty((3, 3, 3))
-        ddg = np.empty((3, 3, 3, 3))
-        for k in range(3):
-            dg[k] = -eye * kappa * x[k] / u**3
-            for l in range(3):
-                delta = 1.0 if k == l else 0.0
-                ddg[k, l] = -eye * kappa * (delta / u**3 - 1.5 * kappa * x[k] * x[l] / u**4)
-        return MetricJet.from_full(eye / u**2, dg, ddg)
+    # the forward-mode jet against verify's hand-derived formulas, within the
+    # bound of its check tensor_core/chart_jet_matches_hand_formulas
+    from xcflow.verify import reference_chart_jet
 
     rng = np.random.default_rng(59)
     cases = [(float(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 3.0)), rng.uniform(-0.4, 0.4, 3))
              for _ in range(200)]
-    # signed zeros in x set the signs of the zeros in dg
     cases += [(kappa, np.array(x)) for kappa in (0.8, -1.3)
               for x in ([0.0, -0.0, 0.3], [-0.0, -0.2, 0.0], [0.0, 0.0, 0.0])]
     for kappa, x in cases:
-        got, want = space_form_chart_jet(kappa, x), loop_jet(kappa, x)
-        for a, b in ((got.g.components, want.g.components), (got.dg, want.dg),
-                     (got.ddg, want.ddg)):
-            assert a.tobytes() == b.tobytes()
+        got, want = space_form_chart_jet(kappa, x), reference_chart_jet(kappa, x)
+        pairs = ((got.g.components, want.g.components), (got.dg, want.dg), (got.ddg, want.ddg))
+        scale = max(np.abs(b).max() for _, b in pairs)
+        assert max(np.abs(a - b).max() for a, b in pairs) <= 1e-15 * scale
 
 
 CHART_OVERFLOW = ("the chart metric or its differences overflow; kappa, point and fd_step "
@@ -1255,6 +1245,15 @@ class TestJetFromFunction:
         _, scalar = ricci(riemann(jet), jet.g)
         assert abs(scalar - 6.0) < 1e-5
 
+    @pytest.mark.parametrize("kappa, x, richardson, tol", [
+        (1.0, [0.1, 0.2, 0.3], False, 1e-5),
+        (-0.5, [0.3, -0.2, 0.1], True, 1e-7),
+    ], ids=["sphere", "hyperbolic_richardson"])
+    def test_chart_jet_curvature_within_its_bound(self, kappa, x, richardson, tol):
+        # the h^2 error at the default step 1e-3, and the rounding left by Richardson
+        jet = jet_from_function(space_form_chart(kappa), x, richardson=richardson)
+        assert abs(ricci(riemann(jet), jet.g)[1] - 6.0 * kappa) < tol
+
     def test_richardson_refinement_improves(self):
         x = np.array([0.4, -0.3, 0.2])
         plain = jet_from_function(space_form_chart(1.0), x, step=1e-3)
@@ -1436,7 +1435,7 @@ def test_bivector_form_overflow_is_named_without_numpy_warnings(make, message):
 def test_riemann_near_the_float_range_is_kept():
     # R is quadratic in dg at g = I, ddg = 0: dg scaled by 2^510 gives R
     # scaled by 2^1020 (~1e307) exactly, with no warning; a non-finite jet
-    # still names the entries, quietly
+    # is refused when it is built
     dg = np.random.default_rng(7).uniform(-1, 1, (3, 6))
     base = riemann(MetricJet(IDENTITY, dg, np.zeros((6, 6)))).lowered
     with warnings.catch_warnings():
@@ -1444,8 +1443,21 @@ def test_riemann_near_the_float_range_is_kept():
         got = riemann(MetricJet(IDENTITY, 2.0 ** 510 * dg, np.zeros((6, 6)))).lowered
         assert got.tobytes() == (2.0 ** 1020 * base).tobytes()
         assert np.abs(got).max() > 1e306
-        with pytest.raises(DomainError, match="lowered Riemann entries must be finite"):
+        with pytest.raises(DomainError, match="jet derivatives dg and ddg must be finite"):
             riemann(MetricJet(IDENTITY, np.zeros((3, 6)), np.full((6, 6), np.inf)))
+
+
+@pytest.mark.parametrize("dg, message", [
+    (np.full((3, 6), np.inf), "jet derivatives dg and ddg must be finite"),
+    (np.full((3, 6), np.nan), "jet derivatives dg and ddg must be finite"),
+    # finite, but d_a g_bm + d_b g_am overflows: Gamma used to come out all nan
+    (np.full((3, 6), 1e308), OVERFLOW),
+], ids=["inf", "nan", "overflow"])
+def test_christoffel_of_a_jet_that_overflows_is_named(dg, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message):
+            christoffel(MetricJet(IDENTITY, dg, np.zeros((6, 6))))
 
 
 def test_bivector_form_near_the_float_range_is_kept():

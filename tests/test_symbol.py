@@ -27,7 +27,7 @@ from xcflow.symbol import (
     to_orthonormal_frame,
     unit_directions,
 )
-from xcflow.verify import engine_symbol, matrix_of
+from xcflow.verify import _random_rotation, engine_symbol, matrix_of
 
 E1 = np.array([1.0, 0.0, 0.0])
 IDENTITY = SymTensor3.identity()
@@ -906,6 +906,16 @@ class TestParabolicity:
         t = 1e-9
         p = SymTensor3(t * np.array([1.0, 0, 0, 2.0, 3.0, 0]), "upper")
         assert parabolicity(p, IDENTITY, 0.1 * t).verdict == "strictly_parabolic_deturck"
+
+    @pytest.mark.xfail(strict=True, raises=InternalConsistencyError, reason="ROADMAP item 3")
+    def test_a_consistent_pair_on_an_ill_conditioned_metric_is_not_blamed(self):
+        # riem is built from g itself, but cond(g) = 1e6 carries the trace form's
+        # rounding past FORMULA_AGREEMENT_RTOL (relative deviation 1.9e-9)
+        q = _random_rotation(np.random.default_rng(1))
+        g = SymTensor3.from_matrix(q @ np.diag([1.0, 1e3, 1e6]) @ q.T)
+        p = einstein_raised(Riemann3.space_form(1.0, g), g).matrix
+        ginv = np.linalg.inv(g.matrix)
+        assert np.abs(p - ginv).max() <= 1e-8 * np.abs(ginv).max()
 
     def test_imag_residue_is_relative_to_the_symbol_scale(self):
         p = SymTensor3(np.array([1e150, 0.0, 0.0, 1.0, 1.0, 0.0]), "upper")
