@@ -6,10 +6,10 @@ the CLI's option table need only these, so they live here and `xcflow
 flow` runs on the standard library alone.  `symbol` re-exports the bound
 and the range.  `direction_samples` is range-checked and echoed in every
 parabolicity report; it decides nothing.  `finite_real` reads rho in
-`symbol` and every real parameter of `flow.FlowParams`, `real_number` the
-curvature scalars and the finite-difference step of `curvature`, whose
-inf and nan are named downstream, `integer` the counts of `symbol` and
-`flow`, and `flag` every library flag.
+`symbol`, every real parameter of `flow.FlowParams` and the curvature
+scalars of `curvature`, `real_number` curvature's finite-difference step
+and flow's scale factor, whose inf and nan their own tests name, `integer`
+the counts of `symbol` and `flow`, and `flag` every library flag.
 """
 
 import math

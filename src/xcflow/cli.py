@@ -325,21 +325,15 @@ def _curvature_inputs(options: dict) -> tuple[Riemann3, SymTensor3, dict]:
 
 
 def cmd_curvature(options: dict, stdout: IO[str]) -> int:
-    import numpy as np
-
     from . import curvature as cv
 
-    # A finite but huge input can overflow on the way to the tensor checks,
-    # which reject the non-finite result (exit 3); numpy's warnings about
-    # the overflow would only put noise on stderr ahead of that error line.
-    with np.errstate(over="ignore", invalid="ignore"):
-        riem, g, meta = _curvature_inputs(options)
-        ric, scalar = cv.ricci(riem, g)
-        p = cv.einstein_raised(riem, g)
-        forms = cv.cross_curvature_forms(riem, g)
-        frame, vectors = cv.eigen_frame(p, g)
-        h = forms.contraction_form
-        h_eigs, _ = cv.generalized_eigh(h, g)
+    riem, g, meta = _curvature_inputs(options)
+    ric, scalar = cv.ricci(riem, g)
+    p = cv.einstein_raised(riem, g)
+    forms = cv.cross_curvature_forms(riem, g)
+    frame, vectors = cv.eigen_frame(p, g)
+    h = forms.contraction_form
+    h_eigs, _ = cv.generalized_eigh(h, g)
 
     report = {
         "version": __version__,

@@ -5,7 +5,8 @@ Everything here operates on value types at a single point: a symmetric
 fully lowered Riemann tensor, and the symmetric 2-tensors derived from
 them.  The tensors are immutable: their component arrays are read-only,
 and an array the caller passes in is copied, so the caller's array stays
-writeable.
+writeable.  Their components are finite by construction, and every public
+call names an overflow on its way as a DomainError, never a numpy warning.
 
 `riemann` works from the jet without differentiating the connection.
 g^-1, sqrt(det g) and the eigensolver's frame come from one Cholesky factor
@@ -101,9 +102,10 @@ class SymTensor3:
     The variance tag distinguishes index placement: 'lower' for (0,2)
     tensors (metrics, Ricci, cross curvature) and 'upper' for (2,0)
     tensors (inverse metrics, the raised Einstein-type tensor).
-    Symmetry is structural: only the 6 independent components exist.
-    `components` is read-only; a writeable float array passed in is
-    copied first, so it stays the caller's.
+    Symmetry is structural: only the 6 independent components exist, and
+    they are finite by construction (a DomainError here), so no routine
+    tests them again.  `components` is read-only; a writeable float array
+    passed in is copied first, so it stays the caller's.
     """
 
     components: np.ndarray
@@ -116,8 +118,9 @@ class SymTensor3:
         comps = _read_only(self.components)
         if comps.shape != (6,):
             raise DomainError(f"expected 6 components, got shape {comps.shape}")
-        if not (isinstance(self.variance, str) and self.variance in ("lower", "upper")):
-            raise DomainError(f"variance must be 'lower' or 'upper', got {self.variance!r}")
+        if not all(map(math.isfinite, comps.tolist())):
+            raise DomainError("tensor components must be finite")
+        _variance(self.variance)
         object.__setattr__(self, "components", comps)
 
     @classmethod
@@ -134,7 +137,7 @@ class SymTensor3:
         scale = max(1.0, *map(abs, entries))
         if max(abs(m12 - m21), abs(m13 - m31), abs(m23 - m32)) > 1e-12 * scale:
             raise DomainError("matrix is not symmetric")
-        return cls(_frozen(np.array(_packed_symmetric_part(entries))), variance)
+        return cls._made(_packed_symmetric_part(entries), _variance(variance))
 
     @classmethod
     def identity(cls, variance: str = "lower") -> "SymTensor3":
@@ -156,12 +159,19 @@ class SymTensor3:
         return unpack(self.components)
 
     def is_positive_definite(self) -> bool:
-        """Whether the Cholesky factor t = L L^T exists in floats: finite
-        components and three positive pivots.  The pivots scale as t, so
-        the verdict does not depend on the overall scale of t.  A metric
-        check may still refuse t if sqrt(det t) = l11 l22 l33, the one form
-        of its determinant the code uses, under- or overflows."""
+        """Whether the Cholesky factor t = L L^T exists in floats: three
+        positive pivots.  The pivots scale as t, so the verdict does not
+        depend on the overall scale of t.  A metric check may still refuse t
+        if sqrt(det t) = l11 l22 l33, the one form of its determinant the
+        code uses, under- or overflows."""
         return _cholesky(self.components.tolist()) is not None
+
+
+def _variance(variance) -> str:
+    """`variance` if it is 'lower' or 'upper', else a DomainError."""
+    if not (isinstance(variance, str) and variance in ("lower", "upper")):
+        raise DomainError(f"variance must be 'lower' or 'upper', got {variance!r}")
+    return variance
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -212,14 +222,12 @@ def _sym_adjugate_det(a: float, b: float, c: float,
 
 def _cholesky(comps: list[float]) -> tuple[float, tuple, tuple] | None:
     """The one test of a metric: the Cholesky factor g = L L^T, in Python
-    floats on g's canonical components.  Every component must be finite
-    and every pivot positive; an off-diagonal ratio that overflows exceeds
-    the diagonal, so the next pivot is -inf or nan, and no scaling is
-    needed.  Returns sqrt(det g) = l11 l22 l33, exact to a few ulps even
-    where det g itself would round to a subnormal float, with L^T and L^-1
-    (forward substitution) by rows, or None where the factor does not exist."""
-    if not all(map(math.isfinite, comps)):
-        return None
+    floats on g's canonical components.  Every pivot must be positive; an
+    off-diagonal ratio that overflows exceeds the diagonal, so the next
+    pivot is -inf or nan, and no scaling is needed.  Returns sqrt(det g) =
+    l11 l22 l33, exact to a few ulps even where det g itself would round to
+    a subnormal float, with L^T and L^-1 (forward substitution) by rows, or
+    None where the factor does not exist."""
     a, b, c, d, e, f = comps
     if not a > 0.0:
         return None
@@ -553,10 +561,9 @@ def _pair_pass(riem: Riemann3,
     comps = p.components.tolist()
     p_norm = math.hypot(*comps, comps[1], comps[2], comps[5])
     trace_form = _p_trace(ginv, ric.matrix, scalar).ravel().tolist()
-    bivector = p.matrix.ravel().tolist()
-    if not all(map(math.isfinite, trace_form + bivector)):
+    if not all(map(math.isfinite, trace_form)):
         raise DomainError(_OVERFLOW)
-    dev = _deviation(trace_form, bivector, (p_norm,))
+    dev = _deviation(trace_form, p.matrix.ravel().tolist(), (p_norm,))
     if dev > FORMULA_AGREEMENT_RTOL:
         raise InternalConsistencyError(
             f"trace and volume-form evaluations of the raised Einstein tensor "
@@ -627,8 +634,10 @@ def cross_curvature_forms(riem: Riemann3, g: SymTensor3) -> CrossCurvatureForms:
     r = riem.lowered
     comps = p_t.components.tolist()
 
-    routes = (_h_contraction(p_t.matrix, r), _h_mu(r, _require_metric(g).mu_upper),
-              _h_determinant(root_det, comps))
+    # formed quietly: an overflow on the way leaves a route non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        routes = (_h_contraction(p_t.matrix, r), _h_mu(r, _require_metric(g).mu_upper),
+                  _h_determinant(root_det, comps))
     h_con, h_mu, h_det = (h.ravel().tolist() for h in routes)
     unit_det = _sym_adjugate_det(*(v / p_norm for v in comps))[1] if p_norm else 0.0
 
@@ -679,14 +688,11 @@ def _frame_eigh(t: SymTensor3, g: SymTensor3) -> tuple[np.ndarray, ...]:
     components L^T t L (upper indices) or L^-1 t L^-T (lower), read off
     the lower triangle.  L^T, L^-1 and L^-T come from g's one factor
     (`_require_metric`); the components are Python floats, which overflow
-    to inf silently.
-    Returns the canonical frame components (read-only), their ascending
-    eigenvalues, the orthonormal eigenvectors in the frame (columns) and
-    L^-T (read-only).  A t that is not finite, a g that is not a metric and an
+    to inf silently.  Returns the canonical frame components (read-only),
+    their ascending eigenvalues, the orthonormal eigenvectors in the frame
+    (columns) and L^-T (read-only).  A g that is not a metric and an
     overflow are each a DomainError; `_certify_eigenpairs` checks every solve."""
-    t11, t12, t13, t22, t33, t23 = comps = t.components.tolist()
-    if not all(map(math.isfinite, comps)):
-        raise DomainError("tensor components must be finite")
+    t11, t12, t13, t22, t33, t23 = t.components.tolist()
     _, upper, inv, _, _, frame_axes = _require_metric(g)
     rows = upper if t.variance == "upper" else inv
     # B t B^T for B = L^T or L^-1: w = B t by rows, then entry (j, i) = w_j . B_i
@@ -770,11 +776,14 @@ _FD_DDG_ROWS = np.array([0, 3, 4, 1, 2, 5])
 
 
 def _point(x) -> list[float]:
-    """A point as three Python floats, or a DomainError."""
+    """A point as three finite Python floats, or a DomainError."""
     x = np.asarray(x, dtype=float)
     if x.shape != (3,):
         raise DomainError(f"point must be a 3-vector, got shape {x.shape}")
-    return x.tolist()
+    coords = x.tolist()
+    if not all(map(math.isfinite, coords)):
+        raise DomainError("point must be finite")
+    return coords
 
 
 def _stencil_failure(samples: list, points: list[np.ndarray], step: float) -> None:
@@ -857,7 +866,7 @@ def jet_from_function(g_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     # per step: 2h, h^2 and 2h^2 in Python floats, as the written-out
     # differences divide by them; the largest, 2 step^2, must be finite
     if not 2.0 * step * step < math.inf:
-        raise DomainError(_CHART_OVERFLOW)
+        raise DomainError(_STEP_OVERFLOW)
 
     packed = stack[:, _ROWS, _COLS]
     # [step, v, s]: the sample at x + s h v, s = +1, -1, for the six v of
@@ -877,8 +886,8 @@ def jet_from_function(g_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     return MetricJet(SymTensor3.from_matrix(stack[0]), _frozen(dg), _frozen(ddg))
 
 
-_CHART_OVERFLOW = ("the chart metric or its differences overflow; kappa, point and "
-                  "fd_step must keep them finite")
+_STEP_OVERFLOW = "the stencil's divisor 2 fd_step squared overflows; fd_step must keep it finite"
+_CHART_OVERFLOW = "the chart metric or its jet overflows; kappa and point must keep them finite"
 _SEEDS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))  # unit first partials
 
 
@@ -887,7 +896,7 @@ class _HyperDual:
     Python floats (J. Fike and J. Alonso, AIAA 2011-886): value v, first
     partials d_k, second partials h = d_k d_l in COMPONENT_ORDER.  It has only
     what the chart uses: + and * with floats or such numbers, the square,
-    float() and c / w, whose float power w ** 2 raises OverflowError."""
+    float() and c / w."""
 
     __slots__ = ("v", "d", "h")
 
@@ -926,24 +935,29 @@ class _HyperDual:
         return self * self if n == 2 else NotImplemented
 
     def __rtruediv__(self, c):
-        # d_k (c / w) = -c w_k / w^2, d_k d_l (c / w) = c (2 w_k w_l / w - w_kl) / w^2
+        # d_k (c / w) = -c w_k / w^2, d_k d_l (c / w) = c (2 w_k w_l / w - w_kl) / w^2, each
+        # partial times r = 1 / w before the second r: w^2 would leave the float range first
         w, (d0, d1, d2), (h0, h1, h2, h3, h4, h5) = self.v, self.d, self.h
-        s, t = c / w ** 2, 2.0 / w
-        return _HyperDual(c / w, (-d0 * s, -d1 * s, -d2 * s),
-                          ((t * d0 * d0 - h0) * s, (t * d0 * d1 - h1) * s,
-                           (t * d0 * d2 - h2) * s, (t * d1 * d1 - h3) * s,
-                           (t * d2 * d2 - h4) * s, (t * d1 * d2 - h5) * s))
+        r = 1.0 / w
+        s, t0, t1, t2 = c * r, d0 * r, d1 * r, d2 * r  # c / w and w_k / w
+        return _HyperDual(s, (-t0 * s, -t1 * s, -t2 * s),
+                          ((2.0 * t0 * d0 - h0) * r * s, (2.0 * t0 * d1 - h1) * r * s,
+                           (2.0 * t0 * d2 - h2) * r * s, (2.0 * t1 * d1 - h3) * r * s,
+                           (2.0 * t2 * d2 - h4) * r * s, (2.0 * t1 * d2 - h5) * r * s))
 
 
 def _conformal_chart(kappa: float, x):
     """The conformal chart of the curvature-kappa space form, written once:
-    g_ij = delta_ij u^-2 at three coordinates (floats or seeded `_HyperDual`s)
-    as u^-2.  A DomainError where u <= 0 or a finite u's square (a jet's: its
-    fourth power) leaves the float range; u = inf gives g = 0, a non-metric."""
+    g_ij = delta_ij u^-2, u = 1 + kappa |x|^2 / 4, at three finite coordinates
+    (floats or seeded `_HyperDual`s).  A DomainError where u <= 0, where u is
+    nan (kappa = 0 times an |x|^2 that overflows) or a finite u's float square
+    overflows; u = inf gives g = 0, a non-metric."""
     x0, x1, x2 = x
     u = 1.0 + 0.25 * kappa * (x0 * x0 + x1 * x1 + x2 * x2)
     if float(u) <= 0.0:
         raise DomainError("point lies outside the chart domain")
+    if math.isnan(float(u)):
+        raise DomainError(_CHART_OVERFLOW)
     try:
         return 1.0 / u ** 2
     except OverflowError as exc:
@@ -952,32 +966,25 @@ def _conformal_chart(kappa: float, x):
 
 def space_form_chart(kappa: float) -> Callable[[np.ndarray], np.ndarray]:
     """Conformal chart of the curvature-kappa space form as a metric callback:
-    `_conformal_chart` on floats, kappa read once.  An infinite or nan kappa
-    makes no metric entry finite and is refused here.  Each call returns a
-    fresh array."""
-    kappa = real_number(kappa, "kappa")
-    if not math.isfinite(kappa):
-        raise DomainError("matrix entries must be finite")
+    `_conformal_chart` on floats, kappa read once (`bounds.finite_real`) and
+    each point by `_point`.  Each call returns a fresh array."""
+    kappa = finite_real(kappa, "kappa")
     return lambda x: _EYE * _conformal_chart(kappa, _point(x))
 
 
 def space_form_chart_jet(kappa: float, x: np.ndarray) -> MetricJet:
-    """Exact jet of the conformal space-form chart, to rounding: g from
-    `_conformal_chart` on floats, checked as a metric first, then dg and ddg
-    from the same chart on seeded coordinates; a derivative that is not
-    finite is a DomainError naming the overflow."""
-    kappa = real_number(kappa, "kappa")
+    """Exact jet of the conformal space-form chart, to rounding: kappa and the
+    point read once, g from `_conformal_chart` on floats, checked as a metric
+    first, then dg and ddg from the same chart on seeded coordinates; a
+    derivative that is not finite is a DomainError naming the overflow."""
+    kappa = finite_real(kappa, "kappa")
     coords = _point(x)
     diagonal = _conformal_chart(kappa, coords)
-    if diagonal != diagonal:  # u is nan: a nan in x or kappa
-        raise DomainError("matrix entries must be finite")
     g = SymTensor3._made([diagonal, 0.0, 0.0, diagonal, diagonal, 0.0])
     _require_metric(g)
     jet = _conformal_chart(kappa, map(_HyperDual, coords, _SEEDS))
     partials = [*jet.d, *jet.h]
-    # refused, too, where verify's hand formulas for the jet, which form
-    # 3/2 kappa, overflow: they can check every jet returned
-    if not (all(map(math.isfinite, partials)) and 1.5 * abs(kappa) < math.inf):
+    if not all(map(math.isfinite, partials)):
         raise DomainError(_CHART_OVERFLOW)
     # dg_kij = delta_ij d_k u^-2 and ddg_klij = delta_ij d_k d_l u^-2, packed
     packed = _frozen(np.multiply.outer(partials, _IDENTITY.components))

@@ -138,8 +138,6 @@ def _symbol_data(p: SymTensor3, rho) -> float:
     """Check the data a symbol is assembled from; returns rho as a float."""
     if p.variance != "upper":
         raise DomainError("symbol assembly expects P with upper indices")
-    if not all(map(math.isfinite, p.components.tolist())):
-        raise DomainError("P components must be finite")
     return finite_real(rho, "rho")
 
 

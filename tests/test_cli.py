@@ -279,8 +279,8 @@ def _richardson_jet():
 # finite-difference jet, so those four cases feed their tensors to the
 # command in place of its input parsing.  The digests hold for numpy 2.4 on
 # x86-64; a BLAS or LAPACK that rounds differently changes the last bits.
-# chart_jet and exact_jet were taken once the chart's jet came from
-# forward-mode arithmetic.  richardson_jet pins jet_from_function's
+# chart_jet and exact_jet were taken once the chart's forward-mode jet
+# formed c / w without w^2.  richardson_jet pins jet_from_function's
 # seven-point mixed differences: its off-diagonal Ric, P and h, exactly 0
 # for the chart, read below 3e-10.
 PINNED_CURVATURE_REPORTS = [
@@ -289,12 +289,12 @@ PINNED_CURVATURE_REPORTS = [
     ("space_form_off_identity", ["--space-form", "sphere"], _space_form_off_identity,
      "b4931052ec68cde1becf6eda6991439b5e95846889e72acab71bd25be122cefd"),
     ("chart_jet", ["--frame", "1,1,1"], _chart_jet,
-     "01657cfaab606d70a9b0bd35b95ea933f60fc5e7286f50019914bcb754398c65"),
+     "670ffa0bcd3a060b86f5a1b234429a73fb5254ab459b04caf9f8a7814a2e3692"),
     ("richardson_jet", ["--frame", "1,1,1"], _richardson_jet,
      "b442611f9273723bc98ccaff1d0c12616b849b7cf6f04a0a067424941de56f87"),
     ("exact_jet", ["--jet-from-chart", "hyperbolic", "--kappa", "-0.5", "--point",
                    "0.3,-0.2,0.1"], None,
-     "db8432833c9941437d21b98e288730d7d43729442389e346fe66b17eee0cc9d2"),
+     "8e3a9b8c51fd6a636aa3df02ed35a5914a211bf6157732ddbd43a50154c2fdd5"),
 ]
 
 
@@ -420,6 +420,18 @@ def test_curvature_non_finite_values_exit_3_naming_finiteness(argv, overflows, c
     assert "finite" in err and "not symmetric" not in err
     if not overflows:
         assert "must be finite, got" in err  # names the option and its value
+
+
+@pytest.mark.parametrize("argv", [["--frame", "1e200,1e200,1e200"],
+                                  ["--space-form", "sphere", "--kappa", "1e200"]])
+def test_curvature_overflow_exits_3_under_warnings_as_errors(argv):
+    # the command quiets no numpy warning: the library names the overflow itself
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "xcflow", "curvature", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, check=False)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: ")
 
 
 _EDGE_FLOATS = st.sampled_from(

@@ -155,7 +155,7 @@ class TestSymTensor3:
 
     def test_positive_definite_matches_eigenvalue_reference(self):
         # eigenvalues are the reference; LAPACK's output on a non-finite
-        # matrix is unspecified, and such a matrix is never a metric
+        # matrix is unspecified, and such a matrix is not even a tensor
         rng = np.random.default_rng(37)
         verdicts = set()
         for trial in range(4000):
@@ -168,7 +168,11 @@ class TestSymTensor3:
             if trial % 4 == 3:
                 i, j = rng.integers(3, size=2)
                 m[i, j] = m[j, i] = rng.choice([np.nan, np.inf, -np.inf])
-            expected = bool(np.isfinite(m).all() and np.linalg.eigvalsh(m).min() > 0.0)
+            if not np.isfinite(m).all():
+                with pytest.raises(DomainError, match="tensor components must be finite"):
+                    SymTensor3(pack(m))
+                continue
+            expected = bool(np.linalg.eigvalsh(m).min() > 0.0)
             t = SymTensor3(pack(m))
             assert t.is_positive_definite() == expected, m
             # the metric check decides from the same factor: it refuses a
@@ -888,15 +892,15 @@ class TestGeneralizedEigh:
     def test_non_finite_input_or_result_is_named(self, components, metrics, match):
         from xcflow.symbol import parabolicity, to_orthonormal_frame
 
-        p = SymTensor3(np.array(components), "upper")
         solvers = (generalized_eigh, eigen_frame, to_orthonormal_frame,
                    lambda p, g: parabolicity(p, g, 0.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for g in (SymTensor3(s * IDENTITY.components) for s in metrics):
                 for solve in solvers:
+                    # a non-finite P is refused as it is built
                     with pytest.raises(DomainError, match=match):
-                        solve(p, g)
+                        solve(SymTensor3(np.array(components), "upper"), g)
 
     def test_a_pivot_lost_to_rounding_is_a_domain_error(self):
         # u u^T of rank 2 plus 2^-52 e3 e3^T: the cofactor determinant is
@@ -936,58 +940,85 @@ def test_space_form_chart_jet_matches_loop_reference():
         assert max(np.abs(a - b).max() for a, b in pairs) <= 1e-15 * scale
 
 
-CHART_OVERFLOW = ("the chart metric or its differences overflow; kappa, point and fd_step "
-                  "must keep them finite")
+CHART_OVERFLOW = "the chart metric or its jet overflows; kappa and point must keep them finite"
+STEP_OVERFLOW = "the stencil's divisor 2 fd_step squared overflows; fd_step must keep it finite"
 
 
 @pytest.mark.parametrize("make, message", [
     (lambda: space_form_chart_jet(1.0, [1e200, 0.0, 0.0]), "metric is not positive definite"),
-    (lambda: space_form_chart_jet(1.0, [0.0, -math.inf, 0.0]),
-     "metric is not positive definite"),
-    (lambda: space_form_chart_jet(1.0, [math.nan, 0.0, 0.0]), "matrix entries must be finite"),
-    (lambda: space_form_chart_jet(math.inf, [0.0, 0.0, 0.0]), "matrix entries must be finite"),
-    (lambda: space_form_chart(math.inf), "matrix entries must be finite"),
-    (lambda: space_form_chart(math.nan), "matrix entries must be finite"),
+    (lambda: space_form_chart_jet(1.0, [0.0, -math.inf, 0.0]), "point must be finite"),
+    (lambda: space_form_chart_jet(1.0, [math.nan, 0.0, 0.0]), "point must be finite"),
+    (lambda: space_form_chart_jet(math.inf, [0.0, 0.0, 0.0]), "kappa must be a finite real number"),
+    (lambda: space_form_chart(math.inf), "kappa must be a finite real number"),
+    (lambda: space_form_chart(math.nan), "kappa must be a finite real number"),
     (lambda: space_form_chart_jet(-1.0, [1e200, 0.0, 0.0]), "point lies outside the chart"),
-    # u^3 and u^4 would overflow; the metric is checked before they are formed
+    # g = 1.6e-239 is refused by the metric check before any derivative is formed
     (lambda: space_form_chart_jet(1.0, [1e60, 0.0, 0.0]), "metric determinant underflows"),
     (lambda: space_form_chart_jet(1.0, [0.1, 0.2]), "point must be a 3-vector"),
     (lambda: jet_from_function(space_form_chart(1.0), [1e200, 0.0, 0.0]),
      "metric is not positive definite"),
     (lambda: jet_from_function(space_form_chart(1.0), [math.inf, 0.0, 0.0]),
-     "metric is not positive definite"),
+     "point must be finite"),
     (lambda: jet_from_function(space_form_chart(1.0), [math.nan, 0.0, 0.0]),
-     "metric callback returned non-finite samples"),
-    # powers of u, 1.5 kappa and the stencil's divisors that leave the float range
-    (lambda: space_form_chart_jet(1.0, [1e45, 0.0, 0.0]), CHART_OVERFLOW),  # u^4
+     "point must be finite"),
+    # u^2, a partial of the jet or the stencil's divisors that leave the float range
     (lambda: space_form_chart_jet(1.0, [1e100, 0.0, 0.0]), CHART_OVERFLOW),  # u^2
     (lambda: space_form_chart_jet(1.0, [1e153, 0.0, 0.0]), CHART_OVERFLOW),
-    (lambda: space_form_chart_jet(1.5e308, [0.0, 0.0, 0.0]), CHART_OVERFLOW),
-    (lambda: space_form_chart_jet(-1.5e308, [0.0, 0.0, 0.0]), CHART_OVERFLOW),
+    # |x|^2 overflows, and kappa = 0 times it is nan
+    (lambda: space_form_chart_jet(0.0, [1e200, 0.0, 0.0]), CHART_OVERFLOW),
     # u = 2e-10 near the hyperbolic chart's boundary: kappa^2 |x|^2 / u^4 overflows in ddg
     (lambda: space_form_chart_jet(-1e300, [2e-150 * (1 - 1e-10), 0.0, 0.0]), CHART_OVERFLOW),
     (lambda: space_form_chart(1.0)(np.array([1e100, 0.0, 0.0])), CHART_OVERFLOW),
     (lambda: jet_from_function(space_form_chart(1.0), [1e100, 0.0, 0.0]), CHART_OVERFLOW),
     # a sample one step away overflows u^2, and the stencil names it
     (lambda: jet_from_function(space_form_chart(1.0), [0.1, 0.2, 0.3], step=1e154),
-     "stencil leaves the metric's domain.*" + CHART_OVERFLOW),
+     "stencil leaves the metric's domain.*fd_step 1e\\+154.*" + CHART_OVERFLOW),
     (lambda: jet_from_function(space_form_chart(1.0), [0.1, 0.2, 0.3], step=1e160),
-     CHART_OVERFLOW),  # h^2
+     STEP_OVERFLOW),  # h^2
     (lambda: jet_from_function(lambda x: np.eye(3), [0.1, 0.2, 0.3], step=1e154),
-     CHART_OVERFLOW),  # 2 h^2
+     STEP_OVERFLOW),  # 2 h^2
     (lambda: jet_from_function(lambda x: np.eye(3), [0.1, 0.2, 0.3], step=1e154,
-                               richardson=True), CHART_OVERFLOW),
+                               richardson=True), STEP_OVERFLOW),
 ], ids=["huge", "inf", "nan", "inf_kappa", "chart_inf_kappa", "chart_nan_kappa", "outside",
-        "underflow", "short", "fd_huge", "fd_inf", "fd_nan", "u4_overflows", "u2_overflows",
-        "u2_overflows_edge", "kappa_overflows", "negative_kappa_overflows", "ddg_overflows",
-        "chart_overflows", "fd_centre_overflows",
-        "fd_sample_overflows", "fd_step_overflows", "fd_step_mixed_overflows",
-        "fd_step_richardson_overflows"])
+        "underflow", "short", "fd_huge", "fd_inf", "fd_nan", "u2_overflows",
+        "u2_overflows_edge", "flat_norm_overflows", "ddg_overflows", "chart_overflows",
+        "fd_centre_overflows", "fd_sample_overflows", "fd_step_overflows",
+        "fd_step_mixed_overflows", "fd_step_richardson_overflows"])
 def test_chart_jets_raise_their_named_error_without_numpy_warnings(make, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=message):
             make()
+
+
+def _exact_chart_partials(kappa, x):
+    """u^-2 with u = 1 + kappa |x|^2 / 4, then its first and second partials
+    in COMPONENT_ORDER, in exact rational arithmetic."""
+    kappa, x = Fraction(kappa), [Fraction(v) for v in x]
+    u = 1 + kappa * sum(v * v for v in x) / 4
+    du = [kappa * v / 2 for v in x]  # and d_k d_l u = kappa / 2 delta_kl
+    return ([1 / u**2] + [-2 * d / u**3 for d in du]
+            + [6 * du[k] * du[l] / u**4 - (kappa / u**3 if k == l else 0)
+               for k, l in curvature.COMPONENT_ORDER])
+
+
+@pytest.mark.parametrize("kappa, x", [
+    (1.0, [1e45, 0.0, 0.0]),   # d_0 g = -6.4e-224; u^4 = 3.9e357 is never formed
+    (1.5e308, [0.0, 0.0, 0.0]),   # ddg = -kappa; 3/2 kappa is never formed
+    (-1.5e308, [0.0, 0.0, 0.0]),
+    (-0.7, [0.3, -1.1, 2e-3]),
+], ids=["u4_out_of_range", "kappa_near_the_range", "negative_kappa_near_the_range",
+        "interior"])
+def test_chart_jets_near_the_float_range_are_exact(kappa, x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        jet = space_form_chart_jet(kappa, x)
+    got = [jet.g.components[0], *jet.dg[:, 0], *jet.ddg[:, 0]]
+    for value, exact in zip(got, _exact_chart_partials(kappa, x)):
+        assert abs(Fraction(value) - exact) <= Fraction(1e-15) * abs(exact)
+    # every partial is delta_ij times its (0, 0) entry
+    packed = np.concatenate(([jet.g.components], jet.dg, jet.ddg))
+    assert np.array_equal(packed, np.multiply.outer(packed[:, 0], IDENTITY.components))
 
 
 @pytest.mark.parametrize("richardson", [False, True])
@@ -1001,10 +1032,12 @@ def test_the_step_guard_is_the_largest_divisor(richardson):
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: space_form_chart_jet(10**400, [0.1, 0.0, 0.0]), "kappa must be a real number"),
-    (lambda: space_form_chart_jet("1", [0.1, 0.0, 0.0]), "kappa must be a real number"),
-    (lambda: space_form_chart(10**400)(np.array([0.1, 0.0, 0.0])), "kappa must be a real number"),
-    (lambda: space_form_chart("1")(np.array([0.1, 0.0, 0.0])), "kappa must be a real number"),
+    (lambda: space_form_chart_jet(10**400, [0.1, 0.0, 0.0]), "kappa must be a finite real number"),
+    (lambda: space_form_chart_jet("1", [0.1, 0.0, 0.0]), "kappa must be a finite real number"),
+    (lambda: space_form_chart(10**400)(np.array([0.1, 0.0, 0.0])),
+     "kappa must be a finite real number"),
+    (lambda: space_form_chart("1")(np.array([0.1, 0.0, 0.0])),
+     "kappa must be a finite real number"),
     (lambda: Riemann3.space_form(10**400, IDENTITY), "kappa must be a finite real number"),
     (lambda: Riemann3.space_form("1", IDENTITY), "kappa must be a finite real number"),
     (lambda: Riemann3.space_form(math.inf, IDENTITY), "kappa must be a finite real number"),
@@ -1372,6 +1405,9 @@ def test_symmetric_parts_pack_by_midpoint():
     # an array variance used to end in numpy's "truth value ... is ambiguous"
     (lambda: SymTensor3(np.zeros(6), np.zeros(2)), "variance must be 'lower' or 'upper'"),
     (lambda: SymTensor3.from_matrix(np.eye(2)), r"expected a 3x3 matrix, got shape \(2, 2\)"),
+    (lambda: SymTensor3.from_matrix(np.eye(3), "middle"), "variance must be 'lower' or 'upper'"),
+    (lambda: SymTensor3(np.array([1.0, 0.0, 0.0, 1.0, -math.inf, 0.0])),
+     "tensor components must be finite"),
     (lambda: MetricJet(IDENTITY, np.zeros((6, 3)), np.zeros((6, 6))),
      r"dg must have shape \(3, 6\), got \(6, 3\)"),
     (lambda: MetricJet(IDENTITY, np.zeros((3, 6)), np.zeros((3, 6))),
@@ -1384,8 +1420,8 @@ def test_symmetric_parts_pack_by_midpoint():
     (lambda: jet_from_function(space_form_chart(1.0), np.zeros((1, 3))),
      r"point must be a 3-vector, got shape \(1, 3\)"),
 ], ids=["short_components", "matrix_components", "unknown_variance", "array_variance",
-        "from_matrix_shape", "dg_shape", "ddg_shape", "lowered_shape", "fd_point_short",
-        "fd_point_row"])
+        "from_matrix_shape", "from_matrix_variance", "non_finite_components", "dg_shape",
+        "ddg_shape", "lowered_shape", "fd_point_short", "fd_point_row"])
 def test_malformed_inputs_raise_their_named_error(make, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1481,3 +1517,60 @@ def test_a_metric_whose_volume_form_overflows_is_refused():
         with pytest.raises(DomainError, match="metric determinant underflows"):
             volume_form(g)
     assert g._factor is None
+
+
+def _pipeline_inputs(rng, count):
+    """Builders of (Riemann3, metric) pairs at magnitudes 1 to 1e308: rotated
+    and plain frames, space forms and random jets on metrics of scale 1e-150
+    to 1e150, and chart jets at kappa and points of every size."""
+    from xcflow.verify import _random_rotation
+
+    def metric():
+        m = rng.uniform(-1.0, 1.0, (3, 3))
+        return SymTensor3.from_matrix(10.0 ** rng.uniform(-150, 150) * (m @ m.T + 0.5 * np.eye(3)))
+
+    def jet_pair(jet):
+        return riemann(jet), jet.g
+
+    for n in range(count):
+        size = 1e308 if n % 25 == 0 else 10.0 ** rng.uniform(0.0, 308.0)
+        kind = n % 4
+        if kind == 0:
+            abc = rng.uniform(-1.0, 1.0, 3) * size
+            rotation = _random_rotation(rng) if n % 8 == 0 else None
+            yield lambda: (Riemann3.from_frame(*abc, rotation=rotation), IDENTITY)
+        elif kind == 1:
+            kappa, g = float(rng.uniform(-1.0, 1.0) * size), metric()
+            yield lambda: (Riemann3.space_form(kappa, g), g)
+        elif kind == 2:
+            g, dg, ddg = metric(), rng.uniform(-1.0, 1.0, (3, 6)) * size, \
+                rng.uniform(-1.0, 1.0, (6, 6)) * size
+            yield lambda: jet_pair(MetricJet(g, dg, ddg))
+        else:
+            kappa = float(rng.uniform(-1.0, 1.0) * size)
+            x = rng.uniform(-1.0, 1.0, 3) * 10.0 ** rng.uniform(-160.0, 160.0)
+            yield lambda: jet_pair(space_form_chart_jet(kappa, x))
+
+
+def test_every_public_call_names_its_own_overflow_under_warnings_as_errors():
+    # the whole curvature pipeline, each call returning or raising a named
+    # XcflowError, never a numpy warning: cross_curvature_forms' h_mu route
+    # used to warn "overflow encountered in matmul" before its DomainError
+    from xcflow.errors import XcflowError
+
+    outcomes = {"returned": 0, "named": 0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in _pipeline_inputs(np.random.default_rng(83), 600):
+            try:
+                riem, g = build()
+                ricci(riem, g)
+                p = einstein_raised(riem, g)
+                h = cross_curvature_forms(riem, g).contraction_form
+                eigen_frame(p, g)
+                generalized_eigh(h, g)
+                outcomes["returned"] += 1
+            except XcflowError:
+                outcomes["named"] += 1
+    # both outcomes occur, so the sweep reaches past the float range and inside it
+    assert min(outcomes.values()) > 50, outcomes
