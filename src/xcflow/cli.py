@@ -355,6 +355,7 @@ def cmd_curvature(options: dict, stdout: IO[str]) -> int:
         },
         "h_eigenvalues": [float(v) for v in h_eigs],
     }
+    _write_report(report, options["output"], options["format"])
 
     print(f"g: {_vec_str(g.components)}", file=stdout)
     print(f"Ric: {_vec_str(ric.components)}", file=stdout)
@@ -367,8 +368,6 @@ def cmd_curvature(options: dict, stdout: IO[str]) -> int:
     print(f"h max pairwise deviation: {fmt(forms.max_pairwise_dev)}", file=stdout)
     print(f"h eigenvalues: {_vec_str(sorted(report['h_eigenvalues'], reverse=True))}",
           file=stdout)
-
-    _write_report(report, options["output"], options["format"])
     return EXIT_OK
 
 
@@ -415,15 +414,6 @@ def cmd_symbol(options: dict, stdout: IO[str]) -> int:
             "deturck_spectrum": [float(v) for v in sb.spectrum(modified)],
         })
 
-    for entry in per_direction:
-        print(f"xi: {_vec_str(entry['xi'])}", file=stdout)
-        print(f"raw: {_vec_str(entry['raw_spectrum'])}", file=stdout)
-        print(f"deturck: {_vec_str(entry['deturck_spectrum'])}", file=stdout)
-    print(f"threshold: {fmt(report_obj.threshold)}", file=stdout)
-    print(f"margin: {fmt(report_obj.margin)}", file=stdout)
-    print(f"spectral_margin: {fmt(report_obj.spectral_margin)}", file=stdout)
-    print(f"verdict: {report_obj.verdict}", file=stdout)
-
     report = {
         "version": __version__,
         "command": "symbol",
@@ -446,6 +436,15 @@ def cmd_symbol(options: dict, stdout: IO[str]) -> int:
         },
     }
     _write_report(report, options["output"], options["format"])
+
+    for entry in per_direction:
+        print(f"xi: {_vec_str(entry['xi'])}", file=stdout)
+        print(f"raw: {_vec_str(entry['raw_spectrum'])}", file=stdout)
+        print(f"deturck: {_vec_str(entry['deturck_spectrum'])}", file=stdout)
+    print(f"threshold: {fmt(report_obj.threshold)}", file=stdout)
+    print(f"margin: {fmt(report_obj.margin)}", file=stdout)
+    print(f"spectral_margin: {fmt(report_obj.spectral_margin)}", file=stdout)
+    print(f"verdict: {report_obj.verdict}", file=stdout)
     return EXIT_OK
 
 
@@ -580,13 +579,13 @@ def cmd_verify(options: dict, stdout: IO[str]) -> int:
     suites = None if options["suite"] is None else sum(options["suite"], [])
     seed = vf.DEFAULT_SEED if options["seed"] is None else options["seed"]
     summary = vf.run_checks(suites=suites, cases=options["cases"], seed=seed)
+    _write_report(summary.to_dict(), options["output"], options["format"])
+
     for result in summary.results:
         print(result.line(), file=stdout)
     n_failed = sum(not r.passed for r in summary.results)
     print(f"SUMMARY: {len(summary.results) - n_failed}/{len(summary.results)} "
           f"checks passed (seed {summary.seed})", file=stdout)
-
-    _write_report(summary.to_dict(), options["output"], options["format"])
     return EXIT_OK if summary.all_passed else EXIT_VERIFY
 
 

@@ -6,6 +6,11 @@ oracles, or a second formula for the same quantity.  Checks are
 deterministic given the seed; each one reports its worst observed
 deviation next to the tolerance it was held to.
 
+A check's generator is keyed by the seed and the check's name, and built
+on the check's first draw from it: importing `numpy.random` costs about
+5 MB and 10-16 ms in a cold process, and the 'flow' and 'cli' suites draw
+nothing, so running only them never loads it.
+
 The suites are grouped by subsystem ('tensor_core', 'symbol', 'flow',
 'cli') and surfaced through the `xcflow verify` command, which exits
 nonzero if anything fails.
@@ -13,6 +18,7 @@ nonzero if anything fails.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import time
@@ -95,6 +101,22 @@ def registered_checks() -> list[tuple[str, str]]:
     return [(suite, name) for suite, name, _, _ in _REGISTRY]
 
 
+class _FirstDrawGenerator:
+    """The generator `default_rng(SeedSequence(seed, spawn_key=key))`, built
+    when a check first reads an attribute of it, so a check that draws
+    nothing never loads `numpy.random`."""
+
+    def __init__(self, seed: int, key: tuple[int, ...]):
+        self._seed, self._key = seed, key
+
+    @functools.cached_property
+    def _rng(self):
+        return np.random.default_rng(np.random.SeedSequence(self._seed, spawn_key=self._key))
+
+    def __getattr__(self, name):  # only names the wrapper itself lacks
+        return getattr(self._rng, name)
+
+
 def run_check(idx: int, cases: int | None = None,
               seed: int = DEFAULT_SEED) -> CheckResult:
     """Run one registered check with the generator run_checks gives it."""
@@ -102,7 +124,7 @@ def run_check(idx: int, cases: int | None = None,
     # keyed by the check's name, so that adding or removing another check
     # leaves this one's data as it is
     key = tuple(f"{suite}/{name}".encode())
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    rng = _FirstDrawGenerator(seed, key)
     n = cases if cases is not None else default_cases
     start = time.perf_counter()
     try:

@@ -108,6 +108,17 @@ def test_import_xcflow_loads_no_numpy_and_no_submodule():
         "['xcflow']", "['xcflow', 'xcflow.bounds', 'xcflow.errors', 'xcflow.flow']"]
 
 
+def test_verify_flow_and_cli_suites_never_load_numpy_random():
+    # neither suite draws a number, so neither builds a generator
+    code = ("import contextlib, io, sys\n"
+            "from xcflow import cli\n"
+            "for suite in ('flow', 'cli'):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(['verify', '--suite', suite]) == 0\n"
+            "    print(suite, 'numpy.random' in sys.modules)")
+    assert _python("-c", code).stdout.splitlines() == ["flow False", "cli False"]
+
+
 # `python -m xcflow` with numpy unimportable
 _WITHOUT_NUMPY = ("-c", "import runpy, sys; sys.modules['numpy'] = None; "
                         "runpy.run_module('xcflow', run_name='__main__')")
@@ -736,6 +747,20 @@ def test_verify_report_is_written_and_reads_back(tmp_path, capsys):
     assert report["n_checks"] == len(report["checks"]) == len(vf.registered_checks())
     assert report["all_passed"] is True
     assert all(check["passed"] is True for check in report["checks"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["curvature", "--frame", "1,2,3"],
+    ["symbol", "--frame", "1,2,3", "--rho", "0.1"],
+    ["verify", "--suite", "cli"],
+])
+def test_an_unwritable_output_is_refused_before_the_report_is_printed(argv, tmp_path,
+                                                                       capsys):
+    path = tmp_path / "missing" / "report.json"
+    assert cli.main([*argv, "--output", str(path)]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage error: cannot write output file")
 
 
 def test_a_report_that_cannot_be_serialised_leaves_no_file(tmp_path):

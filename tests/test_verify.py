@@ -1,5 +1,6 @@
 """Every registered verify check as its own tier-1 case, at the default seed."""
 
+import numpy as np
 import pytest
 
 from xcflow import verify as vf
@@ -31,3 +32,16 @@ def test_removing_an_earlier_check_leaves_a_checks_data(monkeypatch):
     assert vf.registered_checks().index(check) == idx - 1
     assert vf.run_check(idx - 1, cases=20).detail == before
     assert vf.run_check(idx - 1, cases=20, seed=1730).detail != before  # data-dependent
+
+
+@pytest.mark.parametrize("seed", [1729, 1730])
+@pytest.mark.parametrize("check", [("tensor_core", "positive_definite_propagation"),
+                                   ("symbol", "spectrum_closed_form")])
+def test_a_checks_generator_draws_what_an_eager_one_draws(check, seed):
+    # run_check builds the generator on the check's first draw; its numbers
+    # are those of the generator built before the check starts
+    idx = CHECKS.index(check)
+    suite, name, fn, cases = vf._REGISTRY[idx]
+    key = tuple(f"{suite}/{name}".encode())
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+    assert vf.run_check(idx, seed=seed).detail == fn(rng, cases)[1]
