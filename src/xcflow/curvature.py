@@ -5,8 +5,10 @@ Everything here operates on value types at a single point: a symmetric
 fully lowered Riemann tensor, and the symmetric 2-tensors derived from
 them.  The tensors are immutable: their component arrays are read-only,
 and an array the caller passes in is copied, so the caller's array stays
-writeable.  Their components are finite by construction, and every public
-call names an overflow on its way as a DomainError, never a numpy warning.
+writeable.  Every array a caller hands the library, here, in `symbol` and in
+`flow`, is read once, by `_real_array`, into a finite float array of its shape
+or a DomainError naming it: components are finite by construction, and every
+public call names an overflow on its way as a DomainError, not a numpy warning.
 
 `riemann` works from the jet without differentiating the connection.
 g^-1, sqrt(det g) and the eigensolver's frame come from one Cholesky factor
@@ -103,7 +105,7 @@ class SymTensor3:
     tensors (metrics, Ricci, cross curvature) and 'upper' for (2,0)
     tensors (inverse metrics, the raised Einstein-type tensor).
     Symmetry is structural: only the 6 independent components exist, and
-    they are finite by construction (a DomainError here), so no routine
+    `_real_array` reads them once, finite by construction, so no routine
     tests them again.  `components` is read-only; a writeable float array
     passed in is copied first, so it stays the caller's.
     """
@@ -115,22 +117,12 @@ class SymTensor3:
                                             compare=False)
 
     def __post_init__(self):
-        comps = _read_only(self.components)
-        if comps.shape != (6,):
-            raise DomainError(f"expected 6 components, got shape {comps.shape}")
-        if not all(map(math.isfinite, comps.tolist())):
-            raise DomainError("tensor components must be finite")
+        object.__setattr__(self, "components", _read_only(self.components, (6,), "components"))
         _variance(self.variance)
-        object.__setattr__(self, "components", comps)
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, variance: str = "lower") -> "SymTensor3":
-        m = np.asarray(matrix, dtype=float)
-        if m.shape != (3, 3):
-            raise DomainError(f"expected a 3x3 matrix, got shape {m.shape}")
-        entries = m.ravel().tolist()
-        if not all(map(math.isfinite, entries)):
-            raise DomainError("matrix entries must be finite")
+        entries = _real_array(matrix, (3, 3), "matrix").ravel().tolist()
         _, m12, m13, m21, _, m23, m31, m32, _ = entries
         # np.allclose(m, m.T, rtol=0, atol=...) on finite entries, in Python
         # floats: one compare of the largest off-diagonal gap
@@ -149,9 +141,7 @@ class SymTensor3:
         as a fresh read-only array, without the checks of `SymTensor3(...)`,
         which every tensor a caller builds still passes."""
         t = object.__new__(cls)
-        object.__setattr__(t, "components", _frozen(np.array(components)))
-        object.__setattr__(t, "variance", variance)
-        object.__setattr__(t, "_factor", None)
+        t.__dict__.update(components=_frozen(np.array(components)), variance=variance, _factor=None)
         return t
 
     @property
@@ -180,11 +170,44 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _read_only(given) -> np.ndarray:
-    """`given` as a read-only float array.  An array np.asarray returns as
-    it is and that is still writeable belongs to the caller, so it is
-    copied; one it had to make anew, and a read-only one, are not."""
-    array = np.asarray(given, dtype=float)
+def _real_array(value, shape: tuple, name: str) -> np.ndarray:
+    """`value` as a float array of `shape` (a leading None: any length) with
+    finite entries, or a DomainError naming it `name`.  A float ndarray is
+    read as it is, anything else only if it holds numbers `bounds.real_number`
+    reads (`_real_entries`): text, bools, complex numbers, 10**400, None,
+    other objects and ragged nesting end here, not in numpy."""
+    try:
+        if not (type(value) is np.ndarray and value.dtype.kind == "f"):
+            _real_entries(value)
+        array = np.asarray(value, dtype=float)
+    except (DomainError, TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must be an array of real numbers within the float range, "
+                          f"got {value!r}") from None
+    if array.shape != shape and (shape[0] is not None or array.shape[1:] != shape[1:]):
+        raise DomainError(f"{name} must have shape {str(shape).replace('None', 'N')}, "
+                          f"got shape {array.shape}")
+    # Python floats, in memory order, for the small arrays of a pointwise call; numpy past them
+    if not (all(map(math.isfinite, array.ravel("K").tolist())) if array.size <= 36
+            else np.isfinite(array).all()):
+        raise DomainError(f"{name} must be finite")
+    return array
+
+
+def _real_entries(value) -> None:
+    """Raise unless every entry of `value` is a number `bounds.real_number`
+    reads; a numpy array of bools, complex numbers or text is refused by its
+    dtype, and ragged nesting leaves sequences for entries."""
+    kind = getattr(getattr(value, "dtype", None), "kind", "O")
+    if kind not in "fiuO":
+        raise TypeError("not an array of real numbers")
+    for entry in np.asarray(value, dtype=object).ravel().tolist() if kind == "O" else ():
+        _real_entries(entry) if hasattr(entry, "dtype") else real_number(entry, "entry")
+
+
+def _read_only(given, shape: tuple, name: str) -> np.ndarray:
+    """`_real_array(given, shape, name)`, read-only: an array returned as it
+    is and still writeable is the caller's, so it is copied, no other one."""
+    array = _real_array(given, shape, name)
     if not array.flags.writeable:
         return array
     return _frozen(array.copy() if array is given else array)
@@ -317,8 +340,9 @@ class MetricJet:
     dg has shape (3, 6): row k holds the canonical components of
     d_k g_ij.  ddg has shape (6, 6): row p holds the components of
     d_k d_l g_ij for the (k, l) pair in canonical pair order, so the
-    symmetry of mixed partials is structural.  dg and ddg are finite and
-    read-only; writeable float arrays passed in are copied, so they stay the caller's.
+    symmetry of mixed partials is structural.  dg and ddg are read by
+    `_real_array`, so they are finite, and read-only; writeable float arrays
+    passed in are copied, so they stay the caller's.
     """
 
     g: SymTensor3
@@ -327,23 +351,15 @@ class MetricJet:
 
     def __post_init__(self):
         _require_metric(self.g)
-        dg = _read_only(self.dg)
-        ddg = _read_only(self.ddg)
-        if dg.shape != (3, 6):
-            raise DomainError(f"dg must have shape (3, 6), got {dg.shape}")
-        if ddg.shape != (6, 6):
-            raise DomainError(f"ddg must have shape (6, 6), got {ddg.shape}")
-        if not all(map(math.isfinite, dg.ravel().tolist() + ddg.ravel().tolist())):
-            raise DomainError("jet derivatives dg and ddg must be finite")
-        object.__setattr__(self, "dg", dg)
-        object.__setattr__(self, "ddg", ddg)
+        object.__setattr__(self, "dg", _read_only(self.dg, (3, 6), "dg"))
+        object.__setattr__(self, "ddg", _read_only(self.ddg, (6, 6), "ddg"))
 
     @classmethod
     def from_full(cls, g: np.ndarray, dg_full: np.ndarray, ddg_full: np.ndarray) -> "MetricJet":
         """Build from full arrays dg_full[k,i,j] and ddg_full[k,l,i,j]."""
-        dg = np.asarray(dg_full, dtype=float)[:, _ROWS, _COLS]
-        ddg = np.asarray(ddg_full, dtype=float)[_ROWS, _COLS][:, _ROWS, _COLS]
-        return cls(SymTensor3.from_matrix(g), _frozen(dg), _frozen(ddg))
+        dg = _real_array(dg_full, (3, 3, 3), "dg_full")[:, _ROWS, _COLS]
+        ddg = _real_array(ddg_full, (3, 3, 3, 3), "ddg_full")[_ROWS, _COLS][:, _ROWS, _COLS]
+        return cls(SymTensor3.from_matrix(_real_array(g, (3, 3), "g")), _frozen(dg), _frozen(ddg))
 
     @property
     def dg_full(self) -> np.ndarray:
@@ -377,13 +393,32 @@ def christoffel(jet: MetricJet) -> np.ndarray:
     return gamma
 
 
+def _curvature_tensor(lowered) -> tuple[np.ndarray, float]:
+    """`lowered` read-only (`_read_only`) and max |R_ijkl|, once the
+    algebraic symmetries hold to within 1e-12 of that maximum."""
+    r = _read_only(lowered, (3, 3, 3, 3), "lowered")
+    flat = r.ravel()
+    size = float(np.abs(flat).max())
+    # the residuals r + r^(1,0,2,3), r + r^(0,1,3,2), r - r^(2,3,0,1) and
+    # r + r^(0,2,3,1) + r^(0,3,1,2), from one gather of the 81 entries
+    # (row 2 holds the negated difference, which rounds the same)
+    moved = flat[_SYMMETRY_GATHER]
+    moved[:2] += flat
+    moved[2] -= flat
+    moved[3] += flat
+    moved[3] += moved[4]
+    if np.abs(moved[:4]).max() > 1e-12 * size:
+        raise DomainError("input violates the Riemann algebraic symmetries")
+    return r, size
+
+
 @dataclass(frozen=True)
 class Riemann3:
     """Fully lowered Riemann tensor of a 3-metric.
 
-    `lowered` is R_ijkl with the algebraic symmetries (antisymmetry in
-    (i,j) and (k,l), pair symmetry, first Bianchi identity), read-only.
-    `bivector_form` is the symmetric (2,0) tensor
+    `lowered` is R_ijkl, read by `_real_array`, with the algebraic symmetries
+    (antisymmetry in (i,j) and (k,l), pair symmetry, first Bianchi identity), read-only.
+    `bivector_form` is the symmetric (2,0) tensor (an upper-index SymTensor3)
     1/4 mu^irs mu^jkl R_rskl, the curvature viewed as a bilinear form on
     the mu-identified bivector space.  `_pair` is the checked pass over
     this tensor and the last metric object it was paired with:
@@ -395,26 +430,14 @@ class Riemann3:
     _pair: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "lowered", _read_only(self.lowered))
+        object.__setattr__(self, "lowered", _curvature_tensor(self.lowered)[0])
+        p = self.bivector_form
+        if not (isinstance(p, SymTensor3) and p.variance == "upper"):
+            raise DomainError(f"bivector_form must be a SymTensor3 with upper indices, got {p!r}")
 
     @classmethod
     def from_lowered(cls, lowered: np.ndarray, g: SymTensor3) -> "Riemann3":
-        r = np.asarray(lowered, dtype=float)
-        if r.shape != (3, 3, 3, 3):
-            raise DomainError(f"lowered Riemann must have shape (3,3,3,3), got {r.shape}")
-        flat = r.ravel()
-        if not math.isfinite(size := float(np.abs(flat).max())):
-            raise DomainError("lowered Riemann entries must be finite")
-        # the residuals r + r^(1,0,2,3), r + r^(0,1,3,2), r - r^(2,3,0,1) and
-        # r + r^(0,2,3,1) + r^(0,3,1,2), from one gather of the 81 entries
-        # (row 2 holds the negated difference, which rounds the same)
-        moved = flat[_SYMMETRY_GATHER]
-        moved[:2] += flat
-        moved[2] -= flat
-        moved[3] += flat
-        moved[3] += moved[4]
-        if np.abs(moved[:4]).max() > 1e-12 * size:
-            raise DomainError("input violates the Riemann algebraic symmetries")
+        r, size = _curvature_tensor(lowered)
         root_det, _, _, _, mu_up, _ = _require_metric(g)
         # a row of mu^irs holds two entries +-1 / sqrt(det g), so no partial sum of
         # P's products exceeds 4 max |R| / det g; near inf, P is tried quietly first
@@ -422,7 +445,10 @@ class Riemann3:
             with np.errstate(over="ignore", invalid="ignore"):
                 if not np.isfinite(_p_bivector(r, mu_up)).all():
                     raise DomainError(_OVERFLOW)
-        return cls(r, SymTensor3.from_matrix(_p_bivector(r, mu_up), "upper"))
+        riem = object.__new__(cls)  # built without repeating the checks of Riemann3(...)
+        riem.__dict__.update(lowered=r, _pair=None,
+                             bivector_form=SymTensor3.from_matrix(_p_bivector(r, mu_up), "upper"))
+        return riem
 
     @classmethod
     def space_form(cls, kappa: float, g: SymTensor3) -> "Riemann3":
@@ -450,13 +476,8 @@ class Riemann3:
             r[i, j, i, j] = r[j, i, j, i] = v
             r[i, j, j, i] = r[j, i, i, j] = -v
         if rotation is not None:
-            try:
-                q = np.asarray(rotation, dtype=float)
-            except (TypeError, ValueError):  # not numbers, or ragged
-                q = np.empty(0)
-            columns = q.T.tolist() if q.shape == (3, 3) else [[math.nan] * 3] * 3
-            if not (all(math.isfinite(x) for column in columns for x in column)
-                    and _gram_deviation(columns) <= STRUCTURE_TOL):
+            q = _real_array(rotation, (3, 3), "rotation")
+            if not _gram_deviation(q.T.tolist()) <= STRUCTURE_TOL:
                 raise DomainError(f"rotation must be an orthogonal 3x3 matrix "
                                   f"(|Q^T Q - I| <= {STRUCTURE_TOL:.0e} entrywise)")
             # R'_ijkl = q_ia q_jb q_kc q_ld R_abcd as K R K^T on index pairs,
@@ -775,17 +796,6 @@ _FD_PAIR_L = np.array([1, 2, 2])
 _FD_DDG_ROWS = np.array([0, 3, 4, 1, 2, 5])
 
 
-def _point(x) -> list[float]:
-    """A point as three finite Python floats, or a DomainError."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (3,):
-        raise DomainError(f"point must be a 3-vector, got shape {x.shape}")
-    coords = x.tolist()
-    if not all(map(math.isfinite, coords)):
-        raise DomainError("point must be finite")
-    return coords
-
-
 def _stencil_failure(samples: list, points: list[np.ndarray], step: float) -> None:
     """Raise DomainError for the first sample that is not a finite 3x3
     matrix, naming it unless it is the centre points[0]; return if none is.
@@ -843,7 +853,7 @@ def jet_from_function(g_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     if not (math.isfinite(step) and step > 0.0):
         raise DomainError(f"finite-difference step must be finite and positive, got {step!r}")
     richardson = flag(richardson, "richardson")
-    x = np.array(_point(x))
+    x = np.array(_real_array(x, (3,), "point"))
     steps = (step, step / 2.0) if richardson else (step,)
     points = [x, *(x + np.array(steps)[:, None, None] * _FD_OFFSETS).reshape(-1, 3)]
     samples = []
@@ -967,9 +977,9 @@ def _conformal_chart(kappa: float, x):
 def space_form_chart(kappa: float) -> Callable[[np.ndarray], np.ndarray]:
     """Conformal chart of the curvature-kappa space form as a metric callback:
     `_conformal_chart` on floats, kappa read once (`bounds.finite_real`) and
-    each point by `_point`.  Each call returns a fresh array."""
+    each point by `_real_array`.  Each call returns a fresh array."""
     kappa = finite_real(kappa, "kappa")
-    return lambda x: _EYE * _conformal_chart(kappa, _point(x))
+    return lambda x: _EYE * _conformal_chart(kappa, _real_array(x, (3,), "point").tolist())
 
 
 def space_form_chart_jet(kappa: float, x: np.ndarray) -> MetricJet:
@@ -978,7 +988,7 @@ def space_form_chart_jet(kappa: float, x: np.ndarray) -> MetricJet:
     first, then dg and ddg from the same chart on seeded coordinates; a
     derivative that is not finite is a DomainError naming the overflow."""
     kappa = finite_real(kappa, "kappa")
-    coords = _point(x)
+    coords = _real_array(x, (3,), "point").tolist()
     diagonal = _conformal_chart(kappa, coords)
     g = SymTensor3._made([diagonal, 0.0, 0.0, diagonal, diagonal, 0.0])
     _require_metric(g)

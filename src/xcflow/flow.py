@@ -446,10 +446,10 @@ def einstein_residual(record: TraceRecord, params: FlowParams) -> float:
 def tensor_norm(t_lower: np.ndarray, g: SymTensor3) -> float:
     """Metric norm of a lowered 2-tensor: sqrt(g^ik g^jl T_ij T_kl), on the
     inverse of g kept by its metric check (`curvature._require_metric`), so
-    a g that is not a metric is a DomainError."""
+    a g that is not a metric, or a t_lower not a finite 3x3 array, is a DomainError."""
     import numpy as np
 
-    from .curvature import _require_metric
+    from .curvature import _real_array, _require_metric
 
-    ginv = _require_metric(g).ginv
-    return float(np.sqrt(np.einsum("ik,jl,ij,kl->", ginv, ginv, t_lower, t_lower)))
+    ginv, t = _require_metric(g).ginv, _real_array(t_lower, (3, 3), "t_lower")
+    return float(np.sqrt(np.einsum("ik,jl,ij,kl->", ginv, ginv, t, t)))

@@ -21,18 +21,13 @@ quadratic in xi and linear in P and rho, so a direction enters only
 through the components of xi xi^T, contracted with a coefficient tensor
 built once per (P, rho).  In the Cholesky frame of g, over unit xi, q
 (times the case sign s) ranges over the generalized eigenvalues lambda
-of P and is smallest at an eigenvector of P.  `parabolicity` takes P's
-frame components and eigenpairs from one call of the solver behind
-`curvature.generalized_eigh`, so its threshold reads that function's
-eigenvalues, and decides in closed form from q_min = min(s lambda).  That
-solver certifies every eigenpair by its residual (`curvature._frame_eigh`),
-so q_min is the minimum of s q over the whole unit sphere to rounding, not
-over sampled directions.  `parabolicity` assembles the symbol only at P's
-three eigenvectors, to check it there against the closed form below.
-At an eigenvector v_n the other two already span the plane orthogonal to
-it, so the frame (v_n, v_{n+1}, v_{n+2}) (indices mod 3) stands in for
-the Householder frame that `quotient_blocks` builds at a general
-direction.
+of P and is smallest at an eigenvector of P.  So `parabolicity` decides in
+closed form from q_min = min(s lambda), over the whole unit sphere to
+rounding once `curvature._frame_eigh` has certified the eigenpairs, and
+assembles the symbol only at P's eigenvectors v_n, to check it against the
+closed form below.  The other two span the plane orthogonal to v_n, so the
+frame (v_n, v_{n+1}, v_{n+2}) (indices mod 3) stands in for the Householder
+frame that `quotient_blocks` builds at a general direction.
 
 A spectrum is read off a 3x3 block, not a 6x6 matrix.  At a unit xi the
 variations split as K(xi) + T(xi): K = {xi X^T + X xi^T} (3-dimensional)
@@ -84,11 +79,13 @@ import numpy as np
 
 from .bounds import (DEFAULT_DIRECTION_SAMPLES, MAX_DIRECTION_SAMPLES, finite_real, integer,
                      is_bool, stated_threshold)
-from .curvature import _COLS, _ROWS, STRUCTURE_TOL, SymTensor3, _frame_eigh, pack, unpack
+from .curvature import (_COLS, _ROWS, STRUCTURE_TOL, SymTensor3, _frame_eigh, _real_array, pack,
+                        unpack)
 from .errors import DomainError, InternalConsistencyError
 
 IMAG_RESIDUE_TOL = 1e-10
 STRICTNESS_FLOOR = 1e-9
+_SYMBOL_OVERFLOW = "symbol matrix entries overflow: P or rho is too large"
 
 
 class ComplexEigenvalueWarning(RuntimeWarning):
@@ -123,15 +120,6 @@ class SymbolMatrix:
     def apply(self, tensor: np.ndarray) -> np.ndarray:
         """Act on a symmetric 3x3 tensor and return the symmetric result."""
         return unpack(self.entries @ pack(tensor))
-
-
-def _covector(xi) -> np.ndarray:
-    v = np.asarray(xi, dtype=float)
-    if v.shape != (3,):
-        raise DomainError(f"covector must have 3 components, got shape {v.shape}")
-    if not np.all(np.isfinite(v)) or not v.any():
-        raise DomainError("covector must be finite and nonzero")
-    return v
 
 
 def _symbol_data(p: SymTensor3, rho) -> float:
@@ -182,29 +170,33 @@ def symbol_stacks(p: SymTensor3, rho: float, xis) -> tuple[np.ndarray, np.ndarra
         + 2 rho (xi^T m xi - |xi|^2 tr m) I,
     the gauge term m -> tr(m) xi xi^T - xi (m xi)^T - (m xi) xi^T; the
     gauge-fixed symbol is their difference.  One matrix product with the
-    components of xi xi^T assembles every matrix of both stacks.
+    components of xi xi^T assembles every matrix of both stacks, formed
+    quietly: an entry that overflows is a DomainError, not a numpy warning.
     """
     weights = np.array([*p.components.tolist(), _symbol_data(p, rho)])
-    v = np.asarray(xis, dtype=float)
-    if v.ndim != 2 or v.shape[1] != 3:
-        raise DomainError(f"xis must have shape (N, 3), got shape {v.shape}")
-    coeff = np.concatenate([(weights @ _RAW_COEFF).reshape(6, 36), _GAUGE_COEFF], axis=1)
-    stacks = ((v[:, _ROWS] * v[:, _COLS]) @ coeff).reshape(len(v), 2, 6, 6)
+    v = _real_array(xis, (None, 3), "xis")
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeff = np.concatenate([(weights @ _RAW_COEFF).reshape(6, 36), _GAUGE_COEFF], axis=1)
+        stacks = ((v[:, _ROWS] * v[:, _COLS]) @ coeff).reshape(len(v), 2, 6, 6)
+    if not np.isfinite(stacks).all():
+        raise DomainError(_SYMBOL_OVERFLOW)
     return stacks[:, 0], stacks[:, 1]
 
 
 def _one_direction(p: SymTensor3, rho, xi):
     """The unit covector v along xi, the raw symbol and gauge term there, and
     the Rayleigh quotient q = v^T P v / v^T v, once the quotient block at v
-    has passed `_check_closed_form`.  Entries that overflow end as its
+    has passed `_check_closed_form`.  Entries or a q that overflow end as a
     DomainError, without numpy's overflow warnings first."""
-    xi_v = _covector(xi)
-    # largest |component| first: the norm neither over- nor underflows
-    v = xi_v / np.abs(xi_v).max()
-    v /= np.linalg.norm(v)
+    xi_v = _real_array(xi, (3,), "xi")
+    if not any(coords := xi_v.tolist()):
+        raise DomainError("xi must be nonzero")
+    # largest |component| first: np.linalg.norm's sqrt(v . v) neither over- nor underflows
+    v = xi_v / max(map(abs, coords))
+    v /= math.sqrt(v.dot(v))
+    raw, gauge = symbol_stacks(p, rho, v[None])
+    blocks, raw_scale = quotient_blocks(raw, gauge, v[None])
     with np.errstate(over="ignore", invalid="ignore"):
-        raw, gauge = symbol_stacks(p, rho, v[None])
-        blocks, raw_scale = quotient_blocks(raw, gauge, v[None])
         q = float(v @ p.matrix @ v) / float(v @ v)
     _check_closed_form(blocks, raw_scale, [q], float(rho), "symbol self-check: the block at xi")
     return v, raw[0], gauge[0], q
@@ -276,7 +268,7 @@ def _check_closed_form(blocks: np.ndarray, raw_scale: float, q: list[float], rho
     / 3 an InternalConsistencyError that names `where`."""
     entries = (blocks / raw_scale).ravel().tolist()
     if not all(map(math.isfinite, entries + q)):
-        raise DomainError("symbol matrix entries overflow: P or rho is too large")
+        raise DomainError(_SYMBOL_OVERFLOW)
     two_rho = 2.0 * (rho / raw_scale)
     closed = []
     for qn in [e / raw_scale for e in q]:
@@ -370,9 +362,7 @@ def quotient_blocks(raw: np.ndarray, gauge: np.ndarray, xis) -> tuple[np.ndarray
     |R K| (R maps K to 0), |G K + K| (G is -1 on K) and |E^T W G E| (G
     maps T into K).  R enters divided by raw_scale = max(1, max |raw|), so
     none of them overflows; G is already of order 1 at unit xi.  A
-    residual above STRUCTURE_TOL raises InternalConsistencyError.  Entries
-    that overflowed to inf or nan make every residual nan, which passes
-    here and reaches the finiteness test of `_check_closed_form` in B.
+    residual above STRUCTURE_TOL raises InternalConsistencyError.
     """
     return _frame_blocks(raw, gauge, _householder_frames(np.asarray(xis, dtype=float)))
 
@@ -496,9 +486,8 @@ def parabolicity(
     signed = SymTensor3._made(sign * frame, "upper")
     # P's eigenvectors, taken cyclically, frame K(v_n) + T(v_n) at each v_n.
     # P or rho large enough to overflow the symbol entries ends in the
-    # DomainError of _check_closed_form, without numpy's overflow warnings first
-    with np.errstate(over="ignore", invalid="ignore"):
-        blocks, raw_scale = _frame_blocks(*symbol_stacks(signed, rho, vecs), vecs[_CYCLIC])
+    # DomainError of symbol_stacks, without numpy's overflow warnings first
+    blocks, raw_scale = _frame_blocks(*symbol_stacks(signed, rho, vecs), vecs[_CYCLIC])
     _check_closed_form(blocks, raw_scale, q, rho,
                        "parabolicity self-check: a quotient block at P's eigenvectors")
     skew_norms = _skew_norms(blocks)

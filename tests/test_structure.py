@@ -5,7 +5,8 @@ curvature._cholesky is the one Cholesky factorisation of g (in Python
 floats): it decides whether g is a metric and gives det g, the factor that
 _frame_eigh uses and the one inverse of g, which _require_metric keeps on
 the metric object, so no other determinant, inverse or solve of g exists.  verify.py keeps numpy's
-routines as its independent references.
+routines as its independent references.  curvature._real_array is the one
+reader of the arrays a caller hands the library.
 """
 
 import ast
@@ -63,3 +64,41 @@ def test_one_eigensolver_per_purpose():
             and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"]
     assert [use for use in uses if not use.startswith("verify.py:")] == [
         "curvature.py:_frame_eigh"]
+
+
+def _reads_by_hand(path: Path) -> list[str]:
+    """Functions of `path` that read an array with np.asarray(..., dtype=float)
+    and then test its shape or finiteness themselves."""
+    found = []
+    for func in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {id(node) for node in ast.walk(func)
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.asarray"
+                and any(k.arg == "dtype" and ast.unparse(k.value) == "float"
+                        for k in node.keywords)}
+        names = {target.id for node in ast.walk(func) if isinstance(node, ast.Assign)
+                 and id(node.value) in read for target in node.targets
+                 if isinstance(target, ast.Name)}
+
+        def is_read(node):
+            return id(node) in read or isinstance(node, ast.Name) and node.id in names
+
+        tested = any(
+            isinstance(node, ast.Attribute) and node.attr in ("shape", "ndim", "size")
+            and is_read(node.value)
+            or isinstance(node, ast.Call) and ast.unparse(node.func).endswith("isfinite")
+            and any(is_read(sub) for arg in node.args for sub in ast.walk(arg))
+            for node in ast.walk(func))
+        if tested:
+            found.append(f"{path.name}:{func.name}")
+    return found
+
+
+def test_every_caller_array_is_read_by_the_one_reader():
+    # curvature._real_array reads every array a caller hands the library and
+    # names the argument in its DomainError; _stencil_failure names the stencil
+    # sample a metric callback returned instead
+    found = sorted(site for path in SOURCES if path.name in ("curvature.py", "symbol.py", "flow.py")
+                   for site in _reads_by_hand(path))
+    assert found == ["curvature.py:_real_array", "curvature.py:_stencil_failure"]

@@ -1051,7 +1051,7 @@ class TestEigensolveCertificate:
 
 @pytest.mark.parametrize("make, message", [
     (lambda: symbol_raw(P_IDENTITY, 0.1, [1.0, 2.0]),
-     r"covector must have 3 components, got shape \(2,\)"),
+     r"^xi must have shape \(3,\), got shape \(2,\)$"),
     (lambda: symbol_stacks(SymTensor3.identity(), 0.1, np.eye(3)),
      "symbol assembly expects P with upper indices"),
     (lambda: to_orthonormal_frame(SymTensor3.identity(), IDENTITY),
