@@ -5,13 +5,14 @@ Subsystems:
 - `curvature`: symmetric tensors, metric jets, Riemann/Ricci/Einstein
   tensors, the cross curvature tensor via three cross-checking
   formulas, and the generalized eigenvalues of a tensor relative to a
-  metric.  The conformal space-form chart is written once; its jet is
-  exact to rounding by second-order forward-mode arithmetic, and
-  `jet_from_function` differences any other metric callback.  One
-  private routine factors g = L L^T and inverts L in Python floats; that
+  metric, all computed in Python floats; numpy builds the arrays its
+  public results are returned as.  The conformal space-form chart is
+  written once; its jet is exact to rounding by second-order forward-mode
+  arithmetic, and `jet_from_function` differences any other metric
+  callback.  One private routine factors g = L L^T and inverts L; that
   factor alone decides whether g is a metric and gives det g, g^-1 and
-  the frame in which one call to numpy's `eigh` solves each generalized
-  eigenproblem, certified by its residuals, for `generalized_eigh`,
+  the frame in which one cyclic Jacobi solve, certified by its residuals,
+  answers each generalized eigenproblem, for `generalized_eigh`,
   `eigen_frame`, `symbol.to_orthonormal_frame` and
   `symbol.parabolicity`.  numpy is the only runtime dependency.
 - `symbol`: 6x6 principal-symbol matrices of the linearized flow
@@ -26,8 +27,8 @@ Subsystems:
 - `cli`: the `xcflow` command (curvature / symbol / flow / verify).
 
 Every name in `__all__` loads its submodule on first access (PEP 562), so
-`import xcflow` loads no numpy.  `xcflow flow` runs on the standard
-library alone; `curvature`, `symbol` and `verify` need numpy.
+`import xcflow` loads no numpy.  `xcflow flow` and `xcflow curvature` run
+on the standard library alone; `symbol` and `verify` need numpy.
 """
 
 import importlib

@@ -15,9 +15,10 @@ starts with '-' (`--lambda -1e-3`, `--xi -1,0,0`).  A boolean is a flag
 without a value, or `true` / `false` in any case in a config file; any
 other spelling is a usage error.
 
-`flow` imports only the standard library and `xcflow.flow`, so it runs
-without numpy; `curvature`, `symbol` and `verify` need numpy, and load it
-and the modules they use when they run.
+`flow` imports only the standard library and `xcflow.flow`, and
+`curvature` also `xcflow.curvature`, whose engine runs on Python floats, so
+both run without numpy; `symbol` and `verify` need numpy, and load it and
+the modules they use when they run.
 
 `format` is `json` (default) or `csv` for the `curvature` and `symbol`
 reports, `csv` (default) or `json` for the `flow` trace, and `json` only
@@ -331,40 +332,39 @@ def cmd_curvature(options: dict, stdout: IO[str]) -> int:
     ric, scalar = cv.ricci(riem, g)
     p = cv.einstein_raised(riem, g)
     forms = cv.cross_curvature_forms(riem, g)
-    frame, vectors = cv.eigen_frame(p, g)
+    (a, b, c), vectors = cv._eigenpairs(p, g)  # eigen_frame's, in floats
     h = forms.contraction_form
-    h_eigs, _ = cv.generalized_eigh(h, g)
+    h_eigs, _ = cv._eigenpairs(h, g)
 
     report = {
         "version": __version__,
         "command": "curvature",
         "input": meta,
-        "g": list(g.components),
-        "ricci": list(ric.components),
+        "g": list(g.values),
+        "ricci": list(ric.values),
         "scalar_curvature": scalar,
-        "einstein_raised": list(p.components),
-        "frame": {"a": frame.a, "b": frame.b, "c": frame.c,
-                  "vectors": vectors.T.tolist()},
+        "einstein_raised": list(p.values),
+        "frame": {"a": a, "b": b, "c": c, "vectors": [list(v) for v in vectors]},
         "cross_curvature": {
-            "contraction_form": list(h.components),
-            "mu_form": list(forms.mu_form.components),
-            "determinant_form": list(forms.determinant_form.components),
+            "contraction_form": list(h.values),
+            "mu_form": list(forms.mu_form.values),
+            "determinant_form": list(forms.determinant_form.values),
             "determinant_unit": forms.determinant_unit,
             "determinant_singular": forms.determinant_singular,
             "max_pairwise_dev": forms.max_pairwise_dev,
         },
-        "h_eigenvalues": [float(v) for v in h_eigs],
+        "h_eigenvalues": h_eigs,
     }
     _write_report(report, options["output"], options["format"])
 
-    print(f"g: {_vec_str(g.components)}", file=stdout)
-    print(f"Ric: {_vec_str(ric.components)}", file=stdout)
+    print(f"g: {_vec_str(g.values)}", file=stdout)
+    print(f"Ric: {_vec_str(ric.values)}", file=stdout)
     print(f"R: {fmt(scalar)}", file=stdout)
-    print(f"P: {_vec_str(p.components)}", file=stdout)
-    print(f"frame a,b,c: {fmt(frame.a)},{fmt(frame.b)},{fmt(frame.c)}", file=stdout)
-    print(f"h (contraction): {_vec_str(h.components)}", file=stdout)
-    print(f"h (mu form): {_vec_str(forms.mu_form.components)}", file=stdout)
-    print(f"h (determinant): {_vec_str(forms.determinant_form.components)}", file=stdout)
+    print(f"P: {_vec_str(p.values)}", file=stdout)
+    print(f"frame a,b,c: {_vec_str((a, b, c))}", file=stdout)
+    print(f"h (contraction): {_vec_str(h.values)}", file=stdout)
+    print(f"h (mu form): {_vec_str(forms.mu_form.values)}", file=stdout)
+    print(f"h (determinant): {_vec_str(forms.determinant_form.values)}", file=stdout)
     print(f"h max pairwise deviation: {fmt(forms.max_pairwise_dev)}", file=stdout)
     print(f"h eigenvalues: {_vec_str(sorted(report['h_eigenvalues'], reverse=True))}",
           file=stdout)

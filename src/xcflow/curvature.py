@@ -1,24 +1,30 @@
 """Pointwise curvature of 3-metrics and the cross curvature tensor.
 
-Everything here operates on value types at a single point: a symmetric
-3x3 metric, its first and second coordinate derivatives (a "jet"), the
-fully lowered Riemann tensor, and the symmetric 2-tensors derived from
-them.  The tensors are immutable: their component arrays are read-only,
-and an array the caller passes in is copied, so the caller's array stays
-writeable.  Every array a caller hands the library, here, in `symbol` and in
-`flow`, is read once, by `_real_array`, into a finite float array of its shape
-or a DomainError naming it: components are finite by construction, and every
-public call names an overflow on its way as a DomainError, not a numpy warning.
+Everything here operates on immutable value types at a single point: a
+symmetric 3x3 metric, its first and second coordinate derivatives (a
+"jet"), the fully lowered Riemann tensor, and the symmetric 2-tensors
+derived from them.  The engine runs on Python floats: numpy is imported only
+at the array edge, where a read-only `components`, `matrix`, `lowered`,
+`dg` or `ddg` or a documented array result is built on demand, and by
+`jet_from_function`, whose callbacks take and return arrays.  Every array a
+caller hands the library, here, in `symbol` and in `flow`, is read once, by
+`_real_array`, into finite floats or a DomainError naming it, every tensor
+argument is checked to be one (`_tensor`), and every public call names an
+overflow on its way as a DomainError.
 
-`riemann` works from the jet without differentiating the connection.
-g^-1, sqrt(det g) and the eigensolver's frame come from one Cholesky factor
-g = L L^T in Python floats, which alone decides whether g is a metric and
-which each metric object keeps (`_require_metric`).  P, the Einstein-type
-tensor with raised indices, and the cross curvature tensor h are computed by
-routes that check one another, in one pass per (Riemann3, metric) pair
-(`_pair_pass`).  The conformal space-form chart is written once, over Python
-floats and over a forward-mode number that gives its exact jet
-(`_conformal_chart`); `jet_from_function` differences any metric callback.
+In 3-D the six components R_(ij)(kl) over the bivectors (12), (20), (01)
+fix R_ijkl: `riemann`, `Riemann3.space_form` and `Riemann3.from_frame`
+compute those six and expand them with one index table, and a caller's
+R_ijkl is checked for the algebraic symmetries.  g^-1, sqrt(det g) and the
+eigensolver's frame come from one Cholesky factor g = L L^T, which alone
+decides whether g is a metric and which each metric object keeps
+(`_require_metric`).  P, the Einstein-type tensor with raised indices, and
+the cross curvature tensor h are computed by routes that check one another,
+each h route over the entries R_ijkl, in one pass per (Riemann3, metric)
+pair (`_pair_pass`).  Each eigenproblem is solved by a cyclic Jacobi
+iteration, certified by its residuals (`_frame_eigh`).  The conformal
+space-form chart is written once, over floats and over a forward-mode
+number that gives its exact jet (`_conformal_chart`).
 
 Sign conventions are pinned by the unit round 3-sphere: in an
 orthonormal frame R_1212 = +1, the Ricci tensor is 2g, the scalar
@@ -30,54 +36,89 @@ eigenvalues are (bc, ac, ab).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .bounds import finite_real, flag, real_number
 from .errors import DomainError, InternalConsistencyError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Canonical ordering of the 6 independent components of a symmetric
 # 3x3 tensor.  The 33 component precedes 23 throughout the package.
 COMPONENT_ORDER: tuple[tuple[int, int], ...] = (
     (0, 0), (0, 1), (0, 2), (1, 1), (2, 2), (1, 2),
 )
-_ROWS, _COLS = np.array(COMPONENT_ORDER).T
-# _UNPACK[i, j] is the canonical slot of entry (i, j)
-_UNPACK = np.array([[0, 1, 2], [1, 3, 5], [2, 5, 4]])
-
-_EPS3 = np.zeros((3, 3, 3))
-_EPS3[0, 1, 2] = _EPS3[1, 2, 0] = _EPS3[2, 0, 1] = 1.0
-_EPS3[0, 2, 1] = _EPS3[2, 1, 0] = _EPS3[1, 0, 2] = -1.0
-
-
-def _transposed(index: np.ndarray, *perms: tuple[int, ...]) -> np.ndarray:
-    """Flat gather indices: row n holds index.transpose(perms[n]).ravel()."""
-    return np.stack([index.transpose(perm).ravel() for perm in perms])
+_SLOT = ((0, 1, 2), (1, 3, 5), (2, 5, 4))  # _SLOT[i][j]: the canonical slot of entry (i, j)
+# a symmetric matrix's nine entries, row by row, from its six components, and back
+_FULL = operator.itemgetter(0, 1, 2, 1, 3, 5, 2, 5, 4)
+_PACK = operator.itemgetter(0, 1, 2, 4, 8, 5)
+# the bivectors (12), (20), (01); e_i ^ e_j is +-(1 + a) times bivector a
+_BIVECTORS = ((1, 2), (2, 0), (0, 1))
+_PAIR = {pair[::s]: s * (1 + a) for a, pair in enumerate(_BIVECTORS) for s in (1, -1)}
 
 
-_FLAT4 = np.arange(81).reshape(3, 3, 3, 3)
-# r.ravel()[_SYMMETRY_GATHER] stacks r transposed by each permutation that
-# the algebraic symmetries compare r with (see Riemann3.from_lowered)
-_SYMMETRY_GATHER = _transposed(_FLAT4, (1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1),
-                               (0, 2, 3, 1), (0, 3, 1, 2))
-# Slots of MetricJet's dg (3, 6) and ddg (6, 6) arrays, flattened:
-# dg[k, _UNPACK[i, j]] = d_k g_ij and ddg[_UNPACK[k, l], _UNPACK[i, j]] = d_k d_l g_ij
-_DG_SLOT = 6 * np.arange(3)[:, None, None] + _UNPACK[None]
-_DDG_SLOT = 6 * _UNPACK[:, :, None, None] + _UNPACK[None, None]
-# [n, m, a, b] -> the three terms d_a g_bm, d_b g_am, d_m g_ab of the
-# Christoffel bracket, gathered from dg
-_BRACKET_GATHER = np.stack([_DG_SLOT.transpose(2, 0, 1), _DG_SLOT.transpose(2, 1, 0),
-                            _DG_SLOT]).reshape(3, 3, 9)
-# the four second-derivative terms d_j d_k g_il, d_i d_l g_jk, d_i d_k g_jl,
-# d_j d_l g_ik of R_ijkl, gathered from ddg
-_RIEMANN_LINEAR = _transposed(_DDG_SLOT, (2, 0, 1, 3), (0, 2, 3, 1), (0, 2, 1, 3),
-                              (2, 0, 3, 1))
-# M[li, kj] and M[ki, lj] for M = Gamma^T g^-1 Gamma, as [i, j, k, l]
-_RIEMANN_QUADRATIC = _transposed(_FLAT4, (1, 3, 2, 0), (1, 3, 0, 2))
+def _flat(*index: int) -> int:
+    """The row-major slot of an entry of a 3-D array of rank len(index)."""
+    return functools.reduce(lambda slot, value: 3 * slot + value, index, 0)
+
+
+def _gather(slot: Callable[..., int], rank: int = 4) -> operator.itemgetter:
+    """The gather of the entries slot(*index) for each index of a 3-D array
+    of rank `rank`, row-major."""
+    indices = itertools.product(range(3), repeat=rank)
+    return operator.itemgetter(*(slot(*index) for index in indices))
+
+
+def _expansion(i: int, j: int, k: int, l: int) -> int:
+    """Where R_ijkl = sign(ij) sign(kl) R_(ij)(kl) is in (0.0, *s, *-s), for
+    the six bivector components s."""
+    a, b = _PAIR.get((i, j), 0), _PAIR.get((k, l), 0)
+    return a and b and (1 if a * b > 0 else 7) + _SLOT[abs(a) - 1][abs(b) - 1]
+
+
+# the 81 entries R_ijkl from the six bivector components, and back
+_EXPAND = _gather(_expansion)
+_BIVECTOR_ENTRIES = operator.itemgetter(*(_flat(*_BIVECTORS[a], *_BIVECTORS[b])
+                                          for a, b in COMPONENT_ORDER))
+# R_ijkl moved as each algebraic symmetry compares it: R_jikl, R_ijlk, R_klij,
+# and the two other terms R_iljk, R_iklj of the first Bianchi identity
+_SYMMETRY_GATHERS = [_gather(lambda *q, p=p: _flat(*(q[n] for n in p))) for p in
+                     ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1), (0, 3, 1, 2), (0, 2, 3, 1))]
+# per component ij, over (k, l) or (r, s): R_kilj of Ric_ij = g^kl R_kilj, R_irjs of
+# h_ij = 1/2 P^rs R_irjs, and T_ilk, T_kjl of h_ij = 1/8 T_ilk T_kjl (T flat, [i, l, k])
+_RICCI = [_gather(lambda k, l, i=i, j=j: _flat(k, i, l, j), 2) for i, j in COMPONENT_ORDER]
+_H_CONTRACTION = [_gather(lambda r, s, i=i, j=j: _flat(i, r, j, s), 2) for i, j in COMPONENT_ORDER]
+_H_MU = [(_gather(lambda l, k, i=i: _flat(i, l, k), 2),
+          _gather(lambda l, k, j=j: _flat(k, j, l), 2)) for i, j in COMPONENT_ORDER]
+# T_ilk = R_ilpq mu^pqk has the terms R_il(bc) and R_il(cb), (b, c) the bivector k
+_T_TERMS = [_gather(lambda i, l, k, s=s: _flat(i, l, *_BIVECTORS[k][::s]), 3) for s in (1, -1)]
+# per bivector component R_ijkl: the slots in the packed ddg of d_j d_k g_il,
+# d_i d_l g_jk, d_i d_k g_jl and d_j d_l g_ik, and of the pairs il, jk, ik, jl
+# of its M = Gamma^T g^-1 Gamma entries M[il, jk] - M[ik, jl]
+_RIEMANN_TERMS = [(6 * _SLOT[j][k] + _SLOT[i][l], 6 * _SLOT[i][l] + _SLOT[j][k],
+                   6 * _SLOT[i][k] + _SLOT[j][l], 6 * _SLOT[j][l] + _SLOT[i][k],
+                   _SLOT[i][l], _SLOT[j][k], _SLOT[i][k], _SLOT[j][l])
+                  for (i, j), (k, l) in ((_BIVECTORS[a], _BIVECTORS[b])
+                                         for a, b in COMPONENT_ORDER)]
+# eps_ijk, row-major: +1 on the cyclic orders of (0, 1, 2), -1 on the others
+_EPS = [(1.0 if (j - i) % 3 == 1 else -1.0) if len({i, j, k}) == 3 else 0.0
+        for i, j, k in itertools.product(range(3), repeat=3)]
+# MetricJet's dg and ddg from full arrays [k, i, j] and [k, l, i, j], and back
+_DG_PACK = operator.itemgetter(*(_flat(k, *ij) for k in range(3) for ij in COMPONENT_ORDER))
+_DDG_PACK = operator.itemgetter(*(_flat(*kl, *ij) for kl in COMPONENT_ORDER
+                                  for ij in COMPONENT_ORDER))
+_DG_FULL = _gather(lambda k, i, j: 6 * k + _SLOT[i][j], 3)
+_DDG_FULL = _gather(lambda k, l, i, j: 6 * _SLOT[k][l] + _SLOT[i][j])
+# the terms d_a g_bm, d_b g_am, d_m g_ab of Gamma_{m,ab} in the packed dg, m-major
+_BRACKET = [operator.itemgetter(*(6 * x + _SLOT[y][z] for m in range(3) for a, b in COMPONENT_ORDER
+                                  for x, y, z in [((a, b, m), (b, a, m), (m, a, b))[n]]))
+            for n in range(3)]
 
 # Relative tolerance for agreement between independent formulas of the
 # same tensor; failures indicate inconsistent (riem, g) input.
@@ -85,44 +126,64 @@ FORMULA_AGREEMENT_RTOL = 1e-10
 # Residual tolerance of an eigensolve's and a symbol's self-checks, in units of their scale
 STRUCTURE_TOL = 1e-12
 _OVERFLOW = "curvature values overflow; the input must keep them finite"
+# The Jacobi iteration stops once every off-diagonal entry of the matrix,
+# scaled to a largest entry in [1/2, 1), is at most this, and after this many sweeps
+_JACOBI_FLOOR = 2.0 ** -55
+_JACOBI_SWEEPS = 12
+
+
+def _array(values, shape: tuple = (), *, frozen: bool = True) -> np.ndarray:
+    """`values` as a fresh float array of `shape` (as given, if empty), read-only if `frozen`."""
+    import numpy as np
+
+    array = np.array(values, dtype=float)
+    array = array.reshape(shape) if shape else array
+    array.setflags(write=not frozen)
+    return array
+
+
+def _dot9(a, b) -> float:
+    """a . b of two sequences of nine floats, summed left to right."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    return (a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3 + a4 * b4 + a5 * b5 + a6 * b6 + a7 * b7
+            + a8 * b8)
 
 
 def pack(matrix: np.ndarray) -> np.ndarray:
-    """Extract the 6 canonical components (11,12,13,22,33,23) of a symmetric matrix."""
-    return np.asarray(matrix, dtype=float)[_ROWS, _COLS]
+    """The 6 canonical components (11,12,13,22,33,23) of a finite 3x3 matrix, fresh."""
+    return _array(_PACK(_real_array(matrix, (3, 3), "matrix")), frozen=False)
 
 
 def unpack(components: np.ndarray) -> np.ndarray:
-    """Rebuild the symmetric 3x3 matrix from canonical components."""
-    return np.asarray(components, dtype=float)[_UNPACK]
+    """The symmetric 3x3 matrix of six finite canonical components, fresh."""
+    return _array(_FULL(_real_array(components, (6,), "components")), (3, 3), frozen=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SymTensor3:
     """A symmetric 3x3 tensor stored as 6 components in canonical order.
 
     The variance tag distinguishes index placement: 'lower' for (0,2)
     tensors (metrics, Ricci, cross curvature) and 'upper' for (2,0)
     tensors (inverse metrics, the raised Einstein-type tensor).
-    Symmetry is structural: only the 6 independent components exist, and
-    `_real_array` reads them once, finite by construction, so no routine
-    tests them again.  `components` is read-only; a writeable float array
-    passed in is copied first, so it stays the caller's.
+    Symmetry is structural: only the 6 independent components exist, read
+    once by `_real_array` into `values`, Python floats finite by
+    construction.  `components` (read-only) and `matrix` are fresh arrays.
     """
 
-    components: np.ndarray
+    values: tuple
     variance: str = "lower"
     # the checked factor of this object as a metric (`_require_metric`)
-    _factor: "_MetricFactor | None" = field(default=None, init=False, repr=False,
-                                            compare=False)
+    _factor: "_MetricFactor | None" = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "components", _read_only(self.components, (6,), "components"))
-        _variance(self.variance)
+    def __init__(self, components, variance: str = "lower"):
+        self.__dict__.update(values=tuple(_real_array(components, (6,), "components")),
+                             variance=_variance(variance), _factor=None)
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, variance: str = "lower") -> "SymTensor3":
-        entries = _real_array(matrix, (3, 3), "matrix").ravel().tolist()
+        entries = _real_array(matrix, (3, 3), "matrix")
         _, m12, m13, m21, _, m23, m31, m32, _ = entries
         # np.allclose(m, m.T, rtol=0, atol=...) on finite entries, in Python
         # floats: one compare of the largest off-diagonal gap
@@ -133,28 +194,27 @@ class SymTensor3:
 
     @classmethod
     def identity(cls, variance: str = "lower") -> "SymTensor3":
-        return cls(_frozen(np.array([1.0, 0.0, 0.0, 1.0, 1.0, 0.0])), variance)
+        return cls._made((1.0, 0.0, 0.0, 1.0, 1.0, 0.0), _variance(variance))
 
     @classmethod
-    def _made(cls, components: list[float], variance: str = "lower") -> "SymTensor3":
-        """A tensor on six finite components the library has just computed,
-        as a fresh read-only array, without the checks of `SymTensor3(...)`,
-        which every tensor a caller builds still passes."""
+    def _made(cls, values, variance: str = "lower") -> "SymTensor3":
+        """A tensor on six finite floats the library has just computed, unchecked."""
         t = object.__new__(cls)
-        t.__dict__.update(components=_frozen(np.array(components)), variance=variance, _factor=None)
+        t.__dict__.update(values=tuple(values), variance=variance, _factor=None)
         return t
 
     @property
+    def components(self) -> np.ndarray:
+        return _array(self.values)
+
+    @property
     def matrix(self) -> np.ndarray:
-        return unpack(self.components)
+        return _array(_FULL(self.values), (3, 3), frozen=False)
 
     def is_positive_definite(self) -> bool:
-        """Whether the Cholesky factor t = L L^T exists in floats: three
-        positive pivots.  The pivots scale as t, so the verdict does not
-        depend on the overall scale of t.  A metric check may still refuse t
-        if sqrt(det t) = l11 l22 l33, the one form of its determinant the
-        code uses, under- or overflows."""
-        return _cholesky(self.components.tolist()) is not None
+        """Whether the Cholesky factor t = L L^T exists in floats, whatever the
+        scale of t; a metric check still refuses a sqrt(det t) out of range."""
+        return _cholesky(self.values) is not None
 
 
 def _variance(variance) -> str:
@@ -164,53 +224,55 @@ def _variance(variance) -> str:
     return variance
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    """An array the library has just made, marked read-only in place."""
-    array.setflags(write=False)
-    return array
+def _tensor(value, variance: str | None, name: str) -> SymTensor3:
+    """`value` if it is a SymTensor3, with `variance` indices unless that is
+    None, else a DomainError naming the argument `name`."""
+    if not (isinstance(value, SymTensor3) and variance in (None, value.variance)):
+        kind = f"a SymTensor3 with {variance} indices" if variance else "a SymTensor3"
+        raise DomainError(f"{name} must be {kind}, got {value!r}")
+    return value
 
 
-def _real_array(value, shape: tuple, name: str) -> np.ndarray:
-    """`value` as a float array of `shape` (a leading None: any length) with
-    finite entries, or a DomainError naming it `name`.  A float ndarray is
-    read as it is, anything else only if it holds numbers `bounds.real_number`
-    reads (`_real_entries`): text, bools, complex numbers, 10**400, None,
-    other objects and ragged nesting end here, not in numpy."""
+def _real_array(value, shape: tuple, name: str) -> list[float]:
+    """The entries of `value`, row-major, as Python floats, once it is an
+    array of `shape` (a leading None: any length) of finite numbers that
+    `bounds.real_number` reads (`_entries`), or a DomainError naming it `name`:
+    text, bools, complex numbers, 10**400, None and ragged nesting end here."""
     try:
-        if not (type(value) is np.ndarray and value.dtype.kind == "f"):
-            _real_entries(value)
-        array = np.asarray(value, dtype=float)
+        dims, entries = _entries(value)
     except (DomainError, TypeError, ValueError, OverflowError):
         raise DomainError(f"{name} must be an array of real numbers within the float range, "
                           f"got {value!r}") from None
-    if array.shape != shape and (shape[0] is not None or array.shape[1:] != shape[1:]):
+    if dims != shape and (shape[0] is not None or dims[1:] != shape[1:] or not dims):
         raise DomainError(f"{name} must have shape {str(shape).replace('None', 'N')}, "
-                          f"got shape {array.shape}")
-    # Python floats, in memory order, for the small arrays of a pointwise call; numpy past them
-    if not (all(map(math.isfinite, array.ravel("K").tolist())) if array.size <= 36
-            else np.isfinite(array).all()):
+                          f"got shape {dims}")
+    if not all(map(math.isfinite, entries)):
         raise DomainError(f"{name} must be finite")
-    return array
+    return entries
 
 
-def _real_entries(value) -> None:
-    """Raise unless every entry of `value` is a number `bounds.real_number`
-    reads; a numpy array of bools, complex numbers or text is refused by its
-    dtype, and ragged nesting leaves sequences for entries."""
-    kind = getattr(getattr(value, "dtype", None), "kind", "O")
-    if kind not in "fiuO":
-        raise TypeError("not an array of real numbers")
-    for entry in np.asarray(value, dtype=object).ravel().tolist() if kind == "O" else ():
-        _real_entries(entry) if hasattr(entry, "dtype") else real_number(entry, "entry")
-
-
-def _read_only(given, shape: tuple, name: str) -> np.ndarray:
-    """`_real_array(given, shape, name)`, read-only: an array returned as it
-    is and still writeable is the caller's, so it is copied, no other one."""
-    array = _real_array(given, shape, name)
-    if not array.flags.writeable:
-        return array
-    return _frozen(array.copy() if array is given else array)
+def _entries(value) -> tuple[tuple, list[float]]:
+    """(shape, float entries, row-major) of a number, a numpy array or a
+    regular nesting of lists, tuples and ranges; an array of bools, complex
+    numbers or text, ragged nesting and an entry `bounds.real_number` refuses raise."""
+    if type(value) is float:
+        return (), [value]
+    kind = getattr(getattr(value, "dtype", None), "kind", None)
+    if kind is not None and kind != "O":
+        if kind not in "fiu":
+            raise TypeError("not an array of real numbers")
+        return tuple(value.shape), list(map(float, value.ravel().tolist()))
+    if kind == "O":
+        value = value.tolist()
+    if isinstance(value, (list, tuple, range)):
+        if all(type(item) is float for item in value):
+            return (len(value),), list(value)
+        items = [_entries(item) for item in value]
+        inner = {dims for dims, _ in items}
+        if len(inner) > 1:
+            raise ValueError("ragged nesting")
+        return (len(items), *(inner.pop() if items else ())), [x for _, xs in items for x in xs]
+    return (), [real_number(value, "entry")]
 
 
 def _midpoint(x: float, y: float) -> float:
@@ -229,9 +291,8 @@ def _packed_symmetric_part(m: list[float]) -> list[float]:
             m[4], m[8], _midpoint(m[5], m[7])]
 
 
-# the metric of from_frame, factored once for every frame, and its matrix
+# the metric of from_frame, factored once for every frame
 _IDENTITY = SymTensor3.identity()
-_EYE = _frozen(np.eye(3))
 
 
 def _sym_adjugate_det(a: float, b: float, c: float,
@@ -243,7 +304,7 @@ def _sym_adjugate_det(a: float, b: float, c: float,
     return adj, a * adj[0] + b * adj[1] + c * adj[2]
 
 
-def _cholesky(comps: list[float]) -> tuple[float, tuple, tuple] | None:
+def _cholesky(comps) -> tuple[float, tuple, tuple] | None:
     """The one test of a metric: the Cholesky factor g = L L^T, in Python
     floats on g's canonical components.  Every pivot must be positive; an
     off-diagonal ratio that overflows exceeds the diagonal, so the next
@@ -274,33 +335,27 @@ def _cholesky(comps: list[float]) -> tuple[float, tuple, tuple] | None:
 
 class _MetricFactor(NamedTuple):
     """What the metric check of one g keeps: sqrt(det g) = l11 l22 l33, the
-    rows of L^T and of L^-1 (g = L L^T) as Python floats, and, as read-only
-    arrays, g^-1 = L^-T L^-1, mu^ijk = eps_ijk / sqrt(det g) and L^-T."""
+    rows of L^T and of L^-1 (g = L L^T), and the components of g^-1 = L^-T L^-1."""
 
     root_det: float
     upper: tuple
     inverse: tuple
-    ginv: np.ndarray
-    mu_upper: np.ndarray
-    frame_axes: np.ndarray
+    ginv: tuple
 
 
 def _require_metric(g: SymTensor3) -> _MetricFactor:
-    """The factor of g, once g is checked to be a metric: lower indices, a
-    Cholesky factor (`_cholesky`), and sqrt(det g) = l11 l22 l33 a positive
-    finite float whose reciprocal is finite too.
-
-    Each metric object is factored once: the first call that passes every
-    check keeps the factor on g (components are read-only, so it stays
-    g's), and later calls return it.  A g that fails is never kept, so it
-    raises the same DomainError on every call; an equal metric held in
-    another object is factored again."""
-    factor = g._factor
+    """The factor of g, once g is checked to be a metric: a SymTensor3
+    (`_tensor`) with lower indices, a Cholesky factor (`_cholesky`), and
+    sqrt(det g) = l11 l22 l33 a positive finite float whose reciprocal is
+    finite too.  The first call that passes keeps the factor on g, and later
+    calls return it; a g that fails is never kept, so it raises on every
+    call, and an equal metric held in another object is factored again."""
+    factor = g._factor if type(g) is SymTensor3 else _tensor(g, None, "g")._factor
     if factor is not None:
         return factor
     if g.variance != "lower":
         raise DomainError("a metric must carry lower indices")
-    comps = g.components.tolist()
+    comps = g.values
     cholesky = _cholesky(comps)
     if cholesky is None:
         raise DomainError("metric is not positive definite")
@@ -313,27 +368,24 @@ def _require_metric(g: SymTensor3) -> _MetricFactor:
             f"definite but of scale {scale:.3g} (geometric mean of its diagonal); "
             "rescale it toward 1")
     (m11, _, _), (m21, m22, _), (m31, m32, m33) = inverse
-    ginv = unpack([m11 * m11 + m21 * m21 + m31 * m31, m21 * m22 + m31 * m32,
-                   m31 * m33, m22 * m22 + m32 * m32, m33 * m33, m32 * m33])
-    factor = _MetricFactor(root_det, upper, inverse, _frozen(ginv),
-                           _frozen(_EPS3 / root_det), _frozen(np.array(inverse)).T)
+    ginv = (m11 * m11 + m21 * m21 + m31 * m31, m21 * m22 + m31 * m32, m31 * m33,
+            m22 * m22 + m32 * m32, m33 * m33, m32 * m33)
+    factor = _MetricFactor(root_det, upper, inverse, ginv)
     object.__setattr__(g, "_factor", factor)
     return factor
 
 
 def volume_form(g: SymTensor3) -> tuple[np.ndarray, np.ndarray]:
-    """Volume form of a metric and its fully raised counterpart.
-
-    Returns (mu_lower, mu_upper) with mu_ijk = sqrt(det g) * eps_ijk and
-    mu^ijk = eps_ijk / sqrt(det g), so that raising mu_lower with the
-    inverse metric reproduces mu_upper.  In an orthonormal frame both
-    normalizations give mu_123 = mu^123 = 1: fresh arrays from g's factor.
-    """
-    factor = _require_metric(g)
-    return factor.root_det * _EPS3, factor.mu_upper.copy()
+    """Volume form of a metric and its fully raised counterpart, as fresh
+    arrays: mu_ijk = sqrt(det g) eps_ijk and mu^ijk = eps_ijk / sqrt(det g),
+    so raising mu_lower with g^-1 gives mu_upper, and mu_123 = mu^123 = 1 in
+    an orthonormal frame."""
+    root_det = _require_metric(g).root_det
+    return tuple(_array([unit * e for e in _EPS], (3, 3, 3), frozen=False)
+                 for unit in (root_det, 1.0 / root_det))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MetricJet:
     """Metric plus first and second coordinate derivatives at a point.
 
@@ -341,127 +393,137 @@ class MetricJet:
     d_k g_ij.  ddg has shape (6, 6): row p holds the components of
     d_k d_l g_ij for the (k, l) pair in canonical pair order, so the
     symmetry of mixed partials is structural.  dg and ddg are read by
-    `_real_array`, so they are finite, and read-only; writeable float arrays
-    passed in are copied, so they stay the caller's.
+    `_real_array` into Python floats; the properties are fresh read-only arrays.
     """
 
     g: SymTensor3
-    dg: np.ndarray
-    ddg: np.ndarray
+    _dg: tuple = field(repr=False)
+    _ddg: tuple = field(repr=False)
 
-    def __post_init__(self):
-        _require_metric(self.g)
-        object.__setattr__(self, "dg", _read_only(self.dg, (3, 6), "dg"))
-        object.__setattr__(self, "ddg", _read_only(self.ddg, (6, 6), "ddg"))
+    def __init__(self, g: SymTensor3, dg: np.ndarray, ddg: np.ndarray):
+        _require_metric(g)
+        self.__dict__.update(g=g, _dg=tuple(_real_array(dg, (3, 6), "dg")),
+                             _ddg=tuple(_real_array(ddg, (6, 6), "ddg")))
+
+    @classmethod
+    def _made(cls, g: SymTensor3, dg, ddg) -> "MetricJet":
+        """A jet on a checked metric and 18 + 36 finite floats, unchecked."""
+        jet = object.__new__(cls)
+        jet.__dict__.update(g=g, _dg=tuple(dg), _ddg=tuple(ddg))
+        return jet
 
     @classmethod
     def from_full(cls, g: np.ndarray, dg_full: np.ndarray, ddg_full: np.ndarray) -> "MetricJet":
         """Build from full arrays dg_full[k,i,j] and ddg_full[k,l,i,j]."""
-        dg = _real_array(dg_full, (3, 3, 3), "dg_full")[:, _ROWS, _COLS]
-        ddg = _real_array(ddg_full, (3, 3, 3, 3), "ddg_full")[_ROWS, _COLS][:, _ROWS, _COLS]
-        return cls(SymTensor3.from_matrix(_real_array(g, (3, 3), "g")), _frozen(dg), _frozen(ddg))
+        first = _real_array(dg_full, (3, 3, 3), "dg_full")
+        second = _real_array(ddg_full, (3, 3, 3, 3), "ddg_full")
+        g = _real_array(g, (3, 3), "g")
+        metric = SymTensor3.from_matrix([g[:3], g[3:6], g[6:]])
+        _require_metric(metric)
+        return cls._made(metric, _DG_PACK(first), _DDG_PACK(second))
+
+    @property
+    def dg(self) -> np.ndarray:
+        return _array(self._dg, (3, 6))
+
+    @property
+    def ddg(self) -> np.ndarray:
+        return _array(self._ddg, (6, 6))
 
     @property
     def dg_full(self) -> np.ndarray:
         """First derivatives as a (3, 3, 3) array indexed [k, i, j]."""
-        return self.dg[:, _UNPACK]
+        return _array(_DG_FULL(self._dg), (3, 3, 3), frozen=False)
 
     @property
     def ddg_full(self) -> np.ndarray:
         """Second derivatives as a (3, 3, 3, 3) array indexed [k, l, i, j]."""
-        return self.ddg[:, _UNPACK][_UNPACK]
+        return _array(_DDG_FULL(self._ddg), (3, 3, 3, 3), frozen=False)
 
 
-def _lowered_gamma(jet: MetricJet) -> np.ndarray:
-    """Gamma[m, ab] = Gamma_{m,ab} = 1/2 (d_a g_bm + d_b g_am - d_m g_ab), the
-    lowered Christoffel symbols as a (3, 9) array gathered from the packed dg."""
-    first = jet.dg.ravel()[_BRACKET_GATHER]
-    return 0.5 * (first[0] + first[1] - first[2])
+def _lowered_gamma(dg: tuple) -> list[float]:
+    """Gamma_{m,ab} = 1/2 (d_a g_bm + d_b g_am - d_m g_ab) at 6 m + slot(ab)."""
+    return [0.5 * (x + y - z) for x, y, z in zip(*(gather(dg) for gather in _BRACKET))]
 
 
 def christoffel(jet: MetricJet) -> np.ndarray:
-    """Levi-Civita connection coefficients, shape (3, 3, 3) indexed [k, i, j].
-
-    Gamma^k_ij = g^km Gamma_{m,ij}: the lowered symbols that `riemann` uses,
-    raised by the metric's kept g^-1; exactly symmetric in (i, j).  A jet
-    whose Gamma overflows is a DomainError naming the overflow.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        gamma = (_require_metric(jet.g).ginv @ _lowered_gamma(jet)).reshape(3, 3, 3)
-    if not np.isfinite(gamma).all():
+    """Levi-Civita connection Gamma^k_ij = g^km Gamma_{m,ij}, indexed [k, i, j]:
+    the lowered symbols of `riemann` raised by the kept g^-1, exactly
+    symmetric in (i, j).  An overflow is a DomainError naming it."""
+    gamma = _lowered_gamma(jet._dg)
+    ginv = _FULL(_require_metric(jet.g).ginv)
+    raised = [ginv[3 * k] * gamma[n] + ginv[3 * k + 1] * gamma[6 + n]
+              + ginv[3 * k + 2] * gamma[12 + n] for k in range(3) for n in range(6)]
+    if not all(map(math.isfinite, raised)):
         raise DomainError(_OVERFLOW)
-    return gamma
+    return _array(_DG_FULL(raised), (3, 3, 3), frozen=False)
 
 
-def _curvature_tensor(lowered) -> tuple[np.ndarray, float]:
-    """`lowered` read-only (`_read_only`) and max |R_ijkl|, once the
-    algebraic symmetries hold to within 1e-12 of that maximum."""
-    r = _read_only(lowered, (3, 3, 3, 3), "lowered")
-    flat = r.ravel()
-    size = float(np.abs(flat).max())
-    # the residuals r + r^(1,0,2,3), r + r^(0,1,3,2), r - r^(2,3,0,1) and
-    # r + r^(0,2,3,1) + r^(0,3,1,2), from one gather of the 81 entries
-    # (row 2 holds the negated difference, which rounds the same)
-    moved = flat[_SYMMETRY_GATHER]
-    moved[:2] += flat
-    moved[2] -= flat
-    moved[3] += flat
-    moved[3] += moved[4]
-    if np.abs(moved[:4]).max() > 1e-12 * size:
+def _curvature_tensor(lowered) -> tuple:
+    """`lowered` read by `_real_array` into 81 floats, once the algebraic
+    symmetries hold to within 1e-12 of max |R_ijkl|."""
+    r = tuple(_real_array(lowered, (3, 3, 3, 3), "lowered"))
+    size = max(map(abs, r))
+    # the residuals r + r^(1,0,2,3), r + r^(0,1,3,2), r^(2,3,0,1) - r and
+    # r + r^(0,2,3,1) + r^(0,3,1,2), over the 81 entries
+    t1, t2, t3, t4, t5 = (gather(r) for gather in _SYMMETRY_GATHERS)
+    residual = max(max(map(abs, map(operator.add, r, t1))), max(map(abs, map(operator.add, r, t2))),
+                   max(map(abs, map(operator.sub, t3, r))),
+                   max(abs(x + y + z) for x, y, z in zip(r, t4, t5)))
+    if residual > 1e-12 * size:
         raise DomainError("input violates the Riemann algebraic symmetries")
-    return r, size
+    return r
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Riemann3:
     """Fully lowered Riemann tensor of a 3-metric.
 
-    `lowered` is R_ijkl, read by `_real_array`, with the algebraic symmetries
-    (antisymmetry in (i,j) and (k,l), pair symmetry, first Bianchi identity), read-only.
-    `bivector_form` is the symmetric (2,0) tensor (an upper-index SymTensor3)
-    1/4 mu^irs mu^jkl R_rskl, the curvature viewed as a bilinear form on
-    the mu-identified bivector space.  `_pair` is the checked pass over
-    this tensor and the last metric object it was paired with:
-    (g, pass), the pass as `_pair_pass` returns it.
+    `lowered` is R_ijkl, kept as 81 Python floats with the algebraic
+    symmetries (antisymmetry in (i,j) and (k,l), pair symmetry, first Bianchi
+    identity), as a fresh read-only array.  `bivector_form` is the symmetric
+    (2,0) tensor (an upper-index SymTensor3) 1/4 mu^irs mu^jkl R_rskl, the
+    curvature as a bilinear form on the mu-identified bivector space.
+    `_pair` is (g, the checked `_pair_pass`) for the last metric object paired.
     """
 
-    lowered: np.ndarray
+    _r: tuple = field(repr=False)
     bivector_form: SymTensor3
-    _pair: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _pair: tuple | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "lowered", _curvature_tensor(self.lowered)[0])
-        p = self.bivector_form
-        if not (isinstance(p, SymTensor3) and p.variance == "upper"):
-            raise DomainError(f"bivector_form must be a SymTensor3 with upper indices, got {p!r}")
+    def __init__(self, lowered: np.ndarray, bivector_form: SymTensor3):
+        self.__dict__.update(_r=_curvature_tensor(lowered), _pair=None,
+                             bivector_form=_tensor(bivector_form, "upper", "bivector_form"))
+
+    @property
+    def lowered(self) -> np.ndarray:
+        return _array(self._r, (3, 3, 3, 3))
 
     @classmethod
-    def from_lowered(cls, lowered: np.ndarray, g: SymTensor3) -> "Riemann3":
-        r, size = _curvature_tensor(lowered)
-        root_det, _, _, _, mu_up, _ = _require_metric(g)
-        # a row of mu^irs holds two entries +-1 / sqrt(det g), so no partial sum of
-        # P's products exceeds 4 max |R| / det g; near inf, P is tried quietly first
-        if not 8.0 * size / root_det / root_det < math.inf:
-            with np.errstate(over="ignore", invalid="ignore"):
-                if not np.isfinite(_p_bivector(r, mu_up)).all():
-                    raise DomainError(_OVERFLOW)
-        riem = object.__new__(cls)  # built without repeating the checks of Riemann3(...)
-        riem.__dict__.update(lowered=r, _pair=None,
-                             bivector_form=SymTensor3.from_matrix(_p_bivector(r, mu_up), "upper"))
+    def _made(cls, bivector, g: SymTensor3, r: tuple | None = None) -> "Riemann3":
+        """The tensor of bivector components R_(ij)(kl) `bivector` on the
+        metric g that raises its P, and of entries `r` (by default their
+        expansion), unchecked; an overflow on the way is a DomainError."""
+        p = _p_bivector(bivector, _require_metric(g).root_det)
+        if not all(map(math.isfinite, [*bivector, *p])):
+            raise DomainError(_OVERFLOW)
+        riem = object.__new__(cls)
+        riem.__dict__.update(_r=r or _EXPAND((0.0, *bivector, *[-v for v in bivector])),
+                             bivector_form=SymTensor3._made(p, "upper"), _pair=None)
         return riem
 
     @classmethod
+    def from_lowered(cls, lowered: np.ndarray, g: SymTensor3) -> "Riemann3":
+        r = _curvature_tensor(lowered)
+        return cls._made(_BIVECTOR_ENTRIES(r), g, r)
+
+    @classmethod
     def space_form(cls, kappa: float, g: SymTensor3) -> "Riemann3":
-        """Constant-curvature tensor R_ijkl = kappa (g_ik g_jl - g_il g_jk)."""
+        """Constant-curvature tensor R_ijkl = kappa (g_ik g_jl - g_il g_jk),
+        whose bivector components are kappa adj(g)."""
         kappa = finite_real(kappa, "kappa")
         _require_metric(g)
-        # g_ik g_jl - g_il g_jk and its product with kappa stay below this bound
-        size = max(map(abs, g.components.tolist()))
-        if not max(1.0, abs(kappa)) * 2.0 * size * size < math.inf:
-            raise DomainError(_OVERFLOW)
-        gm = g.matrix
-        outer = gm[:, None, :, None] * gm[None, :, None, :]  # [i, j, k, l] = g_ik g_jl
-        return cls.from_lowered(_frozen(kappa * (outer - outer.transpose(0, 1, 3, 2))), g)
+        return cls._made([kappa * v for v in _sym_adjugate_det(*g.values)[0]], g)
 
     @classmethod
     def from_frame(cls, a: float, b: float, c: float,
@@ -470,83 +532,90 @@ class Riemann3:
         in the identity metric, optionally pushed forward by a rotation: a
         finite 3x3 Q with |Q^T Q - I| <= STRUCTURE_TOL entrywise (a
         reflection is one), else DomainError."""
-        r = np.zeros((3, 3, 3, 3))
-        for (i, j), v in (((1, 2), finite_real(a, "a")), ((0, 2), finite_real(b, "b")),
-                          ((0, 1), finite_real(c, "c"))):
-            r[i, j, i, j] = r[j, i, j, i] = v
-            r[i, j, j, i] = r[j, i, i, j] = -v
+        abc = (finite_real(a, "a"), finite_real(b, "b"), finite_real(c, "c"))
+        bivector = [abc[0], 0.0, 0.0, abc[1], abc[2], 0.0]
         if rotation is not None:
             q = _real_array(rotation, (3, 3), "rotation")
-            if not _gram_deviation(q.T.tolist()) <= STRUCTURE_TOL:
+            if not _gram_deviation([q[0::3], q[1::3], q[2::3]]) <= STRUCTURE_TOL:
                 raise DomainError(f"rotation must be an orthogonal 3x3 matrix "
                                   f"(|Q^T Q - I| <= {STRUCTURE_TOL:.0e} entrywise)")
-            # R'_ijkl = q_ia q_jb q_kc q_ld R_abcd as K R K^T on index pairs,
-            # with K[ij, ab] = q_ia q_jb
-            k = (q[:, None, :, None] * q[None, :, None, :]).reshape(9, 9)
-            r = (k @ r.reshape(9, 9) @ k.T).reshape(3, 3, 3, 3)
-        return cls.from_lowered(_frozen(r), _IDENTITY)
+            # R'_ijkl = q_ia q_jb q_kc q_ld R_abcd moves bivectors by the
+            # cofactor matrix C of Q (Q e_b ^ Q e_c = C_ab e_(a)), so the
+            # bivector components become C diag(a, b, c) C^T
+            cof = [q[3 * i + k] * q[3 * j + l] - q[3 * i + l] * q[3 * j + k]
+                   for i, j in _BIVECTORS for k, l in _BIVECTORS]
+            bivector = [cof[3 * m] * cof[3 * n] * abc[0] + cof[3 * m + 1] * cof[3 * n + 1] * abc[1]
+                        + cof[3 * m + 2] * cof[3 * n + 2] * abc[2] for m, n in COMPONENT_ORDER]
+        return cls._made(bivector, _IDENTITY)
 
 
 def riemann(jet: MetricJet) -> Riemann3:
-    """Riemann tensor of the jet's metric, symmetrized onto the algebraic
-    curvature symmetries to remove rounding residue.
+    """Riemann tensor of the jet's metric, exact in its algebraic symmetries:
+    the six bivector components ((i, j), (k, l) in (12), (20), (01)) of
 
     R_ijkl = 1/2 (d_j d_k g_il + d_i d_l g_jk - d_i d_k g_jl - d_j d_l g_ik)
-             + M[li, kj] - M[ki, lj],
-    with M = Gamma^T g^-1 Gamma and Gamma[m, ab] = Gamma_{m,ab} the
-    lowered Christoffel symbols: no derivative of the connection is formed.
-    A finite jet whose R overflows is a DomainError naming the overflow.
+             + M[il, jk] - M[ik, jl],
+
+    with M = Gamma^T g^-1 Gamma = U^T U, U = L^-1 Gamma for the lowered
+    Christoffel symbols Gamma[m, ab] and g = L L^T.  An overflow is a
+    DomainError naming it.
     """
-    # formed quietly: an overflow on the way leaves R non-finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        gamma = _lowered_gamma(jet)
-        quadratic = (gamma.T @ _require_metric(jet.g).ginv @ gamma).ravel()[_RIEMANN_QUADRATIC]
-        second = jet.ddg.ravel()[_RIEMANN_LINEAR]
-        r = 0.5 * (second[0] + second[1] - second[2] - second[3]) + quadratic[0] - quadratic[1]
-        r = r.reshape(3, 3, 3, 3)
-        r = 0.25 * (r - r.transpose(1, 0, 2, 3) - r.transpose(0, 1, 3, 2)
-                    + r.transpose(1, 0, 3, 2))
-        r = 0.5 * (r + r.transpose(2, 3, 0, 1))
-    if not np.isfinite(r).all():
-        raise DomainError(_OVERFLOW)
-    return Riemann3.from_lowered(_frozen(r), jet.g)
+    (m11, _, _), (m21, m22, _), (m31, m32, m33) = _require_metric(jet.g).inverse
+    gamma = _lowered_gamma(jet._dg)
+    g0, g1, g2 = gamma[:6], gamma[6:12], gamma[12:]
+    u0 = [m11 * x for x in g0]
+    u1 = [m21 * x + m22 * y for x, y in zip(g0, g1)]
+    u2 = [m31 * x + m32 * y + m33 * z for x, y, z in zip(g0, g1, g2)]
+    ddg = jet._ddg
+    return Riemann3._made(
+        [0.5 * (ddg[a] + ddg[b] - ddg[c] - ddg[d])
+         + (u0[p] * u0[q] + u1[p] * u1[q] + u2[p] * u2[q])
+         - (u0[v] * u0[w] + u1[v] * u1[w] + u2[v] * u2[w])
+         for a, b, c, d, p, q, v, w in _RIEMANN_TERMS], jet.g)
 
 
-# The two routes to P and the three to h.  Each formula is its own function,
-# so a test can perturb one route and see the agreement check fire.
+# The two routes to P and the three to h, each its own function, so a test can
+# perturb one route and see the agreement check fire: canonical components in
+# Python floats, where an overflow on the way leaves an entry non-finite.
 
-def _p_bivector(r: np.ndarray, mu_up: np.ndarray) -> np.ndarray:
-    """P^ij = 1/4 mu^irs mu^jkl R_rskl, as two matrix products."""
-    mu = mu_up.reshape(3, 9)
-    return 0.25 * (mu @ r.reshape(9, 9) @ mu.T)
+def _p_bivector(bivector, root_det: float) -> list[float]:
+    """P^ij = 1/4 mu^irs mu^jkl R_rskl = R_(i)(j) / det g, (i) the bivector i."""
+    return [v / root_det / root_det for v in bivector]
 
 
-def _p_trace(ginv: np.ndarray, ric: np.ndarray, scalar: float) -> np.ndarray:
+def _p_trace(ginv, ric, scalar: float) -> list[float]:
     """P^ij = (R/2) g^ij - g^ik Ric_kl g^lj."""
-    return 0.5 * scalar * ginv - ginv @ ric @ ginv
+    g, m = _FULL(ginv), _FULL(ric)
+    w = [g[i] * m[j] + g[i + 1] * m[j + 3] + g[i + 2] * m[j + 6] for i in (0, 3, 6)
+         for j in range(3)]  # g^-1 Ric, row by row
+    half = 0.5 * scalar
+    return [half * ginv[n] - (w[3 * i] * g[j] + w[3 * i + 1] * g[j + 3] + w[3 * i + 2] * g[j + 6])
+            for n, (i, j) in enumerate(COMPONENT_ORDER)]
 
 
-def _h_contraction(p: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _h_contraction(p, r: tuple) -> list[float]:
     """h_ij = 1/2 P^rs R_irjs."""
-    return 0.5 * np.einsum("rs,irjs->ij", p, r)
+    p = _FULL(p)
+    return [0.5 * _dot9(p, gather(r)) for gather in _H_CONTRACTION]
 
 
-def _h_mu(r: np.ndarray, mu_up: np.ndarray) -> np.ndarray:
-    """h_ij = 1/8 T_ilk T_kjl with T_ilk = R_ilpq mu^pqk: two pairwise
-    contractions in place of one four-operand sum."""
-    t = (r.reshape(9, 9) @ mu_up.reshape(9, 3)).reshape(3, 3, 3)
-    return 0.125 * (t.reshape(3, 9) @ t.transpose(2, 0, 1).reshape(9, 3))
+def _h_mu(r: tuple, root_det: float) -> list[float]:
+    """h_ij = 1/8 T_ilk T_kjl with T_ilk = R_ilpq mu^pqk, whose two terms
+    are +-R_il(bc) / sqrt(det g) for (b, c) the bivector k and its reverse."""
+    mu = 1.0 / root_det
+    t = [x * mu - y * mu for x, y in zip(*(terms(r) for terms in _T_TERMS))]
+    return [0.125 * _dot9(left(t), right(t)) for left, right in _H_MU]
 
 
-def _h_determinant(root_det: float, p_components: list[float]) -> np.ndarray:
+def _h_determinant(root_det: float, p_components) -> list[float]:
     """h_ij = det(g) adj(P)_ij = adj(sqrt(det g) P)_ij, defined for every P
     and free of g^-1.  Scaling P first keeps det g from rounding to a
     subnormal float, and adj(P) from overflowing where h is finite:
     sqrt(det g) P is of the size of sqrt(|h|)."""
-    return unpack(_sym_adjugate_det(*(root_det * v for v in p_components))[0])
+    return _sym_adjugate_det(*(root_det * v for v in p_components))[0]
 
 
-def _deviation(xs: list[float], ys: list[float], scale: tuple[float, ...]) -> float:
+def _deviation(xs, ys, scale: tuple[float, ...]) -> float:
     """max |x - y| over finite Python floats, divided by each factor of `scale`."""
     dev = max(map(abs, map(operator.sub, xs, ys)))
     for factor in scale:  # a zero factor leaves 0 at 0 and makes the rest huge
@@ -561,36 +630,38 @@ def _pair_pass(riem: Riemann3,
 
     One g^-1, from the metric's one Cholesky factor, serves both contractions
     and the trace form (R/2) g^ij - Ric^ij, which checks P, the volume-form
-    value `riem.bivector_form` that keeps every sectional curvature, relative
-    to ||P||_F: the input sets the scale.  Raises DomainError when R or the
-    trace form overflows and InternalConsistencyError, which indicates an
-    inconsistent pair, when the forms disagree.  The pass is kept on `riem`
-    only once every check has succeeded, so such a pair raises on every call.
+    value `riem.bivector_form`, relative to ||P||_F.  Raises DomainError when
+    riem is not a Riemann3, g not a metric, or R or the trace form overflows,
+    and InternalConsistencyError, which indicates an inconsistent pair, when
+    the forms disagree.  The pass is kept on `riem` only once every check has
+    succeeded, so such a pair raises on every call.
     """
+    if type(riem) is not Riemann3:
+        raise DomainError(f"riem must be a Riemann3, got {riem!r}")
     pair = riem._pair
     if pair is not None and pair[0] is g:
         return pair[1]
-    root_det, _, _, ginv, _, _ = _require_metric(g)
-    ric = np.einsum("kl,kilj->ij", ginv, riem.lowered)
-    scalar = float(np.einsum("ij,ij->", ginv, ric))
+    root_det, _, _, ginv = _require_metric(g)
+    full_ginv, r = _FULL(ginv), riem._r
+    ric = [_dot9(full_ginv, gather(r)) for gather in _RICCI]
+    scalar = _dot9(full_ginv, _FULL(ric))
     # every entry of Ric enters R (times g^ij, and inf * 0 is nan), so a
     # non-finite Ric makes R non-finite too
     if not math.isfinite(scalar):
         raise DomainError(_OVERFLOW)
-    ric = SymTensor3.from_matrix(ric, "lower")
     p = riem.bivector_form
-    comps = p.components.tolist()
+    comps = p.values
     p_norm = math.hypot(*comps, comps[1], comps[2], comps[5])
-    trace_form = _p_trace(ginv, ric.matrix, scalar).ravel().tolist()
+    trace_form = _p_trace(ginv, ric, scalar)
     if not all(map(math.isfinite, trace_form)):
         raise DomainError(_OVERFLOW)
-    dev = _deviation(trace_form, p.matrix.ravel().tolist(), (p_norm,))
+    dev = _deviation(trace_form, comps, (p_norm,))
     if dev > FORMULA_AGREEMENT_RTOL:
         raise InternalConsistencyError(
             f"trace and volume-form evaluations of the raised Einstein tensor "
             f"disagree (relative deviation {dev:.3e}); riem and g are inconsistent"
         )
-    passed = root_det, ric, scalar, p, p_norm
+    passed = root_det, SymTensor3._made(ric), scalar, p, p_norm
     object.__setattr__(riem, "_pair", (g, passed))
     return passed
 
@@ -603,14 +674,10 @@ def ricci(riem: Riemann3, g: SymTensor3) -> tuple[SymTensor3, float]:
 
 
 def einstein_raised(riem: Riemann3, g: SymTensor3) -> SymTensor3:
-    """Raised Einstein-type tensor P^ij with sectional-curvature eigenvalues.
-
-    Returns the volume-form contraction 1/4 mu^irs mu^jkl R_rskl, which
-    `Riemann3` already carries; on the unit sphere P is the identity.  The
-    trace form (R/2) g^ij - Ric^ij checks it to within 1e-10 ||P||_F, and
-    disagreement raises InternalConsistencyError, which indicates an
-    inconsistent (riem, g) pair.
-    """
+    """Raised Einstein-type tensor P^ij with sectional-curvature eigenvalues:
+    `riem.bivector_form` (the identity on the unit sphere), once the trace
+    form (R/2) g^ij - Ric^ij agrees within 1e-10 ||P||_F; disagreement raises
+    InternalConsistencyError, which indicates an inconsistent (riem, g) pair."""
     return _pair_pass(riem, g)[3]
 
 
@@ -644,22 +711,15 @@ def cross_curvature_forms(riem: Riemann3, g: SymTensor3) -> CrossCurvatureForms:
     determinant: h_ij = det(g) adj(P)_ij, which is (det P^kl / det g^kl)
                  times the inverse of P^kl when P is invertible
 
-    All three pairs are compared relative to
-    det(g) ||P||_F^2, which scales like h under g -> s g and bounds it, so a
-    vanishing h (a singular or zero P) is checked like any other.  The scale
-    is divided in two steps of sqrt(det g) ||P||_F, because ||P||_F^2 alone
-    overflows where h is still finite and det g alone can round to a
-    subnormal float.
+    All three pairs are compared, component by component, relative to
+    det(g) ||P||_F^2, which scales like h and bounds it, so a vanishing h is
+    checked like any other; the scale divides in two steps of sqrt(det g)
+    ||P||_F, each in range where h is.
     """
     root_det, _, _, p_t, p_norm = _pair_pass(riem, g)
-    r = riem.lowered
-    comps = p_t.components.tolist()
-
-    # formed quietly: an overflow on the way leaves a route non-finite
-    with np.errstate(over="ignore", invalid="ignore"):
-        routes = (_h_contraction(p_t.matrix, r), _h_mu(r, _require_metric(g).mu_upper),
-                  _h_determinant(root_det, comps))
-    h_con, h_mu, h_det = (h.ravel().tolist() for h in routes)
+    r, comps = riem._r, p_t.values
+    h_con, h_mu, h_det = (_h_contraction(comps, r), _h_mu(r, root_det),
+                          _h_determinant(root_det, comps))
     unit_det = _sym_adjugate_det(*(v / p_norm for v in comps))[1] if p_norm else 0.0
 
     if not all(map(math.isfinite, h_con + h_mu + h_det)):
@@ -672,12 +732,10 @@ def cross_curvature_forms(riem: Riemann3, g: SymTensor3) -> CrossCurvatureForms:
             f"cross curvature formulas disagree (relative deviation {max_dev:.3e})"
         )
 
-    # the two finite routes packed as SymTensor3.from_matrix packs them, and
-    # h_det, which is exactly symmetric
     return CrossCurvatureForms(
-        contraction_form=SymTensor3._made(_packed_symmetric_part(h_con)),
-        mu_form=SymTensor3._made(_packed_symmetric_part(h_mu)),
-        determinant_form=SymTensor3._made([h_det[k] for k in (0, 1, 2, 4, 8, 5)]),
+        contraction_form=SymTensor3._made(h_con),
+        mu_form=SymTensor3._made(h_mu),
+        determinant_form=SymTensor3._made(h_det),
         determinant_unit=unit_det,
         determinant_singular=abs(unit_det) <= 1e-12,
         max_pairwise_dev=max_dev,
@@ -700,21 +758,71 @@ class CurvatureFrame:
     c: float
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c])
+        return _array([self.a, self.b, self.c], frozen=False)
 
 
-def _frame_eigh(t: SymTensor3, g: SymTensor3) -> tuple[np.ndarray, ...]:
-    """The one routine that solves a generalized eigenproblem: t in the
-    Cholesky frame of g = L L^T, whose axes are the columns of L^-T, has
-    components L^T t L (upper indices) or L^-1 t L^-T (lower), read off
-    the lower triangle.  L^T, L^-1 and L^-T come from g's one factor
-    (`_require_metric`); the components are Python floats, which overflow
-    to inf silently.  Returns the canonical frame components (read-only),
-    their ascending eigenvalues, the orthonormal eigenvectors in the frame
-    (columns) and L^-T (read-only).  A g that is not a metric and an
-    overflow are each a DomainError; `_certify_eigenpairs` checks every solve."""
-    t11, t12, t13, t22, t33, t23 = t.components.tolist()
-    _, upper, inv, _, _, frame_axes = _require_metric(g)
+def _rotation(app: float, aqq: float, apq: float) -> tuple[float, float, float]:
+    """tan, cos and sin of the Jacobi rotation that zeroes a_pq != 0: t the
+    root of least magnitude of t^2 + 2 theta t = 1, theta = (a_qq - a_pp) /
+    2 a_pq (H. Rutishauser, Numer. Math. 9, 1966); theta = inf gives t = 0."""
+    theta = (aqq - app) / (2.0 * apq)
+    t = 1.0 / (abs(theta) + math.hypot(1.0, theta))
+    if theta < 0.0:
+        t = -t
+    c = 1.0 / math.sqrt(1.0 + t * t)
+    return t, c, t * c
+
+
+def _jacobi(frame: list[float]) -> tuple[list[float], list[tuple]]:
+    """Eigenvalues, ascending, and orthonormal eigenvectors (one per row) of
+    the finite symmetric 3x3 matrix with canonical components `frame`, by
+    cyclic Jacobi rotations in the planes (1, 2), (1, 3), (2, 3), on the
+    matrix scaled exactly by a power of two to a largest entry in [1/2, 1);
+    scaling the eigenvalues back can raise OverflowError."""
+    top = max(map(abs, frame))
+    if not top:
+        return [0.0, 0.0, 0.0], [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)]
+    shift = math.frexp(top)[1]
+    x0, y01, y02, x1, x2, y12 = [math.ldexp(v, -shift) for v in frame]
+    # v_ab: row a of the accumulated rotation, whose columns are the eigenvectors
+    v00 = v11 = v22 = 1.0
+    v01 = v02 = v10 = v12 = v20 = v21 = 0.0
+    for _ in range(_JACOBI_SWEEPS):
+        if max(abs(y01), abs(y02), abs(y12)) <= _JACOBI_FLOOR:
+            break
+        if y01:  # the plane (1, 2): a_11, a_22, a_12, then a_13, a_23, then columns 1, 2
+            t, c, s = _rotation(x0, x1, y01)
+            x0, x1, y01 = x0 - t * y01, x1 + t * y01, 0.0
+            y02, y12 = c * y02 - s * y12, s * y02 + c * y12
+            v00, v01, v10, v11, v20, v21 = (c * v00 - s * v01, s * v00 + c * v01, c * v10 - s * v11,
+                                            s * v10 + c * v11, c * v20 - s * v21, s * v20 + c * v21)
+        if y02:
+            t, c, s = _rotation(x0, x2, y02)
+            x0, x2, y02 = x0 - t * y02, x2 + t * y02, 0.0
+            y01, y12 = c * y01 - s * y12, s * y01 + c * y12
+            v00, v02, v10, v12, v20, v22 = (c * v00 - s * v02, s * v00 + c * v02, c * v10 - s * v12,
+                                            s * v10 + c * v12, c * v20 - s * v22, s * v20 + c * v22)
+        if y12:
+            t, c, s = _rotation(x1, x2, y12)
+            x1, x2, y12 = x1 - t * y12, x2 + t * y12, 0.0
+            y01, y02 = c * y01 - s * y02, s * y01 + c * y02
+            v01, v02, v11, v12, v21, v22 = (c * v01 - s * v02, s * v01 + c * v02, c * v11 - s * v12,
+                                            s * v11 + c * v12, c * v21 - s * v22, s * v21 + c * v22)
+    pairs = sorted(zip((x0, x1, x2), ((v00, v10, v20), (v01, v11, v21), (v02, v12, v22))),
+                   key=operator.itemgetter(0))
+    return [math.ldexp(lam, shift) for lam, _ in pairs], [vec for _, vec in pairs]
+
+
+def _frame_eigh(t: SymTensor3, g: SymTensor3) -> tuple[list[float], list[float], list, tuple]:
+    """The one routine that solves an eigenproblem: t in the Cholesky frame
+    of g = L L^T, whose axes are the columns of L^-T, has components L^T t L
+    (upper indices) or L^-1 t L^-T (lower), from g's one factor
+    (`_require_metric`).  Returns them, their ascending eigenvalues and
+    orthonormal eigenvectors (one per row) from `_jacobi`, and the rows of
+    L^-1.  A g that is not a metric and an overflow are each a DomainError;
+    `_certify_eigenpairs` checks every solve."""
+    t11, t12, t13, t22, t33, t23 = t.values
+    _, upper, inv, _ = _require_metric(g)
     rows = upper if t.variance == "upper" else inv
     # B t B^T for B = L^T or L^-1: w = B t by rows, then entry (j, i) = w_j . B_i
     w = [(x * t11 + y * t12 + z * t13, x * t12 + y * t22 + z * t23,
@@ -722,21 +830,22 @@ def _frame_eigh(t: SymTensor3, g: SymTensor3) -> tuple[np.ndarray, ...]:
     frame = [w[j][0] * rows[i][0] + w[j][1] * rows[i][1] + w[j][2] * rows[i][2]
              for i, j in COMPONENT_ORDER]
     if all(map(math.isfinite, frame + [*inv[1], *inv[2]])):
-        components = _frozen(np.array(frame))
-        vals, vecs = np.linalg.eigh(components[_UNPACK])
-        if all(map(math.isfinite, vals.tolist())):
-            _certify_eigenpairs(frame, vals.tolist(), vecs.T.tolist())
-            return components, vals, vecs, frame_axes
+        try:
+            lams, vecs = _jacobi(frame)
+        except OverflowError:
+            pass
+        else:
+            _certify_eigenpairs(frame, lams, vecs)
+            return frame, lams, vecs, inv
     raise DomainError("eigenvalues overflow; the tensor and metric must keep them finite")
 
 
-def _certify_eigenpairs(frame: list[float], lams: list[float], vecs: list[list[float]]) -> None:
-    """Raise InternalConsistencyError unless the residuals r_i = F v_i - lam_i
-    v_i over s = max(1, max |lam|) and E = V^T V - I of the eigenpairs of the
-    symmetric F (canonical components `frame`) are all within STRUCTURE_TOL.
-    Then each lam_i lies within |r_i| of an eigenvalue of F, up to O(|E|)
-    (Kahan's residual bound; B. N. Parlett, The Symmetric Eigenvalue Problem,
-    SIAM 1998).  F and lam enter divided by s, so nothing overflows."""
+def _certify_eigenpairs(frame: list[float], lams: list[float], vecs: list) -> None:
+    """Raise InternalConsistencyError unless the residuals F v_i - lam_i v_i
+    over s = max(1, max |lam|) and V^T V - I of the eigenpairs of the
+    symmetric F (components `frame`) are within STRUCTURE_TOL, so each lam_i
+    is that close to an eigenvalue of F (Kahan's residual bound; B. N.
+    Parlett, The Symmetric Eigenvalue Problem, SIAM 1998)."""
     scale = max(1.0, *map(abs, lams))
     f11, f12, f13, f22, f33, f23 = [x / scale for x in frame]
     residual = max(math.hypot(f11 * x + f12 * y + f13 * z - lam * x,
@@ -750,7 +859,7 @@ def _certify_eigenpairs(frame: list[float], lams: list[float], vecs: list[list[f
             f"|V^T V - I| is {gram:.3e} (tol {STRUCTURE_TOL:.0e})")
 
 
-def _gram_deviation(vecs: list[list[float]]) -> float:
+def _gram_deviation(vecs) -> float:
     """max |V^T V - I| over the entries, for the columns `vecs` of a finite 3x3
     V, in Python floats: a diagonal entry comes first, so an overflow is inf."""
     (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = vecs
@@ -759,13 +868,19 @@ def _gram_deviation(vecs: list[list[float]]) -> float:
                abs(a1 * c1 + a2 * c2 + a3 * c3), abs(b1 * c1 + b2 * c2 + b3 * c3))
 
 
+def _eigenpairs(t: SymTensor3, g: SymTensor3) -> tuple[list[float], list[tuple]]:
+    """The eigenpairs of `_frame_eigh`, each eigenvector mapped back by L^-T
+    to a g-orthonormal one, in Python floats."""
+    _, lams, vecs, ((m11, _, _), (m21, m22, _), (m31, m32, m33)) = _frame_eigh(t, g)
+    return lams, [(m11 * x + m21 * y + m31 * z, m22 * y + m32 * z, m33 * z) for x, y, z in vecs]
+
+
 def generalized_eigh(t: SymTensor3, g: SymTensor3) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of a symmetric tensor relative to a metric, ascending, and
     g-orthonormal eigenvectors V as columns (V^T g V = I): t v = lam g v for
-    lower-index t, t g v = lam v for upper-index t.  They are the eigenpairs
-    of `_frame_eigh`, whose DomainErrors it raises, mapped back by L^-T."""
-    _, vals, vecs, frame = _frame_eigh(t, g)
-    return vals, frame @ vecs
+    lower-index t, t g v = lam v for upper-index t (`_eigenpairs`), fresh arrays."""
+    lams, vecs = _eigenpairs(_tensor(t, None, "t"), g)
+    return _array(lams, frozen=False), _array(list(zip(*vecs)), frozen=False)
 
 
 def eigen_frame(p: SymTensor3, g: SymTensor3) -> tuple[CurvatureFrame, np.ndarray]:
@@ -773,10 +888,10 @@ def eigen_frame(p: SymTensor3, g: SymTensor3) -> tuple[CurvatureFrame, np.ndarra
     CurvatureFrame (ascending) and its g-orthonormal eigenvectors v_k as
     columns, with P^ij = sum_k lam_k v_k v_k^T.  A degenerate eigenvalue
     gets an arbitrary orthonormal basis of its eigenspace."""
-    if p.variance != "upper":
+    if _tensor(p, None, "p").variance != "upper":
         raise DomainError("eigen_frame expects a tensor with upper indices")
-    vals, vecs = generalized_eigh(p, g)
-    return CurvatureFrame(*map(float, vals)), vecs
+    lams, vecs = _eigenpairs(p, g)
+    return CurvatureFrame(*lams), _array(list(zip(*vecs)), frozen=False)
 
 
 # The finite-difference stencil in sampling order: +e_k, -e_k for k = 0, 1, 2,
@@ -784,41 +899,34 @@ def eigen_frame(p: SymTensor3, g: SymTensor3) -> tuple[CurvatureFrame, np.ndarra
 # (1, 2).  Each row is a sum of signed unit vectors, so a zero entry is -0.0
 # exactly where every term subtracts, and x + h * row rounds as the chained
 # x +- h e_k +- h e_l does, signed zeros included.
-_FD_OFFSETS = _frozen(np.array(
-    [s * _EYE[k] for k in range(3) for s in (1.0, -1.0)]
-    + [s * _EYE[k] + s * _EYE[l] for k, l in ((0, 1), (0, 2), (1, 2)) for s in (1.0, -1.0)]))
-# the axes k and l of the mixed pairs (0, 1), (0, 2), (1, 2)
-_FD_PAIR_K = np.array([0, 0, 1])
-_FD_PAIR_L = np.array([1, 2, 2])
-# MetricJet's ddg rows (pairs 11, 12, 13, 22, 33, 23) from the stacked
-# second differences: the pure ones d_k d_k (rows 0-2), then the mixed
-# d_0 d_1, d_0 d_2, d_1 d_2 (rows 3-5)
-_FD_DDG_ROWS = np.array([0, 3, 4, 1, 2, 5])
+_SEEDS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))  # unit vectors, unit first partials
+_FD_OFFSETS = (
+    [tuple(s * x for x in _SEEDS[k]) for k in range(3) for s in (1.0, -1.0)]
+    + [tuple(s * x + s * y for x, y in zip(_SEEDS[k], _SEEDS[l]))
+       for k, l in ((0, 1), (0, 2), (1, 2)) for s in (1.0, -1.0)])
 
 
-def _stencil_failure(samples: list, points: list[np.ndarray], step: float) -> None:
-    """Raise DomainError for the first sample that is not a finite 3x3
-    matrix, naming it unless it is the centre points[0]; return if none is.
+def _stencil_sample(g_fn: Callable, point: list[float], step: float, centre: bool) -> list:
+    """The nine entries of g_fn at `point` (an array), once they are a finite
+    3x3 matrix: a DomainError g_fn raises, or a sample that is not one, is
+    named with the step unless `point` is the centre, which lies in the domain."""
+    import numpy as np
 
-    A sample that np.asarray cannot read as floats raises numpy's error.
-    """
-    for n, sample in enumerate(samples):
-        value = np.asarray(sample, dtype=float)
+    try:
+        value = np.asarray(g_fn(np.array(point)), dtype=float)
         if value.shape != (3, 3):
-            reason = f"metric callback returned shape {value.shape}, not (3, 3)"
-        elif not np.all(np.isfinite(value)):
-            reason = "metric callback returned non-finite samples"
-        else:
-            continue
-        if n == 0:
-            raise DomainError(reason)
-        raise DomainError(_stencil_message(points[n], step, reason))
-
-
-def _stencil_message(point: np.ndarray, step: float, reason: object) -> str:
-    where = ",".join(f"{v:.12g}" for v in point)
-    return (f"the finite-difference stencil leaves the metric's domain: its sample at "
-            f"{where} (fd_step {step:g}) fails with '{reason}'; the point itself is inside")
+            raise DomainError(f"metric callback returned shape {value.shape}, not (3, 3)")
+        entries = value.ravel().tolist()
+        if not all(map(math.isfinite, entries)):
+            raise DomainError("metric callback returned non-finite samples")
+    except DomainError as exc:
+        if centre:
+            raise
+        where = ",".join(f"{v:.12g}" for v in point)
+        raise DomainError(f"the finite-difference stencil leaves the metric's domain: its "
+                          f"sample at {where} (fd_step {step:g}) fails with '{exc}'; the point "
+                          f"itself is inside") from exc
+    return entries
 
 
 def jet_from_function(g_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
@@ -834,71 +942,47 @@ def jet_from_function(g_fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
         d_k d_k g = D_{e_k} / h^2,
         d_k d_l g = (D_{e_k + e_l} - D_{e_k} - D_{e_l}) / 2h^2,
 
-    the last being the seven-point formula of Abramowitz & Stegun 25.3.27,
-    which shares the axis samples of the pure derivatives.  Its error is
-    h^2/12 (2 g_kkkl + 3 g_kkll + 2 g_klll), even in h, and ddg is
-    symmetric under the derivative-pair swap exactly.  With richardson=True
-    the step and half-step estimates are combined to fourth order.
-
-    The samples are differenced as one stack of canonical components, with
-    the operations, in the order, of the differences above written out per
-    entry, so the jet is the same bit for bit as that of a loop over
-    the stencil.  The first sample that raises DomainError, is not finite
-    or is not 3x3 ends the call: at x itself its error propagates as it is,
-    at another sample it is re-raised naming that sample and the step,
-    since the point itself lies in the domain.  `step` is read as a Python
-    float (`bounds.real_number`), `richardson` as a bool (`bounds.flag`).
+    the last the seven-point formula of Abramowitz & Stegun 25.3.27, whose
+    error h^2/12 (2 g_kkkl + 3 g_kkll + 2 g_klll) is even in h.  With
+    richardson=True the step and half-step estimates combine to fourth order.
+    Each sample is checked as it comes (`_stencil_sample`) and differenced
+    per canonical component in Python floats.  `step` is read by
+    `bounds.real_number`, `richardson` by `bounds.flag`.
     """
     step = real_number(step, "finite-difference step")
     if not (math.isfinite(step) and step > 0.0):
         raise DomainError(f"finite-difference step must be finite and positive, got {step!r}")
     richardson = flag(richardson, "richardson")
-    x = np.array(_real_array(x, (3,), "point"))
+    x = _real_array(x, (3,), "point")
     steps = (step, step / 2.0) if richardson else (step,)
-    points = [x, *(x + np.array(steps)[:, None, None] * _FD_OFFSETS).reshape(-1, 3)]
-    samples = []
-    try:
-        for point in points:
-            samples.append(g_fn(point))
-    except Exception as exc:
-        # a bad sample before the raising one ends the call first
-        _stencil_failure(samples, points, step)
-        if not samples or not isinstance(exc, DomainError):
-            raise
-        raise DomainError(_stencil_message(points[len(samples)], step, exc)) from exc
-    try:
-        stack = np.array(samples, dtype=float)
-    except (TypeError, ValueError):  # samples of different shapes, or not numbers
-        _stencil_failure(samples, points, step)
-        raise
-    if stack.shape[1:] != (3, 3) or not np.isfinite(stack).all():
-        _stencil_failure(samples, points, step)
-    # per step: 2h, h^2 and 2h^2 in Python floats, as the written-out
-    # differences divide by them; the largest, 2 step^2, must be finite
+    points = [x, *([a + h * b for a, b in zip(x, row)] for h in steps for row in _FD_OFFSETS)]
+    samples = [_stencil_sample(g_fn, point, step, n == 0) for n, point in enumerate(points)]
+    # per step: 2h, h^2 and 2h^2 in Python floats, as the differences divide
+    # by them; the largest, 2 step^2, must be finite
     if not 2.0 * step * step < math.inf:
         raise DomainError(_STEP_OVERFLOW)
-
-    packed = stack[:, _ROWS, _COLS]
-    # [step, v, s]: the sample at x + s h v, s = +1, -1, for the six v of
-    # the stencil: e_0, e_1, e_2, e_0 + e_1, e_0 + e_2, e_1 + e_2
-    pairs = packed[1:].reshape(len(steps), 6, 2, 6)
-    plus, minus = pairs[:, :, 0], pairs[:, :, 1]
-    div = np.array([[2.0 * h, h**2, 2.0 * h**2] for h in steps])[:, :, None, None]
-    dg = (plus[:, :3] - minus[:, :3]) / div[:, 0]
-    second = plus - 2.0 * packed[0] + minus  # D_v for the six v
-    mixed = (second[:, 3:] - second[:, _FD_PAIR_K] - second[:, _FD_PAIR_L]) / div[:, 2]
-    ddg = np.concatenate((second[:, :3] / div[:, 1], mixed), axis=1)[:, _FD_DDG_ROWS]
+    centre = _PACK(samples[0])
+    jets = []
+    for n, h in enumerate(steps):
+        # the samples at x + h v and x - h v for v = e_0, e_1, e_2, e_0 + e_1, e_0 + e_2, e_1 + e_2
+        plus, minus = (list(map(_PACK, samples[1 + 12 * n + s:13 + 12 * n:2])) for s in (0, 1))
+        second = [[p - 2.0 * c + m for p, m, c in zip(*vs, centre)] for vs in zip(plus, minus)]
+        pure = [[d / h**2 for d in second[k]] for k in range(3)]
+        mixed = [[(d - a - b) / (2.0 * h**2) for d, a, b in zip(diagonal, second[k], second[l])]
+                 for diagonal, (k, l) in zip(second[3:], ((0, 1), (0, 2), (1, 2)))]
+        dg = [[(p - m) / (2.0 * h) for p, m in zip(*vs)] for vs in zip(plus[:3], minus[:3])]
+        jets.append((dg, [pure[0], mixed[0], mixed[1], pure[1], pure[2], mixed[2]]))
     if richardson:
-        dg = (4.0 * dg[1] - dg[0]) / 3.0
-        ddg = (4.0 * ddg[1] - ddg[0]) / 3.0
+        jets = [[[(4.0 * b - a) / 3.0 for a, b in zip(*rows)] for rows in zip(*parts)]
+                for parts in zip(*jets)]
     else:
-        dg, ddg = dg[0], ddg[0]
-    return MetricJet(SymTensor3.from_matrix(stack[0]), _frozen(dg), _frozen(ddg))
+        jets = jets[0]
+    g = samples[0]
+    return MetricJet(SymTensor3.from_matrix([g[:3], g[3:6], g[6:]]), *jets)
 
 
 _STEP_OVERFLOW = "the stencil's divisor 2 fd_step squared overflows; fd_step must keep it finite"
 _CHART_OVERFLOW = "the chart metric or its jet overflows; kappa and point must keep them finite"
-_SEEDS = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))  # unit first partials
 
 
 class _HyperDual:
@@ -960,8 +1044,7 @@ def _conformal_chart(kappa: float, x):
     """The conformal chart of the curvature-kappa space form, written once:
     g_ij = delta_ij u^-2, u = 1 + kappa |x|^2 / 4, at three finite coordinates
     (floats or seeded `_HyperDual`s).  A DomainError where u <= 0, where u is
-    nan (kappa = 0 times an |x|^2 that overflows) or a finite u's float square
-    overflows; u = inf gives g = 0, a non-metric."""
+    nan or a finite u's square overflows; u = inf gives g = 0, a non-metric."""
     x0, x1, x2 = x
     u = 1.0 + 0.25 * kappa * (x0 * x0 + x1 * x1 + x2 * x2)
     if float(u) <= 0.0:
@@ -979,7 +1062,11 @@ def space_form_chart(kappa: float) -> Callable[[np.ndarray], np.ndarray]:
     `_conformal_chart` on floats, kappa read once (`bounds.finite_real`) and
     each point by `_real_array`.  Each call returns a fresh array."""
     kappa = finite_real(kappa, "kappa")
-    return lambda x: _EYE * _conformal_chart(kappa, _real_array(x, (3,), "point").tolist())
+
+    def chart(x):
+        diagonal = _conformal_chart(kappa, _real_array(x, (3,), "point"))
+        return _array([diagonal * e for e in _FULL(_IDENTITY.values)], (3, 3), frozen=False)
+    return chart
 
 
 def space_form_chart_jet(kappa: float, x: np.ndarray) -> MetricJet:
@@ -988,7 +1075,7 @@ def space_form_chart_jet(kappa: float, x: np.ndarray) -> MetricJet:
     first, then dg and ddg from the same chart on seeded coordinates; a
     derivative that is not finite is a DomainError naming the overflow."""
     kappa = finite_real(kappa, "kappa")
-    coords = _real_array(x, (3,), "point").tolist()
+    coords = _real_array(x, (3,), "point")
     diagonal = _conformal_chart(kappa, coords)
     g = SymTensor3._made([diagonal, 0.0, 0.0, diagonal, diagonal, 0.0])
     _require_metric(g)
@@ -997,5 +1084,5 @@ def space_form_chart_jet(kappa: float, x: np.ndarray) -> MetricJet:
     if not all(map(math.isfinite, partials)):
         raise DomainError(_CHART_OVERFLOW)
     # dg_kij = delta_ij d_k u^-2 and ddg_klij = delta_ij d_k d_l u^-2, packed
-    packed = _frozen(np.multiply.outer(partials, _IDENTITY.components))
-    return MetricJet(g, packed[:3], packed[3:])
+    packed = [x * e for x in partials for e in _IDENTITY.values]
+    return MetricJet._made(g, packed[:18], packed[18:])

@@ -22,9 +22,10 @@ once c falls to the constant `C_MIN`.  verify's
 against `_rk4_step` and `_record`.
 
 The integrator runs on the standard library alone, so `xcflow flow` loads
-no numpy.  The engine cross-checks (`engine_rhs`, `einstein_residual`,
-`parabolicity_report_at`, `tensor_norm`) import numpy, `curvature` and
-`symbol` when they are called.
+no numpy.  The engine cross-checks import `curvature` when they are called,
+which runs on Python floats too (`engine_rhs`, `tensor_norm`);
+`einstein_residual` forms its tensor as arrays and
+`parabolicity_report_at` calls `symbol`, so those two load numpy.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ def _space_form(c: float, params: FlowParams) -> tuple[Riemann3, SymTensor3]:
     from . import curvature as cv
 
     c = _require_scale(c)
-    g = cv.SymTensor3(c * cv.SymTensor3.identity().components)
+    g = cv.SymTensor3((c, 0.0, 0.0, c, c, 0.0))
     return cv.Riemann3.space_form(params.lam / (2.0 * c), g), g
 
 
@@ -181,9 +182,8 @@ def engine_rhs(c: float, params: FlowParams) -> float:
     riem, g = _space_form(c, params)
     h = cv.cross_curvature(riem, g)
     _, scalar = cv.ricci(riem, g)
-    rhs_tensor = -2.0 * params.epsilon * h.matrix + 2.0 * params.rho * scalar * g.matrix
-    # coefficient of g(0) = identity
-    return float(rhs_tensor[0, 0])
+    # the 11 entry of -2 eps h + 2 rho R g: the coefficient of g(0) = identity
+    return -2.0 * params.epsilon * h.values[0] + 2.0 * params.rho * scalar * g.values[0]
 
 
 def published_ode_rhs(c: float, params: FlowParams) -> float:
@@ -444,12 +444,19 @@ def einstein_residual(record: TraceRecord, params: FlowParams) -> float:
 
 
 def tensor_norm(t_lower: np.ndarray, g: SymTensor3) -> float:
-    """Metric norm of a lowered 2-tensor: sqrt(g^ik g^jl T_ij T_kl), on the
-    inverse of g kept by its metric check (`curvature._require_metric`), so
-    a g that is not a metric, or a t_lower not a finite 3x3 array, is a DomainError."""
-    import numpy as np
-
+    """Metric norm of a lowered 2-tensor: sqrt(g^ik g^jl T_ij T_kl), the
+    Frobenius norm of L^-1 T L^-T on the factor g = L L^T that the metric
+    check of g keeps (`curvature._require_metric`), in Python floats.  A g
+    that is not a metric, a t_lower not a finite 3x3 array, and a norm that
+    overflows are each a DomainError; a norm in the float range is returned
+    even where the sum of squares alone would overflow."""
     from .curvature import _real_array, _require_metric
 
-    ginv, t = _require_metric(g).ginv, _real_array(t_lower, (3, 3), "t_lower")
-    return float(np.sqrt(np.einsum("ik,jl,ij,kl->", ginv, ginv, t, t)))
+    rows = _require_metric(g).inverse
+    t = _real_array(t_lower, (3, 3), "t_lower")
+    # L^-1 T by rows, then its entries times the rows of L^-1
+    left = [[a * t[j] + b * t[3 + j] + c * t[6 + j] for j in range(3)] for a, b, c in rows]
+    norm = math.hypot(*(x * a + y * b + z * c for x, y, z in left for a, b, c in rows))
+    if not math.isfinite(norm):
+        raise DomainError("the norm of t_lower overflows; t_lower and g must keep it finite")
+    return norm

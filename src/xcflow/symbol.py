@@ -79,13 +79,14 @@ import numpy as np
 
 from .bounds import (DEFAULT_DIRECTION_SAMPLES, MAX_DIRECTION_SAMPLES, finite_real, integer,
                      is_bool, stated_threshold)
-from .curvature import (_COLS, _ROWS, STRUCTURE_TOL, SymTensor3, _frame_eigh, _real_array, pack,
-                        unpack)
+from .curvature import (COMPONENT_ORDER, STRUCTURE_TOL, SymTensor3, _frame_eigh, _real_array,
+                        _tensor, pack, unpack)
 from .errors import DomainError, InternalConsistencyError
 
 IMAG_RESIDUE_TOL = 1e-10
 STRICTNESS_FLOOR = 1e-9
 _SYMBOL_OVERFLOW = "symbol matrix entries overflow: P or rho is too large"
+_ROWS, _COLS = np.array(COMPONENT_ORDER).T
 
 
 class ComplexEigenvalueWarning(RuntimeWarning):
@@ -124,7 +125,7 @@ class SymbolMatrix:
 
 def _symbol_data(p: SymTensor3, rho) -> float:
     """Check the data a symbol is assembled from; returns rho as a float."""
-    if p.variance != "upper":
+    if _tensor(p, None, "p").variance != "upper":
         raise DomainError("symbol assembly expects P with upper indices")
     return finite_real(rho, "rho")
 
@@ -173,8 +174,9 @@ def symbol_stacks(p: SymTensor3, rho: float, xis) -> tuple[np.ndarray, np.ndarra
     components of xi xi^T assembles every matrix of both stacks, formed
     quietly: an entry that overflows is a DomainError, not a numpy warning.
     """
-    weights = np.array([*p.components.tolist(), _symbol_data(p, rho)])
-    v = _real_array(xis, (None, 3), "xis")
+    rho = _symbol_data(p, rho)
+    weights = np.array([*p.values, rho])
+    v = np.array(_real_array(xis, (None, 3), "xis")).reshape(-1, 3)
     with np.errstate(over="ignore", invalid="ignore"):
         coeff = np.concatenate([(weights @ _RAW_COEFF).reshape(6, 36), _GAUGE_COEFF], axis=1)
         stacks = ((v[:, _ROWS] * v[:, _COLS]) @ coeff).reshape(len(v), 2, 6, 6)
@@ -188,11 +190,11 @@ def _one_direction(p: SymTensor3, rho, xi):
     the Rayleigh quotient q = v^T P v / v^T v, once the quotient block at v
     has passed `_check_closed_form`.  Entries or a q that overflow end as a
     DomainError, without numpy's overflow warnings first."""
-    xi_v = _real_array(xi, (3,), "xi")
-    if not any(coords := xi_v.tolist()):
+    coords = _real_array(xi, (3,), "xi")
+    if not any(coords):
         raise DomainError("xi must be nonzero")
     # largest |component| first: np.linalg.norm's sqrt(v . v) neither over- nor underflows
-    v = xi_v / max(map(abs, coords))
+    v = np.array(coords) / max(map(abs, coords))
     v /= math.sqrt(v.dot(v))
     raw, gauge = symbol_stacks(p, rho, v[None])
     blocks, raw_scale = quotient_blocks(raw, gauge, v[None])
@@ -221,7 +223,8 @@ def symbol_modified(p: SymTensor3, rho: float, xi, case: int = +1) -> SymbolMatr
     untouched.  At xi = e1 the spectrum is {1, 1, 1, s P11, s P11,
     s P11 - 4 rho} with s = case.
     """
-    p_eff = SymTensor3(case_sign(case) * p.components, p.variance)
+    sign = case_sign(case)
+    p_eff = SymTensor3._made([sign * x for x in _tensor(p, None, "p").values], p.variance)
     v, raw, gauge, q = _one_direction(p_eff, rho, xi)
     return SymbolMatrix(raw - gauge, "deturck", v, float(rho), q)
 
@@ -388,9 +391,9 @@ def to_orthonormal_frame(p: SymTensor3, g: SymTensor3) -> SymTensor3:
     Cholesky frame of g = L L^T (`curvature._frame_eigh`), where the metric
     is the identity that the symbol assembly assumes; they keep the
     generalized eigenvalues of P relative to g."""
-    if p.variance != "upper":
+    if _tensor(p, None, "p").variance != "upper":
         raise DomainError("frame transform expects a tensor with upper indices")
-    return SymTensor3(_frame_eigh(p, g)[0], "upper")
+    return SymTensor3._made(_frame_eigh(p, g)[0], "upper")
 
 
 @dataclass(frozen=True)
@@ -472,18 +475,17 @@ def parabolicity(
                           f"{MAX_DIRECTION_SAMPLES}, got {direction_samples!r}")
     rho = _symbol_data(p, rho)
 
-    frame, gen_eigs, gen_vecs, _ = _frame_eigh(p, g)
-    eigs = gen_eigs.tolist()
-    lo, hi = (float(p.components[0]),) * 2 if mode == "frame" else (eigs[0], eigs[-1])
+    frame, eigs, gen_vecs, _ = _frame_eigh(p, g)
+    lo, hi = (p.values[0],) * 2 if mode == "frame" else (eigs[0], eigs[-1])
     threshold = stated_threshold(lo, hi, sign)
     q = [sign * e for e in eigs]
     q_min = min(q)
     critical = q.index(q_min)
 
     # unit eigenvectors by rows, through numpy's norm along axis 1 written out
-    rows = gen_vecs.T
+    rows = np.array(gen_vecs)
     vecs = rows / np.sqrt(np.add.reduce(rows * rows, axis=1, keepdims=True))
-    signed = SymTensor3._made(sign * frame, "upper")
+    signed = SymTensor3._made([sign * x for x in frame], "upper")
     # P's eigenvectors, taken cyclically, frame K(v_n) + T(v_n) at each v_n.
     # P or rho large enough to overflow the symbol entries ends in the
     # DomainError of symbol_stacks, without numpy's overflow warnings first

@@ -441,6 +441,37 @@ def _riemann_reference(rng, cases):
     return _verdict(worst, 1e-13, "max dev relative to max |R|")
 
 
+@_check("tensor_core", "jacobi_matches_eigh", default_cases=2000)
+def _jacobi_reference(rng, cases):
+    # the library's Jacobi eigensolve, through generalized_eigh at g = I,
+    # against numpy's eigh on Q diag(lam) Q^T: lam random (case 0 mod 4),
+    # repeated (1), split by 1e-9 (2), or random times 1e150 or 1e-150 (3).
+    # Eigenvalues are held to the spectral scale max |lam|; where the gaps
+    # are at least 1e-3 of it, each eigenvector too, the angle times the gap
+    g = cv.SymTensor3.identity()
+    worst = 0.0
+    for n in range(cases):
+        lam = rng.uniform(-1.0, 1.0, 3)
+        if n % 4 == 1:
+            lam[1] = lam[0]
+        elif n % 4 == 2:
+            lam[1] = lam[0] * (1.0 + 1e-9)
+        elif n % 4 == 3:
+            lam *= 1e150 if n % 8 == 3 else 1e-150
+        q = _random_rotation(rng)
+        m = (q * lam) @ q.T
+        comps = [m[i, j] for i, j in cv.COMPONENT_ORDER]
+        got, vecs = cv.generalized_eigh(cv.SymTensor3(comps, "upper"), g)
+        want, ref = np.linalg.eigh(cv.unpack(comps))
+        scale = float(np.abs(want).max())
+        worst = max(worst, float(np.abs(got - want).max()) / scale)
+        gap = float(np.diff(want).min()) / scale
+        if gap >= 1e-3:
+            turn = np.minimum(*(np.linalg.norm(vecs - s * ref, axis=0) for s in (1.0, -1.0)))
+            worst = max(worst, float(turn.max()) * gap)
+    return _verdict(worst, 1e-13, "max eigenvalue dev / max |lam| and eigenvector angle x gap")
+
+
 # ---------------------------------------------------------------------------
 # symbol suite
 

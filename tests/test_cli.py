@@ -147,6 +147,30 @@ def test_extinct_flow_command_runs_without_numpy():
     assert '"extinct"' in with_numpy
 
 
+@pytest.mark.parametrize("argv", [
+    ["--frame", "1,2,3"], ["--frame", "-1.5,2,0.7"], ["--space-form", "sphere"],
+    ["--space-form", "hyperbolic", "--kappa", "-0.5"],
+    ["--jet-from-chart", "sphere", "--point", "0.1,0.2,0.3"],
+    ["--jet-from-chart", "hyperbolic", "--kappa", "-0.5", "--point", "0.3,-0.2,0.1"],
+], ids=["frame", "signed_frame", "sphere", "hyperbolic", "chart_jet", "hyperbolic_chart_jet"])
+def test_curvature_command_runs_without_numpy(argv, tmp_path):
+    # the engine runs on Python floats: the same report with numpy blocked
+    argv = ["curvature", *argv, "--format", "json"]
+    outputs = []
+    for python in (("-m", "xcflow"), _WITHOUT_NUMPY):
+        path = tmp_path / f"report{len(outputs)}.json"
+        outputs.append((_python(*python, *argv, "--output", str(path)).stdout, path.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].startswith("g: ")
+
+
+def test_curvature_command_loads_no_numpy():
+    code = ("import sys; from xcflow.cli import main; "
+            "main(['curvature', '--jet-from-chart', 'sphere', '--point', '0.1,0.2,0.3']); "
+            "print('numpy' in sys.modules)")
+    assert _python("-c", code).stdout.splitlines()[-1] == "False"
+
+
 def test_curvature_command_loads_no_symbol_module():
     code = ("import sys; from xcflow.cli import main; "
             "code = main(['curvature', '--frame', '1,2,3']); "
@@ -283,29 +307,30 @@ def _richardson_jet():
                                     "fd_step": 0.001, "richardson": True}
 
 
-# sha256 of `xcflow curvature ... --format json`, taken before each metric
-# object kept its factor: that change must leave the report the same byte
-# for byte.  The command has no flag for a rotation, a metric other than the
-# identity, a chart jet at a kappa and point of the library's choosing or a
-# finite-difference jet, so those four cases feed their tensors to the
-# command in place of its input parsing.  The digests hold for numpy 2.4 on
-# x86-64; a BLAS or LAPACK that rounds differently changes the last bits.
-# chart_jet and exact_jet were taken once the chart's forward-mode jet
-# formed c / w without w^2.  richardson_jet pins jet_from_function's
-# seven-point mixed differences: its off-diagonal Ric, P and h, exactly 0
-# for the chart, read below 3e-10.
+# sha256 of `xcflow curvature ... --format json`, taken once the engine ran
+# on Python floats (six bivector components expanded to R_ijkl, a Jacobi
+# eigensolve): every value then moved from the numpy engine's by at most
+# 1.2e-15 of its quantity's largest entry, and the eigenvectors of a repeated
+# eigenvalue changed basis.  The command has no flag for a rotation, a metric
+# other than the identity, a chart jet at a kappa and point of the library's
+# choosing or a finite-difference jet, so those four cases feed their tensors
+# to the command in place of its input parsing.  Only the richardson_jet
+# input goes through numpy (jet_from_function's stencil); the other reports
+# are Python float arithmetic, free of the rounding of numpy's BLAS and LAPACK.
+# richardson_jet pins jet_from_function's seven-point mixed differences: its
+# off-diagonal Ric, P and h, exactly 0 for the chart, read below 3e-10.
 PINNED_CURVATURE_REPORTS = [
     ("rotated_frame", ["--frame", "-1.5,2,0.7"], _rotated_frame,
-     "65abb8085974ceed3c05b39ade3ffd768e770d510c4a5cc95af6183b6cdb2114"),
+     "9823f21587e0df82379075fa4dca64b60085be75dcbb861323ae158e1b2ae259"),
     ("space_form_off_identity", ["--space-form", "sphere"], _space_form_off_identity,
-     "b4931052ec68cde1becf6eda6991439b5e95846889e72acab71bd25be122cefd"),
+     "14aea7f9023dc07ce6a0ea8f049239f9ab7d6ffc3c760eadf95ed7e649f37d4c"),
     ("chart_jet", ["--frame", "1,1,1"], _chart_jet,
-     "670ffa0bcd3a060b86f5a1b234429a73fb5254ab459b04caf9f8a7814a2e3692"),
+     "70d033523661212c9a80f79fb7c611253cb53abd1d6001888f9a286dcb04391e"),
     ("richardson_jet", ["--frame", "1,1,1"], _richardson_jet,
-     "b442611f9273723bc98ccaff1d0c12616b849b7cf6f04a0a067424941de56f87"),
+     "6579ed855bc6ca655aa89176b8f4546736aa45c556d260bdb15e9955de4c9857"),
     ("exact_jet", ["--jet-from-chart", "hyperbolic", "--kappa", "-0.5", "--point",
                    "0.3,-0.2,0.1"], None,
-     "8e3a9b8c51fd6a636aa3df02ed35a5914a211bf6157732ddbd43a50154c2fdd5"),
+     "1e895a3151e089e278438bbd013efe40b0d3f979a083bc8c571ce23a033567f3"),
 ]
 
 

@@ -67,8 +67,10 @@ class TestSymTensor3:
                      SymTensor3([1.0, 0.0, 0.0, 1.0, 1.0, 0.0])):
             with pytest.raises(ValueError):
                 made.components[0] = 5.0
-        # a read-only array is shared, not copied
-        assert SymTensor3(t.components, "upper").components is t.components
+        # the tensor keeps Python floats; each view is a fresh read-only array
+        again = SymTensor3(t.components, "upper")
+        assert again.values == t.values == (2.0, 0.1, 0.0, 3.0, 4.0, 0.2)
+        assert t.components is not t.components
 
     def test_pack_unpack_roundtrip(self):
         m = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
@@ -171,7 +173,7 @@ class TestSymTensor3:
                 m[i, j] = m[j, i] = rng.choice([np.nan, np.inf, -np.inf])
             if not np.isfinite(m).all():
                 with pytest.raises(DomainError, match="^components must be finite$"):
-                    SymTensor3(pack(m))
+                    SymTensor3([m[i, j] for i, j in curvature.COMPONENT_ORDER])
                 continue
             expected = bool(np.linalg.eigvalsh(m).min() > 0.0)
             t = SymTensor3(pack(m))
@@ -628,7 +630,7 @@ def test_every_formula_route_is_cross_checked(route, is_p, monkeypatch):
     calls = (cross_curvature_forms, einstein_raised) if is_p else (cross_curvature_forms,)
     for rel_error, raises in ((1e-12, False), (1e-9, True)):
         monkeypatch.setattr(curvature, route,
-                            lambda *args, e=rel_error: (1.0 + e) * exact(*args))
+                            lambda *args, e=rel_error: [(1.0 + e) * v for v in exact(*args)])
         for riem, g in _mutation_inputs():  # _p_bivector runs as riem is built
             for call in calls:
                 if raises:
@@ -668,8 +670,8 @@ def test_jet_derivatives_are_read_only():
         for array in (made.dg, made.ddg):
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
-    # a read-only array is shared, not copied
-    assert MetricJet(IDENTITY, jet.dg, jet.ddg).ddg is jet.ddg
+    # the jet keeps Python floats; each view is a fresh read-only array
+    assert MetricJet(IDENTITY, jet.dg, jet.ddg) == jet and jet.ddg is not jet.ddg
 
 
 def _pair_outputs(riem, g):
@@ -775,16 +777,20 @@ def test_the_kept_factor_is_read_only():
     g = spd(np.random.default_rng(89))
     factor = curvature._require_metric(g)
     assert curvature._require_metric(g) is factor and g._factor is factor
-    for array in (factor.ginv, factor.mu_upper, factor.frame_axes):
-        assert not array.flags.writeable
-        with pytest.raises(ValueError):
-            array[0, 1] = 1.0
+    # Python floats in tuples: nothing in the factor can be written
+    assert isinstance(factor.root_det, float)
+    for rows in (factor.upper, factor.inverse, (factor.ginv,)):
+        assert all(isinstance(row, tuple) and all(isinstance(x, float) for x in row)
+                   for row in rows)
+    assert np.allclose(unpack(factor.ginv) @ g.matrix, np.eye(3), rtol=0.0, atol=1e-14)
     # the public results stay fresh arrays that belong to the caller
+    eps = np.zeros((3, 3, 3))
+    eps[0, 1, 2] = eps[1, 2, 0] = eps[2, 0, 1] = 1.0
+    eps[0, 2, 1] = eps[2, 1, 0] = eps[1, 0, 2] = -1.0
     mu_lo, mu_up = volume_form(g)
     mu_up[0, 1, 2] = 7.0
-    assert np.array_equal(curvature._require_metric(g).mu_upper * factor.root_det,
-                          curvature._EPS3)
-    assert np.array_equal(mu_lo, factor.root_det * curvature._EPS3)
+    assert np.array_equal(volume_form(g)[1], eps / factor.root_det)
+    assert np.array_equal(mu_lo, factor.root_det * eps)
     # the factor is not part of the tensor's value
     assert "_factor" not in repr(g)
     assert SymTensor3(g.components.copy())._factor is None
@@ -806,7 +812,7 @@ def test_inconsistent_pair_raises_on_every_call():
 
 def test_ricci_refuses_an_overflowing_trace_form(monkeypatch):
     # R is finite here; the trace form of P that checks the pair is not
-    monkeypatch.setattr(curvature, "_p_trace", lambda *args: np.full((3, 3), np.inf))
+    monkeypatch.setattr(curvature, "_p_trace", lambda *args: [math.inf] * 6)
     riem = Riemann3.from_frame(1.0, 2.0, 3.0)
     for _ in range(2):  # a failed pass is not kept
         with pytest.raises(DomainError, match="curvature values overflow"):
@@ -1384,7 +1390,7 @@ def test_christoffel_raises_the_lowered_symbols_of_riemann():
     for _ in range(300):
         jet = _generic_jet(rng)
         got = christoffel(jet)
-        want = reference_christoffel(curvature._require_metric(jet.g).ginv,
+        want = reference_christoffel(unpack(curvature._require_metric(jet.g).ginv),
                                      _bracket(jet.dg_full))
         worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
         assert np.array_equal(got, got.transpose(0, 2, 1))
@@ -1399,7 +1405,7 @@ def test_symmetric_parts_pack_by_midpoint():
     for _ in range(400):
         m = rng.uniform(-1.8, 1.8, (3, 3)) * 10.0 ** rng.integers(-300, 309)
         with np.errstate(over="ignore"):
-            want = pack(0.5 * (m + m.T))
+            want = (0.5 * (m + m.T))[[0, 0, 0, 1, 2, 1], [0, 1, 2, 1, 2, 2]]
         got = np.array(curvature._packed_symmetric_part(m.ravel().tolist()))
         finite = np.isfinite(want)
         overflowed += not finite.all()
@@ -1453,10 +1459,13 @@ def _infinite_frame() -> np.ndarray:
 
 
 @pytest.mark.parametrize("make, message", [
-    # P = R / det g is 7e307, but the bivector products overflow on the way
-    (lambda: Riemann3.space_form(7e297, SymTensor3(1e-10 * IDENTITY.components)), OVERFLOW),
+    # P = R / det g is 7e307, a float, but the trace form (R/2) g^ij that
+    # checks it is 2.1e308
+    (lambda: ricci(Riemann3.space_form(7e297, SymTensor3(1e-10 * IDENTITY.components)),
+                   SymTensor3(1e-10 * IDENTITY.components)), OVERFLOW),
     (lambda: Riemann3.space_form(1e300, SymTensor3(1e-10 * IDENTITY.components)), OVERFLOW),
-    (lambda: Riemann3.from_frame(1e308, -1e308, 1e308), OVERFLOW),
+    # P is the frame itself; Ric_22 = a + c is 2e308
+    (lambda: ricci(Riemann3.from_frame(1e308, -1e308, 1e308), IDENTITY), OVERFLOW),
     (lambda: Riemann3.from_lowered(np.full((3, 3, 3, 3), np.nan), IDENTITY),
      "^lowered must be finite$"),
     (lambda: Riemann3.from_lowered(_infinite_frame(), IDENTITY), "^lowered must be finite$"),
@@ -1509,15 +1518,15 @@ def test_christoffel_of_a_jet_that_overflows_is_named(dg, message):
 
 
 def test_bivector_form_near_the_float_range_is_kept():
-    # the bound 8 max |R| / det g overflows, the products do not: the same
-    # P as the plain products, with no warning
+    # P = kappa g^-1 is R_(ij)(kl) / det g, divided by sqrt(det g) twice: near
+    # the top of the float range it is kept, with no warning
     g = SymTensor3(1e-10 * IDENTITY.components)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        riem = Riemann3.space_form(3e297, g)
-    want = curvature._p_bivector(riem.lowered, curvature._require_metric(g).mu_upper)
-    assert riem.bivector_form.components.tobytes() == pack(want).tobytes()
-    assert riem.bivector_form.components[0] == pytest.approx(3e307, rel=1e-15)
+    for kappa in (3e297, 7e297):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            riem = Riemann3.space_form(kappa, g)
+        p = 1e10 * kappa
+        assert riem.bivector_form.values == pytest.approx((p, 0.0, 0.0, p, p, 0.0), rel=1e-15)
 
 
 def test_a_metric_whose_volume_form_overflows_is_refused():

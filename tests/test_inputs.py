@@ -13,11 +13,12 @@ import warnings
 import numpy as np
 import pytest
 
-from xcflow.curvature import (MetricJet, Riemann3, SymTensor3, jet_from_function,
-                              space_form_chart, space_form_chart_jet)
+from xcflow.curvature import (MetricJet, Riemann3, SymTensor3, cross_curvature_forms, eigen_frame,
+                              einstein_raised, generalized_eigh, jet_from_function, pack, ricci,
+                              space_form_chart, space_form_chart_jet, unpack)
 from xcflow.errors import DomainError
 from xcflow.flow import tensor_norm
-from xcflow.symbol import symbol_modified, symbol_raw, symbol_stacks
+from xcflow.symbol import parabolicity, symbol_modified, symbol_raw, symbol_stacks
 
 IDENTITY = SymTensor3.identity()
 P = SymTensor3(np.array([1.0, 0.1, 0.0, 2.0, 3.0, 0.2]), "upper")
@@ -51,6 +52,8 @@ ENTRY_POINTS = {
                         lambda v: symbol_modified(P, 0.1, v)),
     "symbol_stacks": ("xis", (None, 3), np.eye(3), lambda v: symbol_stacks(P, 0.1, v)),
     "tensor_norm": ("t_lower", (3, 3), np.eye(3), lambda v: tensor_norm(v, IDENTITY)),
+    "pack": ("matrix", (3, 3), np.eye(3), pack),
+    "unpack": ("components", (6,), np.zeros(6), unpack),
 }
 
 
@@ -141,8 +144,11 @@ def test_a_malformed_array_is_a_domain_error_naming_its_argument(entry_point, fa
     (lambda: symbol_stacks(P, 1e308, np.eye(3)),
      "^symbol matrix entries overflow: P or rho is too large$"),
     (lambda: symbol_raw(P, 0.1, np.zeros(3)), "^xi must be nonzero$"),
+    # sqrt(g^ik g^jl T_ij T_kl) = 3e308: the norm itself leaves the float range
+    (lambda: tensor_norm(np.full((3, 3), 1e308), IDENTITY),
+     "^the norm of t_lower overflows; t_lower and g must keep it finite$"),
 ], ids=["bivector_form_text", "bivector_form_lower", "riemann_symmetries", "stacks_huge_xi",
-        "stacks_huge_rho", "zero_xi"])
+        "stacks_huge_rho", "zero_xi", "tensor_norm_overflows"])
 def test_the_checks_past_the_reader_are_named(make, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -165,3 +171,50 @@ def test_every_real_number_type_is_read():
     assert t.components.tolist() == [1.0, 0.0, 0.5, 2.0**70, 1.0, 0.0]
     jet = MetricJet(IDENTITY, [np.zeros(6, np.float32)] * 3, np.zeros((6, 6), int))
     assert jet.dg.dtype == jet.ddg.dtype == float
+    assert SymTensor3(range(6)).values == (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
+
+
+def test_a_tensor_norm_in_the_float_range_is_returned():
+    # the sum of squares 3e400 overflows, the norm 1.7e200 does not; it used
+    # to come back as inf, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tensor_norm(1e200 * np.eye(3), IDENTITY) == pytest.approx(math.sqrt(3.0) * 1e200,
+                                                                         rel=1e-15)
+
+
+RIEM = Riemann3.from_frame(1.0, 2.0, 3.0)
+
+
+def _a_tensor(name: str, kind: str = "SymTensor3") -> str:
+    return f"^{name} must be a {kind}, got array\\("
+
+
+# an array where a tensor belongs used to end in AttributeError ("'numpy.ndarray'
+# object has no attribute '_factor'", "... 'variance'", "... 'components'")
+@pytest.mark.parametrize("make, message", [
+    (lambda: ricci(RIEM, np.eye(3)), _a_tensor("g")),
+    (lambda: einstein_raised(RIEM, np.eye(3)), _a_tensor("g")),
+    (lambda: cross_curvature_forms(RIEM, np.eye(3)), _a_tensor("g")),
+    (lambda: ricci(np.eye(3), IDENTITY), _a_tensor("riem", "Riemann3")),
+    (lambda: eigen_frame(np.eye(3), IDENTITY), _a_tensor("p")),
+    (lambda: eigen_frame(P, np.eye(3)), _a_tensor("g")),
+    (lambda: generalized_eigh(np.eye(3), IDENTITY), _a_tensor("t")),
+    (lambda: generalized_eigh(IDENTITY, np.eye(3)), _a_tensor("g")),
+    (lambda: MetricJet(np.eye(3), np.zeros((3, 6)), np.zeros((6, 6))), _a_tensor("g")),
+    (lambda: Riemann3.from_lowered(RIEM.lowered, np.eye(3)), _a_tensor("g")),
+    (lambda: Riemann3.space_form(1.0, np.eye(3)), _a_tensor("g")),
+    (lambda: tensor_norm(np.eye(3), np.eye(3)), _a_tensor("g")),
+    (lambda: parabolicity(np.eye(3), IDENTITY, 0.1), _a_tensor("p")),
+    (lambda: parabolicity(P, np.eye(3), 0.1), _a_tensor("g")),
+    (lambda: symbol_raw(np.eye(3), 0.1, [1.0, 0.0, 0.0]), _a_tensor("p")),
+    (lambda: symbol_modified(np.eye(3), 0.1, [1.0, 0.0, 0.0]), _a_tensor("p")),
+], ids=["ricci", "einstein_raised", "cross_curvature_forms", "ricci_riem", "eigen_frame_p",
+        "eigen_frame_g", "generalized_eigh_t", "generalized_eigh_g", "metric_jet", "from_lowered",
+        "space_form", "tensor_norm", "parabolicity_p", "parabolicity_g", "symbol_raw",
+        "symbol_modified"])
+def test_an_array_where_a_tensor_belongs_is_named(make, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message):
+            make()

@@ -5,8 +5,9 @@ curvature._cholesky is the one Cholesky factorisation of g (in Python
 floats): it decides whether g is a metric and gives det g, the factor that
 _frame_eigh uses and the one inverse of g, which _require_metric keeps on
 the metric object, so no other determinant, inverse or solve of g exists.  verify.py keeps numpy's
-routines as its independent references.  curvature._real_array is the one
-reader of the arrays a caller hands the library.
+routines as its independent references, and curvature._jacobi is the one
+eigensolver.  curvature._real_array is the one reader of the arrays a caller
+hands the library.
 """
 
 import ast
@@ -55,15 +56,21 @@ def test_each_metric_object_is_factored_in_one_place():
 
 
 def test_one_eigensolver_per_purpose():
-    # _frame_eigh is the one eigensolve of the library, that of P (certified
-    # by its residuals); every quotient block is checked entrywise against
-    # its closed form, and spectrum() reads the eigenvalues off that form
+    # _frame_eigh is the one eigensolve of the library, that of P, by
+    # curvature._jacobi in Python floats (certified by its residuals); every
+    # quotient block is checked entrywise against its closed form, and
+    # spectrum() reads the eigenvalues off that form.  numpy's eigensolvers
+    # are verify's references only
     uses = [f"{path.name}:{scope}" for path in SOURCES
             for scope, node in _scoped_nodes(path)
             if isinstance(node, ast.Attribute) and node.attr.startswith("eig")
             and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"]
-    assert [use for use in uses if not use.startswith("verify.py:")] == [
-        "curvature.py:_frame_eigh"]
+    assert [use for use in uses if not use.startswith("verify.py:")] == []
+    callers = sorted(f"{path.name}:{scope}" for path in SOURCES
+                     for scope, node in _scoped_nodes(path)
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                     and node.func.id == "_jacobi")
+    assert callers == ["curvature.py:_frame_eigh"]
 
 
 def _reads_by_hand(path: Path) -> list[str]:
@@ -96,9 +103,15 @@ def _reads_by_hand(path: Path) -> list[str]:
 
 
 def test_every_caller_array_is_read_by_the_one_reader():
-    # curvature._real_array reads every array a caller hands the library and
-    # names the argument in its DomainError; _stencil_failure names the stencil
-    # sample a metric callback returned instead
+    # curvature._real_array reads every array a caller hands the library, in
+    # Python floats through _entries, and names the argument in its
+    # DomainError; _stencil_sample reads what a metric callback returns, with
+    # numpy, and names the stencil sample instead
     found = sorted(site for path in SOURCES if path.name in ("curvature.py", "symbol.py", "flow.py")
                    for site in _reads_by_hand(path))
-    assert found == ["curvature.py:_real_array", "curvature.py:_stencil_failure"]
+    assert found == ["curvature.py:_stencil_sample"]
+    callers = sorted({f"{path.name}:{scope}" for path in SOURCES
+                      for scope, node in _scoped_nodes(path)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                      and node.func.id == "_entries"})
+    assert callers == ["curvature.py:_entries", "curvature.py:_real_array"]

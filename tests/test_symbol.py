@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import special_ortho_group
 
+from xcflow import curvature
 from xcflow import symbol as symbol_module
 from xcflow.curvature import (MetricJet, Riemann3, SymTensor3, eigen_frame, einstein_raised,
                               generalized_eigh, pack, riemann, space_form_chart_jet, unpack)
@@ -534,31 +535,32 @@ class TestClosedForm:
         assert self._spectra_match(blocks, raw_scale, np.array([1.0, 2.0, 3.0]), rho)
 
     def test_one_eigensolve_per_query(self, monkeypatch):
-        # _frame_eigh's eigh, and no eigensolve of the quotient blocks
-        calls = {"eigh": 0, "eigvalsh": 0, "eigvals": 0, "eig": 0}
+        # _frame_eigh's Jacobi solve, and no eigensolve of the quotient blocks
+        calls = {"_jacobi": 0, "eigh": 0, "eigvalsh": 0, "eigvals": 0, "eig": 0}
         for name in calls:
-            solver = getattr(np.linalg, name)
+            module = curvature if name == "_jacobi" else np.linalg
+            solver = getattr(module, name)
 
             def counted(*args, _solver=solver, _name=name, **kwargs):
                 calls[_name] += 1
                 return _solver(*args, **kwargs)
 
-            monkeypatch.setattr(np.linalg, name, counted)
+            monkeypatch.setattr(module, name, counted)
         rng = np.random.default_rng(47)
         for n in range(1, 7):
             m = rng.uniform(-1, 1, (3, 3))
             g = SymTensor3.from_matrix(m @ m.T + 0.5 * np.eye(3))
             parabolicity(sym_upper(rng), g, float(rng.uniform(-2, 2)),
                          int(rng.choice([1, -1])), str(rng.choice(["frame", "all_directions"])))
-            assert calls == {"eigh": n, "eigvalsh": 0, "eigvals": 0, "eig": 0}
+            assert calls == {"_jacobi": n, "eigh": 0, "eigvalsh": 0, "eigvals": 0, "eig": 0}
 
     def test_a_wrong_minimum_trips_the_eigensolve_certificate(self, monkeypatch):
         # a rotated frame with its Rayleigh quotients as "eigenvalues": the
         # blocks there match them, but q_min is not the minimum over the sphere
         c, s_ = np.cos(0.3), np.sin(0.3)
         frame = np.array([[c, -s_, 0.0], [s_, c, 0.0], [0.0, 0.0, 1.0]])
-        monkeypatch.setattr(np.linalg, "eigh", lambda m: (
-            np.einsum("ai,ab,bi->i", frame, m, frame), frame))
+        monkeypatch.setattr(curvature, "_jacobi", lambda comps: (
+            np.einsum("ai,ab,bi->i", frame, unpack(comps), frame).tolist(), frame.T.tolist()))
         p = SymTensor3(np.array([0.2, 0.0, 0.0, 5.0, 5.0, 0.0]), "upper")
         with pytest.raises(InternalConsistencyError, match="eigensolve self-check"):
             parabolicity(p, IDENTITY, 0.0)
@@ -994,16 +996,16 @@ class TestHelpers:
             to_orthonormal_frame(P_IDENTITY, g)
 
 
-def rotated_eigh(angle: float):
-    """np.linalg.eigh with its first two eigenvectors rotated by `angle` in
-    their plane and their Rayleigh quotients returned as the eigenvalues."""
-    eigh = np.linalg.eigh
+def rotated_jacobi(angle: float):
+    """`curvature._jacobi` with its first two eigenvectors rotated by `angle`
+    in their plane and their Rayleigh quotients returned as the eigenvalues."""
+    jacobi = curvature._jacobi
     c, s_ = np.cos(angle), np.sin(angle)
     turn = np.array([[c, -s_, 0.0], [s_, c, 0.0], [0.0, 0.0, 1.0]])
 
-    def wrong(m):
-        vecs = eigh(m)[1] @ turn
-        return np.einsum("ai,ab,bi->i", vecs, m, vecs), vecs
+    def wrong(comps):
+        m, vecs = unpack(comps), np.array(jacobi(comps)[1]).T @ turn
+        return np.einsum("ai,ab,bi->i", vecs, m, vecs).tolist(), vecs.T.tolist()
     return wrong
 
 
@@ -1024,20 +1026,19 @@ class TestEigensolveCertificate:
         # every other self-check passes for them: the symbol's blocks at the
         # rotated vectors do have the spectra their Rayleigh quotients give
         self.CALLERS[caller](self.P)
-        monkeypatch.setattr(np.linalg, "eigh", rotated_eigh(1e-6))
+        monkeypatch.setattr(curvature, "_jacobi", rotated_jacobi(1e-6))
         # 1e-6 |lam_2 - lam_1| / max |lam| = 3.3e-7 of the scale
         with pytest.raises(InternalConsistencyError, match=r"max \|lam\|\) is 3\.33\de-07"):
             self.CALLERS[caller](self.P)
 
     @pytest.mark.parametrize("caller", CALLERS)
     def test_eigenvectors_off_orthonormal_raise(self, caller, monkeypatch):
-        eigh = np.linalg.eigh
+        jacobi = curvature._jacobi
 
-        def stretched(m):
-            vals, vecs = eigh(m)
-            vecs[:, 0] *= 1.0 + 1e-9
-            return vals, vecs
-        monkeypatch.setattr(np.linalg, "eigh", stretched)
+        def stretched(comps):
+            vals, vecs = jacobi(comps)
+            return vals, [[(1.0 + 1e-9) * x for x in vecs[0]], *vecs[1:]]
+        monkeypatch.setattr(curvature, "_jacobi", stretched)
         # |v_1|^2 - 1 = 2e-9
         with pytest.raises(InternalConsistencyError, match=r"\|V\^T V - I\| is 2\.000e-09"):
             self.CALLERS[caller](self.P)
