@@ -378,6 +378,73 @@ def test_symbol_json_report_is_pinned(argv, digest, tmp_path, capsys):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+# sha256 of the text stdout and of the `--format csv` report of every pinned
+# case above: the JSON digests pin the values, these the text labels, the
+# row order and the CSV keys.  The flow cases write their trace to a relative
+# path, so the stdout line naming it is the same in every run.
+PINNED_TEXT_AND_CSV = {
+    ("curvature", "rotated_frame"): (
+        "7a439ce4d24e731398e4714f01b1be92b6ae403be2ecb44331e23695fb75cdba",
+        "ecdae970715ad7152f7c10ab265b79d0f4fb70ad990255527e05e8531a320da6"),
+    ("curvature", "space_form_off_identity"): (
+        "a25640395cc6ab56d3458cac325eadfdfe4f12e0c42255ae6e377250955be509",
+        "cc4e66ee5c201c32751de95039cdeae6319c81eacbe04880776357e35bb893d0"),
+    ("curvature", "chart_jet"): (
+        "be72248e0a592cc137830556e3749cbf51e0379be08650678ed5a3b26656c4fd",
+        "d37e726f50d5a749dd247959301dad49b0c066de0d26b0f1006643efffd290bb"),
+    ("curvature", "richardson_jet"): (
+        "721c5b67c643808079b4622e8f20773d47a932bb6c58c9583b904132c7503888",
+        "cb8525daa6bf87d7c868632ec1a550bdb763a9ed605307bf3b5739d2aef7b176"),
+    ("curvature", "exact_jet"): (
+        "4fa0e15c9f8748091ec44dde4eebfa14e59a6170cbedb102ee790088a305a1b4",
+        "7a08f9a46e6f7c742544645aa35d147bb35546ccf3a44d0ab9b54c3f52b84a9f"),
+    ("symbol", "threshold"): (
+        "002633896c7aee0b723bff4af71b78015501ee2336ca20ddc3f337af1eadf9a0",
+        "fcfe634fe53adfe95cae2aa7d38b7019acb47c1f96c6d796f06b2dee35e16b0a"),
+    ("symbol", "threefold_weak"): (
+        "e2d330b5e4e5d90efdc3fb80a64aa3c4b8ba60b7fa3e438d4023b4979a2f1611",
+        "5311cf24f35f008c7810b15c0a366dae83d2d23fdabce7fd0d4ad04150183ca0"),
+    ("symbol", "negative"): (
+        "0dbcd25ea98d16eb84e8e1377c6ff3c5dd578b944cff83a2d817d806b6901af6",
+        "bdec8597d210ac2bc3d5b8722949d6636e07f975893e53f9ea20a06a9dd1f2a4"),
+    ("symbol", "wide_range"): (
+        "d652b0873d7384843c8948d9b55bc379927a5ddcda4ffb95eaf8069b2376d46b",
+        "6c4e3d06940e216eb6fc6d9ca02e1834a1ba3b8b2229e64f164ca6ed068378cf"),
+    ("flow", "extinct"): (
+        "9e236aa37d596399bdd8d35cd0b36e48f468225656d0157f61afc96875bf002b",
+        "5e78ac2bc2c879133c63f4135d9364a8973ae707599619aa78a5fe9634995c31"),
+    ("flow", "completed"): (
+        "1e3bbb1200804f90bf653444e3754de5b4612d9906708e5d1a21ce32db43cd42",
+        "1aed035503b0b98a1889b348d7ea2a6d713dcfb2f16d9dff223a071575d7b792"),
+    ("flow", "parabolicity_lost"): (
+        "def1e60fd91290e89fd9e440cd5a8530e71b07ae5b9e7521e350ce20ce42cb66",
+        "6db2770ad1edbf38c0d375d0410b90b6645eeca7439922d019e0aef4b11b7369"),
+}
+_PINNED_RUNS = {
+    **{("curvature", case): (argv, inputs) for case, argv, inputs, _ in PINNED_CURVATURE_REPORTS},
+    **{("symbol", case): (argv, None) for case, argv, _ in PINNED_SYMBOL_REPORTS},
+    **{("flow", status): ([*argv, "--record-every", "1"], None)
+       for argv, status, _ in PINNED_FLOW_TRACES},
+}
+
+
+@pytest.mark.parametrize("command,case", list(PINNED_TEXT_AND_CSV),
+                         ids=["-".join(key) for key in PINNED_TEXT_AND_CSV])
+def test_text_and_csv_reports_are_pinned(command, case, tmp_path, monkeypatch, capsys):
+    argv, inputs = _PINNED_RUNS[command, case]
+    if inputs is not None:
+        monkeypatch.setattr(cli, "_curvature_inputs", lambda options: inputs())
+    monkeypatch.chdir(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command, *argv, "--format", "csv",
+                         "--output", "report.csv"]) == cli.EXIT_OK
+    out, _ = capsys.readouterr()
+    digests = (hashlib.sha256(out.encode("utf-8")).hexdigest(),
+               hashlib.sha256((tmp_path / "report.csv").read_bytes()).hexdigest())
+    assert digests == PINNED_TEXT_AND_CSV[command, case]
+
+
 @pytest.mark.parametrize("command,lines", [
     ("symbol", ["symbol.frame = 1,2,3", "symbol.direction_samples = 2.5"]),
     ("flow", ["flow.rho = 0", "flow.epsilon = 1", "flow.lambda = 2", "flow.dt = 1e-3",
