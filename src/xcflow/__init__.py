@@ -24,7 +24,8 @@ Subsystems:
   data, with RK4 integration, event detection, and closed-form oracles.
 - `verify`: invariant suites that re-derive every promised identity by
   an independent route.
-- `cli`: the `xcflow` command (curvature / symbol / flow / verify).
+- `cli`: the `xcflow` command (curvature / symbol / flow / verify): it
+  parses options and formats the reports the library builds.
 
 Every name in `__all__` loads its submodule on first access (PEP 562), so
 `import xcflow` loads no numpy.  `xcflow flow` and `xcflow curvature` run
@@ -41,12 +42,14 @@ _EXPORTS = {
         "COMPONENT_ORDER",
         "CrossCurvatureForms",
         "CurvatureFrame",
+        "CurvatureReport",
         "MetricJet",
         "Riemann3",
         "SymTensor3",
         "christoffel",
         "cross_curvature",
         "cross_curvature_forms",
+        "curvature_report",
         "eigen_frame",
         "einstein_raised",
         "generalized_eigh",
@@ -77,8 +80,10 @@ _EXPORTS = {
         "integrate",
     ),
     "symbol": (
+        "DirectionReport",
         "ParabolicityReport",
         "SymbolMatrix",
+        "direction_report",
         "parabolicity",
         "spectrum",
         "symbol_modified",

@@ -15,10 +15,14 @@ starts with '-' (`--lambda -1e-3`, `--xi -1,0,0`).  A boolean is a flag
 without a value, or `true` / `false` in any case in a config file; any
 other spelling is a usage error.
 
+The library builds the reports and the CLI parses options and formats them:
+a report's fields are those of its library dataclass, in order (`_data`), and
+its text is a (label, value) table (`_print_table`).
+
 `flow` imports only the standard library and `xcflow.flow`, and
 `curvature` also `xcflow.curvature`, whose engine runs on Python floats, so
-both run without numpy; `symbol` and `verify` need numpy, and load it and
-the modules they use when they run.
+both run without numpy; the CLI imports no numpy itself, and `symbol` and
+`verify` load it with the modules they use when they run.
 
 `format` is `json` (default) or `csv` for the `curvature` and `symbol`
 reports, `csv` (default) or `json` for the `flow` trace, and `json` only
@@ -43,6 +47,7 @@ import json
 import math
 import sys
 from contextlib import nullcontext
+from dataclasses import fields, is_dataclass
 from typing import IO, TYPE_CHECKING, Callable, NamedTuple
 
 from . import __version__
@@ -231,7 +236,7 @@ def collect_options(command: str, config: dict[str, str],
 def _require_finite(values: tuple[float, ...], key: str) -> None:
     """A domain error (exit 3) unless every value is finite."""
     if not all(math.isfinite(v) for v in values):
-        raise DomainError(f"{key} must be finite, got {_vec_str(values)}")
+        raise DomainError(f"{key} must be finite, got {_joined(list(values), ',')}")
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +254,33 @@ def _open_output(path: str) -> IO[str]:
         raise UsageError(f"cannot write output file: {exc}") from exc
 
 
+def _data(obj):
+    """A library result as JSON data: a tensor is its six components, any
+    other dataclass a dict of its fields in order, a tuple or an array a
+    list, and a dict or a list is taken entry by entry."""
+    curvature = sys.modules.get(f"{__package__}.curvature")  # loaded wherever a tensor exists
+    if curvature is not None and isinstance(obj, curvature.SymTensor3):
+        return list(obj.values)
+    if is_dataclass(obj):
+        return {f.name: _data(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {key: _data(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_data(value) for value in obj]
+    return obj.tolist() if hasattr(obj, "tolist") else obj
+
+
+def _print_table(rows: list[tuple[str, object]], stdout: IO[str]) -> None:
+    for label, value in rows:
+        print(f"{label}: {_joined(_data(value), ',')}", file=stdout)
+
+
 def _write_report(report: dict, path: str | None, fmt_name: str) -> None:
     """Write the report as JSON or CSV; the text is built before the file
     is opened, so a report that cannot be serialised leaves no partial file."""
     if path is None:
         return
+    report = _data(report)
     if fmt_name == "json":
         text = json.dumps(report, indent=2) + "\n"
     else:
@@ -264,26 +291,24 @@ def _write_report(report: dict, path: str | None, fmt_name: str) -> None:
 
 
 def _flatten(obj, key: str = "") -> list[tuple[str, str]]:
-    """(key, value) rows of a report: a dict, or a list of dicts, recurses
+    """(key, value) rows of JSON data: a dict, or a list of dicts, recurses
     with a dotted key (`directions.0.raw_spectrum`); any other value is one
     row, a nested list of numbers `;`-joined in row-major order."""
     if isinstance(obj, dict):
         items = obj.items()
-    elif isinstance(obj, (list, tuple)) and obj and all(isinstance(v, dict) for v in obj):
+    elif isinstance(obj, list) and obj and all(isinstance(v, dict) for v in obj):
         items = enumerate(obj)
     else:
         return [(key, _joined(obj))]
     return [row for k, v in items for row in _flatten(v, f"{key}.{k}" if key else str(k))]
 
 
-def _joined(obj) -> str:
-    if isinstance(obj, (list, tuple)):
-        return ";".join(map(_joined, obj))
+def _joined(obj, sep: str = ";") -> str:
+    """A value of JSON data as text: a float in its shortest round-trip form,
+    the entries of a (nested) list joined by `sep` in row-major order."""
+    if isinstance(obj, list):
+        return sep.join(_joined(v, sep) for v in obj)
     return fmt(obj) if isinstance(obj, float) else str(obj)
-
-
-def _vec_str(values) -> str:
-    return ",".join(fmt(v) for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -329,45 +354,17 @@ def cmd_curvature(options: dict, stdout: IO[str]) -> int:
     from . import curvature as cv
 
     riem, g, meta = _curvature_inputs(options)
-    ric, scalar = cv.ricci(riem, g)
-    p = cv.einstein_raised(riem, g)
-    forms = cv.cross_curvature_forms(riem, g)
-    (a, b, c), vectors = cv._eigenpairs(p, g)  # eigen_frame's, in floats
-    h = forms.contraction_form
-    h_eigs, _ = cv._eigenpairs(h, g)
-
-    report = {
-        "version": __version__,
-        "command": "curvature",
-        "input": meta,
-        "g": list(g.values),
-        "ricci": list(ric.values),
-        "scalar_curvature": scalar,
-        "einstein_raised": list(p.values),
-        "frame": {"a": a, "b": b, "c": c, "vectors": [list(v) for v in vectors]},
-        "cross_curvature": {
-            "contraction_form": list(h.values),
-            "mu_form": list(forms.mu_form.values),
-            "determinant_form": list(forms.determinant_form.values),
-            "determinant_unit": forms.determinant_unit,
-            "determinant_singular": forms.determinant_singular,
-            "max_pairwise_dev": forms.max_pairwise_dev,
-        },
-        "h_eigenvalues": h_eigs,
-    }
-    _write_report(report, options["output"], options["format"])
-
-    print(f"g: {_vec_str(g.values)}", file=stdout)
-    print(f"Ric: {_vec_str(ric.values)}", file=stdout)
-    print(f"R: {fmt(scalar)}", file=stdout)
-    print(f"P: {_vec_str(p.values)}", file=stdout)
-    print(f"frame a,b,c: {_vec_str((a, b, c))}", file=stdout)
-    print(f"h (contraction): {_vec_str(h.values)}", file=stdout)
-    print(f"h (mu form): {_vec_str(forms.mu_form.values)}", file=stdout)
-    print(f"h (determinant): {_vec_str(forms.determinant_form.values)}", file=stdout)
-    print(f"h max pairwise deviation: {fmt(forms.max_pairwise_dev)}", file=stdout)
-    print(f"h eigenvalues: {_vec_str(sorted(report['h_eigenvalues'], reverse=True))}",
-          file=stdout)
+    report = cv.curvature_report(riem, g)
+    _write_report({"version": __version__, "command": "curvature", "input": meta,
+                   **_data(report)}, options["output"], options["format"])
+    frame, forms = report.frame, report.cross_curvature
+    _print_table([
+        ("g", report.g), ("Ric", report.ricci), ("R", report.scalar_curvature),
+        ("P", report.einstein_raised), ("frame a,b,c", (frame.a, frame.b, frame.c)),
+        ("h (contraction)", forms.contraction_form), ("h (mu form)", forms.mu_form),
+        ("h (determinant)", forms.determinant_form),
+        ("h max pairwise deviation", forms.max_pairwise_dev),
+        ("h eigenvalues", sorted(report.h_eigenvalues, reverse=True))], stdout)
     return EXIT_OK
 
 
@@ -375,76 +372,35 @@ def cmd_curvature(options: dict, stdout: IO[str]) -> int:
 # symbol command
 
 def _symbol_p(options: dict) -> SymTensor3:
-    import numpy as np
-
     from . import curvature as cv
 
     if (options["frame"] is None) == (options["p"] is None):
         raise UsageError("provide exactly one of --frame or --p")
     if options["frame"] is not None:
         a, b, c = options["frame"]
-        return cv.SymTensor3(np.array([a, 0.0, 0.0, b, c, 0.0]), "upper")
-    return cv.SymTensor3(np.array(options["p"]), "upper")
+        return cv.SymTensor3((a, 0.0, 0.0, b, c, 0.0), "upper")
+    return cv.SymTensor3(options["p"], "upper")
 
 
 def cmd_symbol(options: dict, stdout: IO[str]) -> int:
-    import numpy as np
-
     from . import curvature as cv
     from . import symbol as sb
 
     p = _symbol_p(options)
     rho, case = options["rho"], options["case"]
-    xis = [np.array(xi) for xi in options["xi"]]
-
     # everything that can reject the input runs before the first line is printed
-    report_obj = sb.parabolicity(p, cv.SymTensor3.identity(), rho, case=case,
-                                 mode=options["mode"],
-                                 direction_samples=options["direction_samples"])
-    p_signed = cv.SymTensor3(sb.case_sign(case) * p.components, "upper")
-    per_direction = []
-    for xi in xis:
-        raw = sb.symbol_raw(p_signed, rho, xi)
-        modified = sb.symbol_modified(p, rho, xi, case=case)
-        per_direction.append({
-            "xi": [float(v) for v in xi],
-            "raw_matrix": raw.entries.tolist(),
-            "deturck_matrix": modified.entries.tolist(),
-            "raw_spectrum": [float(v) for v in sb.spectrum(raw)],
-            "deturck_spectrum": [float(v) for v in sb.spectrum(modified)],
-        })
-
-    report = {
-        "version": __version__,
-        "command": "symbol",
-        "p": list(p.components),
-        "rho": rho,
-        "case": report_obj.case,
-        "mode": report_obj.mode,
-        "directions": per_direction,
-        "parabolicity": {
-            "threshold": report_obj.threshold,
-            "margin": report_obj.margin,
-            "spectral_margin": report_obj.spectral_margin,
-            "verdict": report_obj.verdict,
-            "min_modified_eig": report_obj.min_modified_eig,
-            "min_raw_eig": report_obj.min_raw_eig,
-            "direction_samples": report_obj.direction_samples,
-            "max_imag_residue": report_obj.max_imag_residue,
-            "critical_direction": list(report_obj.critical_direction),
-            "deciding_branch": report_obj.deciding_branch,
-        },
-    }
-    _write_report(report, options["output"], options["format"])
-
-    for entry in per_direction:
-        print(f"xi: {_vec_str(entry['xi'])}", file=stdout)
-        print(f"raw: {_vec_str(entry['raw_spectrum'])}", file=stdout)
-        print(f"deturck: {_vec_str(entry['deturck_spectrum'])}", file=stdout)
-    print(f"threshold: {fmt(report_obj.threshold)}", file=stdout)
-    print(f"margin: {fmt(report_obj.margin)}", file=stdout)
-    print(f"spectral_margin: {fmt(report_obj.spectral_margin)}", file=stdout)
-    print(f"verdict: {report_obj.verdict}", file=stdout)
+    report = sb.parabolicity(p, cv.SymTensor3.identity(), rho, case=case, mode=options["mode"],
+                             direction_samples=options["direction_samples"])
+    directions = [sb.direction_report(p, rho, xi, case) for xi in options["xi"]]
+    block = _data(report)  # the query goes first, the rest is the parabolicity block
+    _write_report({"version": __version__, "command": "symbol", "p": p,
+                   **{key: block.pop(key) for key in ("rho", "case", "mode")},
+                   "directions": directions, "parabolicity": block},
+                  options["output"], options["format"])
+    rows = [row for d in directions
+            for row in (("xi", d.xi), ("raw", d.raw_spectrum), ("deturck", d.deturck_spectrum))]
+    _print_table(rows + [(name, getattr(report, name))
+                         for name in ("threshold", "margin", "spectral_margin", "verdict")], stdout)
     return EXIT_OK
 
 
@@ -476,14 +432,6 @@ def _trace_table(trace: fl.FlowTrace) -> tuple[list[str], list[list]]:
     return columns, rows
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return "nan"
-    if isinstance(value, list):
-        return ";".join(value)
-    return fmt(value)
-
-
 def write_trace_csv(fh: IO[str], trace: fl.FlowTrace) -> None:
     """Pinned CSV trace format: version comment, then
     t,c,R,h_eig,parab_margin,events (plus c_closed_form when rho = 0)."""
@@ -491,23 +439,19 @@ def write_trace_csv(fh: IO[str], trace: fl.FlowTrace) -> None:
     fh.write(f"# xcflow v{__version__}\n")
     fh.write(",".join(columns) + "\n")
     for row in rows:
-        fh.write(",".join(map(_csv_cell, row)) + "\n")
+        fh.write(",".join("nan" if cell is None else _joined(cell) for cell in row) + "\n")
+
+
+# the flow report's one spelling that differs from its library field
+_RENAMED = {"lam": "lambda"}
 
 
 def _trace_dict(trace: fl.FlowTrace, diagnostics: dict | None = None) -> dict:
-    params = trace.params
     columns, rows = _trace_table(trace)
     out = {
         "version": __version__,
         "command": "flow",
-        "params": {
-            "rho": params.rho,
-            "epsilon": params.epsilon,
-            "lambda": params.lam,
-            "dt": params.dt,
-            "t_end": params.t_end,
-            "unsafe_signs": params.unsafe_signs,
-        },
+        "params": {_RENAMED.get(key, key): value for key, value in _data(trace.params).items()},
         "status": trace.status,
         "extinction_time": trace.extinction_time,
         "counters": {
@@ -537,24 +481,17 @@ def cmd_flow(options: dict, stdout: IO[str]) -> int:
         # side-by-side of the integrated right-hand side and the originally
         # published form of the reduced ODE, which disagrees with the
         # engine-derived one
-        discrepancies = [
-            abs(fl.einstein_rhs(r.c, params) - fl.published_ode_rhs(r.c, params))
-            for r in trace.records
-        ]
-        diagnostics = {
-            "published_ode": {
-                "derived_rhs_at_start": fl.einstein_rhs(1.0, params),
-                "published_rhs_at_start": fl.published_ode_rhs(1.0, params),
-                "max_abs_discrepancy_on_trace": max(discrepancies),
-            }
+        published = {
+            "derived_rhs_at_start": fl.einstein_rhs(1.0, params),
+            "published_rhs_at_start": fl.published_ode_rhs(1.0, params),
+            "max_abs_discrepancy_on_trace": max(
+                abs(fl.einstein_rhs(r.c, params) - fl.published_ode_rhs(r.c, params))
+                for r in trace.records),
         }
-        print("published-ODE diagnostic: derived rhs(1) = "
-              f"{fmt(diagnostics['published_ode']['derived_rhs_at_start'])}, "
-              "published rhs(1) = "
-              f"{fmt(diagnostics['published_ode']['published_rhs_at_start'])}, "
-              "max |difference| along trace = "
-              f"{fmt(diagnostics['published_ode']['max_abs_discrepancy_on_trace'])}",
-              file=stdout)
+        diagnostics = {"published_ode": published}
+        _print_table([("published-ODE diagnostic", "derived rhs(1) = {}, published rhs(1) = {}, "
+                       "max |difference| along trace = {}".format(*map(fmt, published.values())))],
+                     stdout)
 
     output = options["output"]
     with nullcontext(stdout) if output is None else _open_output(output) as fh:
@@ -563,9 +500,10 @@ def cmd_flow(options: dict, stdout: IO[str]) -> int:
         else:
             write_trace_json(fh, trace, diagnostics)
     if output is not None:
-        print(f"status: {trace.status}", file=stdout)
+        rows = [("status", trace.status)]
         if trace.extinction_time is not None:
-            print(f"extinction_time: {fmt(trace.extinction_time)}", file=stdout)
+            rows.append(("extinction_time", trace.extinction_time))
+        _print_table(rows, stdout)
         print(f"wrote {output}", file=stdout)
     return EXIT_OK
 

@@ -631,8 +631,9 @@ def _pair_pass(riem: Riemann3,
     One g^-1, from the metric's one Cholesky factor, serves both contractions
     and the trace form (R/2) g^ij - Ric^ij, which checks P, the volume-form
     value `riem.bivector_form`, relative to ||P||_F.  Raises DomainError when
-    riem is not a Riemann3, g not a metric, or R or the trace form overflows,
-    and InternalConsistencyError, which indicates an inconsistent pair, when
+    riem is not a Riemann3, g not a metric, or R or the trace form overflows
+    (the latter even when formed on Ric / 2 and R / 2, then doubled), and
+    InternalConsistencyError, which indicates an inconsistent pair, when
     the forms disagree.  The pass is kept on `riem` only once every check has
     succeeded, so such a pair raises on every call.
     """
@@ -654,7 +655,10 @@ def _pair_pass(riem: Riemann3,
     p_norm = math.hypot(*comps, comps[1], comps[2], comps[5])
     trace_form = _p_trace(ginv, ric, scalar)
     if not all(map(math.isfinite, trace_form)):
-        raise DomainError(_OVERFLOW)
+        # (R/2) g^ij can overflow where P is finite: twice the form on Ric / 2, R / 2
+        trace_form = [2.0 * v for v in _p_trace(ginv, [0.5 * v for v in ric], 0.5 * scalar)]
+        if not all(map(math.isfinite, trace_form)):
+            raise DomainError(_OVERFLOW)
     dev = _deviation(trace_form, comps, (p_norm,))
     if dev > FORMULA_AGREEMENT_RTOL:
         raise InternalConsistencyError(
@@ -751,11 +755,13 @@ def cross_curvature(riem: Riemann3, g: SymTensor3) -> SymTensor3:
 @dataclass(frozen=True)
 class CurvatureFrame:
     """Sectional curvatures (a, b, c) in an orthonormal frame diagonalizing
-    the raised Einstein-type tensor, ordered a <= b <= c."""
+    the raised Einstein-type tensor, ordered a <= b <= c, and that frame:
+    `vectors` holds the g-orthonormal eigenvectors of a, b and c, one per row."""
 
     a: float
     b: float
     c: float
+    vectors: tuple[tuple[float, float, float], ...]
 
     def as_array(self) -> np.ndarray:
         return _array([self.a, self.b, self.c], frozen=False)
@@ -891,7 +897,31 @@ def eigen_frame(p: SymTensor3, g: SymTensor3) -> tuple[CurvatureFrame, np.ndarra
     if _tensor(p, None, "p").variance != "upper":
         raise DomainError("eigen_frame expects a tensor with upper indices")
     lams, vecs = _eigenpairs(p, g)
-    return CurvatureFrame(*lams), _array(list(zip(*vecs)), frozen=False)
+    return CurvatureFrame(*lams, tuple(vecs)), _array(list(zip(*vecs)), frozen=False)
+
+
+@dataclass(frozen=True)
+class CurvatureReport:
+    """The pointwise report of a (Riemann3, metric) pair, its fields in the
+    order the `curvature` command writes them: g, Ric, R, P, P's eigenframe,
+    the three evaluations of h and h's eigenvalues relative to g, ascending."""
+
+    g: SymTensor3
+    ricci: SymTensor3
+    scalar_curvature: float
+    einstein_raised: SymTensor3
+    frame: CurvatureFrame
+    cross_curvature: CrossCurvatureForms
+    h_eigenvalues: tuple[float, float, float]
+
+
+def curvature_report(riem: Riemann3, g: SymTensor3) -> CurvatureReport:
+    """Every quantity of the CurvatureReport, from the pair's one checked pass."""
+    _, ric, scalar, p, _ = _pair_pass(riem, g)
+    forms = cross_curvature_forms(riem, g)
+    lams, vecs = _eigenpairs(p, g)
+    return CurvatureReport(g, ric, scalar, p, CurvatureFrame(*lams, tuple(vecs)), forms,
+                           tuple(_eigenpairs(forms.contraction_form, g)[0]))
 
 
 # The finite-difference stencil in sampling order: +e_k, -e_k for k = 0, 1, 2,

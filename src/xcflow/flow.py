@@ -23,9 +23,9 @@ against `_rk4_step` and `_record`.
 
 The integrator runs on the standard library alone, so `xcflow flow` loads
 no numpy.  The engine cross-checks import `curvature` when they are called,
-which runs on Python floats too (`engine_rhs`, `tensor_norm`);
-`einstein_residual` forms its tensor as arrays and
-`parabolicity_report_at` calls `symbol`, so those two load numpy.
+which runs on Python floats too (`engine_rhs`, `einstein_residual`,
+`tensor_norm`); `parabolicity_report_at` calls `symbol`, so it alone loads
+numpy.
 """
 
 from __future__ import annotations
@@ -440,7 +440,8 @@ def einstein_residual(record: TraceRecord, params: FlowParams) -> float:
 
     riem, g = _space_form(record.c, params)
     ric, scalar = cv.ricci(riem, g)
-    return tensor_norm(ric.matrix - (scalar / 3.0) * g.matrix, g)
+    t = cv._FULL([r - scalar / 3.0 * x for r, x in zip(ric.values, g.values)])
+    return tensor_norm((t[:3], t[3:6], t[6:]), g)
 
 
 def tensor_norm(t_lower: np.ndarray, g: SymTensor3) -> float:

@@ -223,10 +223,14 @@ def symbol_modified(p: SymTensor3, rho: float, xi, case: int = +1) -> SymbolMatr
     untouched.  At xi = e1 the spectrum is {1, 1, 1, s P11, s P11,
     s P11 - 4 rho} with s = case.
     """
-    sign = case_sign(case)
-    p_eff = SymTensor3._made([sign * x for x in _tensor(p, None, "p").values], p.variance)
-    v, raw, gauge, q = _one_direction(p_eff, rho, xi)
+    v, raw, gauge, q = _one_direction(_signed(p, case), rho, xi)
     return SymbolMatrix(raw - gauge, "deturck", v, float(rho), q)
+
+
+def _signed(p: SymTensor3, case) -> SymTensor3:
+    """P times the sign of `case`: the P of the gauge-fixed symbol."""
+    sign = case_sign(case)
+    return SymTensor3._made([sign * x for x in _tensor(p, None, "p").values], p.variance)
 
 
 def case_sign(case) -> int:
@@ -260,6 +264,26 @@ def spectrum(m: SymbolMatrix) -> np.ndarray:
     """
     structural = 0.0 if m.kind == "raw" else 1.0
     return np.sort([structural] * 3 + [m.q, m.q, m.q - 4.0 * m.rho])
+
+
+@dataclass(frozen=True)
+class DirectionReport:
+    """At a covector xi, kept as given, the raw symbol of the case-signed P and
+    the gauge-fixed one, then their spectra: the `symbol` command's order."""
+
+    xi: tuple[float, float, float]
+    raw_matrix: np.ndarray
+    deturck_matrix: np.ndarray
+    raw_spectrum: np.ndarray
+    deturck_spectrum: np.ndarray
+
+
+def direction_report(p: SymTensor3, rho: float, xi, case: int = +1) -> DirectionReport:
+    """The DirectionReport of (P, rho, case) at xi."""
+    raw = symbol_raw(_signed(p, case), rho, xi)
+    modified = symbol_modified(p, rho, xi, case=case)
+    return DirectionReport(tuple(_real_array(xi, (3,), "xi")), raw.entries, modified.entries,
+                           spectrum(raw), spectrum(modified))
 
 
 def _check_closed_form(blocks: np.ndarray, raw_scale: float, q: list[float], rho: float,
@@ -367,7 +391,8 @@ def quotient_blocks(raw: np.ndarray, gauge: np.ndarray, xis) -> tuple[np.ndarray
     none of them overflows; G is already of order 1 at unit xi.  A
     residual above STRUCTURE_TOL raises InternalConsistencyError.
     """
-    return _frame_blocks(raw, gauge, _householder_frames(np.asarray(xis, dtype=float)))
+    xis = np.array(_real_array(xis, (None, 3), "xis")).reshape(-1, 3)
+    return _frame_blocks(raw, gauge, _householder_frames(xis))
 
 
 def unit_directions(n: int) -> np.ndarray:
@@ -398,7 +423,8 @@ def to_orthonormal_frame(p: SymTensor3, g: SymTensor3) -> SymTensor3:
 
 @dataclass(frozen=True)
 class ParabolicityReport:
-    """Verdict and threshold bookkeeping for one (P, g, rho, case) query.
+    """Verdict and threshold bookkeeping for one (P, g, rho, case) query, in
+    the order the `symbol` command writes them: the query, then the rest.
 
     `threshold` is the stated bound on rho for the requested case and mode
     (`bounds.stated_threshold`); `margin` = threshold - rho.  A positive
@@ -428,13 +454,13 @@ class ParabolicityReport:
     echoes the query's option, which decides nothing.
     """
 
+    rho: float
     case: str
     mode: str
     threshold: float
-    rho: float
-    verdict: str
     margin: float
     spectral_margin: float
+    verdict: str
     min_modified_eig: float
     min_raw_eig: float
     direction_samples: int
@@ -509,13 +535,13 @@ def parabolicity(
         verdict = "not_parabolic"
 
     return ParabolicityReport(
+        rho=rho,
         case="positive" if sign > 0 else "negative",
         mode=mode,
         threshold=float(threshold),
-        rho=rho,
-        verdict=verdict,
         margin=float(threshold - rho),
         spectral_margin=lowest / 4.0,
+        verdict=verdict,
         min_modified_eig=min_modified,
         min_raw_eig=min_raw,
         direction_samples=samples,

@@ -445,6 +445,34 @@ def test_text_and_csv_reports_are_pinned(command, case, tmp_path, monkeypatch, c
     assert digests == PINNED_TEXT_AND_CSV[command, case]
 
 
+def test_every_report_field_is_written_in_its_order(tmp_path, capsys):
+    # the library's result decides a report's fields: a new field is written
+    # without an edit to the CLI
+    from dataclasses import fields
+
+    from xcflow.curvature import CrossCurvatureForms, CurvatureFrame, CurvatureReport
+    from xcflow.flow import FlowParams
+    from xcflow.symbol import DirectionReport, ParabolicityReport
+
+    def names(cls):
+        return [f.name for f in fields(cls)]
+
+    written = {}
+    for command, argv in [("curvature", ["--frame", "1,2,3"]), ("symbol", ["--frame", "1,2,3"]),
+                          ("flow", [*PINNED_FLOW_TRACES[0][0], "--format", "json"])]:
+        path = tmp_path / f"{command}.json"
+        assert cli.main([command, *argv, "--output", str(path)]) == cli.EXIT_OK
+        written[command] = json.loads(path.read_text(encoding="utf-8"))
+    capsys.readouterr()
+    curvature, symbol, flow = written["curvature"], written["symbol"], written["flow"]
+    assert list(curvature)[3:] == names(CurvatureReport)
+    assert list(curvature["frame"]) == names(CurvatureFrame)
+    assert list(curvature["cross_curvature"]) == names(CrossCurvatureForms)
+    assert [*list(symbol)[3:6], *symbol["parabolicity"]] == names(ParabolicityReport)
+    assert list(symbol["directions"][0]) == names(DirectionReport)
+    assert [{"lambda": "lam"}.get(key, key) for key in flow["params"]] == names(FlowParams)
+
+
 @pytest.mark.parametrize("command,lines", [
     ("symbol", ["symbol.frame = 1,2,3", "symbol.direction_samples = 2.5"]),
     ("flow", ["flow.rho = 0", "flow.epsilon = 1", "flow.lambda = 2", "flow.dt = 1e-3",

@@ -1459,10 +1459,10 @@ def _infinite_frame() -> np.ndarray:
 
 
 @pytest.mark.parametrize("make, message", [
-    # P = R / det g is 7e307, a float, but the trace form (R/2) g^ij that
-    # checks it is 2.1e308
-    (lambda: ricci(Riemann3.space_form(7e297, SymTensor3(1e-10 * IDENTITY.components)),
-                   SymTensor3(1e-10 * IDENTITY.components)), OVERFLOW),
+    # P = R / det g is 7e307 and checks (test below), but h is about 5e585
+    (lambda: cross_curvature_forms(
+        Riemann3.space_form(7e297, SymTensor3(1e-10 * IDENTITY.components)),
+        SymTensor3(1e-10 * IDENTITY.components)), OVERFLOW),
     (lambda: Riemann3.space_form(1e300, SymTensor3(1e-10 * IDENTITY.components)), OVERFLOW),
     # P is the frame itself; Ric_22 = a + c is 2e308
     (lambda: ricci(Riemann3.from_frame(1e308, -1e308, 1e308), IDENTITY), OVERFLOW),
@@ -1487,6 +1487,22 @@ def test_bivector_form_overflow_is_named_without_numpy_warnings(make, message):
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=message):
             make()
+
+
+def test_a_trace_form_that_overflows_on_the_way_is_formed_on_halves():
+    # (R/2) g^ij is 2.1e308 before Ric^ij is subtracted; on Ric / 2 and R / 2,
+    # doubled, the trace form is 7e307 and checks P
+    g = SymTensor3(1e-10 * IDENTITY.components)
+    riem = Riemann3.space_form(7e297, g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ric, scalar = ricci(riem, g)
+        p = einstein_raised(riem, g)
+    assert ric.values == (1.3999999999999996e288, 0.0, 0.0, 1.3999999999999996e288,
+                          1.3999999999999996e288, 0.0)
+    assert scalar == 4.199999999999998e298
+    assert p.values == (6.999999999999997e307, 0.0, 0.0, 6.999999999999997e307,
+                        6.999999999999997e307, 0.0)
 
 
 def test_riemann_near_the_float_range_is_kept():

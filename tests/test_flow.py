@@ -1,5 +1,8 @@
 import io
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -520,6 +523,20 @@ class TestEinsteinResidual:
             trace = integrate(params, record_every=25)
             for record in trace.records:
                 assert einstein_residual(record, params) < 1e-12
+
+    def test_residual_runs_without_numpy(self):
+        # Ric - (R/3) g is formed in Python floats: the same bits with numpy blocked
+        code = ("import sys; sys.modules['numpy'] = None\n"
+                "from xcflow.flow import FlowParams, TraceRecord, einstein_residual\n"
+                "params = FlowParams(rho=0.1, epsilon=-1, lam=-2.0, dt=1e-3, t_end=2.0)\n"
+                "for c in (1e-3, 0.3, 7.0):\n"
+                "    print(einstein_residual(TraceRecord(0.0, c, 0.0, 0.0, 0.0), params).hex())")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert proc.stdout.split() == [
+            einstein_residual(TraceRecord(0.0, c, 0.0, 0.0, 0.0), hyperbolic(rho=0.1)).hex()
+            for c in (1e-3, 0.3, 7.0)]
 
     def test_detector_sees_injected_anisotropy(self):
         # direct norm computation on deliberately perturbed frame data

@@ -18,11 +18,13 @@ from xcflow.curvature import (MetricJet, Riemann3, SymTensor3, cross_curvature_f
                               space_form_chart, space_form_chart_jet, unpack)
 from xcflow.errors import DomainError
 from xcflow.flow import tensor_norm
-from xcflow.symbol import parabolicity, symbol_modified, symbol_raw, symbol_stacks
+from xcflow.symbol import (parabolicity, quotient_blocks, symbol_modified, symbol_raw,
+                           symbol_stacks)
 
 IDENTITY = SymTensor3.identity()
 P = SymTensor3(np.array([1.0, 0.1, 0.0, 2.0, 3.0, 0.2]), "upper")
 CHART = space_form_chart(1.0)
+STACKS = symbol_stacks(P, 0.1, np.eye(3))
 
 # (argument name, shape (None: any length), a valid value, the call that reads it)
 ENTRY_POINTS = {
@@ -51,6 +53,7 @@ ENTRY_POINTS = {
     "symbol_modified": ("xi", (3,), np.array([1.0, 0.0, 0.0]),
                         lambda v: symbol_modified(P, 0.1, v)),
     "symbol_stacks": ("xis", (None, 3), np.eye(3), lambda v: symbol_stacks(P, 0.1, v)),
+    "quotient_blocks": ("xis", (None, 3), np.eye(3), lambda v: quotient_blocks(*STACKS, v)),
     "tensor_norm": ("t_lower", (3, 3), np.eye(3), lambda v: tensor_norm(v, IDENTITY)),
     "pack": ("matrix", (3, 3), np.eye(3), pack),
     "unpack": ("components", (6,), np.zeros(6), unpack),

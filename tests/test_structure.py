@@ -7,7 +7,8 @@ _frame_eigh uses and the one inverse of g, which _require_metric keeps on
 the metric object, so no other determinant, inverse or solve of g exists.  verify.py keeps numpy's
 routines as its independent references, and curvature._jacobi is the one
 eigensolver.  curvature._real_array is the one reader of the arrays a caller
-hands the library.
+hands the library.  The library builds the reports; cli.py parses and
+formats them, without numpy or a private name of the library.
 """
 
 import ast
@@ -115,3 +116,20 @@ def test_every_caller_array_is_read_by_the_one_reader():
                       if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                       and node.func.id == "_entries"})
     assert callers == ["curvature.py:_entries", "curvature.py:_real_array"]
+
+
+def test_the_cli_reads_no_numpy_and_no_private_library_name():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    modules = [alias.name for node in imports if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module for node in imports if isinstance(node, ast.ImportFrom) and node.module]
+    assert [name for name in modules if name.split(".")[0] == "numpy"] == []
+    # names bound by `from . import ...` and `from .module import ...`
+    library = {alias.asname or alias.name: alias.name for node in imports
+               if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names}
+    private = [name for name in library.values() if name.startswith("_") and not name.endswith("__")]
+    private += [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id in library
+                and node.attr.startswith("_")]
+    assert private == []
