@@ -415,13 +415,19 @@ def build_flow_params(options: dict) -> fl.FlowParams:
                          t_end=options["t_end"], unsafe_signs=options["unsafe_signs"])
 
 
+# the flow report's spellings that differ from their library fields: the
+# params' lam and the trace columns
+_RENAMED = {"lam": "lambda", "scalar_curvature": "R", "h_eigenvalue": "h_eig",
+            "parabolicity_margin": "parab_margin"}
+
+
 def _trace_table(trace: fl.FlowTrace) -> tuple[list[str], list[list]]:
-    """Column names and one row per record: t, c, R, h_eig, parab_margin,
-    events, plus c_closed_form (None where it is undefined) when rho = 0."""
+    """Column names and one row per record: the `TraceRecord` fields, spelled
+    as `_RENAMED` spells them (t, c, R, h_eig, parab_margin, events), plus
+    c_closed_form (None where it is undefined) when rho = 0."""
     params = trace.params
-    columns = ["t", "c", "R", "h_eig", "parab_margin", "events"]
-    rows = [[r.t, r.c, r.scalar_curvature, r.h_eigenvalue, r.parabolicity_margin,
-             list(r.events)] for r in trace.records]
+    columns = [_RENAMED.get(name, name) for name in fl.TraceRecord._fields]
+    rows = [[*r[:-1], list(r.events)] for r in trace.records]  # events is the last field
     if params.rho == 0.0:
         columns.append("c_closed_form")
         for row in rows:
@@ -440,10 +446,6 @@ def write_trace_csv(fh: IO[str], trace: fl.FlowTrace) -> None:
     fh.write(",".join(columns) + "\n")
     for row in rows:
         fh.write(",".join("nan" if cell is None else _joined(cell) for cell in row) + "\n")
-
-
-# the flow report's one spelling that differs from its library field
-_RENAMED = {"lam": "lambda"}
 
 
 def _trace_dict(trace: fl.FlowTrace, diagnostics: dict | None = None) -> dict:

@@ -115,6 +115,10 @@ _DDG_PACK = operator.itemgetter(*(_flat(*kl, *ij) for kl in COMPONENT_ORDER
                                   for ij in COMPONENT_ORDER))
 _DG_FULL = _gather(lambda k, i, j: 6 * k + _SLOT[i][j], 3)
 _DDG_FULL = _gather(lambda k, l, i, j: 6 * _SLOT[k][l] + _SLOT[i][j])
+# full arrays [k, i, j] and [k, l, i, j] with (i, j), or (k, l), swapped
+_DG_SWAP_IJ = _gather(lambda k, i, j: _flat(k, j, i), 3)
+_DDG_SWAP_IJ = _gather(lambda k, l, i, j: _flat(k, l, j, i))
+_DDG_SWAP_KL = _gather(lambda k, l, i, j: _flat(l, k, i, j))
 # the terms d_a g_bm, d_b g_am, d_m g_ab of Gamma_{m,ab} in the packed dg, m-major
 _BRACKET = [operator.itemgetter(*(6 * x + _SLOT[y][z] for m in range(3) for a, b in COMPONENT_ORDER
                                   for x, y, z in [((a, b, m), (b, a, m), (m, a, b))[n]]))
@@ -414,9 +418,18 @@ class MetricJet:
 
     @classmethod
     def from_full(cls, g: np.ndarray, dg_full: np.ndarray, ddg_full: np.ndarray) -> "MetricJet":
-        """Build from full arrays dg_full[k,i,j] and ddg_full[k,l,i,j]."""
+        """Build from full arrays dg_full[k,i,j] and ddg_full[k,l,i,j], each
+        symmetric in (i, j), and ddg_full in (k, l) too, to within 1e-12 of
+        max(1, its largest |entry|) (a DomainError naming it otherwise); the
+        canonical entries are kept."""
         first = _real_array(dg_full, (3, 3, 3), "dg_full")
         second = _real_array(ddg_full, (3, 3, 3, 3), "ddg_full")
+        for entries, swap, name, pair in ((first, _DG_SWAP_IJ, "dg_full", "(i, j)"),
+                                          (second, _DDG_SWAP_IJ, "ddg_full", "(i, j)"),
+                                          (second, _DDG_SWAP_KL, "ddg_full", "(k, l)")):
+            scale = max(1.0, *map(abs, entries))
+            if max(map(abs, map(operator.sub, entries, swap(entries)))) > 1e-12 * scale:
+                raise DomainError(f"{name} is not symmetric in {pair}")
         g = _real_array(g, (3, 3), "g")
         metric = SymTensor3.from_matrix([g[:3], g[3:6], g[6:]])
         _require_metric(metric)
@@ -449,7 +462,10 @@ def _lowered_gamma(dg: tuple) -> list[float]:
 def christoffel(jet: MetricJet) -> np.ndarray:
     """Levi-Civita connection Gamma^k_ij = g^km Gamma_{m,ij}, indexed [k, i, j]:
     the lowered symbols of `riemann` raised by the kept g^-1, exactly
-    symmetric in (i, j).  An overflow is a DomainError naming it."""
+    symmetric in (i, j).  A jet that is not a MetricJet, or an overflow, is
+    a DomainError naming it."""
+    if type(jet) is not MetricJet:
+        raise DomainError(f"jet must be a MetricJet, got {jet!r}")
     gamma = _lowered_gamma(jet._dg)
     ginv = _FULL(_require_metric(jet.g).ginv)
     raised = [ginv[3 * k] * gamma[n] + ginv[3 * k + 1] * gamma[6 + n]
@@ -557,9 +573,11 @@ def riemann(jet: MetricJet) -> Riemann3:
              + M[il, jk] - M[ik, jl],
 
     with M = Gamma^T g^-1 Gamma = U^T U, U = L^-1 Gamma for the lowered
-    Christoffel symbols Gamma[m, ab] and g = L L^T.  An overflow is a
-    DomainError naming it.
+    Christoffel symbols Gamma[m, ab] and g = L L^T.  A jet that is not a
+    MetricJet, or an overflow, is a DomainError naming it.
     """
+    if type(jet) is not MetricJet:
+        raise DomainError(f"jet must be a MetricJet, got {jet!r}")
     (m11, _, _), (m21, m22, _), (m31, m32, m33) = _require_metric(jet.g).inverse
     gamma = _lowered_gamma(jet._dg)
     g0, g1, g2 = gamma[:6], gamma[6:12], gamma[12:]

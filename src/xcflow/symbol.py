@@ -279,9 +279,11 @@ class DirectionReport:
 
 
 def direction_report(p: SymTensor3, rho: float, xi, case: int = +1) -> DirectionReport:
-    """The DirectionReport of (P, rho, case) at xi."""
-    raw = symbol_raw(_signed(p, case), rho, xi)
-    modified = symbol_modified(p, rho, xi, case=case)
+    """The DirectionReport of (P, rho, case) at xi: `symbol_raw` of the
+    case-signed P and `symbol_modified`, from one assembly and check."""
+    v, raw, gauge, q = _one_direction(_signed(p, case), rho, xi)
+    raw = SymbolMatrix(raw, "raw", v, float(rho), q)
+    modified = SymbolMatrix(raw.entries - gauge, "deturck", v, float(rho), q)
     return DirectionReport(tuple(_real_array(xi, (3,), "xi")), raw.entries, modified.entries,
                            spectrum(raw), spectrum(modified))
 

@@ -109,14 +109,15 @@ def test_import_xcflow_loads_no_numpy_and_no_submodule():
 
 
 def test_verify_flow_and_cli_suites_never_load_numpy_random():
-    # neither suite draws a number, so neither builds a generator
+    # neither suite draws a number, so neither builds a generator, and
+    # neither runs the exact reference, so `fractions` stays out too
     code = ("import contextlib, io, sys\n"
             "from xcflow import cli\n"
             "for suite in ('flow', 'cli'):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert cli.main(['verify', '--suite', suite]) == 0\n"
-            "    print(suite, 'numpy.random' in sys.modules)")
-    assert _python("-c", code).stdout.splitlines() == ["flow False", "cli False"]
+            "    print(suite, 'numpy.random' in sys.modules, 'fractions' in sys.modules)")
+    assert _python("-c", code).stdout.splitlines() == ["flow False False", "cli False False"]
 
 
 # `python -m xcflow` with numpy unimportable
@@ -209,6 +210,26 @@ def test_symbol_csv_has_one_key_and_one_value_per_row(tmp_path, capsys):
     assert spectrum[:3] == [0.0, 0.0, 0.0] and spectrum[3:] == pytest.approx([3.0] * 3)
     assert len(rows["directions.0.raw_matrix"].split(";")) == 36
     assert rows["directions.0.xi"] == "1.0;1.0;0.0"
+
+
+def test_each_xi_assembles_its_symbol_once(monkeypatch, capsys):
+    # direction_report builds the raw and the gauge-fixed symbol from one
+    # assembly and closed-form check: one symbol_stacks call per --xi
+    from xcflow import symbol
+    stacks, calls = symbol.symbol_stacks, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return stacks(*args, **kwargs)
+
+    monkeypatch.setattr(symbol, "symbol_stacks", counted)
+    counts = []
+    for xis in (["--xi", "1,1,0"], ["--xi", "1,1,0", "--xi", "0,0,1", "--xi", "2,-1,0.5"]):
+        calls.clear()
+        assert cli.main(["symbol", "--frame", "1,2,3", *xis]) == cli.EXIT_OK
+        counts.append(len(calls))
+    capsys.readouterr()
+    assert counts[1] - counts[0] == 2  # two more directions, two more calls
 
 
 FLOW_ARGS = ["--rho=0", "--epsilon=1", "--lambda=2", "--dt=1e-3", "--t-end=0.1"]

@@ -1382,16 +1382,16 @@ def test_mu_raising_consistency(i, j, scale):
 
 def test_christoffel_raises_the_lowered_symbols_of_riemann():
     # one route to Gamma: the gathered Gamma_{m,ab} raised by the kept g^-1,
-    # against verify's einsum over the full bracket with the same g^-1
-    from xcflow.verify import _bracket, reference_christoffel
+    # against verify's exact connection (adj(g) / det g over the full
+    # bracket, in Fractions), rounded once to floats
+    from xcflow.verify import _exact_connection
 
     rng = np.random.default_rng(97)
     worst = 0.0
     for _ in range(300):
         jet = _generic_jet(rng)
         got = christoffel(jet)
-        want = reference_christoffel(unpack(curvature._require_metric(jet.g).ginv),
-                                     _bracket(jet.dg_full))
+        want = np.array(_exact_connection(jet)[-1], dtype=float)
         worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
         assert np.array_equal(got, got.transpose(0, 2, 1))
     assert worst <= 1e-14

@@ -13,13 +13,14 @@ import warnings
 import numpy as np
 import pytest
 
-from xcflow.curvature import (MetricJet, Riemann3, SymTensor3, cross_curvature_forms, eigen_frame,
+from xcflow.curvature import (MetricJet, Riemann3, SymTensor3, christoffel, cross_curvature,
+                              cross_curvature_forms, curvature_report, eigen_frame,
                               einstein_raised, generalized_eigh, jet_from_function, pack, ricci,
-                              space_form_chart, space_form_chart_jet, unpack)
+                              riemann, space_form_chart, space_form_chart_jet, unpack, volume_form)
 from xcflow.errors import DomainError
 from xcflow.flow import tensor_norm
-from xcflow.symbol import (parabolicity, quotient_blocks, symbol_modified, symbol_raw,
-                           symbol_stacks)
+from xcflow.symbol import (direction_report, parabolicity, quotient_blocks, symbol_modified,
+                           symbol_raw, symbol_stacks, to_orthonormal_frame)
 
 IDENTITY = SymTensor3.identity()
 P = SymTensor3(np.array([1.0, 0.1, 0.0, 2.0, 3.0, 0.2]), "upper")
@@ -132,6 +133,16 @@ def test_a_malformed_array_is_a_domain_error_naming_its_argument(entry_point, fa
             call(bad)
 
 
+ZERO_DG, ZERO_DDG = np.zeros((3, 3, 3)), np.zeros((3, 3, 3, 3))
+
+
+def _full_with(shape: tuple, index: tuple, value: float) -> np.ndarray:
+    """Zeros of `shape` with `value` at `index` alone."""
+    full = np.zeros(shape)
+    full[index] = value
+    return full
+
+
 @pytest.mark.parametrize("make, message", [
     # a bivector form that is not an upper-index tensor used to be kept as given
     (lambda: Riemann3(np.zeros((3, 3, 3, 3)), "x"),
@@ -150,13 +161,37 @@ def test_a_malformed_array_is_a_domain_error_naming_its_argument(entry_point, fa
     # sqrt(g^ik g^jl T_ij T_kl) = 3e308: the norm itself leaves the float range
     (lambda: tensor_norm(np.full((3, 3), 1e308), IDENTITY),
      "^the norm of t_lower overflows; t_lower and g must keep it finite$"),
+    # derivative arrays that are not symmetric used to be read at their
+    # canonical entries alone: d_0 g_10 = 1 below the diagonal came back as 0
+    (lambda: MetricJet.from_full(np.eye(3), _full_with((3, 3, 3), (0, 1, 0), 1.0), ZERO_DDG),
+     r"^dg_full is not symmetric in \(i, j\)$"),
+    (lambda: MetricJet.from_full(np.eye(3), _full_with((3, 3, 3), (0, 0, 1), 1.0), ZERO_DDG),
+     r"^dg_full is not symmetric in \(i, j\)$"),
+    (lambda: MetricJet.from_full(np.eye(3), ZERO_DG, _full_with((3, 3, 3, 3), (0, 1, 0, 0), 5.0)),
+     r"^ddg_full is not symmetric in \(k, l\)$"),
+    (lambda: MetricJet.from_full(np.eye(3), ZERO_DG, _full_with((3, 3, 3, 3), (0, 0, 1, 2), 5.0)),
+     r"^ddg_full is not symmetric in \(i, j\)$"),
+    # beyond 1e-12 of max(1, the largest entry), as SymTensor3.from_matrix
+    (lambda: MetricJet.from_full(np.eye(3), _full_with((3, 3, 3), (0, 0, 1), 3e-12), ZERO_DDG),
+     r"^dg_full is not symmetric in \(i, j\)$"),
 ], ids=["bivector_form_text", "bivector_form_lower", "riemann_symmetries", "stacks_huge_xi",
-        "stacks_huge_rho", "zero_xi", "tensor_norm_overflows"])
+        "stacks_huge_rho", "zero_xi", "tensor_norm_overflows", "dg_full_below_diagonal",
+        "dg_full_above_diagonal", "ddg_full_kl", "ddg_full_ij", "dg_full_past_tolerance"])
 def test_the_checks_past_the_reader_are_named(make, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=message):
             make()
+
+
+def test_from_full_keeps_the_canonical_entries_within_the_symmetry_tolerance():
+    dg_full = _full_with((3, 3, 3), (0, 0, 1), 1.0)
+    dg_full[0, 1, 0] = 1.0 + 1e-13
+    ddg_full = _full_with((3, 3, 3, 3), (0, 1, 2, 2), 2.0)
+    ddg_full[1, 0, 2, 2] = 2.0 - 1e-12
+    jet = MetricJet.from_full(np.eye(3), dg_full, ddg_full)
+    assert jet.dg[0].tolist() == [0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+    assert jet.ddg[1].tolist() == [0.0, 0.0, 0.0, 0.0, 2.0, 0.0]
 
 
 def test_riemann3_keeps_a_valid_tensor():
@@ -212,10 +247,23 @@ def _a_tensor(name: str, kind: str = "SymTensor3") -> str:
     (lambda: parabolicity(P, np.eye(3), 0.1), _a_tensor("g")),
     (lambda: symbol_raw(np.eye(3), 0.1, [1.0, 0.0, 0.0]), _a_tensor("p")),
     (lambda: symbol_modified(np.eye(3), 0.1, [1.0, 0.0, 0.0]), _a_tensor("p")),
+    # an array where a jet belongs used to end in "... no attribute 'g'" and "... '_dg'"
+    (lambda: riemann(np.eye(3)), _a_tensor("jet", "MetricJet")),
+    (lambda: christoffel(np.eye(3)), _a_tensor("jet", "MetricJet")),
+    (lambda: volume_form(np.eye(3)), _a_tensor("g")),
+    (lambda: to_orthonormal_frame(np.eye(3), IDENTITY), _a_tensor("p")),
+    (lambda: to_orthonormal_frame(P, np.eye(3)), _a_tensor("g")),
+    (lambda: symbol_stacks(np.eye(3), 0.1, np.eye(3)), _a_tensor("p")),
+    (lambda: direction_report(np.eye(3), 0.1, [1.0, 0.0, 0.0]), _a_tensor("p")),
+    (lambda: curvature_report(np.eye(3), IDENTITY), _a_tensor("riem", "Riemann3")),
+    (lambda: curvature_report(RIEM, np.eye(3)), _a_tensor("g")),
+    (lambda: cross_curvature(RIEM, np.eye(3)), _a_tensor("g")),
 ], ids=["ricci", "einstein_raised", "cross_curvature_forms", "ricci_riem", "eigen_frame_p",
         "eigen_frame_g", "generalized_eigh_t", "generalized_eigh_g", "metric_jet", "from_lowered",
         "space_form", "tensor_norm", "parabolicity_p", "parabolicity_g", "symbol_raw",
-        "symbol_modified"])
+        "symbol_modified", "riemann", "christoffel", "volume_form", "to_orthonormal_frame_p",
+        "to_orthonormal_frame_g", "symbol_stacks", "direction_report", "curvature_report_riem",
+        "curvature_report_g", "cross_curvature"])
 def test_an_array_where_a_tensor_belongs_is_named(make, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
