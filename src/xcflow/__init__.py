@@ -28,8 +28,8 @@ Subsystems:
   parses options and formats the reports the library builds.
 
 Every name in `__all__` loads its submodule on first access (PEP 562), so
-`import xcflow` loads no numpy.  `xcflow flow` and `xcflow curvature` run
-on the standard library alone; `symbol` and `verify` need numpy.
+`import xcflow` loads no numpy.  `xcflow symbol` and verify's `tensor_core`
+and `symbol` suites need numpy; every other command and suite runs without it.
 """
 
 import importlib

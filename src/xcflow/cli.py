@@ -22,7 +22,7 @@ its text is a (label, value) table (`_print_table`).
 `flow` imports only the standard library and `xcflow.flow`, and
 `curvature` also `xcflow.curvature`, whose engine runs on Python floats, so
 both run without numpy; the CLI imports no numpy itself, and `symbol` and
-`verify` load it with the modules they use when they run.
+verify's `tensor_core` and `symbol` suites import it where they use it.
 
 `format` is `json` (default) or `csv` for the `curvature` and `symbol`
 reports, `csv` (default) or `json` for the `flow` trace, and `json` only

@@ -8,9 +8,9 @@ deterministic given the seed; each one reports its worst observed
 deviation next to the tolerance it was held to.
 
 A check's generator is keyed by the seed and the check's name, and built
-on the check's first draw from it: importing `numpy.random` costs about
-5 MB and 10-16 ms in a cold process, and the 'flow' and 'cli' suites draw
-nothing, so running only them never loads it, nor `fractions`.
+on the check's first draw from it.  numpy, `xcflow.symbol` and `fractions`
+load in the helpers and checks that use them, so the 'flow' and 'cli'
+suites, which draw nothing and build no array, load none of them.
 
 The suites are grouped by subsystem ('tensor_core', 'symbol', 'flow',
 'cli') and surfaced through the `xcflow verify` command, which exits
@@ -25,13 +25,14 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import curvature as cv
 from . import flow as fl
-from . import symbol as sb
 from .errors import DomainError, InternalConsistencyError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_SEED = 1729
 
@@ -72,10 +73,10 @@ class VerifySummary:
         }
 
 
-_REGISTRY: list[tuple[str, str, object, int]] = []
+_REGISTRY: list[tuple[str, str, object, int | None]] = []
 
 
-def _check(suite: str, name: str, default_cases: int = 1):
+def _check(suite: str, name: str, default_cases: int | None = None):
     def wrap(fn):
         _REGISTRY.append((suite, name, fn, default_cases))
         return fn
@@ -101,6 +102,7 @@ class _FirstDrawGenerator:
 
     @functools.cached_property
     def _rng(self):
+        import numpy as np
         return np.random.default_rng(np.random.SeedSequence(self._seed, spawn_key=self._key))
 
     def __getattr__(self, name):  # only names the wrapper itself lacks
@@ -115,7 +117,8 @@ def run_check(idx: int, cases: int | None = None,
     # leaves this one's data as it is
     key = tuple(f"{suite}/{name}".encode())
     rng = _FirstDrawGenerator(seed, key)
-    n = cases if cases is not None else default_cases
+    # a check registered without a count runs its fixed cases, and counts as one
+    n = 1 if default_cases is None else default_cases if cases is None else cases
     start = time.perf_counter()
     try:
         passed, detail = fn(rng, n)
@@ -141,6 +144,7 @@ def _random_rotation(rng) -> np.ndarray:
     """Haar-distributed rotation: QR of a Gaussian matrix with the signs of
     R's diagonal folded into Q, then one column flipped if det Q = -1
     (F. Mezzadri, Notices AMS 54, 2007)."""
+    import numpy as np
     q, r = np.linalg.qr(rng.standard_normal((3, 3)))
     q = q * np.sign(np.diag(r))
     if np.linalg.det(q) < 0.0:
@@ -149,6 +153,7 @@ def _random_rotation(rng) -> np.ndarray:
 
 
 def _random_spd(rng, scale: float = 1.0) -> cv.SymTensor3:
+    import numpy as np
     m = rng.uniform(-1.0, 1.0, (3, 3))
     return cv.SymTensor3.from_matrix(scale * (m @ m.T + 0.5 * np.eye(3)))
 
@@ -167,6 +172,7 @@ def _frame_data(rng, abc) -> tuple[cv.Riemann3, cv.SymTensor3]:
 
 def _eigenvalue_dev(t: cv.SymTensor3, g: cv.SymTensor3, expected) -> float:
     """max |eigenvalue of t relative to g - expected| / max(1, max |expected|)."""
+    import numpy as np
     expected = np.sort(expected)
     got = cv.generalized_eigh(t, g)[0]
     return float(np.abs(got - expected).max() / max(np.abs(expected).max(), 1.0))
@@ -180,9 +186,9 @@ def _verdict(max_dev: float, tol: float, label: str = "max dev") -> tuple[bool, 
 # g^-1 = adj(g) / det g, connection and curvature are exact in `fractions.Fraction`.
 
 def _rational(array) -> list:
-    """A float array as nested lists of Fractions, each equal to its entry."""
+    """A 3 x ... x 3 float array as nested lists of Fractions, each equal to its entry."""
     from fractions import Fraction
-    return np.vectorize(Fraction, otypes=[object])(array).tolist()
+    return _nest(lambda *index: Fraction(array[index]), array.ndim)
 
 
 def _nest(entry, rank: int) -> list:
@@ -230,6 +236,7 @@ def _deviations_from_exact(jet: cv.MetricJet) -> list[float]:
     """max |engine - exact| / max |exact| (if not 0) of Gamma, R_ijkl, Ric, R, P
     and h at the jet; only the first two where the pair check refuses (riem, g)."""
     from fractions import Fraction
+    import numpy as np
     riem = cv.riemann(jet)
     got = [cv.christoffel(jet), riem.lowered]
     try:
@@ -249,6 +256,7 @@ def _deviations_from_exact(jet: cv.MetricJet) -> list[float]:
 
 def matrix_of(op) -> np.ndarray:
     """6x6 matrix of a linear map on symmetric tensors, built column by column."""
+    import numpy as np
     return np.column_stack([cv.pack(op(cv.unpack(row))) for row in np.eye(6)])
 
 
@@ -263,6 +271,7 @@ def engine_symbol(jet: cv.MetricJet, epsilon: float, rho: float,
     The gauge term is minus the principal part of L_W g, W^k = g^ij
     Gamma^k_ij, which at g = I needs no g^-1: d_a Gamma^k_ij is half the
     bracket d_a (d_i g_jk + d_j g_ik - d_k g_ij) of the variation."""
+    import numpy as np
     g = jet.g
     if g.components.tolist() != [1.0, 0.0, 0.0, 1.0, 1.0, 0.0]:
         raise DomainError("engine_symbol linearises at a jet whose metric is the identity")
@@ -294,6 +303,7 @@ def engine_symbol(jet: cv.MetricJet, epsilon: float, rho: float,
 
 @_check("tensor_core", "mu_contraction_identity", default_cases=50)
 def _mu_contraction(rng, cases):
+    import numpy as np
     eye = np.eye(3)
     expected = np.einsum("il,jm->ijlm", eye, eye) - np.einsum("im,jl->ijlm", eye, eye)
     worst = 0.0
@@ -306,6 +316,7 @@ def _mu_contraction(rng, cases):
 
 @_check("tensor_core", "volume_form_raising", default_cases=50)
 def _volume_raising(rng, cases):
+    import numpy as np
     worst = 0.0
     for _ in range(cases):
         g = _random_spd(rng)
@@ -358,14 +369,14 @@ def _homogeneity(rng, cases):
         h1 = cv.cross_curvature(cv.Riemann3.space_form(kappa, g), g).matrix
         g2 = cv.SymTensor3(s * g.components)
         h2 = cv.cross_curvature(cv.Riemann3.space_form(kappa / s, g2), g2).matrix
-        scale = max(np.abs(h1).max(), 1e-300)
-        worst = max(worst, float(np.abs(h2 - h1 / s).max() / scale))
+        scale = max(abs(h1).max(), 1e-300)
+        worst = max(worst, float(abs(h2 - h1 / s).max() / scale))
     return _verdict(worst, 1e-9, "max rel dev of h(s g) vs h(g)/s")
 
 
 @_check("tensor_core", "positive_definite_propagation", default_cases=300)
 def _positivity(rng, cases):
-    worst = np.inf
+    worst = math.inf
     for _ in range(cases):
         abc = rng.uniform(0.01, 5.0, 3)
         riem, g = _frame_data(rng, abc)
@@ -378,6 +389,7 @@ def _positivity(rng, cases):
 
 @_check("tensor_core", "eigen_frame_reconstruction", default_cases=200)
 def _eigen_frame_rebuild(rng, cases):
+    import numpy as np
     worst = 0.0
     for _ in range(cases):
         p = cv.SymTensor3(_random_spd(rng).components, "upper")
@@ -414,6 +426,7 @@ def reference_chart_jet(kappa: float, x: np.ndarray) -> cv.MetricJet:
     d_k g_ij = -delta_ij kappa x_k / u^3 and
     d_k d_l g_ij = -delta_ij kappa (delta_kl / u^3 - 3/2 kappa x_k x_l / u^4).
     `curvature.space_form_chart_jet` must match it to rounding."""
+    import numpy as np
     # |x|^2 summed in the chart's order: the two share u, and the check sees
     # the rounding of the derivatives alone
     u = 1.0 + kappa * sum(v * v for v in x.tolist()) / 4.0
@@ -431,8 +444,8 @@ def _chart_jet_reference(rng, cases):
         x = rng.uniform(-0.4, 0.4, 3)
         got, want = cv.space_form_chart_jet(kappa, x), reference_chart_jet(kappa, x)
         pairs = ((got.g.components, want.g.components), (got.dg, want.dg), (got.ddg, want.ddg))
-        scale = max(float(np.abs(b).max()) for _, b in pairs)
-        worst = max(worst, max(float(np.abs(a - b).max()) for a, b in pairs) / scale)
+        scale = max(float(abs(b).max()) for _, b in pairs)
+        worst = max(worst, max(float(abs(a - b).max()) for a, b in pairs) / scale)
     return _verdict(worst, 1e-15, "max dev relative to the largest entry")
 
 
@@ -472,6 +485,7 @@ def _pointwise_exact(rng, cases):
 
 @_check("tensor_core", "jacobi_matches_eigh", default_cases=2000)
 def _jacobi_reference(rng, cases):
+    import numpy as np
     # the library's Jacobi eigensolve, through generalized_eigh at g = I,
     # against numpy's eigh on Q diag(lam) Q^T: lam random (case 0 mod 4),
     # repeated (1), split by 1e-9 (2), or random times 1e150 or 1e-150 (3).
@@ -506,6 +520,8 @@ def _jacobi_reference(rng, cases):
 
 @_check("symbol", "spectrum_closed_form", default_cases=1000)
 def _spectrum_closed_form(rng, cases):
+    import numpy as np
+    from . import symbol as sb
     # at a random unit xi the raw spectrum is {0, 0, 0, q, q, q - 4 rho} and
     # the gauge-fixed one {1, 1, 1, q, q, q - 4 rho}, q = xi^T P xi; every
     # fourth case sits at the threshold rho = q / 4, where an eigenvalue of
@@ -530,6 +546,8 @@ def _spectrum_closed_form(rng, cases):
 
 @_check("symbol", "linearisation_matches_engine", default_cases=30)
 def _linearisation(rng, cases):
+    import numpy as np
+    from . import symbol as sb
     # case i: a random jet at g = I, eps = +1 for even i and -1 for odd i,
     # rho = 0 for i % 4 < 2 and random otherwise; xi = e1 and four random
     # unit directions, both stacks from one batched call
@@ -555,6 +573,8 @@ def _linearisation(rng, cases):
 
 @_check("symbol", "rotation_equivariance", default_cases=100)
 def _rotation_equivariance(rng, cases):
+    import numpy as np
+    from . import symbol as sb
     worst = 0.0
     for _ in range(cases):
         m = rng.uniform(-3.0, 3.0, (3, 3))
@@ -572,6 +592,8 @@ def _rotation_equivariance(rng, cases):
 
 @_check("symbol", "xi_quadratic_homogeneity", default_cases=100)
 def _xi_homogeneity(rng, cases):
+    import numpy as np
+    from . import symbol as sb
     exact_failures = 0
     for _ in range(cases):
         m = rng.uniform(-3.0, 3.0, (3, 3))
@@ -587,6 +609,8 @@ def _xi_homogeneity(rng, cases):
 
 @_check("symbol", "rho_term_linearity", default_cases=100)
 def _rho_reduction(rng, cases):
+    import numpy as np
+    from . import symbol as sb
     e1 = np.array([1.0, 0.0, 0.0])
     zero_p = cv.SymTensor3(np.zeros(6), "upper")
     if np.abs(sb.symbol_raw(zero_p, 0.0, e1).entries).max() != 0.0:
@@ -606,6 +630,7 @@ def _rho_reduction(rng, cases):
 
 @_check("symbol", "parabolicity_threshold_bisection")
 def _threshold_bisection(_rng, _cases):
+    from . import symbol as sb
     g = cv.SymTensor3.identity()
     p = cv.SymTensor3.identity("upper")
     below = sb.parabolicity(p, g, 0.24)
@@ -628,6 +653,7 @@ def _threshold_bisection(_rng, _cases):
 
 @_check("symbol", "sphere_threshold_from_engine")
 def _sphere_threshold(_rng, _cases):
+    from . import symbol as sb
     g = cv.SymTensor3.identity()
     riem = cv.Riemann3.space_form(1.0, g)
     p = cv.einstein_raised(riem, g)
@@ -639,6 +665,8 @@ def _sphere_threshold(_rng, _cases):
 
 @_check("symbol", "deflated_spectra_match_full_solve", default_cases=80)
 def _deflated_spectra(rng, cases):
+    import numpy as np
+    from . import symbol as sb
     # {0,0,0} + spec B and {1,1,1} + spec B, B solved as the library solves it,
     # against the full 6x6 solve of the raw and gauge-fixed stacks.  The case
     # sign s enters the sweep only through the folded s P = Q diag(lam) Q^T,
@@ -702,6 +730,8 @@ def _deflated_spectra(rng, cases):
 
 @_check("symbol", "parabolicity_rotated_anisotropic_threshold", default_cases=50)
 def _rotated_anisotropic(rng, cases):
+    import numpy as np
+    from . import symbol as sb
     # P = s Q diag(0.2, 5, 5) Q^T puts the critical direction off any fixed
     # lattice; rho 1e-3 above the threshold 0.05 must not come back strict
     g = cv.SymTensor3.identity()

@@ -110,14 +110,20 @@ def test_import_xcflow_loads_no_numpy_and_no_submodule():
 
 def test_verify_flow_and_cli_suites_never_load_numpy_random():
     # neither suite draws a number, so neither builds a generator, and
-    # neither runs the exact reference, so `fractions` stays out too
+    # neither runs the exact reference, so `fractions` stays out too; neither
+    # builds an array, so numpy and the symbol module stay out as well, also
+    # when the suite name is refused (listing the suites imports verify)
     code = ("import contextlib, io, sys\n"
             "from xcflow import cli\n"
-            "for suite in ('flow', 'cli'):\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert cli.main(['verify', '--suite', suite]) == 0\n"
-            "    print(suite, 'numpy.random' in sys.modules, 'fractions' in sys.modules)")
-    assert _python("-c", code).stdout.splitlines() == ["flow False False", "cli False False"]
+            "for suite in ('bogus', 'flow', 'cli'):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "        code = cli.main(['verify', '--suite', suite])\n"
+            "    print(suite, code, *(m in sys.modules for m in "
+            "('numpy', 'numpy.random', 'xcflow.symbol', 'fractions')))")
+    assert _python("-c", code).stdout.splitlines() == [
+        "bogus 2 False False False False", "flow 0 False False False False",
+        "cli 0 False False False False"]
 
 
 # `python -m xcflow` with numpy unimportable
@@ -146,6 +152,24 @@ def test_extinct_flow_command_runs_without_numpy():
     with_numpy = _python("-m", "xcflow", *argv).stdout
     assert _python(*_WITHOUT_NUMPY, *argv).stdout == with_numpy
     assert '"extinct"' in with_numpy
+
+
+def test_verify_flow_and_cli_suites_run_without_numpy(tmp_path):
+    # the same checks, verdicts, case counts and details with numpy blocked;
+    # only the timings may differ
+    argv = ["verify", "--suite", "flow,cli", "--format", "json"]
+    outputs = []
+    for python in (("-m", "xcflow"), _WITHOUT_NUMPY):
+        path = tmp_path / f"verify{len(outputs)}.json"
+        printed = _python(*python, *argv, "--output", str(path)).stdout
+        report = json.loads(path.read_text())
+        for check in report["checks"]:
+            del check["elapsed_s"]
+        outputs.append(([line.rsplit(", ", 1)[0] for line in printed.splitlines()], report))
+    assert outputs[0] == outputs[1]
+    lines, report = outputs[0]
+    assert report["n_checks"] == 15 and report["all_passed"] is True
+    assert lines[-1] == "SUMMARY: 15/15 checks passed (seed 1729)"
 
 
 @pytest.mark.parametrize("argv", [
@@ -888,6 +912,13 @@ def test_verify_report_is_written_and_reads_back(tmp_path, capsys):
     assert report["n_checks"] == len(report["checks"]) == len(vf.registered_checks())
     assert report["all_passed"] is True
     assert all(check["passed"] is True for check in report["checks"])
+    # a check registered without a count runs its fixed cases and reports one
+    fixed = [default_cases is None for *_, default_cases in vf._REGISTRY]
+    assert sum(fixed) == 17
+    assert [check["cases"] for check in report["checks"]] == [1 if f else 2 for f in fixed]
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.rsplit(" (", 1)[1].split(",")[0] for line in lines[:-1]] == [
+        "1 cases" if f else "2 cases" for f in fixed]
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,10 +5,11 @@ curvature._cholesky is the one Cholesky factorisation of g (in Python
 floats): it decides whether g is a metric and gives det g, the factor that
 _frame_eigh uses and the one inverse of g, which _require_metric keeps on
 the metric object, so no other determinant, inverse or solve of g exists.  verify.py keeps numpy's
-routines as its independent references, and curvature._jacobi is the one
-eigensolver.  curvature._real_array is the one reader of the arrays a caller
-hands the library.  The library builds the reports; cli.py parses and
-formats them, without numpy or a private name of the library.
+routines as its independent references, imported in the checks that use
+them, and curvature._jacobi is the one eigensolver.  curvature._real_array
+is the one reader of the arrays a caller hands the library.  The library
+builds the reports; cli.py parses and formats them, without numpy or a
+private name of the library.
 """
 
 import ast
@@ -133,3 +134,27 @@ def test_the_cli_reads_no_numpy_and_no_private_library_name():
                 and isinstance(node.value, ast.Name) and node.value.id in library
                 and node.attr.startswith("_")]
     assert private == []
+
+
+def test_verify_imports_no_numpy_and_no_symbol_module_when_it_loads():
+    # the flow and cli suites run on the standard library alone, so verify.py
+    # imports numpy and the symbol module in the helpers and checks that use
+    # them; an import under `if TYPE_CHECKING:` is read by type checkers only
+    def loaded(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
+                    isinstance(child, ast.If) and ast.unparse(child.test) == "TYPE_CHECKING"):
+                continue
+            if isinstance(child, ast.Import):
+                yield from (alias.name for alias in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                prefix = "." * child.level
+                yield from ([prefix + child.module] if child.module
+                            else (prefix + alias.name for alias in child.names))
+            else:
+                yield from loaded(child)
+
+    modules = list(loaded(ast.parse((PACKAGE / "verify.py").read_text())))
+    assert {"math", ".curvature", ".flow", ".errors"} <= set(modules)
+    assert [name for name in modules
+            if name.split(".")[0] == "numpy" or name.split(".")[-1] == "symbol"] == []
