@@ -33,7 +33,8 @@ outputs.
 Exit codes: 0 success; 2 usage error, for malformed input (an unknown,
 duplicate or missing key, a value its key's converter rejects, such as
 text that is not a number, a non-integral count or a misspelt boolean,
-contradictory options, or an output file that cannot be opened); 3
+contradictory options, an option the chosen input mode does not read, or
+an output file that cannot be opened); 3
 numeric/domain error, for well-formed values outside the domain of the
 mathematics (a chart point outside the chart's domain, a NaN coupling,
 an indefinite metric), raised by the library before anything is printed;
@@ -322,6 +323,11 @@ def _curvature_inputs(options: dict) -> tuple[Riemann3, SymTensor3, dict]:
         raise UsageError(
             "provide exactly one of --frame, --space-form, --jet-from-chart")
     mode = modes[0]
+    flag = "--" + mode.replace("_", "-")
+    for key, readers in (("kappa", ("--space-form", "--jet-from-chart")),
+                         ("point", ("--jet-from-chart",))):
+        if options[key] is not None and flag not in readers:
+            raise UsageError(f"--{key} is read only with {' or '.join(readers)}, not with {flag}")
     meta: dict = {"input_mode": mode}
     if mode == "frame":
         a, b, c = options["frame"]
@@ -344,7 +350,7 @@ def _curvature_inputs(options: dict) -> tuple[Riemann3, SymTensor3, dict]:
         g = cv.SymTensor3.identity()
         return cv.Riemann3.space_form(kappa, g), g, meta
 
-    point = list(options["point"])
+    point = [0.0, 0.0, 0.0] if options["point"] is None else list(options["point"])
     meta["point"] = point
     jet = cv.space_form_chart_jet(kappa, point)
     return cv.riemann(jet), jet.g, meta
@@ -378,7 +384,9 @@ def _symbol_p(options: dict) -> SymTensor3:
         raise UsageError("provide exactly one of --frame or --p")
     if options["frame"] is not None:
         a, b, c = options["frame"]
+        _require_finite((a, b, c), "frame")
         return cv.SymTensor3((a, 0.0, 0.0, b, c, 0.0), "upper")
+    _require_finite(options["p"], "p")
     return cv.SymTensor3(options["p"], "upper")
 
 
@@ -438,11 +446,13 @@ def _trace_table(trace: fl.FlowTrace) -> tuple[list[str], list[list]]:
     return columns, rows
 
 
-def write_trace_csv(fh: IO[str], trace: fl.FlowTrace) -> None:
-    """Pinned CSV trace format: version comment, then
-    t,c,R,h_eig,parab_margin,events (plus c_closed_form when rho = 0)."""
+def write_trace_csv(fh: IO[str], trace: fl.FlowTrace, note: str | None = None) -> None:
+    """Pinned CSV trace format: version comment, the note as a comment if
+    given, then t,c,R,h_eig,parab_margin,events (+ c_closed_form if rho = 0)."""
     columns, rows = _trace_table(trace)
     fh.write(f"# xcflow v{__version__}\n")
+    if note is not None:
+        fh.write(f"# {note}\n")
     fh.write(",".join(columns) + "\n")
     for row in rows:
         fh.write(",".join("nan" if cell is None else _joined(cell) for cell in row) + "\n")
@@ -478,7 +488,7 @@ def cmd_flow(options: dict, stdout: IO[str]) -> int:
     trace = fl.integrate(params, record_every=options["record_every"],
                          halt_on_parabolicity_loss=options["halt_on_parabolicity_loss"])
 
-    diagnostics = None
+    diagnostics = note = None
     if options["paper_ode"]:
         # side-by-side of the integrated right-hand side and the originally
         # published form of the reduced ODE, which disagrees with the
@@ -491,17 +501,18 @@ def cmd_flow(options: dict, stdout: IO[str]) -> int:
                 for r in trace.records),
         }
         diagnostics = {"published_ode": published}
-        _print_table([("published-ODE diagnostic", "derived rhs(1) = {}, published rhs(1) = {}, "
-                       "max |difference| along trace = {}".format(*map(fmt, published.values())))],
-                     stdout)
+        note = ("published-ODE diagnostic: derived rhs(1) = {}, published rhs(1) = {}, "
+                "max |difference| along trace = {}".format(*map(fmt, published.values())))
 
     output = options["output"]
     with nullcontext(stdout) if output is None else _open_output(output) as fh:
         if options["format"] == "csv":
-            write_trace_csv(fh, trace)
+            write_trace_csv(fh, trace, note)
         else:
             write_trace_json(fh, trace, diagnostics)
-    if output is not None:
+    if output is not None:  # a trace on stdout is the trace alone
+        if note is not None:
+            print(note, file=stdout)
         rows = [("status", trace.status)]
         if trace.extinction_time is not None:
             rows.append(("extinction_time", trace.extinction_time))
@@ -551,7 +562,7 @@ COMMANDS = {
             "(default 1 for the sphere, -1 for the hyperbolic space form)"),
         Key("jet_from_chart", _choice("sphere", "hyperbolic"),
             "exact jet of the conformal chart: sphere or hyperbolic"),
-        Key("point", _floats(3), "chart point x,y,z", (0.0, 0.0, 0.0)),
+        Key("point", _floats(3), "chart point x,y,z (default 0,0,0)"),
         _OUTPUT, _REPORT_FORMAT)),
     "symbol": Command(cmd_symbol, "symbol matrices, spectra, parabolicity", (
         Key("frame", _floats(3), "P eigenvalues a,b,c (orthonormal frame)"),

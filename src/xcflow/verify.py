@@ -7,10 +7,10 @@ oracles, or a second formula for the same quantity.  Checks are
 deterministic given the seed; each one reports its worst observed
 deviation next to the tolerance it was held to.
 
-A check's generator is keyed by the seed and the check's name, and built
-on the check's first draw from it.  numpy, `xcflow.symbol` and `fractions`
-load in the helpers and checks that use them, so the 'flow' and 'cli'
-suites, which draw nothing and build no array, load none of them.
+A counted check gets its generator, keyed by the seed and the check's
+name, when it starts; a fixed check gets none.  numpy, `xcflow.symbol` and
+`fractions` load in the helpers and checks that use them, so the 'flow'
+and 'cli' suites, fixed checks that build no array, load none of them.
 
 The suites are grouped by subsystem ('tensor_core', 'symbol', 'flow',
 'cli') and surfaced through the `xcflow verify` command, which exits
@@ -92,36 +92,23 @@ def registered_checks() -> list[tuple[str, str]]:
     return [(suite, name) for suite, name, _, _ in _REGISTRY]
 
 
-class _FirstDrawGenerator:
-    """The generator `default_rng(SeedSequence(seed, spawn_key=key))`, built
-    when a check first reads an attribute of it, so a check that draws
-    nothing never loads `numpy.random`."""
-
-    def __init__(self, seed: int, key: tuple[int, ...]):
-        self._seed, self._key = seed, key
-
-    @functools.cached_property
-    def _rng(self):
-        import numpy as np
-        return np.random.default_rng(np.random.SeedSequence(self._seed, spawn_key=self._key))
-
-    def __getattr__(self, name):  # only names the wrapper itself lacks
-        return getattr(self._rng, name)
-
-
 def run_check(idx: int, cases: int | None = None,
               seed: int = DEFAULT_SEED) -> CheckResult:
-    """Run one registered check with the generator run_checks gives it."""
+    """Run one registered check: a counted check with its count and its
+    generator, a fixed check with nothing."""
     suite, name, fn, default_cases = _REGISTRY[idx]
-    # keyed by the check's name, so that adding or removing another check
-    # leaves this one's data as it is
-    key = tuple(f"{suite}/{name}".encode())
-    rng = _FirstDrawGenerator(seed, key)
     # a check registered without a count runs its fixed cases, and counts as one
     n = 1 if default_cases is None else default_cases if cases is None else cases
     start = time.perf_counter()
     try:
-        passed, detail = fn(rng, n)
+        if default_cases is None:
+            passed, detail = fn()
+        else:
+            import numpy as np
+            # keyed by the check's name, so that adding or removing another
+            # check leaves this one's data as it is
+            seq = np.random.SeedSequence(seed, spawn_key=tuple(f"{suite}/{name}".encode()))
+            passed, detail = fn(np.random.default_rng(seq), n)
     except Exception as exc:  # a crash is a failure, not an abort
         passed, detail = False, f"raised {type(exc).__name__}: {exc}"
     return CheckResult(suite, name, bool(passed), n, detail, time.perf_counter() - start)
@@ -629,7 +616,7 @@ def _rho_reduction(rng, cases):
 
 
 @_check("symbol", "parabolicity_threshold_bisection")
-def _threshold_bisection(_rng, _cases):
+def _threshold_bisection():
     from . import symbol as sb
     g = cv.SymTensor3.identity()
     p = cv.SymTensor3.identity("upper")
@@ -652,7 +639,7 @@ def _threshold_bisection(_rng, _cases):
 
 
 @_check("symbol", "sphere_threshold_from_engine")
-def _sphere_threshold(_rng, _cases):
+def _sphere_threshold():
     from . import symbol as sb
     g = cv.SymTensor3.identity()
     riem = cv.Riemann3.space_form(1.0, g)
@@ -758,7 +745,7 @@ _RHS_GRID_RHO = (-0.2, 0.0, 0.1, 1.0 / 6.0)
 
 
 @_check("flow", "rhs_engine_agreement")
-def _rhs_agreement(_rng, _cases):
+def _rhs_agreement():
     worst = 0.0
     for c, lam, rho in itertools.product(_RHS_GRID_C, _RHS_GRID_LAM, _RHS_GRID_RHO):
         params = fl.FlowParams(rho=rho, epsilon=1 if lam > 0 else -1, lam=lam, dt=1e-4,
@@ -781,21 +768,21 @@ def _hyperbolic_params(dt=1e-3, t_end=2.0):
 
 
 @_check("flow", "integration_sphere_accuracy")
-def _sphere_accuracy(_rng, _cases):
+def _sphere_accuracy():
     trace = fl.integrate(_sphere_params())
     err = abs(trace.records[-1].c - math.sqrt(0.2))
     return err < 1e-8, f"|c(0.2) - sqrt(0.2)| = {err:.3e} (tol 1e-8)"
 
 
 @_check("flow", "integration_hyperbolic_accuracy")
-def _hyperbolic_accuracy(_rng, _cases):
+def _hyperbolic_accuracy():
     trace = fl.integrate(_hyperbolic_params())
     err = abs(trace.records[-1].c - 3.0)
     return err < 1e-7, f"|c(2) - 3| = {err:.3e} (tol 1e-7)"
 
 
 @_check("flow", "rk4_convergence_order")
-def _convergence_order(_rng, _cases):
+def _convergence_order():
     exact = math.sqrt(0.2)
     errs = [abs(fl.integrate(_sphere_params(dt=dt)).records[-1].c - exact)
             for dt in (2e-3, 1e-3, 5e-4)]
@@ -805,7 +792,7 @@ def _convergence_order(_rng, _cases):
 
 
 @_check("flow", "einstein_preservation")
-def _einstein_preservation(_rng, _cases):
+def _einstein_preservation():
     worst = 0.0
     for params in (_sphere_params(), _hyperbolic_params()):
         trace = fl.integrate(params)
@@ -815,7 +802,7 @@ def _einstein_preservation(_rng, _cases):
 
 
 @_check("flow", "trace_scalar_curvature_identity")
-def _trace_identity(_rng, _cases):
+def _trace_identity():
     worst = 0.0
     for params in (_sphere_params(), _hyperbolic_params()):
         trace = fl.integrate(params)
@@ -825,7 +812,7 @@ def _trace_identity(_rng, _cases):
 
 
 @_check("flow", "monotone_sign_behavior")
-def _sign_behavior(_rng, _cases):
+def _sign_behavior():
     shrink = [r.c for r in fl.integrate(_sphere_params()).records]
     grow = [r.c for r in fl.integrate(_hyperbolic_params()).records]
     ok = (all(b < a for a, b in zip(shrink, shrink[1:]))
@@ -834,7 +821,7 @@ def _sign_behavior(_rng, _cases):
 
 
 @_check("flow", "parabolic_rescaling_covariance")
-def _rescaling(_rng, _cases):
+def _rescaling():
     s = 2.0
     base = fl.integrate(fl.FlowParams(rho=0.0, epsilon=+1, lam=1.0, dt=1e-3, t_end=0.4),
                         record_every=50)
@@ -848,7 +835,7 @@ def _rescaling(_rng, _cases):
 
 
 @_check("flow", "extinction_detection")
-def _extinction(_rng, _cases):
+def _extinction():
     trace = fl.integrate(fl.FlowParams(rho=0.0, epsilon=+1, lam=2.0, dt=1e-4, t_end=0.3))
     if trace.status != "extinct" or trace.extinction_time is None:
         return False, f"expected extinct status, got {trace.status}"
@@ -859,7 +846,7 @@ def _extinction(_rng, _cases):
 
 
 @_check("flow", "equilibrium_steady_state")
-def _equilibrium(_rng, _cases):
+def _equilibrium():
     params = fl.FlowParams(rho=1.0 / 6.0, epsilon=+1, lam=2.0, dt=1e-3, t_end=0.1)
     trace = fl.integrate(params)
     drift = max(abs(r.c - 1.0) for r in trace.records)
@@ -868,7 +855,7 @@ def _equilibrium(_rng, _cases):
 
 
 @_check("flow", "scalar_coupling_slows_shrinking")
-def _rho_comparison(_rng, _cases):
+def _rho_comparison():
     fast = fl.integrate(_sphere_params(dt=1e-4, t_end=0.2), record_every=200)
     slow = fl.integrate(fl.FlowParams(rho=1.0 / 6.0 - 1e-3, epsilon=+1, lam=2.0,
                                       dt=1e-4, t_end=0.2), record_every=200)
@@ -878,7 +865,7 @@ def _rho_comparison(_rng, _cases):
 
 
 @_check("flow", "integrate_matches_reference_replay")
-def _replay(_rng, _cases):
+def _replay():
     """`integrate` repeats `_rk4_step` and `_record` inline; replay a run that
     records every step against the named step and the record builder."""
     # at most a few hundred steps a run: each one is a record held until
@@ -925,7 +912,7 @@ def _replay(_rng, _cases):
 # cli suite (round-trip and determinism of the emitters)
 
 @_check("cli", "output_determinism")
-def _determinism(_rng, _cases):
+def _determinism():
     from . import cli
     trace = fl.integrate(_sphere_params(dt=1e-3, t_end=0.1), record_every=20)
     blobs = set()
@@ -938,7 +925,7 @@ def _determinism(_rng, _cases):
 
 
 @_check("cli", "csv_float_roundtrip")
-def _roundtrip(_rng, _cases):
+def _roundtrip():
     from . import cli
     trace = fl.integrate(_sphere_params(dt=1e-3, t_end=0.1), record_every=20)
     buf = io.StringIO()
@@ -953,7 +940,7 @@ def _roundtrip(_rng, _cases):
 
 
 @_check("cli", "strict_config_parsing")
-def _strict_config(_rng, _cases):
+def _strict_config():
     from . import cli
     for options, key in (({"flow.rho": "0.0", "flow.bogus_key": "1"}, "flow.bogus_key"),
                          ({"flow.rho": "0.0", "flow.epsilon": "1"}, "lambda")):

@@ -290,6 +290,38 @@ def test_flow_step_count_above_the_bound_never_starts_the_loop(monkeypatch, caps
     assert err.startswith("error: dt is too small for t_end") and "steps" in err
 
 
+_PAPER_ODE = ["flow", "--rho", "0", "--epsilon", "-1", "--lambda", "-1", "--dt", "1e-2",
+              "--t-end", "0.05", "--paper-ode"]
+_PAPER_ODE_NOTE = ("published-ODE diagnostic: derived rhs(1) = 0.5, published rhs(1) = -0.5, "
+                   "max |difference| along trace = 1.0")
+
+
+def test_paper_ode_json_trace_on_stdout_is_the_trace_alone(tmp_path, capsys):
+    assert cli.main([*_PAPER_ODE, "--format", "json"]) == cli.EXIT_OK
+    trace = json.loads(capsys.readouterr().out)
+    assert trace["diagnostics"]["published_ode"] == {
+        "derived_rhs_at_start": 0.5, "published_rhs_at_start": -0.5,
+        "max_abs_discrepancy_on_trace": 1.0}
+    # with --output the note is printed, and the file holds the same trace
+    path = tmp_path / "trace.json"
+    assert cli.main([*_PAPER_ODE, "--format", "json", "--output", str(path)]) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines()[0] == _PAPER_ODE_NOTE
+    assert json.loads(path.read_text(encoding="utf-8")) == trace
+
+
+def test_paper_ode_csv_trace_carries_the_note_as_a_comment(tmp_path, capsys):
+    assert cli.main([*_PAPER_ODE, "--format", "csv"]) == cli.EXIT_OK
+    stdout = capsys.readouterr().out
+    path = tmp_path / "trace.csv"
+    assert cli.main([*_PAPER_ODE, "--format", "csv", "--output", str(path)]) == cli.EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        _PAPER_ODE_NOTE, "status: completed", f"wrote {path}"]
+    assert path.read_text(encoding="utf-8") == stdout
+    version, note, header, *rows = stdout.splitlines()
+    assert version == f"# xcflow v{xcflow.__version__}" and note == f"# {_PAPER_ODE_NOTE}"
+    assert header.startswith("t,c,R,") and len(rows) == 2
+
+
 # sha256 of the JSON trace, recording every step, taken from the loop that
 # called `_rk4_step` and `_record` each step: the flat loop must match it byte
 # for byte
@@ -703,6 +735,50 @@ def test_curvature_chart_edge_cases_name_their_cause(argv, message, capsys):
     assert message in err and "not positive definite" not in err
 
 
+@pytest.mark.parametrize("mode, value, key, readers", [
+    ("frame", "1,2,3", "kappa", "--space-form or --jet-from-chart"),
+    ("frame", "1,2,3", "point", "--jet-from-chart"),
+    ("space_form", "sphere", "point", "--jet-from-chart"),
+])
+@pytest.mark.parametrize("route", ["flags", "config"])
+def test_curvature_refuses_an_option_its_mode_does_not_read(mode, value, key, readers, route,
+                                                            tmp_path, capsys):
+    options = {mode: value, key: "5" if key == "kappa" else "0.1,0,0"}
+    if route == "flags":
+        argv = [f"--{name.replace('_', '-')}={text}" for name, text in options.items()]
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(f"curvature.{name} = {text}\n"
+                                  for name, text in options.items()), encoding="utf-8")
+        argv = ["--config", str(config)]
+    assert cli.main(["curvature", *argv]) == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"usage error: --{key} is read only with {readers}, "
+                   f"not with --{mode.replace('_', '-')}\n")
+
+
+def test_curvature_chart_point_defaults_to_the_origin(tmp_path, capsys):
+    reports = []
+    for point in ([], ["--point", "0,0,0"]):
+        path = tmp_path / f"chart{len(reports)}.json"
+        assert cli.main(["curvature", "--jet-from-chart", "sphere", *point,
+                         "--output", str(path)]) == cli.EXIT_OK
+        reports.append((capsys.readouterr().out, path.read_bytes()))
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0][1])["input"]["point"] == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--frame", "1,2,nan"], "frame must be finite, got 1.0,2.0,nan"),
+    (["--p", "1,0,0,2,inf,0"], "p must be finite, got 1.0,0.0,0.0,2.0,inf,0.0"),
+])
+def test_symbol_non_finite_p_names_its_option(argv, message, capsys):
+    assert cli.main(["symbol", *argv]) == cli.EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 def test_symbol_at_the_threshold_runs_under_warnings_as_errors():
     # at rho = q / 4 the structural zeros meet an eigenvalue of B; the
     # spectra come from B's checked closed form, so nothing is solved or warned
@@ -925,6 +1001,7 @@ def test_verify_report_is_written_and_reads_back(tmp_path, capsys):
     ["curvature", "--frame", "1,2,3"],
     ["symbol", "--frame", "1,2,3", "--rho", "0.1"],
     ["verify", "--suite", "cli"],
+    ["flow", *FLOW_ARGS, "--paper-ode"],
 ])
 def test_an_unwritable_output_is_refused_before_the_report_is_printed(argv, tmp_path,
                                                                        capsys):

@@ -6,6 +6,7 @@ Only numpy and pytest are needed, so this file runs without the test
 oracles (scipy, hypothesis).
 """
 
+import inspect
 import math
 import re
 import warnings
@@ -13,6 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
+from xcflow import curvature, flow, symbol
 from xcflow.curvature import (MetricJet, Riemann3, SymTensor3, christoffel, cross_curvature,
                               cross_curvature_forms, curvature_report, eigen_frame,
                               einstein_raised, generalized_eigh, jet_from_function, pack, ricci,
@@ -228,44 +230,113 @@ def _a_tensor(name: str, kind: str = "SymTensor3") -> str:
     return f"^{name} must be a {kind}, got array\\("
 
 
-# an array where a tensor belongs used to end in AttributeError ("'numpy.ndarray'
-# object has no attribute '_factor'", "... 'variance'", "... 'components'")
-@pytest.mark.parametrize("make, message", [
-    (lambda: ricci(RIEM, np.eye(3)), _a_tensor("g")),
-    (lambda: einstein_raised(RIEM, np.eye(3)), _a_tensor("g")),
-    (lambda: cross_curvature_forms(RIEM, np.eye(3)), _a_tensor("g")),
-    (lambda: ricci(np.eye(3), IDENTITY), _a_tensor("riem", "Riemann3")),
-    (lambda: eigen_frame(np.eye(3), IDENTITY), _a_tensor("p")),
-    (lambda: eigen_frame(P, np.eye(3)), _a_tensor("g")),
-    (lambda: generalized_eigh(np.eye(3), IDENTITY), _a_tensor("t")),
-    (lambda: generalized_eigh(IDENTITY, np.eye(3)), _a_tensor("g")),
-    (lambda: MetricJet(np.eye(3), np.zeros((3, 6)), np.zeros((6, 6))), _a_tensor("g")),
-    (lambda: Riemann3.from_lowered(RIEM.lowered, np.eye(3)), _a_tensor("g")),
-    (lambda: Riemann3.space_form(1.0, np.eye(3)), _a_tensor("g")),
-    (lambda: tensor_norm(np.eye(3), np.eye(3)), _a_tensor("g")),
-    (lambda: parabolicity(np.eye(3), IDENTITY, 0.1), _a_tensor("p")),
-    (lambda: parabolicity(P, np.eye(3), 0.1), _a_tensor("g")),
-    (lambda: symbol_raw(np.eye(3), 0.1, [1.0, 0.0, 0.0]), _a_tensor("p")),
-    (lambda: symbol_modified(np.eye(3), 0.1, [1.0, 0.0, 0.0]), _a_tensor("p")),
-    # an array where a jet belongs used to end in "... no attribute 'g'" and "... '_dg'"
-    (lambda: riemann(np.eye(3)), _a_tensor("jet", "MetricJet")),
-    (lambda: christoffel(np.eye(3)), _a_tensor("jet", "MetricJet")),
-    (lambda: volume_form(np.eye(3)), _a_tensor("g")),
-    (lambda: to_orthonormal_frame(np.eye(3), IDENTITY), _a_tensor("p")),
-    (lambda: to_orthonormal_frame(P, np.eye(3)), _a_tensor("g")),
-    (lambda: symbol_stacks(np.eye(3), 0.1, np.eye(3)), _a_tensor("p")),
-    (lambda: direction_report(np.eye(3), 0.1, [1.0, 0.0, 0.0]), _a_tensor("p")),
-    (lambda: curvature_report(np.eye(3), IDENTITY), _a_tensor("riem", "Riemann3")),
-    (lambda: curvature_report(RIEM, np.eye(3)), _a_tensor("g")),
-    (lambda: cross_curvature(RIEM, np.eye(3)), _a_tensor("g")),
-], ids=["ricci", "einstein_raised", "cross_curvature_forms", "ricci_riem", "eigen_frame_p",
-        "eigen_frame_g", "generalized_eigh_t", "generalized_eigh_g", "metric_jet", "from_lowered",
-        "space_form", "tensor_norm", "parabolicity_p", "parabolicity_g", "symbol_raw",
-        "symbol_modified", "riemann", "christoffel", "volume_form", "to_orthonormal_frame_p",
-        "to_orthonormal_frame_g", "symbol_stacks", "direction_report", "curvature_report_riem",
-        "curvature_report_g", "cross_curvature"])
-def test_an_array_where_a_tensor_belongs_is_named(make, message):
+# (function, its tensor parameter, a call that passes an array for it, the
+# message).  An array where a tensor belongs used to end in AttributeError
+# ("'numpy.ndarray' object has no attribute '_factor'", "... 'variance'",
+# "... 'components'"), and where a jet belongs in "... no attribute 'g'" and "... '_dg'"
+TENSOR_ARGUMENTS = {
+    "ricci": (ricci, "g", lambda: ricci(RIEM, np.eye(3)), _a_tensor("g")),
+    "einstein_raised": (einstein_raised, "g", lambda: einstein_raised(RIEM, np.eye(3)),
+                        _a_tensor("g")),
+    "cross_curvature_forms": (cross_curvature_forms, "g",
+                              lambda: cross_curvature_forms(RIEM, np.eye(3)), _a_tensor("g")),
+    "ricci_riem": (ricci, "riem", lambda: ricci(np.eye(3), IDENTITY),
+                   _a_tensor("riem", "Riemann3")),
+    "eigen_frame_p": (eigen_frame, "p", lambda: eigen_frame(np.eye(3), IDENTITY), _a_tensor("p")),
+    "eigen_frame_g": (eigen_frame, "g", lambda: eigen_frame(P, np.eye(3)), _a_tensor("g")),
+    "generalized_eigh_t": (generalized_eigh, "t", lambda: generalized_eigh(np.eye(3), IDENTITY),
+                           _a_tensor("t")),
+    "generalized_eigh_g": (generalized_eigh, "g", lambda: generalized_eigh(IDENTITY, np.eye(3)),
+                           _a_tensor("g")),
+    "metric_jet": (MetricJet.__init__, "g",
+                   lambda: MetricJet(np.eye(3), np.zeros((3, 6)), np.zeros((6, 6))),
+                   _a_tensor("g")),
+    "from_lowered": (Riemann3.from_lowered, "g",
+                     lambda: Riemann3.from_lowered(RIEM.lowered, np.eye(3)), _a_tensor("g")),
+    "space_form": (Riemann3.space_form, "g", lambda: Riemann3.space_form(1.0, np.eye(3)),
+                   _a_tensor("g")),
+    "tensor_norm": (tensor_norm, "g", lambda: tensor_norm(np.eye(3), np.eye(3)), _a_tensor("g")),
+    "parabolicity_p": (parabolicity, "p", lambda: parabolicity(np.eye(3), IDENTITY, 0.1),
+                       _a_tensor("p")),
+    "parabolicity_g": (parabolicity, "g", lambda: parabolicity(P, np.eye(3), 0.1),
+                       _a_tensor("g")),
+    "symbol_raw": (symbol_raw, "p", lambda: symbol_raw(np.eye(3), 0.1, [1.0, 0.0, 0.0]),
+                   _a_tensor("p")),
+    "symbol_modified": (symbol_modified, "p",
+                        lambda: symbol_modified(np.eye(3), 0.1, [1.0, 0.0, 0.0]), _a_tensor("p")),
+    "riemann": (riemann, "jet", lambda: riemann(np.eye(3)), _a_tensor("jet", "MetricJet")),
+    "christoffel": (christoffel, "jet", lambda: christoffel(np.eye(3)),
+                    _a_tensor("jet", "MetricJet")),
+    "volume_form": (volume_form, "g", lambda: volume_form(np.eye(3)), _a_tensor("g")),
+    "to_orthonormal_frame_p": (to_orthonormal_frame, "p",
+                               lambda: to_orthonormal_frame(np.eye(3), IDENTITY), _a_tensor("p")),
+    "to_orthonormal_frame_g": (to_orthonormal_frame, "g",
+                               lambda: to_orthonormal_frame(P, np.eye(3)), _a_tensor("g")),
+    "symbol_stacks": (symbol_stacks, "p", lambda: symbol_stacks(np.eye(3), 0.1, np.eye(3)),
+                      _a_tensor("p")),
+    "direction_report": (direction_report, "p",
+                         lambda: direction_report(np.eye(3), 0.1, [1.0, 0.0, 0.0]),
+                         _a_tensor("p")),
+    "curvature_report_riem": (curvature_report, "riem",
+                              lambda: curvature_report(np.eye(3), IDENTITY),
+                              _a_tensor("riem", "Riemann3")),
+    "curvature_report_g": (curvature_report, "g", lambda: curvature_report(RIEM, np.eye(3)),
+                           _a_tensor("g")),
+    "cross_curvature": (cross_curvature, "g", lambda: cross_curvature(RIEM, np.eye(3)),
+                        _a_tensor("g")),
+    "einstein_raised_riem": (einstein_raised, "riem",
+                             lambda: einstein_raised(np.eye(3), IDENTITY),
+                             _a_tensor("riem", "Riemann3")),
+    "cross_curvature_forms_riem": (cross_curvature_forms, "riem",
+                                   lambda: cross_curvature_forms(np.eye(3), IDENTITY),
+                                   _a_tensor("riem", "Riemann3")),
+    "cross_curvature_riem": (cross_curvature, "riem", lambda: cross_curvature(np.eye(3), IDENTITY),
+                             _a_tensor("riem", "Riemann3")),
+    "riemann3_bivector_form": (Riemann3.__init__, "bivector_form",
+                               lambda: Riemann3(RIEM.lowered, np.eye(3)),
+                               "^bivector_form must be a SymTensor3 with upper indices, "
+                               "got array\\("),
+}
+
+
+@pytest.mark.parametrize("case", TENSOR_ARGUMENTS)
+def test_an_array_where_a_tensor_belongs_is_named(case):
+    _, _, make, message = TENSOR_ARGUMENTS[case]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=message):
             make()
+
+
+def _tensor_parameters() -> set:
+    """(module, qualified name, parameter) of every parameter annotated
+    SymTensor3, Riemann3 or MetricJet in a public function or method of the
+    curvature, symbol and flow modules."""
+    found = set()
+    for module in (curvature, symbol, flow):
+        for name, value in vars(module).items():
+            if name.startswith("_") or getattr(value, "__module__", None) != module.__name__:
+                continue
+            members = vars(value).items() if inspect.isclass(value) else [(name, value)]
+            for attr, member in members:
+                if isinstance(member, classmethod | staticmethod):
+                    member = member.__func__
+                # the dataclass decorator, not the module, writes the report types' __init__
+                if (not inspect.isfunction(member) or attr.startswith("_") and attr != "__init__"
+                        or member.__code__.co_filename != module.__file__):
+                    continue
+                for param in inspect.signature(member).parameters.values():
+                    if param.annotation in ("SymTensor3", "Riemann3", "MetricJet"):
+                        found.add((module.__name__, member.__qualname__, param.name))
+    return found
+
+
+def test_every_tensor_parameter_has_a_refusal_case():
+    found = _tensor_parameters()
+    covered = {(fn.__module__, fn.__qualname__, name)
+               for fn, name, _, _ in TENSOR_ARGUMENTS.values()}
+    # the enumeration reads all three modules, and methods as well as functions
+    assert {("xcflow.curvature", "Riemann3.from_lowered", "g"),
+            ("xcflow.flow", "tensor_norm", "g"), ("xcflow.symbol", "parabolicity", "p")} <= found
+    assert covered <= found  # each row names a tensor parameter of its function
+    assert found - covered == set()

@@ -38,8 +38,8 @@ def test_removing_an_earlier_check_leaves_a_checks_data(monkeypatch):
 @pytest.mark.parametrize("check", [("tensor_core", "positive_definite_propagation"),
                                    ("symbol", "spectrum_closed_form")])
 def test_a_checks_generator_draws_what_an_eager_one_draws(check, seed):
-    # run_check builds the generator on the check's first draw; its numbers
-    # are those of the generator built before the check starts
+    # run_check keys a counted check's generator by the seed and the check's
+    # "suite/name": its numbers are those of a generator built from that key
     idx = CHECKS.index(check)
     suite, name, fn, cases = vf._REGISTRY[idx]
     key = tuple(f"{suite}/{name}".encode())
